@@ -139,14 +139,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	m.Eng.MaxSteps = 2_000_000_000
+	m.SetMaxSteps(2_000_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 
 	fmt.Println("=== V++ system image: run complete ===")
-	fmt.Printf("virtual time: %.1f ms\n", float64(m.Eng.Now())/hw.CyclesPerMicrosecond/1000)
+	fmt.Printf("virtual time: %.1f ms\n", float64(m.MPMs[0].Shard.Now())/hw.CyclesPerMicrosecond/1000)
 	if console != nil {
 		fmt.Printf("--- UNIX console ---\n%s", string(*console))
 	}

@@ -62,7 +62,7 @@ func boot(main func(s *srm.SRM, e *hw.Exec)) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	m.Eng.MaxSteps = 100_000_000
+	m.SetMaxSteps(100_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -157,7 +157,7 @@ func paradigm() {
 			os.Exit(1)
 		}
 	}
-	m.Eng.MaxSteps = 10_000_000
+	m.SetMaxSteps(10_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -240,7 +240,7 @@ func recovery() {
 		{Kind: chaos.CrashKernel, At: hw.CyclesFromMicros(crashUS), MPM: 0},
 	}})
 	in.Arm(m, k)
-	m.Eng.ScheduleAt(hw.CyclesFromMicros(crashUS)-1, func() {
+	m.MPMs[0].Shard.ScheduleAt(hw.CyclesFromMicros(crashUS)-1, func() {
 		fmt.Println("--- kernel trace (crash window) ---")
 		tracing = true
 	})
@@ -283,11 +283,11 @@ func recovery() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	m.Eng.MaxSteps = 100_000_000
+	m.SetMaxSteps(100_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	fmt.Printf("\nfinal virtual clock %.1f ms; Cache Kernel epoch %d; crashes injected %d\n",
-		float64(m.Eng.Now())/hw.CyclesPerMicrosecond/1000, k.Epoch, in.Stats.Crashes)
+		float64(m.MPMs[0].Shard.Now())/hw.CyclesPerMicrosecond/1000, k.Epoch, in.Stats.Crashes)
 }

@@ -88,7 +88,7 @@ func main() {
 		}
 	})
 
-	m.Eng.MaxSteps = 500_000_000
+	m.SetMaxSteps(500_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		log.Fatal(err)
 	}

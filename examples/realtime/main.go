@@ -66,7 +66,7 @@ func run(pressure bool) rtk.TaskStats {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m.Eng.MaxSteps = 1_000_000_000
+	m.SetMaxSteps(1_000_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		log.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m.Eng.MaxSteps = 2_000_000_000
+	m.SetMaxSteps(2_000_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		log.Fatal(err)
 	}

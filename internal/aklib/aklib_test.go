@@ -103,7 +103,7 @@ func bootLoopback(t *testing.T, body func(env *loopbackEnv, e *hw.Exec)) {
 		t.Fatal(err)
 	}
 	info = b
-	m.Eng.MaxSteps = 50_000_000
+	m.SetMaxSteps(50_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}

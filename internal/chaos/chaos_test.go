@@ -93,7 +93,7 @@ func runLossyTraffic(t *testing.T, seed uint64) lossyOutcome {
 	}
 	return lossyOutcome{
 		rx: b.RxFrames, dropped: a.WireDropped, duped: a.WireDuped,
-		stats: in.Stats, finalClock: m.Eng.Now(),
+		stats: in.Stats, finalClock: m.Now(),
 	}
 }
 

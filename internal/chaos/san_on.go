@@ -10,7 +10,7 @@ import "vpp/internal/hw"
 // only safe while all shards are quiescent at construction time
 // (DESIGN.md §11).
 func sanCheckArm(m *hw.Machine) {
-	if m != nil && m.Cluster != nil && m.Cluster.Running() {
+	if m != nil && m.Cluster.Running() {
 		panic("cksan: chaos plan armed while the cluster is running: fault hooks must be installed before Run")
 	}
 }

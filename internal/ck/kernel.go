@@ -118,21 +118,9 @@ func descriptorBytes(cfg Config) int {
 // New creates a Cache Kernel for mpm, allocating its descriptor caches
 // from the MPM's local RAM and installing itself as the supervisor.
 func New(mpm *hw.MPM, cfg Config) (*Kernel, error) {
-	return newKernel(mpm, cfg, nil)
-}
-
-// newKernel builds a Cache Kernel, adopting a pre-built pmap from pool
-// when one matching the configuration is available. A pooled pmap is
-// reset to the freshly-constructed state before it is handed out, so
-// the two paths are indistinguishable to the kernel.
-func newKernel(mpm *hw.MPM, cfg Config, pool *InstancePool) (*Kernel, error) {
 	cfg = cfg.withDefaults()
 	if !mpm.LocalRAM.Alloc(descriptorBytes(cfg)) {
 		return nil, fmt.Errorf("ck: descriptor caches (%d bytes) exceed local RAM", descriptorBytes(cfg))
-	}
-	pm := pool.take(cfg.MappingSlots, cfg.PMapBuckets)
-	if pm == nil {
-		pm = newPMap(cfg.MappingSlots, cfg.PMapBuckets)
 	}
 	k := &Kernel{
 		MPM:           mpm,
@@ -140,7 +128,7 @@ func newKernel(mpm *hw.MPM, cfg Config, pool *InstancePool) (*Kernel, error) {
 		kernels:       newObjCache[*KernelObj]("kernels", cfg.KernelSlots),
 		spaces:        newObjCache[*SpaceObj]("spaces", cfg.SpaceSlots),
 		threads:       newObjCache[*ThreadObj]("threads", cfg.ThreadSlots),
-		pm:            pm,
+		pm:            newPMap(cfg.MappingSlots, cfg.PMapBuckets),
 		spaceByHW:     make(map[*hw.Space]*SpaceObj),
 		kernelBySpace: make(map[*SpaceObj]*KernelObj),
 		syscalls:      make(map[uint32]func(*hw.Exec, []uint32) (uint32, uint32)),

@@ -92,24 +92,6 @@ func newPMap(capacity, buckets int) *pmap {
 	return p
 }
 
-// reset returns the pmap to its freshly-constructed state in place:
-// indistinguishable from newPMap(len(recs), len(buckets)) to every
-// reader, including the descending free-slot order and the cleared
-// used/reloads observability state, so a recycled pmap adopted by a
-// fork behaves byte-for-byte like a rebuilt one.
-func (p *pmap) reset() {
-	clear(p.recs)
-	clear(p.used)
-	for i := range p.buckets {
-		p.buckets[i] = -1
-	}
-	p.free = p.free[:0]
-	for i := len(p.recs) - 1; i >= 0; i-- {
-		p.free = append(p.free, int32(i))
-	}
-	p.live, p.hand, p.reloads = 0, 0, 0
-}
-
 func (p *pmap) bucket(key uint32) int32 {
 	return int32(key * 2654435761 % uint32(len(p.buckets)))
 }

@@ -115,11 +115,11 @@ func MeasureTable2(cfg Config) (Table2, error) {
 	if _, err := k.Boot(attrs, 40, body); err != nil {
 		return out, err
 	}
-	m.Eng.MaxSteps = 100_000_000
+	m.SetMaxSteps(100_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		return out, err
 	}
-	out.SchedSteps = m.Eng.Steps()
+	out.SchedSteps = m.Steps()
 	for _, c := range m.MPMs[0].CPUs {
 		h, mi := c.TLB.Stats()
 		out.TLBHits += h

@@ -99,7 +99,7 @@ func newEnv(t *testing.T, cfg Config, fn func(env *testEnv, e *hw.Exec)) *testEn
 // run drives the machine to quiescence.
 func (env *testEnv) run() {
 	env.t.Helper()
-	env.m.Eng.MaxSteps = 50_000_000
+	env.m.SetMaxSteps(50_000_000)
 	if err := env.m.Run(math.MaxUint64); err != nil {
 		env.t.Fatalf("machine run: %v", err)
 	}

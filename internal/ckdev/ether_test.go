@@ -59,7 +59,7 @@ func startEtherPair(t *testing.T, body0, body1 func(e *hw.Exec, k *ck.Kernel, wi
 	}
 	mk(0, m.MPMs[0], nic0, body0)
 	mk(1, m.MPMs[1], nic1, body1)
-	m.Eng.MaxSteps = 300_000_000
+	m.SetMaxSteps(300_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}

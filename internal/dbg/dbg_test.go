@@ -90,7 +90,7 @@ func TestBreakpointUnloadExamineContinue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Eng.MaxSteps = 100_000_000
+	m.SetMaxSteps(100_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestRemoteDebugOverBootNetwork(t *testing.T) {
 		e.Charge(hw.CyclesFromMicros(5000))
 		done = true
 	})
-	m.Eng.MaxSteps = 300_000_000
+	m.SetMaxSteps(300_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func runWorkload(t *testing.T, policy Policy, tablePages uint32, poolFrames int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Eng.MaxSteps = 200_000_000
+	m.SetMaxSteps(200_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestPoolHitsAndCorrectContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Eng.MaxSteps = 50_000_000
+	m.SetMaxSteps(50_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func twoNodes(t *testing.T, pages uint32,
 	mk(0, m.MPMs[0], pa, body0)
 	mk(1, m.MPMs[1], pb, body1)
 
-	m.Eng.MaxSteps = 500_000_000
+	m.SetMaxSteps(500_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func signalLatency(cfg ck.Config) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	m.Eng.MaxSteps = 100_000_000
+	m.SetMaxSteps(100_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		return 0, err
 	}
@@ -177,7 +177,7 @@ func runMP3DOnce(cfg simk.MP3DConfig) (simk.MP3DResult, error) {
 	if err != nil {
 		return res, err
 	}
-	m.Eng.MaxSteps = 1_000_000_000
+	m.SetMaxSteps(1_000_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		return res, err
 	}
@@ -263,7 +263,7 @@ func dbWorkload(policy dbk.Policy) (float64, uint64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	m.Eng.MaxSteps = 400_000_000
+	m.SetMaxSteps(400_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		return 0, 0, err
 	}

@@ -206,7 +206,7 @@ func thrashOne(slots, pages, laps int) (ThrashPoint, error) {
 	if err != nil {
 		return pt, err
 	}
-	m.Eng.MaxSteps = 2_000_000_000
+	m.SetMaxSteps(2_000_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		return pt, err
 	}

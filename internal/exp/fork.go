@@ -40,17 +40,10 @@ type ForkReport struct {
 
 	// Fork: mean over Forks rebuilds from the image. ForkToBootRatio is
 	// the headline number — a fork must be a small fraction of a boot
-	// for boot-once/fork-many exploration to pay off. The headline
-	// forks run with a warmed ck.InstancePool (steady-state
-	// boot-once/fork-many: each fork adopts the pmap its predecessor
-	// recycled); ForkUnpooledHostMs is the same loop with the pool
-	// disabled, so the pool's win is visible in the report.
-	Forks              int     `json:"forks"`
-	ForkHostMs         float64 `json:"fork_host_ms"`
-	ForkUnpooledHostMs float64 `json:"fork_unpooled_host_ms"`
-	ForkToBootRatio    float64 `json:"fork_to_boot_ratio"`
-	PoolAdopted        int     `json:"pool_adopted"`
-	PoolRecycled       int     `json:"pool_recycled"`
+	// for boot-once/fork-many exploration to pay off.
+	Forks           int     `json:"forks"`
+	ForkHostMs      float64 `json:"fork_host_ms"`
+	ForkToBootRatio float64 `json:"fork_to_boot_ratio"`
 
 	// Copy-on-write: the cost of privatizing a shared frame on first
 	// write, measured by dirtying every image frame of one fork.
@@ -65,12 +58,12 @@ func (r ForkReport) String() string {
 		"topology: %d MPMs x %d CPUs, %d pages + %d workers per MPM\n"+
 			"boot from scratch:  %8.2f ms host (%d sim-cycles)\n"+
 			"snapshot + encode:  %8.2f ms host, %d bytes\n"+
-			"fork from image:    %8.3f ms host (mean of %d, pooled; %.3f ms unpooled) = %.1f%% of boot\n"+
+			"fork from image:    %8.3f ms host (mean of %d) = %.1f%% of boot\n"+
 			"cow first-write:    %8.1f ns/page (%d of %d shared frames dirtied)\n",
 		r.MPMs, r.CPUsPerMPM, r.PagesPerMPM, r.WorkersPerMPM,
 		r.BootHostMs, r.BootSimCycles,
 		r.SnapshotHostMs, r.SnapshotBytes,
-		r.ForkHostMs, r.Forks, r.ForkUnpooledHostMs, 100*r.ForkToBootRatio,
+		r.ForkHostMs, r.Forks, 100*r.ForkToBootRatio,
 		r.CowFaultNsPerPg, r.CowCopiedByDirty, r.CowSharedBefore)
 }
 
@@ -192,39 +185,14 @@ func MeasureFork() (ForkReport, error) {
 	r.SnapshotHostMs = float64(time.Since(t0).Nanoseconds()) / 1e6 //ckvet:allow detmap host-side wall-clock measurement is this experiment's purpose
 	r.SnapshotBytes = len(enc)
 
-	// Unpooled baseline: every fork rebuilds its kernels from scratch.
-	t0 = time.Now() //ckvet:allow detmap host-side wall-clock measurement is this experiment's purpose
-	for i := 0; i < r.Forks; i++ {
-		if _, _, err := im.Fork(1, nil); err != nil {
-			return r, err
-		}
-	}
-	r.ForkUnpooledHostMs = float64(time.Since(t0).Nanoseconds()) / 1e6 / float64(r.Forks) //ckvet:allow detmap host-side wall-clock measurement is this experiment's purpose
-
-	// Headline: steady-state pooled forks. The pool starts with one
-	// fork's worth of pre-built pmaps; each iteration recycles the
-	// previous fork's kernels, so every fork adopts rather than builds —
-	// the boot-once/fork-many regime the pool exists for.
-	pool := ck.NewInstancePool()
-	pool.Fill(ck.Config{}, r.MPMs)
-	im.Pool = pool
 	var last *hw.Machine
-	var prev []*ck.Kernel
 	t0 = time.Now() //ckvet:allow detmap host-side wall-clock measurement is this experiment's purpose
 	for i := 0; i < r.Forks; i++ {
-		fm, fks, err := im.Fork(1, nil)
-		if err != nil {
+		if last, _, err = im.Fork(1, nil); err != nil {
 			return r, err
 		}
-		for _, k := range prev {
-			pool.Recycle(k)
-		}
-		last, prev = fm, fks
 	}
 	r.ForkHostMs = float64(time.Since(t0).Nanoseconds()) / 1e6 / float64(r.Forks) //ckvet:allow detmap host-side wall-clock measurement is this experiment's purpose
-	ps := pool.Stats()
-	r.PoolAdopted = ps.Adopted
-	r.PoolRecycled = ps.Recycled
 	if r.BootHostMs > 0 {
 		r.ForkToBootRatio = r.ForkHostMs / r.BootHostMs
 	}

@@ -3,7 +3,6 @@ package exp
 import (
 	"testing"
 
-	"vpp/internal/ck"
 	"vpp/internal/simtest"
 	"vpp/internal/snap"
 )
@@ -96,64 +95,5 @@ func TestMeasureFork(t *testing.T) {
 	}
 	if r.ForkToBootRatio >= 1 {
 		t.Fatalf("fork (%.2f ms) not cheaper than boot (%.2f ms)", r.ForkHostMs, r.BootHostMs)
-	}
-}
-
-// TestPooledForkEquivalence: a fork that adopts deliberately dirtied,
-// recycled kernel state from an InstancePool must be byte-identical to
-// an unpooled fork of the same image. The recycled pmaps carry a full
-// restored workload's mapping state when they are reclaimed, so any
-// reset shortfall shows up in the re-snapshot digest.
-func TestPooledForkEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boots a multi-MPM machine")
-	}
-	m, ks, err := bootForkBench(4, 2, 8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	im, err := snap.Take(m, ks)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fm1, fks1, err := im.Fork(1, nil)
-	if err != nil {
-		t.Fatalf("unpooled fork: %v", err)
-	}
-	im1, err := snap.Take(fm1, fks1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, err := im1.Digest()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Recycle the unpooled fork's kernels — their pmaps hold the whole
-	// restored mapping workload — and fork again through the pool.
-	pool := ck.NewInstancePool()
-	for _, k := range fks1 {
-		pool.Recycle(k)
-	}
-	im.Pool = pool
-	fm2, fks2, err := im.Fork(1, nil)
-	if err != nil {
-		t.Fatalf("pooled fork: %v", err)
-	}
-	im2, err := snap.Take(fm2, fks2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := im2.Digest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 != d2 {
-		t.Fatalf("pooled fork digest %016x != unpooled %016x", d2, d1)
-	}
-	ps := pool.Stats()
-	if ps.Recycled != len(fks1) || ps.Adopted != len(fks2) {
-		t.Fatalf("pool did not serve the fork: stats %+v", ps)
 	}
 }

@@ -252,44 +252,6 @@ func hostperfBig64(mpms, corosPerMPM, shards int, steps uint64) clusterRunProfil
 	return measureClusterRun(c, steps, steps)
 }
 
-// hostperfEngineStep measures steps scheduling decisions over coros
-// runnable coroutines after a warmup quarter, reporting the wall time
-// and host allocation profile of the steady state. The serial no-trace
-// step path's profile must be zero allocations per op — the headline
-// zero-allocation claim CI enforces.
-func hostperfEngineStep(coros int, steps uint64) clusterRunProfile {
-	e := sim.NewEngine()
-	for i := 0; i < coros; i++ {
-		clk := sim.NewClock("c")
-		co := e.NewCoro("w", func(ctx *sim.Ctx) {
-			for {
-				ctx.Advance(10)
-				ctx.Reschedule()
-			}
-		})
-		e.UnparkOn(co, clk)
-	}
-	e.MaxSteps = steps / 4
-	_ = e.Run(math.MaxUint64)
-	base := e.Decisions()
-	var m1, m2 runtime.MemStats
-	runtime.ReadMemStats(&m1)
-	t0 := time.Now() //ckvet:allow detmap host-side wall-clock measurement is this experiment's purpose
-	e.MaxSteps = base + steps
-	_ = e.Run(math.MaxUint64)
-	d := time.Since(t0) //ckvet:allow detmap host-side wall-clock measurement is this experiment's purpose
-	runtime.ReadMemStats(&m2)
-	p := clusterRunProfile{
-		ops:    e.Decisions() - base,
-		hostMs: float64(d.Nanoseconds()) / 1e6,
-	}
-	if p.ops > 0 {
-		p.allocsPerOp = float64(m2.Mallocs-m1.Mallocs) / float64(p.ops)
-		p.bytesPerOp = float64(m2.TotalAlloc-m1.TotalAlloc) / float64(p.ops)
-	}
-	return p
-}
-
 // hostperfTranslate runs ops hot-path translations and reports the wall
 // time.
 func hostperfTranslate(ops uint64) (time.Duration, error) {
@@ -400,11 +362,11 @@ func RunHostperfBoot(loops, waves int) (simCycles, steps uint64, err error) {
 	if _, err := k.Boot(attrs, 40, body); err != nil {
 		return 0, 0, err
 	}
-	m.Eng.MaxSteps = 2_000_000_000
+	m.SetMaxSteps(2_000_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		return 0, 0, err
 	}
-	return m.Eng.Now(), m.Eng.Steps(), bodyErr
+	return m.MPMs[0].Shard.Now(), m.Steps(), bodyErr
 }
 
 // MeasureHostperf runs the three host-performance benchmarks at fixed
@@ -416,8 +378,9 @@ func MeasureHostperf() (HostperfReport, error) {
 		GOARCH:    runtime.GOARCH,
 	}
 
+	// The engine-step row: 64 four-coroutine workloads on one shard.
 	r.EngineStepCoros = 256
-	ep := hostperfEngineStep(r.EngineStepCoros, 1<<19)
+	ep := hostperfShardedStep(r.EngineStepCoros/4, 1, 1<<19)
 	r.EngineSteps = ep.ops
 	r.EngineStepHostMs = ep.hostMs
 	r.EngineStepsPerSec = float64(ep.ops) / (ep.hostMs / 1e3)

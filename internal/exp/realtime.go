@@ -92,7 +92,7 @@ func rtRun(pressure bool) (rtk.TaskStats, error) {
 	if err != nil {
 		return stats, err
 	}
-	m.Eng.MaxSteps = 400_000_000
+	m.SetMaxSteps(400_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		return stats, err
 	}

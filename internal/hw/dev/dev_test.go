@@ -18,7 +18,7 @@ func newM(t *testing.T) *hw.Machine {
 // runDev drives a device scenario to quiescence.
 func runDev(t *testing.T, m *hw.Machine) {
 	t.Helper()
-	m.Eng.MaxSteps = 10_000_000
+	m.SetMaxSteps(10_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ type Config struct {
 
 	// Shards is the number of engine shards the MPMs are spread over,
 	// each running on its own goroutine inside deterministic
-	// virtual-time epochs (internal/sim Cluster). 0 or 1 is today's
-	// serial engine; values above MPMs are clamped. Results are
+	// virtual-time epochs (internal/sim Cluster). 0 or 1 runs every MPM
+	// on one shard; values above MPMs are clamped. Results are
 	// byte-identical across shard counts.
 	Shards int
 
@@ -43,14 +43,12 @@ func DefaultConfig() Config {
 }
 
 // Machine is a simulated multiprocessor: shared physical memory plus one
-// or more MPMs. Serial (Cfg.Shards ≤ 1) machines are driven by the one
-// engine Eng; sharded machines spread MPMs over Cluster's per-shard
-// engines (Eng remains shard 0's). Use the Machine-level Run /
-// SetTraceDispatch / SetMaxSteps / Now / Steps wrappers to stay
-// agnostic.
+// or more MPMs, spread over the engine shards of Cluster (one shard
+// unless Cfg.Shards asks for more). Drive it through the Machine-level
+// Run / SetTraceDispatch / SetMaxSteps / Now / Steps wrappers; an MPM's
+// own engine is MPM.Shard.
 type Machine struct {
-	Eng     *sim.Engine
-	Cluster *sim.Cluster // nil when serial
+	Cluster *sim.Cluster
 	Phys    *PhysMem
 	MPMs    []*MPM
 	Cfg     Config
@@ -61,40 +59,25 @@ func NewMachine(cfg Config) *Machine {
 	if cfg.MPMs <= 0 || cfg.CPUsPerMPM <= 0 {
 		panic("hw: machine needs at least one MPM and CPU")
 	}
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > cfg.MPMs {
-		shards = cfg.MPMs
-	}
+	shards := min(max(1, cfg.Shards), cfg.MPMs)
 	m := &Machine{
-		Phys: NewPhysMem(cfg.PhysMemBytes),
-		Cfg:  cfg,
-	}
-	if shards > 1 {
-		m.Cluster = sim.NewCluster(shards)
-		m.Eng = m.Cluster.Engine(0)
-	} else {
-		m.Eng = sim.NewEngine()
+		Cluster: sim.NewCluster(shards),
+		Phys:    NewPhysMem(cfg.PhysMemBytes),
+		Cfg:     cfg,
 	}
 	cpuID := 0
 	for i := 0; i < cfg.MPMs; i++ {
-		shard := m.Eng
-		if m.Cluster != nil {
-			s := i % shards
-			if cfg.ShardMap != nil {
-				if i >= len(cfg.ShardMap) || cfg.ShardMap[i] < 0 || cfg.ShardMap[i] >= shards {
-					panic(fmt.Sprintf("hw: bad ShardMap entry for MPM %d", i))
-				}
-				s = cfg.ShardMap[i]
+		s := i % shards
+		if cfg.ShardMap != nil {
+			if i >= len(cfg.ShardMap) || cfg.ShardMap[i] < 0 || cfg.ShardMap[i] >= shards {
+				panic(fmt.Sprintf("hw: bad ShardMap entry for MPM %d", i))
 			}
-			shard = m.Cluster.Engine(s)
+			s = cfg.ShardMap[i]
 		}
 		mpm := &MPM{
 			ID:       i,
 			Machine:  m,
-			Shard:    shard,
+			Shard:    m.Cluster.Engine(s),
 			LocalRAM: NewRAMAllocator(fmt.Sprintf("mpm%d-lram", i), cfg.LocalRAMBytes),
 			L2:       NewL2Cache(cfg.L2Bytes),
 		}
@@ -116,58 +99,26 @@ func NewMachine(cfg Config) *Machine {
 
 // Run drives the simulation until quiescent or until the virtual cycle
 // bound is reached.
-func (m *Machine) Run(until uint64) error {
-	if m.Cluster != nil {
-		return m.Cluster.Run(until)
-	}
-	return m.Eng.Run(until)
-}
+func (m *Machine) Run(until uint64) error { return m.Cluster.Run(until) }
 
-// SetTraceDispatch installs the dispatch-trace hook: on a serial
-// machine the engine calls it directly, on a sharded machine the
-// cluster emits the merged (serial-order) trace at epoch barriers.
-func (m *Machine) SetTraceDispatch(fn func(name string, at uint64)) {
-	if m.Cluster != nil {
-		m.Cluster.SetTrace(fn)
-		return
-	}
-	m.Eng.TraceDispatch = fn
-}
+// SetTraceDispatch installs the dispatch-trace hook; it sees every
+// activation in serial order at any shard count (sim.Cluster.SetTrace).
+func (m *Machine) SetTraceDispatch(fn func(name string, at uint64)) { m.Cluster.SetTrace(fn) }
 
 // SetMaxSteps arms the machine-wide scheduling-decision guard.
-func (m *Machine) SetMaxSteps(n uint64) {
-	if m.Cluster != nil {
-		m.Cluster.MaxSteps = n
-		return
-	}
-	m.Eng.MaxSteps = n
-}
+func (m *Machine) SetMaxSteps(n uint64) { m.Cluster.MaxSteps = n }
 
 // Now reports the machine's global virtual time: the time of the most
 // recent schedule point, which is identical across shard counts.
-func (m *Machine) Now() uint64 {
-	if m.Cluster != nil {
-		return m.Cluster.Now()
-	}
-	return m.Eng.SchedTime()
-}
+func (m *Machine) Now() uint64 { return m.Cluster.Now() }
 
-// Steps reports total scheduling decisions, shard-count invariant.
-func (m *Machine) Steps() uint64 {
-	if m.Cluster != nil {
-		return m.Cluster.Steps()
-	}
-	return m.Eng.Steps()
-}
+// Steps reports total schedule points, shard-count invariant.
+func (m *Machine) Steps() uint64 { return m.Cluster.Steps() }
 
 // BoundLookahead registers a cross-shard interaction latency with the
-// cluster; a no-op on a serial machine. Device models call it when an
-// interconnect they create spans shards.
-func (m *Machine) BoundLookahead(cycles uint64) {
-	if m.Cluster != nil {
-		m.Cluster.Bound(cycles)
-	}
-}
+// cluster (a no-op on a one-shard machine). Device models call it when
+// an interconnect they create spans shards.
+func (m *Machine) BoundLookahead(cycles uint64) { m.Cluster.Bound(cycles) }
 
 // MPM is one multiprocessor module: a small number of CPUs sharing a
 // second-level cache and local RAM, running its own Cache Kernel instance
@@ -176,8 +127,7 @@ type MPM struct {
 	ID      int
 	Machine *Machine
 	// Shard is the engine that owns this MPM's clocks, coroutines and
-	// events (the machine's only engine when serial). All scheduling
-	// for the MPM goes through it.
+	// events. All scheduling for the MPM goes through it.
 	Shard    *sim.Engine
 	CPUs     []*CPU
 	LocalRAM *RAMAllocator

@@ -146,11 +146,7 @@ func (a *RAMAllocator) State() RAMState { return RAMState{Used: a.used, Peak: a.
 // cluster is automatically at an epoch barrier and the capture is
 // shard-count-invariant.
 func (m *Machine) Quiescent() error {
-	if m.Cluster != nil {
-		if err := m.Cluster.Quiescent(); err != nil {
-			return err
-		}
-	} else if err := m.Eng.Quiescent(); err != nil {
+	if err := m.Cluster.Quiescent(); err != nil {
 		return err
 	}
 	for _, mpm := range m.MPMs {
@@ -192,11 +188,7 @@ func (m *Machine) WarpClocks(cs ClockState) error {
 	if len(cs.CPUs) != len(m.MPMs) {
 		return fmt.Errorf("hw: clock restore topology mismatch: %d MPMs into %d", len(cs.CPUs), len(m.MPMs))
 	}
-	if m.Cluster != nil {
-		m.Cluster.Warp(cs.Time)
-	} else {
-		m.Eng.Warp(cs.Time)
-	}
+	m.Cluster.Warp(cs.Time)
 	for i, mpm := range m.MPMs {
 		if len(cs.CPUs[i]) != len(mpm.CPUs) {
 			return fmt.Errorf("hw: clock restore topology mismatch: %d CPUs into %d on MPM %d", len(cs.CPUs[i]), len(mpm.CPUs), i)

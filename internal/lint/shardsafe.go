@@ -77,7 +77,7 @@ var schedulingMethods = map[string]bool{
 // state.
 var engineReadMethods = map[string]bool{
 	"Now": true, "Name": true, "Shard": true, "Steps": true, "Decisions": true,
-	"SchedTime": true, "Live": true, "Done": true, "Runnable": true, "Clock": true,
+	"Done": true, "Runnable": true, "Clock": true,
 }
 
 // hookFields are the fault-injection hook slots (internal/chaos); the

@@ -126,7 +126,7 @@ func (k *Kernel) makeReady(p *Proc) {
 	for _, cpu := range k.MPM.CPUs {
 		if cpu.Cur == nil {
 			p.state = procRunning
-			cpu.Clock.AdvanceTo(k.MPM.Machine.Eng.Now() + costSwitch)
+			cpu.Clock.AdvanceTo(k.MPM.Shard.Now() + costSwitch)
 			cpu.Dispatch(p.exec)
 			k.Switches++
 			return

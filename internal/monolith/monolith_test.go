@@ -15,7 +15,7 @@ func bootMono(t *testing.T) (*hw.Machine, *Kernel) {
 
 func run(t *testing.T, m *hw.Machine) {
 	t.Helper()
-	m.Eng.MaxSteps = 20_000_000
+	m.SetMaxSteps(20_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}

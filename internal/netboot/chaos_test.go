@@ -58,7 +58,7 @@ func TestARPRetryUnderFrameLoss(t *testing.T) {
 		a.Stop()
 		b.Stop()
 	})
-	m.Eng.MaxSteps = 100_000_000
+	m.SetMaxSteps(100_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestTFTPTransferUnderFrameLoss(t *testing.T) {
 		a.Stop()
 		b.Stop()
 	})
-	m.Eng.MaxSteps = 200_000_000
+	m.SetMaxSteps(200_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}

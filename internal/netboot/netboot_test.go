@@ -132,7 +132,7 @@ func TestUDPExchangeWithARP(t *testing.T) {
 		a.Stop()
 		b.Stop()
 	})
-	m.Eng.MaxSteps = 20_000_000
+	m.SetMaxSteps(20_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestTFTPTransferMultiBlock(t *testing.T) {
 		a.Stop()
 		b.Stop()
 	})
-	m.Eng.MaxSteps = 50_000_000
+	m.SetMaxSteps(50_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestTFTPMissingFile(t *testing.T) {
 		a.Stop()
 		b.Stop()
 	})
-	m.Eng.MaxSteps = 50_000_000
+	m.SetMaxSteps(50_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestBootROMSequence(t *testing.T) {
 		a.Stop()
 		b.Stop()
 	})
-	m.Eng.MaxSteps = 50_000_000
+	m.SetMaxSteps(50_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestFiberPortRoundTrip(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	m.Eng.MaxSteps = 1_000_000
+	m.SetMaxSteps(1_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func runRT(t *testing.T, withPressure bool, ckCfg ck.Config) (TaskStats, *ck.Ker
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Eng.MaxSteps = 400_000_000
+	m.SetMaxSteps(400_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}

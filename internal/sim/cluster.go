@@ -4,16 +4,17 @@ import (
 	"math"
 )
 
-// Cluster shards one simulation across several engines, each owning a
-// disjoint set of clocks and coroutines (in the hardware layer: a group
-// of MPMs) and running on its own goroutine. Shards advance
-// independently inside virtual-time epochs no longer than the minimum
-// cross-shard interaction latency (Bound), so no shard can observe an
-// effect from another shard before the epoch barrier at which it is
-// delivered. The paper's machine makes this lookahead safe: every
-// cross-MPM interaction — a fiber-channel message, an Ethernet frame —
-// charges a fixed minimum transit cost from internal/hw/cost.go before
-// it can touch another MPM.
+// Cluster drives one simulation over one or more engines (shards), each
+// owning a disjoint set of clocks and coroutines (in the hardware layer:
+// a group of MPMs). Every engine belongs to a cluster; a one-shard
+// cluster is the serial engine. Shards advance independently inside
+// virtual-time epochs no longer than the minimum cross-shard
+// interaction latency (Bound), so no shard can observe an effect from
+// another shard before the epoch barrier at which it is delivered. The
+// paper's machine makes this lookahead safe: every cross-MPM
+// interaction — a fiber-channel message, an Ethernet frame — charges a
+// fixed minimum transit cost from internal/hw/cost.go before it can
+// touch another MPM.
 //
 // Determinism is exact, not just per-run: a cluster reproduces the
 // serial engine's schedule byte for byte. Each shard logs its actions
@@ -27,7 +28,9 @@ import (
 // destination heaps, and emits the merged dispatch trace. Shards whose
 // interconnects never cross a shard boundary need no barrier at all:
 // with no registered bound the epoch spans the whole run and the log is
-// skipped entirely, which is the scaling fast path.
+// skipped entirely, which is the scaling fast path. A one-shard cluster
+// always takes it: it has nothing to merge, ignores Bound, and traces
+// straight from its engine.
 type Cluster struct {
 	engines []*Engine
 
@@ -44,12 +47,13 @@ type Cluster struct {
 	// assigned in merged serial order at each barrier.
 	grank uint64
 
-	// trace, when non-nil, receives the merged dispatch schedule — the
-	// cluster equivalent of Engine.TraceDispatch.
+	// trace, when non-nil, receives every activation in serial order:
+	// from the barrier merge when the cluster logs, from the engine
+	// itself when it does not.
 	trace func(name string, at uint64)
 
-	// MaxSteps bounds total scheduling decisions across all shards, as
-	// the serial field does. Zero means no limit.
+	// MaxSteps bounds total scheduling decisions across all shards.
+	// Zero means no limit.
 	MaxSteps uint64
 
 	workers []shardWorker
@@ -59,13 +63,6 @@ type Cluster struct {
 	cursors []int
 	subCur  []int
 	dirty   []bool
-
-	// Cached per-shard nextTime values: one pass per epoch computes both
-	// the epoch start and the participant set, and a shard that sat an
-	// epoch out untouched (no injection at the barrier) keeps its value
-	// — with many idle shards most of the per-epoch scan disappears.
-	next      []uint64
-	nextValid []bool
 
 	// san is the runtime ownership sanitizer's epoch state; empty
 	// unless built with -tags cksan.
@@ -88,10 +85,7 @@ func NewCluster(n int) *Cluster {
 	}
 	c := &Cluster{lookahead: math.MaxUint64}
 	for i := 0; i < n; i++ {
-		e := NewEngine()
-		e.cluster = c
-		e.shard = i
-		c.engines = append(c.engines, e)
+		c.engines = append(c.engines, &Engine{yieldCh: make(chan *Coro), cluster: c, shard: i})
 	}
 	return c
 }
@@ -110,8 +104,12 @@ func (c *Cluster) Running() bool { return c.running }
 // originating in one shard may become visible in another sooner than
 // latency cycles after its cause. The epoch length is the minimum over
 // all registered bounds. Must be called before Run (interconnect
-// topology is construction-time state).
+// topology is construction-time state). A one-shard cluster has no
+// cross-shard channel, so Bound is a no-op on it.
 func (c *Cluster) Bound(latency uint64) {
+	if len(c.engines) == 1 {
+		return
+	}
 	if c.running {
 		panic("sim: Bound after Run")
 	}
@@ -123,12 +121,17 @@ func (c *Cluster) Bound(latency uint64) {
 	}
 }
 
-// SetTrace installs the merged dispatch-trace hook (the cluster
-// equivalent of Engine.TraceDispatch; per-shard hooks stay nil).
+// SetTrace installs the dispatch-trace hook: fn is called with the
+// coroutine name and virtual dispatch time on every activation — a
+// dispatch of a coroutine that was unparked since it last ran — in
+// serial order. Preemption re-slices are not traced: activations are a
+// property of the simulated schedule itself and therefore identical
+// across shard counts. The determinism regression harness hashes the
+// resulting trace.
 func (c *Cluster) SetTrace(fn func(name string, at uint64)) { c.trace = fn }
 
 // Now reports the cluster's global virtual time: the latest schedule
-// point any shard has executed, matching the serial engine's SchedTime.
+// point any shard has executed, identical across shard counts.
 func (c *Cluster) Now() uint64 {
 	var t uint64
 	for _, e := range c.engines {
@@ -156,8 +159,8 @@ func (c *Cluster) Steps() uint64 {
 const logEpochQuantum = 1 << 22
 
 // Run executes the simulation until every shard is quiescent or the
-// next entity's time exceeds until. It returns ErrMaxSteps if the
-// cluster-wide step guard trips.
+// next entity's time exceeds until (pass math.MaxUint64 for no bound).
+// It returns ErrMaxSteps if the cluster-wide step guard trips.
 func (c *Cluster) Run(until uint64) error {
 	if !c.running {
 		c.running = true
@@ -169,7 +172,7 @@ func (c *Cluster) Run(until uint64) error {
 			}
 		}
 	}
-	logging := c.trace != nil || c.lookahead != math.MaxUint64
+	logging := len(c.engines) > 1 && (c.trace != nil || c.lookahead != math.MaxUint64)
 	for _, e := range c.engines {
 		e.logging = logging
 	}
@@ -184,23 +187,11 @@ func (c *Cluster) Run(until uint64) error {
 			e.logging = false
 		}
 	}()
-	if c.next == nil {
-		c.next = make([]uint64, len(c.engines))
-		c.nextValid = make([]bool, len(c.engines))
-	}
-	// Anything may have been scheduled between Run calls.
-	for i := range c.nextValid {
-		c.nextValid[i] = false
-	}
 	for {
 		t := uint64(math.MaxUint64)
-		for i, e := range c.engines {
-			if !c.nextValid[i] {
-				c.next[i] = e.nextTime()
-				c.nextValid[i] = true
-			}
-			if c.next[i] < t {
-				t = c.next[i]
+		for _, e := range c.engines {
+			if nt := e.nextTime(); nt < t {
+				t = nt
 			}
 		}
 		if t == math.MaxUint64 || t > until {
@@ -220,14 +211,11 @@ func (c *Cluster) Run(until uint64) error {
 		// shards' step counters, which must not happen while a worker is
 		// already advancing its engine.
 		c.ran = c.ran[:0]
-		for i := range c.engines {
-			if c.next[i] > bound {
-				continue
+		for i, e := range c.engines {
+			if e.nextTime() <= bound {
+				//ckvet:allow poolpath sanctioned growth point of the epoch participant scratch; reset at the top of every epoch
+				c.ran = append(c.ran, i)
 			}
-			//ckvet:allow poolpath sanctioned growth point of the epoch participant scratch; reset at the top of every epoch
-			c.ran = append(c.ran, i)
-			// A participant's position changes during the epoch.
-			c.nextValid[i] = false
 		}
 		for _, i := range c.ran {
 			c.budget(c.engines[i])
@@ -237,9 +225,8 @@ func (c *Cluster) Run(until uint64) error {
 		if len(c.ran) == 1 {
 			// One active shard means nothing runs concurrently: drive it
 			// inline on the coordinator goroutine and skip both channel
-			// round-trips. With idle shards common (a quiet 64-MPM
-			// topology) this is the usual epoch shape.
-			maxed = c.engines[c.ran[0]].Run(bound)
+			// round-trips. A one-shard cluster always runs this way.
+			maxed = c.engines[c.ran[0]].run(bound)
 		} else {
 			c.startWorkers()
 			for _, i := range c.ran {
@@ -254,12 +241,6 @@ func (c *Cluster) Run(until uint64) error {
 		c.sanEpochEnd()
 		if logging {
 			c.barrier()
-			// Barrier injections land in idle shards' heaps.
-			for i := range c.engines {
-				if c.dirty[i] {
-					c.nextValid[i] = false
-				}
-			}
 		}
 		if maxed != nil {
 			return maxed
@@ -273,7 +254,7 @@ func (c *Cluster) Run(until uint64) error {
 // guard is within one quantum.
 func (c *Cluster) budget(e *Engine) {
 	if c.MaxSteps == 0 {
-		e.MaxSteps = 0
+		e.maxSteps = 0
 		return
 	}
 	var total uint64
@@ -284,7 +265,7 @@ func (c *Cluster) budget(e *Engine) {
 	if c.MaxSteps > total {
 		rem = c.MaxSteps - total
 	}
-	e.MaxSteps = e.steps + rem
+	e.maxSteps = e.steps + rem
 }
 
 // startWorkers launches one persistent goroutine per shard; each
@@ -305,7 +286,7 @@ func (c *Cluster) startWorkers() {
 		//ckvet:allow detmap shard workers advance disjoint engines inside an epoch; the barrier merge restores the serial order exactly
 		go func() {
 			for bound := range w.req {
-				w.res <- e.Run(bound)
+				w.res <- e.run(bound)
 			}
 		}()
 	}

@@ -87,6 +87,21 @@ func (s *clusterScenario) tickChain(i int, label string, t0, step uint64, n int)
 	e.ScheduleAt(t0, tick)
 }
 
+// TestOneShardClusterIgnoresBound: a one-shard cluster has no
+// cross-shard channel, so a registered latency bound must not cut its
+// run into epochs — before or after Run, Bound leaves it unbounded.
+func TestOneShardClusterIgnoresBound(t *testing.T) {
+	c, _ := newSerial()
+	c.Bound(1000)
+	if err := c.Run(math.MaxUint64); err != nil {
+		t.Fatal(err)
+	}
+	c.Bound(500)
+	if c.lookahead != math.MaxUint64 {
+		t.Fatalf("one-shard cluster registered a %d-cycle lookahead", c.lookahead)
+	}
+}
+
 // TestClusterEmptyShard: a shard with no entities at all must neither
 // stall the barrier nor perturb the merged order.
 func TestClusterEmptyShard(t *testing.T) {

@@ -1,13 +1,15 @@
 // Package sim provides a deterministic discrete-virtual-time execution
 // engine for the V++ Cache Kernel reproduction.
 //
-// The engine multiplexes many simulated execution contexts (Coros) over a
-// single OS thread of control: exactly one coroutine runs at any instant,
-// and the engine always resumes the runnable coroutine whose processor
-// clock is furthest behind. This yields a deterministic, serializable
-// interleaving of the simulated multiprocessor without any locking in the
-// simulated kernel code, mirroring how the real Cache Kernel limited
-// parallelism to one MPM.
+// An Engine multiplexes many simulated execution contexts (Coros) over a
+// single OS thread of control: exactly one of its coroutines runs at any
+// instant, and the engine always resumes the runnable coroutine whose
+// processor clock is furthest behind. This yields a deterministic,
+// serializable interleaving of the simulated multiprocessor without any
+// locking in the simulated kernel code, mirroring how the real Cache
+// Kernel limited parallelism to one MPM. Every engine is one shard of a
+// Cluster (cluster.go), which drives it; a one-shard cluster is the
+// whole simulation on one engine.
 //
 // Time is measured in processor cycles. Clocks belong to simulated CPUs;
 // a coroutine advances whichever clock it is currently dispatched on, so a
@@ -77,7 +79,7 @@ type Coro struct {
 	// band/gid order this coro's dispatches against entities on other
 	// shards at equal virtual times (see event.band): band 0 carries
 	// the construction-time id, band 1 a barrier-assigned global rank.
-	// Serial engines only use band 0 with gid == id.
+	// Only the barrier merge of a logging cluster reads them.
 	band uint8
 	gid  uint64
 }
@@ -107,11 +109,12 @@ type Ctx struct {
 //
 // band orders events across shard timelines at equal virtual times
 // without a shared runtime counter (see cluster.go): band 0 is
-// construction time (ids from the cluster-wide constructor counter, or
-// the engine counter when standalone — today's serial order, byte for
-// byte), band 1 is runtime registrations that have been assigned a
-// global rank at an epoch barrier, band 2 is this-epoch shard-local
-// registrations not yet ranked. Serial engines only ever use band 0.
+// construction time (ids from the cluster-wide constructor counter —
+// the serial creation order, byte for byte), band 1 is runtime
+// registrations that have been assigned a global rank at an epoch
+// barrier, band 2 is this-epoch shard-local registrations not yet
+// ranked. On a one-shard cluster runtime events stay in band 2, whose
+// shard-local counter is itself the serial registration order.
 type event struct {
 	at   uint64
 	seq  uint64
@@ -119,7 +122,7 @@ type event struct {
 	fn   func()
 }
 
-// Engine owns all coroutines, clocks and pending events of one simulation.
+// Engine owns the coroutines, clocks and pending events of one shard.
 type Engine struct {
 	coros   []*Coro  // live (not finished) coroutines, creation order
 	runq    coroHeap // runnable coroutines keyed by (clock, id)
@@ -128,31 +131,22 @@ type Engine struct {
 	yieldCh chan *Coro
 	current *Coro
 	now     uint64 // time of the most recently scheduled entity
-	until   uint64 // bound of the Run call in progress
-	steps   uint64 // raw scheduling decisions (MaxSteps guard)
+	until   uint64 // bound of the run call in progress
+	steps   uint64 // raw scheduling decisions (maxSteps guard)
 	sched   uint64 // schedule points: event executions + activations
 	schedAt uint64 // latest schedule-point time seen so far (monotone)
-	// MaxSteps bounds engine scheduling decisions as a runaway guard.
-	// Zero means no limit.
-	MaxSteps uint64
+	// maxSteps bounds engine scheduling decisions as a runaway guard;
+	// the cluster arms it from its machine-wide MaxSteps before every
+	// epoch. Zero means no limit.
+	maxSteps uint64
 
-	// TraceDispatch, when non-nil, is called with the coroutine name and
-	// virtual dispatch time on every activation — a dispatch of a
-	// coroutine that was unparked since it last ran. Preemption
-	// re-slices are not traced: they depend on which other entities
-	// share the engine, while activations are a property of the
-	// simulated schedule itself (and are therefore identical across
-	// shard counts). The determinism regression harness hashes the
-	// resulting trace. In a cluster, the per-shard field stays nil and
-	// the cluster emits the merged trace instead.
-	TraceDispatch func(name string, at uint64)
-
-	// Sharded-mode state (nil/zero for a standalone serial engine).
+	// cluster owns the engine; shard is its index there.
 	cluster *Cluster
 	shard   int
 	// logging records every action (event execution, coroutine
 	// dispatch) and every runtime registration so the cluster can
-	// replay the exact serial global order at each epoch barrier.
+	// replay the exact serial global order at each epoch barrier. A
+	// one-shard cluster never logs.
 	logging bool
 	acts    []actRec
 	subs    []subRec
@@ -165,7 +159,7 @@ type Engine struct {
 	smallEpochs int
 }
 
-// Action and registration log records (sharded mode only).
+// Action and registration log records (logging clusters only).
 const (
 	actEvent    = 0 // an event execution
 	actDispatch = 1 // an activation: first dispatch since unpark
@@ -207,11 +201,6 @@ type crossMsg struct {
 	fn  func()
 }
 
-// NewEngine returns an empty engine.
-func NewEngine() *Engine {
-	return &Engine{yieldCh: make(chan *Coro)}
-}
-
 // Now reports the engine's current virtual time. From inside a running
 // coroutine this is that coroutine's own clock — the engine-level `now`
 // only advances at schedule points, so the running entity's clock is
@@ -228,29 +217,21 @@ func (e *Engine) Now() uint64 {
 
 // Steps reports the number of schedule points so far: event executions
 // plus coroutine activations. Unlike the raw decision count (which
-// includes horizon-preemption re-slices and is what MaxSteps guards),
-// this is a property of the simulated schedule and is identical across
-// shard counts.
+// includes horizon-preemption re-slices and is what the step guard
+// bounds), this is a property of the simulated schedule and is
+// identical across shard counts.
 func (e *Engine) Steps() uint64 { return e.sched }
 
 // Decisions reports raw scheduling decisions, including preemption
-// re-slices; this is the count MaxSteps bounds.
+// re-slices; this is the count the step guard bounds.
 func (e *Engine) Decisions() uint64 { return e.steps }
-
-// SchedTime reports the latest schedule-point time (event execution or
-// activation) seen so far. Unlike Now, which preemption re-slices also
-// advance, this is a property of the simulated schedule and therefore
-// identical across shard counts; the determinism fingerprints use it as
-// the final clock.
-func (e *Engine) SchedTime() uint64 { return e.schedAt }
 
 // SanEnabled reports whether this binary was built with the cksan
 // runtime ownership sanitizer (-tags cksan). Tools use it to refuse
 // sanitizer runs on unsanitized binaries.
 func SanEnabled() bool { return sanEnabled }
 
-// Shard reports the engine's shard index within its cluster (0 when
-// standalone).
+// Shard reports the engine's shard index within its cluster.
 func (e *Engine) Shard() int { return e.shard }
 
 // nextTime reports the virtual time of the engine's next pending entity
@@ -264,16 +245,12 @@ func (e *Engine) nextTime() uint64 {
 	return t
 }
 
-// Live reports the number of coroutines the engine still tracks
-// (finished coroutines are removed).
-func (e *Engine) Live() int { return len(e.coros) }
-
 // nextSeq draws the next construction-order id: the cluster-wide
-// constructor counter while a cluster is being built (so ids across
+// constructor counter while the cluster is being built (so ids across
 // shards reproduce the single-engine creation order exactly), the
-// engine-local counter otherwise.
+// engine-local counter once it runs.
 func (e *Engine) nextSeq() uint64 {
-	if c := e.cluster; c != nil && !c.running {
+	if c := e.cluster; !c.running {
 		c.ctorSeq++
 		return c.ctorSeq
 	}
@@ -293,9 +270,9 @@ func (e *Engine) NewCoro(name string, fn func(*Ctx)) *Coro {
 		resume: make(chan uint64),
 		gid:    id,
 	}
-	if c := e.cluster; c != nil && c.running {
-		// Runtime creation in a cluster: the global dispatch rank is
-		// assigned when the creating action is merged at the barrier.
+	if e.cluster.running {
+		// Runtime creation: the global dispatch rank is assigned when
+		// the creating action is merged at the barrier.
 		co.band = 1
 		co.gid = 0
 		if e.logging {
@@ -353,9 +330,9 @@ func (e *Engine) ScheduleAt(t uint64, fn func()) {
 func (e *Engine) scheduleEvent(t uint64, fn func()) {
 	ev := e.newEvent()
 	ev.at, ev.fn = t, fn
-	if c := e.cluster; c != nil && c.running {
-		// Runtime registration in a cluster: shard-local order now,
-		// global rank at the barrier.
+	if e.cluster.running {
+		// Runtime registration: shard-local order now, global rank at
+		// the barrier.
 		e.seq++
 		ev.band, ev.seq = 2, e.seq
 		if e.logging {
@@ -390,7 +367,7 @@ func (e *Engine) ScheduleAfter(d uint64, fn func()) {
 // destination happens to share the sender's shard.
 func (e *Engine) ScheduleCrossAt(dst *Engine, t uint64, fn func()) {
 	c := e.cluster
-	if dst == e || c == nil || !c.running {
+	if dst == e || !c.running {
 		dst.scheduleEvent(t, fn)
 		return
 	}
@@ -508,17 +485,17 @@ var ErrMaxSteps = errors.New("sim: exceeded MaxSteps scheduling decisions")
 // sharding of the entities: the engine merely merges intrinsic slices,
 // events and activations by (time, id), and that merge commutes with
 // partitioning. The grid also bounds how long a non-yielding loop can
-// hold the engine, keeping it responsive to MaxSteps.
+// hold the engine, keeping it responsive to the step guard.
 const gridQuantum = 1 << 16
 
-// Run executes the simulation until no coroutine is runnable and no event
-// is pending, or until the next entity's time exceeds until (pass
-// math.MaxUint64 for no bound). It returns ErrMaxSteps if the step guard
-// trips.
-func (e *Engine) Run(until uint64) error {
+// run executes the shard until no coroutine is runnable and no event is
+// pending, or until the next entity's time exceeds until. It returns
+// ErrMaxSteps if the step guard trips. Only the cluster calls it, once
+// per epoch.
+func (e *Engine) run(until uint64) error {
 	e.until = until
 	for {
-		if e.MaxSteps != 0 && e.steps >= e.MaxSteps {
+		if e.maxSteps != 0 && e.steps >= e.maxSteps {
 			return ErrMaxSteps
 		}
 		e.steps++
@@ -552,7 +529,7 @@ func (e *Engine) Run(until uint64) error {
 				if len(e.runq) > 0 && next.at > e.runq[0].at {
 					break
 				}
-				if e.MaxSteps != 0 && e.steps >= e.MaxSteps {
+				if e.maxSteps != 0 && e.steps >= e.maxSteps {
 					return ErrMaxSteps
 				}
 				e.steps++
@@ -635,9 +612,9 @@ func (e *Engine) horizonFor(coTime uint64) uint64 {
 // and returns it with its horizon; for anything the engine goroutine
 // must handle — a due event, quiescence, the run bound, the step guard —
 // it mutates nothing and reports !ok so the yielder bounces control
-// back to Run, which re-evaluates identically.
+// back to run, which re-evaluates identically.
 func (e *Engine) pickDirect() (next *Coro, horizon uint64, ok bool) {
-	if e.MaxSteps != 0 && e.steps >= e.MaxSteps {
+	if e.maxSteps != 0 && e.steps >= e.maxSteps {
 		return nil, 0, false
 	}
 	co, coTime := e.peekRunnable()
@@ -657,10 +634,10 @@ func (e *Engine) pickDirect() (next *Coro, horizon uint64, ok bool) {
 
 // logDispatch records one dispatch decision. An activation (first
 // dispatch since unpark) is a schedule point: it is counted, traced,
-// and advances SchedTime. Re-slices are logged too when sharded — the
-// barrier merge replays the complete decision sequence, and with
-// intrinsic slice boundaries that sequence is identical across shard
-// counts — but they are not schedule points.
+// and advances the schedule-point clock. Re-slices are logged too on a
+// logging cluster — the barrier merge replays the complete decision
+// sequence, and with intrinsic slice boundaries that sequence is
+// identical across shard counts — but they are not schedule points.
 func (e *Engine) logDispatch(co *Coro, coTime uint64) {
 	kind := uint8(actReslice)
 	if co.fresh {
@@ -670,8 +647,11 @@ func (e *Engine) logDispatch(co *Coro, coTime uint64) {
 		if coTime > e.schedAt {
 			e.schedAt = coTime
 		}
-		if e.TraceDispatch != nil {
-			e.TraceDispatch(co.name, coTime)
+		// A logging cluster traces activations from the barrier merge,
+		// in serial order; an unlogged one (one shard) has nothing to
+		// merge, so the engine traces them as they happen.
+		if tr := e.cluster.trace; tr != nil && !e.logging {
+			tr(co.name, coTime)
 		}
 	}
 	if e.logging {
@@ -732,7 +712,7 @@ func (e *Engine) removeCoro(co *Coro) {
 // yielder hands control to it directly — or simply keeps running when
 // that coroutine is itself — avoiding the round trip through the engine
 // goroutine. Decisions the engine must make (events, bounds, guards)
-// bounce back to Run.
+// bounce back to run.
 func (ctx *Ctx) yield() {
 	co := ctx.co
 	e := co.eng
@@ -894,11 +874,10 @@ func (h *eventHeap) pop() *event {
 }
 
 // less orders events by (at, band, seq). Bands only separate at equal
-// times in sharded mode, where they reproduce the serial registration
-// order: construction (0) before prior-epoch runtime ranks (1) before
+// times, where they reproduce the serial registration order:
+// construction (0) before prior-epoch runtime ranks (1) before
 // this-epoch shard-local registrations (2) — each band's counter is
-// itself monotone in serial registration order. A serial engine uses
-// band 0 throughout, so this is exactly the historical (at, seq) rule.
+// itself monotone in serial registration order.
 func less(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -931,43 +910,4 @@ func (h eventHeap) reheap() {
 			j = m
 		}
 	}
-}
-
-// DebugState renders the engine's coroutine states for diagnostics.
-// Finished coroutines are removed from the engine, so only parked and
-// runnable ones appear.
-func DebugState(e *Engine) string {
-	s := ""
-	for _, co := range e.coros {
-		state := "parked"
-		if co.done {
-			state = "done"
-		} else if co.runnable {
-			state = "runnable"
-		}
-		clk := uint64(0)
-		if co.clock != nil {
-			clk = co.clock.now
-		}
-		s += co.name + "=" + state + "@" + u64str(clk) + " "
-	}
-	if e.current != nil {
-		s += "| current=" + e.current.name
-	}
-	s += "| events=" + u64str(uint64(len(e.events)))
-	return s
-}
-
-func u64str(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [24]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
 }

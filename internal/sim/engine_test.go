@@ -6,8 +6,15 @@ import (
 	"testing/quick"
 )
 
+// newSerial returns a one-shard cluster and its engine: the serial
+// engine the tests below drive.
+func newSerial() (*Cluster, *Engine) {
+	c := NewCluster(1)
+	return c, c.Engine(0)
+}
+
 func TestSingleCoroAdvances(t *testing.T) {
-	e := NewEngine()
+	c, e := newSerial()
 	clk := NewClock("cpu0")
 	var end uint64
 	co := e.NewCoro("worker", func(ctx *Ctx) {
@@ -17,7 +24,7 @@ func TestSingleCoroAdvances(t *testing.T) {
 		end = ctx.Now()
 	})
 	e.UnparkOn(co, clk)
-	if err := e.Run(math.MaxUint64); err != nil {
+	if err := c.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
 	if end != 50 {
@@ -29,7 +36,7 @@ func TestSingleCoroAdvances(t *testing.T) {
 }
 
 func TestTwoClocksInterleaveByTime(t *testing.T) {
-	e := NewEngine()
+	c, e := newSerial()
 	fast := NewClock("fast")
 	slow := NewClock("slow")
 	var order []string
@@ -44,7 +51,7 @@ func TestTwoClocksInterleaveByTime(t *testing.T) {
 	}
 	mk("a", 10, fast)
 	mk("b", 25, slow)
-	if err := e.Run(math.MaxUint64); err != nil {
+	if err := c.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
 	// Both coros fit inside one grid slice, so each runs its slice to
@@ -64,7 +71,7 @@ func TestTwoClocksInterleaveByTime(t *testing.T) {
 }
 
 func TestParkUnpark(t *testing.T) {
-	e := NewEngine()
+	c, e := newSerial()
 	c0 := NewClock("cpu0")
 	c1 := NewClock("cpu1")
 	var got uint64
@@ -79,7 +86,7 @@ func TestParkUnpark(t *testing.T) {
 	})
 	e.UnparkOn(sleeper, c1)
 	e.UnparkOn(waker, c0)
-	if err := e.Run(math.MaxUint64); err != nil {
+	if err := c.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
 	if got < 100 {
@@ -88,13 +95,13 @@ func TestParkUnpark(t *testing.T) {
 }
 
 func TestEventsFireInOrder(t *testing.T) {
-	e := NewEngine()
+	c, e := newSerial()
 	var fired []uint64
 	e.ScheduleAt(30, func() { fired = append(fired, 30) })
 	e.ScheduleAt(10, func() { fired = append(fired, 10) })
 	e.ScheduleAt(20, func() { fired = append(fired, 20) })
 	e.ScheduleAt(10, func() { fired = append(fired, 11) }) // same time, later seq
-	if err := e.Run(math.MaxUint64); err != nil {
+	if err := c.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
 	want := []uint64{10, 11, 20, 30}
@@ -106,7 +113,7 @@ func TestEventsFireInOrder(t *testing.T) {
 }
 
 func TestEventInterleavesWithCoro(t *testing.T) {
-	e := NewEngine()
+	c, e := newSerial()
 	clk := NewClock("cpu0")
 	var at uint64
 	e.ScheduleAt(15, func() { at = e.Now() })
@@ -116,7 +123,7 @@ func TestEventInterleavesWithCoro(t *testing.T) {
 		atDuringSlice = at
 	})
 	e.UnparkOn(co, clk)
-	if err := e.Run(math.MaxUint64); err != nil {
+	if err := c.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
 	// A pending event does not split a running slice: the coroutine was
@@ -137,7 +144,7 @@ func TestEventInterleavesWithCoro(t *testing.T) {
 // deterministic under any sharding — and the event fires before the
 // coroutine passes it.
 func TestEventSplitsOwnSchedulersSlice(t *testing.T) {
-	e := NewEngine()
+	c, e := newSerial()
 	clk := NewClock("cpu0")
 	var at uint64
 	var sawEventBefore bool
@@ -148,7 +155,7 @@ func TestEventSplitsOwnSchedulersSlice(t *testing.T) {
 		sawEventBefore = at == 15
 	})
 	e.UnparkOn(co, clk)
-	if err := e.Run(math.MaxUint64); err != nil {
+	if err := c.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
 	if !sawEventBefore {
@@ -157,7 +164,7 @@ func TestEventSplitsOwnSchedulersSlice(t *testing.T) {
 }
 
 func TestRunUntilBound(t *testing.T) {
-	e := NewEngine()
+	c, e := newSerial()
 	clk := NewClock("cpu0")
 	n := 0
 	co := e.NewCoro("w", func(ctx *Ctx) {
@@ -167,7 +174,7 @@ func TestRunUntilBound(t *testing.T) {
 		}
 	})
 	e.UnparkOn(co, clk)
-	if err := e.Run(100); err != nil {
+	if err := c.Run(100); err != nil {
 		t.Fatal(err)
 	}
 	// The bound gates slice starts, not slice contents: the coroutine
@@ -182,8 +189,8 @@ func TestRunUntilBound(t *testing.T) {
 }
 
 func TestMaxStepsGuard(t *testing.T) {
-	e := NewEngine()
-	e.MaxSteps = 50
+	c, e := newSerial()
+	c.MaxSteps = 50
 	clk := NewClock("cpu0")
 	co := e.NewCoro("spin", func(ctx *Ctx) {
 		for {
@@ -192,13 +199,13 @@ func TestMaxStepsGuard(t *testing.T) {
 		}
 	})
 	e.UnparkOn(co, clk)
-	if err := e.Run(math.MaxUint64); err != ErrMaxSteps {
+	if err := c.Run(math.MaxUint64); err != ErrMaxSteps {
 		t.Fatalf("err = %v, want ErrMaxSteps", err)
 	}
 }
 
 func TestUnparkRunnablePanics(t *testing.T) {
-	e := NewEngine()
+	_, e := newSerial()
 	clk := NewClock("cpu0")
 	co := e.NewCoro("w", func(ctx *Ctx) {})
 	e.UnparkOn(co, clk)
@@ -212,7 +219,7 @@ func TestUnparkRunnablePanics(t *testing.T) {
 
 func TestDeterministicInterleaving(t *testing.T) {
 	run := func() []int {
-		e := NewEngine()
+		c, e := newSerial()
 		var trace []int
 		for i := 0; i < 8; i++ {
 			i := i
@@ -225,7 +232,7 @@ func TestDeterministicInterleaving(t *testing.T) {
 			})
 			e.UnparkOn(co, clk)
 		}
-		if err := e.Run(math.MaxUint64); err != nil {
+		if err := c.Run(math.MaxUint64); err != nil {
 			t.Fatal(err)
 		}
 		return trace

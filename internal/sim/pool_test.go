@@ -163,13 +163,13 @@ func TestPoolSpikeThenTrim(t *testing.T) {
 }
 
 // TestStepPathZeroAlloc is the headline hot-path claim as a hard test:
-// steady-state engine stepping with no trace installed performs zero
-// heap allocations per scheduling decision.
+// steady-state stepping of a one-shard cluster with no trace installed
+// performs zero heap allocations per scheduling decision.
 func TestStepPathZeroAlloc(t *testing.T) {
 	if raceEnabled || sanEnabled {
 		t.Skip("allocation counts are meaningless under -race / cksan instrumentation")
 	}
-	e := NewEngine()
+	c, e := newSerial()
 	for i := 0; i < 8; i++ {
 		clk := NewClock("c")
 		co := e.NewCoro("w", func(ctx *Ctx) {
@@ -180,11 +180,11 @@ func TestStepPathZeroAlloc(t *testing.T) {
 		})
 		e.UnparkOn(co, clk)
 	}
-	e.MaxSteps = 1 << 12
-	_ = e.Run(math.MaxUint64) // warm: runq and handoff structures reach steady state
+	c.MaxSteps = 1 << 12
+	_ = c.Run(math.MaxUint64) // warm: runq, handoff structures and epoch scratch reach steady state
 	avg := testing.AllocsPerRun(16, func() {
-		e.MaxSteps += 256
-		_ = e.Run(math.MaxUint64)
+		c.MaxSteps += 256
+		_ = c.Run(math.MaxUint64)
 	})
 	if avg != 0 {
 		t.Fatalf("engine step path allocates: %.2f allocs per 256-step run, want 0", avg)
@@ -211,7 +211,7 @@ func TestEpochBarrierZeroAlloc(t *testing.T) {
 		e.ScheduleAt(at, tick)
 	}
 	c.MaxSteps = 1 << 12
-	_ = c.Run(math.MaxUint64) // warm: pools, worker channels, next-time cache
+	_ = c.Run(math.MaxUint64) // warm: pools and worker channels
 	avg := testing.AllocsPerRun(16, func() {
 		c.MaxSteps += 256
 		_ = c.Run(math.MaxUint64)

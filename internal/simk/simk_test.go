@@ -38,7 +38,7 @@ func runMP3D(t *testing.T, cfg MP3DConfig) MP3DResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Eng.MaxSteps = 400_000_000
+	m.SetMaxSteps(400_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestBarrierProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Eng.MaxSteps = 50_000_000
+	m.SetMaxSteps(50_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}

@@ -56,12 +56,6 @@ type Image struct {
 	Fibers []dev.FiberState
 	Chaos  map[int]uint64 // injector cursors by shard
 	SRMs   []srm.Ledger
-
-	// Pool, when non-nil, supplies pre-built Cache Kernel state to Fork
-	// instead of rebuilding it per fork. An execution-hosting detail
-	// like Shards/ShardMap: it is never encoded, and pooled and
-	// unpooled forks are byte-identical.
-	Pool *ck.InstancePool
 }
 
 // Take captures a structural snapshot of m and its per-MPM Cache
@@ -116,7 +110,7 @@ func (im *Image) Fork(shards int, bind func(mpm int, name string) ck.KernelAttrs
 	cfg.ShardMap = nil
 	m := hw.NewMachine(cfg)
 	m.Phys = im.Frames.NewPhysMem()
-	// A zero-length run flips a sharded machine into its running state
+	// A zero-length run flips the cluster into its running state
 	// (runtime coroutine-creation semantics) before continuations are
 	// injected, mirroring a parent that has actually run its boot.
 	if err := m.Run(0); err != nil {
@@ -128,13 +122,7 @@ func (im *Image) Fork(shards int, bind func(mpm int, name string) ck.KernelAttrs
 	var ks []*ck.Kernel
 	for i, mpm := range m.MPMs {
 		st := im.CKs[i]
-		var k *ck.Kernel
-		var err error
-		if im.Pool != nil {
-			k, err = im.Pool.New(mpm, st.Cfg)
-		} else {
-			k, err = ck.New(mpm, st.Cfg)
-		}
+		k, err := ck.New(mpm, st.Cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("snap: fork mpm %d: %w", i, err)
 		}

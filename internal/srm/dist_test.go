@@ -76,7 +76,7 @@ func TestDistributedSRMLoadReportsAndRemoteLaunch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m.Eng.MaxSteps = 200_000_000
+	m.SetMaxSteps(200_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestMPMFaultContainment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Eng.MaxSteps = 50_000_000
+	m.SetMaxSteps(50_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func startMachine(t *testing.T, fn func(s *SRM, e *hw.Exec)) (*hw.Machine, *ck.K
 	if _, err := Start(k, m.MPMs[0], fn); err != nil {
 		t.Fatal(err)
 	}
-	m.Eng.MaxSteps = 100_000_000
+	m.SetMaxSteps(100_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestKernelEvictionSwapsAndUnswapRevives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Eng.MaxSteps = 400_000_000
+	m.SetMaxSteps(400_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func startUnix(t *testing.T, cfg Config, body func(u *Unix, e *hw.Exec)) *Unix {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Eng.MaxSteps = 200_000_000
+	m.SetMaxSteps(200_000_000)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
