@@ -1,169 +1,61 @@
 // Command ckbench regenerates the paper's tables and the evaluation
 // experiments on the simulated ParaDiGM machine, printing measured values
-// next to the published ones. Run with -exp all (default) or a
-// comma-separated subset:
-//
-//	t1    Table 1: object sizes and cache geometry
-//	t2    Table 2 + §5.3: basic operation and trap/signal/fault times
-//	s52a  §5.2 descriptor memory budget arithmetic
-//	s52b  §5.2 mapping-cache thrash sweep
-//	s52c  §5.2 MP3D page-locality degradation
-//	a1    ablation: reverse-TLB vs two-stage signal delivery
-//	a7    ablation: LRU vs application-controlled database paging
-//	rec   crash-recovery latency under a scripted Cache Kernel crash
-//	      (opt-in: not part of "all", like -hostperf)
-//	orch  live cross-MPM kernel migration blackout under a rolling
-//	      upgrade (opt-in; with -json writes BENCH_orchestration.json)
-//	fork  whole-machine snapshot/fork cost: boot-vs-fork host time, COW
-//	      fault cost, snapshot size (opt-in; with -json writes
-//	      BENCH_fork.json)
-//
-// -hostperf instead measures host-side simulator throughput (virtual
-// results are unaffected by it); with -json the report is also written
-// to BENCH_hostperf.json — and -exp rec / -exp orch write
-// BENCH_recovery.json / BENCH_orchestration.json — for comparison
-// across commits (see EXPERIMENTS.md).
+// next to the published ones. The experiments are the entries of
+// exp.Experiments (ckbench -h lists them); run -exp all (default, every
+// entry not marked opt-in) or a comma-separated list of ids. With -json
+// an entry that keeps a BENCH_*.json report (rec, orch, fork) also
+// writes it to the current directory (see EXPERIMENTS.md).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"vpp/internal/exp"
-	"vpp/internal/sim"
-	"vpp/internal/simk"
 )
 
 func main() {
 	expFlag := flag.String("exp", "all", "experiments to run (comma separated)")
 	full := flag.Bool("full", false, "use the paper's full 65536-descriptor pool in s52b (slower)")
-	hostperf := flag.Bool("hostperf", false, "measure host-side simulator throughput instead of running experiments")
-	jsonOut := flag.Bool("json", false, "with -hostperf or -exp rec, also write the BENCH_*.json report")
+	jsonOut := flag.Bool("json", false, "also write each selected experiment's BENCH_*.json report")
+	flag.Usage = func() {
+		w := flag.CommandLine.Output()
+		fmt.Fprintf(w, "usage: ckbench [-exp all|id,...] [-full] [-json]\n\nexperiments (opt-in ones run only when named):\n")
+		for _, e := range exp.Experiments {
+			optIn := ""
+			if e.OptIn {
+				optIn = " [opt-in]"
+			}
+			fmt.Fprintf(w, "  %-5s %s%s\n", e.ID, e.Title, optIn)
+		}
+		fmt.Fprintln(w)
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
-	if *hostperf {
-		if err := runHostperf(*jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	sel, err := exp.Select(*expFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ckbench: %v\n", err)
+		os.Exit(2)
 	}
-
-	want := map[string]bool{}
-	for _, name := range strings.Split(*expFlag, ",") {
-		want[strings.TrimSpace(name)] = true
-	}
-	all := want["all"]
 	failed := false
-
-	section := func(id, title string) bool {
-		if !all && !want[id] {
-			return false
+	for _, e := range sel {
+		fmt.Printf("=== %s: %s ===\n", strings.ToUpper(e.ID), e.Title)
+		res, err := e.Run(*full)
+		if res != nil {
+			fmt.Println(res)
+			if *jsonOut && e.Bench != "" {
+				if werr := writeBench(e.Bench, res); werr != nil {
+					fmt.Fprintf(os.Stderr, "error: %v\n", werr)
+					failed = true
+				}
+			}
 		}
-		fmt.Printf("=== %s: %s ===\n", strings.ToUpper(id), title)
-		return true
-	}
-	check := func(err error) bool {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 			failed = true
-			return false
-		}
-		return true
-	}
-
-	if section("t1", "Cache Kernel object sizes (paper Table 1)") {
-		fmt.Println(exp.MeasureTable1())
-	}
-	if section("t2", "basic operation times, µs (paper Table 2 and §5.3)") {
-		t2, err := exp.MeasureTable2()
-		if check(err) {
-			fmt.Println(t2)
-			fmt.Println(t2.Counters())
-		}
-	}
-	if section("s52a", "descriptor memory budget (paper §5.2)") {
-		fmt.Println(exp.MeasureMemBudget())
-	}
-	if section("s52b", "mapping-cache replacement interference sweep (paper §5.2)") {
-		slots := 4096
-		if *full {
-			slots = 65536
-		}
-		res, err := exp.MeasureThrash(slots, nil, 2)
-		if check(err) {
-			fmt.Println(res)
-		}
-	}
-	if section("s52c", "MP3D page locality (paper §5.2: up to 25% degradation)") {
-		res, err := exp.MeasureMP3D(simk.MP3DConfig{})
-		if check(err) {
-			fmt.Println(res)
-		}
-	}
-	if section("a1", "reverse-TLB vs two-stage signal delivery (paper §4.1)") {
-		res, err := exp.MeasureSignalAblation()
-		if check(err) {
-			fmt.Println(res)
-		}
-	}
-	if section("a7", "database paging policy (paper §1 motivation)") {
-		res, err := exp.MeasureDB()
-		if check(err) {
-			fmt.Println(res)
-		}
-	}
-	// Opt-in like -hostperf: the scripted crash perturbs nothing when
-	// not requested, and "all" output stays byte-stable across commits.
-	if want["rec"] {
-		fmt.Printf("=== REC: crash recovery latency (paper §3: all Cache Kernel state is regenerable) ===\n")
-		res, err := exp.RunRecoveryWorkload(nil, 1)
-		if check(err) {
-			fmt.Println(res)
-			if *jsonOut {
-				b, err := json.MarshalIndent(res, "", "  ")
-				if check(err) {
-					if check(os.WriteFile("BENCH_recovery.json", append(b, '\n'), 0o644)) {
-						fmt.Println("wrote BENCH_recovery.json")
-					}
-				}
-			}
-		}
-	}
-	if want["orch"] {
-		fmt.Printf("=== ORCH: live migration blackout under a rolling upgrade (DESIGN §12) ===\n")
-		res, err := exp.RunOrchestrationWorkload(nil, 1)
-		if check(err) {
-			fmt.Println(res)
-			if *jsonOut {
-				b, err := json.MarshalIndent(res, "", "  ")
-				if check(err) {
-					if check(os.WriteFile("BENCH_orchestration.json", append(b, '\n'), 0o644)) {
-						fmt.Println("wrote BENCH_orchestration.json")
-					}
-				}
-			}
-		}
-	}
-	if want["fork"] {
-		fmt.Printf("=== FORK: whole-machine snapshot/fork cost (DESIGN §13) ===\n")
-		res, err := exp.MeasureFork()
-		if check(err) {
-			fmt.Println(res)
-			if res.ForkToBootRatio > 0.10 {
-				check(fmt.Errorf("fork costs %.1f%% of a boot; boot-once/fork-many needs <= 10%%", 100*res.ForkToBootRatio))
-			}
-			if *jsonOut {
-				b, err := json.MarshalIndent(res, "", "  ")
-				if check(err) {
-					if check(os.WriteFile("BENCH_fork.json", append(b, '\n'), 0o644)) {
-						fmt.Println("wrote BENCH_fork.json")
-					}
-				}
-			}
 		}
 	}
 	if failed {
@@ -171,81 +63,16 @@ func main() {
 	}
 }
 
-// runHostperf measures host throughput and prints the report; with
-// writeJSON it also records BENCH_hostperf.json in the current
+// writeBench records a result as its BENCH_*.json report in the current
 // directory.
-func runHostperf(writeJSON bool) error {
-	r, err := exp.MeasureHostperf()
+func writeBench(name string, res any) error {
+	b, err := exp.BenchJSON(res)
 	if err != nil {
 		return err
 	}
-
-	// Under -tags cksan the measurement does not replace the clean
-	// baseline: it is merged into the existing report as the Cksan
-	// overhead section, so one BENCH_hostperf.json carries both builds.
-	if sim.SanEnabled() {
-		base, err := readHostperfBaseline()
-		if err != nil {
-			return fmt.Errorf("cksan hostperf needs a clean baseline; run a clean `ckbench -hostperf -json` first (%v)", err)
-		}
-		base.Cksan = &exp.HostperfCksan{
-			EngineStepsPerSec:  r.EngineStepsPerSec,
-			TranslateNsPerOp:   r.TranslateNsPerOp,
-			HostNsPerSimMicro:  r.HostNsPerSimMicro,
-			EngineStepOverhead: ratio(base.EngineStepsPerSec, r.EngineStepsPerSec),
-			TranslateOverhead:  ratio(r.TranslateNsPerOp, base.TranslateNsPerOp),
-			BootOverhead:       ratio(r.HostNsPerSimMicro, base.HostNsPerSimMicro),
-		}
-		fmt.Print(r)
-		fmt.Printf("cksan overhead vs clean:  engine step %.2fx, translate %.2fx, boot %.2fx\n",
-			base.Cksan.EngineStepOverhead, base.Cksan.TranslateOverhead, base.Cksan.BootOverhead)
-		if writeJSON {
-			return writeHostperf(base)
-		}
-		return nil
+	if err := os.WriteFile(name, b, 0o644); err != nil {
+		return err
 	}
-
-	// A clean run refreshes the baseline but keeps any previously
-	// recorded sanitizer section until the next cksan run replaces it.
-	if old, err := readHostperfBaseline(); err == nil {
-		r.Cksan = old.Cksan
-	}
-	fmt.Print(r)
-	if writeJSON {
-		return writeHostperf(r)
-	}
+	fmt.Println("wrote", name)
 	return nil
-}
-
-func readHostperfBaseline() (exp.HostperfReport, error) {
-	var base exp.HostperfReport
-	b, err := os.ReadFile("BENCH_hostperf.json")
-	if err != nil {
-		return base, err
-	}
-	if err := json.Unmarshal(b, &base); err != nil {
-		return base, err
-	}
-	return base, nil
-}
-
-func writeHostperf(r exp.HostperfReport) error {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_hostperf.json", append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_hostperf.json")
-	return nil
-}
-
-// ratio guards the overhead divisions against a zero denominator from a
-// degenerate measurement.
-func ratio(num, den float64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return num / den
 }

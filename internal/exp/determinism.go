@@ -16,14 +16,9 @@ import (
 // its schedule trace against a golden generated before the engine
 // optimization, and asserts the sharded engine (shards > 1 spreads the
 // two MPMs over per-shard goroutines) reproduces it byte-identically.
-func RunDeterminismWorkload(trace func(name string, at uint64), shards int) (finalClock, steps uint64, err error) {
-	return RunDeterminismWorkloadCut(trace, shards, 0, nil)
-}
-
-// RunDeterminismWorkloadCut is the replay-fork form of the determinism
-// workload (snap.CutFunc): it pauses at virtual time cut for the pause
-// hook before running to completion.
-func RunDeterminismWorkloadCut(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (finalClock, steps uint64, err error) {
+// Like every golden workload it is a snap.CutFunc: with a pause hook it
+// pauses at virtual time cut before running to completion.
+func RunDeterminismWorkload(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (finalClock, steps uint64, err error) {
 	cfg := hw.DefaultConfig()
 	cfg.MPMs = 2
 	cfg.Shards = shards

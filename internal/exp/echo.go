@@ -17,15 +17,9 @@ import (
 // in RunDeterminismWorkload it pins the boot path and the
 // signal-delivery fast path under the determinism goldens. The machine
 // has one MPM, so shards above one clamp to the serial engine; the
-// parameter keeps the workload signature uniform across the goldens.
-func RunBootEchoWorkload(trace func(name string, at uint64), shards int) (finalClock, steps uint64, err error) {
-	return RunBootEchoWorkloadCut(trace, shards, 0, nil)
-}
-
-// RunBootEchoWorkloadCut is the replay-fork form of the boot/echo
-// workload (snap.CutFunc): it pauses at virtual time cut for the pause
-// hook before running to completion.
-func RunBootEchoWorkloadCut(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (finalClock, steps uint64, err error) {
+// parameter keeps the workload signature (snap.CutFunc) uniform across
+// the goldens.
+func RunBootEchoWorkload(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (finalClock, steps uint64, err error) {
 	cfg := hw.DefaultConfig()
 	cfg.Shards = shards
 	m := hw.NewMachine(cfg)

@@ -1,9 +1,9 @@
 // Package exp is the evaluation harness: one function per table, figure
 // and ablation of the paper, each returning a structured result whose
 // String() renders the same rows the paper reports next to the measured
-// values. cmd/ckbench prints them; the repository-root benchmarks wrap
-// them with testing.B metrics. See DESIGN.md §3 for the experiment
-// index.
+// values. Experiments is the catalog cmd/ckbench runs; the
+// repository-root benchmarks wrap the functions with testing.B metrics.
+// See DESIGN.md §3 for the experiment index.
 package exp
 
 import (

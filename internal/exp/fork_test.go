@@ -3,7 +3,6 @@ package exp
 import (
 	"testing"
 
-	"vpp/internal/simtest"
 	"vpp/internal/snap"
 )
 
@@ -12,27 +11,16 @@ import (
 // then "fork" — rebuild, re-run silently to a mid-trace cut, verify the
 // machine state digest matches the parent's at the cut — and check the
 // forked continuation's trace is byte-identical to the golden run's
-// tail. Serial and four-shard, for each of the five golden families.
+// tail. Serial and four-shard, for each of the five goldens.
 func TestForkEquivalenceMatrix(t *testing.T) {
-	cases := []struct {
-		name string
-		w    snap.CutFunc
-	}{
-		{"determinism", RunDeterminismWorkloadCut},
-		{"boot_echo", RunBootEchoWorkloadCut},
-		{"recovery", RunRecoveryTraceCut},
-		{"orchestration", RunOrchestrationTraceCut},
-		{"simtest_seed11", simtest.SeedWorkloadCut(11)},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
+	for _, g := range goldens {
+		t.Run(g.name, func(t *testing.T) {
 			t.Parallel()
 			// One plain run records the dispatch times; the cut goes
 			// strictly between two mid-trace dispatches so both halves
 			// are non-empty.
 			var ats []uint64
-			if _, _, err := tc.w(func(name string, at uint64) { ats = append(ats, at) }, 1, 0, nil); err != nil {
+			if _, _, err := g.run(func(name string, at uint64) { ats = append(ats, at) }, 1, 0, nil); err != nil {
 				t.Fatalf("plain run: %v", err)
 			}
 			cut := midCut(ats)
@@ -40,7 +28,7 @@ func TestForkEquivalenceMatrix(t *testing.T) {
 				t.Fatalf("no mid-trace cut in %d dispatches", len(ats))
 			}
 			for _, shards := range []int{1, 4} {
-				r := snap.Replay{Workload: tc.w, Shards: shards, Cut: cut}
+				r := snap.Replay{Workload: g.run, Shards: shards, Cut: cut}
 				full, err := r.RunFull()
 				if err != nil {
 					t.Fatalf("shards=%d: full run: %v", shards, err)

@@ -61,15 +61,9 @@ func (r OrchestrationResult) String() string {
 // fixed virtual time, and reports the migration blackout distribution.
 // No chaos: every migration must complete and every oracle-style check
 // here is fatal. Fully deterministic; the orchestration golden hashes
-// its dispatch schedule.
-func RunOrchestrationWorkload(trace func(name string, at uint64), shards int) (OrchestrationResult, error) {
-	return RunOrchestrationWorkloadCut(trace, shards, 0, nil)
-}
-
-// RunOrchestrationWorkloadCut is the replay-fork form of the
-// orchestration workload: it pauses at virtual time cut for the pause
-// hook before running to completion.
-func RunOrchestrationWorkloadCut(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (OrchestrationResult, error) {
+// its dispatch schedule. With a pause hook it pauses at virtual time
+// cut before running to completion, as a snap.CutFunc does.
+func RunOrchestrationWorkload(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (OrchestrationResult, error) {
 	const (
 		mpms      = 3
 		pods      = 24
@@ -155,18 +149,4 @@ func RunOrchestrationWorkloadCut(trace func(name string, at uint64), shards int,
 	res.FinalClock = m.Now()
 	res.Steps = m.Steps()
 	return res, nil
-}
-
-// RunOrchestrationTrace adapts RunOrchestrationWorkload to the
-// schedule-golden harness.
-func RunOrchestrationTrace(trace func(name string, at uint64), shards int) (uint64, uint64, error) {
-	res, err := RunOrchestrationWorkload(trace, shards)
-	return res.FinalClock, res.Steps, err
-}
-
-// RunOrchestrationTraceCut adapts RunOrchestrationWorkloadCut to
-// snap.CutFunc.
-func RunOrchestrationTraceCut(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (uint64, uint64, error) {
-	res, err := RunOrchestrationWorkloadCut(trace, shards, cut, pause)
-	return res.FinalClock, res.Steps, err
 }

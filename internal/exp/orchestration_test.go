@@ -2,20 +2,11 @@ package exp
 
 import "testing"
 
-// TestOrchestrationTraceGolden pins the live-migration schedule: the
-// canned fleet, the rolling upgrade's serial drain and every blackout
-// window must dispatch identically on every run, serial and sharded.
-// Any change to the quiesce/expel/adopt path or the control plane's
-// messaging that perturbs virtual time fails this golden.
-func TestOrchestrationTraceGolden(t *testing.T) {
-	checkScheduleGolden(t, "orchestration_trace.golden", RunOrchestrationTrace)
-}
-
 // TestOrchestrationWorkload checks the semantic outcome: a clean run
 // migrates every long-running pod exactly once, with a positive
 // blackout and an ordered distribution, and nothing restarts.
 func TestOrchestrationWorkload(t *testing.T) {
-	res, err := RunOrchestrationWorkload(nil, 1)
+	res, err := RunOrchestrationWorkload(nil, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

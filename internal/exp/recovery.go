@@ -69,15 +69,9 @@ func (r RecoveryResult) String() string {
 // (the sleeper resumes from its backing record, the killed compute
 // process is rerun from its program start) and returns the recovery
 // latency breakdown. Fully deterministic; the recovery golden hashes
-// its dispatch schedule.
-func RunRecoveryWorkload(trace func(name string, at uint64), shards int) (RecoveryResult, error) {
-	return RunRecoveryWorkloadCut(trace, shards, 0, nil)
-}
-
-// RunRecoveryWorkloadCut is the replay-fork form of the recovery
-// workload: it pauses at virtual time cut for the pause hook before
-// running to completion.
-func RunRecoveryWorkloadCut(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (RecoveryResult, error) {
+// its dispatch schedule. With a pause hook it pauses at virtual time
+// cut before running to completion, as a snap.CutFunc does.
+func RunRecoveryWorkload(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (RecoveryResult, error) {
 	var res RecoveryResult
 	res.CrashAt = hw.CyclesFromMicros(18_000)
 	horizon := hw.CyclesFromMicros(120_000)
@@ -200,17 +194,4 @@ func RunRecoveryWorkloadCut(trace func(name string, at uint64), shards int, cut 
 	res.FinalClock = m.Now()
 	res.Steps = m.Steps()
 	return res, nil
-}
-
-// RunRecoveryTrace adapts RunRecoveryWorkload to the schedule-golden
-// harness.
-func RunRecoveryTrace(trace func(name string, at uint64), shards int) (uint64, uint64, error) {
-	res, err := RunRecoveryWorkload(trace, shards)
-	return res.FinalClock, res.Steps, err
-}
-
-// RunRecoveryTraceCut adapts RunRecoveryWorkloadCut to snap.CutFunc.
-func RunRecoveryTraceCut(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (uint64, uint64, error) {
-	res, err := RunRecoveryWorkloadCut(trace, shards, cut, pause)
-	return res.FinalClock, res.Steps, err
 }

@@ -5,20 +5,11 @@ import (
 	"testing"
 )
 
-// TestRecoveryTraceGolden pins the crash-and-recover schedule: a
-// scripted Cache Kernel crash at a fixed virtual time, guardian
-// detection, SRM re-boot, kernel reload and workload completion must
-// dispatch identically on every run. Any change to the crash, reload or
-// revival paths that perturbs virtual time fails this golden.
-func TestRecoveryTraceGolden(t *testing.T) {
-	checkScheduleGolden(t, "recovery_trace.golden", RunRecoveryTrace)
-}
-
 // TestRecoveryWorkload checks the semantic outcome of the scripted
 // crash: every emulated process finishes, the latency milestones are
 // ordered, and the breakdown is attributed correctly.
 func TestRecoveryWorkload(t *testing.T) {
-	res, err := RunRecoveryWorkload(nil, 1)
+	res, err := RunRecoveryWorkload(nil, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ var schedulingMethods = map[string]bool{
 // shard between or within epochs: pure reads of monotone or immutable
 // state.
 var engineReadMethods = map[string]bool{
-	"Now": true, "Name": true, "Shard": true, "Steps": true, "Decisions": true,
+	"Now": true, "Name": true, "Shard": true, "Steps": true,
 	"Done": true, "Runnable": true, "Clock": true,
 }
 

@@ -222,10 +222,6 @@ func (e *Engine) Now() uint64 {
 // identical across shard counts.
 func (e *Engine) Steps() uint64 { return e.sched }
 
-// Decisions reports raw scheduling decisions, including preemption
-// re-slices; this is the count the step guard bounds.
-func (e *Engine) Decisions() uint64 { return e.steps }
-
 // SanEnabled reports whether this binary was built with the cksan
 // runtime ownership sanitizer (-tags cksan). Tools use it to refuse
 // sanitizer runs on unsanitized binaries.

@@ -457,22 +457,11 @@ func (h *harness) installTrace(trace func(name string, at uint64)) {
 // RunSeed generates and runs one seed.
 func RunSeed(seed uint64) *Result { return Run(Generate(seed), nil) }
 
-// SeedWorkload adapts one seed to the exp determinism-golden harness:
-// it returns the final clock and step count, and an error carrying the
-// fingerprint if any oracle fired.
-func SeedWorkload(seed uint64) func(trace func(name string, at uint64), shards int) (uint64, uint64, error) {
-	return func(trace func(name string, at uint64), shards int) (uint64, uint64, error) {
-		r := RunSharded(Generate(seed), trace, shards)
-		if r.Failed() {
-			return r.FinalClock, r.Steps, fmt.Errorf("cksim seed %d failed:\n%s", seed, r.Fingerprint())
-		}
-		return r.FinalClock, r.Steps, nil
-	}
-}
-
-// SeedWorkloadCut adapts one seed to the replay fork tier
-// (snap.CutFunc): like SeedWorkload but pausing at the cut.
-func SeedWorkloadCut(seed uint64) func(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (uint64, uint64, error) {
+// SeedWorkload adapts one seed to the exp determinism goldens and the
+// replay fork tier (snap.CutFunc): it runs the seed's scenario through
+// RunCut and returns the final clock and step count, and an error
+// carrying the fingerprint if any oracle fired.
+func SeedWorkload(seed uint64) func(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (uint64, uint64, error) {
 	return func(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (uint64, uint64, error) {
 		r := RunCut(Generate(seed), trace, shards, cut, pause)
 		if r.Failed() {
