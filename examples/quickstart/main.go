@@ -23,8 +23,10 @@ import (
 
 func main() {
 	// A machine with the paper's geometry: one MPM, four 25 MHz CPUs,
-	// 2 MB local RAM, 8 MB second-level cache.
+	// 2 MB local RAM, 8 MB second-level cache. Close ends it: threads
+	// still parked when the run is over are released.
 	machine := hw.NewMachine(hw.DefaultConfig())
+	defer machine.Close()
 
 	// The Cache Kernel installs itself as the MPM's supervisor.
 	kernel, err := ck.New(machine.MPMs[0], ck.Config{})

@@ -155,12 +155,14 @@ func (k *Kernel) enter(e *hw.Exec) hw.Mode {
 // exit charges the return from the Cache Kernel and restores mode.
 // Every Cache Kernel operation funnels through here, so builds tagged
 // ckinvariants verify the full dependency-model state on each return.
+// A call unwound by Machine.Close is not returning: its machine has
+// ended, possibly mid-mutation, and there is nothing left to verify.
 func (k *Kernel) exit(e *hw.Exec, prev hw.Mode) {
 	// Leave the call before checking: a solo call still self-validates,
 	// while calls parked mid-mutation on other processors suppress the
 	// check (their intermediate states are legitimate — see CheckInvariants).
 	k.inCalls--
-	if invariantsEnabled {
+	if invariantsEnabled && !e.Ctx().Released() {
 		if err := k.CheckInvariants(); err != nil {
 			panic("ckinvariants: " + err.Error())
 		}

@@ -85,6 +85,7 @@ func MeasureTable2(cfg Config) (Table2, error) {
 
 	hwCfg := hw.DefaultConfig()
 	m := hw.NewMachine(hwCfg)
+	defer m.Close()
 	k, err := New(m.MPMs[0], cfg)
 	if err != nil {
 		return out, err

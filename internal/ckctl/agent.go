@@ -2,6 +2,7 @@ package ckctl
 
 import (
 	"fmt"
+	"slices"
 
 	"vpp/internal/aklib"
 	"vpp/internal/ck"
@@ -386,11 +387,13 @@ func (n *Node) report(se *hw.Exec) {
 		FreeGroups: n.SRM.FreeGroups(),
 		Recoveries: n.recoveries,
 	}
-	for _, name := range n.hostedNames() {
+	names := n.hostedNames()
+	rep.Kernels = make([]kernelReport, len(names))
+	for i, name := range names {
 		pr := n.hosted[name]
-		rep.Kernels = append(rep.Kernels, kernelReport{
+		rep.Kernels[i] = kernelReport{
 			Name: name, State: n.podState(name, pr), Beats: pr.pod.Beats, Gen: pr.gen,
-		})
+		}
 	}
 	n.cl.sendEvent(n.MPM.Shard, se.Now(), event{report: rep})
 }
@@ -414,18 +417,15 @@ func (n *Node) podState(name string, pr *podRec) podState {
 	}
 }
 
-// hostedNames returns the hosted instance names in deterministic order.
+// hostedNames returns the hosted instance names in sorted order, in the
+// node's reused buffer: valid until the next call.
 func (n *Node) hostedNames() []string {
-	names := make([]string, 0, len(n.hosted))
-	//ckvet:allow detmap keys are collected then sorted before use
+	names := n.names[:0]
 	for name := range n.hosted {
 		names = append(names, name)
 	}
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
+	slices.Sort(names)
+	n.names = names
 	return names
 }
 

@@ -94,6 +94,9 @@ type Node struct {
 	// hosted is this module's pod set, keyed by instance name; the
 	// agent is the only writer.
 	hosted map[string]*podRec
+	// names is the agent's buffer for the sorted hosted names, reused
+	// by every report.
+	names []string
 	// inbox receives controller commands (appended by message-delivery
 	// closures running on this shard).
 	inbox []command

@@ -45,6 +45,7 @@ func MeasureSignalAblation() (SignalAblation, error) {
 // signalLatency measures steady-state delivery time for one receiver.
 func signalLatency(cfg ck.Config) (float64, error) {
 	m := hw.NewMachine(hw.DefaultConfig())
+	defer m.Close()
 	k, err := ck.New(m.MPMs[0], cfg)
 	if err != nil {
 		return 0, err
@@ -154,6 +155,7 @@ func MeasureMP3D(cfg simk.MP3DConfig) (MP3DComparison, error) {
 
 func runMP3DOnce(cfg simk.MP3DConfig) (simk.MP3DResult, error) {
 	m := hw.NewMachine(hw.DefaultConfig())
+	defer m.Close()
 	k, err := ck.New(m.MPMs[0], ck.Config{})
 	if err != nil {
 		return simk.MP3DResult{}, err
@@ -219,6 +221,7 @@ func dbWorkload(policy dbk.Policy) (float64, uint64, error) {
 	const tablePages = 64
 	const poolFrames = 16
 	m := hw.NewMachine(hw.DefaultConfig())
+	defer m.Close()
 	k, err := ck.New(m.MPMs[0], ck.Config{})
 	if err != nil {
 		return 0, 0, err

@@ -23,6 +23,7 @@ func RunDeterminismWorkload(trace func(name string, at uint64), shards int, cut 
 	cfg.MPMs = 2
 	cfg.Shards = shards
 	m := hw.NewMachine(cfg)
+	defer m.Close()
 	m.SetTraceDispatch(trace)
 
 	errs := make([]error, cfg.MPMs)

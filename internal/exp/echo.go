@@ -23,6 +23,7 @@ func RunBootEchoWorkload(trace func(name string, at uint64), shards int, cut uin
 	cfg := hw.DefaultConfig()
 	cfg.Shards = shards
 	m := hw.NewMachine(cfg)
+	defer m.Close()
 	m.SetTraceDispatch(trace)
 
 	k, err := ck.New(m.MPMs[0], ck.Config{})

@@ -164,6 +164,7 @@ func MeasureThrash(mappingSlots int, workingSets []int, laps int) (ThrashResult,
 
 func thrashOne(slots, pages, laps int) (ThrashPoint, error) {
 	m := hw.NewMachine(hw.DefaultConfig())
+	defer m.Close()
 	k, err := ck.New(m.MPMs[0], ck.Config{MappingSlots: slots, PMapBuckets: slots / 4})
 	if err != nil {
 		return ThrashPoint{}, err

@@ -76,12 +76,18 @@ func forkBenchPFN(mpm, p int) uint32  { return 4096 + uint32(mpm)*256 + uint32(p
 // whose boot threads map and dirty a page window, then launch workers
 // short-lived threads that each rewrite the window and exit. Every
 // thread (workers and boot) has exited by the time the machine drains,
-// so the result is quiescent — structurally snapshottable.
-func bootForkBench(mpms, cpus, pages, workers int) (*hw.Machine, []*ck.Kernel, error) {
+// so the result is quiescent — structurally snapshottable. The caller
+// closes the machine.
+func bootForkBench(mpms, cpus, pages, workers int) (_ *hw.Machine, _ []*ck.Kernel, err error) {
 	cfg := hw.DefaultConfig()
 	cfg.MPMs = mpms
 	cfg.CPUsPerMPM = cpus
 	m := hw.NewMachine(cfg)
+	defer func() {
+		if err != nil {
+			m.Close()
+		}
+	}()
 	var ks []*ck.Kernel
 	errs := make([]error, mpms)
 	for i, mpm := range m.MPMs {
@@ -170,6 +176,7 @@ func MeasureFork() (ForkReport, error) {
 	if err != nil {
 		return r, err
 	}
+	defer m.Close()
 	r.BootHostMs = float64(time.Since(t0).Nanoseconds()) / 1e6 //ckvet:allow detmap host-side wall-clock measurement is this experiment's purpose
 	r.BootSimCycles = m.Now()
 
@@ -191,6 +198,7 @@ func MeasureFork() (ForkReport, error) {
 		if last, _, err = im.Fork(1, nil); err != nil {
 			return r, err
 		}
+		defer last.Close()
 	}
 	r.ForkHostMs = float64(time.Since(t0).Nanoseconds()) / 1e6 / float64(r.Forks) //ckvet:allow detmap host-side wall-clock measurement is this experiment's purpose
 	if r.BootHostMs > 0 {

@@ -81,6 +81,7 @@ func RunOrchestrationWorkload(trace func(name string, at uint64), shards int, cu
 	cfg.PhysMemBytes = 256 << 20
 	cfg.Shards = shards
 	m := hw.NewMachine(cfg)
+	defer m.Close()
 	m.SetTraceDispatch(trace)
 
 	ccfg := ckctl.DefaultConfig()

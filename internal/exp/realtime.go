@@ -43,6 +43,7 @@ func MeasureRT() (RTResult, error) {
 
 func rtRun(pressure bool) (rtk.TaskStats, error) {
 	m := hw.NewMachine(hw.DefaultConfig())
+	defer m.Close()
 	k, err := ck.New(m.MPMs[0], ck.Config{MappingSlots: 64, PMapBuckets: 64})
 	if err != nil {
 		return rtk.TaskStats{}, err

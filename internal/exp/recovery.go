@@ -80,6 +80,7 @@ func RunRecoveryWorkload(trace func(name string, at uint64), shards int, cut uin
 	cfg.MPMs = 1
 	cfg.Shards = shards
 	m := hw.NewMachine(cfg)
+	defer m.Close()
 	m.SetTraceDispatch(trace)
 	k, err := ck.New(m.MPMs[0], ck.Config{})
 	if err != nil {

@@ -5,16 +5,27 @@ package hw
 // charging realistic hit/miss cycle costs on every memory reference, and
 // reporting hit/miss statistics for the locality experiments (Section
 // 5.2). Data always lives in PhysMem; the cache carries no contents.
+//
+// The tag array is kept in fixed-size chunks allocated on first touch:
+// a nil chunk reads as all-invalid. The paper's 8 MB cache has a 1 MB
+// tag array and a short simulation touches a small fraction of it, so
+// a machine pays only for the chunks it touches.
 type L2Cache struct {
 	lineShift uint
 	lines     uint32
-	tags      []uint32 // tag+1, 0 = invalid
+	chunks    []*l2Chunk // tag+1 per line, 0 = invalid; nil = all invalid
 	hits      uint64
 	misses    uint64
 }
 
 // L2LineSize is the cache line size in bytes (the paper's hardware).
 const L2LineSize = 32
+
+// l2ChunkLines is the number of tag lines per chunk: one 4 KB page of
+// physical memory maps onto 128 consecutive lines.
+const l2ChunkLines = 128
+
+type l2Chunk [l2ChunkLines]uint32
 
 // NewL2Cache returns a cache of the given total size in bytes, which must
 // be a positive multiple of the line size.
@@ -23,7 +34,11 @@ func NewL2Cache(size uint32) *L2Cache {
 		panic("hw: bad L2 cache size")
 	}
 	lines := size / L2LineSize
-	return &L2Cache{lineShift: 5, lines: lines, tags: make([]uint32, lines)}
+	return &L2Cache{
+		lineShift: 5,
+		lines:     lines,
+		chunks:    make([]*l2Chunk, (lines+l2ChunkLines-1)/l2ChunkLines),
+	}
 }
 
 // Access simulates a reference to physical address pa and returns the
@@ -32,20 +47,46 @@ func (c *L2Cache) Access(pa uint32) uint64 {
 	line := pa >> c.lineShift
 	idx := line % c.lines
 	tag := line/c.lines + 1
-	if c.tags[idx] == tag {
+	ch := c.chunks[idx/l2ChunkLines]
+	if ch == nil {
+		ch = c.chunk(idx)
+	}
+	t := &ch[idx%l2ChunkLines]
+	if *t == tag {
 		c.hits++
 		return CostMemHit
 	}
-	c.tags[idx] = tag
+	*t = tag
 	c.misses++
 	return CostMemMiss
+}
+
+// chunk allocates the all-invalid chunk holding line idx. It stays out
+// of line so that Access, which calls it on a chunk's first touch
+// only, keeps a small hit path.
+//
+//go:noinline
+func (c *L2Cache) chunk(idx uint32) *l2Chunk {
+	ch := new(l2Chunk)
+	c.chunks[idx/l2ChunkLines] = ch
+	return ch
+}
+
+// tagAt reports line idx's stored tag, 0 for an invalid line.
+func (c *L2Cache) tagAt(idx uint32) uint32 {
+	if ch := c.chunks[idx/l2ChunkLines]; ch != nil {
+		return ch[idx%l2ChunkLines]
+	}
+	return 0
 }
 
 // FlushAll invalidates every line (used by the second-level cache manager
 // when reassigning page frames across kernels).
 func (c *L2Cache) FlushAll() {
-	for i := range c.tags {
-		c.tags[i] = 0
+	for _, ch := range c.chunks {
+		if ch != nil {
+			clear(ch[:])
+		}
 	}
 }
 
@@ -56,8 +97,8 @@ func (c *L2Cache) FlushPage(pa uint32) {
 		line := (base + off) >> c.lineShift
 		idx := line % c.lines
 		tag := line/c.lines + 1
-		if c.tags[idx] == tag {
-			c.tags[idx] = 0
+		if ch := c.chunks[idx/l2ChunkLines]; ch != nil && ch[idx%l2ChunkLines] == tag {
+			ch[idx%l2ChunkLines] = 0
 		}
 	}
 }

@@ -75,13 +75,17 @@ type execExit struct{ e *Exec }
 
 // NewExec creates an execution context whose coroutine runs body when
 // first dispatched. The supervisor's Exited hook runs when body returns
-// or the context calls Exit.
+// or the context calls Exit, but not when Machine.Close releases the
+// context: a released execution has not exited, its machine has ended.
 func (m *MPM) NewExec(name string, body func(*Exec)) *Exec {
 	e := &Exec{Name: name, MPM: m, Mode: ModeUser}
 	e.coro = m.Shard.NewCoro(name, func(ctx *sim.Ctx) {
 		e.ctx = ctx
 		defer func() {
 			if r := recover(); r != nil {
+				// A real panic, or the release signal of a closed
+				// machine: either keeps unwinding past the exit
+				// bookkeeping.
 				x, ok := r.(execExit)
 				if !ok || x.e != e {
 					panic(r)

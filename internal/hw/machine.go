@@ -101,6 +101,15 @@ func NewMachine(cfg Config) *Machine {
 // bound is reached.
 func (m *Machine) Run(until uint64) error { return m.Cluster.Run(until) }
 
+// Close ends the machine once its last Run has returned
+// (sim.Cluster.Close): every execution still parked, runnable or in
+// the middle of a call is unwound without running any more simulated
+// code, and the shard workers stop. A machine dropped without Close
+// leaks one goroutine per such execution, and each of them keeps the
+// whole machine reachable. Close twice is a no-op; Run after Close
+// panics.
+func (m *Machine) Close() { m.Cluster.Close() }
+
 // SetTraceDispatch installs the dispatch-trace hook; it sees every
 // activation in serial order at any shard count (sim.Cluster.SetTrace).
 func (m *Machine) SetTraceDispatch(fn func(name string, at uint64)) { m.Cluster.SetTrace(fn) }

@@ -84,26 +84,39 @@ type L2State struct {
 
 // State captures the cache.
 func (c *L2Cache) State() L2State {
-	st := L2State{NTags: int32(len(c.tags)), Hits: c.hits, Misses: c.misses}
-	for i, t := range c.tags {
-		if t != 0 {
-			st.Tags = append(st.Tags, L2Tag{Line: int32(i), Tag: t})
+	st := L2State{NTags: int32(c.lines), Hits: c.hits, Misses: c.misses}
+	for i, ch := range c.chunks {
+		if ch == nil {
+			continue
+		}
+		for j, t := range ch {
+			if t != 0 {
+				st.Tags = append(st.Tags, L2Tag{Line: int32(i*l2ChunkLines + j), Tag: t})
+			}
 		}
 	}
 	return st
 }
 
-// Restore overwrites the cache with a captured state.
+// Restore overwrites the cache with a captured state. Only the chunks
+// holding a captured tag are allocated.
 func (c *L2Cache) Restore(st L2State) error {
-	if int(st.NTags) != len(c.tags) {
-		return fmt.Errorf("hw: L2 restore size mismatch: %d tags into %d", st.NTags, len(c.tags))
+	if st.NTags < 0 || uint32(st.NTags) != c.lines {
+		return fmt.Errorf("hw: L2 restore size mismatch: %d tags into %d", st.NTags, c.lines)
 	}
-	clear(c.tags)
+	c.FlushAll()
 	for _, t := range st.Tags {
-		if t.Line < 0 || int(t.Line) >= len(c.tags) {
+		if t.Line < 0 || uint32(t.Line) >= c.lines {
 			return fmt.Errorf("hw: L2 restore line %d out of range", t.Line)
 		}
-		c.tags[t.Line] = t.Tag
+		if t.Tag == 0 {
+			continue
+		}
+		ch := c.chunks[t.Line/l2ChunkLines]
+		if ch == nil {
+			ch = c.chunk(uint32(t.Line))
+		}
+		ch[t.Line%l2ChunkLines] = t.Tag
 	}
 	c.hits = st.Hits
 	c.misses = st.Misses
@@ -235,8 +248,8 @@ func (m *Machine) StateDigest() uint64 {
 				w64(uint64(e.pte))
 			}
 		}
-		for _, tag := range mpm.L2.tags {
-			w64(uint64(tag))
+		for i := uint32(0); i < mpm.L2.lines; i++ {
+			w64(uint64(mpm.L2.tagAt(i)))
 		}
 		w64(uint64(mpm.LocalRAM.Used()))
 	}

@@ -38,6 +38,9 @@ type Cluster struct {
 	// before Run reproduce the single-engine creation order exactly.
 	ctorSeq uint64
 	running bool
+	// closed is set by Close: the simulation has ended and every
+	// coroutine goroutine has been released.
+	closed bool
 
 	// lookahead is the minimum registered cross-shard latency in
 	// cycles; MaxUint64 means no cross-shard channel exists.
@@ -162,6 +165,9 @@ const logEpochQuantum = 1 << 22
 // next entity's time exceeds until (pass math.MaxUint64 for no bound).
 // It returns ErrMaxSteps if the cluster-wide step guard trips.
 func (c *Cluster) Run(until uint64) error {
+	if c.closed {
+		panic("sim: Run after Close")
+	}
 	if !c.running {
 		c.running = true
 		// Shard-local runtime counters start past every construction
@@ -248,6 +254,29 @@ func (c *Cluster) Run(until uint64) error {
 	}
 }
 
+// Close ends the simulation. It stops the shard workers and releases
+// every started, unfinished coroutine, one at a time: each parked
+// goroutine wakes with the release signal, unwinds its body without
+// running any more simulated code, and exits. Until then a parked
+// coroutine is a goroutine blocked on its resume channel that keeps the
+// whole simulation reachable. Close must be called between Run calls,
+// never from a coroutine or an event. A second Close is a no-op; Run
+// after Close panics.
+func (c *Cluster) Close() {
+	if c.closed {
+		return
+	}
+	c.closed = true
+	for _, w := range c.workers {
+		close(w.req)
+		<-w.res // closed by the worker as it exits
+	}
+	c.workers = nil
+	for _, e := range c.engines {
+		e.release()
+	}
+}
+
 // budget arms a shard's step guard with the cluster-wide remainder. A
 // shard may consume the whole remainder in one epoch, so the guard is a
 // runaway bound within a factor of the shard count, like the serial
@@ -269,12 +298,12 @@ func (c *Cluster) budget(e *Engine) {
 }
 
 // startWorkers launches one persistent goroutine per shard; each
-// engine is only ever driven by its own worker. Called lazily, on the
-// first epoch with two or more active shards: a cluster whose epochs
-// are all single-shard (or a one-shard cluster) runs entirely on the
-// coordinator goroutine and never spawns a worker. Handing an engine
-// between the coordinator and its worker is ordered by the req/res
-// channel operations.
+// engine is only ever driven by its own worker, until Close stops it.
+// Called lazily, on the first epoch with two or more active shards: a
+// cluster whose epochs are all single-shard (or a one-shard cluster)
+// runs entirely on the coordinator goroutine and never spawns a
+// worker. Handing an engine between the coordinator and its worker is
+// ordered by the req/res channel operations.
 func (c *Cluster) startWorkers() {
 	if c.workers != nil {
 		return
@@ -288,6 +317,7 @@ func (c *Cluster) startWorkers() {
 			for bound := range w.req {
 				w.res <- e.run(bound)
 			}
+			close(w.res)
 		}()
 	}
 }

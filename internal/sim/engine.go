@@ -673,19 +673,61 @@ func (e *Engine) resumeCoro(co *Coro, horizon uint64) {
 // startCoro launches the coroutine's goroutine. When the body returns,
 // the coroutine is removed from the engine's tracked set entirely —
 // long-running simulations do not accumulate finished contexts — and
-// control bounces to the engine goroutine.
+// control bounces to the engine goroutine. A body released by
+// Cluster.Close leaves the same way, back to Close.
 func (e *Engine) startCoro(co *Coro) {
 	co.started = true
 	//ckvet:allow detmap coroutine goroutines hand off through unbuffered channels; exactly one is ever runnable
 	go func() {
-		h := <-co.resume
-		co.ctx.horizon = h
-		co.fn(co.ctx)
+		co.ctx.horizon = <-co.resume
+		co.body()
 		co.done = true
 		co.runnable = false
 		e.removeCoro(co)
 		e.yieldCh <- co
 	}()
+}
+
+// body runs the coroutine's function. On a closed cluster the function
+// is being released, and the release signal that unwound it stops
+// here. The closed flag is read before the goroutine's final handoff on
+// yieldCh: once that handoff is made, Close is free to move on, and
+// nothing of the released machine may be touched after it. During a
+// run nothing is recovered, so a real panic crashes the process with
+// its original stack.
+func (co *Coro) body() {
+	defer func() {
+		if !co.eng.cluster.closed {
+			return
+		}
+		if r := recover(); r != nil && r != any(releaseSignal{}) {
+			panic(r)
+		}
+	}()
+	co.fn(co.ctx)
+}
+
+// releaseSignal is the panic value that unwinds a coroutine released by
+// Cluster.Close.
+type releaseSignal struct{}
+
+// release unwinds every started, unfinished coroutine of the engine,
+// one at a time on the caller's goroutine. Each one wakes inside yield,
+// panics with the release signal and leaves through startCoro's
+// epilogue, which drops it from coros and hands control back here.
+// Never-started coroutines have no goroutine to unwind.
+func (e *Engine) release() {
+	for i := 0; i < len(e.coros); {
+		co := e.coros[i]
+		if !co.started {
+			i++
+			continue
+		}
+		e.current = co
+		co.resume <- 0
+		<-e.yieldCh
+		e.current = nil
+	}
 }
 
 // removeCoro drops a finished coroutine from the live set, preserving
@@ -709,9 +751,16 @@ func (e *Engine) removeCoro(co *Coro) {
 // that coroutine is itself — avoiding the round trip through the engine
 // goroutine. Decisions the engine must make (events, bounds, guards)
 // bounce back to run.
+//
+// On a closed cluster yield panics with the release signal before it
+// touches the run queue or starts any coroutine: a released coroutine
+// whose deferred code charges on the way out keeps unwinding.
 func (ctx *Ctx) yield() {
 	co := ctx.co
 	e := co.eng
+	if e.cluster.closed {
+		panic(releaseSignal{})
+	}
 	if co.runnable {
 		e.runq.push(coroEntry{at: co.clock.now, co: co})
 	}
@@ -725,11 +774,13 @@ func (ctx *Ctx) yield() {
 			e.startCoro(next)
 		}
 		next.resume <- horizon
-		ctx.horizon = <-co.resume
-		return
+	} else {
+		e.yieldCh <- co
 	}
-	e.yieldCh <- co
 	ctx.horizon = <-co.resume
+	if e.cluster.closed {
+		panic(releaseSignal{})
+	}
 }
 
 // Advance charges cycles cycles to the coroutine's current clock, yielding
@@ -751,6 +802,11 @@ func (ctx *Ctx) Coro() *Coro { return ctx.co }
 
 // Engine returns the owning engine.
 func (ctx *Ctx) Engine() *Engine { return ctx.co.eng }
+
+// Released reports whether the coroutine is being released by
+// Cluster.Close: true only in deferred code running while Close unwinds
+// it.
+func (ctx *Ctx) Released() bool { return ctx.co.eng.cluster.closed }
 
 // Park suspends the calling coroutine until another entity unparks it.
 // On resume, the coroutine's clock (which may have been rebound by the

@@ -116,12 +116,18 @@ func forkBootVal(mpm, p int) uint32 {
 // Cache Kernel whose boot thread maps the page window into the boot
 // space, dirties every page, and exits — leaving the machine quiescent
 // (no live thread descriptors, no parked calls), i.e. snapshottable.
-func bootForkClass(cl ForkClass, shards int) (*hw.Machine, []*ck.Kernel, error) {
+// The caller closes the machine.
+func bootForkClass(cl ForkClass, shards int) (_ *hw.Machine, _ []*ck.Kernel, err error) {
 	cfg := hw.DefaultConfig()
 	cfg.MPMs = cl.MPMs
 	cfg.CPUsPerMPM = cl.CPUsPerMPM
 	cfg.Shards = shards
 	m := hw.NewMachine(cfg)
+	defer func() {
+		if err != nil {
+			m.Close()
+		}
+	}()
 	var ks []*ck.Kernel
 	errs := make([]error, cl.MPMs)
 	for i, mpm := range m.MPMs {
@@ -193,6 +199,7 @@ func classSnapshot(cl ForkClass) (*classImage, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("boot (shards=%d): %w", shards, err)
 		}
+		defer m.Close()
 		im, err := snap.Take(m, ks)
 		if err != nil {
 			return nil, nil, fmt.Errorf("take (shards=%d): %w", shards, err)
@@ -332,52 +339,7 @@ func RunForkScenario(sc ForkScenario, shards int) *ForkResult {
 		return res
 	}
 	for c := 0; c < sc.Conts; c++ {
-		fm, fks, err := ci.im.Fork(shards, nil)
-		if err != nil {
-			fail("fork", "cont %d: %v", c, err)
-			continue
-		}
-		fOut := runForkContinuation(fm, fks, sc, c)
-		if fOut.err != nil {
-			fail("fork", "cont %d: %v", c, fOut.err)
-			continue
-		}
-		nm, nks, err := bootForkClass(sc.Class(), shards)
-		if err != nil {
-			fail("fork", "cont %d fresh boot: %v", c, err)
-			continue
-		}
-		// The fork warped every engine to the snapshot's global clock;
-		// align the fresh machine's engines the same way so the two
-		// timelines are comparable cycle for cycle.
-		if err := nm.WarpClocks(nm.CaptureClocks()); err != nil {
-			fail("fork", "cont %d fresh warp: %v", c, err)
-			continue
-		}
-		nOut := runForkContinuation(nm, nks, sc, c)
-		if nOut.err != nil {
-			fail("fork", "cont %d fresh: %v", c, nOut.err)
-			continue
-		}
-		if fOut.hash != nOut.hash || fOut.dispatches != nOut.dispatches {
-			fail("fork-vs-fresh", "cont %d: forked schedule %016x/%d dispatches vs fresh %016x/%d",
-				c, fOut.hash, fOut.dispatches, nOut.hash, nOut.dispatches)
-		}
-		if fOut.clock != nOut.clock {
-			fail("fork-vs-fresh", "cont %d: forked final clock %d vs fresh %d", c, fOut.clock, nOut.clock)
-		}
-		if fOut.sum != nOut.sum {
-			fail("fork-vs-fresh", "cont %d: forked memory checksum %016x vs fresh %016x (leaked parent or sibling state)",
-				c, fOut.sum, nOut.sum)
-		}
-		stats := fm.Phys.CowStats()
-		if want := expectedDirty(sc, c); stats.CopiedPages != want || stats.Faults != want {
-			fail("cow", "cont %d: %d pages copied, %d faults; continuation dirtied %d distinct pages",
-				c, stats.CopiedPages, stats.Faults, want)
-		}
-		res.Forks++
-		res.CowCopied += fm.Phys.CowStats().CopiedPages
-		res.Hash = fnvAdd(res.Hash, "cont", fOut.hash)
+		exploreContinuation(ci, sc, c, shards, res, fail)
 	}
 	if d1, err := ci.im.Digest(); err != nil {
 		fail("cow", "post-fork digest: %v", err)
@@ -385,6 +347,60 @@ func RunForkScenario(sc ForkScenario, shards int) *ForkResult {
 		fail("cow", "parent image mutated by forks: digest %016x, was %016x", d1, d0)
 	}
 	return res
+}
+
+// exploreContinuation runs continuation c on a fork of the class image
+// and on a freshly booted machine, checks the fork-vs-fresh and COW
+// oracles, and closes both machines.
+func exploreContinuation(ci *classImage, sc ForkScenario, c, shards int, res *ForkResult, fail func(oracle, format string, args ...any)) {
+	fm, fks, err := ci.im.Fork(shards, nil)
+	if err != nil {
+		fail("fork", "cont %d: %v", c, err)
+		return
+	}
+	defer fm.Close()
+	fOut := runForkContinuation(fm, fks, sc, c)
+	if fOut.err != nil {
+		fail("fork", "cont %d: %v", c, fOut.err)
+		return
+	}
+	nm, nks, err := bootForkClass(sc.Class(), shards)
+	if err != nil {
+		fail("fork", "cont %d fresh boot: %v", c, err)
+		return
+	}
+	defer nm.Close()
+	// The fork warped every engine to the snapshot's global clock;
+	// align the fresh machine's engines the same way so the two
+	// timelines are comparable cycle for cycle.
+	if err := nm.WarpClocks(nm.CaptureClocks()); err != nil {
+		fail("fork", "cont %d fresh warp: %v", c, err)
+		return
+	}
+	nOut := runForkContinuation(nm, nks, sc, c)
+	if nOut.err != nil {
+		fail("fork", "cont %d fresh: %v", c, nOut.err)
+		return
+	}
+	if fOut.hash != nOut.hash || fOut.dispatches != nOut.dispatches {
+		fail("fork-vs-fresh", "cont %d: forked schedule %016x/%d dispatches vs fresh %016x/%d",
+			c, fOut.hash, fOut.dispatches, nOut.hash, nOut.dispatches)
+	}
+	if fOut.clock != nOut.clock {
+		fail("fork-vs-fresh", "cont %d: forked final clock %d vs fresh %d", c, fOut.clock, nOut.clock)
+	}
+	if fOut.sum != nOut.sum {
+		fail("fork-vs-fresh", "cont %d: forked memory checksum %016x vs fresh %016x (leaked parent or sibling state)",
+			c, fOut.sum, nOut.sum)
+	}
+	stats := fm.Phys.CowStats()
+	if want := expectedDirty(sc, c); stats.CopiedPages != want || stats.Faults != want {
+		fail("cow", "cont %d: %d pages copied, %d faults; continuation dirtied %d distinct pages",
+			c, stats.CopiedPages, stats.Faults, want)
+	}
+	res.Forks++
+	res.CowCopied += stats.CopiedPages
+	res.Hash = fnvAdd(res.Hash, "cont", fOut.hash)
 }
 
 // RunForkSeed generates and runs one fork-family seed serially.

@@ -28,6 +28,7 @@ func runOrch(sc Scenario, trace func(name string, at uint64), shards int, opts r
 	mcfg.Shards = shards
 	mcfg.ShardMap = shardPlan(&sc, shards)
 	h.m = hw.NewMachine(mcfg)
+	defer h.m.Close()
 	h.installTrace(trace)
 
 	// The fleet: a long-running on-failure group (the migration

@@ -373,6 +373,7 @@ func runWithOpts(sc Scenario, trace func(name string, at uint64), shards int, op
 	cfg.Shards = shards
 	cfg.ShardMap = shardPlan(&sc, shards)
 	h.m = hw.NewMachine(cfg)
+	defer h.m.Close()
 	h.installTrace(trace)
 
 	var kernels []*ck.Kernel

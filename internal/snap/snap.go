@@ -103,7 +103,8 @@ func Take(m *hw.Machine, ks []*ck.Kernel) (*Image, error) {
 // Kernel per MPM. bind re-supplies each kernel's handler closures by
 // (mpm, kernel name); nil means zero handlers. The forked machine is
 // quiescent at the parent's virtual time — inject continuation work
-// with Kernel.Resume and drive it with Machine.Run.
+// with Kernel.Resume and drive it with Machine.Run, and Close it when
+// done.
 func (im *Image) Fork(shards int, bind func(mpm int, name string) ck.KernelAttrs) (*hw.Machine, []*ck.Kernel, error) {
 	cfg := im.Cfg
 	cfg.Shards = shards
