@@ -33,9 +33,11 @@ func main() {
 		os.Exit(1)
 	}
 	if *verbose {
-		k.Trace = func(event string, now uint64, detail string) {
-			fmt.Printf("%12.1fµs  %-16s %s\n", float64(now)/hw.CyclesPerMicrosecond, event, detail)
-		}
+		k.Observe(func(ev ck.Event) {
+			if ev.Kind != ck.EvDispatch {
+				fmt.Printf("%12.1fµs  %-16s %s\n", float64(ev.At)/hw.CyclesPerMicrosecond, ev.Kind, ev.Detail())
+			}
+		})
 	}
 
 	var unixDone, dbDone, simDone bool

@@ -87,10 +87,8 @@ func runOne(gen func(uint64) simtest.Scenario, seed uint64, shrink bool, shrinkR
 	}
 	writeReplay(fmt.Sprintf("cksim-fail-%d.json", seed), res)
 	if shrink {
-		min, minRes, sst := simtest.ShrinkWithStats(res.Scenario, shrinkRuns)
+		min, minRes := simtest.Shrink(res.Scenario, shrinkRuns)
 		fmt.Printf("shrunk to %d op(s), %d fault(s)\n", len(min.Ops), len(min.Faults))
-		fmt.Printf("shrink: %d probe(s) run, %d accepted by prefix determinism without a run; %d prefix invariant check(s) skipped, %d prefix cycle(s) saved\n",
-			sst.ProbesRun, sst.ProbesSkipped, sst.ChecksSkipped, sst.PrefixCyclesSaved)
 		writeReplay(fmt.Sprintf("cksim-min-%d.json", seed), minRes)
 	}
 	return 1
@@ -121,9 +119,7 @@ func runSweep(gen func(uint64) simtest.Scenario, start uint64, count int, shrink
 			if failed <= maxArtifacts {
 				writeReplay(fmt.Sprintf("cksim-fail-%d.json", s), res)
 				if shrink {
-					_, minRes, sst := simtest.ShrinkWithStats(res.Scenario, shrinkRuns)
-					fmt.Printf("seed %-6d shrink: %d probe(s) run, %d skipped, %d prefix cycle(s) saved\n",
-						s, sst.ProbesRun, sst.ProbesSkipped, sst.PrefixCyclesSaved)
+					_, minRes := simtest.Shrink(res.Scenario, shrinkRuns)
 					writeReplay(fmt.Sprintf("cksim-min-%d.json", s), minRes)
 				}
 			}

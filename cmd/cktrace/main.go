@@ -55,9 +55,7 @@ func boot(main func(s *srm.SRM, e *hw.Exec)) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	k.Trace = func(event string, now uint64, detail string) {
-		fmt.Printf("%10.1fµs  %-16s %s\n", float64(now)/hw.CyclesPerMicrosecond, event, detail)
-	}
+	k.Observe(narrate)
 	if _, err := srm.Start(k, m.MPMs[0], main); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -66,6 +64,14 @@ func boot(main func(s *srm.SRM, e *hw.Exec)) {
 	if err := m.Run(math.MaxUint64); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+}
+
+// narrate prints one Cache Kernel event; dispatches are too frequent to
+// narrate.
+func narrate(ev ck.Event) {
+	if ev.Kind != ck.EvDispatch {
+		fmt.Printf("%10.1fµs  %-16s %s\n", float64(ev.At)/hw.CyclesPerMicrosecond, ev.Kind, ev.Detail())
 	}
 }
 
@@ -231,11 +237,11 @@ func recovery() {
 	// readable: armed just before the fault, retired once recovery is
 	// reported.
 	tracing := false
-	k.Trace = func(event string, now uint64, detail string) {
+	k.Observe(func(ev ck.Event) {
 		if tracing {
-			fmt.Printf("%10.1fµs  %-16s %s\n", float64(now)/hw.CyclesPerMicrosecond, event, detail)
+			narrate(ev)
 		}
-	}
+	})
 	in := chaos.New(chaos.Plan{Faults: []chaos.Fault{
 		{Kind: chaos.CrashKernel, At: hw.CyclesFromMicros(crashUS), MPM: 0},
 	}})

@@ -1,10 +1,6 @@
 package ck
 
-import (
-	"fmt"
-
-	"vpp/internal/hw"
-)
+import "vpp/internal/hw"
 
 // Crash models a Cache Kernel failure followed by an immediate reboot
 // of the MPM — the fault-containment event the caching model is built
@@ -23,9 +19,7 @@ import (
 func (k *Kernel) Crash() {
 	k.Stats.Crashes++
 	k.Epoch++
-	if k.Trace != nil {
-		k.Trace("crash", k.MPM.Shard.Now(), fmt.Sprintf("epoch %d", k.Epoch))
-	}
+	k.emit(nil, Event{Kind: EvCrash, A: k.Epoch})
 	// The reset kills whatever is executing on the MPM's CPUs: the
 	// register files are gone, so those contexts unwind at their next
 	// charge point and can only be recreated, never resumed. Parked
@@ -71,6 +65,6 @@ func (k *Kernel) corruptWriteback(e *hw.Exec, kind string, id ObjID) bool {
 		return false
 	}
 	k.Stats.WritebacksCorrupted++
-	k.trace(e, "chaos-corrupt-writeback", fmt.Sprintf("%s %v", kind, id))
+	k.emit(e, Event{Kind: EvChaosCorruptWriteback, Obj: id, Name: kind})
 	return true
 }

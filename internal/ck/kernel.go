@@ -78,10 +78,8 @@ type Kernel struct {
 	// code that is not linked against the Go API) to handlers.
 	syscalls map[uint32]func(e *hw.Exec, args []uint32) (uint32, uint32)
 
-	// Trace, when non-nil, receives coarse event notifications with the
-	// current virtual time — used by cmd/cktrace to narrate the paper's
-	// Figure 2 and Figure 3 scenarios.
-	Trace func(event string, now uint64, detail string)
+	// observers receive the typed event stream (Observe, event.go).
+	observers []func(Event)
 
 	// Epoch counts crash-reboots of this Cache Kernel instance. It is
 	// never reset: together with the preserved slot generations it keeps
@@ -97,11 +95,6 @@ type Kernel struct {
 	// writeback — the descriptor is reclaimed but its state never
 	// reaches the owner (internal/chaos). Nil costs nothing.
 	WritebackFault func(kind string, id ObjID) bool
-
-	// OnDispatch, when non-nil, observes every thread dispatch (the
-	// recovery experiment uses it to timestamp the first application
-	// resume after a reboot). Nil costs nothing.
-	OnDispatch func(id ObjID, execName string, now uint64)
 
 	Stats Stats
 }
@@ -266,17 +259,6 @@ func (k *Kernel) FirstKernel() ObjID {
 		return 0
 	}
 	return k.first.id
-}
-
-// trace emits an event to the Trace hook if installed.
-func (k *Kernel) trace(e *hw.Exec, event, detail string) {
-	if k.Trace != nil {
-		var now uint64
-		if e != nil {
-			now = e.Now()
-		}
-		k.Trace(event, now, detail)
-	}
 }
 
 // bumpVersion records a physical-memory-map mutation, invalidating

@@ -71,8 +71,11 @@ func (k *Kernel) loadMapping(e *hw.Exec, sid ObjID, spec MappingSpec) error {
 	if spec.CopyOnWriteFrom != 0 {
 		need++
 	}
-	var reserved []int32
-	releaseReserved := func() {
+	// At most three records (mapping, signal, copy-on-write): a fixed
+	// array keeps the reservation off the heap.
+	var reservedBuf [3]int32
+	reserved := reservedBuf[:0]
+	releaseReserved := func(reserved []int32) {
 		for _, idx := range reserved {
 			k.pm.releaseSlot(idx)
 		}
@@ -87,7 +90,7 @@ func (k *Kernel) loadMapping(e *hw.Exec, sid ObjID, spec MappingSpec) error {
 		}
 		idx, err := k.evictMapping(e, true)
 		if err != nil {
-			releaseReserved()
+			releaseReserved(reserved)
 			return err
 		}
 		reserved = append(reserved, idx)
@@ -113,12 +116,12 @@ func (k *Kernel) loadMapping(e *hw.Exec, sid ObjID, spec MappingSpec) error {
 		}
 		if err == pagetable.ErrNoMem {
 			if _, evictErr := k.evictMapping(e, false); evictErr != nil {
-				releaseReserved()
+				releaseReserved(reserved)
 				return ErrNoMemory
 			}
 			continue
 		}
-		releaseReserved()
+		releaseReserved(reserved)
 		return ErrBadArgument
 	}
 	e.ChargeNoIntr(uint64(so.hw.Table.WalkDepth(spec.VA)) * hw.CostMemHit)

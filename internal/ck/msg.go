@@ -1,10 +1,6 @@
 package ck
 
-import (
-	"fmt"
-
-	"vpp/internal/hw"
-)
+import "vpp/internal/hw"
 
 // Memory-based messaging (paper §2.2, §4.1). Threads communicate by
 // writing into pages mapped in message mode; the hardware's
@@ -16,7 +12,7 @@ import (
 // message-mode page at (va, pa).
 func (k *Kernel) MessageWrite(e *hw.Exec, va, pa uint32) {
 	k.Stats.SignalsGenerated++
-	k.trace(e, "signal-generate", fmt.Sprintf("write to message page va=%#x pa=%#x", va, pa))
+	k.emit(e, Event{Kind: EvSignalGenerate, A: uint64(va), B: uint64(pa)})
 	e.ChargeNoIntr(costSignalGenerate)
 	pfn := pa >> hw.PageShift
 	offset := pa & (hw.PageSize - 1)
@@ -86,12 +82,12 @@ func (k *Kernel) deliverSignal(to *ThreadObj, value uint32, nowHint uint64, e *h
 		v := f(to.id, value)
 		if v.Drop {
 			k.Stats.SignalsInjDropped++
-			k.trace(e, "chaos-drop-signal", fmt.Sprintf("to %v value=%#x", to.id, value))
+			k.emit(e, Event{Kind: EvChaosDropSignal, Obj: to.id, A: uint64(value)})
 			return
 		}
 		if v.Dup {
 			k.Stats.SignalsInjDuplicated++
-			k.trace(e, "chaos-dup-signal", fmt.Sprintf("to %v value=%#x", to.id, value))
+			k.emit(e, Event{Kind: EvChaosDupSignal, Obj: to.id, A: uint64(value)})
 			k.deliverSignalOnce(to, value, nowHint, e)
 		}
 	}
@@ -102,7 +98,7 @@ func (k *Kernel) deliverSignal(to *ThreadObj, value uint32, nowHint uint64, e *h
 // queues otherwise ("while the thread is running in its signal
 // function, additional signals are queued within the Cache Kernel").
 func (k *Kernel) deliverSignalOnce(to *ThreadObj, value uint32, nowHint uint64, e *hw.Exec) {
-	k.trace(e, "signal-deliver", fmt.Sprintf("to %v value=%#x", to.id, value))
+	k.emit(e, Event{Kind: EvSignalDeliver, Obj: to.id, A: uint64(value)})
 	if to.waitingSignal {
 		to.waitingSignal = false
 		to.sigPending = true

@@ -183,8 +183,8 @@ func (s *scheduler) dispatch(cpu *hw.CPU, t *ThreadObj) {
 	// periodically accounted against their kernel's quota even without
 	// same-priority contention.
 	cpu.ArmTimerAt(cpu.Clock.Now() + s.k.Cfg.TimeSlice)
-	if s.k.OnDispatch != nil {
-		s.k.OnDispatch(t.id, t.exec.Name, cpu.Clock.Now())
+	if len(s.k.observers) != 0 {
+		s.k.Emit(Event{At: cpu.Clock.Now(), Kind: EvDispatch, Obj: t.id, A: uint64(cpu.Index), Name: t.exec.Name})
 	}
 }
 

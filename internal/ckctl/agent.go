@@ -155,7 +155,6 @@ func (c *Cluster) sendEvent(src *sim.Engine, now uint64, ev event) {
 // SRM's service replay after a crash, so everything it sets up is
 // re-established here).
 func (n *Node) agentBody(se *hw.Exec) {
-	n.installDispatchHook()
 	n.agentUp = true
 	n.retired["agent"] = false
 	for se.Now() < n.cl.Cfg.Horizon {
@@ -214,29 +213,27 @@ func (n *Node) reviveDead(se *hw.Exec, name string) {
 	}
 }
 
-// installDispatchHook owns the Cache Kernel's dispatch hook: it tracks
-// every context's last dispatch (the migration blackout's source
-// timestamp) and completes adoptions on the first dispatch of a
-// migrated-in main. srm.Recover clobbers the hook during crash
-// recovery; the guardian's OnRecovered callback and the replayed agent
-// body both reinstall it.
-func (n *Node) installDispatchHook() {
-	eng := n.MPM.Shard
-	n.CK.OnDispatch = func(_ ck.ObjID, name string, now uint64) {
-		n.lastDispatch[name] = now
-		if len(n.awaitFirst) == 0 {
-			return
-		}
-		m, ok := n.awaitFirst[name]
-		if !ok {
-			return
-		}
-		delete(n.awaitFirst, name)
-		m.firstAt = now
-		// Engine context: the migrated main just resumed on a CPU of this
-		// module. Close the measurement and tell the controller.
-		n.cl.sendEvent(eng, eng.Now(), event{migDone: m})
+// trackDispatch is the node's Cache Kernel observer: it tracks every
+// context's last dispatch (the migration blackout's source timestamp)
+// and completes adoptions on the first dispatch of a migrated-in main.
+func (n *Node) trackDispatch(ev ck.Event) {
+	if ev.Kind != ck.EvDispatch {
+		return
 	}
+	n.lastDispatch[ev.Name] = ev.At
+	if len(n.awaitFirst) == 0 {
+		return
+	}
+	m, ok := n.awaitFirst[ev.Name]
+	if !ok {
+		return
+	}
+	delete(n.awaitFirst, ev.Name)
+	m.firstAt = ev.At
+	// Engine context: the migrated main just resumed on a CPU of this
+	// module. Close the measurement and tell the controller.
+	eng := n.MPM.Shard
+	n.cl.sendEvent(eng, eng.Now(), event{migDone: m})
 }
 
 // drain executes queued controller commands.

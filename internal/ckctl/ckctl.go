@@ -187,6 +187,7 @@ func New(m *hw.Machine, cfg Config, spec Spec) (*Cluster, error) {
 			awaitFirst:   make(map[string]*migMsg),
 			retired:      make(map[string]bool),
 		}
+		k.Observe(n.trackDispatch)
 		c.Nodes = append(c.Nodes, n)
 	}
 	c.ctl = newController(c, spec)
@@ -206,14 +207,9 @@ func New(m *hw.Machine, cfg Config, spec Spec) (*Cluster, error) {
 				panic(fmt.Sprintf("ckctl: install medic on mpm %d: %v", n.Idx, err))
 			}
 			n.guardian = s.Guard(srm.GuardConfig{
-				Interval: c.Cfg.GuardInterval,
-				Until:    c.Cfg.Horizon,
-				OnRecovered: func(r *srm.RecoveryReport) {
-					n.recoveries++
-					// srm.Recover clobbered the dispatch hook for its
-					// first-resume probe; the agent owns it again.
-					n.installDispatchHook()
-				},
+				Interval:    c.Cfg.GuardInterval,
+				Until:       c.Cfg.Horizon,
+				OnRecovered: func(*srm.RecoveryReport) { n.recoveries++ },
 			})
 			// Return: the boot thread exits after setup, so a crash finds
 			// nothing of the SRM to strand. The guardian and the service

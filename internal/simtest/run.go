@@ -87,15 +87,6 @@ type harness struct {
 	failures []Failure
 	trunc    bool
 
-	// Shrink instrumentation (runOpts.record/judgeFrom; serial runs
-	// only, so the unguarded fields never race).
-	record       bool
-	judgeFrom    uint64
-	opStartAt    []uint64 // per op; MaxUint64 = never started
-	firstFailAt  uint64
-	failSeen     bool
-	judgeSkipped int
-
 	// lastByName tracks each coroutine's previous dispatch time for the
 	// monotonicity oracle. Clocks are per-coroutine (a fresh coroutine
 	// starts at cycle 0, behind everyone), so virtual time is monotone
@@ -121,10 +112,6 @@ func (h *harness) failf(oracle, format string, args ...any) {
 	if len(h.failures) >= maxFailures {
 		h.trunc = true
 		return
-	}
-	if h.record && !h.failSeen {
-		h.failSeen = true
-		h.firstFailAt = h.m.Now()
 	}
 	h.failures = append(h.failures, Failure{Oracle: oracle, Detail: fmt.Sprintf(format, args...)})
 }
@@ -293,16 +280,6 @@ type runOpts struct {
 	cut       uint64
 	pause     func(m *hw.Machine)
 	earlyStop bool
-
-	// record instruments the run with per-op start times and the
-	// first-failure time (Result.OpStarts/FirstFailAt). Serial runs
-	// only: recording reads the machine clock from oracle context.
-	record bool
-	// judgeFrom skips the per-op invariant re-checks for ops starting
-	// strictly before it. Only sound when the caller has proven the run
-	// identical, up to that virtual time, to a run that already passed
-	// judgement there (the shrink prober's prefix-determinism argument).
-	judgeFrom uint64
 }
 
 func runWith(sc Scenario, trace func(name string, at uint64), shards int) *Result {
@@ -348,14 +325,6 @@ func runWithOpts(sc Scenario, trace func(name string, at uint64), shards int, op
 	}
 	res := &Result{Scenario: sc}
 	h := &harness{sc: sc, horizon: hw.CyclesFromMicros(float64(sc.HorizonUS))}
-	h.record = opts.record
-	h.judgeFrom = opts.judgeFrom
-	if opts.record {
-		h.opStartAt = make([]uint64, len(sc.Ops))
-		for i := range h.opStartAt {
-			h.opStartAt[i] = math.MaxUint64
-		}
-	}
 	for _, f := range sc.Faults {
 		switch f.Kind {
 		case chaos.DropSignal:
@@ -424,14 +393,6 @@ func runWithOpts(sc Scenario, trace func(name string, at uint64), shards int, op
 	res.Dispatches = h.dispatches
 	res.Hash = h.hash
 	res.FaultStats = h.inj.Stats
-	if h.record {
-		res.OpStarts = h.opStartAt
-		res.FirstFailAt = math.MaxUint64
-		if h.failSeen {
-			res.FirstFailAt = h.firstFailAt
-		}
-	}
-	res.JudgeSkipped = h.judgeSkipped
 	return res
 }
 
@@ -742,16 +703,8 @@ func (n *node) runOps(ak *aklib.AppKernel, me *hw.Exec) {
 		if sc.Crash && n.k.Epoch > 0 {
 			break
 		}
-		if n.h.record {
-			n.h.opStartAt[i] = me.Now()
-		}
 		n.runOp(ak, me, i, sc.Ops[i])
-		if me.Now() < n.h.judgeFrom {
-			// This prefix already passed judgement on the run the shrink
-			// prober proved it identical to; the check is host-side pure
-			// inspection, so skipping it cannot perturb the schedule.
-			n.h.judgeSkipped++
-		} else if err := n.k.CheckInvariants(); err != nil {
+		if err := n.k.CheckInvariants(); err != nil {
 			n.h.failf("invariants", "mpm %d after op %d (%v): %v", n.idx, i, sc.Ops[i].Kind, err)
 		}
 	}

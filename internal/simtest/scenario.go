@@ -169,17 +169,6 @@ type Result struct {
 
 	// Orch summarizes the orchestration family's run (nil otherwise).
 	Orch *OrchStats `json:",omitempty"`
-
-	// Shrink instrumentation, filled only by recorded runs
-	// (runOpts.record) and deliberately outside Fingerprint: OpStarts[i]
-	// is the virtual time op i's driver began executing it (MaxUint64 =
-	// it had not started when the run ended), FirstFailAt is the virtual
-	// time the first oracle failure was recorded (MaxUint64 = none), and
-	// JudgeSkipped counts per-op invariant checks skipped below a shrink
-	// probe's judge-from point.
-	OpStarts     []uint64 `json:"-"`
-	FirstFailAt  uint64   `json:"-"`
-	JudgeSkipped int      `json:"-"`
 }
 
 // OrchStats is the deterministic cluster summary of an orchestration

@@ -3,6 +3,7 @@ package srm
 import (
 	"fmt"
 
+	"vpp/internal/ck"
 	"vpp/internal/hw"
 )
 
@@ -57,7 +58,7 @@ func (s *SRM) Expel(e *hw.Exec, name string) (*Launched, error) {
 	if l.Main != nil {
 		l.Main.Retire()
 	}
-	s.rtrace("migrate-expel", e.Now(), fmt.Sprintf("kernel %q written back and expelled", name))
+	s.CK.Emit(ck.Event{At: e.Now(), Kind: ck.EvMigrateExpel, Name: name})
 	return l, nil
 }
 
@@ -85,6 +86,6 @@ func (s *SRM) Adopt(e *hw.Exec, l *Launched) error {
 	if err := s.Unswap(e, l.Name); err != nil {
 		return err
 	}
-	s.rtrace("migrate-adopt", e.Now(), fmt.Sprintf("kernel %q reloaded (kid %v)", l.Name, l.KID))
+	s.CK.Emit(ck.Event{At: e.Now(), Kind: ck.EvMigrateAdopt, Obj: l.KID, Name: l.Name})
 	return nil
 }

@@ -1,7 +1,6 @@
 package srm
 
 import (
-	"fmt"
 	"strings"
 
 	"vpp/internal/ck"
@@ -75,12 +74,14 @@ type Guardian struct {
 }
 
 // Guard starts a guardian probing the SRM's dependency records every
-// Interval cycles of virtual time.
+// Interval cycles of virtual time, and observes the Cache Kernel's
+// dispatches to stamp each recovery's FirstResume.
 func (s *SRM) Guard(cfg GuardConfig) *Guardian {
 	if cfg.Interval == 0 {
 		cfg.Interval = 500 * hw.CyclesPerMicrosecond
 	}
 	g := &Guardian{S: s, Cfg: cfg}
+	s.CK.Observe(s.watchResume)
 	s.MPM.NewDeviceExec("srm/guard", g.run)
 	return g
 }
@@ -127,7 +128,8 @@ func (g *Guardian) run(e *hw.Exec) {
 // died are recreated from their bodies; kernels with an OnRecover hook
 // additionally get a fresh recovery thread in their own space to
 // reload their internal threads. It must run outside any Cache Kernel
-// thread (the guardian's device execution).
+// thread (the guardian's device execution), and the report's
+// FirstResume is stamped afterwards by the observer Guard registers.
 //
 // Threads that were parked (blocked or ready) at the crash resume
 // exactly where they stopped once reloaded; only contexts that were
@@ -137,8 +139,7 @@ func (g *Guardian) run(e *hw.Exec) {
 func (s *SRM) Recover(e *hw.Exec) *RecoveryReport {
 	k := s.CK
 	r := &RecoveryReport{DetectAt: e.Now(), CrashEpoch: k.Epoch}
-	s.rtrace("recover-detect", r.DetectAt,
-		fmt.Sprintf("stale kernel id %v; instance is at epoch %d", s.ID, k.Epoch))
+	k.Emit(ck.Event{At: r.DetectAt, Kind: ck.EvRecoverDetect, Obj: s.ID, A: k.Epoch})
 	// Killed contexts unwind at their next charge point; Boot needs the
 	// CPUs idle.
 	for {
@@ -176,15 +177,8 @@ func (s *SRM) Recover(e *hw.Exec) *RecoveryReport {
 	cpu0 := s.MPM.CPUs[0]
 	cpu0.Clock.AdvanceTo(e.Now())
 	r.RebootAt = e.Now()
-	s.rtrace("recover-reboot", r.RebootAt, "CPUs drained; re-booting SRM as first kernel")
-	k.OnDispatch = func(_ ck.ObjID, name string, now uint64) {
-		if strings.HasPrefix(name, "srm/") {
-			return
-		}
-		r.FirstResume = now
-		k.OnDispatch = nil
-		s.rtrace("recover-resume", now, fmt.Sprintf("first application dispatch: %q", name))
-	}
+	k.Emit(ck.Event{At: r.RebootAt, Kind: ck.EvRecoverReboot})
+	s.resuming = r
 	done := false
 	attrs := s.Attrs()
 	attrs.Name = "srm"
@@ -194,8 +188,7 @@ func (s *SRM) Recover(e *hw.Exec) *RecoveryReport {
 			l := s.launched[n]
 			if l.Main != nil && l.Main.Exec.Finished() && l.Main.Revive() {
 				r.Revived++
-				s.rtrace("recover-revive", be.Now(),
-					fmt.Sprintf("main of %q recreated from its body", n))
+				k.Emit(ck.Event{At: be.Now(), Kind: ck.EvRecoverRevive, Name: n})
 			}
 			if err := s.Unswap(be, n); err != nil {
 				if r.Err == nil {
@@ -204,8 +197,7 @@ func (s *SRM) Recover(e *hw.Exec) *RecoveryReport {
 				continue
 			}
 			r.Kernels++
-			s.rtrace("recover-reload", be.Now(),
-				fmt.Sprintf("kernel %q unswapped (kid %v)", n, l.KID))
+			k.Emit(ck.Event{At: be.Now(), Kind: ck.EvRecoverReload, Obj: l.KID, Name: n})
 			if l.AK.OnRecover != nil {
 				rt := l.AK.NewThread("recover", l.SID, recoverPrio, l.AK.OnRecover)
 				if err := rt.Load(be, false); err != nil && r.Err == nil {
@@ -233,15 +225,14 @@ func (s *SRM) Recover(e *hw.Exec) *RecoveryReport {
 				continue
 			}
 			r.Services++
-			s.rtrace("recover-service", be.Now(),
-				fmt.Sprintf("service %q restarted from its body", n))
+			k.Emit(ck.Event{At: be.Now(), Kind: ck.EvRecoverService, Name: n})
 		}
 		r.ReloadAt = be.Now()
 		done = true
 	})
 	if err != nil {
 		r.Err = err
-		k.OnDispatch = nil
+		s.resuming = nil
 		return r
 	}
 	s.Boot = boot
@@ -257,12 +248,17 @@ func (s *SRM) Recover(e *hw.Exec) *RecoveryReport {
 	return r
 }
 
-// rtrace emits a recovery event through the Cache Kernel's Trace hook;
-// these events only fire on the recovery path.
-func (s *SRM) rtrace(event string, now uint64, detail string) {
-	if s.CK.Trace != nil {
-		s.CK.Trace(event, now, detail)
+// watchResume is the guardian's dispatch observer: the first dispatch
+// of a non-SRM thread after a reboot is the moment application progress
+// restarts, and it completes the waiting recovery's report.
+func (s *SRM) watchResume(ev ck.Event) {
+	r := s.resuming
+	if r == nil || ev.Kind != ck.EvDispatch || strings.HasPrefix(ev.Name, "srm/") {
+		return
 	}
+	r.FirstResume = ev.At
+	s.resuming = nil
+	s.CK.Emit(ck.Event{At: ev.At, Kind: ck.EvRecoverResume, Name: ev.Name})
 }
 
 // launchedNames returns the launched kernel names in deterministic

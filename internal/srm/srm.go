@@ -28,6 +28,10 @@ type SRM struct {
 
 	launched map[string]*Launched
 	services map[string]*aklib.Thread
+
+	// resuming is the recovery waiting for its first application
+	// dispatch (watchResume).
+	resuming *RecoveryReport
 }
 
 // Launched records one application kernel started by the SRM.
