@@ -19,6 +19,84 @@ func checkInvariants(t *testing.T, k *Kernel) {
 	}
 }
 
+// TestCheckInvariantsCatchesPMapDisagreement corrupts a quiescent
+// instance's physical-to-virtual records in each way the one-to-one
+// rule between records and page-table entries forbids, and its hash
+// chains in ways that leave every record matching its page, and
+// requires CheckInvariants to report every case. The duplicate case
+// keeps each space's record count equal to its page count, so only the
+// duplicate itself gives it away; the unlinked record stays live and
+// counted, and a record moved onto another bucket's chain is still
+// reached once, so only the walks from the bucket heads tell. The space
+// maps more pages than one record chunk holds, and the corrupted
+// records lie beyond the first chunk.
+func TestCheckInvariantsCatchesPMapDisagreement(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(p *pmap, pv []int32)
+	}{
+		{"missing_record", func(p *pmap, pv []int32) { p.remove(pv[0]) }},
+		{"extra_record", func(p *pmap, pv []int32) {
+			r := p.rec(pv[0])
+			p.insert(depPhysVirt, r.key, r.dep, r.owner())
+		}},
+		{"wrong_frame", func(p *pmap, pv []int32) { p.rec(pv[0]).key++ }},
+		{"duplicate_for_missing", func(p *pmap, pv []int32) {
+			r := *p.rec(pv[1])
+			p.remove(pv[0])
+			p.insert(depPhysVirt, r.key, r.dep, r.owner())
+		}},
+		{"unlinked_record", func(p *pmap, pv []int32) {
+			b := p.bucket(p.rec(pv[0]).key)
+			p.buckets[b] = p.rec(p.buckets[b]).next
+		}},
+		{"cyclic_chain", func(p *pmap, pv []int32) {
+			r := p.rec(pv[0])
+			r.next = p.buckets[p.bucket(r.key)]
+		}},
+		{"record_on_wrong_chain", func(p *pmap, pv []int32) {
+			r := *p.rec(pv[0])
+			p.removeKeep(pv[0])
+			head := p.rec(p.buckets[p.bucket(p.rec(pv[1]).key)])
+			r.next, head.next = head.next, pv[0]
+			*p.rec(pv[0]) = r
+			p.live++
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var sid ObjID
+			env := newEnv(t, Config{}, func(env *testEnv, e *hw.Exec) {
+				sid = env.mustLoadSpace(e, false)
+				for i := 0; i < recChunkLen+8; i++ {
+					env.mustMap(e, sid, MappingSpec{VA: 0x4000_0000 + uint32(i)*hw.PageSize, PFN: env.frame(), Writable: true, Cachable: true})
+				}
+			})
+			env.run()
+			checkInvariants(t, env.k)
+			so, ok := env.k.lookupSpace(sid)
+			if !ok {
+				t.Fatal("test space unloaded")
+			}
+			var pv []int32
+			for idx := int32(0); idx < int32(env.k.pm.Capacity()); idx++ {
+				if r := env.k.pm.peek(idx); r.kind() == depPhysVirt && r.owner() == so.slot {
+					pv = append(pv, idx)
+				}
+			}
+			if len(pv) != recChunkLen+8 {
+				t.Fatalf("test space has %d physical-to-virtual records, want %d", len(pv), recChunkLen+8)
+			}
+			tc.corrupt(env.k.pm, pv[recChunkLen:])
+			err := env.k.CheckInvariants()
+			if err == nil {
+				t.Fatal("CheckInvariants passed a corrupted pmap")
+			}
+			t.Log(err)
+		})
+	}
+}
+
 // TestRandomOpSequencesPreserveInvariants drives the Cache Kernel with
 // deterministic random operation mixes under a deliberately tiny cache
 // geometry (constant eviction pressure) and verifies the dependency

@@ -57,11 +57,11 @@ func (k *Kernel) CheckInvariants() error {
 		// record.
 		//ckvet:allow detmap validation scan; any violation fails the run regardless of which is reported
 		for idx := range to.sigRecords {
-			if int(idx) < 0 || int(idx) >= len(k.pm.recs) {
+			if idx < 0 || int(idx) >= k.pm.Capacity() {
 				fail("thread %v tracks out-of-range record %d", to.id, idx)
 				continue
 			}
-			r := k.pm.rec(idx)
+			r := k.pm.peek(idx)
 			if r.kind() != depSignal {
 				fail("thread %v tracks record %d of kind %d", to.id, idx, r.kind())
 			} else if int32(r.dep) != to.slot {
@@ -74,10 +74,12 @@ func (k *Kernel) CheckInvariants() error {
 		return err
 	}
 
-	// Spaces: containment and page-table/pmap agreement.
-	liveSpaces := 0
+	// Spaces: containment and page counts. The pmap records are checked
+	// against the page tables below.
+	liveSpaces, mappedPages := 0, 0
 	k.spaces.forEach(func(idx int32, so *SpaceObj) bool {
 		liveSpaces++
+		mappedPages += so.mappings
 		if _, ok := k.kernels.get(so.owner.slot, so.owner.id.gen()); !ok {
 			fail("space %v owned by unloaded kernel", so.id)
 		}
@@ -85,20 +87,9 @@ func (k *Kernel) CheckInvariants() error {
 			fail("space %v missing from the hardware-space index", so.id)
 		}
 		n := 0
-		so.hw.Table.Walk(func(va uint32, pte pagetable.PTE) bool {
+		so.hw.Table.Walk(func(uint32, pagetable.PTE) bool {
 			n++
-			// Each PTE must have exactly one physical-to-virtual record.
-			found := 0
-			k.pm.findEach(depPhysVirt, pte.PFN(), func(_ int32, r *depRecord) bool {
-				if r.dep == va && r.owner() == so.slot {
-					found++
-				}
-				return true
-			})
-			if found != 1 {
-				fail("mapping (%v, %#x) has %d dependency records", so.id, va, found)
-			}
-			return err == nil
+			return true
 		})
 		if n != so.mappings {
 			fail("space %v mapping count %d != table pages %d", so.id, so.mappings, n)
@@ -137,47 +128,73 @@ func (k *Kernel) CheckInvariants() error {
 		return fmt.Errorf("invariant: kernelBySpace has %d entries for %d designated spaces", len(k.kernelBySpace), designated)
 	}
 
-	// Every live pmap record is consistent; totals match.
-	live := 0
-	for i := range k.pm.recs {
-		r := &k.pm.recs[i]
-		switch r.kind() {
-		case depFree:
+	// Every live pmap record is consistent; totals match. Only allocated
+	// chunks can hold one, and they are walked chunk by chunk. Page tables
+	// and physical-to-virtual records agree one to one: every record
+	// names a page its space maps to the record's frame, no two records
+	// name the same page (checkChain), and there are as many records as
+	// mapped pages. The chains walked from the bucket heads must reach
+	// every live record: each is walked once, from the live record that
+	// heads it, so the check costs the live records, not the buckets.
+	live, pvRecords, reached := 0, 0, 0
+	for ci, ch := range k.pm.chunks {
+		if ch == nil {
 			continue
-		case depPhysVirt:
-			live++
-			so, ok := k.spaces.peek(r.owner())
-			if !ok {
-				return fmt.Errorf("invariant: pv record %d owned by empty space slot %d", i, r.owner())
+		}
+		for j := range ch {
+			r := &ch[j]
+			i := ci<<recChunkShift + j
+			switch r.kind() {
+			case depFree:
+				continue
+			case depPhysVirt:
+				live++
+				so, ok := k.spaces.peek(r.owner())
+				if !ok {
+					return fmt.Errorf("invariant: pv record %d owned by empty space slot %d", i, r.owner())
+				}
+				pte, ok := so.hw.Table.Lookup(r.dep)
+				if !ok || pte.PFN() != r.key {
+					return fmt.Errorf("invariant: pv record %d (va %#x) disagrees with page table", i, r.dep)
+				}
+				pvRecords++
+			case depSignal:
+				live++
+				if pv := k.pm.peek(int32(r.key)); pv.kind() != depPhysVirt {
+					return fmt.Errorf("invariant: signal record %d references non-pv record %d", i, r.key)
+				}
+				to, tok := k.threads.peek(int32(r.dep))
+				if !tok {
+					return fmt.Errorf("invariant: signal record %d names empty thread slot %d", i, r.dep)
+				}
+				if _, tracked := to.sigRecords[int32(i)]; !tracked {
+					return fmt.Errorf("invariant: signal record %d not tracked by its thread", i)
+				}
+			case depCopyOnWrite:
+				live++
+				if pv := k.pm.peek(int32(r.key)); pv.kind() != depPhysVirt {
+					return fmt.Errorf("invariant: cow record %d references non-pv record", i)
+				}
 			}
-			pte, ok := so.hw.Table.Lookup(r.dep)
-			if !ok || pte.PFN() != r.key {
-				return fmt.Errorf("invariant: pv record %d (va %#x) disagrees with page table", i, r.dep)
-			}
-		case depSignal:
-			live++
-			pv := k.pm.rec(int32(r.key))
-			if pv.kind() != depPhysVirt {
-				return fmt.Errorf("invariant: signal record %d references non-pv record %d", i, r.key)
-			}
-			to, tok := k.threads.peek(int32(r.dep))
-			if !tok {
-				return fmt.Errorf("invariant: signal record %d names empty thread slot %d", i, r.dep)
-			}
-			if _, tracked := to.sigRecords[int32(i)]; !tracked {
-				return fmt.Errorf("invariant: signal record %d not tracked by its thread", i)
-			}
-		case depCopyOnWrite:
-			live++
-			if k.pm.rec(int32(r.key)).kind() != depPhysVirt {
-				return fmt.Errorf("invariant: cow record %d references non-pv record", i)
+			if k.pm.buckets[k.pm.bucket(r.key)] == int32(i) {
+				n, err := k.pm.checkChain(int32(i))
+				if err != nil {
+					return err
+				}
+				reached += n
 			}
 		}
+	}
+	if reached != live {
+		return fmt.Errorf("invariant: pmap chains reach %d of %d live records", reached, live)
+	}
+	if pvRecords != mappedPages {
+		return fmt.Errorf("invariant: %d physical-to-virtual records for %d mapped pages", pvRecords, mappedPages)
 	}
 	if live != k.pm.Live() {
 		return fmt.Errorf("invariant: pmap live count %d != scanned %d", k.pm.Live(), live)
 	}
-	if free := len(k.pm.free); free+live != k.pm.Capacity() {
+	if free := k.pm.Free(); free+live != k.pm.Capacity() {
 		return fmt.Errorf("invariant: pmap free %d + live %d != capacity %d", free, live, k.pm.Capacity())
 	}
 
@@ -198,4 +215,37 @@ func (k *Kernel) CheckInvariants() error {
 		}
 	}
 	return err
+}
+
+// checkChain walks the hash chain headed by the live record head and
+// returns the number of records on it. Every record on the chain must
+// be live and hash to head's bucket, so no chain reaches into another,
+// and a walk longer than the pool means the chain is cyclic. No two
+// physical-to-virtual records on it may name the same page: a
+// duplicate has its original's key, so it sits on the same chain,
+// and each record is compared with the part walked before it. It
+// allocates nothing.
+func (p *pmap) checkChain(head int32) (n int, err error) {
+	b := p.bucket(p.peek(head).key)
+	for cur := head; cur != -1; {
+		if n++; n > int(p.n) {
+			return n, fmt.Errorf("invariant: pmap chain of bucket %d is cyclic", b)
+		}
+		r := p.peek(cur)
+		if r.kind() == depFree {
+			return n, fmt.Errorf("invariant: pmap bucket %d reaches free slot %d", b, cur)
+		}
+		if p.bucket(r.key) != b {
+			return n, fmt.Errorf("invariant: pmap record %d on bucket %d hashes to bucket %d", cur, b, p.bucket(r.key))
+		}
+		for prev := head; r.kind() == depPhysVirt && prev != cur; {
+			d := p.peek(prev)
+			if d.kind() == depPhysVirt && d.key == r.key && d.dep == r.dep && d.owner() == r.owner() {
+				return n, fmt.Errorf("invariant: mapping (space slot %d, %#x) has dependency records %d and %d", r.owner(), r.dep, prev, cur)
+			}
+			prev = d.next
+		}
+		cur = r.next
+	}
+	return n, nil
 }

@@ -1,5 +1,7 @@
 package ck
 
+import "fmt"
+
 // The physical memory map stores 16-byte dependency records, one per
 // loaded page mapping plus one per signal or copy-on-write specification
 // (paper §4.1). A record is (key, dependent, context):
@@ -61,33 +63,54 @@ func (r *depRecord) setLocked(v bool) {
 	}
 }
 
-// pmap is the fixed-pool hash table of dependency records.
+// pmap is the hash table of dependency records. Its capacity is the
+// paper's fixed pool (Table 1), accounted against local RAM in full at
+// boot, but the host stores only what a run has used: records live in
+// chunks allocated the first time a slot in them is handed out, and the
+// part of the free stack no run has touched is one number.
 type pmap struct {
-	recs    []depRecord
-	free    []int32
+	n       int32       // capacity in records
+	chunks  []*recChunk // nil: no slot in the chunk handed out yet, all free
 	buckets []int32
 	live    int
 	hand    int32 // clock hand for replacement scans
 
-	// used marks slots that have ever held a record; reloads counts
-	// insertions into such slots — the mapping cache's analog of the
-	// objCache reload counter (observability only, not accounted RAM).
-	used    []bool
+	// The free stack is the canonical prefix [n-1, n-2, ..., fresh] — a
+	// new pool's order, so slot 0 goes first — held as the one number
+	// fresh, with tail, the slots freed since, on top of it in push
+	// order. Tail blocks stay allocated when the stack shrinks.
+	fresh   int32
+	tail    []*freeBlock
+	tailLen int
+
+	// reloads counts insertions into slots that have held a record
+	// before — the mapping cache's analog of the objCache reload counter
+	// (observability only, not accounted RAM). The record is the mark:
+	// removal leaves next == -1, and a never-used slot is all zero.
 	reloads uint64
 }
 
+// A record chunk is one 4 KB page of records.
+const (
+	recChunkShift = 8
+	recChunkLen   = 1 << recChunkShift
+)
+
+type recChunk [recChunkLen]depRecord
+
+// A free-stack tail block is one 4 KB page of slot numbers.
+const freeBlockLen = 1024
+
+type freeBlock [freeBlockLen]int32
+
 func newPMap(capacity, buckets int) *pmap {
 	p := &pmap{
-		recs:    make([]depRecord, capacity),
+		n:       int32(capacity),
+		chunks:  make([]*recChunk, (capacity+recChunkLen-1)/recChunkLen),
 		buckets: make([]int32, buckets),
-		used:    make([]bool, capacity),
-		free:    make([]int32, 0, capacity),
 	}
 	for i := range p.buckets {
 		p.buckets[i] = -1
-	}
-	for i := capacity - 1; i >= 0; i-- {
-		p.free = append(p.free, int32(i))
 	}
 	return p
 }
@@ -113,26 +136,50 @@ func (p *pmap) insert(kind depKind, key, dep uint32, owner int32) (idx int32, ok
 // point, or another processor's load can steal the slot (the
 // non-blocking-synchronization discipline of paper §4.2).
 func (p *pmap) takeFree() (int32, bool) {
-	if len(p.free) == 0 {
+	var idx int32
+	switch {
+	case p.tailLen > 0:
+		p.tailLen--
+		idx = p.tail[p.tailLen/freeBlockLen][p.tailLen%freeBlockLen]
+	case p.fresh < p.n:
+		idx = p.fresh
+		p.fresh++
+	default:
 		return -1, false
 	}
-	idx := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
+	p.allocChunk(idx)
 	return idx, true
 }
 
+// allocChunk allocates the all-free chunk holding slot idx if it has
+// none yet.
+func (p *pmap) allocChunk(idx int32) {
+	if p.chunks[idx>>recChunkShift] == nil {
+		p.chunks[idx>>recChunkShift] = new(recChunk)
+	}
+}
+
 // releaseSlot returns a reserved (unused) slot to the free pool.
-func (p *pmap) releaseSlot(idx int32) { p.free = append(p.free, idx) }
+func (p *pmap) releaseSlot(idx int32) {
+	if p.tailLen == 0 && idx == p.fresh-1 {
+		p.fresh-- // the slot extends the canonical prefix
+		return
+	}
+	if p.tailLen == len(p.tail)*freeBlockLen {
+		p.tail = append(p.tail, new(freeBlock))
+	}
+	p.tail[p.tailLen/freeBlockLen][p.tailLen%freeBlockLen] = idx
+	p.tailLen++
+}
 
 // insertAt fills a reserved slot with a live record.
 func (p *pmap) insertAt(idx int32, kind depKind, key, dep uint32, owner int32) {
-	if p.used[idx] {
+	r := p.rec(idx)
+	if r.next == -1 {
 		p.reloads++
-	} else {
-		p.used[idx] = true
 	}
 	b := p.bucket(key)
-	p.recs[idx] = depRecord{key: key, dep: dep, ctx: makeCtx(kind, owner), next: p.buckets[b]}
+	*r = depRecord{key: key, dep: dep, ctx: makeCtx(kind, owner), next: p.buckets[b]}
 	p.buckets[b] = idx
 	p.live++
 }
@@ -141,14 +188,14 @@ func (p *pmap) insertAt(idx int32, kind depKind, key, dep uint32, owner int32) {
 // chain positions walked (for cycle charging).
 func (p *pmap) remove(idx int32) (probes int) {
 	probes = p.removeKeep(idx)
-	p.free = append(p.free, idx)
+	p.releaseSlot(idx)
 	return probes
 }
 
 // removeKeep unlinks record idx but keeps the slot reserved for the
 // caller instead of freeing it (the eviction hand-off).
 func (p *pmap) removeKeep(idx int32) (probes int) {
-	r := &p.recs[idx]
+	r := p.rec(idx)
 	if r.kind() == depFree {
 		panic("ck: pmap remove of free record")
 	}
@@ -161,11 +208,12 @@ func (p *pmap) removeKeep(idx int32) (probes int) {
 		probes = 1
 		for cur != -1 {
 			probes++
-			if p.recs[cur].next == idx {
-				p.recs[cur].next = r.next
+			c := p.rec(cur)
+			if c.next == idx {
+				c.next = r.next
 				break
 			}
-			cur = p.recs[cur].next
+			cur = c.next
 		}
 		if cur == -1 {
 			panic("ck: pmap record not on its chain")
@@ -183,8 +231,8 @@ func (p *pmap) findEach(kind depKind, key uint32, fn func(idx int32, r *depRecor
 	cur := p.buckets[p.bucket(key)]
 	for cur != -1 {
 		probes++
-		next := p.recs[cur].next
-		r := &p.recs[cur]
+		r := p.rec(cur)
+		next := r.next
 		if r.kind() == kind && r.key == key {
 			if !fn(cur, r) {
 				return probes
@@ -208,21 +256,48 @@ func (p *pmap) findOne(kind depKind, key, dep uint32) (idx int32, probes int) {
 	return idx, probes
 }
 
-// rec returns the record at idx.
-func (p *pmap) rec(idx int32) *depRecord { return &p.recs[idx] }
+// rec returns the record at idx, a slot that has been handed out.
+func (p *pmap) rec(idx int32) *depRecord {
+	return &p.chunks[idx>>recChunkShift][idx&(recChunkLen-1)]
+}
+
+// peek returns a copy of the record at idx. A slot out of range or never
+// handed out reads as free, so CheckInvariants and restore can follow
+// an index that a defect or a bad capture has corrupted, and report it.
+func (p *pmap) peek(idx int32) depRecord {
+	if idx < 0 || idx >= p.n {
+		return depRecord{}
+	}
+	if ch := p.chunks[idx>>recChunkShift]; ch != nil {
+		return ch[idx&(recChunkLen-1)]
+	}
+	return depRecord{}
+}
 
 // victim advances the clock hand to the next physical-to-virtual record
 // accepted by reclaimable, returning its index, or -1 if none is
-// reclaimable. scanned reports slots visited for cycle charging.
+// reclaimable. scanned reports slots visited for cycle charging; every
+// slot of the pool counts, and an unallocated chunk's free slots are
+// passed in one step.
 func (p *pmap) victim(reclaimable func(idx int32, r *depRecord) bool) (idx int32, scanned int) {
-	n := int32(len(p.recs))
-	for i := int32(0); i < n; i++ {
-		p.hand = (p.hand + 1) % n
-		r := &p.recs[p.hand]
-		scanned++
-		if r.kind() == depPhysVirt && reclaimable(p.hand, r) {
-			return p.hand, scanned
+	n := p.n
+	for scanned < int(n) {
+		i := (p.hand + 1) % n
+		// Visit slots [i, end): up to the end of i's chunk, of the pool
+		// or of the scan.
+		end := min((i|(recChunkLen-1))+1, n, i+n-int32(scanned))
+		if ch := p.chunks[i>>recChunkShift]; ch != nil {
+			for ; i < end; i++ {
+				scanned++
+				if r := &ch[i&(recChunkLen-1)]; r.kind() == depPhysVirt && reclaimable(i, r) {
+					p.hand = i
+					return i, scanned
+				}
+			}
+		} else {
+			scanned += int(end - i)
 		}
+		p.hand = end - 1
 	}
 	return -1, scanned
 }
@@ -230,5 +305,109 @@ func (p *pmap) victim(reclaimable func(idx int32, r *depRecord) bool) (idx int32
 // Live reports the number of allocated records.
 func (p *pmap) Live() int { return p.live }
 
+// Free reports the number of free record slots.
+func (p *pmap) Free() int { return int(p.n-p.fresh) + p.tailLen }
+
 // Capacity reports the record pool size.
-func (p *pmap) Capacity() int { return len(p.recs) }
+func (p *pmap) Capacity() int { return int(p.n) }
+
+// state captures the map: the used records in slot order, the free
+// stack as its canonical-prefix length and tail, and the non-empty
+// chains. A used record is one that is not all zero.
+func (p *pmap) state() PMapState {
+	st := PMapState{
+		NRecs:     p.n,
+		NBuckets:  int32(len(p.buckets)),
+		FreeCanon: p.n - p.fresh,
+		Live:      p.live,
+		Hand:      p.hand,
+		Reloads:   p.reloads,
+	}
+	for c, ch := range p.chunks {
+		if ch == nil {
+			continue
+		}
+		for j, r := range ch {
+			if r != (depRecord{}) {
+				st.Recs = append(st.Recs, DepRec{Slot: int32(c<<recChunkShift + j), Key: r.key, Dep: r.dep, Ctx: r.ctx, Next: r.next})
+			}
+		}
+	}
+	for i := 0; i < p.tailLen; i++ {
+		st.FreeTail = append(st.FreeTail, p.tail[i/freeBlockLen][i%freeBlockLen])
+	}
+	for b, head := range p.buckets {
+		if head >= 0 {
+			st.Heads = append(st.Heads, BucketHead{Bucket: int32(b), Head: head})
+		}
+	}
+	return st
+}
+
+// restore overwrites a new map with a captured state. Every index the
+// state holds is checked before it is used, a chain may link only
+// captured live records, so that no walk reaches an unallocated chunk,
+// and the free stack may hold only free slots, so that no hand-out
+// overwrites a live record.
+func (p *pmap) restore(st *PMapState) error {
+	if st.NRecs != p.n || int(st.NBuckets) != len(p.buckets) {
+		return fmt.Errorf("ck: restore: pmap geometry mismatch (%d/%d recs, %d/%d buckets)",
+			st.NRecs, p.n, st.NBuckets, len(p.buckets))
+	}
+	if st.FreeCanon < 0 || st.FreeCanon > p.n {
+		return fmt.Errorf("ck: restore: pmap free-stack prefix %d out of range [0, %d]", st.FreeCanon, p.n)
+	}
+	fresh := p.n - st.FreeCanon
+	// The map is new: every chunk unallocated, every bucket empty, the
+	// free stack all canonical. Only the capture's deviations apply.
+	for _, r := range st.Recs {
+		if r.Slot < 0 || r.Slot >= p.n {
+			return fmt.Errorf("ck: restore: pmap record slot %d out of range", r.Slot)
+		}
+		if r.Next < -1 || r.Next >= p.n {
+			return fmt.Errorf("ck: restore: pmap record %d chains to slot %d, out of range", r.Slot, r.Next)
+		}
+		// A removed record can sit in the canonical prefix (a released
+		// fresh-1 slot rejoins it), a live one cannot.
+		rec := depRecord{key: r.Key, dep: r.Dep, ctx: r.Ctx, next: r.Next}
+		if r.Slot >= fresh && rec.kind() != depFree {
+			return fmt.Errorf("ck: restore: pmap record %d is live but in the free-stack prefix (from %d)", r.Slot, fresh)
+		}
+		p.allocChunk(r.Slot)
+		*p.rec(r.Slot) = rec
+	}
+	for _, r := range st.Recs {
+		if next := p.peek(r.Next); r.Next >= 0 && next.kind() == depFree {
+			return fmt.Errorf("ck: restore: pmap record %d chains to free slot %d", r.Slot, r.Next)
+		}
+	}
+	p.fresh = fresh
+	for _, idx := range st.FreeTail {
+		if idx < 0 || idx >= fresh {
+			return fmt.Errorf("ck: restore: pmap free-stack slot %d out of range (canonical prefix starts at %d)", idx, fresh)
+		}
+		if r := p.peek(idx); r.kind() != depFree {
+			return fmt.Errorf("ck: restore: pmap free-stack slot %d holds a live record", idx)
+		}
+		p.releaseSlot(idx)
+	}
+	for _, h := range st.Heads {
+		if h.Bucket < 0 || int(h.Bucket) >= len(p.buckets) {
+			return fmt.Errorf("ck: restore: pmap bucket %d out of range", h.Bucket)
+		}
+		if h.Head < 0 || h.Head >= p.n {
+			return fmt.Errorf("ck: restore: pmap bucket %d head %d out of range", h.Bucket, h.Head)
+		}
+		if head := p.peek(h.Head); head.kind() == depFree {
+			return fmt.Errorf("ck: restore: pmap bucket %d heads free slot %d", h.Bucket, h.Head)
+		}
+		p.buckets[h.Bucket] = h.Head
+	}
+	if st.Hand < 0 || st.Hand >= p.n {
+		return fmt.Errorf("ck: restore: pmap clock hand %d out of range", st.Hand)
+	}
+	p.live = st.Live
+	p.hand = st.Hand
+	p.reloads = st.Reloads
+	return nil
+}

@@ -3,6 +3,7 @@ package ck
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vpp/internal/hw"
@@ -113,6 +114,93 @@ func TestRestoreStateRejectsNonFresh(t *testing.T) {
 	st := captureQuiescent(t, env)
 	if err := env.k.RestoreState(st, nil); err == nil {
 		t.Fatal("RestoreState on a booted instance succeeded")
+	}
+}
+
+// TestRestoreStateRejectsBadPMapIndex restores captures with one pmap
+// index moved out of its valid range, one field at a time: every index
+// the state holds must be refused with an error, not popped or walked
+// later in the run. A valid capture has every Recs[].Slot, head and
+// clock hand in [0, n), every Recs[].Next in [-1, n), every free-stack
+// tail entry below n-FreeCanon and naming a free slot, no live record
+// in the canonical prefix, and chains that link live records only.
+func TestRestoreStateRejectsBadPMapIndex(t *testing.T) {
+	env := newEnv(t, Config{}, func(env *testEnv, e *hw.Exec) {
+		sid := env.mustLoadSpace(e, false)
+		for i := 0; i < 4; i++ {
+			env.mustMap(e, sid, MappingSpec{VA: 0x4000_0000 + uint32(i)*hw.PageSize, PFN: env.frame(), Writable: true, Cachable: true})
+		}
+		// Unloading from the middle leaves a free-stack tail.
+		if _, err := env.k.UnloadMapping(e, sid, 0x4000_0000+hw.PageSize); err != nil {
+			env.t.Fatalf("UnloadMapping: %v", err)
+		}
+	})
+	base := captureQuiescent(t, env)
+	pm := base.PMap
+	if len(pm.FreeTail) == 0 || len(pm.Heads) == 0 || len(pm.Recs) == 0 {
+		t.Fatalf("capture lacks a field to corrupt: %+v", pm)
+	}
+	n, fresh := pm.NRecs, pm.NRecs-pm.FreeCanon
+	live := -1
+	for i, r := range pm.Recs {
+		if (&depRecord{ctx: r.Ctx}).kind() != depFree {
+			live = i
+			break
+		}
+	}
+	if live < 0 {
+		t.Fatalf("capture has no live record: %+v", pm)
+	}
+	cases := []struct {
+		name    string
+		corrupt func(pm *PMapState)
+	}{
+		{"unchanged", func(pm *PMapState) {}},
+		{"free_tail_at_prefix", func(pm *PMapState) { pm.FreeTail[0] = fresh }},
+		{"free_tail_negative", func(pm *PMapState) { pm.FreeTail[0] = -1 }},
+		{"free_tail_names_live_record", func(pm *PMapState) { pm.FreeTail[0] = pm.Recs[live].Slot }},
+		{"live_record_in_prefix", func(pm *PMapState) {
+			r := pm.Recs[live]
+			r.Slot, r.Next = fresh, -1
+			pm.Recs = append(pm.Recs, r)
+		}},
+		{"head_past_pool", func(pm *PMapState) { pm.Heads[0].Head = n }},
+		{"head_negative", func(pm *PMapState) { pm.Heads[0].Head = -1 }},
+		{"head_to_free_slot", func(pm *PMapState) { pm.Heads[0].Head = n - 1 }},
+		{"next_past_pool", func(pm *PMapState) { pm.Recs[0].Next = n }},
+		{"next_below_end", func(pm *PMapState) { pm.Recs[0].Next = -2 }},
+		{"next_to_free_slot", func(pm *PMapState) { pm.Recs[0].Next = n - 1 }},
+		{"slot_past_pool", func(pm *PMapState) { pm.Recs[0].Slot = n }},
+		{"bucket_past_table", func(pm *PMapState) { pm.Heads[0].Bucket = pm.NBuckets }},
+		{"prefix_past_pool", func(pm *PMapState) { pm.FreeCanon = n + 1 }},
+		{"prefix_negative", func(pm *PMapState) { pm.FreeCanon = -1 }},
+		{"hand_past_pool", func(pm *PMapState) { pm.Hand = n }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := *base
+			st.PMap = pm
+			st.PMap.Recs = append([]DepRec(nil), pm.Recs...)
+			st.PMap.FreeTail = append([]int32(nil), pm.FreeTail...)
+			st.PMap.Heads = append([]BucketHead(nil), pm.Heads...)
+			tc.corrupt(&st.PMap)
+			m := hw.NewMachine(hw.DefaultConfig())
+			t.Cleanup(m.Close)
+			k, err := New(m.MPMs[0], st.Cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = k.RestoreState(&st, nil)
+			if tc.name == "unchanged" {
+				if err != nil {
+					t.Fatalf("RestoreState of the valid capture: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "pmap") {
+				t.Fatalf("RestoreState returned %v, want a pmap range error", err)
+			}
+		})
 	}
 }
 

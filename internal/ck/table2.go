@@ -174,7 +174,7 @@ func runTable2(k *Kernel, e *hw.Exec, out *Table2, sysGetpid uint32, handler *fu
 	out.MappingLoadOpt = optDur
 
 	// Mapping load with writeback: fill the descriptor pool.
-	for len(k.pm.free) > 0 {
+	for k.pm.Free() > 0 {
 		if err := k.LoadMapping(e, sid, MappingSpec{VA: 0x2000_0000 + uint32(k.pm.live)*hw.PageSize, PFN: newFrame()}); err != nil {
 			return fmt.Errorf("pool fill: %w", err)
 		}

@@ -27,6 +27,13 @@ const (
 // with any machines forked from it: Freeze marks every allocated frame
 // shared, and the first write to a shared frame privatizes a copy, so
 // a fork's writes never reach the parent, its siblings, or the image.
+//
+// The frame table is one flat array, allocated whole. It must not be
+// chunked on first touch, as the Cache Kernel's dependency records and
+// the L2 tags are: the shards of a sharded machine write disjoint slots
+// of it concurrently, which is safe only because no shard writes memory
+// another shard reads, and a chunk directory filled on first use would
+// be written by whichever shard touched a chunk first.
 type PhysMem struct {
 	frames []*[PageSize]byte
 	// shared[i] means frames[i] is referenced by a FrameImage (and
