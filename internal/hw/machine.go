@@ -98,7 +98,9 @@ func NewMachine(cfg Config) *Machine {
 }
 
 // Run drives the simulation until quiescent or until the virtual cycle
-// bound is reached.
+// bound is reached. A panic in an execution reaches the caller as a
+// *sim.Panic that carries the panic site's stack (sim.Cluster.Run);
+// the machine is then only fit for Close.
 func (m *Machine) Run(until uint64) error { return m.Cluster.Run(until) }
 
 // Close ends the machine once its last Run has returned

@@ -39,7 +39,7 @@ type Cluster struct {
 	ctorSeq uint64
 	running bool
 	// closed is set by Close: the simulation has ended and every
-	// coroutine goroutine has been released.
+	// started coroutine has been released.
 	closed bool
 
 	// lookahead is the minimum registered cross-shard latency in
@@ -72,8 +72,7 @@ type Cluster struct {
 	san sanClusterState
 }
 
-// shardWorker drives one engine on a dedicated goroutine so a shard's
-// coroutine handoffs always involve the same OS-level owner.
+// shardWorker drives one engine on a dedicated goroutine.
 type shardWorker struct {
 	req chan uint64
 	res chan error
@@ -88,7 +87,7 @@ func NewCluster(n int) *Cluster {
 	}
 	c := &Cluster{lookahead: math.MaxUint64}
 	for i := 0; i < n; i++ {
-		c.engines = append(c.engines, &Engine{yieldCh: make(chan *Coro), cluster: c, shard: i})
+		c.engines = append(c.engines, &Engine{cluster: c, shard: i})
 	}
 	return c
 }
@@ -163,7 +162,11 @@ const logEpochQuantum = 1 << 22
 
 // Run executes the simulation until every shard is quiescent or the
 // next entity's time exceeds until (pass math.MaxUint64 for no bound).
-// It returns ErrMaxSteps if the cluster-wide step guard trips.
+// It returns ErrMaxSteps if the cluster-wide step guard trips. A
+// coroutine's panic reaches Run's caller as a *Panic at any shard
+// count: a shard worker hands it back, and Run raises it again once
+// every shard of the epoch has stopped. The machine is then only fit
+// for Close.
 func (c *Cluster) Run(until uint64) error {
 	if c.closed {
 		panic("sim: Run after Close")
@@ -238,10 +241,19 @@ func (c *Cluster) Run(until uint64) error {
 			for _, i := range c.ran {
 				c.workers[i].req <- bound
 			}
+			var p *Panic
 			for _, i := range c.ran {
-				if err := <-c.workers[i].res; err != nil {
+				err := <-c.workers[i].res
+				if q, ok := err.(*Panic); ok {
+					if p == nil {
+						p = q
+					}
+				} else if err != nil {
 					maxed = err
 				}
+			}
+			if p != nil {
+				panic(p)
 			}
 		}
 		c.sanEpochEnd()
@@ -255,13 +267,13 @@ func (c *Cluster) Run(until uint64) error {
 }
 
 // Close ends the simulation. It stops the shard workers and releases
-// every started, unfinished coroutine, one at a time: each parked
-// goroutine wakes with the release signal, unwinds its body without
-// running any more simulated code, and exits. Until then a parked
-// coroutine is a goroutine blocked on its resume channel that keeps the
-// whole simulation reachable. Close must be called between Run calls,
-// never from a coroutine or an event. A second Close is a no-op; Run
-// after Close panics.
+// every started, unfinished coroutine, one at a time: each one wakes
+// with the release signal, unwinds its body without running any more
+// simulated code, and exits. Until then a parked coroutine is a
+// suspended goroutine that keeps the whole simulation reachable. Close
+// must be called between Run calls (also after Run panicked), never
+// from a coroutine or an event. A second Close is a no-op; Run after
+// Close panics.
 func (c *Cluster) Close() {
 	if c.closed {
 		return
@@ -303,7 +315,8 @@ func (c *Cluster) budget(e *Engine) {
 // cluster whose epochs are all single-shard (or a one-shard cluster)
 // runs entirely on the coordinator goroutine and never spawns a
 // worker. Handing an engine between the coordinator and its worker is
-// ordered by the req/res channel operations.
+// ordered by the req/res channel operations. A coroutine's *Panic comes
+// back on res as the epoch's result, for Run to raise.
 func (c *Cluster) startWorkers() {
 	if c.workers != nil {
 		return
@@ -315,11 +328,27 @@ func (c *Cluster) startWorkers() {
 		//ckvet:allow detmap shard workers advance disjoint engines inside an epoch; the barrier merge restores the serial order exactly
 		go func() {
 			for bound := range w.req {
-				w.res <- e.run(bound)
+				w.res <- e.runShard(bound)
 			}
 			close(w.res)
 		}()
 	}
+}
+
+// runShard is one epoch of a shard worker: e.run, with a coroutine's
+// *Panic returned instead of raised. Any other panic (an event's, the
+// engine's own) is raised again and still ends the process.
+func (e *Engine) runShard(bound uint64) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			p, ok := r.(*Panic)
+			if !ok {
+				panic(r)
+			}
+			err = p
+		}
+	}()
+	return e.run(bound)
 }
 
 // actKey extracts an action's serial-order key: entity time, then

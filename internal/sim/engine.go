@@ -1,3 +1,5 @@
+//go:build go1.23
+
 // Package sim provides a deterministic discrete-virtual-time execution
 // engine for the V++ Cache Kernel reproduction.
 //
@@ -16,20 +18,25 @@
 // thread migrating between CPUs naturally accumulates time on each.
 //
 // Host-side scheduling is O(log n) in the number of runnable coroutines:
-// the ready set is a min-heap keyed by (clock, id), finished coroutines
-// are dropped from the engine entirely, and a yielding coroutine whose
-// scheduling decision resumes another coroutine hands control to it
-// directly instead of round-tripping through the engine goroutine. All
-// of this changes only host data structures; the scheduling decisions
-// themselves — which coroutine runs at which virtual time — are
-// bit-identical to the original linear-scan engine (the determinism
-// golden in internal/exp pins this).
+// the ready set is a min-heap keyed by (clock, id), and finished
+// coroutines are dropped from the engine entirely. Each coroutine is a
+// Go runtime coroutine (iter.Pull): the engine resumes it with a direct
+// stack switch, and it switches straight back when it yields, with no
+// trip through the Go scheduler. A yielding coroutine whose next
+// scheduling decision is itself keeps running without switching at all.
+// All of this changes only host data structures; the scheduling
+// decisions themselves — which coroutine runs at which virtual time —
+// are bit-identical to the original linear-scan engine (the determinism
+// golden in internal/exp pins this). iter.Pull needs Go 1.23, hence this
+// file's build constraint.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
+	"runtime/debug"
 )
 
 // Clock is a processor-local virtual clock measured in cycles.
@@ -65,16 +72,22 @@ type Coro struct {
 	eng      *Engine
 	fn       func(*Ctx)
 	ctx      *Ctx
-	resume   chan uint64 // horizon values; closed never
 	clock    *Clock
 	runnable bool
-	started  bool
 	done     bool
 	// fresh marks an activation: the coroutine was unparked and has not
 	// been dispatched since. Only activation dispatches are traced and
 	// counted in Steps — later re-slices of the same run (grid-boundary
 	// yields) are engine pacing, invisible to the simulated kernel.
 	fresh bool
+
+	// next runs the coroutine until it yields or finishes, suspend
+	// (called only from inside it) switches back to next's caller, and
+	// stop releases it: iter.Pull's halves of one runtime coroutine,
+	// created at the first dispatch.
+	next    func() (struct{}, bool)
+	suspend func(struct{}) bool
+	stop    func()
 
 	// band/gid order this coro's dispatches against entities on other
 	// shards at equal virtual times (see event.band): band 0 carries
@@ -128,7 +141,6 @@ type Engine struct {
 	runq    coroHeap // runnable coroutines keyed by (clock, id)
 	events  eventHeap
 	seq     uint64
-	yieldCh chan *Coro
 	current *Coro
 	now     uint64 // time of the most recently scheduled entity
 	until   uint64 // bound of the run call in progress
@@ -259,12 +271,11 @@ func (e *Engine) nextSeq() uint64 {
 func (e *Engine) NewCoro(name string, fn func(*Ctx)) *Coro {
 	id := e.nextSeq()
 	co := &Coro{
-		name:   name,
-		id:     id,
-		eng:    e,
-		fn:     fn,
-		resume: make(chan uint64),
-		gid:    id,
+		name: name,
+		id:   id,
+		eng:  e,
+		fn:   fn,
+		gid:  id,
 	}
 	if e.cluster.running {
 		// Runtime creation: the global dispatch rank is assigned when
@@ -602,30 +613,29 @@ func (e *Engine) horizonFor(coTime uint64) uint64 {
 	return coTime - coTime%gridQuantum + gridQuantum
 }
 
-// pickDirect evaluates the next scheduling decision from inside a
-// yielding coroutine. If that decision resumes a coroutine it performs
+// pickSelf evaluates the next scheduling decision from inside the
+// yielding coroutine co. If that decision resumes co itself it performs
 // the dispatch bookkeeping (step count, queue pop, virtual time, trace)
-// and returns it with its horizon; for anything the engine goroutine
-// must handle — a due event, quiescence, the run bound, the step guard —
-// it mutates nothing and reports !ok so the yielder bounces control
-// back to run, which re-evaluates identically.
-func (e *Engine) pickDirect() (next *Coro, horizon uint64, ok bool) {
+// and returns co's new horizon, so co keeps running without a switch.
+// For any other decision — another coroutine, a due event, quiescence,
+// the run bound, the step guard — it mutates nothing and reports !ok,
+// and co switches back to run, which re-evaluates identically.
+func (e *Engine) pickSelf(co *Coro) (horizon uint64, ok bool) {
 	if e.maxSteps != 0 && e.steps >= e.maxSteps {
-		return nil, 0, false
+		return 0, false
 	}
-	co, coTime := e.peekRunnable()
-	if co == nil || coTime > e.until {
-		return nil, 0, false
+	next, coTime := e.peekRunnable()
+	if next != co || coTime > e.until {
+		return 0, false
 	}
 	if len(e.events) > 0 && e.events[0].at <= coTime {
-		return nil, 0, false
+		return 0, false
 	}
 	e.steps++
 	e.runq.pop()
-	horizon = e.horizonFor(coTime)
 	e.now = coTime
 	e.logDispatch(co, coTime)
-	return co, horizon, true
+	return e.horizonFor(coTime), true
 }
 
 // logDispatch records one dispatch decision. An activation (first
@@ -656,55 +666,58 @@ func (e *Engine) logDispatch(co *Coro, coTime uint64) {
 	}
 }
 
-// resumeCoro transfers control to co until control bounces back to the
-// engine goroutine. With direct handoff, any number of coroutine-to-
-// coroutine switches may happen before that; exactly one goroutine is
-// ever active, so engine state needs no locking.
+// resumeCoro runs co until it yields back to run or finishes. Exactly
+// one coroutine of the engine runs at a time, and run waits for it, so
+// engine state needs no locking.
 func (e *Engine) resumeCoro(co *Coro, horizon uint64) {
 	e.current = co
-	if !co.started {
-		e.startCoro(co)
+	co.ctx.horizon = horizon
+	if co.next == nil {
+		co.next, co.stop = iter.Pull(func(suspend func(struct{}) bool) {
+			co.suspend = suspend
+			co.body()
+		})
 	}
-	co.resume <- horizon
-	<-e.yieldCh
+	co.next()
 	e.current = nil
 }
 
-// startCoro launches the coroutine's goroutine. When the body returns,
-// the coroutine is removed from the engine's tracked set entirely —
-// long-running simulations do not accumulate finished contexts — and
-// control bounces to the engine goroutine. A body released by
-// Cluster.Close leaves the same way, back to Close.
-func (e *Engine) startCoro(co *Coro) {
-	co.started = true
-	//ckvet:allow detmap coroutine goroutines hand off through unbuffered channels; exactly one is ever runnable
-	go func() {
-		co.ctx.horizon = <-co.resume
-		co.body()
-		co.done = true
-		co.runnable = false
-		e.removeCoro(co)
-		e.yieldCh <- co
-	}()
-}
-
-// body runs the coroutine's function. On a closed cluster the function
-// is being released, and the release signal that unwound it stops
-// here. The closed flag is read before the goroutine's final handoff on
-// yieldCh: once that handoff is made, Close is free to move on, and
-// nothing of the released machine may be touched after it. During a
-// run nothing is recovered, so a real panic crashes the process with
-// its original stack.
+// body runs the coroutine's function and retires the coroutine however
+// the function ends: before control leaves, the coroutine is marked done
+// and dropped from the engine's live set, so long-running simulations do
+// not accumulate finished contexts and Close never waits on it. The
+// release signal that unwinds a coroutine released by Cluster.Close
+// stops here. Any other panic is raised again as a *Panic that carries
+// the stack of the panic site: iter.Pull recovers it and raises it once
+// more in whoever resumed the coroutine, where that stack is gone.
 func (co *Coro) body() {
 	defer func() {
-		if !co.eng.cluster.closed {
-			return
-		}
+		co.done = true
+		co.runnable = false
+		co.eng.removeCoro(co)
 		if r := recover(); r != nil && r != any(releaseSignal{}) {
-			panic(r)
+			panic(&Panic{Value: r, Coro: co.name, At: co.clock.now, Stack: string(debug.Stack())})
 		}
 	}()
 	co.fn(co.ctx)
+}
+
+// Panic is a coroutine's panic on its way to the caller of Cluster.Run
+// (or of Cluster.Close, if the coroutine panicked while being released):
+// the panic value, the coroutine's name, its clock at the panic and the
+// stack captured at the panic site.
+type Panic struct {
+	Value any
+	Coro  string
+	At    uint64
+	Stack string
+}
+
+// Error reports the panic value first, then where it happened, then the
+// whole stack, so a *Panic that crashes the process still prints the
+// original value and the panicking frame.
+func (p *Panic) Error() string {
+	return fmt.Sprintf("%v\n\ncoroutine %q panicked at cycle %d:\n%s", p.Value, p.Coro, p.At, p.Stack)
 }
 
 // releaseSignal is the panic value that unwinds a coroutine released by
@@ -712,27 +725,25 @@ func (co *Coro) body() {
 type releaseSignal struct{}
 
 // release unwinds every started, unfinished coroutine of the engine,
-// one at a time on the caller's goroutine. Each one wakes inside yield,
-// panics with the release signal and leaves through startCoro's
-// epilogue, which drops it from coros and hands control back here.
-// Never-started coroutines have no goroutine to unwind.
+// one at a time on the caller's goroutine. stop wakes each one inside
+// yield, which panics with the release signal, and body retires it on
+// the way out. Never-started coroutines have nothing to unwind.
 func (e *Engine) release() {
 	for i := 0; i < len(e.coros); {
 		co := e.coros[i]
-		if !co.started {
+		if co.stop == nil {
 			i++
 			continue
 		}
 		e.current = co
-		co.resume <- 0
-		<-e.yieldCh
+		co.stop()
 		e.current = nil
 	}
 }
 
 // removeCoro drops a finished coroutine from the live set, preserving
-// creation order. Called from the finishing coroutine's goroutine while
-// every other goroutine is parked, so no synchronization is needed.
+// creation order. Called from the finishing coroutine while its resumer
+// waits for it, so no synchronization is needed.
 func (e *Engine) removeCoro(co *Coro) {
 	for i, c := range e.coros {
 		if c == co {
@@ -746,15 +757,13 @@ func (e *Engine) removeCoro(co *Coro) {
 
 // yield suspends the calling coroutine and returns control to the
 // scheduler; the coroutine resumes (with a fresh horizon) when next
-// scheduled. If the next scheduling decision resumes a coroutine, the
-// yielder hands control to it directly — or simply keeps running when
-// that coroutine is itself — avoiding the round trip through the engine
-// goroutine. Decisions the engine must make (events, bounds, guards)
-// bounce back to run.
+// scheduled. If the next scheduling decision resumes the yielder itself
+// it simply keeps running; every other decision is run's, so the
+// yielder switches back to it.
 //
 // On a closed cluster yield panics with the release signal before it
-// touches the run queue or starts any coroutine: a released coroutine
-// whose deferred code charges on the way out keeps unwinding.
+// touches the run queue: a released coroutine whose deferred code
+// charges on the way out keeps unwinding.
 func (ctx *Ctx) yield() {
 	co := ctx.co
 	e := co.eng
@@ -764,20 +773,11 @@ func (ctx *Ctx) yield() {
 	if co.runnable {
 		e.runq.push(coroEntry{at: co.clock.now, co: co})
 	}
-	if next, horizon, ok := e.pickDirect(); ok {
-		e.current = next
-		if next == co {
-			ctx.horizon = horizon
-			return
-		}
-		if !next.started {
-			e.startCoro(next)
-		}
-		next.resume <- horizon
-	} else {
-		e.yieldCh <- co
+	if horizon, ok := e.pickSelf(co); ok {
+		ctx.horizon = horizon
+		return
 	}
-	ctx.horizon = <-co.resume
+	co.suspend(struct{}{})
 	if e.cluster.closed {
 		panic(releaseSignal{})
 	}

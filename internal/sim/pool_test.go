@@ -181,7 +181,7 @@ func TestStepPathZeroAlloc(t *testing.T) {
 		e.UnparkOn(co, clk)
 	}
 	c.MaxSteps = 1 << 12
-	_ = c.Run(math.MaxUint64) // warm: runq, handoff structures and epoch scratch reach steady state
+	_ = c.Run(math.MaxUint64) // warm: every coroutine started, runq and epoch scratch at steady state
 	avg := testing.AllocsPerRun(16, func() {
 		c.MaxSteps += 256
 		_ = c.Run(math.MaxUint64)

@@ -69,12 +69,12 @@ func buildRelease(c *Cluster) []releaseProbe {
 	return probes
 }
 
-// startedLive counts e's coroutines that have a goroutine and have not
-// finished.
+// startedLive counts e's coroutines that have a runtime coroutine and
+// have not finished.
 func startedLive(e *Engine) int {
 	n := 0
 	for _, co := range e.coros {
-		if co.started && !co.done {
+		if co.stop != nil && !co.done {
 			n++
 		}
 	}
@@ -98,7 +98,7 @@ func TestCloseReleasesCoroutines(t *testing.T) {
 				t.Fatalf("%d shard workers started, want %d", len(c.workers), shards)
 			}
 			// Per shard, the parked, bounded and deferred coroutines are
-			// goroutines blocked in yield.
+			// suspended in yield.
 			for i := 0; i < shards; i++ {
 				if n := startedLive(c.Engine(i)); n != 3 {
 					t.Fatalf("shard %d: %d started live coroutines before Close, want 3", i, n)
@@ -145,7 +145,7 @@ func TestCloseTwiceThenRun(t *testing.T) {
 }
 
 // TestCloseWithoutRun closes a cluster that never ran: no coroutine has
-// a goroutine, so there is nothing to release.
+// started, so there is nothing to release.
 func TestCloseWithoutRun(t *testing.T) {
 	base := runtime.NumGoroutine()
 	c := NewCluster(2)
@@ -157,26 +157,99 @@ func TestCloseWithoutRun(t *testing.T) {
 	}
 }
 
-// explode is the panicking frame TestRunPanicKeepsStack looks for.
+// explode is the panicking frame the panic tests look for.
 //
 //go:noinline
 func explode() { panic("sim test: coroutine exploded") }
 
-// TestRunPanicKeepsStack checks that the release machinery recovers
-// nothing during a run: a coroutine's panic still kills the process
-// with the panicking frame on its stack. The crash happens in a child
-// copy of the test binary.
+// explodeAt is where the release scenario's extra coroutine panics: on
+// the far side of the first grid boundary, so the other coroutines have
+// reached their release states and, on two shards, both workers are
+// inside the epoch.
+const explodeAt = gridQuantum + gridQuantum/4
+
+// TestRunPanicReachesCaller panics a coroutine in the release scenario,
+// on one shard and on two shards with their workers started, and
+// requires the panic to reach Run's caller as a *Panic that names the
+// coroutine, its clock and the panicking frame. Close must then release
+// every other coroutine and leave no goroutine behind.
+func TestRunPanicReachesCaller(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards_%d", shards), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			c := NewCluster(shards)
+			buildRelease(c)
+			e := c.Engine(shards - 1)
+			e.UnparkOn(e.NewCoro("boom", func(ctx *Ctx) {
+				ctx.Advance(explodeAt)
+				explode()
+			}), NewClock("boom"))
+			p := runPanic(c)
+			if p == nil {
+				t.Fatal("Run returned without the coroutine's panic")
+			}
+			if shards > 1 && len(c.workers) != shards {
+				t.Fatalf("%d shard workers started, want %d", len(c.workers), shards)
+			}
+			if p.Coro != "boom" || p.At != explodeAt || p.Value != "sim test: coroutine exploded" {
+				t.Fatalf("panic %q at %d with %v, want boom at %d with the exploded value", p.Coro, p.At, p.Value, uint64(explodeAt))
+			}
+			if !strings.Contains(p.Stack, "sim.explode(") || !strings.Contains(p.Error(), "sim.explode(") {
+				t.Fatalf("panic stack lacks the panicking frame:\n%s", p.Stack)
+			}
+			for i := 0; i < shards; i++ {
+				for _, co := range c.Engine(i).coros {
+					if co.name == "boom" {
+						t.Fatalf("shard %d still holds the panicked coroutine", i)
+					}
+				}
+			}
+			c.Close()
+			leakcheck.Wait(t, base)
+			for i := 0; i < shards; i++ {
+				if n := startedLive(c.Engine(i)); n != 0 {
+					t.Fatalf("shard %d: %d started coroutines still live after Close", i, n)
+				}
+			}
+		})
+	}
+}
+
+// runPanic runs c to releaseBound and returns the *Panic Run raised, or
+// nil if it returned.
+func runPanic(c *Cluster) (p *Panic) {
+	defer func() { p, _ = recover().(*Panic) }()
+	c.Run(releaseBound)
+	return nil
+}
+
+// TestRunPanicKeepsStack checks that a coroutine's panic nobody
+// recovers still kills the process with the original value and the
+// panicking frame on its stack, and that the Close deferred on the way
+// out does not hang. The crash happens in a child copy of the test
+// binary, on a plain goroutine: testing's own recover would otherwise
+// add a [recovered] line of its own.
 func TestRunPanicKeepsStack(t *testing.T) {
 	if os.Getenv("SIM_RELEASE_PANIC_CHILD") == "1" {
 		c, e := newSerial()
+		e.UnparkOn(e.NewCoro("parked", func(ctx *Ctx) {
+			ctx.Advance(1)
+			ctx.Park()
+		}), NewClock("cpu1"))
 		e.UnparkOn(e.NewCoro("boom", func(ctx *Ctx) {
 			ctx.Advance(1)
 			explode()
 		}), NewClock("cpu0"))
-		c.Run(math.MaxUint64)
+		returned := make(chan struct{})
+		go func() {
+			defer c.Close()
+			c.Run(math.MaxUint64)
+			close(returned)
+		}()
+		<-returned
 		return
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestRunPanicKeepsStack$")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRunPanicKeepsStack$", "-test.timeout=2m")
 	cmd.Env = append(os.Environ(), "SIM_RELEASE_PANIC_CHILD=1")
 	out, err := cmd.CombinedOutput()
 	if err == nil {

@@ -76,6 +76,10 @@ func runOrch(sc Scenario, trace func(name string, at uint64), shards int, opts r
 	if runErr := h.runMachine(opts); runErr != nil {
 		h.failf("op", "machine run: %v", runErr)
 	}
+	if h.panicked {
+		res.Orch = &OrchStats{}
+		return h.result(res)
+	}
 
 	for _, p := range c.Verify() {
 		oracle, detail := splitOracle(p)
@@ -158,15 +162,8 @@ func runOrch(sc Scenario, trace func(name string, at uint64), shards int, opts r
 		}
 	}
 
-	res.Failures = h.failures
-	res.FailuresTruncated = h.trunc
-	res.FinalClock = h.m.Now()
-	res.Steps = h.m.Steps()
-	res.Dispatches = h.dispatches
-	res.Hash = h.hash
-	res.FaultStats = h.inj.Stats
 	res.Orch = stats
-	return res
+	return h.result(res)
 }
 
 // splitOracle maps a ckctl.Verify violation ("conservation: ...",

@@ -86,6 +86,9 @@ type harness struct {
 	mu       sync.Mutex // guards failures/trunc
 	failures []Failure
 	trunc    bool
+	// panicked records that a coroutine panicked and ended the run
+	// mid-epoch, so the end-of-run oracles have nothing sound to judge.
+	panicked bool
 
 	// lastByName tracks each coroutine's previous dispatch time for the
 	// monotonicity oracle. Clocks are per-coroutine (a fresh coroutine
@@ -291,8 +294,21 @@ func runWith(sc Scenario, trace func(name string, at uint64), shards int) *Resul
 // virtual-time chunks that stop as soon as a failure is on the ledger
 // (failures are recorded at deterministic virtual times, so a full run
 // of the same scenario records the same failure; stopping early cannot
-// turn a failing scenario into a passing one).
+// turn a failing scenario into a passing one). A coroutine's panic ends
+// the run and is recorded as a "panic" failure naming the coroutine and
+// the panic value; its stack holds addresses, which would make the
+// fingerprint differ from run to run, so it is left out.
 func (h *harness) runMachine(opts runOpts) error {
+	defer func() {
+		if r := recover(); r != nil {
+			p, ok := r.(*sim.Panic)
+			if !ok {
+				panic(r)
+			}
+			h.panicked = true
+			h.failf("panic", "%s: %v", p.Coro, p.Value)
+		}
+	}()
 	if opts.pause != nil {
 		if err := h.m.Run(opts.cut); err != nil {
 			return err
@@ -385,7 +401,11 @@ func runWithOpts(sc Scenario, trace func(name string, at uint64), shards int, op
 	h.m.SetMaxSteps(2_000_000_000)
 	runErr := h.runMachine(opts)
 	h.finish(runErr)
+	return h.result(res)
+}
 
+// result fills res with the run's failures and fingerprint.
+func (h *harness) result(res *Result) *Result {
 	res.Failures = h.failures
 	res.FailuresTruncated = h.trunc
 	res.FinalClock = h.m.Now()
@@ -1297,8 +1317,12 @@ func (n *node) launchDSM(e *hw.Exec) {
 func (h *harness) dsmReadySet(idx int) { h.dsmReady[idx] = true }
 func (h *harness) dsmReadyBoth() bool  { return h.dsmReady[0] && h.dsmReady[1] }
 
-// finish runs the end-of-run oracles over the quiesced machine.
+// finish runs the end-of-run oracles over the quiesced machine, unless
+// a coroutine panic stopped it.
 func (h *harness) finish(runErr error) {
+	if h.panicked {
+		return
+	}
 	if runErr != nil {
 		h.failf("liveness", "engine halted: %v", runErr)
 	}

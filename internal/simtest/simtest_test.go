@@ -1,7 +1,10 @@
 package simtest
 
 import (
+	"runtime"
 	"testing"
+
+	"vpp/internal/leakcheck"
 )
 
 // fixedSeeds spans the generator's scenario families: plain unixemu
@@ -107,5 +110,39 @@ func TestShrinkKeepsFailing(t *testing.T) {
 	}
 	if !sameRes.Failed() {
 		t.Fatal("maxRuns 0 returned a passing run")
+	}
+}
+
+// TestCoroutinePanicIsAFailure pins how the harness records a
+// coroutine panic, on seed 446: its scenario still hits the Cache
+// Kernel's dispatch race ("ck: dispatch of running thread"). The panic
+// must come back as the run's one failure, oracle "panic", naming the
+// coroutine and the value, with the machine closed behind it, and the
+// shrinker and a replay must reproduce it byte for byte. When the race
+// is fixed this seed passes and the test has to move to a scenario
+// that still panics.
+func TestCoroutinePanicIsAFailure(t *testing.T) {
+	base := runtime.NumGoroutine()
+	res := RunSeed(446)
+	want := Failure{Oracle: "panic", Detail: "drv/main: ck: dispatch of running thread thread#4.g1 (state=1)"}
+	if len(res.Failures) != 1 || res.Failures[0] != want {
+		t.Fatalf("seed 446 failures %+v, want [%+v]:\n%s", res.Failures, want, res.Fingerprint())
+	}
+	leakcheck.Wait(t, base)
+
+	min, minRes := Shrink(res.Scenario, 60)
+	if len(min.Ops) != 2 || len(min.Faults) != 0 {
+		t.Fatalf("seed 446 shrank to %d op(s), %d fault(s), want 2 and 0", len(min.Ops), len(min.Faults))
+	}
+	b, err := EncodeReplay(minRes)
+	if err != nil {
+		t.Fatalf("EncodeReplay: %v", err)
+	}
+	rp, err := DecodeReplay(b)
+	if err != nil {
+		t.Fatalf("DecodeReplay: %v", err)
+	}
+	if again := Run(rp.Scenario, nil); again.Fingerprint() != minRes.Fingerprint() || again.Failures[0] != want {
+		t.Fatalf("replay of the shrunk scenario differs:\n--- replay\n%s\n--- shrink\n%s", again.Fingerprint(), minRes.Fingerprint())
 	}
 }
