@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -60,5 +63,44 @@ func TestSelect(t *testing.T) {
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("Select(%q) = %v, want %v", tc.list, got, tc.want)
 		}
+	}
+}
+
+// TestPaperTables pins the paper tables byte for byte: every
+// entry that -exp all selects, rendered as ckbench prints it, must
+// equal testdata/paper_tables.golden. A host-side change that moves a
+// single virtual cycle of Table 1, Table 2, §5.2 or an ablation fails
+// here, not only when it breaks a shape check. Regenerate with
+// go test ./internal/exp -run TestPaperTables -update, and only
+// for an intended change to the simulated results. The name stays out
+// of the -run 'Golden|ShardInvariance' pattern that CI also runs under
+// -race -tags cksan,ckinvariants, where Table 2's invariant checks
+// alone take over ten minutes.
+func TestPaperTables(t *testing.T) {
+	sel, err := Select("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	for _, e := range sel {
+		fmt.Fprintf(&out, "=== %s: %s ===\n", strings.ToUpper(e.ID), e.Title)
+		res, err := e.Run(false)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		fmt.Fprintln(&out, res)
+	}
+	golden := filepath.Join("testdata", "paper_tables.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to generate)", err)
+	}
+	if string(want) != out.String() {
+		t.Fatalf("paper tables diverged from golden:\ngot:\n%s\nwant:\n%s", out.String(), want)
 	}
 }

@@ -10,16 +10,26 @@ package hw
 // a nil chunk reads as all-invalid. The paper's 8 MB cache has a 1 MB
 // tag array and a short simulation touches a small fraction of it, so
 // a machine pays only for the chunks it touches.
+//
+// last memoizes the line of the most recent access: that access left
+// the line's tag in place, and only a later access (which moves the
+// memo), FlushPage, FlushAll or Restore (which clear it) write tags,
+// so a repeat of the line is a hit without the tag lookup. Simulated
+// code touches one line several times in a row, a record field by
+// field, so most references take this path.
 type L2Cache struct {
-	lineShift uint
-	lines     uint32
-	chunks    []*l2Chunk // tag+1 per line, 0 = invalid; nil = all invalid
-	hits      uint64
-	misses    uint64
+	lines  uint32
+	last   uint32     // line+1 of the most recent access, 0 = none
+	chunks []*l2Chunk // tag+1 per line, 0 = invalid; nil = all invalid
+	hits   uint64
+	misses uint64
 }
 
 // L2LineSize is the cache line size in bytes (the paper's hardware).
 const L2LineSize = 32
+
+// l2LineShift is log2(L2LineSize).
+const l2LineShift = 5
 
 // l2ChunkLines is the number of tag lines per chunk: one 4 KB page of
 // physical memory maps onto 128 consecutive lines.
@@ -35,16 +45,20 @@ func NewL2Cache(size uint32) *L2Cache {
 	}
 	lines := size / L2LineSize
 	return &L2Cache{
-		lineShift: 5,
-		lines:     lines,
-		chunks:    make([]*l2Chunk, (lines+l2ChunkLines-1)/l2ChunkLines),
+		lines:  lines,
+		chunks: make([]*l2Chunk, (lines+l2ChunkLines-1)/l2ChunkLines),
 	}
 }
 
 // Access simulates a reference to physical address pa and returns the
 // cycle charge (hit or miss).
 func (c *L2Cache) Access(pa uint32) uint64 {
-	line := pa >> c.lineShift
+	line := pa >> l2LineShift
+	if line+1 == c.last {
+		c.hits++
+		return CostMemHit
+	}
+	c.last = line + 1
 	idx := line % c.lines
 	tag := line/c.lines + 1
 	ch := c.chunks[idx/l2ChunkLines]
@@ -83,6 +97,7 @@ func (c *L2Cache) tagAt(idx uint32) uint32 {
 // FlushAll invalidates every line (used by the second-level cache manager
 // when reassigning page frames across kernels).
 func (c *L2Cache) FlushAll() {
+	c.last = 0
 	for _, ch := range c.chunks {
 		if ch != nil {
 			clear(ch[:])
@@ -92,9 +107,10 @@ func (c *L2Cache) FlushAll() {
 
 // FlushPage invalidates all lines of the 4 KB page containing pa.
 func (c *L2Cache) FlushPage(pa uint32) {
+	c.last = 0
 	base := pa &^ (PageSize - 1)
 	for off := uint32(0); off < PageSize; off += L2LineSize {
-		line := (base + off) >> c.lineShift
+		line := (base + off) >> l2LineShift
 		idx := line % c.lines
 		tag := line/c.lines + 1
 		if ch := c.chunks[idx/l2ChunkLines]; ch != nil && ch[idx%l2ChunkLines] == tag {

@@ -155,13 +155,16 @@ func (e *Exec) Kill() { e.killed = true }
 func (e *Exec) Killed() bool { return e.killed }
 
 // Charge advances virtual time by cycles and then delivers any pending
-// interrupts latched on the current CPU.
+// interrupts latched on the current CPU. The test is inline because
+// almost every charge finds none.
 func (e *Exec) Charge(cycles uint64) {
 	e.ctx.Advance(cycles)
 	if e.killed {
 		e.Exit()
 	}
-	e.pollInterrupts()
+	if c := e.CPU; c != nil && c.Pending != 0 && !c.IntrOff {
+		e.pollInterrupts(c)
+	}
 }
 
 // ChargeNoIntr advances virtual time without an interrupt window (used
@@ -173,11 +176,9 @@ func (e *Exec) ChargeNoIntr(cycles uint64) {
 	}
 }
 
-func (e *Exec) pollInterrupts() {
-	c := e.CPU
-	if c == nil || c.IntrOff || c.Pending == 0 {
-		return
-	}
+// pollInterrupts delivers the causes pending on c, the unmasked CPU
+// the context runs on.
+func (e *Exec) pollInterrupts(c *CPU) {
 	sup := e.MPM.Sup
 	if sup == nil {
 		c.Pending = 0

@@ -2,6 +2,7 @@ package hw
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -173,11 +174,12 @@ func TestMachineGeometry(t *testing.T) {
 
 // fakeSup is a minimal supervisor that loads identity mappings on fault.
 type fakeSup struct {
-	m        *Machine
-	space    *Space
-	faults   int
-	traps    int
-	messages []uint32
+	m          *Machine
+	space      *Space
+	faults     int
+	traps      int
+	messages   []uint32
+	interrupts []uint32
 }
 
 func (s *fakeSup) Syscall(e *Exec, no uint32, args []uint32) (uint32, uint32) {
@@ -193,7 +195,9 @@ func (s *fakeSup) AccessError(e *Exec, va uint32, write bool, f Fault) {
 	}
 }
 
-func (s *fakeSup) Interrupt(e *Exec, pending uint32) {}
+func (s *fakeSup) Interrupt(e *Exec, pending uint32) {
+	s.interrupts = append(s.interrupts, pending)
+}
 func (s *fakeSup) MessageWrite(e *Exec, va, pa uint32) {
 	s.messages = append(s.messages, va)
 }
@@ -234,6 +238,35 @@ func TestExecVirtualAccessWithDemandFault(t *testing.T) {
 	// The word must be at the identity physical address.
 	if v := m.Phys.Read32(0x0200_0000); v != 77 {
 		t.Fatalf("phys = %d", v)
+	}
+}
+
+// TestChargeInterruptWindow pins when a charge delivers the causes
+// latched on its CPU: only Charge, only with a cause pending and
+// interrupts unmasked, and all pending causes at once.
+func TestChargeInterruptWindow(t *testing.T) {
+	m, mpm, sup := newTestMachine(t)
+	e := mpm.NewExec("user", func(e *Exec) {
+		c := e.CPU
+		e.Charge(1)
+		c.Pending = 4
+		c.IntrOff = true
+		e.Charge(1)
+		c.IntrOff = false
+		e.ChargeNoIntr(1)
+		if len(sup.interrupts) != 0 || c.Pending != 4 {
+			t.Errorf("delivered %v with interrupts masked or no window, pending %#x", sup.interrupts, c.Pending)
+		}
+		c.Pending |= 1
+		e.Charge(1)
+		e.Charge(1)
+		if !slices.Equal(sup.interrupts, []uint32{5}) || c.Pending != 0 {
+			t.Errorf("delivered %v, pending %#x; want [5] once, none left", sup.interrupts, c.Pending)
+		}
+	})
+	mpm.CPUs[0].Dispatch(e)
+	if err := m.Run(math.MaxUint64); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -47,17 +47,30 @@ func (t *TLB) State() TLBState {
 }
 
 // Restore overwrites the TLB with a captured state. The entry count
-// must match the TLB's geometry.
+// must match the TLB's geometry, the cursor must name an entry and no
+// two valid entries may share an (asid, vpn) pair; a state with two
+// would leave one of them unreachable. A rejected duplicate leaves the
+// TLB flushed.
 func (t *TLB) Restore(st TLBState) error {
 	if len(st.Entries) != len(t.entries) {
 		return fmt.Errorf("hw: TLB restore size mismatch: %d entries into %d", len(st.Entries), len(t.entries))
 	}
+	if st.Next < 0 || st.Next >= len(t.entries) {
+		return fmt.Errorf("hw: TLB restore cursor %d out of range [0, %d)", st.Next, len(t.entries))
+	}
 	clear(t.index)
 	for i, e := range st.Entries {
 		t.entries[i] = tlbEntry{asid: e.ASID, valid: e.Valid, vpn: e.VPN, pte: e.PTE}
-		if e.Valid {
-			t.index[tlbKey(e.ASID, e.VPN)] = int32(i)
+		if !e.Valid {
+			continue
 		}
+		s, dup := t.find(e.ASID, e.VPN)
+		if dup {
+			first := t.index[s] - 1
+			t.InvalidateAll()
+			return fmt.Errorf("hw: TLB restore: entries %d and %d both map asid %d vpn %#x", first, i, e.ASID, e.VPN)
+		}
+		t.index[s] = int32(i) + 1
 	}
 	t.next = st.Next
 	t.gen = st.Gen

@@ -56,6 +56,44 @@ func TestTLBStateRoundTrip(t *testing.T) {
 	if err := NewTLB(8).Restore(NewTLB(4).State()); err == nil {
 		t.Fatal("geometry mismatch accepted")
 	}
+	// A state the TLB cannot index is refused with an error: a cursor
+	// that names no entry would panic at the next Insert, and two valid
+	// entries for one page would leave one unreachable.
+	src := NewTLB(4)
+	src.Insert(1, 0x10, pagetable.MakePTE(0x100, pagetable.PTEValid))
+	src.Insert(1, 0x11, pagetable.MakePTE(0x101, pagetable.PTEValid))
+	bad := []struct {
+		name string
+		edit func(st *TLBState)
+	}{
+		{"negative cursor", func(st *TLBState) { st.Next = -1 }},
+		{"cursor past the end", func(st *TLBState) { st.Next = len(st.Entries) }},
+		{"duplicate page", func(st *TLBState) { st.Entries[2] = st.Entries[0] }},
+		{"duplicate page, later pte", func(st *TLBState) {
+			st.Entries[3] = st.Entries[1]
+			st.Entries[3].PTE = pagetable.MakePTE(0x200, pagetable.PTEValid)
+		}},
+	}
+	for _, b := range bad {
+		st := src.State()
+		b.edit(&st)
+		fresh := NewTLB(4)
+		if err := fresh.Restore(st); err == nil {
+			t.Errorf("%s: restore accepted", b.name)
+		}
+		fresh.Insert(2, 0x20, pagetable.MakePTE(0x300, pagetable.PTEValid))
+		if _, ok := fresh.Lookup(1, 0x10); ok {
+			t.Errorf("%s: a rejected state left an entry behind", b.name)
+		}
+	}
+	// An invalid entry may still carry a valid entry's page: only valid
+	// entries are indexed.
+	st := src.State()
+	st.Entries[2] = st.Entries[0]
+	st.Entries[2].Valid = false
+	if err := NewTLB(4).Restore(st); err != nil {
+		t.Errorf("invalid duplicate refused: %v", err)
+	}
 }
 
 // TestL2StateRoundTrip does the same for the second-level cache's sparse

@@ -1,8 +1,10 @@
 package hw
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vpp/internal/pagetable"
@@ -121,13 +123,14 @@ func TestTLBCounterExactness(t *testing.T) {
 }
 
 // refTLB is the original linear-scan implementation, kept as an
-// executable specification: the hash-indexed TLB must be observably
+// executable specification: the indexed TLB must be observably
 // identical to it under any operation sequence.
 type refTLB struct {
-	entries []tlbEntry
-	next    int
-	hits    uint64
-	misses  uint64
+	entries   []tlbEntry
+	next      int
+	hits      uint64
+	misses    uint64
+	evictions uint64 // inserts that replaced a valid entry
 }
 
 func (t *refTLB) Lookup(asid uint16, vpn uint32) (pagetable.PTE, bool) {
@@ -149,6 +152,9 @@ func (t *refTLB) Insert(asid uint16, vpn uint32, pte pagetable.PTE) {
 			e.pte = pte
 			return
 		}
+	}
+	if t.entries[t.next].valid {
+		t.evictions++
 	}
 	t.entries[t.next] = tlbEntry{asid: asid, valid: true, vpn: vpn, pte: pte}
 	t.next = (t.next + 1) % len(t.entries)
@@ -177,44 +183,110 @@ func (t *refTLB) InvalidateAll() {
 	}
 }
 
+// checkTLBIndex verifies the open-addressed index: it holds exactly the
+// valid entries, each reachable from its home slot. Checked after every
+// operation, a misplaced slot fails at once, before stale slots could
+// fill the table.
+func checkTLBIndex(tlb *TLB) error {
+	valid := 0
+	for i, e := range tlb.entries {
+		if !e.valid {
+			continue
+		}
+		valid++
+		if s, ok := tlb.find(e.asid, e.vpn); !ok || tlb.index[s] != int32(i)+1 {
+			return fmt.Errorf("entry %d (asid %d, vpn %#x) is not reachable through the index", i, e.asid, e.vpn)
+		}
+	}
+	used := 0
+	for _, p := range tlb.index {
+		if p != 0 {
+			used++
+		}
+	}
+	if used != valid {
+		return fmt.Errorf("%d index slots in use for %d valid entries", used, valid)
+	}
+	return nil
+}
+
 // TestTLBMatchesLinearReference drives the indexed TLB and the linear
 // reference with the same pseudo-random operation stream and demands
-// identical lookup results, statistics, and replacement behavior.
+// identical lookup results, statistics, entry arrays and replacement
+// behavior, with the index checked after every operation. It runs at
+// one entry, at eight and at the paper's 64, since the index's length
+// derives from the entry count, and with two mixes: flush-heavy, where
+// a fifth of the operations flush a space or the whole TLB, and fill,
+// where flushes are rare enough for every size to fill and evict valid
+// entries. At random points the TLB is replaced by a fresh one restored
+// from its State, which must go on in step with the reference.
 func TestTLBMatchesLinearReference(t *testing.T) {
-	const size = 8
-	tlb := NewTLB(size)
-	ref := &refTLB{entries: make([]tlbEntry, size)}
-	rng := rand.New(rand.NewSource(1))
-	for op := 0; op < 20000; op++ {
-		asid := uint16(rng.Intn(3) + 1)
-		vpn := uint32(rng.Intn(16))
-		switch rng.Intn(10) {
-		case 0, 1, 2, 3: // lookup-heavy mix
-			gp, gok := tlb.Lookup(asid, vpn)
-			wp, wok := ref.Lookup(asid, vpn)
-			if gp != wp || gok != wok {
-				t.Fatalf("op %d: Lookup(%d,%d) = (%#x,%v), reference (%#x,%v)",
-					op, asid, vpn, gp, gok, wp, wok)
-			}
-		case 4, 5, 6:
-			p := pte(uint32(rng.Intn(1<<12)), pagetable.PTEValid|pagetable.PTE(rng.Intn(2))<<1)
-			tlb.Insert(asid, vpn, p)
-			ref.Insert(asid, vpn, p)
-		case 7:
-			tlb.InvalidatePage(asid, vpn)
-			ref.InvalidatePage(asid, vpn)
-		case 8:
-			tlb.InvalidateSpace(asid)
-			ref.InvalidateSpace(asid)
-		default:
-			tlb.InvalidateAll()
-			ref.InvalidateAll()
-		}
-		if h, m := tlb.Stats(); h != ref.hits || m != ref.misses {
-			t.Fatalf("op %d: stats (%d,%d), reference (%d,%d)", op, h, m, ref.hits, ref.misses)
-		}
-		if tlb.next != ref.next {
-			t.Fatalf("op %d: replacement cursor %d, reference %d", op, tlb.next, ref.next)
+	for _, size := range []int{1, 8, DefaultTLBEntries} {
+		mixes := []struct {
+			name    string
+			flushes int // one operation in flushes is a flush
+		}{{"flush-heavy", 5}, {"fill", 8 * size}}
+		for _, mix := range mixes {
+			t.Run(fmt.Sprintf("%d/%s", size, mix.name), func(t *testing.T) {
+				tlb := NewTLB(size)
+				ref := &refTLB{entries: make([]tlbEntry, size)}
+				rng := rand.New(rand.NewSource(int64(size)))
+				restores := 0
+				for op := 0; op < 20000; op++ {
+					asid := uint16(rng.Intn(3) + 1)
+					vpn := uint32(rng.Intn(2 * size))
+					switch {
+					case rng.Intn(mix.flushes) == 0:
+						if rng.Intn(2) == 0 {
+							tlb.InvalidateSpace(asid)
+							ref.InvalidateSpace(asid)
+						} else {
+							tlb.InvalidateAll()
+							ref.InvalidateAll()
+						}
+					case rng.Intn(200) == 0:
+						fresh := NewTLB(size)
+						if err := fresh.Restore(tlb.State()); err != nil {
+							t.Fatalf("op %d: restore: %v", op, err)
+						}
+						tlb = fresh
+						restores++
+					default:
+						switch rng.Intn(8) {
+						case 0, 1, 2, 3: // lookup-heavy mix
+							gp, gok := tlb.Lookup(asid, vpn)
+							wp, wok := ref.Lookup(asid, vpn)
+							if gp != wp || gok != wok {
+								t.Fatalf("op %d: Lookup(%d,%d) = (%#x,%v), reference (%#x,%v)",
+									op, asid, vpn, gp, gok, wp, wok)
+							}
+						case 4, 5, 6:
+							p := pte(uint32(rng.Intn(1<<12)), pagetable.PTEValid|pagetable.PTE(rng.Intn(2))<<1)
+							tlb.Insert(asid, vpn, p)
+							ref.Insert(asid, vpn, p)
+						default:
+							tlb.InvalidatePage(asid, vpn)
+							ref.InvalidatePage(asid, vpn)
+						}
+					}
+					if h, m := tlb.Stats(); h != ref.hits || m != ref.misses {
+						t.Fatalf("op %d: stats (%d,%d), reference (%d,%d)", op, h, m, ref.hits, ref.misses)
+					}
+					if tlb.next != ref.next {
+						t.Fatalf("op %d: replacement cursor %d, reference %d", op, tlb.next, ref.next)
+					}
+					if !slices.Equal(tlb.entries, ref.entries) {
+						t.Fatalf("op %d: entries\n%+v\nreference\n%+v", op, tlb.entries, ref.entries)
+					}
+					if err := checkTLBIndex(tlb); err != nil {
+						t.Fatalf("op %d: %v", op, err)
+					}
+				}
+				if restores == 0 || ref.hits == 0 || ref.misses == 0 || mix.name == "fill" && ref.evictions < 1000 {
+					t.Fatalf("stream exercised too little: %d restores, %d hits, %d misses, %d evictions",
+						restores, ref.hits, ref.misses, ref.evictions)
+				}
+			})
 		}
 	}
 }

@@ -123,6 +123,7 @@ type MP3D struct {
 	// to which cell, and the free slots of each cell arena.
 	cells   [][]int32 // cell -> slot list
 	slotVel []struct{ vx, vy int32 }
+	inArena []bool // arenaFree's scratch: which of a cell's arena slots are used
 
 	rand *sim.Rand
 
@@ -147,6 +148,7 @@ func NewMP3D(e *hw.Exec, ak *aklib.AppKernel, cfg MP3DConfig) (*MP3D, error) {
 	}
 	m.cells = make([][]int32, ncells)
 	m.slotVel = make([]struct{ vx, vy int32 }, m.slots)
+	m.inArena = make([]bool, cfg.ParticlesPerCell*2)
 	m.populate(e)
 	return m, nil
 }
@@ -294,16 +296,17 @@ func (m *MP3D) reindex(e *hw.Exec, crossings [][2]int32) {
 
 // arenaFree finds a free slot in a cell's arena, or -1.
 func (m *MP3D) arenaFree(c int) int32 {
-	cfg := m.Cfg
-	arena := int32(c * cfg.ParticlesPerCell * 2)
-	size := int32(cfg.ParticlesPerCell * 2)
-	used := make(map[int32]bool, len(m.cells[c]))
+	used := m.inArena
+	arena := int32(c * len(used))
+	clear(used)
 	for _, s := range m.cells[c] {
-		used[s] = true
+		if i := s - arena; i >= 0 && int(i) < len(used) {
+			used[i] = true
+		}
 	}
-	for s := arena; s < arena+size; s++ {
-		if !used[s] {
-			return s
+	for i, u := range used {
+		if !u {
+			return arena + int32(i)
 		}
 	}
 	return -1

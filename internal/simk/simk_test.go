@@ -79,6 +79,31 @@ func TestMP3DLocalityRecopies(t *testing.T) {
 	}
 }
 
+// TestArenaFreeFirstFreeSlot pins the slot a recopy lands in: the
+// first slot of the destination cell's arena that none of the cell's
+// particles holds, whatever order the cell lists them in, ignoring
+// slots the cell holds outside its arena, and -1 for a full arena.
+func TestArenaFreeFirstFreeSlot(t *testing.T) {
+	m := &MP3D{Cfg: MP3DConfig{ParticlesPerCell: 2}, cells: make([][]int32, 3), inArena: make([]bool, 4)}
+	cases := []struct {
+		held []int32 // cell 1's slots; its arena is [4, 8)
+		want int32
+	}{
+		{nil, 4},
+		{[]int32{5, 4}, 6},
+		{[]int32{7, 4, 6}, 5},
+		{[]int32{6, 5, 4, 0, 8}, 7},
+		{[]int32{4, 5, 6, 7}, -1},
+		{[]int32{7, 6, 5, 4, 3}, -1},
+	}
+	for _, tc := range cases {
+		m.cells[1] = tc.held
+		if got := m.arenaFree(1); got != tc.want {
+			t.Errorf("arenaFree with slots %v held = %d, want %d", tc.held, got, tc.want)
+		}
+	}
+}
+
 func TestMP3DScatteredDegradesLocality(t *testing.T) {
 	// A working set large enough to stress the 64-entry TLBs: 64x16
 	// cells x 16 particles = 16384 particles over 256+ pages per lap.
