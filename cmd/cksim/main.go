@@ -14,8 +14,6 @@
 //	cksim -orch -seeds 40 -shards 4    sweep the orchestration family
 //	cksim -fork 30                     fork-family sweep: boot once per class,
 //	                                   explore each seed's continuations by forking
-//	cksim -forkcheck -seeds 40         replay-fork every op-stream seed and require
-//	                                   verdicts identical to the plain run
 //
 // On failure the full scenario is written to cksim-fail-<seed>.json
 // (and cksim-min-<seed>.json when shrinking); either file feeds -replay.
@@ -44,9 +42,12 @@ func main() {
 		san     = flag.Bool("san", false, "require the cksan runtime ownership sanitizer (build with -tags cksan)")
 		orch    = flag.Bool("orch", false, "run the orchestration family (ckctl rolling upgrades) instead of op streams")
 		fork    = flag.Int("fork", 0, "sweep this many fork-family seeds from -start (one boot per class, one fork per continuation)")
-		fkCheck = flag.Bool("forkcheck", false, "run each op-stream seed through the replay fork tier and require identical verdicts")
 	)
 	flag.Parse()
+	// Seed 0 is a seed like any other, so whether -seed was given is
+	// read from the flags set, not from its value.
+	seedSet := false
+	flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
 
 	// -san is a guard, not a switch: the sanitizer is compiled in (or
 	// not) by the cksan build tag, and a sweep that silently ran without
@@ -65,13 +66,9 @@ func main() {
 		os.Exit(runReplay(*replay, *shards))
 	case *fork > 0:
 		os.Exit(runForkSweep(*start, *fork, *shards))
-	case *fkCheck && *seeds > 0:
-		os.Exit(runForkCheck(*start, *seeds, *shards))
-	case *fkCheck:
-		os.Exit(runForkCheck(*seed, 1, *shards))
 	case *seeds > 0:
 		os.Exit(runSweep(gen, *start, *seeds, *shrink, *shrinkN, *shards))
-	case *seed != 0 || flag.Lookup("seed").Value.String() != "0":
+	case seedSet:
 		os.Exit(runOne(gen, *seed, *shrink, *shrinkN, *shards))
 	default:
 		flag.Usage()
@@ -156,27 +153,6 @@ func runForkSweep(start uint64, count, shards int) int {
 		}
 	}
 	fmt.Printf("forked %d seed(s): %d failed\n", count, failed)
-	if failed > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runForkCheck replays every op-stream seed through the replay fork
-// tier (pause at a mid-run cut, verify the state digest reproduces,
-// finish) and requires verdicts identical to the unpaused run.
-func runForkCheck(start uint64, count, shards int) int {
-	failed := 0
-	for i := 0; i < count; i++ {
-		s := start + uint64(i)
-		if err := simtest.ForkCheck(s, shards); err != nil {
-			fmt.Printf("seed %-6d FAIL %v\n", s, err)
-			failed++
-			continue
-		}
-		fmt.Printf("seed %-6d fork-equivalent\n", s)
-	}
-	fmt.Printf("fork-checked %d seed(s): %d failed\n", count, failed)
 	if failed > 0 {
 		return 1
 	}

@@ -141,13 +141,3 @@ func (k *Kernel) RaiseDeviceSignal(id ObjID, value uint32) bool {
 func (k *Kernel) SignalReturn(e *hw.Exec) {
 	e.ChargeNoIntr(costSignalReturn)
 }
-
-// RTLBStats reports per-CPU reverse-TLB hits and misses.
-func (k *Kernel) RTLBStats() (hits, misses uint64) {
-	for _, r := range k.rtlbs {
-		h, m := r.stats()
-		hits += h
-		misses += m
-	}
-	return hits, misses
-}

@@ -58,6 +58,3 @@ func (r *rtlb) fill(pfn uint32, version uint64, recv []rtlbReceiver) {
 	r.entries[r.next] = rtlbEntry{valid: true, pfn: pfn, version: version, receivers: recv}
 	r.next = (r.next + 1) % len(r.entries)
 }
-
-// stats reports hit/miss counts.
-func (r *rtlb) stats() (hits, misses uint64) { return r.hits, r.misses }

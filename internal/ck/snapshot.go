@@ -23,8 +23,8 @@ import (
 // the same counters. What it deliberately cannot capture is execution:
 // a parked coroutine's stack is opaque to the host, so capture refuses
 // (ErrSnapshotBusy) while any call is in flight or any thread
-// descriptor is loaded; mid-execution cuts belong to the replay fork
-// tier (internal/snap), which rebuilds and re-runs to the cut instead.
+// descriptor is loaded. Such a machine cannot be forked; it must be
+// drained first.
 
 // String names a thread scheduling state for snapshots and diagnostics.
 func (s threadState) String() string {
@@ -144,7 +144,7 @@ func (k *Kernel) Snapshot() Snap {
 // execution state a structural snapshot cannot carry: a Cache Kernel
 // call parked mid-mutation at a charge point, or a loaded thread
 // descriptor (whose coroutine stack the host cannot serialize). The
-// caller either drains the machine first or uses the replay fork tier.
+// caller must drain the machine first.
 var ErrSnapshotBusy = fmt.Errorf("ck: snapshot refused: execution state in flight")
 
 func errShape(cache, what string, got, want int) error {
@@ -273,8 +273,7 @@ type State struct {
 // CaptureState captures the instance's structural state. It refuses
 // with ErrSnapshotBusy while any Cache Kernel call is in flight or any
 // thread descriptor is loaded — both imply live coroutines whose
-// stacks cannot be serialized; see the package comment for the replay
-// alternative.
+// stacks cannot be serialized.
 func (k *Kernel) CaptureState() (*State, error) {
 	if k.inCalls != 0 {
 		return nil, fmt.Errorf("%w: %d call(s) parked mid-mutation", ErrSnapshotBusy, k.inCalls)

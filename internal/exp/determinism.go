@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
 	"vpp/internal/ck"
 	"vpp/internal/hw"
@@ -16,9 +17,7 @@ import (
 // its schedule trace against a golden generated before the engine
 // optimization, and asserts the sharded engine (shards > 1 spreads the
 // two MPMs over per-shard goroutines) reproduces it byte-identically.
-// Like every golden workload it is a snap.CutFunc: with a pause hook it
-// pauses at virtual time cut before running to completion.
-func RunDeterminismWorkload(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (finalClock, steps uint64, err error) {
+func RunDeterminismWorkload(trace func(name string, at uint64), shards int) (finalClock, steps uint64, err error) {
 	cfg := hw.DefaultConfig()
 	cfg.MPMs = 2
 	cfg.Shards = shards
@@ -33,7 +32,7 @@ func RunDeterminismWorkload(trace func(name string, at uint64), shards int, cut 
 		}
 	}
 	m.SetMaxSteps(50_000_000)
-	if err := runCut(m, cut, pause); err != nil {
+	if err := m.Run(math.MaxUint64); err != nil {
 		return 0, 0, err
 	}
 	for _, e := range errs {

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
 	"vpp/internal/ck"
 	"vpp/internal/hw"
@@ -17,9 +18,8 @@ import (
 // in RunDeterminismWorkload it pins the boot path and the
 // signal-delivery fast path under the determinism goldens. The machine
 // has one MPM, so shards above one clamp to the serial engine; the
-// parameter keeps the workload signature (snap.CutFunc) uniform across
-// the goldens.
-func RunBootEchoWorkload(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (finalClock, steps uint64, err error) {
+// parameter keeps the workload signature uniform across the goldens.
+func RunBootEchoWorkload(trace func(name string, at uint64), shards int) (finalClock, steps uint64, err error) {
 	cfg := hw.DefaultConfig()
 	cfg.Shards = shards
 	m := hw.NewMachine(cfg)
@@ -40,7 +40,7 @@ func RunBootEchoWorkload(trace func(name string, at uint64), shards int, cut uin
 		return 0, 0, err
 	}
 	m.SetMaxSteps(50_000_000)
-	if err := runCut(m, cut, pause); err != nil {
+	if err := m.Run(math.MaxUint64); err != nil {
 		return 0, 0, err
 	}
 	if bodyErr != nil {

@@ -3,15 +3,13 @@ package exp
 import (
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 
-	"vpp/internal/hw"
+	"vpp/internal/sim"
 	"vpp/internal/simtest"
-	"vpp/internal/snap"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -35,20 +33,25 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 //     chaos injector and the cross-module harness.
 var goldens = []struct {
 	name string
-	run  snap.CutFunc
+	run  workload
 }{
 	{"schedule", RunDeterminismWorkload},
 	{"boot_echo", RunBootEchoWorkload},
-	{"recovery", func(trace func(string, uint64), shards int, cut uint64, pause func(*hw.Machine)) (uint64, uint64, error) {
-		r, err := RunRecoveryWorkload(trace, shards, cut, pause)
+	{"recovery", func(trace func(string, uint64), shards int) (uint64, uint64, error) {
+		r, err := RunRecoveryWorkload(trace, shards)
 		return r.FinalClock, r.Steps, err
 	}},
-	{"orchestration", func(trace func(string, uint64), shards int, cut uint64, pause func(*hw.Machine)) (uint64, uint64, error) {
-		r, err := RunOrchestrationWorkload(trace, shards, cut, pause)
+	{"orchestration", func(trace func(string, uint64), shards int) (uint64, uint64, error) {
+		r, err := RunOrchestrationWorkload(trace, shards)
 		return r.FinalClock, r.Steps, err
 	}},
 	{"simtest", simtest.SeedWorkload(17)},
 }
+
+// workload is a golden workload: it runs to completion at the given
+// shard count, reporting every coroutine dispatch to trace, and returns
+// the final virtual clock and schedule step count.
+type workload func(trace func(name string, at uint64), shards int) (finalClock, steps uint64, err error)
 
 // TestTraceGoldens runs each golden workload serially twice and at four
 // shards once, asserts all three runs are byte-identical, and compares
@@ -97,26 +100,16 @@ func TestTraceGoldens(t *testing.T) {
 }
 
 // scheduleFingerprint executes a workload and renders its schedule
-// fingerprint: the FNV-1a hash over every (coroutine-name,
-// dispatch-time) pair plus the dispatch, step and final-clock counts.
-func scheduleFingerprint(workload snap.CutFunc, shards int) (string, error) {
-	h := fnv.New64a()
-	var dispatches uint64
-	trace := func(name string, at uint64) {
-		dispatches++
-		var buf [8]byte
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(at >> (8 * i))
-		}
-		h.Write([]byte(name))
-		h.Write(buf[:])
-	}
-	cycles, steps, err := workload(trace, shards, 0, nil)
+// fingerprint: the sim.TraceHash of its dispatch trace plus the
+// dispatch, step and final-clock counts.
+func scheduleFingerprint(run workload, shards int) (string, error) {
+	var h sim.TraceHash
+	cycles, steps, err := run(h.Add, shards)
 	if err != nil {
 		return "", err
 	}
 	return fmt.Sprintf("fnv64a %016x\ndispatches %d\nsteps %d\nfinal_clock %d\n",
-		h.Sum64(), dispatches, steps, cycles), nil
+		h.Sum64(), h.Count(), steps, cycles), nil
 }
 
 // TestShardInvarianceAcrossGOMAXPROCS re-runs every golden workload

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
 	"vpp/internal/ck"
 	"vpp/internal/ckctl"
@@ -61,9 +62,8 @@ func (r OrchestrationResult) String() string {
 // fixed virtual time, and reports the migration blackout distribution.
 // No chaos: every migration must complete and every oracle-style check
 // here is fatal. Fully deterministic; the orchestration golden hashes
-// its dispatch schedule. With a pause hook it pauses at virtual time
-// cut before running to completion, as a snap.CutFunc does.
-func RunOrchestrationWorkload(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (OrchestrationResult, error) {
+// its dispatch schedule.
+func RunOrchestrationWorkload(trace func(name string, at uint64), shards int) (OrchestrationResult, error) {
 	const (
 		mpms      = 3
 		pods      = 24
@@ -106,7 +106,7 @@ func RunOrchestrationWorkload(trace func(name string, at uint64), shards int, cu
 	c.ScheduleRollingUpgrade(hw.CyclesFromMicros(upgradeUS))
 
 	m.SetMaxSteps(2_000_000_000)
-	if err := runCut(m, cut, pause); err != nil {
+	if err := m.Run(math.MaxUint64); err != nil {
 		return res, err
 	}
 	if bad := c.Verify(); len(bad) > 0 {

@@ -6,7 +6,7 @@ import "testing"
 // migrates every long-running pod exactly once, with a positive
 // blackout and an ordered distribution, and nothing restarts.
 func TestOrchestrationWorkload(t *testing.T) {
-	res, err := RunOrchestrationWorkload(nil, 1, 0, nil)
+	res, err := RunOrchestrationWorkload(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 
 	"vpp/internal/aklib"
 	"vpp/internal/chaos"
@@ -69,9 +70,8 @@ func (r RecoveryResult) String() string {
 // (the sleeper resumes from its backing record, the killed compute
 // process is rerun from its program start) and returns the recovery
 // latency breakdown. Fully deterministic; the recovery golden hashes
-// its dispatch schedule. With a pause hook it pauses at virtual time
-// cut before running to completion, as a snap.CutFunc does.
-func RunRecoveryWorkload(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (RecoveryResult, error) {
+// its dispatch schedule.
+func RunRecoveryWorkload(trace func(name string, at uint64), shards int) (RecoveryResult, error) {
 	var res RecoveryResult
 	res.CrashAt = hw.CyclesFromMicros(18_000)
 	horizon := hw.CyclesFromMicros(120_000)
@@ -167,7 +167,7 @@ func RunRecoveryWorkload(trace func(name string, at uint64), shards int, cut uin
 		return res, err
 	}
 	m.SetMaxSteps(2_000_000_000)
-	if err := runCut(m, cut, pause); err != nil {
+	if err := m.Run(math.MaxUint64); err != nil {
 		return res, err
 	}
 	if bodyErr != nil {

@@ -9,7 +9,7 @@ import (
 // crash: every emulated process finishes, the latency milestones are
 // ordered, and the breakdown is attributed correctly.
 func TestRecoveryWorkload(t *testing.T) {
-	res, err := RunRecoveryWorkload(nil, 1, 0, nil)
+	res, err := RunRecoveryWorkload(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,14 +86,6 @@ func (c *L2Cache) chunk(idx uint32) *l2Chunk {
 	return ch
 }
 
-// tagAt reports line idx's stored tag, 0 for an invalid line.
-func (c *L2Cache) tagAt(idx uint32) uint32 {
-	if ch := c.chunks[idx/l2ChunkLines]; ch != nil {
-		return ch[idx%l2ChunkLines]
-	}
-	return 0
-}
-
 // FlushAll invalidates every line (used by the second-level cache manager
 // when reassigning page frames across kernels).
 func (c *L2Cache) FlushAll() {

@@ -226,70 +226,6 @@ func (m *Machine) WarpClocks(cs ClockState) error {
 	return nil
 }
 
-// StateDigest hashes the machine's observable hardware state — virtual
-// time, schedule steps, CPU clocks and interrupt state, TLB entries,
-// L2 tags and physical memory contents — into one value. The replay fork tier uses it to
-// assert that a rebuilt machine driven to the same virtual-time cut
-// reached a byte-identical state before its divergent continuation.
-func (m *Machine) StateDigest() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	w64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	w64(m.Now())
-	w64(m.Steps())
-	for _, mpm := range m.MPMs {
-		for _, c := range mpm.CPUs {
-			w64(c.Clock.Now())
-			intr := uint64(c.Pending)
-			if c.IntrOff {
-				intr |= 1 << 32
-			}
-			w64(intr)
-			for _, e := range c.TLB.entries {
-				if !e.valid {
-					w64(0)
-					continue
-				}
-				w64(1)
-				w64(uint64(e.asid))
-				w64(uint64(e.vpn))
-				w64(uint64(e.pte))
-			}
-		}
-		for i := uint32(0); i < mpm.L2.lines; i++ {
-			w64(uint64(mpm.L2.tagAt(i)))
-		}
-		w64(uint64(mpm.LocalRAM.Used()))
-	}
-	for pfn := uint32(0); pfn < m.Phys.Frames(); pfn++ {
-		f := m.Phys.peek(pfn)
-		if f == nil {
-			continue
-		}
-		zero := true
-		for _, b := range f {
-			if b != 0 {
-				zero = false
-				break
-			}
-		}
-		if zero {
-			// An allocated-but-zero frame is indistinguishable from a
-			// never-touched one to every reader; hash them identically
-			// so lazy allocation order cannot perturb the digest.
-			continue
-		}
-		w64(uint64(pfn))
-		h.Write(f[:])
-	}
-	return h.Sum64()
-}
-
 // FrameDigest hashes one physical frame's contents (zero for a
 // never-touched frame). Fork-isolation oracles use it to assert a
 // parent's pages are untouched by its forks' writes.

@@ -13,8 +13,8 @@ import (
 // trace, every event firing (collected per shard, so recording is free
 // of cross-goroutine writes, then merged by unique virtual time), and
 // the final clock and step count. Each edge-case test asserts the
-// fingerprint is byte-identical across shard counts — the cluster's
-// core contract.
+// fingerprint is byte-identical across shard counts and across Run
+// calls — the cluster's core contract (checkShardInvariant).
 type clusterScenario struct {
 	c     *Cluster
 	trace []string
@@ -34,8 +34,15 @@ func (s *clusterScenario) rec(i int, label string, at uint64) {
 	s.recs[i] = append(s.recs[i], fmt.Sprintf("%s@%d", label, at))
 }
 
-func (s *clusterScenario) fingerprint(t *testing.T) string {
+// fingerprint runs the scenario to the end, stopping first at each cut
+// (a Run call per cut, then one to math.MaxUint64), and renders it.
+func (s *clusterScenario) fingerprint(t *testing.T, cuts ...uint64) string {
 	t.Helper()
+	for _, cut := range cuts {
+		if err := s.c.Run(cut); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := s.c.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +66,27 @@ func (s *clusterScenario) fingerprint(t *testing.T) string {
 	})
 	return fmt.Sprintf("trace:%s\nrecs:%s\nnow:%d steps:%d",
 		strings.Join(s.trace, " "), strings.Join(all, " "), s.c.Now(), s.c.Steps())
+}
+
+// checkShardInvariant renders the scenario from one straight serial
+// run, then from a serial run cut into three Run calls (at a third and
+// two thirds of the straight run's final time), a straight run at
+// shards shards and a cut one. All four must match; it returns the
+// fingerprint. Stopping and resuming a run changes nothing it does.
+func checkShardInvariant(t *testing.T, shards int, build func(shards int) *clusterScenario) string {
+	t.Helper()
+	s := build(1)
+	want := s.fingerprint(t)
+	cuts := []uint64{s.c.Now() / 3, 2 * s.c.Now() / 3}
+	for _, r := range []struct {
+		shards int
+		cuts   []uint64
+	}{{1, cuts}, {shards, nil}, {shards, cuts}} {
+		if got := build(r.shards).fingerprint(t, r.cuts...); got != want {
+			t.Fatalf("%d shard(s) cut at %v diverge from a straight serial run:\nwant: %s\ngot:  %s", r.shards, r.cuts, want, got)
+		}
+	}
+	return want
 }
 
 // shardOf picks the owning engine, clamping to the shard count so the
@@ -113,11 +141,7 @@ func TestClusterEmptyShard(t *testing.T) {
 		s.tickChain(2, "b", 350, 900, 8)
 		return s
 	}
-	serial := build(1).fingerprint(t)
-	sharded := build(3).fingerprint(t)
-	if serial != sharded {
-		t.Fatalf("empty-shard run diverges:\nserial:  %s\nsharded: %s", serial, sharded)
-	}
+	checkShardInvariant(t, 3, build)
 }
 
 // TestClusterShardFinishesMidEpoch: one shard goes quiescent partway
@@ -137,11 +161,7 @@ func TestClusterShardFinishesMidEpoch(t *testing.T) {
 		s.tickChain(0, "long", 10, 800, 12) // ~10 epochs of work
 		return s
 	}
-	serial := build(1).fingerprint(t)
-	sharded := build(2).fingerprint(t)
-	if serial != sharded {
-		t.Fatalf("mid-epoch finish diverges:\nserial:  %s\nsharded: %s", serial, sharded)
-	}
+	checkShardInvariant(t, 2, build)
 }
 
 // TestClusterZeroLatencySameShardDelivery: a coroutine scheduling an
@@ -165,13 +185,8 @@ func TestClusterZeroLatencySameShardDelivery(t *testing.T) {
 		s.tickChain(0, "bg", 50, 900, 6)
 		return s
 	}
-	serial := build(1).fingerprint(t)
-	sharded := build(2).fingerprint(t)
-	if serial != sharded {
-		t.Fatalf("zero-latency delivery diverges:\nserial:  %s\nsharded: %s", serial, sharded)
-	}
-	if !strings.Contains(sharded, "fire@300") {
-		t.Fatalf("zero-delay event did not fire at its scheduling instant: %s", sharded)
+	if got := checkShardInvariant(t, 2, build); !strings.Contains(got, "fire@300") {
+		t.Fatalf("zero-delay event did not fire at its scheduling instant: %s", got)
 	}
 }
 
@@ -199,12 +214,61 @@ func TestClusterInboxOnEpochBoundary(t *testing.T) {
 		s.tickChain(1, "s1", 600, 200, 8)
 		return s
 	}
-	serial := build(1).fingerprint(t)
-	sharded := build(2).fingerprint(t)
-	if serial != sharded {
-		t.Fatalf("boundary inbox diverges:\nserial:  %s\nsharded: %s", serial, sharded)
+	if got := checkShardInvariant(t, 2, build); !strings.Contains(got, "inbox@1000") {
+		t.Fatalf("boundary message did not fire at cause+bound: %s", got)
 	}
-	if !strings.Contains(sharded, "inbox@1000") {
-		t.Fatalf("boundary message did not fire at cause+bound: %s", sharded)
+}
+
+// TestClusterPingPong: two coroutines on two shards wake each other
+// for many epochs. Each activation records, works for less than the
+// bound, sends the peer a cross-shard message that unparks it one
+// bound later, and parks. Both shards dispatch and exchange messages
+// in every epoch, so the cut runs of checkShardInvariant carry cross-
+// shard traffic and dispatches on both shards past each cut. Every
+// activation also registers a local event at one common time after
+// the last round; those must fire in registration order, also when a
+// cut falls between two of the registrations.
+func TestClusterPingPong(t *testing.T) {
+	const (
+		bound  = 1000
+		rounds = 20
+		late   = 25_000
+	)
+	build := func(shards int) *clusterScenario {
+		s := newClusterScenario(shards)
+		s.c.Bound(bound)
+		var (
+			engs  [2]*Engine
+			coros [2]*Coro
+			clks  [2]*Clock
+		)
+		for i := range coros {
+			name := fmt.Sprintf("p%d", i)
+			engs[i], clks[i] = s.shardOf(i), NewClock(name)
+			fired := 0
+			coros[i] = engs[i].NewCoro(name, func(ctx *Ctx) {
+				peer := 1 - i
+				for r := 0; r < rounds; r++ {
+					s.rec(i%shards, fmt.Sprintf("%s.%d", name, r), ctx.Now())
+					ctx.Engine().ScheduleAt(late, func() {
+						fired++
+						s.rec(i%shards, fmt.Sprintf("%s.late%d.%d", name, r, fired), late)
+					})
+					ctx.Advance(uint64(100 + 30*i))
+					at := ctx.Now() + bound
+					ctx.Engine().ScheduleCrossAt(engs[peer], at, func() {
+						clks[peer].AdvanceTo(at)
+						engs[peer].UnparkOn(coros[peer], clks[peer])
+					})
+					ctx.Park()
+				}
+			})
+			engs[i].UnparkOn(coros[i], clks[i])
+		}
+		return s
+	}
+	got := checkShardInvariant(t, 2, build)
+	if !strings.Contains(got, fmt.Sprintf("p1.%d@", rounds-1)) {
+		t.Fatalf("the exchange stopped before round %d: %s", rounds-1, got)
 	}
 }

@@ -31,7 +31,7 @@ import (
 //
 // The family is bare-ck (no SRM services): the op-stream family's
 // service threads are immortal within a run, so its machines are never
-// quiescent and fork through the replay tier (ForkCheck) instead.
+// quiescent and cannot be forked.
 
 // ForkScenario is one generated fork-exploration case.
 type ForkScenario struct {
@@ -271,19 +271,15 @@ func expectedDirty(sc ForkScenario, cont int) uint64 {
 // read from its pages (loads before and after each store, so leaked
 // sibling or parent state shows up as a checksum mismatch).
 type contOutcome struct {
-	hash       uint64
-	dispatches uint64
-	clock      uint64
-	sum        uint64
-	err        error
+	sched sim.TraceHash
+	clock uint64
+	sum   uint64
+	err   error
 }
 
-func runForkContinuation(m *hw.Machine, ks []*ck.Kernel, sc ForkScenario, cont int) contOutcome {
-	out := contOutcome{hash: fnvOffset}
-	m.SetTraceDispatch(func(name string, at uint64) {
-		out.dispatches++
-		out.hash = fnvAdd(out.hash, name, at)
-	})
+func runForkContinuation(m *hw.Machine, ks []*ck.Kernel, sc ForkScenario, cont int) *contOutcome {
+	out := &contOutcome{}
+	m.SetTraceDispatch(out.sched.Add)
 	plans := contPlans(sc, cont)
 	sums := make([]uint64, len(ks))
 	for i, k := range ks {
@@ -323,7 +319,11 @@ func runForkContinuation(m *hw.Machine, ks []*ck.Kernel, sc ForkScenario, cont i
 // fork the class image once per continuation and check every oracle
 // against a freshly booted machine running the identical continuation.
 func RunForkScenario(sc ForkScenario, shards int) *ForkResult {
-	res := &ForkResult{Scenario: sc, Hash: fnvOffset}
+	res := &ForkResult{Scenario: sc}
+	// conts folds each completed continuation's schedule hash, in
+	// order, into res.Hash.
+	var conts sim.TraceHash
+	res.Hash = conts.Sum64()
 	fail := func(oracle, format string, args ...any) {
 		res.Failures = append(res.Failures, Failure{Oracle: oracle, Detail: fmt.Sprintf(format, args...)})
 	}
@@ -339,8 +339,11 @@ func RunForkScenario(sc ForkScenario, shards int) *ForkResult {
 		return res
 	}
 	for c := 0; c < sc.Conts; c++ {
-		exploreContinuation(ci, sc, c, shards, res, fail)
+		if sched, ok := exploreContinuation(ci, sc, c, shards, res, fail); ok {
+			conts.Add("cont", sched)
+		}
 	}
+	res.Hash = conts.Sum64()
 	if d1, err := ci.im.Digest(); err != nil {
 		fail("cow", "post-fork digest: %v", err)
 	} else if d1 != d0 {
@@ -351,23 +354,24 @@ func RunForkScenario(sc ForkScenario, shards int) *ForkResult {
 
 // exploreContinuation runs continuation c on a fork of the class image
 // and on a freshly booted machine, checks the fork-vs-fresh and COW
-// oracles, and closes both machines.
-func exploreContinuation(ci *classImage, sc ForkScenario, c, shards int, res *ForkResult, fail func(oracle, format string, args ...any)) {
+// oracles, and closes both machines. ok reports that both runs
+// completed; sched is then the forked run's schedule hash.
+func exploreContinuation(ci *classImage, sc ForkScenario, c, shards int, res *ForkResult, fail func(oracle, format string, args ...any)) (sched uint64, ok bool) {
 	fm, fks, err := ci.im.Fork(shards, nil)
 	if err != nil {
 		fail("fork", "cont %d: %v", c, err)
-		return
+		return 0, false
 	}
 	defer fm.Close()
 	fOut := runForkContinuation(fm, fks, sc, c)
 	if fOut.err != nil {
 		fail("fork", "cont %d: %v", c, fOut.err)
-		return
+		return 0, false
 	}
 	nm, nks, err := bootForkClass(sc.Class(), shards)
 	if err != nil {
 		fail("fork", "cont %d fresh boot: %v", c, err)
-		return
+		return 0, false
 	}
 	defer nm.Close()
 	// The fork warped every engine to the snapshot's global clock;
@@ -375,16 +379,16 @@ func exploreContinuation(ci *classImage, sc ForkScenario, c, shards int, res *Fo
 	// timelines are comparable cycle for cycle.
 	if err := nm.WarpClocks(nm.CaptureClocks()); err != nil {
 		fail("fork", "cont %d fresh warp: %v", c, err)
-		return
+		return 0, false
 	}
 	nOut := runForkContinuation(nm, nks, sc, c)
 	if nOut.err != nil {
 		fail("fork", "cont %d fresh: %v", c, nOut.err)
-		return
+		return 0, false
 	}
-	if fOut.hash != nOut.hash || fOut.dispatches != nOut.dispatches {
+	if fOut.sched != nOut.sched {
 		fail("fork-vs-fresh", "cont %d: forked schedule %016x/%d dispatches vs fresh %016x/%d",
-			c, fOut.hash, fOut.dispatches, nOut.hash, nOut.dispatches)
+			c, fOut.sched.Sum64(), fOut.sched.Count(), nOut.sched.Sum64(), nOut.sched.Count())
 	}
 	if fOut.clock != nOut.clock {
 		fail("fork-vs-fresh", "cont %d: forked final clock %d vs fresh %d", c, fOut.clock, nOut.clock)
@@ -400,60 +404,5 @@ func exploreContinuation(ci *classImage, sc ForkScenario, c, shards int, res *Fo
 	}
 	res.Forks++
 	res.CowCopied += stats.CopiedPages
-	res.Hash = fnvAdd(res.Hash, "cont", fOut.hash)
-}
-
-// RunForkSeed generates and runs one fork-family seed serially.
-func RunForkSeed(seed uint64) *ForkResult {
-	return RunForkScenario(GenerateFork(seed), 1)
-}
-
-// ForkCheck runs one op-stream seed through the replay fork tier and
-// verifies the forked mode changes no verdict: the run paused at a
-// mid-trace cut must report the identical failures, schedule hash,
-// dispatch count and final clock as the unpaused run, and the machine
-// state digest at the cut must reproduce across runs.
-func ForkCheck(seed uint64, shards int) error {
-	sc := Generate(seed)
-	base := RunSharded(sc, nil, shards)
-	cut := base.FinalClock / 2
-	var d1, d2 uint64
-	paused := RunCut(sc, nil, shards, cut, func(m *hw.Machine) { d1 = m.StateDigest() })
-	forked := RunCut(sc, nil, shards, cut, func(m *hw.Machine) { d2 = m.StateDigest() })
-	if d1 != d2 {
-		return fmt.Errorf("seed %d: state digest at cut %d not reproducible: %016x vs %016x", seed, cut, d1, d2)
-	}
-	if err := verdictEqual(base, paused); err != nil {
-		return fmt.Errorf("seed %d: fork-mode run (cut %d) diverged from plain run: %w", seed, cut, err)
-	}
-	if err := verdictEqual(base, forked); err != nil {
-		return fmt.Errorf("seed %d: second fork-mode run (cut %d) diverged from plain run: %w", seed, cut, err)
-	}
-	return nil
-}
-
-// verdictEqual compares every deterministic verdict of two runs of the
-// same scenario.
-func verdictEqual(a, b *Result) error {
-	if a.Hash != b.Hash {
-		return fmt.Errorf("schedule hash %016x vs %016x", a.Hash, b.Hash)
-	}
-	if a.Dispatches != b.Dispatches {
-		return fmt.Errorf("%d vs %d dispatches", a.Dispatches, b.Dispatches)
-	}
-	if a.FinalClock != b.FinalClock {
-		return fmt.Errorf("final clock %d vs %d", a.FinalClock, b.FinalClock)
-	}
-	if a.Steps != b.Steps {
-		return fmt.Errorf("%d vs %d steps", a.Steps, b.Steps)
-	}
-	if len(a.Failures) != len(b.Failures) {
-		return fmt.Errorf("%d vs %d failures", len(a.Failures), len(b.Failures))
-	}
-	for i := range a.Failures {
-		if a.Failures[i] != b.Failures[i] {
-			return fmt.Errorf("failure %d: %q vs %q", i, a.Failures[i].Detail, b.Failures[i].Detail)
-		}
-	}
-	return nil
+	return fOut.sched.Sum64(), true
 }

@@ -38,20 +38,3 @@ func TestForkFamily(t *testing.T) {
 		})
 	}
 }
-
-// TestForkCheck sends op-stream seeds through the replay fork tier and
-// requires the forked mode to change no verdict, serially and at four
-// shards.
-func TestForkCheck(t *testing.T) {
-	for seed := uint64(1); seed <= 4; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed_%d", seed), func(t *testing.T) {
-			t.Parallel()
-			for _, shards := range []int{1, 4} {
-				if err := ForkCheck(seed, shards); err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
-				}
-			}
-		})
-	}
-}

@@ -10,22 +10,29 @@ import "testing"
 // this keeps a reproducible slice of it in `go test` form):
 //
 //	go test -tags cksimlong ./internal/simtest/
+//
+// Each seed also runs as the shrinker's chunked probe at four shards,
+// which must match a passing run byte for byte and fail with a failing
+// one.
 func TestSeedSweep(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		r := RunSeed(seed)
 		if r.Failed() {
 			t.Errorf("seed %d failed:\n%s", seed, r.Fingerprint())
 		}
+		checkProbe(t, r, 4)
 	}
 }
 
 // TestOrchSeedSweep is the orchestration family's long-form sweep, with
 // shard-determinism checked on every fourth seed (each orch run is tens
-// of megacycles; the full pairwise sweep belongs to the nightly CLI).
+// of megacycles; the full pairwise sweep belongs to the nightly CLI)
+// and the four-shard chunked probe on every seed, as in TestSeedSweep.
 func TestOrchSeedSweep(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		sc := GenerateOrch(seed)
 		r := Run(sc, nil)
+		checkProbe(t, r, 4)
 		if r.Failed() {
 			t.Errorf("orch seed %d failed:\n%s", seed, r.Fingerprint())
 			continue

@@ -16,7 +16,7 @@ import (
 // conservation/coherence/liveness/invariants sweep and the orchestration
 // properties below. Byte-identical at any shard count, like everything
 // else under the virtual clock.
-func runOrch(sc Scenario, trace func(name string, at uint64), shards int, opts runOpts) *Result {
+func runOrch(sc Scenario, trace func(name string, at uint64), shards int, probe bool) *Result {
 	res := &Result{Scenario: sc}
 	o := sc.Orch
 	h := &harness{sc: sc, horizon: hw.CyclesFromMicros(float64(sc.HorizonUS))}
@@ -73,7 +73,7 @@ func runOrch(sc Scenario, trace func(name string, at uint64), shards int, opts r
 	c.ScheduleRollingUpgrade(hw.CyclesFromMicros(float64(o.UpgradeAtUS)))
 
 	h.m.SetMaxSteps(2_000_000_000)
-	if runErr := h.runMachine(opts); runErr != nil {
+	if runErr := h.runMachine(probe); runErr != nil {
 		h.failf("op", "machine run: %v", runErr)
 	}
 	if h.panicked {

@@ -59,7 +59,8 @@ func TestOrchShardedMatchesSerial(t *testing.T) {
 }
 
 // TestOrchDeterminism asserts bit-reproducibility of the orchestration
-// family within one process: same seed, same fingerprint.
+// family within one process: same seed, same fingerprint, also from
+// the shrinker's chunked probe, serially and at four shards.
 func TestOrchDeterminism(t *testing.T) {
 	for _, seed := range []uint64{1, 4, 12} {
 		a := Run(GenerateOrch(seed), nil)
@@ -68,5 +69,7 @@ func TestOrchDeterminism(t *testing.T) {
 			t.Errorf("orch seed %d diverged:\n--- first\n%s\n--- second\n%s",
 				seed, a.Fingerprint(), b.Fingerprint())
 		}
+		checkProbe(t, a, 1)
+		checkProbe(t, a, 4)
 	}
 }

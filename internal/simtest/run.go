@@ -37,24 +37,6 @@ const (
 	dsmRounds      = 12
 )
 
-// FNV-1a, matching the determinism goldens' schedule fingerprint.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-func fnvAdd(h uint64, name string, at uint64) uint64 {
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= fnvPrime
-	}
-	for i := 0; i < 8; i++ {
-		h ^= uint64(byte(at >> (8 * i)))
-		h *= fnvPrime
-	}
-	return h
-}
-
 func minU64(a, b uint64) uint64 {
 	if a < b {
 		return a
@@ -96,8 +78,7 @@ type harness struct {
 	// per execution context, not across the global dispatch interleaving.
 	lastByName map[string]uint64
 	monoBad    bool
-	hash       uint64
-	dispatches uint64
+	sched      sim.TraceHash
 
 	fiber    [2]*dev.FiberPort
 	dsmReady [2]bool // per-node: sharer attached
@@ -208,7 +189,7 @@ func (n *node) hasMixActors() bool { return n.hasUnix() || n.hasRTK() || n.hasDS
 // trace callback observes the full dispatch schedule (for the
 // determinism golden).
 func Run(sc Scenario, trace func(name string, at uint64)) *Result {
-	return runWith(sc, trace, 1)
+	return runWith(sc, trace, 1, false)
 }
 
 // RunSharded runs the scenario on a sharded machine: MPMs are spread
@@ -216,14 +197,7 @@ func Run(sc Scenario, trace func(name string, at uint64)) *Result {
 // constraints) and the result must be byte-identical to Run's — that
 // equivalence is cksim's oracle for the parallel engine.
 func RunSharded(sc Scenario, trace func(name string, at uint64), shards int) *Result {
-	return runWith(sc, trace, shards)
-}
-
-// RunCut runs the scenario pausing once at virtual time cut for the
-// pause hook (the replay fork tier's snapshot instant) before running
-// to completion. cut == 0 with a nil pause is RunSharded.
-func RunCut(sc Scenario, trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) *Result {
-	return runWithOpts(sc, trace, shards, runOpts{cut: cut, pause: pause})
+	return runWith(sc, trace, shards, false)
 }
 
 // shardPlan assigns each MPM a shard. Interconnect traffic (fiber,
@@ -276,29 +250,17 @@ func shardPlan(sc *Scenario, shards int) []int {
 	return plan
 }
 
-// runOpts are the harness's execution-mode knobs: the replay-tier cut
-// (pause once at a virtual time, then continue) and the shrink prober's
-// early stop (run in bounded chunks, stop once an oracle has fired).
-type runOpts struct {
-	cut       uint64
-	pause     func(m *hw.Machine)
-	earlyStop bool
-}
-
-func runWith(sc Scenario, trace func(name string, at uint64), shards int) *Result {
-	return runWithOpts(sc, trace, shards, runOpts{})
-}
-
-// runMachine drives the built machine to its horizon under the options:
-// pausing once at the cut, and — for shrink probes — running in
-// virtual-time chunks that stop as soon as a failure is on the ledger
-// (failures are recorded at deterministic virtual times, so a full run
-// of the same scenario records the same failure; stopping early cannot
-// turn a failing scenario into a passing one). A coroutine's panic ends
-// the run and is recorded as a "panic" failure naming the coroutine and
-// the panic value; its stack holds addresses, which would make the
-// fingerprint differ from run to run, so it is left out.
-func (h *harness) runMachine(opts runOpts) error {
+// runMachine drives the built machine to its horizon. A shrink probe
+// runs in virtual-time chunks and stops as soon as a failure is on the
+// ledger: failures are recorded at deterministic virtual times, so a
+// full run of the same scenario records the same failure, and stopping
+// early cannot turn a failing scenario into a passing one. A probe
+// that records no failure runs to the end, byte-identical to one
+// straight run. A coroutine's panic ends the run and is recorded as a
+// "panic" failure naming the coroutine and the panic value; its stack
+// holds addresses, which would make the fingerprint differ from run to
+// run, so it is left out.
+func (h *harness) runMachine(probe bool) error {
 	defer func() {
 		if r := recover(); r != nil {
 			p, ok := r.(*sim.Panic)
@@ -309,13 +271,7 @@ func (h *harness) runMachine(opts runOpts) error {
 			h.failf("panic", "%s: %v", p.Coro, p.Value)
 		}
 	}()
-	if opts.pause != nil {
-		if err := h.m.Run(opts.cut); err != nil {
-			return err
-		}
-		opts.pause(h.m)
-	}
-	if opts.earlyStop {
+	if probe {
 		chunk := h.horizon/8 + 1
 		// Past the ticker retirement point nothing periodic remains; the
 		// final unbounded Run below drains whatever is left.
@@ -335,9 +291,11 @@ func (h *harness) runMachine(opts runOpts) error {
 	return h.m.Run(math.MaxUint64)
 }
 
-func runWithOpts(sc Scenario, trace func(name string, at uint64), shards int, opts runOpts) *Result {
+// runWith builds and runs one scenario at the given shard count; probe
+// selects the shrink prober's chunked run with its early stop.
+func runWith(sc Scenario, trace func(name string, at uint64), shards int, probe bool) *Result {
 	if sc.Orch != nil {
-		return runOrch(sc, trace, shards, opts)
+		return runOrch(sc, trace, shards, probe)
 	}
 	res := &Result{Scenario: sc}
 	h := &harness{sc: sc, horizon: hw.CyclesFromMicros(float64(sc.HorizonUS))}
@@ -399,7 +357,7 @@ func runWithOpts(sc Scenario, trace func(name string, at uint64), shards int, op
 	}
 
 	h.m.SetMaxSteps(2_000_000_000)
-	runErr := h.runMachine(opts)
+	runErr := h.runMachine(probe)
 	h.finish(runErr)
 	return h.result(res)
 }
@@ -410,26 +368,24 @@ func (h *harness) result(res *Result) *Result {
 	res.FailuresTruncated = h.trunc
 	res.FinalClock = h.m.Now()
 	res.Steps = h.m.Steps()
-	res.Dispatches = h.dispatches
-	res.Hash = h.hash
+	res.Dispatches = h.sched.Count()
+	res.Hash = h.sched.Sum64()
 	res.FaultStats = h.inj.Stats
 	return res
 }
 
 // installTrace wires the dispatch-schedule observer: the monotonicity
-// oracle, the FNV-1a schedule hash, and the caller's trace callback.
-// Shared by the op-stream and orchestration families.
+// oracle, the schedule hash, and the caller's trace callback. Shared by
+// the op-stream and orchestration families.
 func (h *harness) installTrace(trace func(name string, at uint64)) {
 	h.lastByName = make(map[string]uint64)
-	h.hash = fnvOffset
 	h.m.SetTraceDispatch(func(name string, at uint64) {
-		h.dispatches++
 		if last, ok := h.lastByName[name]; ok && at < last && !h.monoBad {
 			h.monoBad = true
 			h.failf("monotonicity", "dispatch %q at %d after %d: its virtual clock ran backwards", name, at, last)
 		}
 		h.lastByName[name] = at
-		h.hash = fnvAdd(h.hash, name, at)
+		h.sched.Add(name, at)
 		if trace != nil {
 			trace(name, at)
 		}
@@ -439,13 +395,13 @@ func (h *harness) installTrace(trace func(name string, at uint64)) {
 // RunSeed generates and runs one seed.
 func RunSeed(seed uint64) *Result { return Run(Generate(seed), nil) }
 
-// SeedWorkload adapts one seed to the exp determinism goldens and the
-// replay fork tier (snap.CutFunc): it runs the seed's scenario through
-// RunCut and returns the final clock and step count, and an error
-// carrying the fingerprint if any oracle fired.
-func SeedWorkload(seed uint64) func(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (uint64, uint64, error) {
-	return func(trace func(name string, at uint64), shards int, cut uint64, pause func(m *hw.Machine)) (uint64, uint64, error) {
-		r := RunCut(Generate(seed), trace, shards, cut, pause)
+// SeedWorkload adapts one seed to the exp determinism goldens: it runs
+// the seed's scenario through RunSharded and returns the final clock
+// and step count, and an error carrying the fingerprint if any oracle
+// fired.
+func SeedWorkload(seed uint64) func(trace func(name string, at uint64), shards int) (uint64, uint64, error) {
+	return func(trace func(name string, at uint64), shards int) (uint64, uint64, error) {
+		r := RunSharded(Generate(seed), trace, shards)
 		if r.Failed() {
 			return r.FinalClock, r.Steps, fmt.Errorf("cksim seed %d failed:\n%s", seed, r.Fingerprint())
 		}

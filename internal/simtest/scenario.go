@@ -253,7 +253,10 @@ func EncodeReplay(r *Result) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// DecodeReplay parses a replay file.
+// DecodeReplay parses a replay file. A replay file is read from
+// outside the process and may be written by hand, so a topology the
+// machine or the Cache Kernel cannot be built with is an error here,
+// not a panic in the harness.
 func DecodeReplay(b []byte) (*Replay, error) {
 	var rep Replay
 	if err := json.Unmarshal(b, &rep); err != nil {
@@ -261,6 +264,16 @@ func DecodeReplay(b []byte) (*Replay, error) {
 	}
 	if rep.Version != replayVersion {
 		return nil, fmt.Errorf("simtest: replay version %d, want %d", rep.Version, replayVersion)
+	}
+	sc := &rep.Scenario
+	switch {
+	case sc.MPMs < 1:
+		return nil, fmt.Errorf("simtest: replay scenario has %d MPMs, want at least 1", sc.MPMs)
+	case sc.CPUsPerMPM < 1:
+		return nil, fmt.Errorf("simtest: replay scenario has %d CPUs per MPM, want at least 1", sc.CPUsPerMPM)
+	case sc.ThreadSlots < 0 || sc.MappingSlots < 0:
+		return nil, fmt.Errorf("simtest: replay scenario has %d thread and %d mapping slots, want neither negative (0 is the default)",
+			sc.ThreadSlots, sc.MappingSlots)
 	}
 	return &rep, nil
 }

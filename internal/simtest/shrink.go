@@ -29,7 +29,7 @@ func Shrink(sc Scenario, maxRuns int) (Scenario, *Result) {
 			return false
 		}
 		runs++
-		return runWithOpts(c, nil, 1, runOpts{earlyStop: true}).Failed()
+		return runWith(c, nil, 1, true).Failed()
 	}
 
 	// Pass 1: ddmin-lite over the op stream.

@@ -39,7 +39,8 @@ func TestCksimShortSeed(t *testing.T) {
 
 // TestRunDeterminism asserts bit-reproducibility: the same seed run
 // twice produces byte-identical fingerprints (schedule hash, step and
-// dispatch counts, final virtual clock, failures).
+// dispatch counts, final virtual clock, failures), and so does the
+// shrinker's chunked probe of it, serially and at four shards.
 func TestRunDeterminism(t *testing.T) {
 	for _, seed := range []uint64{3, 29, 48, 61} {
 		a, b := RunSeed(seed), RunSeed(seed)
@@ -47,6 +48,27 @@ func TestRunDeterminism(t *testing.T) {
 			t.Errorf("seed %d diverged:\n--- first\n%s\n--- second\n%s",
 				seed, a.Fingerprint(), b.Fingerprint())
 		}
+		checkProbe(t, a, 1)
+		checkProbe(t, a, 4)
+	}
+}
+
+// checkProbe runs the scenario of a plain run the way the shrinker
+// probes a candidate: in virtual-time chunks, each a separate
+// Machine.Run, stopping at the first chunk boundary after an oracle
+// fires. When the plain run passes, the probe runs to the end and must
+// match it byte for byte; when it fails, the probe must fail too. The
+// shrinker relies on both.
+func checkProbe(t *testing.T, plain *Result, shards int) {
+	t.Helper()
+	p := runWith(plain.Scenario, nil, shards, true)
+	switch {
+	case plain.Failed() && !p.Failed():
+		t.Errorf("seed %d: the plain run fails, the probe at %d shard(s) passes:\n%s",
+			plain.Scenario.Seed, shards, plain.Fingerprint())
+	case !plain.Failed() && p.Fingerprint() != plain.Fingerprint():
+		t.Errorf("seed %d: the probe at %d shard(s) diverges from the plain run:\n--- plain\n%s--- probe\n%s",
+			plain.Scenario.Seed, shards, plain.Fingerprint(), p.Fingerprint())
 	}
 }
 
@@ -81,6 +103,45 @@ func TestReplayRoundTrip(t *testing.T) {
 	}
 	if len(again.Failures) != len(res.Failures) {
 		t.Fatalf("replay failures %d != original %d", len(again.Failures), len(res.Failures))
+	}
+}
+
+// TestDecodeReplayRejectsBadTopology edits a recorded replay file into
+// topologies the harness cannot build: running any of them would panic
+// inside hw.NewMachine or ck.New, so DecodeReplay must refuse each with
+// an error. The recorded file itself still decodes (and
+// TestReplayRoundTrip reproduces one).
+func TestDecodeReplayRejectsBadTopology(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(sc *Scenario)
+	}{
+		{"mpms_0", func(sc *Scenario) { sc.MPMs = 0 }},
+		{"mpms_-1", func(sc *Scenario) { sc.MPMs = -1 }},
+		{"cpus_0", func(sc *Scenario) { sc.CPUsPerMPM = 0 }},
+		{"threads_-5", func(sc *Scenario) { sc.ThreadSlots = -5 }},
+	}
+	recorded := &Result{Scenario: Generate(3)}
+	b, err := EncodeReplay(recorded)
+	if err != nil {
+		t.Fatalf("EncodeReplay: %v", err)
+	}
+	if rp, err := DecodeReplay(b); err != nil || !scenarioEqual(rp.Scenario, recorded.Scenario) {
+		t.Fatalf("recorded replay: %v", err)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bad := *recorded
+			c.edit(&bad.Scenario)
+			b, err := EncodeReplay(&bad)
+			if err != nil {
+				t.Fatalf("EncodeReplay: %v", err)
+			}
+			if _, err := DecodeReplay(b); err == nil {
+				t.Fatalf("DecodeReplay accepted MPMs=%d CPUsPerMPM=%d ThreadSlots=%d",
+					bad.Scenario.MPMs, bad.Scenario.CPUsPerMPM, bad.Scenario.ThreadSlots)
+			}
+		})
 	}
 }
 
