@@ -9,7 +9,6 @@
 //	ckctl                          3 modules, 24 pods, upgrade at 10 ms
 //	ckctl -mpms 4 -pods 40 -json   bigger fleet, status as JSON
 //	ckctl -upgrade 0               no upgrade, just run the fleet
-//	ckctl -shards 4                sharded engine (identical output)
 package main
 
 import (
@@ -29,17 +28,16 @@ func main() {
 		mpms    = flag.Int("mpms", 3, "modules (MPMs) in the machine")
 		pods    = flag.Int("pods", 24, "fleet size (a fifth are bounded batch pods)")
 		upgrade = flag.Int("upgrade", 10_000, "rolling-upgrade start in virtual µs (0 = none)")
-		shards  = flag.Int("shards", 1, "engine shards (output is byte-identical to -shards 1)")
 		jsonOut = flag.Bool("json", false, "print the structured status as JSON instead of the table")
 	)
 	flag.Parse()
-	if err := run(*mpms, *pods, *upgrade, *shards, *jsonOut); err != nil {
+	if err := run(*mpms, *pods, *upgrade, *jsonOut); err != nil {
 		fmt.Fprintf(os.Stderr, "ckctl: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(mpms, pods, upgradeUS, shards int, jsonOut bool) error {
+func run(mpms, pods, upgradeUS int, jsonOut bool) error {
 	if mpms < 2 {
 		return fmt.Errorf("-mpms must be at least 2 (migration needs a target)")
 	}
@@ -51,7 +49,6 @@ func run(mpms, pods, upgradeUS, shards int, jsonOut bool) error {
 	mcfg.MPMs = mpms
 	mcfg.CPUsPerMPM = 2
 	mcfg.PhysMemBytes = 256 << 20
-	mcfg.Shards = shards
 	m := hw.NewMachine(mcfg)
 
 	cfg := ckctl.DefaultConfig()

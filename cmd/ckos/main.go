@@ -148,7 +148,7 @@ func main() {
 	}
 
 	fmt.Println("=== V++ system image: run complete ===")
-	fmt.Printf("virtual time: %.1f ms\n", float64(m.MPMs[0].Shard.Now())/hw.CyclesPerMicrosecond/1000)
+	fmt.Printf("virtual time: %.1f ms\n", float64(m.MPMs[0].Engine.Now())/hw.CyclesPerMicrosecond/1000)
 	if console != nil {
 		fmt.Printf("--- UNIX console ---\n%s", string(*console))
 	}

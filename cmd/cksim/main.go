@@ -9,9 +9,8 @@
 //	cksim -seed 42 -shrink         on failure, also emit a minimized replay
 //	cksim -seeds 500 -start 1      sweep seeds [1, 501), one line each
 //	cksim -replay cksim-fail-42.json   re-run a recorded reproduction
-//	cksim -seeds 40 -shards 4 -san     sanitized sweep (requires -tags cksan)
 //	cksim -orch -seed 7                run one orchestration-family seed
-//	cksim -orch -seeds 40 -shards 4    sweep the orchestration family
+//	cksim -orch -seeds 40              sweep the orchestration family
 //	cksim -fork 30                     fork-family sweep: boot once per class,
 //	                                   explore each seed's continuations by forking
 //
@@ -26,7 +25,6 @@ import (
 	"fmt"
 	"os"
 
-	"vpp/internal/sim"
 	"vpp/internal/simtest"
 )
 
@@ -38,8 +36,6 @@ func main() {
 		replay  = flag.String("replay", "", "re-run a recorded failure file")
 		shrink  = flag.Bool("shrink", false, "on failure, shrink to a minimal scenario")
 		shrinkN = flag.Int("shrinkruns", 60, "re-run budget for -shrink")
-		shards  = flag.Int("shards", 1, "engine shards (results are byte-identical to -shards 1)")
-		san     = flag.Bool("san", false, "require the cksan runtime ownership sanitizer (build with -tags cksan)")
 		orch    = flag.Bool("orch", false, "run the orchestration family (ckctl rolling upgrades) instead of op streams")
 		fork    = flag.Int("fork", 0, "sweep this many fork-family seeds from -start (one boot per class, one fork per continuation)")
 	)
@@ -49,35 +45,27 @@ func main() {
 	seedSet := false
 	flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
 
-	// -san is a guard, not a switch: the sanitizer is compiled in (or
-	// not) by the cksan build tag, and a sweep that silently ran without
-	// it would claim coverage it did not have.
-	if *san && !sim.SanEnabled() {
-		fmt.Fprintln(os.Stderr, "cksim: -san requires a binary built with -tags cksan")
-		os.Exit(2)
-	}
-
 	gen := simtest.Generate
 	if *orch {
 		gen = simtest.GenerateOrch
 	}
 	switch {
 	case *replay != "":
-		os.Exit(runReplay(*replay, *shards))
+		os.Exit(runReplay(*replay))
 	case *fork > 0:
-		os.Exit(runForkSweep(*start, *fork, *shards))
+		os.Exit(runForkSweep(*start, *fork))
 	case *seeds > 0:
-		os.Exit(runSweep(gen, *start, *seeds, *shrink, *shrinkN, *shards))
+		os.Exit(runSweep(gen, *start, *seeds, *shrink, *shrinkN))
 	case seedSet:
-		os.Exit(runOne(gen, *seed, *shrink, *shrinkN, *shards))
+		os.Exit(runOne(gen, *seed, *shrink, *shrinkN))
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
 }
 
-func runOne(gen func(uint64) simtest.Scenario, seed uint64, shrink bool, shrinkRuns, shards int) int {
-	res := simtest.RunSharded(gen(seed), nil, shards)
+func runOne(gen func(uint64) simtest.Scenario, seed uint64, shrink bool, shrinkRuns int) int {
+	res := simtest.Run(gen(seed), nil)
 	fmt.Print(res.Fingerprint())
 	if !res.Failed() {
 		return 0
@@ -91,12 +79,12 @@ func runOne(gen func(uint64) simtest.Scenario, seed uint64, shrink bool, shrinkR
 	return 1
 }
 
-func runSweep(gen func(uint64) simtest.Scenario, start uint64, count int, shrink bool, shrinkRuns, shards int) int {
+func runSweep(gen func(uint64) simtest.Scenario, start uint64, count int, shrink bool, shrinkRuns int) int {
 	failed := 0
 	const maxArtifacts = 3
 	for i := 0; i < count; i++ {
 		s := start + uint64(i)
-		res := simtest.RunSharded(gen(s), nil, shards)
+		res := simtest.Run(gen(s), nil)
 		sc := &res.Scenario
 		status := "ok"
 		if res.Failed() {
@@ -133,11 +121,11 @@ func runSweep(gen func(uint64) simtest.Scenario, start uint64, count int, shrink
 // every seed of a class explores its continuations off the shared
 // snapshot, with the fork-vs-fresh, COW-isolation and
 // snapshot-determinism oracles armed.
-func runForkSweep(start uint64, count, shards int) int {
+func runForkSweep(start uint64, count int) int {
 	failed := 0
 	for i := 0; i < count; i++ {
 		s := start + uint64(i)
-		res := simtest.RunForkScenario(simtest.GenerateFork(s), shards)
+		res := simtest.RunForkScenario(simtest.GenerateFork(s), 1)
 		sc := res.Scenario
 		status := "ok"
 		if res.Failed() {
@@ -159,7 +147,7 @@ func runForkSweep(start uint64, count, shards int) int {
 	return 0
 }
 
-func runReplay(path string, shards int) int {
+func runReplay(path string) int {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cksim: %v\n", err)
@@ -170,7 +158,7 @@ func runReplay(path string, shards int) int {
 		fmt.Fprintf(os.Stderr, "cksim: %v\n", err)
 		return 2
 	}
-	res := simtest.RunSharded(rep.Scenario, nil, shards)
+	res := simtest.Run(rep.Scenario, nil)
 	fmt.Print(res.Fingerprint())
 	if res.Failed() {
 		fmt.Println("replay: failure reproduced")

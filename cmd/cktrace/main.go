@@ -246,7 +246,7 @@ func recovery() {
 		{Kind: chaos.CrashKernel, At: hw.CyclesFromMicros(crashUS), MPM: 0},
 	}})
 	in.Arm(m, k)
-	m.MPMs[0].Shard.ScheduleAt(hw.CyclesFromMicros(crashUS)-1, func() {
+	m.MPMs[0].Engine.ScheduleAt(hw.CyclesFromMicros(crashUS)-1, func() {
 		fmt.Println("--- kernel trace (crash window) ---")
 		tracing = true
 	})
@@ -295,5 +295,5 @@ func recovery() {
 		os.Exit(1)
 	}
 	fmt.Printf("\nfinal virtual clock %.1f ms; Cache Kernel epoch %d; crashes injected %d\n",
-		float64(m.MPMs[0].Shard.Now())/hw.CyclesPerMicrosecond/1000, k.Epoch, in.Stats.Crashes)
+		float64(m.MPMs[0].Engine.Now())/hw.CyclesPerMicrosecond/1000, k.Epoch, in.Stats.Crashes)
 }

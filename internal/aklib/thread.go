@@ -61,8 +61,8 @@ func (t *Thread) Revive() bool {
 
 // Retire kills the thread's execution context in place. Live migration
 // calls it on the source MPM after the descriptor writeback: an
-// execution context is bound to the engine shard that created it, so it
-// cannot follow the backing record to another MPM — the adopting side
+// execution context is bound to the MPM that created it, so it cannot
+// follow the backing record to another MPM — the adopting side
 // regenerates a fresh context from the body with Rehome. A retired
 // context that is parked never runs again (the crash path leaves killed
 // parked contexts the same way).

@@ -4,7 +4,7 @@
 // corrupted descriptor writebacks, lost/duplicated/delayed wire frames,
 // transient page-table walk errors — as virtual-time events through the
 // narrow hooks the hardware and Cache Kernel expose. Everything is
-// driven by the virtual clock and a seeded PRNG (sim.Rand), so a given
+// driven by the virtual clock and one seeded PRNG (sim.Rand), so a given
 // plan and seed produce the identical fault sequence on every run: a
 // crash test is as replayable as any other workload.
 //
@@ -14,8 +14,6 @@ package chaos
 
 import (
 	"fmt"
-	//ckvet:allow shardsafe Stats counters are bumped from hooks on every shard concurrently and only read after Cluster.Run returns
-	"sync/atomic"
 
 	"vpp/internal/ck"
 	"vpp/internal/hw"
@@ -123,77 +121,32 @@ type Stats struct {
 	ExecsKilled         uint64
 }
 
-// Injector evaluates a plan against the hooks it is armed on. Each
-// engine shard draws from its own seeded generator (the serial engine
-// is "shard 0", so serial draws are unchanged), and every draw happens
-// in that shard's deterministic event order, so verdicts are a pure
-// function of (plan, seed, workload, topology). Counters are atomic:
-// hooks on different shards may fire concurrently within an epoch.
+// Injector evaluates a plan against the hooks it is armed on. Every
+// hook draws from one generator seeded with the plan's seed, in the
+// engine's deterministic event order, so verdicts are a pure function
+// of (plan, seed, workload, topology).
 type Injector struct {
 	Plan  Plan
 	Stats Stats
 
-	rngs map[*sim.Engine]*sim.Rand
+	rng *sim.Rand
 }
 
 // New builds an injector for the plan.
 func New(plan Plan) *Injector {
-	return &Injector{Plan: plan, rngs: make(map[*sim.Engine]*sim.Rand)}
-}
-
-// rngFor returns the engine's fault stream, creating it on first use.
-// Only called while arming (single-threaded); the map is read-only by
-// the time shards run.
-func (in *Injector) rngFor(eng *sim.Engine) *sim.Rand {
-	if r, ok := in.rngs[eng]; ok {
-		return r
-	}
-	seed := in.Plan.Seed
-	if s := uint64(eng.Shard()); s != 0 {
-		seed ^= 0x9E3779B97F4A7C15 * s
-	}
-	r := sim.NewRand(seed)
-	in.rngs[eng] = r
-	return r
-}
-
-// Cursors captures the injector's fault-stream positions, keyed by
-// shard index: each entry is the internal state of that shard's seeded
-// generator, i.e. how far into its deterministic coin-flip sequence the
-// run has advanced. A parked plan (armed but keyed to a window that has
-// not opened) captures identically to a never-consulted one — the
-// generator state is the complete cursor either way.
-func (in *Injector) Cursors() map[int]uint64 {
-	out := make(map[int]uint64, len(in.rngs))
-	//ckvet:allow detmap builds a map keyed by unique shard index; insertion order cannot affect the result
-	for eng, r := range in.rngs {
-		out[eng.Shard()] = r.State()
-	}
-	return out
-}
-
-// RestoreCursors rewinds the fault streams of an injector armed on m to
-// captured positions, so a forked run draws the same remaining coin
-// flips the parent would have. Shards present in the capture but
-// without an armed stream on this injector are created on demand.
-func (in *Injector) RestoreCursors(m *hw.Machine, cursors map[int]uint64) {
-	for _, mpm := range m.MPMs {
-		if s, ok := cursors[mpm.Shard.Shard()]; ok {
-			in.rngFor(mpm.Shard).RestoreState(s)
-		}
-	}
+	return &Injector{Plan: plan, rng: sim.NewRand(plan.Seed)}
 }
 
 // hit reports whether fault f fires for an event at virtual time now,
-// drawing the probability coin from rng if the window is open.
-func (in *Injector) hit(f *Fault, now uint64, rng *sim.Rand) bool {
+// drawing the probability coin if the window is open.
+func (in *Injector) hit(f *Fault, now uint64) bool {
 	if now < f.At || (f.Until != 0 && now >= f.Until) {
 		return false
 	}
 	if f.Prob <= 0 || f.Prob >= 1 {
 		return true
 	}
-	return rng.Float64() < f.Prob
+	return in.rng.Float64() < f.Prob
 }
 
 // has reports whether the plan contains any fault of the given kinds.
@@ -209,11 +162,9 @@ func (in *Injector) has(kinds ...Kind) bool {
 }
 
 // Arm installs the plan's machine- and kernel-level hooks: crash events
-// are scheduled on the victim kernel's own shard timeline, and
-// signal/writeback/walk hooks are installed only for fault kinds the
+// are scheduled on the machine's engine, and signal/writeback/walk hooks are installed only for fault kinds the
 // plan actually contains, so an empty plan changes nothing.
 func (in *Injector) Arm(m *hw.Machine, kernels ...*ck.Kernel) {
-	sanCheckArm(m)
 	for i := range in.Plan.Faults {
 		f := &in.Plan.Faults[i]
 		switch f.Kind {
@@ -222,8 +173,8 @@ func (in *Injector) Arm(m *hw.Machine, kernels ...*ck.Kernel) {
 				continue
 			}
 			victim := kernels[f.MPM]
-			victim.MPM.Shard.ScheduleAt(f.At, func() {
-				atomic.AddUint64(&in.Stats.Crashes, 1)
+			victim.MPM.Engine.ScheduleAt(f.At, func() {
+				in.Stats.Crashes++
 				victim.Crash()
 			})
 		case KillRunning:
@@ -235,13 +186,9 @@ func (in *Injector) Arm(m *hw.Machine, kernels ...*ck.Kernel) {
 				continue
 			}
 			cpu := mpm.CPUs[f.CPU]
-			mpm.Shard.ScheduleAt(f.At, func() {
+			mpm.Engine.ScheduleAt(f.At, func() {
 				if cur := cpu.Cur; cur != nil {
-					atomic.AddUint64(&in.Stats.ExecsKilled, 1)
-					// The event runs on mpm's own shard and cpu is mpm's
-					// processor, so whatever is dispatched on it is
-					// co-sharded by construction.
-					//ckvet:allow shardsafe cpu.Cur runs on cpu's own MPM, the shard this event runs on
+					in.Stats.ExecsKilled++
 					cur.Kill()
 				}
 			})
@@ -249,17 +196,17 @@ func (in *Injector) Arm(m *hw.Machine, kernels ...*ck.Kernel) {
 	}
 	if in.has(WalkError) {
 		for _, mpm := range m.MPMs {
-			mpm.WalkFault = in.walkFaultOn(in.rngFor(mpm.Shard))
+			mpm.WalkFault = in.walkFault
 		}
 	}
 	if in.has(DropSignal, DupSignal) {
 		for _, k := range kernels {
-			k.SignalFault = in.signalFaultOn(k.MPM.Shard, in.rngFor(k.MPM.Shard))
+			k.SignalFault = in.signalFaultOn(k.MPM.Engine)
 		}
 	}
 	if in.has(CorruptWriteback) {
 		for _, k := range kernels {
-			k.WritebackFault = in.writebackFaultOn(k.MPM.Shard, in.rngFor(k.MPM.Shard))
+			k.WritebackFault = in.writebackFaultOn(k.MPM.Engine)
 		}
 	}
 }
@@ -269,8 +216,7 @@ func (in *Injector) ArmNIC(n *dev.NIC) {
 	if !in.has(DropFrame, DupFrame, DelayFrame) {
 		return
 	}
-	sanCheckArm(n.MPM.Machine)
-	n.TxFault = in.frameFaultOn(n.MPM.Shard, in.rngFor(n.MPM.Shard))
+	n.TxFault = in.frameFaultOn(n.MPM.Engine)
 }
 
 // ArmFiber installs the plan's frame faults on a fiber port.
@@ -278,25 +224,22 @@ func (in *Injector) ArmFiber(p *dev.FiberPort) {
 	if !in.has(DropFrame, DupFrame, DelayFrame) {
 		return
 	}
-	sanCheckArm(p.MPM.Machine)
-	p.TxFault = in.frameFaultOn(p.MPM.Shard, in.rngFor(p.MPM.Shard))
+	p.TxFault = in.frameFaultOn(p.MPM.Engine)
 }
 
-func (in *Injector) walkFaultOn(rng *sim.Rand) func(*hw.Exec, uint32) bool {
-	return func(e *hw.Exec, _ uint32) bool {
-		now := e.Now()
-		for i := range in.Plan.Faults {
-			f := &in.Plan.Faults[i]
-			if f.Kind == WalkError && in.hit(f, now, rng) {
-				atomic.AddUint64(&in.Stats.WalkErrors, 1)
-				return true
-			}
+func (in *Injector) walkFault(e *hw.Exec, _ uint32) bool {
+	now := e.Now()
+	for i := range in.Plan.Faults {
+		f := &in.Plan.Faults[i]
+		if f.Kind == WalkError && in.hit(f, now) {
+			in.Stats.WalkErrors++
+			return true
 		}
-		return false
 	}
+	return false
 }
 
-func (in *Injector) signalFaultOn(eng *sim.Engine, rng *sim.Rand) func(ck.ObjID, uint32) ck.SignalVerdict {
+func (in *Injector) signalFaultOn(eng *sim.Engine) func(ck.ObjID, uint32) ck.SignalVerdict {
 	return func(_ ck.ObjID, _ uint32) ck.SignalVerdict {
 		now := eng.Now()
 		var v ck.SignalVerdict
@@ -304,14 +247,14 @@ func (in *Injector) signalFaultOn(eng *sim.Engine, rng *sim.Rand) func(ck.ObjID,
 			f := &in.Plan.Faults[i]
 			switch f.Kind {
 			case DropSignal:
-				if !v.Drop && in.hit(f, now, rng) {
+				if !v.Drop && in.hit(f, now) {
 					v.Drop = true
-					atomic.AddUint64(&in.Stats.SignalsDropped, 1)
+					in.Stats.SignalsDropped++
 				}
 			case DupSignal:
-				if !v.Dup && in.hit(f, now, rng) {
+				if !v.Dup && in.hit(f, now) {
 					v.Dup = true
-					atomic.AddUint64(&in.Stats.SignalsDuplicated, 1)
+					in.Stats.SignalsDuplicated++
 				}
 			}
 		}
@@ -319,13 +262,13 @@ func (in *Injector) signalFaultOn(eng *sim.Engine, rng *sim.Rand) func(ck.ObjID,
 	}
 }
 
-func (in *Injector) writebackFaultOn(eng *sim.Engine, rng *sim.Rand) func(string, ck.ObjID) bool {
+func (in *Injector) writebackFaultOn(eng *sim.Engine) func(string, ck.ObjID) bool {
 	return func(_ string, _ ck.ObjID) bool {
 		now := eng.Now()
 		for i := range in.Plan.Faults {
 			f := &in.Plan.Faults[i]
-			if f.Kind == CorruptWriteback && in.hit(f, now, rng) {
-				atomic.AddUint64(&in.Stats.WritebacksCorrupted, 1)
+			if f.Kind == CorruptWriteback && in.hit(f, now) {
+				in.Stats.WritebacksCorrupted++
 				return true
 			}
 		}
@@ -333,7 +276,7 @@ func (in *Injector) writebackFaultOn(eng *sim.Engine, rng *sim.Rand) func(string
 	}
 }
 
-func (in *Injector) frameFaultOn(eng *sim.Engine, rng *sim.Rand) func([]byte) dev.FrameFault {
+func (in *Injector) frameFaultOn(eng *sim.Engine) func([]byte) dev.FrameFault {
 	return func(_ []byte) dev.FrameFault {
 		now := eng.Now()
 		// A lost frame cannot also be duplicated or delayed: drop
@@ -341,8 +284,8 @@ func (in *Injector) frameFaultOn(eng *sim.Engine, rng *sim.Rand) func([]byte) de
 		// actually does.
 		for i := range in.Plan.Faults {
 			f := &in.Plan.Faults[i]
-			if f.Kind == DropFrame && in.hit(f, now, rng) {
-				atomic.AddUint64(&in.Stats.FramesDropped, 1)
+			if f.Kind == DropFrame && in.hit(f, now) {
+				in.Stats.FramesDropped++
 				return dev.FrameFault{Drop: true}
 			}
 		}
@@ -351,14 +294,14 @@ func (in *Injector) frameFaultOn(eng *sim.Engine, rng *sim.Rand) func([]byte) de
 			f := &in.Plan.Faults[i]
 			switch f.Kind {
 			case DupFrame:
-				if !ff.Dup && in.hit(f, now, rng) {
+				if !ff.Dup && in.hit(f, now) {
 					ff.Dup = true
-					atomic.AddUint64(&in.Stats.FramesDuplicated, 1)
+					in.Stats.FramesDuplicated++
 				}
 			case DelayFrame:
-				if in.hit(f, now, rng) {
+				if in.hit(f, now) {
 					ff.Delay += f.Delay
-					atomic.AddUint64(&in.Stats.FramesDelayed, 1)
+					in.Stats.FramesDelayed++
 				}
 			}
 		}

@@ -40,19 +40,32 @@ func TestEmptyPlanArmsNothing(t *testing.T) {
 // TestFaultWindow checks the virtual-time arming window.
 func TestFaultWindow(t *testing.T) {
 	in := New(Plan{})
-	rng := sim.NewRand(0)
 	f := &Fault{Kind: DropFrame, At: 100, Until: 200}
 	for _, c := range []struct {
 		now  uint64
 		want bool
 	}{{99, false}, {100, true}, {199, true}, {200, false}} {
-		if got := in.hit(f, c.now, rng); got != c.want {
+		if got := in.hit(f, c.now); got != c.want {
 			t.Errorf("hit at %d = %v, want %v", c.now, got, c.want)
 		}
 	}
 	open := &Fault{Kind: DropFrame, At: 50}
-	if !in.hit(open, math.MaxUint64, rng) {
+	if !in.hit(open, math.MaxUint64) {
 		t.Error("open-ended window closed")
+	}
+}
+
+// TestFaultStreamIsPlanSeed pins the injector's one fault stream: the
+// probability coins are sim.NewRand(Plan.Seed)'s draws, in hook order,
+// so a recorded plan and seed replay the same faults.
+func TestFaultStreamIsPlanSeed(t *testing.T) {
+	in := New(Plan{Seed: 7})
+	ref := sim.NewRand(7)
+	f := &Fault{Kind: DropFrame, Prob: 0.5}
+	for i := 0; i < 64; i++ {
+		if got, want := in.hit(f, 0), ref.Float64() < 0.5; got != want {
+			t.Fatalf("coin %d = %v, want %v from the plan seed's stream", i, got, want)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import "fmt"
 // call accounting; reloads count allocations into previously-used slots
 // — descriptor state regenerated into the cache after an earlier
 // eviction or crash. All values derive only from simulation events, so
-// they are byte-reproducible for a given seed at any shard count.
+// they are byte-reproducible for a given seed.
 type CacheStat struct {
 	Name     string
 	Capacity int

@@ -120,9 +120,8 @@ func (ev Event) Detail() string {
 }
 
 // Observe registers fn to receive every event this kernel emits, after
-// the observers registered before it. Observers run synchronously, on
-// the engine shard that owns the emitting context, so they see the
-// simulation at the event's instant and may act on it (schedule a
+// the observers registered before it. Observers run synchronously, in
+// the emitting context, so they see the simulation at the event's instant and may act on it (schedule a
 // control message, stamp a recovery report). They survive Crash.
 func (k *Kernel) Observe(fn func(Event)) {
 	k.observers = append(k.observers, fn)
@@ -152,7 +151,7 @@ func (k *Kernel) stamp(e *hw.Exec, ev Event) {
 	if e != nil {
 		ev.At = e.Now()
 	} else {
-		ev.At = k.MPM.Shard.Now()
+		ev.At = k.MPM.Engine.Now()
 	}
 	k.Emit(ev)
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"vpp/internal/hw"
-	"vpp/internal/sim"
 )
 
 // TestFaultEventsFollowFigure2: one demand fault reaches an observer as
@@ -66,8 +65,8 @@ func TestFaultEventsFollowFigure2(t *testing.T) {
 // the events it raises cost one length check each, and the mapping
 // load keeps its reservation on the stack.
 func TestMappingFaultPathZeroAlloc(t *testing.T) {
-	if raceEnabled || sim.SanEnabled() {
-		t.Skip("allocation counts are meaningless under -race / cksan instrumentation")
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race instrumentation")
 	}
 	const (
 		slots = 32

@@ -137,7 +137,6 @@ func New(mpm *hw.MPM, cfg Config) (*Kernel, error) {
 // enter charges the trap into the Cache Kernel for a directly invoked
 // operation and returns the previous mode.
 func (k *Kernel) enter(e *hw.Exec) hw.Mode {
-	k.sanCheckAccess(e, "cache-kernel call")
 	prev := e.Mode
 	e.Mode = hw.ModeSupervisor
 	k.inCalls++
@@ -348,7 +347,6 @@ func (k *Kernel) TimerTick(c *hw.CPU) {
 //
 //ckvet:allow chargepath the exiting context is gone; reclaim charges on the reclaim path and dispatchNext charges the next thread
 func (k *Kernel) Exited(e *hw.Exec) {
-	k.sanCheckAccess(e, "thread exit reclaim")
 	// Not a trapped call, but the reclaim below mutates across charge
 	// points all the same: count it in flight.
 	k.inCalls++

@@ -92,7 +92,7 @@ func (k *Kernel) newKernelObj(e *hw.Exec, attrs KernelAttrs) (*KernelObj, error)
 		threads:   make(map[int32]*ThreadObj),
 	}
 	if k.MPM.Machine != nil {
-		ko.windowStart = k.MPM.Shard.Now()
+		ko.windowStart = k.MPM.Engine.Now()
 	}
 	k.kernels.set(slot, ko)
 	k.Stats.KernelLoads++

@@ -131,7 +131,7 @@ func (k *Kernel) RaiseDeviceSignal(id ObjID, value uint32) bool {
 	if !ok {
 		return false
 	}
-	k.deliverSignal(to, value, k.MPM.Shard.Now(), nil)
+	k.deliverSignal(to, value, k.MPM.Engine.Now(), nil)
 	return true
 }
 

@@ -44,7 +44,7 @@ func (k *Kernel) accountUsage(t *ThreadObj, delta uint64) {
 // rollWindow lazily closes an expired accounting window, computing
 // per-CPU consumption percentages against the kernel's allocation.
 func (k *Kernel) rollWindow(ko *KernelObj) {
-	now := k.MPM.Shard.Now()
+	now := k.MPM.Engine.Now()
 	w := k.Cfg.AccountingWindow
 	if now-ko.windowStart < w {
 		return

@@ -358,7 +358,7 @@ func (k *Kernel) SetAlarm(e *hw.Exec, id ObjID, at uint64, value uint32) error {
 	}
 	slot, gen := to.slot, to.id.gen()
 	e.ChargeNoIntr(costDescInit)
-	k.MPM.Shard.ScheduleAt(at, func() {
+	k.MPM.Engine.ScheduleAt(at, func() {
 		if to2, ok := k.threads.get(slot, gen); ok {
 			k.deliverSignal(to2, value, at, nil)
 		}

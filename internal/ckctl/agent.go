@@ -7,7 +7,6 @@ import (
 	"vpp/internal/aklib"
 	"vpp/internal/ck"
 	"vpp/internal/hw"
-	"vpp/internal/sim"
 	"vpp/internal/srm"
 )
 
@@ -48,8 +47,7 @@ type command struct {
 
 // migMsg is the migration handoff: the expelled kernel's backing
 // records plus the blackout bookkeeping. Ownership of rec and pr moves
-// to the destination shard with the message (the epoch barrier is the
-// synchronization point).
+// to the destination node with the message.
 type migMsg struct {
 	name     string
 	rec      *srm.Launched
@@ -135,18 +133,18 @@ type event struct {
 }
 
 // sendCmd delivers a command to a node's agent after the control
-// latency; src is the sending shard's engine.
-func (c *Cluster) sendCmd(src *sim.Engine, now uint64, n *Node, cmd command) {
-	src.ScheduleCrossAt(n.MPM.Shard, now+c.Cfg.CtlLatency, func() {
+// latency.
+func (c *Cluster) sendCmd(now uint64, n *Node, cmd command) {
+	n.MPM.Engine.DeliverAt(now+c.Cfg.CtlLatency, func() {
 		n.inbox = append(n.inbox, cmd)
 	})
 }
 
 // sendEvent delivers an event to the controller after the control
 // latency.
-func (c *Cluster) sendEvent(src *sim.Engine, now uint64, ev event) {
+func (c *Cluster) sendEvent(now uint64, ev event) {
 	ctl := c.ctl
-	src.ScheduleCrossAt(c.Nodes[0].MPM.Shard, now+c.Cfg.CtlLatency, func() {
+	c.Nodes[0].MPM.Engine.DeliverAt(now+c.Cfg.CtlLatency, func() {
 		ctl.inbox = append(ctl.inbox, ev)
 	})
 }
@@ -232,8 +230,7 @@ func (n *Node) trackDispatch(ev ck.Event) {
 	m.firstAt = ev.At
 	// Engine context: the migrated main just resumed on a CPU of this
 	// module. Close the measurement and tell the controller.
-	eng := n.MPM.Shard
-	n.cl.sendEvent(eng, eng.Now(), event{migDone: m})
+	n.cl.sendEvent(n.MPM.Engine.Now(), event{migDone: m})
 }
 
 // drain executes queued controller commands.
@@ -249,11 +246,10 @@ func (n *Node) drain(se *hw.Exec) {
 
 // exec1 runs one command.
 func (n *Node) exec1(se *hw.Exec, c *command) {
-	eng := n.MPM.Shard
 	switch c.kind {
 	case cmdEnsure:
 		if err := n.ensure(se, c); err != nil {
-			n.cl.sendEvent(eng, se.Now(), event{opFail: &opFail{
+			n.cl.sendEvent(se.Now(), event{opFail: &opFail{
 				name: c.name, node: n.Idx, err: err.Error(),
 			}})
 		}
@@ -325,9 +321,8 @@ func (n *Node) ensure(se *hw.Exec, c *command) error {
 // migrateOut expels the instance and hands its records to the
 // destination agent.
 func (n *Node) migrateOut(se *hw.Exec, c *command) {
-	eng := n.MPM.Shard
 	fail := func(err error) {
-		n.cl.sendEvent(eng, se.Now(), event{migFail: &migFail{
+		n.cl.sendEvent(se.Now(), event{migFail: &migFail{
 			name: c.name, from: n.Idx, to: c.dst, stage: "expel", err: err.Error(),
 		}})
 	}
@@ -351,13 +346,12 @@ func (n *Node) migrateOut(se *hw.Exec, c *command) {
 		srcLast: srcLast, expelAt: se.Now(),
 	}
 	dst := n.cl.Nodes[c.dst]
-	n.cl.sendCmd(eng, se.Now(), dst, command{kind: cmdAdopt, name: c.name, mig: m})
+	n.cl.sendCmd(se.Now(), dst, command{kind: cmdAdopt, name: c.name, mig: m})
 }
 
 // adopt installs migrated-in records and arms the first-dispatch watch
 // that closes the blackout measurement.
 func (n *Node) adopt(se *hw.Exec, m *migMsg) {
-	eng := n.MPM.Shard
 	// Host-side state first: if a crash lands mid-Adopt, the replayed
 	// agent still knows about the pod it was taking in (Adopt itself
 	// registers the records before reloading, for the same reason).
@@ -366,7 +360,7 @@ func (n *Node) adopt(se *hw.Exec, m *migMsg) {
 	if err := n.SRM.Adopt(se, m.rec); err != nil {
 		delete(n.hosted, m.name)
 		delete(n.awaitFirst, m.execName)
-		n.cl.sendEvent(eng, se.Now(), event{migFail: &migFail{
+		n.cl.sendEvent(se.Now(), event{migFail: &migFail{
 			name: m.name, from: m.from, to: m.to, stage: "adopt", err: err.Error(),
 		}})
 		return
@@ -392,7 +386,7 @@ func (n *Node) report(se *hw.Exec) {
 			Name: name, State: n.podState(name, pr), Beats: pr.pod.Beats, Gen: pr.gen,
 		}
 	}
-	n.cl.sendEvent(n.MPM.Shard, se.Now(), event{report: rep})
+	n.cl.sendEvent(se.Now(), event{report: rep})
 }
 
 // podState classifies one hosted instance from the SRM's records and

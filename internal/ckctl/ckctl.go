@@ -6,11 +6,10 @@
 // Everything runs *inside* the simulation as ordinary coroutines — the
 // controller and the per-MPM agents are SRM-space worker threads
 // (replayed across Cache Kernel crashes by the SRM's service registry),
-// and all control traffic is virtual-time messages carried between
-// engine shards by the epoch outbox (sim.Engine.ScheduleCrossAt). A
-// given spec, chaos plan and seed therefore produce a byte-identical
-// run at any shard count: orchestration is part of the simulated world,
-// not a host-side driver.
+// and all control traffic is virtual-time messages that pay the control
+// latency (sim.Engine.DeliverAt). A given spec, chaos plan and seed
+// therefore produce a byte-identical run: orchestration is part of the
+// simulated world, not a host-side driver.
 //
 // The plane leans on the paper's caching model twice over. Crash
 // handling is the SRM guardian's existing regenerate-from-backing-records
@@ -18,7 +17,7 @@
 // restart where. And live migration is a records handoff rather than a
 // state copy: quiesce the source instance, force a full descriptor
 // writeback (srm.Expel), carry the backing records to the target MPM in
-// one cross-shard message, and reload them there (srm.Adopt). Physical
+// one control message, and reload them there (srm.Adopt). Physical
 // memory is machine-wide, so the pod's frames and segment contents
 // never move. The measured cost is a virtual-time blackout: last
 // source-side dispatch to first target-side dispatch.
@@ -49,8 +48,7 @@ type Config struct {
 	Horizon uint64
 	// AgentTick is the agents' and controller's polling period.
 	AgentTick uint64
-	// CtlLatency is the modeled control-message latency between modules;
-	// it is registered as the cluster's cross-shard lookahead bound.
+	// CtlLatency is the modeled control-message latency between modules.
 	CtlLatency uint64
 	// LaunchTimeout bounds how long the controller waits for a launch or
 	// restart to be reported running before reissuing it.
@@ -81,8 +79,7 @@ func DefaultConfig() Config {
 }
 
 // Node is the plane's per-MPM half: the module's Cache Kernel and SRM
-// plus the agent state. All Node fields are owned by the module's
-// engine shard once the machine runs.
+// plus the agent state.
 type Node struct {
 	Idx int
 	MPM *hw.MPM
@@ -98,7 +95,7 @@ type Node struct {
 	// by every report.
 	names []string
 	// inbox receives controller commands (appended by message-delivery
-	// closures running on this shard).
+	// closures).
 	inbox []command
 	// lastDispatch tracks each execution context's most recent dispatch
 	// (for the migration blackout's source timestamp); awaitFirst holds
@@ -170,10 +167,6 @@ func New(m *hw.Machine, cfg Config, spec Spec) (*Cluster, error) {
 	if _, err := spec.normalize(); err != nil {
 		return nil, err
 	}
-	// Control messages may cross engine shards; their modeled latency is
-	// the interconnect's lookahead bound.
-	m.BoundLookahead(cfg.CtlLatency)
-
 	c := &Cluster{M: m, Cfg: cfg}
 	for i, mpm := range m.MPMs {
 		k, err := ck.New(mpm, cfg.CK)
@@ -238,8 +231,7 @@ func (c *Cluster) Kernels() []*ck.Kernel {
 // order — the drain-and-move pattern of a cluster upgrade. The makespan
 // and per-pod blackouts appear in Status.
 func (c *Cluster) ScheduleRollingUpgrade(at uint64) {
-	ctlShard := c.Nodes[0].MPM.Shard
-	ctlShard.ScheduleAt(at, func() {
+	c.Nodes[0].MPM.Engine.ScheduleAt(at, func() {
 		c.ctl.beginUpgrade(at)
 	})
 }

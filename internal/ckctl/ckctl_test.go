@@ -12,13 +12,12 @@ import (
 
 // buildCluster boots a machine with the plane over it. Callers arm
 // chaos/upgrades and then runCluster.
-func buildCluster(t *testing.T, mpms, shards int, spec Spec, horizonUS float64) *Cluster {
+func buildCluster(t *testing.T, mpms int, spec Spec, horizonUS float64) *Cluster {
 	t.Helper()
 	mcfg := hw.DefaultConfig()
 	mcfg.MPMs = mpms
 	mcfg.CPUsPerMPM = 2
 	mcfg.PhysMemBytes = 256 << 20
-	mcfg.Shards = shards
 	m := hw.NewMachine(mcfg)
 	cfg := DefaultConfig()
 	cfg.Horizon = hw.CyclesFromMicros(horizonUS)
@@ -45,7 +44,7 @@ func TestLaunchAndComplete(t *testing.T) {
 		{Name: "web", Count: 4, MPM: -1, Restart: RestartOnFailure, Beats: 40, BeatUS: 100},
 		{Name: "batch", Count: 2, MPM: 1, Restart: RestartNever, Beats: 20, BeatUS: 100},
 	}}
-	c := buildCluster(t, 2, 1, spec, 30_000)
+	c := buildCluster(t, 2, spec, 30_000)
 	runCluster(t, c)
 	st := c.Status()
 	if len(st.Instances) != 6 {
@@ -81,7 +80,7 @@ func TestLiveMigration(t *testing.T) {
 	spec := Spec{Kernels: []KernelSpec{
 		{Name: "pod", Count: 4, MPM: -1, Restart: RestartOnFailure, BeatUS: 100},
 	}}
-	c := buildCluster(t, 2, 1, spec, 40_000)
+	c := buildCluster(t, 2, spec, 40_000)
 	c.ScheduleRollingUpgrade(hw.CyclesFromMicros(8_000))
 	runCluster(t, c)
 	st := c.Status()
@@ -124,7 +123,7 @@ func TestKillRunningRestartPolicy(t *testing.T) {
 		{Name: "churn", Count: 2, MPM: 0, Restart: RestartOnFailure, Beats: 100, BeatUS: 100},
 		{Name: "frail", Count: 1, MPM: 0, Restart: RestartNever, Beats: 100, BeatUS: 100},
 	}}
-	c := buildCluster(t, 1, 1, spec, 60_000)
+	c := buildCluster(t, 1, spec, 60_000)
 	// Kill whatever runs on both CPUs mid-run: some pod mains die; the
 	// on-failure pods must be restarted and still finish, the no-restart
 	// pod stays down if it was hit.
@@ -170,7 +169,7 @@ func TestCrashDuringMigration(t *testing.T) {
 	// its granted horizon expires), so each serial migration takes
 	// 300-500k cycles; six migrations plus a crash recovery need a
 	// generous horizon to converge.
-	c := buildCluster(t, 2, 1, spec, 160_000)
+	c := buildCluster(t, 2, spec, 160_000)
 	upgradeAt := hw.CyclesFromMicros(8_000)
 	c.ScheduleRollingUpgrade(upgradeAt)
 	// Crash the source module's Cache Kernel while the upgrade is
@@ -203,13 +202,13 @@ func TestCrashDuringMigration(t *testing.T) {
 
 // TestDeterminism reruns the migration scenario and requires the status
 // JSON — timings, blackouts, placements, beat counts — to be
-// byte-identical, serial and sharded.
+// byte-identical.
 func TestDeterminism(t *testing.T) {
-	run := func(shards int) string {
+	run := func() string {
 		spec := Spec{Kernels: []KernelSpec{
 			{Name: "pod", Count: 6, MPM: -1, Restart: RestartOnFailure, BeatUS: 100},
 		}}
-		c := buildCluster(t, 2, shards, spec, 40_000)
+		c := buildCluster(t, 2, spec, 40_000)
 		c.ScheduleRollingUpgrade(hw.CyclesFromMicros(8_000))
 		runCluster(t, c)
 		b, err := json.MarshalIndent(c.Status(), "", " ")
@@ -218,12 +217,7 @@ func TestDeterminism(t *testing.T) {
 		}
 		return string(b)
 	}
-	serial1, serial2 := run(1), run(1)
-	if serial1 != serial2 {
-		t.Fatalf("serial rerun diverged:\n%s\n---\n%s", serial1, serial2)
-	}
-	sharded := run(2)
-	if serial1 != sharded {
-		t.Fatalf("sharded run diverged from serial:\n%s\n---\n%s", serial1, sharded)
+	if first, second := run(), run(); first != second {
+		t.Fatalf("rerun diverged:\n%s\n---\n%s", first, second)
 	}
 }

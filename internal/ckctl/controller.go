@@ -8,9 +8,9 @@ import (
 
 // The controller: an SRM-space worker thread on node 0 that owns the
 // desired-state spec and reconciles the cluster toward it from agent
-// reports. All controller state is owned by node 0's engine shard;
-// agents talk to it only through the epoch outbox, so reconciliation is
-// deterministic at any shard count.
+// reports. Agents talk to it only through control messages that pay the
+// control latency, so reconciliation is part of the simulated schedule
+// and deterministic.
 
 // phase is the controller's view of one instance.
 type phase int
@@ -119,8 +119,8 @@ type Controller struct {
 	names []string
 	insts map[string]*instance
 
-	// inbox receives agent events (appended by message-delivery closures
-	// on this shard).
+	// inbox receives agent events (appended by message-delivery
+	// closures).
 	inbox []event
 
 	nodeLoad       []uint64
@@ -409,7 +409,7 @@ func (ctl *Controller) reconcile(ce *hw.Exec) {
 // send issues a command to a node's agent.
 func (ctl *Controller) send(ce *hw.Exec, node int, cmd command) {
 	cl := ctl.cl
-	cl.sendCmd(cl.Nodes[0].MPM.Shard, ce.Now(), cl.Nodes[node], cmd)
+	cl.sendCmd(ce.Now(), cl.Nodes[node], cmd)
 }
 
 // place picks a module for the instance: its pin if set, else the

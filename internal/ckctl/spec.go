@@ -95,11 +95,10 @@ func (sp *Spec) normalize() (instances int, err error) {
 	return instances, nil
 }
 
-// Pod is the host-side workload state of one instance. It is owned by
-// the engine shard the pod currently runs on: the body mutates it, the
-// local agent reads it, and a migration hands it to the target shard
-// inside the same epoch-barrier message that carries the kernel's
-// backing records.
+// Pod is the host-side workload state of one instance. It belongs to
+// the node the pod currently runs on: the body mutates it, the local
+// agent reads it, and a migration hands it to the target node inside
+// the same control message that carries the kernel's backing records.
 type Pod struct {
 	Name string
 	// Beats counts completed heartbeats. It survives migration and

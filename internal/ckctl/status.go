@@ -8,8 +8,8 @@ import (
 
 // The structured status API: everything is derived from virtual-time
 // simulation state, so `ckctl ps` output and the status JSON are
-// byte-identical for a given spec, seed and chaos plan at any shard
-// count. Read after the machine has run (or from the owning shard).
+// byte-identical for a given spec, seed and chaos plan. Read after the
+// machine has run (or from inside the simulation).
 
 // InstanceStatus is one pod's controller-view status line.
 type InstanceStatus struct {

@@ -15,12 +15,10 @@ import (
 // step count; trace (optional) observes every coroutine dispatch. The
 // run is fully deterministic — the determinism regression test hashes
 // its schedule trace against a golden generated before the engine
-// optimization, and asserts the sharded engine (shards > 1 spreads the
-// two MPMs over per-shard goroutines) reproduces it byte-identically.
-func RunDeterminismWorkload(trace func(name string, at uint64), shards int) (finalClock, steps uint64, err error) {
+// optimization.
+func RunDeterminismWorkload(trace func(name string, at uint64)) (finalClock, steps uint64, err error) {
 	cfg := hw.DefaultConfig()
 	cfg.MPMs = 2
-	cfg.Shards = shards
 	m := hw.NewMachine(cfg)
 	defer m.Close()
 	m.SetTraceDispatch(trace)

@@ -16,12 +16,9 @@ import (
 // the final virtual clock and scheduling step count; trace (optional)
 // observes every coroutine dispatch. Together with the mixed workload
 // in RunDeterminismWorkload it pins the boot path and the
-// signal-delivery fast path under the determinism goldens. The machine
-// has one MPM, so shards above one clamp to the serial engine; the
-// parameter keeps the workload signature uniform across the goldens.
-func RunBootEchoWorkload(trace func(name string, at uint64), shards int) (finalClock, steps uint64, err error) {
+// signal-delivery fast path under the determinism goldens.
+func RunBootEchoWorkload(trace func(name string, at uint64)) (finalClock, steps uint64, err error) {
 	cfg := hw.DefaultConfig()
-	cfg.Shards = shards
 	m := hw.NewMachine(cfg)
 	defer m.Close()
 	m.SetTraceDispatch(trace)

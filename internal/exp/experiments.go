@@ -57,10 +57,10 @@ var Experiments = []Experiment{
 	// "all", so its output is fast and byte-stable across commits.
 	{ID: "rec", Title: "crash recovery latency (paper §3: all Cache Kernel state is regenerable)",
 		OptIn: true, Bench: "BENCH_recovery.json",
-		Run: func(bool) (fmt.Stringer, error) { return result(RunRecoveryWorkload(nil, 1)) }},
+		Run: func(bool) (fmt.Stringer, error) { return result(RunRecoveryWorkload(nil)) }},
 	{ID: "orch", Title: "live migration blackout under a rolling upgrade (DESIGN §12)",
 		OptIn: true, Bench: "BENCH_orchestration.json",
-		Run: func(bool) (fmt.Stringer, error) { return result(RunOrchestrationWorkload(nil, 1)) }},
+		Run: func(bool) (fmt.Stringer, error) { return result(RunOrchestrationWorkload(nil)) }},
 	{ID: "fork", Title: "whole-machine snapshot/fork cost (DESIGN §13)",
 		OptIn: true, Bench: "BENCH_fork.json",
 		Run: func(bool) (fmt.Stringer, error) {

@@ -73,9 +73,9 @@ func TestSelect(t *testing.T) {
 // here, not only when it breaks a shape check. Regenerate with
 // go test ./internal/exp -run TestPaperTables -update, and only
 // for an intended change to the simulated results. The name stays out
-// of the -run 'Golden|ShardInvariance' pattern that CI also runs under
-// -race -tags cksan,ckinvariants, where Table 2's invariant checks
-// alone take over ten minutes.
+// of the -run Golden pattern that CI also runs under -race -tags
+// ckinvariants, where Table 2's invariant checks alone take over ten
+// minutes.
 func TestPaperTables(t *testing.T) {
 	sel, err := Select("all")
 	if err != nil {

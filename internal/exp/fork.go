@@ -195,7 +195,7 @@ func MeasureFork() (ForkReport, error) {
 	var last *hw.Machine
 	t0 = time.Now() //ckvet:allow detmap host-side wall-clock measurement is this experiment's purpose
 	for i := 0; i < r.Forks; i++ {
-		if last, _, err = im.Fork(1, nil); err != nil {
+		if last, _, err = im.Fork(nil); err != nil {
 			return r, err
 		}
 		defer last.Close()

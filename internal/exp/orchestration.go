@@ -63,7 +63,7 @@ func (r OrchestrationResult) String() string {
 // No chaos: every migration must complete and every oracle-style check
 // here is fatal. Fully deterministic; the orchestration golden hashes
 // its dispatch schedule.
-func RunOrchestrationWorkload(trace func(name string, at uint64), shards int) (OrchestrationResult, error) {
+func RunOrchestrationWorkload(trace func(name string, at uint64)) (OrchestrationResult, error) {
 	const (
 		mpms      = 3
 		pods      = 24
@@ -79,7 +79,6 @@ func RunOrchestrationWorkload(trace func(name string, at uint64), shards int) (O
 	cfg.MPMs = mpms
 	cfg.CPUsPerMPM = 2
 	cfg.PhysMemBytes = 256 << 20
-	cfg.Shards = shards
 	m := hw.NewMachine(cfg)
 	defer m.Close()
 	m.SetTraceDispatch(trace)

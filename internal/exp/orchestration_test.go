@@ -6,7 +6,7 @@ import "testing"
 // migrates every long-running pod exactly once, with a positive
 // blackout and an ordered distribution, and nothing restarts.
 func TestOrchestrationWorkload(t *testing.T) {
-	res, err := RunOrchestrationWorkload(nil, 1)
+	res, err := RunOrchestrationWorkload(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,14 +71,13 @@ func (r RecoveryResult) String() string {
 // process is rerun from its program start) and returns the recovery
 // latency breakdown. Fully deterministic; the recovery golden hashes
 // its dispatch schedule.
-func RunRecoveryWorkload(trace func(name string, at uint64), shards int) (RecoveryResult, error) {
+func RunRecoveryWorkload(trace func(name string, at uint64)) (RecoveryResult, error) {
 	var res RecoveryResult
 	res.CrashAt = hw.CyclesFromMicros(18_000)
 	horizon := hw.CyclesFromMicros(120_000)
 
 	cfg := hw.DefaultConfig()
 	cfg.MPMs = 1
-	cfg.Shards = shards
 	m := hw.NewMachine(cfg)
 	defer m.Close()
 	m.SetTraceDispatch(trace)

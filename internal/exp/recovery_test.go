@@ -9,7 +9,7 @@ import (
 // crash: every emulated process finishes, the latency milestones are
 // ordered, and the breakdown is attributed correctly.
 func TestRecoveryWorkload(t *testing.T) {
-	res, err := RunRecoveryWorkload(nil, 1)
+	res, err := RunRecoveryWorkload(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

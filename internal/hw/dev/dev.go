@@ -7,11 +7,8 @@ package dev
 
 import (
 	"fmt"
-	//ckvet:allow shardsafe Wire stats are bumped from transmit paths on every attached shard concurrently and only read after Run
-	"sync/atomic"
 
 	"vpp/internal/hw"
-	"vpp/internal/sim"
 )
 
 // MAC is an Ethernet hardware address.
@@ -46,8 +43,7 @@ type FrameFault struct {
 // Wire is a shared Ethernet segment connecting NICs.
 type Wire struct {
 	nics []*NIC
-	// Frames counts frames carried. Incremented atomically: senders on
-	// a sharded machine may transmit concurrently within an epoch.
+	// Frames counts frames carried.
 	Frames uint64
 }
 
@@ -85,17 +81,9 @@ type NIC struct {
 	TxFault func(frame []byte) FrameFault
 }
 
-// AttachNIC creates a NIC on the wire for an MPM. When the wire comes
-// to span engine shards, the Ethernet minimum transit time becomes a
-// cross-shard latency bound: no frame reaches another shard sooner.
+// AttachNIC creates a NIC on the wire for an MPM.
 func AttachNIC(mpm *hw.MPM, wire *Wire, addr MAC) *NIC {
 	n := &NIC{Addr: addr, MPM: mpm, wire: wire, RxQueueLimit: 32}
-	for _, peer := range wire.nics {
-		if peer.MPM.Shard != mpm.Shard {
-			mpm.Machine.BoundLookahead(EtherMinFrame*EtherCyclesPerByte + EtherLatency)
-			break
-		}
-	}
 	wire.nics = append(wire.nics, n)
 	return n
 }
@@ -116,7 +104,7 @@ func (n *NIC) Transmit(e *hw.Exec, frame []byte) error {
 	e.Charge(uint64(len(frame)/4) * hw.CostDeviceDMAWord)
 	n.TxFrames++
 	n.TxBytes += uint64(len(frame))
-	atomic.AddUint64(&n.wire.Frames, 1)
+	n.wire.Frames++
 	delay := uint64(len(frame))*EtherCyclesPerByte + EtherLatency
 	var ff FrameFault
 	if n.TxFault != nil {
@@ -126,71 +114,27 @@ func (n *NIC) Transmit(e *hw.Exec, frame []byte) error {
 		n.WireDropped++
 		return nil
 	}
-	// One delivery event per destination shard, in wire order: each
-	// event delivers to that shard's eligible NICs (still filtered at
-	// delivery time, so wire membership stays live), and a cross-shard
-	// event rides the epoch barrier with its transit time intact. On a
-	// serial machine every NIC shares one engine, so this is exactly
-	// one event with the historical closure semantics.
-	deliverOn := func(shard *sim.Engine) func() {
-		return func() {
-			var dst MAC
-			copy(dst[:], dup[0:6])
-			for _, peer := range n.wire.nics {
-				if peer == n || peer.MPM.Shard != shard {
-					continue
-				}
-				if dst != Broadcast && dst != peer.Addr {
-					continue
-				}
-				peer.receive(dup)
+	// One delivery event per transmit: it delivers to the NICs on the
+	// wire at delivery time whose address matches (or to all of them,
+	// for a broadcast), so wire membership stays live.
+	deliver := func() {
+		var dst MAC
+		copy(dst[:], dup[0:6])
+		for _, peer := range n.wire.nics {
+			if peer == n || (dst != Broadcast && dst != peer.Addr) {
+				continue
 			}
+			peer.receive(dup)
 		}
 	}
-	eng := n.MPM.Shard
+	eng := n.MPM.Engine
 	at := eng.Now() + delay + ff.Delay
-	sent := false
-	n.forEachPeerShard(func(shard *sim.Engine) {
-		sent = true
-		eng.ScheduleCrossAt(shard, at, deliverOn(shard))
-	})
-	if !sent {
-		// Peerless wire: keep the historical one-event-per-transmit
-		// schedule shape (an empty delivery) so schedules are identical.
-		eng.ScheduleCrossAt(eng, at, deliverOn(eng))
-	}
+	eng.DeliverAt(at, deliver)
 	if ff.Dup {
 		n.WireDuped++
-		sent = false
-		n.forEachPeerShard(func(shard *sim.Engine) {
-			sent = true
-			eng.ScheduleCrossAt(shard, at+EtherLatency, deliverOn(shard))
-		})
-		if !sent {
-			eng.ScheduleCrossAt(eng, at+EtherLatency, deliverOn(eng))
-		}
+		eng.DeliverAt(at+EtherLatency, deliver)
 	}
 	return nil
-}
-
-// forEachPeerShard calls fn once per distinct shard owning at least one
-// other NIC on the wire, in wire order.
-func (n *NIC) forEachPeerShard(fn func(shard *sim.Engine)) {
-	for i, peer := range n.wire.nics {
-		if peer == n {
-			continue
-		}
-		first := true
-		for _, prev := range n.wire.nics[:i] {
-			if prev != n && prev.MPM.Shard == peer.MPM.Shard {
-				first = false
-				break
-			}
-		}
-		if first {
-			fn(peer.MPM.Shard)
-		}
-	}
 }
 
 // receive queues a frame in engine context.
@@ -254,16 +198,11 @@ type FiberPort struct {
 	TxFault func(msg []byte) FrameFault
 }
 
-// ConnectFiber creates a connected pair of ports. A link between MPMs
-// on different engine shards registers the fiber's propagation latency
-// as a cross-shard lookahead bound: no message arrives sooner.
+// ConnectFiber creates a connected pair of ports.
 func ConnectFiber(a, b *hw.MPM, name string) (*FiberPort, *FiberPort) {
 	pa := &FiberPort{Name: name + ".a", MPM: a}
 	pb := &FiberPort{Name: name + ".b", MPM: b}
 	pa.peer, pb.peer = pb, pa
-	if a.Shard != b.Shard {
-		a.Machine.BoundLookahead(FiberLatency)
-	}
 	return pa, pb
 }
 
@@ -294,14 +233,12 @@ func (p *FiberPort) Send(e *hw.Exec, msg []byte) error {
 			peer.OnRx()
 		}
 	}
-	// Delivery runs on the receiving port's shard; a cross-shard link
-	// rides the epoch barrier with its transit time intact.
-	eng := p.MPM.Shard
+	eng := p.MPM.Engine
 	at := eng.Now() + cycles + FiberLatency + ff.Delay
-	eng.ScheduleCrossAt(peer.MPM.Shard, at, deliver)
+	eng.DeliverAt(at, deliver)
 	if ff.Dup {
 		p.WireDuped++
-		eng.ScheduleCrossAt(peer.MPM.Shard, at+FiberLatency, deliver)
+		eng.DeliverAt(at+FiberLatency, deliver)
 	}
 	return nil
 }

@@ -79,7 +79,7 @@ type execExit struct{ e *Exec }
 // context: a released execution has not exited, its machine has ended.
 func (m *MPM) NewExec(name string, body func(*Exec)) *Exec {
 	e := &Exec{Name: name, MPM: m, Mode: ModeUser}
-	e.coro = m.Shard.NewCoro(name, func(ctx *sim.Ctx) {
+	e.coro = m.Engine.NewCoro(name, func(ctx *sim.Ctx) {
 		e.ctx = ctx
 		defer func() {
 			if r := recover(); r != nil {
@@ -110,7 +110,7 @@ func (m *MPM) NewDeviceExec(name string, body func(*Exec)) *Exec {
 	e := m.NewExec(name, body)
 	e.Mode = ModeSupervisor
 	e.devClock = sim.NewClock(name)
-	m.Shard.UnparkOn(e.coro, e.devClock)
+	m.Engine.UnparkOn(e.coro, e.devClock)
 	return e
 }
 
@@ -122,7 +122,7 @@ func (e *Exec) Wake() {
 	if e.devClock == nil || e.finished || e.coro.Runnable() {
 		return
 	}
-	eng := e.MPM.Shard
+	eng := e.MPM.Engine
 	e.devClock.AdvanceTo(eng.Now())
 	eng.UnparkOn(e.coro, e.devClock)
 }

@@ -15,17 +15,12 @@ type Config struct {
 	L2Bytes       uint32
 	TLBEntries    int
 
-	// Shards is the number of engine shards the MPMs are spread over,
-	// each running on its own goroutine inside deterministic
-	// virtual-time epochs (internal/sim Cluster). 0 or 1 runs every MPM
-	// on one shard; values above MPMs are clamped. Results are
-	// byte-identical across shard counts.
+	// Shards is ignored: every MPM runs on the machine's one engine.
+	//
+	// Deprecated: kept only so the benchmark module, which sets it,
+	// still compiles; it goes with the next benchmark change (ROADMAP
+	// item 7).
 	Shards int
-
-	// ShardMap optionally assigns MPM i to shard ShardMap[i] (values in
-	// [0, Shards)); nil means round-robin. Callers use it to co-locate
-	// MPMs that share host-side state outside the interconnect model.
-	ShardMap []int
 }
 
 // DefaultConfig matches the paper's prototype: MPMs of four 25 MHz CPUs,
@@ -43,10 +38,9 @@ func DefaultConfig() Config {
 }
 
 // Machine is a simulated multiprocessor: shared physical memory plus one
-// or more MPMs, spread over the engine shards of Cluster (one shard
-// unless Cfg.Shards asks for more). Drive it through the Machine-level
-// Run / SetTraceDispatch / SetMaxSteps / Now / Steps wrappers; an MPM's
-// own engine is MPM.Shard.
+// or more MPMs, all on the one engine of Cluster. Drive it through the
+// Machine-level Run / SetTraceDispatch / SetMaxSteps / Now / Steps
+// wrappers; MPM.Engine is that engine.
 type Machine struct {
 	Cluster *sim.Cluster
 	Phys    *PhysMem
@@ -59,25 +53,17 @@ func NewMachine(cfg Config) *Machine {
 	if cfg.MPMs <= 0 || cfg.CPUsPerMPM <= 0 {
 		panic("hw: machine needs at least one MPM and CPU")
 	}
-	shards := min(max(1, cfg.Shards), cfg.MPMs)
 	m := &Machine{
-		Cluster: sim.NewCluster(shards),
+		Cluster: sim.NewCluster(),
 		Phys:    NewPhysMem(cfg.PhysMemBytes),
 		Cfg:     cfg,
 	}
 	cpuID := 0
 	for i := 0; i < cfg.MPMs; i++ {
-		s := i % shards
-		if cfg.ShardMap != nil {
-			if i >= len(cfg.ShardMap) || cfg.ShardMap[i] < 0 || cfg.ShardMap[i] >= shards {
-				panic(fmt.Sprintf("hw: bad ShardMap entry for MPM %d", i))
-			}
-			s = cfg.ShardMap[i]
-		}
 		mpm := &MPM{
 			ID:       i,
 			Machine:  m,
-			Shard:    m.Cluster.Engine(s),
+			Engine:   m.Cluster.Engine(),
 			LocalRAM: NewRAMAllocator(fmt.Sprintf("mpm%d-lram", i), cfg.LocalRAMBytes),
 			L2:       NewL2Cache(cfg.L2Bytes),
 		}
@@ -106,30 +92,25 @@ func (m *Machine) Run(until uint64) error { return m.Cluster.Run(until) }
 // Close ends the machine once its last Run has returned
 // (sim.Cluster.Close): every execution still parked, runnable or in
 // the middle of a call is unwound without running any more simulated
-// code, and the shard workers stop. A machine dropped without Close
+// code. A machine dropped without Close
 // leaks one goroutine per such execution, and each of them keeps the
 // whole machine reachable. Close twice is a no-op; Run after Close
 // panics.
 func (m *Machine) Close() { m.Cluster.Close() }
 
 // SetTraceDispatch installs the dispatch-trace hook; it sees every
-// activation in serial order at any shard count (sim.Cluster.SetTrace).
+// activation in schedule order (sim.Cluster.SetTrace).
 func (m *Machine) SetTraceDispatch(fn func(name string, at uint64)) { m.Cluster.SetTrace(fn) }
 
 // SetMaxSteps arms the machine-wide scheduling-decision guard.
 func (m *Machine) SetMaxSteps(n uint64) { m.Cluster.MaxSteps = n }
 
 // Now reports the machine's global virtual time: the time of the most
-// recent schedule point, which is identical across shard counts.
+// recent schedule point.
 func (m *Machine) Now() uint64 { return m.Cluster.Now() }
 
-// Steps reports total schedule points, shard-count invariant.
+// Steps reports total schedule points.
 func (m *Machine) Steps() uint64 { return m.Cluster.Steps() }
-
-// BoundLookahead registers a cross-shard interaction latency with the
-// cluster (a no-op on a one-shard machine). Device models call it when
-// an interconnect they create spans shards.
-func (m *Machine) BoundLookahead(cycles uint64) { m.Cluster.Bound(cycles) }
 
 // MPM is one multiprocessor module: a small number of CPUs sharing a
 // second-level cache and local RAM, running its own Cache Kernel instance
@@ -137,9 +118,10 @@ func (m *Machine) BoundLookahead(cycles uint64) { m.Cluster.Bound(cycles) }
 type MPM struct {
 	ID      int
 	Machine *Machine
-	// Shard is the engine that owns this MPM's clocks, coroutines and
-	// events. All scheduling for the MPM goes through it.
-	Shard    *sim.Engine
+	// Engine owns this MPM's clocks, coroutines and events, and those
+	// of every other MPM of the machine. All scheduling for the MPM
+	// goes through it.
+	Engine   *sim.Engine
 	CPUs     []*CPU
 	LocalRAM *RAMAllocator
 	L2       *L2Cache
@@ -196,7 +178,7 @@ func (c *CPU) Post(bits uint32) { c.Pending |= bits }
 // ArmTimerAt schedules a supervisor TimerTick for this CPU at virtual
 // time t.
 func (c *CPU) ArmTimerAt(t uint64) {
-	c.MPM.Shard.ScheduleAt(t, func() {
+	c.MPM.Engine.ScheduleAt(t, func() {
 		if c.MPM.Sup != nil {
 			c.MPM.Sup.TimerTick(c)
 		}
@@ -208,13 +190,12 @@ func (c *CPU) ArmTimerAt(t uint64) {
 //
 //ckvet:allow chargepath raw dispatch bookkeeping; the supervisor's scheduler charges CostSchedule and context-restore costs
 func (c *CPU) Dispatch(e *Exec) {
-	sanCheckDispatch(c, e)
 	if c.Cur != nil {
 		panic(fmt.Sprintf("hw: dispatch %q onto busy cpu %d (running %q)", e.Name, c.ID, c.Cur.Name))
 	}
 	c.Cur = e
 	e.CPU = c
-	c.MPM.Shard.UnparkOn(e.coro, c.Clock)
+	c.MPM.Engine.UnparkOn(e.coro, c.Clock)
 }
 
 // Fault identifies the cause of an access error.

@@ -3,8 +3,6 @@ package hw
 import (
 	"encoding/binary"
 	"fmt"
-	//ckvet:allow shardsafe COW counters are bumped from write paths on every shard of a forked machine concurrently and only read at quiescence
-	"sync/atomic"
 )
 
 // Page geometry shared with the page tables.
@@ -28,12 +26,9 @@ const (
 // shared, and the first write to a shared frame privatizes a copy, so
 // a fork's writes never reach the parent, its siblings, or the image.
 //
-// The frame table is one flat array, allocated whole. It must not be
-// chunked on first touch, as the Cache Kernel's dependency records and
-// the L2 tags are: the shards of a sharded machine write disjoint slots
-// of it concurrently, which is safe only because no shard writes memory
-// another shard reads, and a chunk directory filled on first use would
-// be written by whichever shard touched a chunk first.
+// The frame table is one flat array, allocated whole. Only one engine
+// ever writes it, so it could be chunked on first touch, as the Cache
+// Kernel's dependency records and the L2 tags are.
 type PhysMem struct {
 	frames []*[PageSize]byte
 	// shared[i] means frames[i] is referenced by a FrameImage (and
@@ -41,14 +36,10 @@ type PhysMem struct {
 	// until the memory first participates in a snapshot.
 	shared []bool
 	size   uint32
-	// COW counters are atomics: in a sharded forked machine every shard
-	// privatizes frames from its own module's allocator range (disjoint
-	// frame slots, so the frames/shared slices never contend), but all
-	// shards bump these machine-global words. They never feed back into
-	// simulated behavior and are read only at quiescence.
-	sharedPages atomic.Uint64
-	copiedPages atomic.Uint64
-	faults      atomic.Uint64
+	// COW counters; they never feed back into simulated behavior.
+	sharedPages uint64
+	copiedPages uint64
+	faults      uint64
 }
 
 // CowStats counts copy-on-write activity on a physical memory.
@@ -68,9 +59,9 @@ type CowStats struct {
 // CowStats reports the memory's copy-on-write counters.
 func (m *PhysMem) CowStats() CowStats {
 	return CowStats{
-		SharedPages: m.sharedPages.Load(),
-		CopiedPages: m.copiedPages.Load(),
-		Faults:      m.faults.Load(),
+		SharedPages: m.sharedPages,
+		CopiedPages: m.copiedPages,
+		Faults:      m.faults,
 	}
 }
 
@@ -97,7 +88,7 @@ func (m *PhysMem) Freeze() *FrameImage {
 	for i, f := range m.frames {
 		if f != nil && !m.shared[i] {
 			m.shared[i] = true
-			m.sharedPages.Add(1)
+			m.sharedPages++
 		}
 	}
 	return im
@@ -129,7 +120,7 @@ func (im *FrameImage) NewPhysMem() *PhysMem {
 	for i, f := range m.frames {
 		if f != nil {
 			m.shared[i] = true
-			m.sharedPages.Add(1)
+			m.sharedPages++
 		}
 	}
 	return m
@@ -169,9 +160,9 @@ func (m *PhysMem) Page(pfn uint32) *[PageSize]byte {
 		*c = *f
 		m.frames[pfn] = c
 		m.shared[pfn] = false
-		m.sharedPages.Add(^uint64(0))
-		m.copiedPages.Add(1)
-		m.faults.Add(1)
+		m.sharedPages--
+		m.copiedPages++
+		m.faults++
 		return c
 	}
 	return f

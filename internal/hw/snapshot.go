@@ -165,12 +165,9 @@ type RAMState struct {
 // State captures the allocator's accounting.
 func (a *RAMAllocator) State() RAMState { return RAMState{Used: a.used, Peak: a.peak} }
 
-// Quiescent reports whether the machine has fully drained — every
-// engine shard is out of live coroutines and pending events and every
-// CPU is idle — which is the precondition for a structural snapshot.
-// Sharded machines are only ever observed between epochs, so a drained
-// cluster is automatically at an epoch barrier and the capture is
-// shard-count-invariant.
+// Quiescent reports whether the machine has fully drained — the engine
+// is out of live coroutines and pending events and every CPU is idle —
+// which is the precondition for a structural snapshot.
 func (m *Machine) Quiescent() error {
 	if err := m.Cluster.Quiescent(); err != nil {
 		return err
@@ -186,8 +183,8 @@ func (m *Machine) Quiescent() error {
 }
 
 // ClockState is the machine's captured virtual-time state: the global
-// schedule-point time (shard-count-invariant) plus every CPU's own
-// clock, which is where dispatched work resumes counting from.
+// schedule-point time plus every CPU's own clock, which is where
+// dispatched work resumes counting from.
 type ClockState struct {
 	Time uint64
 	CPUs [][]uint64 // per MPM, per CPU
@@ -206,7 +203,7 @@ func (m *Machine) CaptureClocks() ClockState {
 }
 
 // WarpClocks advances the machine's clocks forward to a captured state:
-// every engine shard to the global snapshot time and every CPU clock to
+// the engine to the global snapshot time and every CPU clock to
 // its captured value. The machine must have the same topology as the
 // capture; clocks never move backward (warping a fresh machine is the
 // intended use).

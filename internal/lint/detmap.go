@@ -77,28 +77,10 @@ func detmapFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 				if _, isMap := tv.Type.Underlying().(*types.Map); isMap && !mapRangeExempt(pass, n, body) {
 					pass.Reportf(n.Pos(), "range over %s iterates in nondeterministic order; collect and sort the keys first (see sortedThreads in internal/ck/kernelobj.go) or annotate //ckvet:allow detmap <reason>", tv.Type)
 				}
-				if crossInboxType(tv.Type) {
-					pass.Reportf(n.Pos(), "range over a cross-shard message buffer: inbox effects must be applied in the barrier's merged rank order (consume through ranked subRec indices), not buffer order; annotate //ckvet:allow detmap <reason> if the order is provably ranked")
-				}
 			}
 		}
 		return true
 	})
-}
-
-// crossInboxType reports whether t is a slice (or array) of the
-// engine's cross-shard messages (sim.crossMsg). Those buffers hold
-// effects bound for other shards in append order, which is a per-shard
-// accident of slice scheduling; anything applying them must follow the
-// barrier's merged global rank, so a direct range is flagged.
-func crossInboxType(t types.Type) bool {
-	switch u := t.Underlying().(type) {
-	case *types.Slice:
-		return namedDeclaredIn(u.Elem(), "vpp/internal/sim", "crossMsg")
-	case *types.Array:
-		return namedDeclaredIn(u.Elem(), "vpp/internal/sim", "crossMsg")
-	}
-	return false
 }
 
 // detmapCall flags wall-clock, global-rand and unstable-sort calls.

@@ -9,5 +9,4 @@ import (
 
 func TestDetmap(t *testing.T) {
 	analysistest.Run(t, "testdata/detmap", lint.Detmap, "vpp/internal/detfix")
-	analysistest.Run(t, "testdata/detmap", lint.Detmap, "vpp/internal/sim")
 }

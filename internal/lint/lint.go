@@ -1,5 +1,5 @@
 // Package lint holds the ckvet analyzers: static checks that enforce
-// the two invariants the reproduction's results rest on and that the
+// the invariants the reproduction's results rest on and that the
 // compiler cannot see.
 //
 //   - Virtual-time results must be bit-deterministic. The golden
@@ -21,20 +21,11 @@
 //     ordinary events in the caching model and must be handled (or
 //     discarded explicitly with `_ =`).
 //
-//   - Every piece of simulated state is owned by exactly one engine
-//     shard, and cross-shard effects must ride the epoch outbox.
-//     shardsafe rejects shard-owned state escaping to package level,
-//     raw host synchronization in shard-owned code, scheduling on
-//     engines reached through the machine topology, engine-heap
-//     captures in cross-shard closures, and fault hooks or crash plans
-//     anchored on the wrong shard. The cksan runtime sanitizer
-//     (-tags cksan) covers what this over-approximation admits.
-//
-//   - The engine's per-epoch buffers are pooled and recycled, each with
-//     one reset point that drains it. poolpath rejects appends to those
-//     pooled fields outside their annotated sanctioned growth points:
-//     stale growth survives the barrier reset and reintroduces
-//     steady-state allocation on the zero-allocation hot path.
+//   - The engine recycles executed event records through one free
+//     list. poolpath rejects appends to it outside its annotated
+//     growth point: stray growth could recycle a live record and
+//     reintroduces steady-state allocation on the zero-allocation hot
+//     path.
 //
 // Findings are suppressed line-by-line with
 //
@@ -53,7 +44,7 @@ import (
 )
 
 // All is the ckvet analyzer suite.
-var All = []*analysis.Analyzer{Detmap, Chargepath, Invariantcall, Shardsafe, Poolpath}
+var All = []*analysis.Analyzer{Detmap, Chargepath, Invariantcall, Poolpath}
 
 // DeterministicPrefixes lists import-path prefixes whose packages run
 // under the simulation's virtual clock and therefore must be

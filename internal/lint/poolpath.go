@@ -8,41 +8,29 @@ import (
 )
 
 // Poolpath enforces the pooled-buffer discipline of the engine's
-// zero-allocation hot path. The per-epoch structures — action and
-// registration logs, cross-shard outboxes, the event-node free list,
-// the barrier's participant scratch — are recycled across epochs: each
-// has exactly one reset point (resetLogs at the epoch barrier, the
-// epoch loop's scratch truncation, the free-list drain in newEvent)
-// that returns it to length zero with its capacity retained. Growing
-// one of these slices anywhere else breaks the bargain twice over:
+// zero-allocation hot path. Executed event records are recycled through
+// the engine's free list, Engine.evFree: freeEvent refills it and
+// newEvent drains it. Growing it anywhere else breaks the bargain twice
+// over:
 //
-//   - bytes appended outside the epoch machinery are never consumed by
-//     a barrier, so they survive the reset as stale state that the next
-//     epoch replays into the schedule (the cksan epoch-begin assertion
-//     is the runtime form of this check);
+//   - a record appended outside freeEvent may still be referenced by a
+//     pending event, so newEvent would hand out a live record and the
+//     schedule would replay stale state;
 //
 //   - an unaccounted growth point reintroduces steady-state allocation
-//     on the path the pools exist to keep allocation-free, invisibly
+//     on the path the pool exists to keep allocation-free, invisibly
 //     regressing the allocs/op budget CI enforces.
 //
-// Every sanctioned growth point therefore carries a
-// //ckvet:allow poolpath annotation naming the reset point that drains
-// it; poolpath flags any other append to a pooled field. The check is
-// scoped to vpp/internal/sim — the only package that can name these
-// unexported fields.
+// The sanctioned growth point therefore carries a
+// //ckvet:allow poolpath annotation naming the point that drains it;
+// poolpath flags any other append to the pooled field. The check is
+// scoped to vpp/internal/sim — the only package that can name the
+// unexported field.
 var Poolpath = &analysis.Analyzer{
 	Name: "poolpath",
-	Doc: "reject appends to the engine's pooled per-epoch buffers outside " +
-		"their annotated reset-point growth sites",
+	Doc: "reject appends to the engine's pooled event free list outside " +
+		"its annotated growth site",
 	Run: runPoolpath,
-}
-
-// pooledFields names the recycled per-epoch slices by owning type.
-// Engine.coros and the event heaps are deliberately absent: they are
-// long-lived structures, not per-epoch pools.
-var pooledFields = map[string]map[string]bool{
-	"Engine":  {"acts": true, "subs": true, "outbox": true, "evFree": true},
-	"Cluster": {"ran": true},
 }
 
 func runPoolpath(pass *analysis.Pass) error {
@@ -68,28 +56,15 @@ func runPoolpath(pass *analysis.Pass) error {
 			// The first append argument is what grows; assigning the
 			// result elsewhere still aliases the pooled backing array.
 			sel, ok := call.Args[0].(*ast.SelectorExpr)
-			if !ok {
+			if !ok || sel.Sel.Name != "evFree" {
 				return true
 			}
-			owner, field := pooledFieldOf(pass, sel)
-			if owner == "" {
+			if tv, ok := pass.TypesInfo.Types[sel.X]; !ok || !namedDeclaredIn(tv.Type, "vpp/internal/sim", "Engine") {
 				return true
 			}
-			pass.Reportf(call.Pos(), "append to pooled %s.%s outside a sanctioned growth point: per-epoch buffers are recycled and stale growth survives the barrier reset; route the work through the epoch machinery or annotate //ckvet:allow poolpath <reset point that drains this>", owner, field)
+			pass.Reportf(call.Pos(), "append to pooled Engine.evFree outside its sanctioned growth point: a recycled event record must be unreferenced, and stray growth reintroduces allocation on the hot path; annotate //ckvet:allow poolpath <point that drains this>")
 			return true
 		})
 	}
 	return nil
-}
-
-// pooledFieldOf resolves sel to a pooled-field access, returning the
-// owning type and field name, or empty strings for anything else. The
-// field sets are disjoint, so map iteration order cannot matter.
-func pooledFieldOf(pass *analysis.Pass, sel *ast.SelectorExpr) (owner, field string) {
-	for o, fields := range pooledFields {
-		if fields[sel.Sel.Name] && typeIs(pass, sel.X, "vpp/internal/sim", o) {
-			return o, sel.Sel.Name
-		}
-	}
-	return "", ""
 }

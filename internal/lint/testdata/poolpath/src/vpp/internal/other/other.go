@@ -1,15 +1,13 @@
 // Package other checks poolpath's scope: a package outside
-// vpp/internal/sim may append to its own fields of the same names.
+// vpp/internal/sim may append to its own field of the same name.
 package other
 
 type buffers struct {
-	acts []int
-	ran  []int
+	evFree []int
 }
 
 func grow(b *buffers) {
-	b.acts = append(b.acts, 1)
-	b.ran = append(b.ran, 2)
+	b.evFree = append(b.evFree, 1)
 }
 
 func use() { grow(&buffers{}) }

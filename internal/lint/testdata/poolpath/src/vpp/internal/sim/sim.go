@@ -1,42 +1,24 @@
-// Package sim is the poolpath fixture: the pooled per-epoch buffers
-// (acts, subs, outbox, evFree, ran) may only grow at appends annotated
-// as sanctioned growth points.
+// Package sim is the poolpath fixture: the pooled event free list
+// (evFree) may only grow at an append annotated as its sanctioned
+// growth point.
 package sim
 
 type event struct{ at uint64 }
 
-type actRec struct{ at uint64 }
-
 type Engine struct {
-	acts   []actRec
-	subs   []int
-	outbox []int
 	evFree []*event
 	coros  []int
 }
 
 type Cluster struct {
-	ran     []int
 	engines []*Engine
 }
 
-// logAct is the sanctioned growth point; the annotation suppresses the
-// finding and documents the reset point.
-func (e *Engine) logAct(a actRec) {
-	//ckvet:allow poolpath sanctioned growth point of the action log; reset by resetLogs at the epoch barrier
-	e.acts = append(e.acts, a)
-}
-
-func (e *Engine) leakAct(a actRec) {
-	e.acts = append(e.acts, a) // want `append to pooled Engine\.acts`
-}
-
-func (e *Engine) leakSub(s int) {
-	e.subs = append(e.subs, s) // want `append to pooled Engine\.subs`
-}
-
-func (e *Engine) leakOutbox(o int) {
-	e.outbox = append(e.outbox, o) // want `append to pooled Engine\.outbox`
+// freeEvent is the sanctioned growth point; the annotation suppresses
+// the finding and documents the drain point.
+func (e *Engine) freeEvent(ev *event) {
+	//ckvet:allow poolpath the pool's own refill point; drained by newEvent
+	e.evFree = append(e.evFree, ev)
 }
 
 func (e *Engine) leakFree(ev *event) {
@@ -45,17 +27,13 @@ func (e *Engine) leakFree(ev *event) {
 
 // aliasLeak assigns the append result elsewhere; the pooled backing
 // array still grows and is still aliased.
-func (e *Engine) aliasLeak() []int {
-	return append(e.subs, 1) // want `append to pooled Engine\.subs`
+func (e *Engine) aliasLeak(ev *event) []*event {
+	return append(e.evFree, ev) // want `append to pooled Engine\.evFree`
 }
 
-// addCoro grows a long-lived structure, not a per-epoch pool.
+// addCoro grows a long-lived structure, not a pool.
 func (e *Engine) addCoro(c int) {
 	e.coros = append(e.coros, c)
-}
-
-func (c *Cluster) leakRan(i int) {
-	c.ran = append(c.ran, i) // want `append to pooled Cluster\.ran`
 }
 
 func (c *Cluster) addEngine(e *Engine) {
@@ -64,14 +42,10 @@ func (c *Cluster) addEngine(e *Engine) {
 
 func use() {
 	e := &Engine{}
-	e.logAct(actRec{})
-	e.leakAct(actRec{})
-	e.leakSub(1)
-	e.leakOutbox(1)
+	e.freeEvent(&event{})
 	e.leakFree(&event{})
-	_ = e.aliasLeak()
+	_ = e.aliasLeak(&event{})
 	e.addCoro(1)
 	c := &Cluster{}
-	c.leakRan(0)
 	c.addEngine(e)
 }

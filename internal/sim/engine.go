@@ -9,9 +9,9 @@
 // processor clock is furthest behind. This yields a deterministic,
 // serializable interleaving of the simulated multiprocessor without any
 // locking in the simulated kernel code, mirroring how the real Cache
-// Kernel limited parallelism to one MPM. Every engine is one shard of a
-// Cluster (cluster.go), which drives it; a one-shard cluster is the
-// whole simulation on one engine.
+// Kernel limited parallelism to one MPM. One engine carries a whole
+// simulated machine, every MPM included; its Cluster (cluster.go)
+// drives it.
 //
 // Time is measured in processor cycles. Clocks belong to simulated CPUs;
 // a coroutine advances whichever clock it is currently dispatched on, so a
@@ -44,7 +44,6 @@ import (
 type Clock struct {
 	name string
 	now  uint64
-	san  sanClockState // shard-ownership tag; empty unless built with -tags cksan
 }
 
 // NewClock returns a clock starting at cycle 0.
@@ -88,13 +87,6 @@ type Coro struct {
 	next    func() (struct{}, bool)
 	suspend func(struct{}) bool
 	stop    func()
-
-	// band/gid order this coro's dispatches against entities on other
-	// shards at equal virtual times (see event.band): band 0 carries
-	// the construction-time id, band 1 a barrier-assigned global rank.
-	// Only the barrier merge of a logging cluster reads them.
-	band uint8
-	gid  uint64
 }
 
 // Name reports the coro's name.
@@ -119,27 +111,21 @@ type Ctx struct {
 // event is a scheduled callback. Events run in the engine's own context
 // (never inside a coroutine); they typically raise interrupts or unpark
 // coros.
-//
-// band orders events across shard timelines at equal virtual times
-// without a shared runtime counter (see cluster.go): band 0 is
-// construction time (ids from the cluster-wide constructor counter —
-// the serial creation order, byte for byte), band 1 is runtime
-// registrations that have been assigned a global rank at an epoch
-// barrier, band 2 is this-epoch shard-local registrations not yet
-// ranked. On a one-shard cluster runtime events stay in band 2, whose
-// shard-local counter is itself the serial registration order.
 type event struct {
-	at   uint64
-	seq  uint64
-	band uint8
-	fn   func()
+	at  uint64
+	seq uint64
+	fn  func()
 }
 
-// Engine owns the coroutines, clocks and pending events of one shard.
+// Engine owns the coroutines, clocks and pending events of a machine.
 type Engine struct {
-	coros   []*Coro  // live (not finished) coroutines, creation order
-	runq    coroHeap // runnable coroutines keyed by (clock, id)
-	events  eventHeap
+	coros  []*Coro  // live (not finished) coroutines, creation order
+	runq   coroHeap // runnable coroutines keyed by (clock, id)
+	events eventHeap
+	// seq numbers coroutines and events in creation order, whether the
+	// host creates them between Run calls or simulated code does while
+	// one runs: a coroutine's id and an event's seq break ties at equal
+	// virtual times.
 	seq     uint64
 	current *Coro
 	now     uint64 // time of the most recently scheduled entity
@@ -148,69 +134,14 @@ type Engine struct {
 	sched   uint64 // schedule points: event executions + activations
 	schedAt uint64 // latest schedule-point time seen so far (monotone)
 	// maxSteps bounds engine scheduling decisions as a runaway guard;
-	// the cluster arms it from its machine-wide MaxSteps before every
-	// epoch. Zero means no limit.
+	// the cluster arms it from MaxSteps at every Run. Zero means no
+	// limit.
 	maxSteps uint64
 
-	// cluster owns the engine; shard is its index there.
+	// cluster drives the engine.
 	cluster *Cluster
-	shard   int
-	// logging records every action (event execution, coroutine
-	// dispatch) and every runtime registration so the cluster can
-	// replay the exact serial global order at each epoch barrier. A
-	// one-shard cluster never logs.
-	logging bool
-	acts    []actRec
-	subs    []subRec
-	outbox  []crossMsg
-	// evFree pools event records when the log does not retain them.
+	// evFree pools executed event records for reuse.
 	evFree []*event
-	// smallEpochs counts consecutive epochs whose log usage fit under
-	// poolRetain; trimPools shrinks over-cap buffers once it reaches
-	// poolTrimAfter.
-	smallEpochs int
-}
-
-// Action and registration log records (logging clusters only).
-const (
-	actEvent    = 0 // an event execution
-	actDispatch = 1 // an activation: first dispatch since unpark
-	actReslice  = 2 // a continuation dispatch after a grid-boundary yield
-
-	subCoro  = 0 // a NewCoro whose dispatch rank is assigned at the barrier
-	subEvent = 1 // a shard-local ScheduleAt re-ranked at the barrier
-	subCross = 2 // a cross-shard message injected at the barrier
-)
-
-// actRec is one logged action: an event execution or a dispatch
-// decision (activation or re-slice — every decision is logged, because
-// the barrier merge replays the serial engine's complete decision
-// sequence; only activations are traced). sub is the index into the
-// engine's subs log where this action's registrations begin (they end
-// where the next action's begin).
-type actRec struct {
-	at   uint64
-	co   *Coro
-	ev   *event
-	sub  int32
-	kind uint8
-}
-
-// subRec is one logged runtime registration, ranked in merged global
-// order at the epoch barrier.
-type subRec struct {
-	kind uint8
-	co   *Coro
-	ev   *event
-	msg  int32
-}
-
-// crossMsg is a scheduled effect bound for another shard, delivered at
-// the epoch barrier with its virtual time intact.
-type crossMsg struct {
-	at  uint64
-	dst *Engine
-	fn  func()
 }
 
 // Now reports the engine's current virtual time. From inside a running
@@ -230,21 +161,13 @@ func (e *Engine) Now() uint64 {
 // Steps reports the number of schedule points so far: event executions
 // plus coroutine activations. Unlike the raw decision count (which
 // includes horizon-preemption re-slices and is what the step guard
-// bounds), this is a property of the simulated schedule and is
-// identical across shard counts.
+// bounds), this is a property of the simulated schedule, not of how
+// the host sliced it.
 func (e *Engine) Steps() uint64 { return e.sched }
-
-// SanEnabled reports whether this binary was built with the cksan
-// runtime ownership sanitizer (-tags cksan). Tools use it to refuse
-// sanitizer runs on unsanitized binaries.
-func SanEnabled() bool { return sanEnabled }
-
-// Shard reports the engine's shard index within its cluster.
-func (e *Engine) Shard() int { return e.shard }
 
 // nextTime reports the virtual time of the engine's next pending entity
 // (runnable coroutine or event), or MaxUint64 when quiescent. Only
-// called between epochs, when no coroutine of the engine is executing.
+// called between Run calls, when no coroutine is executing.
 func (e *Engine) nextTime() uint64 {
 	_, t := e.peekRunnable()
 	if len(e.events) > 0 && e.events[0].at < t {
@@ -253,40 +176,11 @@ func (e *Engine) nextTime() uint64 {
 	return t
 }
 
-// nextSeq draws the next construction-order id: the cluster-wide
-// constructor counter while the cluster is being built (so ids across
-// shards reproduce the single-engine creation order exactly), the
-// engine-local counter once it runs.
-func (e *Engine) nextSeq() uint64 {
-	if c := e.cluster; !c.running {
-		c.ctorSeq++
-		return c.ctorSeq
-	}
-	e.seq++
-	return e.seq
-}
-
 // NewCoro creates a parked coroutine that will execute fn when first
 // dispatched. The body must only interact with the engine through ctx.
 func (e *Engine) NewCoro(name string, fn func(*Ctx)) *Coro {
-	id := e.nextSeq()
-	co := &Coro{
-		name: name,
-		id:   id,
-		eng:  e,
-		fn:   fn,
-		gid:  id,
-	}
-	if e.cluster.running {
-		// Runtime creation: the global dispatch rank is assigned when
-		// the creating action is merged at the barrier.
-		co.band = 1
-		co.gid = 0
-		if e.logging {
-			//ckvet:allow poolpath sanctioned growth point of the registration log; reset by resetLogs at the epoch barrier
-			e.subs = append(e.subs, subRec{kind: subCoro, co: co})
-		}
-	}
+	e.seq++
+	co := &Coro{name: name, id: e.seq, eng: e, fn: fn}
 	co.ctx = &Ctx{co: co}
 	e.coros = append(e.coros, co)
 	return co
@@ -298,7 +192,7 @@ func (e *Engine) NewCoro(name string, fn func(*Ctx)) *Coro {
 // indicates a kernel scheduling bug.
 func (e *Engine) UnparkOn(co *Coro, clock *Clock) {
 	if co.eng != e {
-		panic(fmt.Sprintf("sim: unpark of coro %q on a foreign engine (cross-shard dispatch)", co.name))
+		panic(fmt.Sprintf("sim: unpark of coro %q on a foreign engine", co.name))
 	}
 	if co.done {
 		panic(fmt.Sprintf("sim: unpark of finished coro %q", co.name))
@@ -309,7 +203,6 @@ func (e *Engine) UnparkOn(co *Coro, clock *Clock) {
 	if clock == nil {
 		panic("sim: unpark with nil clock")
 	}
-	e.sanAdoptClock(clock)
 	co.clock = clock
 	co.runnable = true
 	co.fresh = true
@@ -325,30 +218,24 @@ func (e *Engine) UnparkOn(co *Coro, clock *Clock) {
 // ScheduleAt registers fn to run at virtual time t in engine context.
 // Events at equal times run in registration order.
 func (e *Engine) ScheduleAt(t uint64, fn func()) {
-	e.scheduleEvent(t, fn)
+	e.DeliverAt(t, fn)
 	// The new event may precede the running coroutine's current horizon.
 	if cur := e.current; cur != nil && t < cur.ctx.horizon {
 		cur.ctx.horizon = t
 	}
 }
 
-// scheduleEvent registers an event without touching the running
-// coroutine's horizon.
-func (e *Engine) scheduleEvent(t uint64, fn func()) {
+// DeliverAt registers fn to run at virtual time t, as ScheduleAt does,
+// for an interconnect delivery: a fiber message or an Ethernet frame
+// that reaches its destination after a transit time. Unlike ScheduleAt
+// it never shrinks the sending coroutine's slice horizon. The sender
+// keeps running while its message is in flight, so its yield and
+// interrupt-poll points, and everything downstream of them, do not
+// move because it sent.
+func (e *Engine) DeliverAt(t uint64, fn func()) {
 	ev := e.newEvent()
-	ev.at, ev.fn = t, fn
-	if e.cluster.running {
-		// Runtime registration: shard-local order now, global rank at
-		// the barrier.
-		e.seq++
-		ev.band, ev.seq = 2, e.seq
-		if e.logging {
-			//ckvet:allow poolpath sanctioned growth point of the registration log; reset by resetLogs at the epoch barrier
-			e.subs = append(e.subs, subRec{kind: subEvent, ev: ev})
-		}
-	} else {
-		ev.band, ev.seq = 0, e.nextSeq()
-	}
+	e.seq++
+	ev.at, ev.seq, ev.fn = t, e.seq, fn
 	e.events.push(ev)
 }
 
@@ -358,41 +245,7 @@ func (e *Engine) ScheduleAfter(d uint64, fn func()) {
 	e.ScheduleAt(e.now+d, fn)
 }
 
-// ScheduleCrossAt registers fn to run at virtual time t on dst, which
-// may be another shard of the same cluster. Same-engine (or
-// construction-time) registrations are ordinary events; a runtime
-// cross-shard registration is queued in the source shard's outbox and
-// injected into dst at the epoch barrier, so t must lie beyond the
-// current epoch — which the cluster's latency bound (Cluster.Bound)
-// guarantees for every modeled interconnect.
-//
-// Unlike ScheduleAt, a cross registration never shrinks the sending
-// coroutine's slice horizon: the outbox path physically cannot (the
-// sender keeps running while the message is in flight), so the direct
-// path must not either, or the sender's yield/interrupt-poll points —
-// and everything downstream of them — would depend on whether the
-// destination happens to share the sender's shard.
-func (e *Engine) ScheduleCrossAt(dst *Engine, t uint64, fn func()) {
-	c := e.cluster
-	if dst == e || !c.running {
-		dst.scheduleEvent(t, fn)
-		return
-	}
-	if c.lookahead == math.MaxUint64 {
-		panic("sim: cross-shard event with no registered latency bound")
-	}
-	if t <= e.until {
-		panic(fmt.Sprintf("sim: cross-shard event at %d inside the current epoch (bound %d)", t, e.until))
-	}
-	//ckvet:allow poolpath sanctioned growth point of the cross-shard outbox; reset by resetLogs at the epoch barrier
-	e.outbox = append(e.outbox, crossMsg{at: t, dst: dst, fn: fn})
-	//ckvet:allow poolpath sanctioned growth point of the registration log; reset by resetLogs at the epoch barrier
-	e.subs = append(e.subs, subRec{kind: subCross, msg: int32(len(e.outbox) - 1)})
-}
-
-// newEvent draws an event record from the pool (executed events are
-// recycled: immediately when logging is off, at the epoch barrier once
-// the action log is done with them when logging is on).
+// newEvent draws an event record from the pool of executed ones.
 func (e *Engine) newEvent() *event {
 	if n := len(e.evFree); n > 0 {
 		ev := e.evFree[n-1]
@@ -402,82 +255,12 @@ func (e *Engine) newEvent() *event {
 	return &event{}
 }
 
-// freeEvent returns an executed event to the pool: on the non-logging
-// path right after it fires, on the logging path from resetLogs at the
-// epoch barrier (the action log references fired events until then).
+// freeEvent returns an executed event to the pool right after it
+// fires.
 func (e *Engine) freeEvent(ev *event) {
 	ev.fn = nil
-	//ckvet:allow poolpath the pool's own refill point; drained by newEvent, trimmed at barriers
+	//ckvet:allow poolpath the pool's own refill point; drained by newEvent
 	e.evFree = append(e.evFree, ev)
-}
-
-// poolRetain caps the capacity a pooled per-epoch structure keeps
-// across epoch barriers. logEpochQuantum bounds an epoch's length in
-// virtual time but not its decision count, so one pathological epoch
-// can grow the logs arbitrarily; trimming at the barrier bounds what
-// such a spike pins for the rest of the run, while steady-state epochs
-// (usage above the cap every epoch) keep their high-water buffers and
-// never re-allocate.
-const poolRetain = 1 << 15
-
-// poolTrimAfter is how many consecutive under-cap epochs a shard must
-// see before an over-cap buffer is actually trimmed. Workloads that
-// alternate heavy and idle epochs (staggered park phases) would
-// otherwise trim on every idle epoch and re-allocate on the next heavy
-// one — steady-state allocation churn, the exact thing the pools
-// exist to eliminate. A genuine phase change (the heavy epochs are
-// over) still releases the memory, just a few barriers later.
-const poolTrimAfter = 8
-
-// resetLogs clears the per-epoch logs for reuse and recycles every
-// event the action log retained. Only the epoch barrier may call it:
-// that is the one point where nothing can still reference a fired
-// event — the merge's rank writes into fired events are done, and
-// cross-injected events live in destination heaps, not in any log.
-func (e *Engine) resetLogs() {
-	actsUsed, subsUsed, outboxUsed := len(e.acts), len(e.subs), len(e.outbox)
-	for i := range e.acts {
-		if e.acts[i].kind == actEvent {
-			e.freeEvent(e.acts[i].ev)
-		}
-	}
-	// Zero before truncating so the retained arrays do not pin coros,
-	// events or closures beyond the epoch that logged them.
-	clear(e.acts)
-	e.acts = e.acts[:0]
-	clear(e.subs)
-	e.subs = e.subs[:0]
-	clear(e.outbox)
-	e.outbox = e.outbox[:0]
-	e.trimPools(actsUsed, subsUsed, outboxUsed)
-}
-
-// trimPools applies poolRetain: a structure whose capacity outgrew the
-// cap is shrunk once poolTrimAfter consecutive epochs have fit under
-// the cap. A workload that logs more than poolRetain entries at least
-// every few epochs keeps its buffers.
-func (e *Engine) trimPools(actsUsed, subsUsed, outboxUsed int) {
-	if actsUsed > poolRetain || subsUsed > poolRetain || outboxUsed > poolRetain {
-		e.smallEpochs = 0
-		return
-	}
-	if e.smallEpochs < poolTrimAfter {
-		e.smallEpochs++
-		return
-	}
-	if cap(e.acts) > poolRetain {
-		e.acts = make([]actRec, 0, poolRetain)
-	}
-	if cap(e.subs) > poolRetain {
-		e.subs = make([]subRec, 0, poolRetain)
-	}
-	if cap(e.outbox) > poolRetain {
-		e.outbox = make([]crossMsg, 0, poolRetain)
-	}
-	if len(e.evFree) > poolRetain {
-		clear(e.evFree[poolRetain:])
-		e.evFree = e.evFree[:poolRetain]
-	}
 }
 
 // ErrMaxSteps reports that Run stopped because the step guard tripped.
@@ -488,17 +271,16 @@ var ErrMaxSteps = errors.New("sim: exceeded MaxSteps scheduling decisions")
 // horizon is shrunk by an unpark or event it issued itself). Slice
 // boundaries are therefore intrinsic to each coroutine's own charge
 // trajectory — never derived from which other entities happen to share
-// the engine — which is what makes the schedule identical under any
-// sharding of the entities: the engine merely merges intrinsic slices,
-// events and activations by (time, id), and that merge commutes with
-// partitioning. The grid also bounds how long a non-yielding loop can
-// hold the engine, keeping it responsive to the step guard.
+// the engine: the engine merely merges intrinsic slices, events and
+// activations by (time, id). The grid also bounds how long a
+// non-yielding loop can hold the engine, keeping it responsive to the
+// step guard.
 const gridQuantum = 1 << 16
 
-// run executes the shard until no coroutine is runnable and no event is
-// pending, or until the next entity's time exceeds until. It returns
+// run executes the engine until no coroutine is runnable and no event
+// is pending, or until the next entity's time exceeds until. It returns
 // ErrMaxSteps if the step guard trips. Only the cluster calls it, once
-// per epoch.
+// per Run.
 func (e *Engine) run(until uint64) error {
 	e.until = until
 	for {
@@ -555,19 +337,12 @@ func (e *Engine) run(until uint64) error {
 	}
 }
 
-// runEvent executes one due event, logging and recycling as the mode
-// requires.
+// runEvent executes one due event and recycles its record.
 func (e *Engine) runEvent(ev *event) {
 	e.now = ev.at
 	e.sched++
 	if ev.at > e.schedAt {
 		e.schedAt = ev.at
-	}
-	if e.logging {
-		//ckvet:allow poolpath sanctioned growth point of the action log; reset by resetLogs at the epoch barrier
-		e.acts = append(e.acts, actRec{at: ev.at, ev: ev, sub: int32(len(e.subs)), kind: actEvent})
-		ev.fn()
-		return
 	}
 	ev.fn()
 	e.freeEvent(ev)
@@ -605,7 +380,7 @@ func (e *Engine) peekRunnable() (*Coro, uint64) {
 // deliberately ignores other entities' clocks — capping a slice by a
 // neighbour's position would make the yield point (and with it the
 // interleaving of side effects at overlapping clock ranges) depend on
-// which entities share the engine, breaking shard-count invariance.
+// which entities share the engine, not on the coroutine's own code.
 // Causality does not need entity capping: any interaction the running
 // coroutine initiates (an unpark, a scheduled event) shrinks its own
 // horizon at the interaction point, which is intrinsic to its code.
@@ -638,31 +413,21 @@ func (e *Engine) pickSelf(co *Coro) (horizon uint64, ok bool) {
 	return e.horizonFor(coTime), true
 }
 
-// logDispatch records one dispatch decision. An activation (first
+// logDispatch accounts one dispatch decision. An activation (first
 // dispatch since unpark) is a schedule point: it is counted, traced,
-// and advances the schedule-point clock. Re-slices are logged too on a
-// logging cluster — the barrier merge replays the complete decision
-// sequence, and with intrinsic slice boundaries that sequence is
-// identical across shard counts — but they are not schedule points.
+// and advances the schedule-point clock. Re-slices are engine pacing,
+// not schedule points.
 func (e *Engine) logDispatch(co *Coro, coTime uint64) {
-	kind := uint8(actReslice)
-	if co.fresh {
-		co.fresh = false
-		kind = actDispatch
-		e.sched++
-		if coTime > e.schedAt {
-			e.schedAt = coTime
-		}
-		// A logging cluster traces activations from the barrier merge,
-		// in serial order; an unlogged one (one shard) has nothing to
-		// merge, so the engine traces them as they happen.
-		if tr := e.cluster.trace; tr != nil && !e.logging {
-			tr(co.name, coTime)
-		}
+	if !co.fresh {
+		return
 	}
-	if e.logging {
-		//ckvet:allow poolpath sanctioned growth point of the action log; reset by resetLogs at the epoch barrier
-		e.acts = append(e.acts, actRec{at: coTime, co: co, sub: int32(len(e.subs)), kind: kind})
+	co.fresh = false
+	e.sched++
+	if coTime > e.schedAt {
+		e.schedAt = coTime
+	}
+	if tr := e.cluster.trace; tr != nil {
+		tr(co.name, coTime)
 	}
 }
 
@@ -882,7 +647,8 @@ func (h *coroHeap) pop() coroEntry {
 	return top
 }
 
-// eventHeap is a min-heap of events ordered by (at, seq).
+// eventHeap is a min-heap of events ordered by (at, seq): at equal
+// times, events run in registration order.
 type eventHeap []*event
 
 func (h *eventHeap) push(ev *event) {
@@ -925,41 +691,9 @@ func (h *eventHeap) pop() *event {
 	return top
 }
 
-// less orders events by (at, band, seq). Bands only separate at equal
-// times, where they reproduce the serial registration order:
-// construction (0) before prior-epoch runtime ranks (1) before
-// this-epoch shard-local registrations (2) — each band's counter is
-// itself monotone in serial registration order.
 func less(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	if a.band != b.band {
-		return a.band < b.band
-	}
 	return a.seq < b.seq
-}
-
-// reheap restores the event heap invariant after the barrier re-ranks
-// pending events in place.
-func (h eventHeap) reheap() {
-	n := len(h)
-	for i := n/2 - 1; i >= 0; i-- {
-		j := i
-		for {
-			l, r := 2*j+1, 2*j+2
-			m := j
-			if l < n && less(h[l], h[m]) {
-				m = l
-			}
-			if r < n && less(h[r], h[m]) {
-				m = r
-			}
-			if m == j {
-				break
-			}
-			h[j], h[m] = h[m], h[j]
-			j = m
-		}
-	}
 }

@@ -6,11 +6,11 @@ import (
 	"testing/quick"
 )
 
-// newSerial returns a one-shard cluster and its engine: the serial
-// engine the tests below drive.
+// newSerial returns a cluster and its engine, which the tests below
+// drive.
 func newSerial() (*Cluster, *Engine) {
-	c := NewCluster(1)
-	return c, c.Engine(0)
+	c := NewCluster()
+	return c, c.Engine()
 }
 
 func TestSingleCoroAdvances(t *testing.T) {
@@ -58,7 +58,7 @@ func TestTwoClocksInterleaveByTime(t *testing.T) {
 	// completion in activation order: slice boundaries are intrinsic to
 	// each coroutine's own trajectory, never induced by a neighbour's
 	// clock (that coupling would make the interleaving depend on which
-	// entities share the engine, breaking shard-count invariance).
+	// entities share the engine).
 	want := []string{"a", "a", "a", "a", "b", "b", "b", "b"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v", order)
@@ -140,9 +140,9 @@ func TestEventInterleavesWithCoro(t *testing.T) {
 
 // TestEventSplitsOwnSchedulersSlice pins the intrinsic-yield rule: when
 // the running coroutine itself schedules an event below its horizon,
-// the shrink point comes from its own code, so yielding there is
-// deterministic under any sharding — and the event fires before the
-// coroutine passes it.
+// the shrink point comes from its own code, so yielding there does not
+// depend on its neighbours — and the event fires before the coroutine
+// passes it.
 func TestEventSplitsOwnSchedulersSlice(t *testing.T) {
 	c, e := newSerial()
 	clk := NewClock("cpu0")

@@ -6,17 +6,15 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 
 	"vpp/internal/leakcheck"
 )
 
-// releaseProbe records what one shard's coroutines of a release
-// scenario ran (shards run concurrently, so each has its own). Close
-// must leave it exactly as the last Run did: a released coroutine runs
-// no simulated code.
+// releaseProbe records what the coroutines of a release scenario ran.
+// Close must leave it exactly as the last Run did: a released coroutine
+// runs no simulated code.
 type releaseProbe struct {
 	boundedIters  int  // laps of the bounded coroutine's endless loop
 	finished      int  // coroutines that ran to completion
@@ -29,44 +27,39 @@ type releaseProbe struct {
 // boundary, before the second.
 const releaseBound = gridQuantum + gridQuantum/2
 
-// buildRelease gives every shard of c one coroutine in each state Close
-// has to handle once Run(releaseBound) returns: parked, runnable beyond
-// the bound, parked inside a deferred charge, unparked but never
-// dispatched, never unparked, and finished. It returns one probe per
-// shard.
-func buildRelease(c *Cluster) []releaseProbe {
-	probes := make([]releaseProbe, c.Shards())
-	for i := range probes {
-		e, p := c.Engine(i), &probes[i]
-		clock := func(name string) *Clock { return NewClock(fmt.Sprintf("%s%d", name, i)) }
-		e.UnparkOn(e.NewCoro("parked", func(ctx *Ctx) {
-			ctx.Advance(10)
-			ctx.Park()
-			p.afterPark = true
-		}), clock("parked"))
-		e.UnparkOn(e.NewCoro("bounded", func(ctx *Ctx) {
-			for {
-				ctx.Advance(gridQuantum / 4)
-				p.boundedIters++
-			}
-		}), clock("bounded"))
-		e.UnparkOn(e.NewCoro("deferred", func(ctx *Ctx) {
-			defer func() {
-				ctx.Advance(2 * gridQuantum)
-				p.afterDeferred = true
-			}()
-			ctx.Advance(1)
-		}), clock("deferred"))
-		late := clock("late")
-		late.AdvanceTo(2 * releaseBound)
-		e.UnparkOn(e.NewCoro("late", func(*Ctx) { p.unstartedRan = true }), late)
-		e.NewCoro("never", func(*Ctx) { p.unstartedRan = true })
-		e.UnparkOn(e.NewCoro("finished", func(ctx *Ctx) {
-			ctx.Advance(5)
-			p.finished++
-		}), clock("finished"))
-	}
-	return probes
+// buildRelease gives c one coroutine in each state Close has to handle
+// once Run(releaseBound) returns: parked, runnable beyond the bound,
+// parked inside a deferred charge, unparked but never dispatched, never
+// unparked, and finished.
+func buildRelease(c *Cluster) *releaseProbe {
+	e, p := c.Engine(), &releaseProbe{}
+	e.UnparkOn(e.NewCoro("parked", func(ctx *Ctx) {
+		ctx.Advance(10)
+		ctx.Park()
+		p.afterPark = true
+	}), NewClock("parked"))
+	e.UnparkOn(e.NewCoro("bounded", func(ctx *Ctx) {
+		for {
+			ctx.Advance(gridQuantum / 4)
+			p.boundedIters++
+		}
+	}), NewClock("bounded"))
+	e.UnparkOn(e.NewCoro("deferred", func(ctx *Ctx) {
+		defer func() {
+			ctx.Advance(2 * gridQuantum)
+			p.afterDeferred = true
+		}()
+		ctx.Advance(1)
+	}), NewClock("deferred"))
+	late := NewClock("late")
+	late.AdvanceTo(2 * releaseBound)
+	e.UnparkOn(e.NewCoro("late", func(*Ctx) { p.unstartedRan = true }), late)
+	e.NewCoro("never", func(*Ctx) { p.unstartedRan = true })
+	e.UnparkOn(e.NewCoro("finished", func(ctx *Ctx) {
+		ctx.Advance(5)
+		p.finished++
+	}), NewClock("finished"))
+	return p
 }
 
 // startedLive counts e's coroutines that have a runtime coroutine and
@@ -81,54 +74,43 @@ func startedLive(e *Engine) int {
 	return n
 }
 
-// TestCloseReleasesCoroutines runs the release scenario on one shard
-// and on two shards with their workers started, closes the cluster,
-// and requires every goroutine it started to exit without running any
-// more simulated code.
+// TestCloseReleasesCoroutines runs the release scenario, closes the
+// cluster, and requires every goroutine it started to exit without
+// running any more simulated code.
 func TestCloseReleasesCoroutines(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards_%d", shards), func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			c := NewCluster(shards)
-			probes := buildRelease(c)
-			if err := c.Run(releaseBound); err != nil {
-				t.Fatal(err)
-			}
-			if shards > 1 && len(c.workers) != shards {
-				t.Fatalf("%d shard workers started, want %d", len(c.workers), shards)
-			}
-			// Per shard, the parked, bounded and deferred coroutines are
-			// suspended in yield.
-			for i := 0; i < shards; i++ {
-				if n := startedLive(c.Engine(i)); n != 3 {
-					t.Fatalf("shard %d: %d started live coroutines before Close, want 3", i, n)
-				}
-			}
-			for i, p := range probes {
-				if p.finished != 1 || p.boundedIters == 0 || p.afterPark || p.afterDeferred || p.unstartedRan {
-					t.Fatalf("shard %d did not reach its release states: %+v", i, p)
-				}
-			}
-			before := slices.Clone(probes)
-			c.Close()
-			leakcheck.Wait(t, base)
-			if !slices.Equal(probes, before) {
-				t.Fatalf("released coroutines ran simulated code: %+v, was %+v", probes, before)
-			}
-			for i := 0; i < shards; i++ {
-				if n := startedLive(c.Engine(i)); n != 0 {
-					t.Fatalf("shard %d: %d started coroutines still live after Close", i, n)
-				}
-			}
-		})
-	}
+	// The one subtest is named for the cluster's one engine, as it was
+	// when a cluster could split its machines over several.
+	t.Run("shards_1", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		c := NewCluster()
+		p := buildRelease(c)
+		if err := c.Run(releaseBound); err != nil {
+			t.Fatal(err)
+		}
+		// The parked, bounded and deferred coroutines are suspended in yield.
+		if n := startedLive(c.Engine()); n != 3 {
+			t.Fatalf("%d started live coroutines before Close, want 3", n)
+		}
+		if p.finished != 1 || p.boundedIters == 0 || p.afterPark || p.afterDeferred || p.unstartedRan {
+			t.Fatalf("the scenario did not reach its release states: %+v", *p)
+		}
+		before := *p
+		c.Close()
+		leakcheck.Wait(t, base)
+		if *p != before {
+			t.Fatalf("released coroutines ran simulated code: %+v, was %+v", *p, before)
+		}
+		if n := startedLive(c.Engine()); n != 0 {
+			t.Fatalf("%d started coroutines still live after Close", n)
+		}
+	})
 }
 
 // TestCloseTwiceThenRun pins the lifecycle edges: a second Close is a
 // no-op and Run after Close panics.
 func TestCloseTwiceThenRun(t *testing.T) {
 	base := runtime.NumGoroutine()
-	c := NewCluster(2)
+	c := NewCluster()
 	buildRelease(c)
 	if err := c.Run(releaseBound); err != nil {
 		t.Fatal(err)
@@ -148,12 +130,12 @@ func TestCloseTwiceThenRun(t *testing.T) {
 // started, so there is nothing to release.
 func TestCloseWithoutRun(t *testing.T) {
 	base := runtime.NumGoroutine()
-	c := NewCluster(2)
-	probes := buildRelease(c)
+	c := NewCluster()
+	p := buildRelease(c)
 	c.Close()
 	leakcheck.Wait(t, base)
-	if !slices.Equal(probes, make([]releaseProbe, 2)) {
-		t.Fatalf("Close ran coroutines of a cluster that never ran: %+v", probes)
+	if *p != (releaseProbe{}) {
+		t.Fatalf("Close ran coroutines of a cluster that never ran: %+v", *p)
 	}
 }
 
@@ -164,55 +146,45 @@ func explode() { panic("sim test: coroutine exploded") }
 
 // explodeAt is where the release scenario's extra coroutine panics: on
 // the far side of the first grid boundary, so the other coroutines have
-// reached their release states and, on two shards, both workers are
-// inside the epoch.
+// reached their release states.
 const explodeAt = gridQuantum + gridQuantum/4
 
-// TestRunPanicReachesCaller panics a coroutine in the release scenario,
-// on one shard and on two shards with their workers started, and
-// requires the panic to reach Run's caller as a *Panic that names the
-// coroutine, its clock and the panicking frame. Close must then release
-// every other coroutine and leave no goroutine behind.
+// TestRunPanicReachesCaller panics a coroutine in the release scenario
+// and requires the panic to reach Run's caller as a *Panic that names
+// the coroutine, its clock and the panicking frame. Close must then
+// release every other coroutine and leave no goroutine behind.
 func TestRunPanicReachesCaller(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards_%d", shards), func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			c := NewCluster(shards)
-			buildRelease(c)
-			e := c.Engine(shards - 1)
-			e.UnparkOn(e.NewCoro("boom", func(ctx *Ctx) {
-				ctx.Advance(explodeAt)
-				explode()
-			}), NewClock("boom"))
-			p := runPanic(c)
-			if p == nil {
-				t.Fatal("Run returned without the coroutine's panic")
+	// Named for the one engine, like TestCloseReleasesCoroutines.
+	t.Run("shards_1", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		c := NewCluster()
+		buildRelease(c)
+		e := c.Engine()
+		e.UnparkOn(e.NewCoro("boom", func(ctx *Ctx) {
+			ctx.Advance(explodeAt)
+			explode()
+		}), NewClock("boom"))
+		p := runPanic(c)
+		if p == nil {
+			t.Fatal("Run returned without the coroutine's panic")
+		}
+		if p.Coro != "boom" || p.At != explodeAt || p.Value != "sim test: coroutine exploded" {
+			t.Fatalf("panic %q at %d with %v, want boom at %d with the exploded value", p.Coro, p.At, p.Value, uint64(explodeAt))
+		}
+		if !strings.Contains(p.Stack, "sim.explode(") || !strings.Contains(p.Error(), "sim.explode(") {
+			t.Fatalf("panic stack lacks the panicking frame:\n%s", p.Stack)
+		}
+		for _, co := range e.coros {
+			if co.name == "boom" {
+				t.Fatal("the engine still holds the panicked coroutine")
 			}
-			if shards > 1 && len(c.workers) != shards {
-				t.Fatalf("%d shard workers started, want %d", len(c.workers), shards)
-			}
-			if p.Coro != "boom" || p.At != explodeAt || p.Value != "sim test: coroutine exploded" {
-				t.Fatalf("panic %q at %d with %v, want boom at %d with the exploded value", p.Coro, p.At, p.Value, uint64(explodeAt))
-			}
-			if !strings.Contains(p.Stack, "sim.explode(") || !strings.Contains(p.Error(), "sim.explode(") {
-				t.Fatalf("panic stack lacks the panicking frame:\n%s", p.Stack)
-			}
-			for i := 0; i < shards; i++ {
-				for _, co := range c.Engine(i).coros {
-					if co.name == "boom" {
-						t.Fatalf("shard %d still holds the panicked coroutine", i)
-					}
-				}
-			}
-			c.Close()
-			leakcheck.Wait(t, base)
-			for i := 0; i < shards; i++ {
-				if n := startedLive(c.Engine(i)); n != 0 {
-					t.Fatalf("shard %d: %d started coroutines still live after Close", i, n)
-				}
-			}
-		})
-	}
+		}
+		c.Close()
+		leakcheck.Wait(t, base)
+		if n := startedLive(e); n != 0 {
+			t.Fatalf("%d started coroutines still live after Close", n)
+		}
+	})
 }
 
 // runPanic runs c to releaseBound and returns the *Panic Run raised, or

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	//ckvet:allow shardsafe forkImages is a host-side image cache shared across scenario runs, not simulated cross-node state
 	"sync"
 
 	"vpp/internal/ck"
@@ -26,8 +25,8 @@ import (
 //     — the copied/fault counts match the dirtied page set exactly, and
 //     the parent image's bytes never change, no matter how many forks
 //     scribble on it;
-//   - snapshot determinism: booting the class again — serially or on a
-//     sharded engine — encodes to identical snapshot bytes.
+//   - snapshot determinism: booting the class again encodes to
+//     identical snapshot bytes.
 //
 // The family is bare-ck (no SRM services): the op-stream family's
 // service threads are immortal within a run, so its machines are never
@@ -117,11 +116,10 @@ func forkBootVal(mpm, p int) uint32 {
 // space, dirties every page, and exits — leaving the machine quiescent
 // (no live thread descriptors, no parked calls), i.e. snapshottable.
 // The caller closes the machine.
-func bootForkClass(cl ForkClass, shards int) (_ *hw.Machine, _ []*ck.Kernel, err error) {
+func bootForkClass(cl ForkClass) (_ *hw.Machine, _ []*ck.Kernel, err error) {
 	cfg := hw.DefaultConfig()
 	cfg.MPMs = cl.MPMs
 	cfg.CPUsPerMPM = cl.CPUsPerMPM
-	cfg.Shards = shards
 	m := hw.NewMachine(cfg)
 	defer func() {
 		if err != nil {
@@ -186,43 +184,40 @@ var forkImages struct {
 
 // classSnapshot returns the class's boot image, booting and snapshotting
 // on first use. The first build also runs the snapshot-determinism
-// oracle: a second serial boot and a four-shard boot must encode to the
-// identical bytes.
+// oracle: a second boot must encode to the identical bytes.
 func classSnapshot(cl ForkClass) (*classImage, error) {
 	forkImages.mu.Lock()
 	defer forkImages.mu.Unlock()
 	if ci, ok := forkImages.m[cl]; ok {
 		return ci, nil
 	}
-	take := func(shards int) (*snap.Image, []byte, error) {
-		m, ks, err := bootForkClass(cl, shards)
+	take := func() (*snap.Image, []byte, error) {
+		m, ks, err := bootForkClass(cl)
 		if err != nil {
-			return nil, nil, fmt.Errorf("boot (shards=%d): %w", shards, err)
+			return nil, nil, fmt.Errorf("boot: %w", err)
 		}
 		defer m.Close()
 		im, err := snap.Take(m, ks)
 		if err != nil {
-			return nil, nil, fmt.Errorf("take (shards=%d): %w", shards, err)
+			return nil, nil, fmt.Errorf("take: %w", err)
 		}
 		enc, err := im.Encode()
 		if err != nil {
-			return nil, nil, fmt.Errorf("encode (shards=%d): %w", shards, err)
+			return nil, nil, fmt.Errorf("encode: %w", err)
 		}
 		return im, enc, nil
 	}
-	im, enc, err := take(1)
+	im, enc, err := take()
 	if err != nil {
 		return nil, err
 	}
-	for _, shards := range []int{1, 4} {
-		_, enc2, err := take(shards)
-		if err != nil {
-			return nil, err
-		}
-		if !bytes.Equal(enc, enc2) {
-			return nil, fmt.Errorf("snapshot of class %+v not deterministic: re-boot at shards=%d encoded %d bytes vs %d, contents differ",
-				cl, shards, len(enc2), len(enc))
-		}
+	_, enc2, err := take()
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(enc, enc2) {
+		return nil, fmt.Errorf("snapshot of class %+v not deterministic: re-boot encoded %d bytes vs %d, contents differ",
+			cl, len(enc2), len(enc))
 	}
 	if forkImages.m == nil {
 		forkImages.m = make(map[ForkClass]*classImage)
@@ -315,9 +310,13 @@ func runForkContinuation(m *hw.Machine, ks []*ck.Kernel, sc ForkScenario, cont i
 	return out
 }
 
-// RunForkScenario explores one fork scenario at the given shard count:
-// fork the class image once per continuation and check every oracle
-// against a freshly booted machine running the identical continuation.
+// RunForkScenario explores one fork scenario: fork the class image once
+// per continuation and check every oracle against a freshly booted
+// machine running the identical continuation. shards is ignored.
+//
+// Deprecated: the shards parameter is kept only for the benchmark
+// module, which passes it; it goes with the next benchmark change
+// (ROADMAP item 7).
 func RunForkScenario(sc ForkScenario, shards int) *ForkResult {
 	res := &ForkResult{Scenario: sc}
 	// conts folds each completed continuation's schedule hash, in
@@ -339,7 +338,7 @@ func RunForkScenario(sc ForkScenario, shards int) *ForkResult {
 		return res
 	}
 	for c := 0; c < sc.Conts; c++ {
-		if sched, ok := exploreContinuation(ci, sc, c, shards, res, fail); ok {
+		if sched, ok := exploreContinuation(ci, sc, c, res, fail); ok {
 			conts.Add("cont", sched)
 		}
 	}
@@ -356,8 +355,8 @@ func RunForkScenario(sc ForkScenario, shards int) *ForkResult {
 // and on a freshly booted machine, checks the fork-vs-fresh and COW
 // oracles, and closes both machines. ok reports that both runs
 // completed; sched is then the forked run's schedule hash.
-func exploreContinuation(ci *classImage, sc ForkScenario, c, shards int, res *ForkResult, fail func(oracle, format string, args ...any)) (sched uint64, ok bool) {
-	fm, fks, err := ci.im.Fork(shards, nil)
+func exploreContinuation(ci *classImage, sc ForkScenario, c int, res *ForkResult, fail func(oracle, format string, args ...any)) (sched uint64, ok bool) {
+	fm, fks, err := ci.im.Fork(nil)
 	if err != nil {
 		fail("fork", "cont %d: %v", c, err)
 		return 0, false
@@ -368,15 +367,15 @@ func exploreContinuation(ci *classImage, sc ForkScenario, c, shards int, res *Fo
 		fail("fork", "cont %d: %v", c, fOut.err)
 		return 0, false
 	}
-	nm, nks, err := bootForkClass(sc.Class(), shards)
+	nm, nks, err := bootForkClass(sc.Class())
 	if err != nil {
 		fail("fork", "cont %d fresh boot: %v", c, err)
 		return 0, false
 	}
 	defer nm.Close()
-	// The fork warped every engine to the snapshot's global clock;
-	// align the fresh machine's engines the same way so the two
-	// timelines are comparable cycle for cycle.
+	// The fork warped its engine to the snapshot's global clock; align
+	// the fresh machine's engine the same way so the two timelines are
+	// comparable cycle for cycle.
 	if err := nm.WarpClocks(nm.CaptureClocks()); err != nil {
 		fail("fork", "cont %d fresh warp: %v", c, err)
 		return 0, false

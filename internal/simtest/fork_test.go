@@ -5,35 +5,56 @@ import (
 	"testing"
 )
 
-// TestForkFamily runs a band of fork-family seeds serially and at four
-// shards. Every oracle is armed inside RunForkScenario (fork-vs-fresh
-// byte equality, COW isolation, snapshot determinism across shard
-// counts); the test additionally pins that the continuation schedule
-// hash is shard-count-invariant and that the fingerprint reproduces.
+// forkPin is one fork seed's pinned outcome: the continuation schedule
+// hash, the continuations explored and the copy-on-write pages copied.
+// The encoded snapshot size is not pinned; it follows the image's
+// gob encoding, not the schedule.
+type forkPin struct {
+	hash  uint64
+	forks int
+	cow   uint64
+}
+
+// forkPins are `cksim -fork 8`'s values. Every continuation registers
+// its threads between Run calls (Image.Fork, then Kernel.Resume), the
+// path no trace golden covers, so these pin the engine's id order
+// across host-side registrations.
+var forkPins = map[uint64]forkPin{
+	1: {0xac1bafd25a849cf8, 4, 12},
+	2: {0xd79de0d324744a4a, 5, 54},
+	3: {0xf5a8d08126ee45a4, 5, 65},
+	4: {0x7f380d295747c15d, 3, 31},
+	5: {0x10bd18b8cf995977, 2, 14},
+	6: {0x818bc2e66b2b923c, 2, 6},
+	8: {0x8a91485f5ce30450, 3, 70},
+}
+
+// TestForkFamily runs a band of fork-family seeds twice. Every oracle is
+// armed inside RunForkScenario (fork-vs-fresh byte equality, COW
+// isolation, snapshot determinism across re-boots); the test
+// additionally pins each seed's schedule hash, fork count and COW copies
+// and checks that the fingerprint reproduces.
 func TestForkFamily(t *testing.T) {
-	for seed := uint64(1); seed <= 6; seed++ {
+	for _, seed := range []uint64{1, 2, 3, 4, 5, 6, 8} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed_%d", seed), func(t *testing.T) {
 			t.Parallel()
 			sc := GenerateFork(seed)
-			serial := RunForkScenario(sc, 1)
-			if serial.Failed() {
-				t.Fatalf("serial run failed:\n%s", serial.Fingerprint())
+			first := RunForkScenario(sc, 1)
+			if first.Failed() {
+				t.Fatalf("run failed:\n%s", first.Fingerprint())
 			}
-			if serial.Forks != sc.Conts {
-				t.Fatalf("explored %d continuations, want %d", serial.Forks, sc.Conts)
+			if first.Forks != sc.Conts {
+				t.Fatalf("explored %d continuations, want %d", first.Forks, sc.Conts)
 			}
-			sharded := RunForkScenario(sc, 4)
-			if sharded.Failed() {
-				t.Fatalf("four-shard run failed:\n%s", sharded.Fingerprint())
+			pin := forkPins[seed]
+			if got := (forkPin{first.Hash, first.Forks, first.CowCopied}); got != pin {
+				t.Fatalf("hash %016x forks %d cow %d, pinned %016x forks %d cow %d",
+					got.hash, got.forks, got.cow, pin.hash, pin.forks, pin.cow)
 			}
-			if serial.Fingerprint() != sharded.Fingerprint() {
-				t.Fatalf("fork results depend on shard count:\nserial:\n%s\nsharded:\n%s",
-					serial.Fingerprint(), sharded.Fingerprint())
-			}
-			if again := RunForkScenario(sc, 1); again.Fingerprint() != serial.Fingerprint() {
+			if again := RunForkScenario(sc, 1); again.Fingerprint() != first.Fingerprint() {
 				t.Fatalf("fork fingerprint not reproducible:\n first:\n%s\nsecond:\n%s",
-					serial.Fingerprint(), again.Fingerprint())
+					first.Fingerprint(), again.Fingerprint())
 			}
 		})
 	}

@@ -10,24 +10,24 @@ import (
 // TestHarnessesCloseMachines runs one scenario of each family and
 // requires the goroutine count to come back to where it started: the
 // harness closes every machine it builds, so no parked service thread
-// or shard worker outlives its scenario.
+// outlives its scenario.
 func TestHarnessesCloseMachines(t *testing.T) {
 	cases := []struct {
 		name string
 		run  func(t *testing.T)
 	}{
 		{"ops_seed_1", func(t *testing.T) {
-			if r := RunSharded(Generate(1), nil, 1); r.Failed() {
+			if r := Run(Generate(1), nil); r.Failed() {
 				t.Fatalf("scenario failed:\n%s", r.Fingerprint())
 			}
 		}},
-		{"orch_seed_0_shards_2", func(t *testing.T) {
-			if r := RunSharded(GenerateOrch(0), nil, 2); r.Failed() {
+		{"orch_seed_0", func(t *testing.T) {
+			if r := Run(GenerateOrch(0), nil); r.Failed() {
 				t.Fatalf("scenario failed:\n%s", r.Fingerprint())
 			}
 		}},
-		{"fork_seed_2_shards_2", func(t *testing.T) {
-			if r := RunForkScenario(GenerateFork(2), 2); r.Failed() {
+		{"fork_seed_2", func(t *testing.T) {
+			if r := RunForkScenario(GenerateFork(2), 1); r.Failed() {
 				t.Fatalf("scenario failed:\n%s", r.Fingerprint())
 			}
 		}},

@@ -11,38 +11,26 @@ import "testing"
 //
 //	go test -tags cksimlong ./internal/simtest/
 //
-// Each seed also runs as the shrinker's chunked probe at four shards,
-// which must match a passing run byte for byte and fail with a failing
-// one.
+// Each seed also runs as the shrinker's chunked probe, which must match
+// a passing run byte for byte and fail with a failing one.
 func TestSeedSweep(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		r := RunSeed(seed)
 		if r.Failed() {
 			t.Errorf("seed %d failed:\n%s", seed, r.Fingerprint())
 		}
-		checkProbe(t, r, 4)
+		checkProbe(t, r)
 	}
 }
 
-// TestOrchSeedSweep is the orchestration family's long-form sweep, with
-// shard-determinism checked on every fourth seed (each orch run is tens
-// of megacycles; the full pairwise sweep belongs to the nightly CLI)
-// and the four-shard chunked probe on every seed, as in TestSeedSweep.
+// TestOrchSeedSweep is the orchestration family's long-form sweep,
+// with the chunked probe on every seed, as in TestSeedSweep.
 func TestOrchSeedSweep(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
-		sc := GenerateOrch(seed)
-		r := Run(sc, nil)
-		checkProbe(t, r, 4)
+		r := Run(GenerateOrch(seed), nil)
+		checkProbe(t, r)
 		if r.Failed() {
 			t.Errorf("orch seed %d failed:\n%s", seed, r.Fingerprint())
-			continue
-		}
-		if seed%4 == 0 {
-			sharded := RunSharded(sc, nil, 4)
-			if r.Fingerprint() != sharded.Fingerprint() {
-				t.Errorf("orch seed %d: sharded diverged\n--- serial ---\n%s--- shards=4 ---\n%s",
-					seed, r.Fingerprint(), sharded.Fingerprint())
-			}
 		}
 	}
 }

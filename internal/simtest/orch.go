@@ -14,9 +14,9 @@ import (
 // every instance, and the scenario's fault plan. The oracles are the
 // op-stream family's (monotonicity, schedule hash) plus ckctl.Verify's
 // conservation/coherence/liveness/invariants sweep and the orchestration
-// properties below. Byte-identical at any shard count, like everything
-// else under the virtual clock.
-func runOrch(sc Scenario, trace func(name string, at uint64), shards int, probe bool) *Result {
+// properties below. Byte-identical run to run, like everything else
+// under the virtual clock.
+func runOrch(sc Scenario, trace func(name string, at uint64), probe bool) *Result {
 	res := &Result{Scenario: sc}
 	o := sc.Orch
 	h := &harness{sc: sc, horizon: hw.CyclesFromMicros(float64(sc.HorizonUS))}
@@ -25,8 +25,6 @@ func runOrch(sc Scenario, trace func(name string, at uint64), shards int, probe 
 	mcfg.MPMs = sc.MPMs
 	mcfg.CPUsPerMPM = sc.CPUsPerMPM
 	mcfg.PhysMemBytes = 256 << 20
-	mcfg.Shards = shards
-	mcfg.ShardMap = shardPlan(&sc, shards)
 	h.m = hw.NewMachine(mcfg)
 	defer h.m.Close()
 	h.installTrace(trace)

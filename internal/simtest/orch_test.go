@@ -36,31 +36,9 @@ func TestOrchFixedSeeds(t *testing.T) {
 	}
 }
 
-// TestOrchShardedMatchesSerial extends the parallel engine's oracle to
-// the orchestration family: live cross-MPM migrations, controller/agent
-// messaging and the chaos plans must all reproduce the serial
-// fingerprint byte for byte at shards=4. This family is the one that
-// exercises runtime ScheduleCrossAt from service-thread context, which
-// the op-stream scenarios never do.
-func TestOrchShardedMatchesSerial(t *testing.T) {
-	seeds := orchFixedSeeds
-	if testing.Short() {
-		seeds = seeds[:4]
-	}
-	for _, seed := range seeds {
-		sc := GenerateOrch(seed)
-		serial := Run(sc, nil)
-		sharded := RunSharded(sc, nil, 4)
-		if serial.Fingerprint() != sharded.Fingerprint() {
-			t.Fatalf("orch seed %d: sharded fingerprint diverged from serial\n--- serial ---\n%s--- shards=4 ---\n%s",
-				seed, serial.Fingerprint(), sharded.Fingerprint())
-		}
-	}
-}
-
 // TestOrchDeterminism asserts bit-reproducibility of the orchestration
 // family within one process: same seed, same fingerprint, also from
-// the shrinker's chunked probe, serially and at four shards.
+// the shrinker's chunked probe.
 func TestOrchDeterminism(t *testing.T) {
 	for _, seed := range []uint64{1, 4, 12} {
 		a := Run(GenerateOrch(seed), nil)
@@ -69,7 +47,6 @@ func TestOrchDeterminism(t *testing.T) {
 			t.Errorf("orch seed %d diverged:\n--- first\n%s\n--- second\n%s",
 				seed, a.Fingerprint(), b.Fingerprint())
 		}
-		checkProbe(t, a, 1)
-		checkProbe(t, a, 4)
+		checkProbe(t, a)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	//ckvet:allow shardsafe harness mu guards failures/trunc recorded from checks on any shard; see the harness comment on cross-node state
-	"sync"
 
 	"vpp/internal/aklib"
 	"vpp/internal/chaos"
@@ -46,12 +44,7 @@ func minU64(a, b uint64) uint64 {
 
 // harness owns one scenario run: the machine, the per-node state and
 // the oracle ledger. Everything below runs under the virtual-time
-// engine; on a sharded machine nodes on different shards run
-// concurrently inside an epoch, so the one piece of state every node
-// writes — the failure list — takes a mutex. All other cross-node
-// harness state is either written by one node and read after Run
-// (opDone, net*), or shared only between the two DSM nodes, which
-// shardPlan co-locates on one shard.
+// engine, one coroutine or event at a time.
 type harness struct {
 	sc      Scenario
 	horizon uint64
@@ -65,11 +58,10 @@ type harness struct {
 	// opDone counts completions per op (conservation: exactly once).
 	opDone []int
 
-	mu       sync.Mutex // guards failures/trunc
 	failures []Failure
 	trunc    bool
 	// panicked records that a coroutine panicked and ended the run
-	// mid-epoch, so the end-of-run oracles have nothing sound to judge.
+	// midway, so the end-of-run oracles have nothing sound to judge.
 	panicked bool
 
 	// lastByName tracks each coroutine's previous dispatch time for the
@@ -91,8 +83,6 @@ type harness struct {
 }
 
 func (h *harness) failf(oracle, format string, args ...any) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if len(h.failures) >= maxFailures {
 		h.trunc = true
 		return
@@ -189,65 +179,15 @@ func (n *node) hasMixActors() bool { return n.hasUnix() || n.hasRTK() || n.hasDS
 // trace callback observes the full dispatch schedule (for the
 // determinism golden).
 func Run(sc Scenario, trace func(name string, at uint64)) *Result {
-	return runWith(sc, trace, 1, false)
+	return runWith(sc, trace, false)
 }
 
-// RunSharded runs the scenario on a sharded machine: MPMs are spread
-// over up to shards engine shards (subject to shardPlan's co-location
-// constraints) and the result must be byte-identical to Run's — that
-// equivalence is cksim's oracle for the parallel engine.
+// RunSharded is Run; shards is ignored.
+//
+// Deprecated: kept only for the benchmark module, which calls it; use
+// Run. It goes with the next benchmark change (ROADMAP item 7).
 func RunSharded(sc Scenario, trace func(name string, at uint64), shards int) *Result {
-	return runWith(sc, trace, shards, false)
-}
-
-// shardPlan assigns each MPM a shard. Interconnect traffic (fiber,
-// Ethernet) is shard-safe by construction, but two couplings live
-// outside the simulated machine and force co-location:
-//
-//   - the DSM nodes 0 and 1 share harness-level ping-pong state
-//     (dsmReady/dsmAt), so they must share one timeline;
-//   - a probabilistic fault plan (0 < Prob < 1) of a per-kernel or
-//     per-MPM kind draws from per-shard RNG streams in per-shard hook
-//     order, so splitting its targets would change which events get
-//     faulted versus the serial run. Co-locating every MPM keeps the
-//     single serial draw order. Frame-fault kinds are exempt: the
-//     harness only arms NICs, and both NICs live on MPM 0.
-//
-// The returned map is nil when one shard (or fewer MPMs) makes the
-// question moot.
-func shardPlan(sc *Scenario, shards int) []int {
-	if shards <= 1 || sc.MPMs <= 1 {
-		return nil
-	}
-	for _, f := range sc.Faults {
-		if f.Prob > 0 && f.Prob < 1 {
-			switch f.Kind {
-			case chaos.DropSignal, chaos.DupSignal, chaos.CorruptWriteback, chaos.WalkError:
-				return make([]int, sc.MPMs) // all MPMs on shard 0
-			}
-		}
-	}
-	group := make([]int, sc.MPMs)
-	for i := range group {
-		group[i] = i
-	}
-	if sc.Mix.DSM && sc.MPMs >= 2 {
-		group[1] = group[0]
-	}
-	// Fold the distinct groups onto the available shards, in MPM order.
-	plan := make([]int, sc.MPMs)
-	seen := make(map[int]int)
-	next := 0
-	for i, g := range group {
-		id, ok := seen[g]
-		if !ok {
-			id = next % shards
-			seen[g] = id
-			next++
-		}
-		plan[i] = id
-	}
-	return plan
+	return Run(sc, trace)
 }
 
 // runMachine drives the built machine to its horizon. A shrink probe
@@ -277,10 +217,7 @@ func (h *harness) runMachine(probe bool) error {
 		// final unbounded Run below drains whatever is left.
 		limit := h.horizon + hw.CyclesFromMicros(100_000)
 		for next := h.m.Now() + chunk; next < limit; next += chunk {
-			h.mu.Lock()
-			failed := len(h.failures) > 0
-			h.mu.Unlock()
-			if failed {
+			if len(h.failures) > 0 {
 				return nil
 			}
 			if err := h.m.Run(next); err != nil {
@@ -291,11 +228,11 @@ func (h *harness) runMachine(probe bool) error {
 	return h.m.Run(math.MaxUint64)
 }
 
-// runWith builds and runs one scenario at the given shard count; probe
-// selects the shrink prober's chunked run with its early stop.
-func runWith(sc Scenario, trace func(name string, at uint64), shards int, probe bool) *Result {
+// runWith builds and runs one scenario; probe selects the shrink
+// prober's chunked run with its early stop.
+func runWith(sc Scenario, trace func(name string, at uint64), probe bool) *Result {
 	if sc.Orch != nil {
-		return runOrch(sc, trace, shards, probe)
+		return runOrch(sc, trace, probe)
 	}
 	res := &Result{Scenario: sc}
 	h := &harness{sc: sc, horizon: hw.CyclesFromMicros(float64(sc.HorizonUS))}
@@ -313,8 +250,6 @@ func runWith(sc Scenario, trace func(name string, at uint64), shards int, probe 
 	cfg := hw.DefaultConfig()
 	cfg.MPMs = sc.MPMs
 	cfg.CPUsPerMPM = sc.CPUsPerMPM
-	cfg.Shards = shards
-	cfg.ShardMap = shardPlan(&sc, shards)
 	h.m = hw.NewMachine(cfg)
 	defer h.m.Close()
 	h.installTrace(trace)
@@ -396,12 +331,11 @@ func (h *harness) installTrace(trace func(name string, at uint64)) {
 func RunSeed(seed uint64) *Result { return Run(Generate(seed), nil) }
 
 // SeedWorkload adapts one seed to the exp determinism goldens: it runs
-// the seed's scenario through RunSharded and returns the final clock
-// and step count, and an error carrying the fingerprint if any oracle
-// fired.
-func SeedWorkload(seed uint64) func(trace func(name string, at uint64), shards int) (uint64, uint64, error) {
-	return func(trace func(name string, at uint64), shards int) (uint64, uint64, error) {
-		r := RunSharded(Generate(seed), trace, shards)
+// the seed's scenario and returns the final clock and step count, and
+// an error carrying the fingerprint if any oracle fired.
+func SeedWorkload(seed uint64) func(trace func(name string, at uint64)) (uint64, uint64, error) {
+	return func(trace func(name string, at uint64)) (uint64, uint64, error) {
+		r := Run(Generate(seed), trace)
 		if r.Failed() {
 			return r.FinalClock, r.Steps, fmt.Errorf("cksim seed %d failed:\n%s", seed, r.Fingerprint())
 		}

@@ -128,8 +128,7 @@ type Scenario struct {
 }
 
 // OrchSpec parameterizes one orchestration scenario. The fault plan
-// still lives in Scenario.Faults so shard co-location and the injector
-// work unchanged.
+// still lives in Scenario.Faults, as for the op-stream family.
 type OrchSpec struct {
 	// Pods is the fleet size (sum over both restart-policy groups).
 	Pods int

@@ -29,7 +29,7 @@ func Shrink(sc Scenario, maxRuns int) (Scenario, *Result) {
 			return false
 		}
 		runs++
-		return runWith(c, nil, 1, true).Failed()
+		return runWith(c, nil, true).Failed()
 	}
 
 	// Pass 1: ddmin-lite over the op stream.

@@ -40,7 +40,7 @@ func TestCksimShortSeed(t *testing.T) {
 // TestRunDeterminism asserts bit-reproducibility: the same seed run
 // twice produces byte-identical fingerprints (schedule hash, step and
 // dispatch counts, final virtual clock, failures), and so does the
-// shrinker's chunked probe of it, serially and at four shards.
+// shrinker's chunked probe of it.
 func TestRunDeterminism(t *testing.T) {
 	for _, seed := range []uint64{3, 29, 48, 61} {
 		a, b := RunSeed(seed), RunSeed(seed)
@@ -48,8 +48,7 @@ func TestRunDeterminism(t *testing.T) {
 			t.Errorf("seed %d diverged:\n--- first\n%s\n--- second\n%s",
 				seed, a.Fingerprint(), b.Fingerprint())
 		}
-		checkProbe(t, a, 1)
-		checkProbe(t, a, 4)
+		checkProbe(t, a)
 	}
 }
 
@@ -59,16 +58,16 @@ func TestRunDeterminism(t *testing.T) {
 // fires. When the plain run passes, the probe runs to the end and must
 // match it byte for byte; when it fails, the probe must fail too. The
 // shrinker relies on both.
-func checkProbe(t *testing.T, plain *Result, shards int) {
+func checkProbe(t *testing.T, plain *Result) {
 	t.Helper()
-	p := runWith(plain.Scenario, nil, shards, true)
+	p := runWith(plain.Scenario, nil, true)
 	switch {
 	case plain.Failed() && !p.Failed():
-		t.Errorf("seed %d: the plain run fails, the probe at %d shard(s) passes:\n%s",
-			plain.Scenario.Seed, shards, plain.Fingerprint())
+		t.Errorf("seed %d: the plain run fails, the probe passes:\n%s",
+			plain.Scenario.Seed, plain.Fingerprint())
 	case !plain.Failed() && p.Fingerprint() != plain.Fingerprint():
-		t.Errorf("seed %d: the probe at %d shard(s) diverges from the plain run:\n--- plain\n%s--- probe\n%s",
-			plain.Scenario.Seed, shards, plain.Fingerprint(), p.Fingerprint())
+		t.Errorf("seed %d: the probe diverges from the plain run:\n--- plain\n%s--- probe\n%s",
+			plain.Scenario.Seed, plain.Fingerprint(), p.Fingerprint())
 	}
 }
 

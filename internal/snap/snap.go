@@ -25,14 +25,10 @@ import (
 
 	"vpp/internal/ck"
 	"vpp/internal/hw"
-	"vpp/internal/hw/dev"
-	"vpp/internal/srm"
 )
 
-// Image is a complete structural snapshot of a quiescent machine. The
-// core fields are filled by Take; the optional device, chaos and SRM
-// sections are attached by the owner of those objects (they live
-// outside hw.Machine) via the respective State/Cursors/Ledger captures.
+// Image is a complete structural snapshot of a quiescent machine and its
+// Cache Kernels, filled by Take.
 type Image struct {
 	Cfg    hw.Config
 	Clocks hw.ClockState
@@ -42,12 +38,6 @@ type Image struct {
 	Intr   [][]hw.CPUState // per MPM, per CPU
 	L2s    []hw.L2State    // per MPM
 	CKs    []*ck.State     // per MPM
-
-	// Optional sections.
-	NICs   []dev.NICState
-	Fibers []dev.FiberState
-	Chaos  map[int]uint64 // injector cursors by shard
-	SRMs   []srm.Ledger
 }
 
 // Take captures a structural snapshot of m and its per-MPM Cache
@@ -89,26 +79,16 @@ func Take(m *hw.Machine, ks []*ck.Kernel) (*Image, error) {
 	return im, nil
 }
 
-// Fork builds a new machine from the image: same topology, optionally
-// a different shard count (the capture is shard-count-invariant), page
-// frames shared copy-on-write with the image, and one restored Cache
-// Kernel per MPM. bind re-supplies each kernel's handler closures by
+// Fork builds a new machine from the image: same topology, page frames
+// shared copy-on-write with the image, and one restored Cache Kernel per
+// MPM. bind re-supplies each kernel's handler closures by
 // (mpm, kernel name); nil means zero handlers. The forked machine is
 // quiescent at the parent's virtual time — inject continuation work
 // with Kernel.Resume and drive it with Machine.Run, and Close it when
 // done.
-func (im *Image) Fork(shards int, bind func(mpm int, name string) ck.KernelAttrs) (*hw.Machine, []*ck.Kernel, error) {
-	cfg := im.Cfg
-	cfg.Shards = shards
-	cfg.ShardMap = nil
-	m := hw.NewMachine(cfg)
+func (im *Image) Fork(bind func(mpm int, name string) ck.KernelAttrs) (*hw.Machine, []*ck.Kernel, error) {
+	m := hw.NewMachine(im.Cfg)
 	m.Phys = im.Frames.NewPhysMem()
-	// A zero-length run flips the cluster into its running state
-	// (runtime coroutine-creation semantics) before continuations are
-	// injected, mirroring a parent that has actually run its boot.
-	if err := m.Run(0); err != nil {
-		return nil, nil, err
-	}
 	if err := m.WarpClocks(im.Clocks); err != nil {
 		return nil, nil, err
 	}
@@ -146,9 +126,7 @@ func (im *Image) Fork(shards int, bind func(mpm int, name string) ck.KernelAttrs
 	return m, ks, nil
 }
 
-// encImage is the gob-encoded portion of an image. Shards and ShardMap
-// are execution-hosting details, not machine state: a snapshot taken
-// at any shard count encodes identically.
+// encImage is the gob-encoded portion of an image.
 type encImage struct {
 	Cfg    hw.Config
 	Clocks hw.ClockState
@@ -157,15 +135,11 @@ type encImage struct {
 	Intr   [][]hw.CPUState
 	L2s    []hw.L2State
 	CKs    []*ck.State
-	NICs   []dev.NICState
-	Fibers []dev.FiberState
-	Chaos  [][2]uint64 // cursors sorted by shard
-	SRMs   []srm.Ledger
 }
 
 // Encode serializes the image to deterministic bytes: identical
-// machine state yields identical bytes regardless of shard count, run,
-// or process. The snapshot-determinism oracle compares these directly;
+// machine state yields identical bytes regardless of run or process.
+// The snapshot-determinism oracle compares these directly;
 // len(Encode()) is the snapshot-size metric.
 func (im *Image) Encode() ([]byte, error) {
 	e := encImage{
@@ -176,19 +150,9 @@ func (im *Image) Encode() ([]byte, error) {
 		Intr:   im.Intr,
 		L2s:    im.L2s,
 		CKs:    im.CKs,
-		NICs:   im.NICs,
-		Fibers: im.Fibers,
-		SRMs:   im.SRMs,
 	}
+	// Shards is ignored by the machine, so it is not machine state.
 	e.Cfg.Shards = 0
-	e.Cfg.ShardMap = nil
-	// Shard indices are small non-negative ints: probe slots in order
-	// rather than ranging the map, so the encoding is byte-stable.
-	for s := 0; len(e.Chaos) < len(im.Chaos); s++ {
-		if v, ok := im.Chaos[s]; ok {
-			e.Chaos = append(e.Chaos, [2]uint64{uint64(s), v})
-		}
-	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&e); err != nil {
 		return nil, err

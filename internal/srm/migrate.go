@@ -20,8 +20,8 @@ import (
 //	        regenerate the main's execution context, reload (Unswap)
 //
 // with the *Launched record itself carried between the two SRMs by the
-// orchestration plane (a cross-shard message when the MPMs live on
-// different engine shards). Identifiers change across the move, exactly
+// orchestration plane (a control message between the two MPMs).
+// Identifiers change across the move, exactly
 // as they do across any reload.
 //
 // Resource grants deliberately do not return to the source: the page
@@ -38,8 +38,8 @@ import (
 // full writeback of every cached descriptor via the Swap path, drops
 // the kernel from this SRM's launched set (so this MPM's guardian will
 // not resurrect it), and retires the main thread's execution context —
-// contexts are bound to the engine shard that created them and cannot
-// follow the record. The returned record is the kernel, ready for
+// contexts are bound to the MPM that created them and cannot follow
+// the record. The returned record is the kernel, ready for
 // Adopt on another SRM.
 func (s *SRM) Expel(e *hw.Exec, name string) (*Launched, error) {
 	l := s.launched[name]

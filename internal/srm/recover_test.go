@@ -36,7 +36,7 @@ func TestObserversSideBySideAcrossCrash(t *testing.T) {
 			dispatches = append(dispatches, ev)
 		}
 	})
-	m.MPMs[0].Shard.ScheduleAt(crashAt, k.Crash)
+	m.MPMs[0].Engine.ScheduleAt(crashAt, k.Crash)
 
 	var reports []*RecoveryReport
 	steps := 0
