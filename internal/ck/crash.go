@@ -47,6 +47,13 @@ func (k *Kernel) Crash() {
 	k.spaceByHW = make(map[*hw.Space]*SpaceObj)
 	k.kernelBySpace = make(map[*SpaceObj]*KernelObj)
 	k.first = nil
+	// The ready queues go with the old scheduler; their threads are
+	// stale objects now, and their queued flags must say so.
+	for _, q := range k.sched.ready {
+		for _, t := range q {
+			t.queued = false
+		}
+	}
 	k.sched = newScheduler(k)
 	for i := range k.rtlbs {
 		k.rtlbs[i] = newRTLB(k.Cfg.RTLBEntries)

@@ -2,6 +2,7 @@ package ck
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"vpp/internal/hw"
@@ -191,4 +192,87 @@ func fuzzOnce(t *testing.T, seed uint64, ops int) {
 	})
 	env.run()
 	checkInvariants(t, env.k)
+}
+
+// newBusyEnv boots an instance whose first kernel loads eight
+// compute-bound threads on the MPM's four CPUs, and runs it until
+// threads are running and queued and no call (a slice-timer switch,
+// say) is in flight: a loaded instance between calls.
+func newBusyEnv(t *testing.T) *testEnv {
+	t.Helper()
+	env := newEnv(t, Config{}, func(env *testEnv, e *hw.Exec) {
+		sid := env.mustLoadSpace(e, false)
+		for i := 0; i < 8; i++ {
+			env.spawnThread(e, sid, fmt.Sprintf("w%d", i), 20, func(ue *hw.Exec) {
+				for {
+					ue.Charge(1_000)
+				}
+			})
+		}
+	})
+	t.Cleanup(env.m.Close)
+	until := hw.CyclesFromMicros(500)
+	for i := 0; i < 1000; i++ {
+		if err := env.m.Run(until); err != nil {
+			t.Fatal(err)
+		}
+		if env.k.inCalls == 0 {
+			return env
+		}
+		until += 100
+	}
+	t.Fatalf("%d call(s) still in flight; CheckInvariants would not walk", env.k.inCalls)
+	return nil
+}
+
+// readyThreads returns the threads in the instance's ready queues.
+func readyThreads(k *Kernel) []*ThreadObj {
+	var ts []*ThreadObj
+	for _, q := range k.sched.ready {
+		ts = append(ts, q...)
+	}
+	return ts
+}
+
+// TestCheckInvariantsLeavesCacheCounters: the invariant walk validates
+// identifiers of loaded threads, spaces, kernels and queued threads,
+// but it is no kernel operation, so the cache counters read the same
+// before and after it.
+func TestCheckInvariantsLeavesCacheCounters(t *testing.T) {
+	env := newBusyEnv(t)
+	if len(readyThreads(env.k)) == 0 {
+		t.Fatal("no thread queued; the walk checks no ready queue")
+	}
+	before := env.k.CacheCounters()
+	checkInvariants(t, env.k)
+	if after := env.k.CacheCounters(); after != before {
+		t.Errorf("CheckInvariants moved the cache counters:\nbefore %+v\n after %+v", before, after)
+	}
+}
+
+// TestDoubleEnqueuePanics: enqueue trusts the queued flag instead of
+// scanning the ready queues, and still refuses a thread that is
+// already queued. A crash drops the queues and clears the flag on the
+// threads it drops.
+func TestDoubleEnqueuePanics(t *testing.T) {
+	env := newBusyEnv(t)
+	ready := readyThreads(env.k)
+	if len(ready) == 0 {
+		t.Fatal("no thread queued")
+	}
+	func() {
+		defer func() {
+			r := recover()
+			if s, _ := r.(string); !strings.Contains(s, "ck: double enqueue of") {
+				t.Errorf("second enqueue of a queued thread: recovered %v, want the double-enqueue panic", r)
+			}
+		}()
+		env.k.sched.enqueue(ready[0])
+	}()
+	env.k.Crash()
+	for _, to := range ready {
+		if to.queued {
+			t.Errorf("thread %v dropped by the crash still has queued set", to.id)
+		}
+	}
 }

@@ -13,6 +13,9 @@ import (
 // dependency records reference live targets, and the ready queues hold
 // only loaded, ready, unique threads.
 //
+// Its identifier checks use valid and the slot read, not get: the walk
+// is no kernel operation, so it leaves the cache counters untouched.
+//
 // It returns the first violation found, or nil. The invariant fuzz test
 // calls it after every operation; builds tagged ckinvariants
 // (`go build -tags ckinvariants ./cmd/ckos`) additionally run it on
@@ -41,7 +44,7 @@ func (k *Kernel) CheckInvariants() error {
 			fail("thread %v has nil space", to.id)
 			return false
 		}
-		if got, ok := k.spaces.get(to.space.slot, to.space.id.gen()); !ok || got != to.space {
+		if !k.spaces.valid(to.space.slot, to.space.id.gen()) || k.spaces.at(to.space.slot) != to.space {
 			fail("thread %v references unloaded space %v", to.id, to.space.id)
 		}
 		if to.space.threads[to.slot] != to {
@@ -80,7 +83,7 @@ func (k *Kernel) CheckInvariants() error {
 	k.spaces.forEach(func(idx int32, so *SpaceObj) bool {
 		liveSpaces++
 		mappedPages += so.mappings
-		if _, ok := k.kernels.get(so.owner.slot, so.owner.id.gen()); !ok {
+		if !k.kernels.valid(so.owner.slot, so.owner.id.gen()) {
 			fail("space %v owned by unloaded kernel", so.id)
 		}
 		if k.spaceByHW[so.hw] != so {
@@ -110,7 +113,7 @@ func (k *Kernel) CheckInvariants() error {
 		if ko.space == nil {
 			return true
 		}
-		if got, ok := k.spaces.get(ko.space.slot, ko.space.id.gen()); !ok || got != ko.space {
+		if !k.spaces.valid(ko.space.slot, ko.space.id.gen()) || k.spaces.at(ko.space.slot) != ko.space {
 			fail("kernel %q designates unloaded space %v", ko.attrs.Name, ko.space.id)
 			return false
 		}
@@ -198,7 +201,9 @@ func (k *Kernel) CheckInvariants() error {
 		return fmt.Errorf("invariant: pmap free %d + live %d != capacity %d", free, live, k.pm.Capacity())
 	}
 
-	// Ready queues hold only loaded, ready, unique threads.
+	// Ready queues hold only loaded, ready, unique threads, and a
+	// loaded thread's queued flag says exactly whether it is in one
+	// (enqueue's double-enqueue check trusts the flag).
 	seen := map[*ThreadObj]bool{}
 	for p := range k.sched.ready {
 		for _, to := range k.sched.ready[p] {
@@ -206,14 +211,23 @@ func (k *Kernel) CheckInvariants() error {
 				return fmt.Errorf("invariant: thread %v queued twice", to.id)
 			}
 			seen[to] = true
+			if !to.queued {
+				return fmt.Errorf("invariant: ready-queue thread %v has queued unset", to.id)
+			}
 			if to.state != threadReady {
 				return fmt.Errorf("invariant: queued thread %v in state %d", to.id, to.state)
 			}
-			if got, ok := k.threads.get(to.slot, to.id.gen()); !ok || got != to {
+			if !k.threads.valid(to.slot, to.id.gen()) || k.threads.at(to.slot) != to {
 				return fmt.Errorf("invariant: queued thread %v is unloaded", to.id)
 			}
 		}
 	}
+	k.threads.forEach(func(_ int32, to *ThreadObj) bool {
+		if to.queued && !seen[to] {
+			fail("thread %v has queued set but is in no ready queue", to.id)
+		}
+		return err == nil
+	})
 	return err
 }
 

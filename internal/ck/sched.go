@@ -32,14 +32,13 @@ func (s *scheduler) effPrio(t *ThreadObj) int {
 	return t.prio
 }
 
-// enqueue appends t to its effective-priority ready queue.
+// enqueue appends t to its effective-priority ready queue. t.queued
+// mirrors queue membership — set here, cleared by dequeueBest,
+// removeReady and Crash, kept by promoteCleared — so a double enqueue
+// is a flag test, not a scan of every queue.
 func (s *scheduler) enqueue(t *ThreadObj) {
-	for p := range s.ready {
-		for _, x := range s.ready[p] {
-			if x == t {
-				panic(fmt.Sprintf("ck: double enqueue of %v (state=%d)", t.id, t.state))
-			}
-		}
+	if t.queued {
+		panic(fmt.Sprintf("ck: double enqueue of %v (state=%d)", t.id, t.state))
 	}
 	p := s.effPrio(t)
 	s.ready[p] = append(s.ready[p], t)

@@ -2,7 +2,6 @@ package ckctl
 
 import (
 	"fmt"
-	"slices"
 
 	"vpp/internal/aklib"
 	"vpp/internal/ck"
@@ -25,16 +24,19 @@ const (
 	// launch if absent, unswap if swapped, revive if its context died.
 	// Idempotent, so the controller can reissue it on any timeout.
 	cmdEnsure cmdKind = iota
-	// cmdMigrateOut expels the named instance and hands its records to
-	// the destination module's agent.
+	// cmdMigrateOut expels the instance and hands its records to the
+	// destination module's agent.
 	cmdMigrateOut
 	// cmdAdopt (agent→agent) carries an expelled instance's records.
 	cmdAdopt
 )
 
-// command is one inbox entry.
+// command is one inbox entry. inst is the instance number the
+// controller assigned in declaration order; name is the instance name
+// the module's SRM knows the kernel by.
 type command struct {
 	kind cmdKind
+	inst int
 	name string
 	spec KernelSpec
 	// fresh resets the pod's beat count (restart-after-completion).
@@ -49,7 +51,7 @@ type command struct {
 // records plus the blackout bookkeeping. Ownership of rec and pr moves
 // to the destination node with the message.
 type migMsg struct {
-	name     string
+	inst     int
 	rec      *srm.Launched
 	pr       *podRec
 	from, to int
@@ -93,13 +95,15 @@ func (s podState) String() string {
 
 // kernelReport is one instance's line in a node report.
 type kernelReport struct {
-	Name  string
+	Inst  int
 	State podState
 	Beats uint64
 	Gen   int
 }
 
 // nodeReport is an agent's periodic status message to the controller.
+// The controller hands it back to the node's pool once handled, so a
+// steady-state report reuses its Kernels buffer.
 type nodeReport struct {
 	Node       int
 	At         uint64
@@ -111,14 +115,14 @@ type nodeReport struct {
 
 // opFail tells the controller an ensure could not complete.
 type opFail struct {
-	name string
+	inst int
 	node int
 	err  string
 }
 
 // migFail tells the controller a migration leg failed.
 type migFail struct {
-	name     string
+	inst     int
 	from, to int
 	stage    string // "expel" or "adopt"
 	err      string
@@ -250,7 +254,7 @@ func (n *Node) exec1(se *hw.Exec, c *command) {
 	case cmdEnsure:
 		if err := n.ensure(se, c); err != nil {
 			n.cl.sendEvent(se.Now(), event{opFail: &opFail{
-				name: c.name, node: n.Idx, err: err.Error(),
+				inst: c.inst, node: n.Idx, err: err.Error(),
 			}})
 		}
 	case cmdMigrateOut:
@@ -262,7 +266,7 @@ func (n *Node) exec1(se *hw.Exec, c *command) {
 
 // ensure converges one instance toward running on this module.
 func (n *Node) ensure(se *hw.Exec, c *command) error {
-	pr := n.hosted[c.name]
+	pr := n.hosted[c.inst]
 	l := n.SRM.Kernel(c.name)
 	if l == nil {
 		// Absent: full launch.
@@ -279,14 +283,14 @@ func (n *Node) ensure(se *hw.Exec, c *command) error {
 			return err
 		}
 		pr.gen++
-		n.hosted[c.name] = pr
+		n.hosted[c.inst] = pr
 		return nil
 	}
 	if pr == nil {
 		// Launched but unknown to the agent (lost host state would be a
 		// bug; the record is the ground truth, so re-adopt it).
 		pr = &podRec{spec: c.spec, pod: &Pod{Name: c.name}}
-		n.hosted[c.name] = pr
+		n.hosted[c.inst] = pr
 	}
 	if c.fresh {
 		pr.pod.Beats, pr.pod.Done, pr.pod.AtHorizon = 0, false, false
@@ -323,10 +327,10 @@ func (n *Node) ensure(se *hw.Exec, c *command) error {
 func (n *Node) migrateOut(se *hw.Exec, c *command) {
 	fail := func(err error) {
 		n.cl.sendEvent(se.Now(), event{migFail: &migFail{
-			name: c.name, from: n.Idx, to: c.dst, stage: "expel", err: err.Error(),
+			inst: c.inst, from: n.Idx, to: c.dst, stage: "expel", err: err.Error(),
 		}})
 	}
-	pr := n.hosted[c.name]
+	pr := n.hosted[c.inst]
 	l := n.SRM.Kernel(c.name)
 	if pr == nil || l == nil {
 		fail(fmt.Errorf("%w: %q", srm.ErrUnknownKernel, c.name))
@@ -339,14 +343,14 @@ func (n *Node) migrateOut(se *hw.Exec, c *command) {
 		fail(err)
 		return
 	}
-	delete(n.hosted, c.name)
+	n.hosted[c.inst] = nil
 	m := &migMsg{
-		name: c.name, rec: rec, pr: pr,
+		inst: c.inst, rec: rec, pr: pr,
 		from: n.Idx, to: c.dst, execName: execName,
 		srcLast: srcLast, expelAt: se.Now(),
 	}
 	dst := n.cl.Nodes[c.dst]
-	n.cl.sendCmd(se.Now(), dst, command{kind: cmdAdopt, name: c.name, mig: m})
+	n.cl.sendCmd(se.Now(), dst, command{kind: cmdAdopt, inst: c.inst, name: c.name, mig: m})
 }
 
 // adopt installs migrated-in records and arms the first-dispatch watch
@@ -355,13 +359,13 @@ func (n *Node) adopt(se *hw.Exec, m *migMsg) {
 	// Host-side state first: if a crash lands mid-Adopt, the replayed
 	// agent still knows about the pod it was taking in (Adopt itself
 	// registers the records before reloading, for the same reason).
-	n.hosted[m.name] = m.pr
+	n.hosted[m.inst] = m.pr
 	n.awaitFirst[m.execName] = m
 	if err := n.SRM.Adopt(se, m.rec); err != nil {
-		delete(n.hosted, m.name)
+		n.hosted[m.inst] = nil
 		delete(n.awaitFirst, m.execName)
 		n.cl.sendEvent(se.Now(), event{migFail: &migFail{
-			name: m.name, from: m.from, to: m.to, stage: "adopt", err: err.Error(),
+			inst: m.inst, from: m.from, to: m.to, stage: "adopt", err: err.Error(),
 		}})
 		return
 	}
@@ -369,30 +373,43 @@ func (n *Node) adopt(se *hw.Exec, m *migMsg) {
 	m.pr.gen++
 }
 
-// report sends the module's status to the controller.
+// report sends the module's status to the controller: one line per
+// hosted pod, in instance order. The order is free — each line updates
+// only its own instance at the controller — so report walks the hosted
+// table as it stands, and fills a report the controller has handed
+// back when there is one.
 func (n *Node) report(se *hw.Exec) {
-	rep := &nodeReport{
+	var rep *nodeReport
+	if k := len(n.reports); k > 0 {
+		rep = n.reports[k-1]
+		n.reports = n.reports[:k-1]
+	} else {
+		rep = new(nodeReport)
+	}
+	kernels := rep.Kernels[:0]
+	for inst, pr := range n.hosted {
+		if pr == nil {
+			continue
+		}
+		kernels = append(kernels, kernelReport{
+			Inst: inst, State: n.podState(pr), Beats: pr.pod.Beats, Gen: pr.gen,
+		})
+	}
+	*rep = nodeReport{
 		Node:       n.Idx,
 		At:         se.Now(),
 		Load:       n.CK.CacheCounters().LoadScore(),
 		FreeGroups: n.SRM.FreeGroups(),
 		Recoveries: n.recoveries,
-	}
-	names := n.hostedNames()
-	rep.Kernels = make([]kernelReport, len(names))
-	for i, name := range names {
-		pr := n.hosted[name]
-		rep.Kernels[i] = kernelReport{
-			Name: name, State: n.podState(name, pr), Beats: pr.pod.Beats, Gen: pr.gen,
-		}
+		Kernels:    kernels,
 	}
 	n.cl.sendEvent(se.Now(), event{report: rep})
 }
 
 // podState classifies one hosted instance from the SRM's records and
 // the pod's own flags.
-func (n *Node) podState(name string, pr *podRec) podState {
-	l := n.SRM.Kernel(name)
+func (n *Node) podState(pr *podRec) podState {
+	l := n.SRM.Kernel(pr.pod.Name)
 	switch {
 	case l == nil:
 		return psGone
@@ -406,18 +423,6 @@ func (n *Node) podState(name string, pr *podRec) podState {
 	default:
 		return psRunning
 	}
-}
-
-// hostedNames returns the hosted instance names in sorted order, in the
-// node's reused buffer: valid until the next call.
-func (n *Node) hostedNames() []string {
-	names := n.names[:0]
-	for name := range n.hosted {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	n.names = names
-	return names
 }
 
 // beatBody builds the "beat" kind's workload: a deterministic compute

@@ -25,6 +25,7 @@ package ckctl
 
 import (
 	"fmt"
+	"slices"
 
 	"vpp/internal/ck"
 	"vpp/internal/hw"
@@ -88,12 +89,12 @@ type Node struct {
 
 	cl *Cluster
 
-	// hosted is this module's pod set, keyed by instance name; the
-	// agent is the only writer.
-	hosted map[string]*podRec
-	// names is the agent's buffer for the sorted hosted names, reused
-	// by every report.
-	names []string
+	// hosted is this module's pod set, indexed by instance number (nil
+	// where the module hosts no copy); the agent is the only writer.
+	hosted []*podRec
+	// reports holds report messages the controller has finished with,
+	// for the agent to fill again.
+	reports []*nodeReport
 	// inbox receives controller commands (appended by message-delivery
 	// closures).
 	inbox []command
@@ -164,7 +165,11 @@ func New(m *hw.Machine, cfg Config, spec Spec) (*Cluster, error) {
 	if cfg.GuardInterval == 0 {
 		cfg.GuardInterval = d.GuardInterval
 	}
-	if _, err := spec.normalize(); err != nil {
+	// Normalize a copy: the defaults must not be written into the
+	// caller's KernelSpecs.
+	spec.Kernels = slices.Clone(spec.Kernels)
+	instances, err := spec.normalize()
+	if err != nil {
 		return nil, err
 	}
 	c := &Cluster{M: m, Cfg: cfg}
@@ -175,7 +180,7 @@ func New(m *hw.Machine, cfg Config, spec Spec) (*Cluster, error) {
 		}
 		n := &Node{
 			Idx: i, MPM: mpm, CK: k, cl: c,
-			hosted:       make(map[string]*podRec),
+			hosted:       make([]*podRec, instances),
 			lastDispatch: make(map[string]uint64),
 			awaitFirst:   make(map[string]*migMsg),
 			retired:      make(map[string]bool),
@@ -227,9 +232,9 @@ func (c *Cluster) Kernels() []*ck.Kernel {
 
 // ScheduleRollingUpgrade arranges (before the machine runs) for the
 // controller to begin a rolling upgrade at virtual time at: every
-// instance is live-migrated off its module, one at a time, in name
-// order — the drain-and-move pattern of a cluster upgrade. The makespan
-// and per-pod blackouts appear in Status.
+// instance is live-migrated off its module, one at a time, in
+// declaration order — the drain-and-move pattern of a cluster upgrade.
+// The makespan and per-pod blackouts appear in Status.
 func (c *Cluster) ScheduleRollingUpgrade(at uint64) {
 	c.Nodes[0].MPM.Engine.ScheduleAt(at, func() {
 		c.ctl.beginUpgrade(at)

@@ -221,3 +221,41 @@ func TestDeterminism(t *testing.T) {
 		t.Fatalf("rerun diverged:\n%s\n---\n%s", first, second)
 	}
 }
+
+// TestNewRejectsDuplicateInstances: two specs sharing a Name declare
+// the same instance names, and New refuses them rather than running
+// fewer pods than the spec declares.
+func TestNewRejectsDuplicateInstances(t *testing.T) {
+	m := hw.NewMachine(hw.DefaultConfig())
+	defer m.Close()
+	cfg := DefaultConfig()
+	cfg.Horizon = hw.CyclesFromMicros(1_000)
+	spec := Spec{Kernels: []KernelSpec{
+		{Name: "a", Count: 2, MPM: -1},
+		{Name: "b", Count: 1, MPM: -1},
+		{Name: "a", Count: 3, MPM: -1},
+	}}
+	_, err := New(m, cfg, spec)
+	if err == nil {
+		t.Fatal("New accepted two specs declaring instances a-0 and a-1")
+	}
+	if !strings.Contains(err.Error(), `"a-0"`) {
+		t.Errorf("error %q does not name the duplicate instance", err)
+	}
+}
+
+// TestNewLeavesSpecUntouched: New fills defaults into its own copy of
+// the kernel specs, never into the caller's.
+func TestNewLeavesSpecUntouched(t *testing.T) {
+	kernels := []KernelSpec{{Name: "web", MPM: -1}}
+	want := kernels[0]
+	c := buildCluster(t, 1, Spec{Kernels: kernels}, 1_000)
+	defer c.M.Close()
+	if kernels[0] != want {
+		t.Errorf("New rewrote the caller's spec: %+v, was %+v", kernels[0], want)
+	}
+	st := c.Status()
+	if len(st.Instances) != 1 || st.Instances[0].Kind != "beat" {
+		t.Errorf("defaults not applied to the cluster's own spec: %+v", st.Instances)
+	}
+}

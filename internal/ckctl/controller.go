@@ -2,6 +2,7 @@ package ckctl
 
 import (
 	"fmt"
+	"slices"
 
 	"vpp/internal/hw"
 )
@@ -51,8 +52,12 @@ func (p phase) String() string {
 // LoadScore units.
 const assignedWeight = 400
 
-// instance is the controller's record of one desired pod.
+// instance is the controller's record of one desired pod. id is its
+// instance number: its index in Controller.insts, assigned in
+// declaration order, and the key every control message and agent
+// table uses for it.
 type instance struct {
+	id   int
 	name string
 	spec KernelSpec
 
@@ -103,8 +108,8 @@ type MigrationRecord struct {
 type upgradeState struct {
 	startAt  uint64
 	doneAt   uint64
-	queue    []string
-	current  string
+	queue    []*instance
+	current  *instance
 	migrated int
 	skipped  int
 	// waitUntil bounds how long the drive loop waits for the pod at the
@@ -116,12 +121,14 @@ type upgradeState struct {
 type Controller struct {
 	cl *Cluster
 
-	names []string
-	insts map[string]*instance
+	// insts holds every desired pod in declaration order, indexed by
+	// instance number.
+	insts []*instance
 
 	// inbox receives agent events (appended by message-delivery
-	// closures).
-	inbox []event
+	// closures); drain swaps it with spare, so the two buffers take
+	// turns.
+	inbox, spare []event
 
 	nodeLoad       []uint64
 	nodeFree       []int
@@ -136,7 +143,6 @@ type Controller struct {
 func newController(cl *Cluster, spec Spec) *Controller {
 	ctl := &Controller{
 		cl:             cl,
-		insts:          make(map[string]*instance),
 		nodeLoad:       make([]uint64, len(cl.Nodes)),
 		nodeFree:       make([]int, len(cl.Nodes)),
 		nodeSeen:       make([]uint64, len(cl.Nodes)),
@@ -146,12 +152,10 @@ func newController(cl *Cluster, spec Spec) *Controller {
 		for i := 0; i < ks.Count; i++ {
 			one := ks
 			one.Count = 1
-			name := fmt.Sprintf("%s-%d", ks.Name, i)
-			if _, dup := ctl.insts[name]; dup {
-				continue
-			}
-			ctl.insts[name] = &instance{name: name, spec: one, node: -1, avoid: -1, sightNode: -1}
-			ctl.names = append(ctl.names, name)
+			ctl.insts = append(ctl.insts, &instance{
+				id: len(ctl.insts), name: fmt.Sprintf("%s-%d", ks.Name, i),
+				spec: one, node: -1, avoid: -1, sightNode: -1,
+			})
 		}
 	}
 	return ctl
@@ -180,16 +184,20 @@ func (ctl *Controller) body(ce *hw.Exec) {
 	ctl.done = true
 }
 
-// drain processes queued agent events in arrival order.
+// drain processes queued agent events in arrival order. spare is
+// cleared while a batch is out, so the two buffers can never share an
+// array, even after a drain cut short.
 func (ctl *Controller) drain(ce *hw.Exec) {
 	for len(ctl.inbox) > 0 {
 		evs := ctl.inbox
-		ctl.inbox = nil
+		ctl.inbox, ctl.spare = ctl.spare[:0], nil
 		for i := range evs {
 			ev := &evs[i]
 			switch {
 			case ev.report != nil:
 				ctl.handleReport(ce, ev.report)
+				n := ctl.cl.Nodes[ev.report.Node]
+				n.reports = append(n.reports, ev.report)
 			case ev.migDone != nil:
 				ctl.handleMigDone(ce, ev.migDone)
 			case ev.migFail != nil:
@@ -198,6 +206,8 @@ func (ctl *Controller) drain(ce *hw.Exec) {
 				ctl.handleOpFail(ce, ev.opFail)
 			}
 		}
+		clear(evs)
+		ctl.spare = evs[:0]
 	}
 }
 
@@ -208,10 +218,7 @@ func (ctl *Controller) handleReport(ce *hw.Exec, rep *nodeReport) {
 	ctl.nodeSeen[i] = rep.At
 	ctl.nodeRecoveries[i] = rep.Recoveries
 	for _, kr := range rep.Kernels {
-		in := ctl.insts[kr.Name]
-		if in == nil {
-			continue
-		}
+		in := ctl.insts[kr.Inst]
 		if kr.State != psGone {
 			in.sightNode, in.sightAt = i, rep.At
 		}
@@ -293,8 +300,8 @@ func (ctl *Controller) scheduleRestart(ce *hw.Exec, in *instance, fresh bool, de
 }
 
 func (ctl *Controller) handleMigDone(ce *hw.Exec, m *migMsg) {
-	in := ctl.insts[m.name]
-	if in == nil || in.phase != phaseMigrating || in.mig == nil {
+	in := ctl.insts[m.inst]
+	if in.phase != phaseMigrating || in.mig == nil {
 		return // late duplicate; the reconcile already converged
 	}
 	in.mig.SrcLastDispatch = m.srcLast
@@ -318,12 +325,12 @@ func (ctl *Controller) finishMigration(in *instance, mr *MigrationRecord) {
 	in.gen++
 	in.backoff = 0
 	in.mig = nil
-	ctl.upgradeStep(in.name)
+	ctl.upgradeStep(in)
 }
 
 func (ctl *Controller) handleMigFail(ce *hw.Exec, mf *migFail) {
-	in := ctl.insts[mf.name]
-	if in == nil || in.phase != phaseMigrating || in.mig == nil {
+	in := ctl.insts[mf.inst]
+	if in.phase != phaseMigrating || in.mig == nil {
 		return
 	}
 	in.mig.Failed = true
@@ -339,12 +346,12 @@ func (ctl *Controller) handleMigFail(ce *hw.Exec, mf *migFail) {
 	}
 	in.mig = nil
 	ctl.scheduleRestart(ce, in, false, ctl.bumpBackoff(in))
-	ctl.upgradeStep(in.name)
+	ctl.upgradeStep(in)
 }
 
 func (ctl *Controller) handleOpFail(ce *hw.Exec, of *opFail) {
-	in := ctl.insts[of.name]
-	if in == nil || (in.phase != phaseLaunching && in.phase != phasePending) {
+	in := ctl.insts[of.inst]
+	if in.phase != phaseLaunching && in.phase != phasePending {
 		return
 	}
 	in.avoid = of.node
@@ -358,8 +365,7 @@ func (ctl *Controller) handleOpFail(ce *hw.Exec, of *opFail) {
 func (ctl *Controller) reconcile(ce *hw.Exec) {
 	now := ce.Now()
 	cfg := ctl.cl.Cfg
-	for _, name := range ctl.names {
-		in := ctl.insts[name]
+	for _, in := range ctl.insts {
 		switch in.phase {
 		case phasePending:
 			if now < in.retryAt {
@@ -368,16 +374,14 @@ func (ctl *Controller) reconcile(ce *hw.Exec) {
 			in.node = ctl.place(in, -1)
 			in.phase = phaseLaunching
 			in.deadline = now + cfg.LaunchTimeout
-			ctl.send(ce, in.node, command{kind: cmdEnsure, name: name, spec: in.spec, fresh: in.fresh})
-			in.fresh = false
+			ctl.ensure(ce, in)
 		case phaseRestarting:
 			if now < in.retryAt {
 				break
 			}
 			in.phase = phaseLaunching
 			in.deadline = now + cfg.LaunchTimeout
-			ctl.send(ce, in.node, command{kind: cmdEnsure, name: name, spec: in.spec, fresh: in.fresh})
-			in.fresh = false
+			ctl.ensure(ce, in)
 		case phaseLaunching:
 			if now >= in.deadline {
 				ctl.scheduleRestart(ce, in, in.fresh, ctl.bumpBackoff(in))
@@ -399,7 +403,7 @@ func (ctl *Controller) reconcile(ce *hw.Exec) {
 				}
 				in.mig = nil
 				ctl.scheduleRestart(ce, in, false, 0)
-				ctl.upgradeStep(name)
+				ctl.upgradeStep(in)
 			}
 		}
 	}
@@ -412,6 +416,12 @@ func (ctl *Controller) send(ce *hw.Exec, node int, cmd command) {
 	cl.sendCmd(ce.Now(), cl.Nodes[node], cmd)
 }
 
+// ensure sends the instance's home module an ensure command.
+func (ctl *Controller) ensure(ce *hw.Exec, in *instance) {
+	ctl.send(ce, in.node, command{kind: cmdEnsure, inst: in.id, name: in.name, spec: in.spec, fresh: in.fresh})
+	in.fresh = false
+}
+
 // place picks a module for the instance: its pin if set, else the
 // lowest effective load score (last reported score plus a weight per
 // instance already assigned), skipping the module its last launch
@@ -422,8 +432,7 @@ func (ctl *Controller) place(in *instance, exclude int) int {
 		return in.spec.MPM % nn
 	}
 	assigned := make([]int, nn)
-	for _, name := range ctl.names {
-		o := ctl.insts[name]
+	for _, o := range ctl.insts {
 		if o.node >= 0 && o.phase != phaseCompleted && o.phase != phaseFailed {
 			assigned[o.node]++
 		}
@@ -460,14 +469,15 @@ func (ctl *Controller) beginUpgrade(at uint64) {
 	}
 	ctl.upgrade = &upgradeState{
 		startAt: at,
-		queue:   append([]string(nil), ctl.names...),
+		queue:   slices.Clone(ctl.insts),
 	}
 }
 
-// upgradeStep clears the in-flight slot when the named migration ends.
-func (ctl *Controller) upgradeStep(name string) {
-	if ctl.upgrade != nil && ctl.upgrade.current == name {
-		ctl.upgrade.current = ""
+// upgradeStep clears the in-flight slot when the instance's migration
+// ends.
+func (ctl *Controller) upgradeStep(in *instance) {
+	if ctl.upgrade != nil && ctl.upgrade.current == in {
+		ctl.upgrade.current = nil
 	}
 }
 
@@ -475,13 +485,12 @@ func (ctl *Controller) upgradeStep(name string) {
 // time, each instance moved to the least-loaded other module.
 func (ctl *Controller) driveUpgrade(ce *hw.Exec, now uint64) {
 	up := ctl.upgrade
-	if up == nil || up.doneAt != 0 || up.current != "" {
+	if up == nil || up.doneAt != 0 || up.current != nil {
 		return
 	}
 	for len(up.queue) > 0 {
-		name := up.queue[0]
-		in := ctl.insts[name]
-		if in != nil && in.phase != phaseRunning &&
+		in := up.queue[0]
+		if in.phase != phaseRunning &&
 			in.phase != phaseCompleted && in.phase != phaseFailed {
 			// Still pending or launching (an upgrade scheduled early can
 			// overtake the initial launch wave): hold the queue head until
@@ -497,7 +506,7 @@ func (ctl *Controller) driveUpgrade(ce *hw.Exec, now uint64) {
 		}
 		up.queue = up.queue[1:]
 		up.waitUntil = 0
-		if in == nil || in.phase != phaseRunning {
+		if in.phase != phaseRunning {
 			up.skipped++
 			continue
 		}
@@ -508,9 +517,9 @@ func (ctl *Controller) driveUpgrade(ce *hw.Exec, now uint64) {
 		}
 		in.phase = phaseMigrating
 		in.deadline = now + ctl.cl.Cfg.MigrateTimeout
-		in.mig = &MigrationRecord{Name: name, From: in.node, To: dst, StartAt: now}
-		ctl.send(ce, in.node, command{kind: cmdMigrateOut, name: name, dst: dst})
-		up.current = name
+		in.mig = &MigrationRecord{Name: in.name, From: in.node, To: dst, StartAt: now}
+		ctl.send(ce, in.node, command{kind: cmdMigrateOut, inst: in.id, name: in.name, dst: dst})
+		up.current = in
 		up.migrated++
 		return
 	}

@@ -66,7 +66,11 @@ type Spec struct {
 }
 
 // normalize applies defaults and validates; instances counts the total.
+// Instance names must be unique, and two specs yield the same instance
+// name exactly when they share a Name: the digits after the last '-'
+// are the index, and everything before it is the spec's Name.
 func (sp *Spec) normalize() (instances int, err error) {
+	first := make(map[string]int, len(sp.Kernels))
 	for i := range sp.Kernels {
 		ks := &sp.Kernels[i]
 		if ks.Kind == "" {
@@ -78,6 +82,10 @@ func (sp *Spec) normalize() (instances int, err error) {
 		if ks.Name == "" {
 			return 0, fmt.Errorf("ckctl: kernel spec %d has no name", i)
 		}
+		if j, dup := first[ks.Name]; dup {
+			return 0, fmt.Errorf("ckctl: kernel specs %d and %d both declare instance %q", j, i, ks.Name+"-0")
+		}
+		first[ks.Name] = i
 		if ks.Count <= 0 {
 			ks.Count = 1
 		}

@@ -59,8 +59,7 @@ func (c *Cluster) Status() Status {
 	ctl := c.ctl
 	st := Status{At: c.M.Now()}
 	hosted := make([]int, len(c.Nodes))
-	for _, name := range ctl.names {
-		in := ctl.insts[name]
+	for _, in := range ctl.insts {
 		st.Instances = append(st.Instances, InstanceStatus{
 			Name:     in.name,
 			Kind:     in.spec.Kind,
@@ -138,8 +137,8 @@ func (st Status) Table() string {
 func (c *Cluster) Verify() []string {
 	var bad []string
 	ctl := c.ctl
-	for _, name := range ctl.names {
-		in := ctl.insts[name]
+	for _, in := range ctl.insts {
+		name := in.name
 		var hosts []int
 		for i, n := range c.Nodes {
 			if n.SRM != nil && n.SRM.Kernel(name) != nil {
@@ -160,7 +159,7 @@ func (c *Cluster) Verify() []string {
 		}
 		if in.phase == phaseRunning || in.phase == phaseCompleted {
 			if len(hosts) == 1 {
-				pr := c.Nodes[hosts[0]].hosted[name]
+				pr := c.Nodes[hosts[0]].hosted[in.id]
 				if pr == nil {
 					bad = append(bad, fmt.Sprintf("coherence: %q launched on module %d but not in its agent's pod set", name, hosts[0]))
 				} else if pr.pod.Beats == 0 {

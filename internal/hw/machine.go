@@ -75,6 +75,11 @@ func NewMachine(cfg Config) *Machine {
 				Clock: sim.NewClock(fmt.Sprintf("cpu%d.%d", i, j)),
 				TLB:   NewTLB(cfg.TLBEntries),
 			}
+			cpu.tick = func() {
+				if mpm.Sup != nil {
+					mpm.Sup.TimerTick(cpu)
+				}
+			}
 			mpm.CPUs = append(mpm.CPUs, cpu)
 			cpuID++
 		}
@@ -170,6 +175,10 @@ type CPU struct {
 	// IntrOff suppresses interrupt delivery while the supervisor runs
 	// critical sections.
 	IntrOff bool
+
+	// tick is the slice-timer callback, built once with the CPU so
+	// arming the timer allocates nothing.
+	tick func()
 }
 
 // Post sets pending-interrupt bits on the CPU. Safe from engine context.
@@ -177,13 +186,7 @@ func (c *CPU) Post(bits uint32) { c.Pending |= bits }
 
 // ArmTimerAt schedules a supervisor TimerTick for this CPU at virtual
 // time t.
-func (c *CPU) ArmTimerAt(t uint64) {
-	c.MPM.Engine.ScheduleAt(t, func() {
-		if c.MPM.Sup != nil {
-			c.MPM.Sup.TimerTick(c)
-		}
-	})
-}
+func (c *CPU) ArmTimerAt(t uint64) { c.MPM.Engine.ScheduleAt(t, c.tick) }
 
 // Dispatch places e on the CPU and makes it runnable. The CPU must be
 // free (supervisor scheduling invariant).

@@ -50,3 +50,19 @@ func TestOrchDeterminism(t *testing.T) {
 		checkProbe(t, a)
 	}
 }
+
+// benchOrchSeed is BenchmarkOrchSeed's scenario: three modules, fifty
+// pods, a rolling upgrade and a kill-fault plan.
+const benchOrchSeed = 0
+
+// BenchmarkOrchSeed runs one fixed orchestration seed per op through
+// every oracle: the go test -bench handle on the host cost of the
+// ckctl plane and the Cache Kernels it drives.
+func BenchmarkOrchSeed(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if r := Run(GenerateOrch(benchOrchSeed), nil); r.Failed() {
+			b.Fatalf("orch seed %d failed:\n%s", benchOrchSeed, r.Fingerprint())
+		}
+	}
+}
