@@ -2,6 +2,7 @@ package vpp
 
 import (
 	"bytes"
+	"encoding/json"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -178,8 +179,29 @@ func TestDocsNameWhatExists(t *testing.T) {
 // TestVirtualBenchReportsCurrent re-runs the experiments whose
 // committed BENCH report holds only virtual-time results and compares
 // the report ckbench -json would write with the committed file, so a
-// change that moves the simulation must regenerate it.
+// change that moves the simulation must regenerate it. BENCH_fork.json
+// also holds host timings, so only its deterministic fields are
+// compared, from a direct MeasureFork call: the experiment table's
+// host-timed fork-to-boot bound has no place in this test.
 func TestVirtualBenchReportsCurrent(t *testing.T) {
+	t.Run("fork", func(t *testing.T) {
+		r, err := exp.MeasureFork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile("BENCH_fork.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var committed exp.ForkReport
+		if err := json.Unmarshal(raw, &committed); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := forkVirtual(r), forkVirtual(committed); got != want {
+			t.Errorf("BENCH_fork.json is stale; regenerate it with `go run ./cmd/ckbench -exp fork -json`:\ngot:  %#v\nwant: %#v", got, want)
+		}
+	})
+
 	sel, err := exp.Select("rec,orch")
 	if err != nil {
 		t.Fatal(err)
@@ -200,5 +222,15 @@ func TestVirtualBenchReportsCurrent(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s is stale; regenerate it with `go run ./cmd/ckbench -exp %s -json`:\ngot:\n%s", e.Bench, e.ID, got)
 		}
+	}
+}
+
+// forkVirtual keeps a fork report's deterministic fields: its topology,
+// virtual boot time, snapshot size and copy-on-write page counts.
+func forkVirtual(r exp.ForkReport) exp.ForkReport {
+	return exp.ForkReport{
+		MPMs: r.MPMs, CPUsPerMPM: r.CPUsPerMPM, PagesPerMPM: r.PagesPerMPM, WorkersPerMPM: r.WorkersPerMPM,
+		BootSimCycles: r.BootSimCycles, SnapshotBytes: r.SnapshotBytes, Forks: r.Forks,
+		CowPages: r.CowPages, CowSharedBefore: r.CowSharedBefore, CowCopiedByDirty: r.CowCopiedByDirty,
 	}
 }

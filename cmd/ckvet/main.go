@@ -1,8 +1,7 @@
 // Command ckvet runs the internal/lint analyzer suite: static checks
 // that the deterministic packages stay bit-deterministic, that
 // simulated work charges the internal/hw cost model (DESIGN.md §7),
-// that Cache Kernel cache-operation errors are handled, and that the
-// engine's event pool grows only at its one refill point.
+// and that Cache Kernel cache-operation errors are handled.
 //
 // Two modes share the same analyzers:
 //

@@ -134,6 +134,9 @@ type Controller struct {
 	nodeFree       []int
 	nodeSeen       []uint64
 	nodeRecoveries []int
+	// assigned is place's per-module count of live instances, kept
+	// here so a placement does not allocate.
+	assigned []int
 
 	migrations []*MigrationRecord
 	upgrade    *upgradeState
@@ -147,6 +150,7 @@ func newController(cl *Cluster, spec Spec) *Controller {
 		nodeFree:       make([]int, len(cl.Nodes)),
 		nodeSeen:       make([]uint64, len(cl.Nodes)),
 		nodeRecoveries: make([]int, len(cl.Nodes)),
+		assigned:       make([]int, len(cl.Nodes)),
 	}
 	for _, ks := range spec.Kernels {
 		for i := 0; i < ks.Count; i++ {
@@ -431,7 +435,8 @@ func (ctl *Controller) place(in *instance, exclude int) int {
 	if in.spec.MPM >= 0 {
 		return in.spec.MPM % nn
 	}
-	assigned := make([]int, nn)
+	assigned := ctl.assigned
+	clear(assigned)
 	for _, o := range ctl.insts {
 		if o.node >= 0 && o.phase != phaseCompleted && o.phase != phaseFailed {
 			assigned[o.node]++

@@ -38,14 +38,14 @@ func DefaultConfig() Config {
 }
 
 // Machine is a simulated multiprocessor: shared physical memory plus one
-// or more MPMs, all on the one engine of Cluster. Drive it through the
-// Machine-level Run / SetTraceDispatch / SetMaxSteps / Now / Steps
-// wrappers; MPM.Engine is that engine.
+// or more MPMs, all on one engine. Drive it through the Machine-level
+// Run / SetTraceDispatch / SetMaxSteps / Now / Steps wrappers; every
+// MPM.Engine is Machine.Engine.
 type Machine struct {
-	Cluster *sim.Cluster
-	Phys    *PhysMem
-	MPMs    []*MPM
-	Cfg     Config
+	Engine *sim.Engine
+	Phys   *PhysMem
+	MPMs   []*MPM
+	Cfg    Config
 }
 
 // NewMachine builds a machine from cfg.
@@ -54,16 +54,16 @@ func NewMachine(cfg Config) *Machine {
 		panic("hw: machine needs at least one MPM and CPU")
 	}
 	m := &Machine{
-		Cluster: sim.NewCluster(),
-		Phys:    NewPhysMem(cfg.PhysMemBytes),
-		Cfg:     cfg,
+		Engine: &sim.Engine{},
+		Phys:   NewPhysMem(cfg.PhysMemBytes),
+		Cfg:    cfg,
 	}
 	cpuID := 0
 	for i := 0; i < cfg.MPMs; i++ {
 		mpm := &MPM{
 			ID:       i,
 			Machine:  m,
-			Engine:   m.Cluster.Engine(),
+			Engine:   m.Engine,
 			LocalRAM: NewRAMAllocator(fmt.Sprintf("mpm%d-lram", i), cfg.LocalRAMBytes),
 			L2:       NewL2Cache(cfg.L2Bytes),
 		}
@@ -90,32 +90,32 @@ func NewMachine(cfg Config) *Machine {
 
 // Run drives the simulation until quiescent or until the virtual cycle
 // bound is reached. A panic in an execution reaches the caller as a
-// *sim.Panic that carries the panic site's stack (sim.Cluster.Run);
+// *sim.Panic that carries the panic site's stack (sim.Engine.Run);
 // the machine is then only fit for Close.
-func (m *Machine) Run(until uint64) error { return m.Cluster.Run(until) }
+func (m *Machine) Run(until uint64) error { return m.Engine.Run(until) }
 
 // Close ends the machine once its last Run has returned
-// (sim.Cluster.Close): every execution still parked, runnable or in
+// (sim.Engine.Close): every execution still parked, runnable or in
 // the middle of a call is unwound without running any more simulated
 // code. A machine dropped without Close
 // leaks one goroutine per such execution, and each of them keeps the
 // whole machine reachable. Close twice is a no-op; Run after Close
 // panics.
-func (m *Machine) Close() { m.Cluster.Close() }
+func (m *Machine) Close() { m.Engine.Close() }
 
 // SetTraceDispatch installs the dispatch-trace hook; it sees every
-// activation in schedule order (sim.Cluster.SetTrace).
-func (m *Machine) SetTraceDispatch(fn func(name string, at uint64)) { m.Cluster.SetTrace(fn) }
+// activation in schedule order (sim.Engine.SetTrace).
+func (m *Machine) SetTraceDispatch(fn func(name string, at uint64)) { m.Engine.SetTrace(fn) }
 
 // SetMaxSteps arms the machine-wide scheduling-decision guard.
-func (m *Machine) SetMaxSteps(n uint64) { m.Cluster.MaxSteps = n }
+func (m *Machine) SetMaxSteps(n uint64) { m.Engine.MaxSteps = n }
 
 // Now reports the machine's global virtual time: the time of the most
 // recent schedule point.
-func (m *Machine) Now() uint64 { return m.Cluster.Now() }
+func (m *Machine) Now() uint64 { return m.Engine.SchedTime() }
 
 // Steps reports total schedule points.
-func (m *Machine) Steps() uint64 { return m.Cluster.Steps() }
+func (m *Machine) Steps() uint64 { return m.Engine.Steps() }
 
 // MPM is one multiprocessor module: a small number of CPUs sharing a
 // second-level cache and local RAM, running its own Cache Kernel instance

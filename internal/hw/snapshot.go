@@ -169,7 +169,7 @@ func (a *RAMAllocator) State() RAMState { return RAMState{Used: a.used, Peak: a.
 // is out of live coroutines and pending events and every CPU is idle —
 // which is the precondition for a structural snapshot.
 func (m *Machine) Quiescent() error {
-	if err := m.Cluster.Quiescent(); err != nil {
+	if err := m.Engine.Quiescent(); err != nil {
 		return err
 	}
 	for _, mpm := range m.MPMs {
@@ -211,7 +211,7 @@ func (m *Machine) WarpClocks(cs ClockState) error {
 	if len(cs.CPUs) != len(m.MPMs) {
 		return fmt.Errorf("hw: clock restore topology mismatch: %d MPMs into %d", len(cs.CPUs), len(m.MPMs))
 	}
-	m.Cluster.Warp(cs.Time)
+	m.Engine.Warp(cs.Time)
 	for i, mpm := range m.MPMs {
 		if len(cs.CPUs[i]) != len(mpm.CPUs) {
 			return fmt.Errorf("hw: clock restore topology mismatch: %d CPUs into %d on MPM %d", len(cs.CPUs[i]), len(mpm.CPUs), i)

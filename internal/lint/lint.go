@@ -21,12 +21,6 @@
 //     ordinary events in the caching model and must be handled (or
 //     discarded explicitly with `_ =`).
 //
-//   - The engine recycles executed event records through one free
-//     list. poolpath rejects appends to it outside its annotated
-//     growth point: stray growth could recycle a live record and
-//     reintroduces steady-state allocation on the zero-allocation hot
-//     path.
-//
 // Findings are suppressed line-by-line with
 //
 //	//ckvet:allow <analyzer> <reason>
@@ -44,7 +38,7 @@ import (
 )
 
 // All is the ckvet analyzer suite.
-var All = []*analysis.Analyzer{Detmap, Chargepath, Invariantcall, Poolpath}
+var All = []*analysis.Analyzer{Detmap, Chargepath, Invariantcall}
 
 // DeterministicPrefixes lists import-path prefixes whose packages run
 // under the simulation's virtual clock and therefore must be

@@ -11,7 +11,7 @@ import (
 // n grows.
 func benchEngineStep(b *testing.B, n int) {
 	b.Helper()
-	c, e := newSerial()
+	e := &Engine{}
 	for i := 0; i < n; i++ {
 		clk := NewClock("c")
 		co := e.NewCoro("w", func(ctx *Ctx) {
@@ -22,9 +22,9 @@ func benchEngineStep(b *testing.B, n int) {
 		})
 		e.UnparkOn(co, clk)
 	}
-	c.MaxSteps = uint64(b.N) + uint64(n)*4
+	e.MaxSteps = uint64(b.N) + uint64(n)*4
 	b.ResetTimer()
-	_ = c.Run(math.MaxUint64)
+	_ = e.Run(math.MaxUint64)
 }
 
 // BenchmarkEngineSchedulingDecision measures raw engine throughput: how
@@ -41,11 +41,11 @@ func BenchmarkEngineStep256(b *testing.B) { benchEngineStep(b, 256) }
 
 // BenchmarkEventHeap measures timer scheduling throughput.
 func BenchmarkEventHeap(b *testing.B) {
-	c, e := newSerial()
+	e := &Engine{}
 	for i := 0; i < b.N; i++ {
 		e.ScheduleAt(uint64(i%1024), func() {})
 		if i%1024 == 1023 {
-			_ = c.Run(uint64(i))
+			_ = e.Run(uint64(i))
 		}
 	}
 }

@@ -10,32 +10,31 @@
 // serializable interleaving of the simulated multiprocessor without any
 // locking in the simulated kernel code, mirroring how the real Cache
 // Kernel limited parallelism to one MPM. One engine carries a whole
-// simulated machine, every MPM included; its Cluster (cluster.go)
-// drives it.
+// simulated machine, every MPM included, and drives it (Run, Close).
 //
 // Time is measured in processor cycles. Clocks belong to simulated CPUs;
 // a coroutine advances whichever clock it is currently dispatched on, so a
 // thread migrating between CPUs naturally accumulates time on each.
 //
-// Host-side scheduling is O(log n) in the number of runnable coroutines:
-// the ready set is a min-heap keyed by (clock, id), and finished
-// coroutines are dropped from the engine entirely. Each coroutine is a
-// Go runtime coroutine (iter.Pull): the engine resumes it with a direct
-// stack switch, and it switches straight back when it yields, with no
-// trip through the Go scheduler. A yielding coroutine whose next
-// scheduling decision is itself keeps running without switching at all.
-// All of this changes only host data structures; the scheduling
-// decisions themselves — which coroutine runs at which virtual time —
-// are bit-identical to the original linear-scan engine (the determinism
-// golden in internal/exp pins this). iter.Pull needs Go 1.23, hence this
-// file's build constraint.
+// Host-side scheduling is O(log n) in the number of pending entities:
+// runnable coroutines and pending events share one min-heap of value
+// entries keyed by (time, key), and finished coroutines are dropped
+// from the engine entirely. Each coroutine is a Go runtime coroutine
+// (iter.Pull): the engine resumes it with a direct stack switch, and it
+// switches straight back when it yields, with no trip through the Go
+// scheduler. A yielding coroutine whose next scheduling decision is
+// itself keeps running without switching at all. All of this changes
+// only host data structures; the scheduling decisions themselves —
+// which coroutine runs at which virtual time — are bit-identical to the
+// original linear-scan engine (the determinism golden in internal/exp
+// pins this). iter.Pull needs Go 1.23, hence this file's build
+// constraint.
 package sim
 
 import (
 	"errors"
 	"fmt"
 	"iter"
-	"math"
 	"runtime/debug"
 )
 
@@ -108,20 +107,14 @@ type Ctx struct {
 	horizon uint64
 }
 
-// event is a scheduled callback. Events run in the engine's own context
-// (never inside a coroutine); they typically raise interrupts or unpark
-// coros.
-type event struct {
-	at  uint64
-	seq uint64
-	fn  func()
-}
-
-// Engine owns the coroutines, clocks and pending events of a machine.
+// Engine owns the coroutines, clocks and pending events of a machine,
+// and drives the simulation: Run executes it, Close ends it. The zero
+// value is an empty engine, ready to use.
 type Engine struct {
-	coros  []*Coro  // live (not finished) coroutines, creation order
-	runq   coroHeap // runnable coroutines keyed by (clock, id)
-	events eventHeap
+	coros []*Coro // live (not finished) coroutines, creation order
+	// queue holds the runnable coroutines and the pending events,
+	// ordered by (at, key).
+	queue queue
 	// seq numbers coroutines and events in creation order, whether the
 	// host creates them between Run calls or simulated code does while
 	// one runs: a coroutine's id and an event's seq break ties at equal
@@ -129,19 +122,20 @@ type Engine struct {
 	seq     uint64
 	current *Coro
 	now     uint64 // time of the most recently scheduled entity
-	until   uint64 // bound of the run call in progress
-	steps   uint64 // raw scheduling decisions (maxSteps guard)
+	until   uint64 // bound of the Run call in progress
+	steps   uint64 // raw scheduling decisions (MaxSteps guard)
 	sched   uint64 // schedule points: event executions + activations
 	schedAt uint64 // latest schedule-point time seen so far (monotone)
-	// maxSteps bounds engine scheduling decisions as a runaway guard;
-	// the cluster arms it from MaxSteps at every Run. Zero means no
-	// limit.
-	maxSteps uint64
 
-	// cluster drives the engine.
-	cluster *Cluster
-	// evFree pools executed event records for reuse.
-	evFree []*event
+	// closed is set by Close: the simulation has ended and every
+	// started coroutine has been released.
+	closed bool
+	// trace, when non-nil, receives every activation in schedule order.
+	trace func(name string, at uint64)
+
+	// MaxSteps bounds total scheduling decisions, a runaway guard.
+	// Zero means no limit.
+	MaxSteps uint64
 }
 
 // Now reports the engine's current virtual time. From inside a running
@@ -149,14 +143,19 @@ type Engine struct {
 // only advances at schedule points, so the running entity's clock is
 // the honest current time (and, unlike the schedule-point clock, it
 // does not depend on how preemption sliced other entities' runs).
-// Outside any coroutine it is the time of the most recent schedule
-// point, a global lower bound: no future activity occurs before it.
+// Outside any coroutine it is the time of the most recently scheduled
+// entity, a global lower bound: no future activity occurs before it.
 func (e *Engine) Now() uint64 {
 	if cur := e.current; cur != nil {
 		return cur.clock.now
 	}
 	return e.now
 }
+
+// SchedTime reports the engine's global virtual time: the latest
+// schedule point it has executed. Unlike Now it never counts a
+// re-slice, so it is a property of the simulated schedule alone.
+func (e *Engine) SchedTime() uint64 { return e.schedAt }
 
 // Steps reports the number of schedule points so far: event executions
 // plus coroutine activations. Unlike the raw decision count (which
@@ -165,16 +164,13 @@ func (e *Engine) Now() uint64 {
 // the host sliced it.
 func (e *Engine) Steps() uint64 { return e.sched }
 
-// nextTime reports the virtual time of the engine's next pending entity
-// (runnable coroutine or event), or MaxUint64 when quiescent. Only
-// called between Run calls, when no coroutine is executing.
-func (e *Engine) nextTime() uint64 {
-	_, t := e.peekRunnable()
-	if len(e.events) > 0 && e.events[0].at < t {
-		t = e.events[0].at
-	}
-	return t
-}
+// SetTrace installs the dispatch-trace hook: fn is called with the
+// coroutine name and virtual dispatch time on every activation — a
+// dispatch of a coroutine that was unparked since it last ran — in
+// schedule order. Preemption re-slices are not traced: activations are
+// a property of the simulated schedule itself, not of how the host
+// sliced it. TraceHash fingerprints the resulting trace.
+func (e *Engine) SetTrace(fn func(name string, at uint64)) { e.trace = fn }
 
 // NewCoro creates a parked coroutine that will execute fn when first
 // dispatched. The body must only interact with the engine through ctx.
@@ -206,7 +202,7 @@ func (e *Engine) UnparkOn(co *Coro, clock *Clock) {
 	co.clock = clock
 	co.runnable = true
 	co.fresh = true
-	e.runq.push(coroEntry{at: clock.now, co: co})
+	e.queue.push(co.entry())
 	// A newly runnable coroutine may be more urgent than the currently
 	// executing one: shrink the current horizon so it yields at its next
 	// charge point.
@@ -215,8 +211,9 @@ func (e *Engine) UnparkOn(co *Coro, clock *Clock) {
 	}
 }
 
-// ScheduleAt registers fn to run at virtual time t in engine context.
-// Events at equal times run in registration order.
+// ScheduleAt registers fn to run at virtual time t in engine context
+// (never inside a coroutine); an event typically raises an interrupt
+// or unparks a coro. Events at equal times run in registration order.
 func (e *Engine) ScheduleAt(t uint64, fn func()) {
 	e.DeliverAt(t, fn)
 	// The new event may precede the running coroutine's current horizon.
@@ -233,34 +230,14 @@ func (e *Engine) ScheduleAt(t uint64, fn func()) {
 // interrupt-poll points, and everything downstream of them, do not
 // move because it sent.
 func (e *Engine) DeliverAt(t uint64, fn func()) {
-	ev := e.newEvent()
 	e.seq++
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
-	e.events.push(ev)
+	e.queue.push(entry{at: t, key: e.seq, fn: fn})
 }
 
 // ScheduleAfter registers fn to run d cycles after the engine's current
 // global time.
 func (e *Engine) ScheduleAfter(d uint64, fn func()) {
 	e.ScheduleAt(e.now+d, fn)
-}
-
-// newEvent draws an event record from the pool of executed ones.
-func (e *Engine) newEvent() *event {
-	if n := len(e.evFree); n > 0 {
-		ev := e.evFree[n-1]
-		e.evFree = e.evFree[:n-1]
-		return ev
-	}
-	return &event{}
-}
-
-// freeEvent returns an executed event to the pool right after it
-// fires.
-func (e *Engine) freeEvent(ev *event) {
-	ev.fn = nil
-	//ckvet:allow poolpath the pool's own refill point; drained by newEvent
-	e.evFree = append(e.evFree, ev)
 }
 
 // ErrMaxSteps reports that Run stopped because the step guard tripped.
@@ -272,107 +249,80 @@ var ErrMaxSteps = errors.New("sim: exceeded MaxSteps scheduling decisions")
 // boundaries are therefore intrinsic to each coroutine's own charge
 // trajectory — never derived from which other entities happen to share
 // the engine: the engine merely merges intrinsic slices, events and
-// activations by (time, id). The grid also bounds how long a
+// activations by (time, key). The grid also bounds how long a
 // non-yielding loop can hold the engine, keeping it responsive to the
 // step guard.
 const gridQuantum = 1 << 16
 
-// run executes the engine until no coroutine is runnable and no event
-// is pending, or until the next entity's time exceeds until. It returns
-// ErrMaxSteps if the step guard trips. Only the cluster calls it, once
-// per Run.
-func (e *Engine) run(until uint64) error {
+// Run executes the simulation until no coroutine is runnable and no
+// event is pending, or until the next entity's time exceeds until (pass
+// math.MaxUint64 for no bound). It returns ErrMaxSteps if the step
+// guard trips. A coroutine's panic reaches Run's caller as a *Panic;
+// the engine is then only fit for Close.
+func (e *Engine) Run(until uint64) error {
+	if e.closed {
+		panic("sim: Run after Close")
+	}
+	// A Run with nothing due makes no scheduling decision, so it leaves
+	// the step guard's count alone.
+	if ent, ok := e.peek(); !ok || ent.at > until {
+		return nil
+	}
 	e.until = until
 	for {
-		if e.maxSteps != 0 && e.steps >= e.maxSteps {
+		if e.MaxSteps != 0 && e.steps >= e.MaxSteps {
 			return ErrMaxSteps
 		}
 		e.steps++
-
-		co, coTime := e.peekRunnable()
-		evTime := uint64(math.MaxUint64)
-		if len(e.events) > 0 {
-			evTime = e.events[0].at
-		}
-
-		switch {
-		case co == nil && evTime == math.MaxUint64:
+		ent, ok := e.peek()
+		if !ok || ent.at > until {
 			return nil
-		case evTime <= coTime:
-			if evTime > until {
-				return nil
-			}
-			e.runEvent(e.events.pop())
-			// Batched drain: run consecutive due events without
-			// re-entering the full scheduling decision, for as long as
-			// the cheap run-queue bound proves the next event still
-			// precedes every runnable coroutine. Stale heap keys only
-			// under-estimate a clock (clocks move forward), so the
-			// bound is conservative: a miss bounces to the full
-			// decision above, never reorders.
-			for len(e.events) > 0 {
-				next := e.events[0]
-				if next.at > until {
-					break
-				}
-				if len(e.runq) > 0 && next.at > e.runq[0].at {
-					break
-				}
-				if e.maxSteps != 0 && e.steps >= e.maxSteps {
-					return ErrMaxSteps
-				}
-				e.steps++
-				e.runEvent(e.events.pop())
-			}
-		default:
-			if coTime > until {
-				return nil
-			}
-			e.runq.pop()
-			horizon := e.horizonFor(coTime)
-			e.now = coTime
-			e.logDispatch(co, coTime)
-			e.resumeCoro(co, horizon)
 		}
+		e.queue.pop()
+		e.now = ent.at
+		if co := ent.co; co != nil {
+			horizon := e.horizonFor(ent.at)
+			e.logDispatch(co, ent.at)
+			e.resumeCoro(co, horizon)
+			continue
+		}
+		e.sched++
+		if ent.at > e.schedAt {
+			e.schedAt = ent.at
+		}
+		ent.fn()
 	}
 }
 
-// runEvent executes one due event and recycles its record.
-func (e *Engine) runEvent(ev *event) {
-	e.now = ev.at
-	e.sched++
-	if ev.at > e.schedAt {
-		e.schedAt = ev.at
-	}
-	ev.fn()
-	e.freeEvent(ev)
-}
-
-// peekRunnable returns the runnable coroutine with the smallest
-// (clock, id) key without removing it, or (nil, MaxUint64) if none.
-// Stale heap keys — a queued coroutine whose clock moved because it
-// shares the clock with another — are repaired lazily here, so the
-// reported minimum is always computed over live clock values, exactly
-// as the original linear scan did.
-func (e *Engine) peekRunnable() (*Coro, uint64) {
-	for len(e.runq) > 0 {
-		ent := e.runq[0]
+// peek returns the queue's first entry without removing it, or !ok when
+// the queue is empty. A queued coroutine whose clock moved because it
+// shares the clock with another holds a stale key; peek re-keys such an
+// entry at the live clock value once it reaches the top, so the first
+// entry is always the minimum over live clock values, exactly as the
+// original linear scan computed it. Clocks only move forward, so a
+// stale key only under-estimates: an entry below the top never needs
+// repair to decide the top.
+func (e *Engine) peek() (entry, bool) {
+	for len(e.queue) > 0 {
+		ent := e.queue[0]
 		co := ent.co
+		if co == nil {
+			return ent, true
+		}
 		if co.done || !co.runnable {
 			// Defensive: the engine never leaves such entries behind,
-			// but discarding keeps the heap an over-approximation.
-			e.runq.pop()
+			// but discarding keeps the queue an over-approximation.
+			e.queue.pop()
 			continue
 		}
 		if now := co.clock.now; now != ent.at {
-			// Clocks only move forward; re-key at the live value.
-			e.runq.pop()
-			e.runq.push(coroEntry{at: now, co: co})
+			ent.at = now
+			e.queue.sink(ent)
 			continue
 		}
-		return co, ent.at
+		return ent, true
 	}
-	return nil, math.MaxUint64
+	return entry{}, false
 }
 
 // horizonFor computes how far a coroutine dispatched at coTime may run
@@ -389,28 +339,29 @@ func (e *Engine) horizonFor(coTime uint64) uint64 {
 }
 
 // pickSelf evaluates the next scheduling decision from inside the
-// yielding coroutine co. If that decision resumes co itself it performs
-// the dispatch bookkeeping (step count, queue pop, virtual time, trace)
-// and returns co's new horizon, so co keeps running without a switch.
-// For any other decision — another coroutine, a due event, quiescence,
-// the run bound, the step guard — it mutates nothing and reports !ok,
-// and co switches back to run, which re-evaluates identically.
+// runnable, yielding coroutine co, before co is queued. If that
+// decision resumes co itself — co's entry would be the queue's top — it
+// performs the dispatch bookkeeping (step count, virtual time, trace)
+// and returns co's new horizon, so co keeps running without a switch
+// and without a trip through the queue. For any other decision —
+// another coroutine, a due event, the run bound, the step guard — it
+// mutates nothing but peek's re-keying and reports !ok; co is then
+// queued and switches back to Run, which re-evaluates identically.
 func (e *Engine) pickSelf(co *Coro) (horizon uint64, ok bool) {
-	if e.maxSteps != 0 && e.steps >= e.maxSteps {
+	if e.MaxSteps != 0 && e.steps >= e.MaxSteps {
 		return 0, false
 	}
-	next, coTime := e.peekRunnable()
-	if next != co || coTime > e.until {
+	ent := co.entry()
+	if ent.at > e.until {
 		return 0, false
 	}
-	if len(e.events) > 0 && e.events[0].at <= coTime {
+	if top, ok := e.peek(); ok && top.less(ent) {
 		return 0, false
 	}
 	e.steps++
-	e.runq.pop()
-	e.now = coTime
-	e.logDispatch(co, coTime)
-	return e.horizonFor(coTime), true
+	e.now = ent.at
+	e.logDispatch(co, ent.at)
+	return e.horizonFor(ent.at), true
 }
 
 // logDispatch accounts one dispatch decision. An activation (first
@@ -426,13 +377,13 @@ func (e *Engine) logDispatch(co *Coro, coTime uint64) {
 	if coTime > e.schedAt {
 		e.schedAt = coTime
 	}
-	if tr := e.cluster.trace; tr != nil {
+	if tr := e.trace; tr != nil {
 		tr(co.name, coTime)
 	}
 }
 
-// resumeCoro runs co until it yields back to run or finishes. Exactly
-// one coroutine of the engine runs at a time, and run waits for it, so
+// resumeCoro runs co until it yields back to Run or finishes. Exactly
+// one coroutine of the engine runs at a time, and Run waits for it, so
 // engine state needs no locking.
 func (e *Engine) resumeCoro(co *Coro, horizon uint64) {
 	e.current = co
@@ -451,8 +402,8 @@ func (e *Engine) resumeCoro(co *Coro, horizon uint64) {
 // the function ends: before control leaves, the coroutine is marked done
 // and dropped from the engine's live set, so long-running simulations do
 // not accumulate finished contexts and Close never waits on it. The
-// release signal that unwinds a coroutine released by Cluster.Close
-// stops here. Any other panic is raised again as a *Panic that carries
+// release signal that unwinds a coroutine released by Close stops
+// here. Any other panic is raised again as a *Panic that carries
 // the stack of the panic site: iter.Pull recovers it and raises it once
 // more in whoever resumed the coroutine, where that stack is gone.
 func (co *Coro) body() {
@@ -467,8 +418,8 @@ func (co *Coro) body() {
 	co.fn(co.ctx)
 }
 
-// Panic is a coroutine's panic on its way to the caller of Cluster.Run
-// (or of Cluster.Close, if the coroutine panicked while being released):
+// Panic is a coroutine's panic on its way to the caller of Engine.Run
+// (or of Engine.Close, if the coroutine panicked while being released):
 // the panic value, the coroutine's name, its clock at the panic and the
 // stack captured at the panic site.
 type Panic struct {
@@ -486,14 +437,23 @@ func (p *Panic) Error() string {
 }
 
 // releaseSignal is the panic value that unwinds a coroutine released by
-// Cluster.Close.
+// Close.
 type releaseSignal struct{}
 
-// release unwinds every started, unfinished coroutine of the engine,
-// one at a time on the caller's goroutine. stop wakes each one inside
-// yield, which panics with the release signal, and body retires it on
-// the way out. Never-started coroutines have nothing to unwind.
-func (e *Engine) release() {
+// Close ends the simulation. It releases every started, unfinished
+// coroutine, one at a time on the caller's goroutine: stop wakes each
+// one inside yield, which panics with the release signal, so it unwinds
+// its body without running any more simulated code, and body retires it
+// on the way out. Never-started coroutines have nothing to unwind.
+// Until then a parked coroutine is a suspended goroutine that keeps the
+// whole simulation reachable. Close must be called between Run calls
+// (also after Run panicked), never from a coroutine or an event. A
+// second Close is a no-op; Run after Close panics.
+func (e *Engine) Close() {
+	if e.closed {
+		return
+	}
+	e.closed = true
 	for i := 0; i < len(e.coros); {
 		co := e.coros[i]
 		if co.stop == nil {
@@ -523,27 +483,27 @@ func (e *Engine) removeCoro(co *Coro) {
 // yield suspends the calling coroutine and returns control to the
 // scheduler; the coroutine resumes (with a fresh horizon) when next
 // scheduled. If the next scheduling decision resumes the yielder itself
-// it simply keeps running; every other decision is run's, so the
+// it simply keeps running; every other decision is Run's, so the
 // yielder switches back to it.
 //
-// On a closed cluster yield panics with the release signal before it
-// touches the run queue: a released coroutine whose deferred code
+// On a closed engine yield panics with the release signal before it
+// touches the queue: a released coroutine whose deferred code
 // charges on the way out keeps unwinding.
 func (ctx *Ctx) yield() {
 	co := ctx.co
 	e := co.eng
-	if e.cluster.closed {
+	if e.closed {
 		panic(releaseSignal{})
 	}
 	if co.runnable {
-		e.runq.push(coroEntry{at: co.clock.now, co: co})
-	}
-	if horizon, ok := e.pickSelf(co); ok {
-		ctx.horizon = horizon
-		return
+		if horizon, ok := e.pickSelf(co); ok {
+			ctx.horizon = horizon
+			return
+		}
+		e.queue.push(co.entry())
 	}
 	co.suspend(struct{}{})
-	if e.cluster.closed {
+	if e.closed {
 		panic(releaseSignal{})
 	}
 }
@@ -569,9 +529,9 @@ func (ctx *Ctx) Coro() *Coro { return ctx.co }
 func (ctx *Ctx) Engine() *Engine { return ctx.co.eng }
 
 // Released reports whether the coroutine is being released by
-// Cluster.Close: true only in deferred code running while Close unwinds
+// Engine.Close: true only in deferred code running while Close unwinds
 // it.
-func (ctx *Ctx) Released() bool { return ctx.co.eng.cluster.closed }
+func (ctx *Ctx) Released() bool { return ctx.co.eng.closed }
 
 // Park suspends the calling coroutine until another entity unparks it.
 // On resume, the coroutine's clock (which may have been rebound by the
@@ -588,112 +548,86 @@ func (ctx *Ctx) Park() {
 // entities interleave at a known point.
 func (ctx *Ctx) Reschedule() { ctx.yield() }
 
-// coroEntry is a run-queue element; at is the coroutine's clock value
-// when queued (repaired lazily if the clock moves while queued).
-type coroEntry struct {
-	at uint64
-	co *Coro
+// entry is one element of the engine's queue: a runnable coroutine
+// (co set) or a pending event (fn set), due at virtual time at. An
+// event's key is its creation seq; a coroutine's is its id with
+// coroBit set. Ordering by (at, key) therefore runs, at equal times,
+// every event before every coroutine, events in registration order and
+// coroutines in creation order. A coroutine entry's at is its clock
+// value when queued, repaired by peek if the clock moved since.
+type entry struct {
+	at, key uint64
+	co      *Coro
+	fn      func()
 }
 
-// coroHeap is a min-heap of runnable coroutines ordered by (at, id) —
-// the same "smallest clock, creation order breaks ties" rule the
-// original linear scan implemented.
-type coroHeap []coroEntry
+// coroBit marks a coroutine's queue key.
+const coroBit = 1 << 63
 
-func coroLess(a, b coroEntry) bool {
+// entry returns the coroutine's queue entry at its live clock value.
+func (co *Coro) entry() entry {
+	return entry{at: co.clock.now, key: coroBit | co.id, co: co}
+}
+
+func (a entry) less(b entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.co.id < b.co.id
+	return a.key < b.key
 }
 
-func (h *coroHeap) push(ent coroEntry) {
+// queue is a binary min-heap of entries held by value, so scheduling
+// an event or a coroutine allocates nothing once the heap has grown to
+// the simulation's working set.
+type queue []entry
+
+func (h *queue) push(ent entry) {
 	*h = append(*h, ent)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if coroLess((*h)[i], (*h)[p]) {
-			(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
-			i = p
-		} else {
-			break
-		}
+	h.up(len(*h)-1, ent)
+}
+
+// pop removes the first entry. The vacated slot is cleared, so the
+// retained capacity holds no closure or coroutine alive.
+func (h *queue) pop() {
+	q := *h
+	n := len(q) - 1
+	last := q[n]
+	q[n] = entry{}
+	*h = q[:n]
+	if n > 0 {
+		h.sink(last)
 	}
 }
 
-func (h *coroHeap) pop() coroEntry {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = coroEntry{}
-	*h = old[:n]
+// sink puts ent in the first entry's place: it walks that hole down to
+// a leaf along the smaller children, then sifts ent up from there. The
+// entry sunk by pop is the last leaf, which belongs near the bottom, so
+// this costs about one comparison per level, not two.
+func (h queue) sink(ent entry) {
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && coroLess(old[l], old[m]) {
-			m = l
-		}
-		if r < n && coroLess(old[r], old[m]) {
-			m = r
-		}
-		if m == i {
+		c := 2*i + 1
+		if c >= len(h) {
 			break
 		}
-		old[i], old[m] = old[m], old[i]
-		i = m
+		if r := c + 1; r < len(h) && h[r].less(h[c]) {
+			c = r
+		}
+		h[i] = h[c]
+		i = c
 	}
-	return top
+	h.up(i, ent)
 }
 
-// eventHeap is a min-heap of events ordered by (at, seq): at equal
-// times, events run in registration order.
-type eventHeap []*event
-
-func (h *eventHeap) push(ev *event) {
-	*h = append(*h, ev)
-	i := len(*h) - 1
+// up sifts ent up from slot i to its place.
+func (h queue) up(i int, ent entry) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if less((*h)[i], (*h)[p]) {
-			(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
-			i = p
-		} else {
+		if !ent.less(h[p]) {
 			break
 		}
+		h[i] = h[p]
+		i = p
 	}
-}
-
-func (h *eventHeap) pop() *event {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = nil
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && less(old[l], old[m]) {
-			m = l
-		}
-		if r < n && less(old[r], old[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		old[i], old[m] = old[m], old[i]
-		i = m
-	}
-	return top
-}
-
-func less(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+	h[i] = ent
 }

@@ -2,19 +2,13 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// newSerial returns a cluster and its engine, which the tests below
-// drive.
-func newSerial() (*Cluster, *Engine) {
-	c := NewCluster()
-	return c, c.Engine()
-}
-
 func TestSingleCoroAdvances(t *testing.T) {
-	c, e := newSerial()
+	e := &Engine{}
 	clk := NewClock("cpu0")
 	var end uint64
 	co := e.NewCoro("worker", func(ctx *Ctx) {
@@ -24,7 +18,7 @@ func TestSingleCoroAdvances(t *testing.T) {
 		end = ctx.Now()
 	})
 	e.UnparkOn(co, clk)
-	if err := c.Run(math.MaxUint64); err != nil {
+	if err := e.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
 	if end != 50 {
@@ -36,7 +30,7 @@ func TestSingleCoroAdvances(t *testing.T) {
 }
 
 func TestTwoClocksInterleaveByTime(t *testing.T) {
-	c, e := newSerial()
+	e := &Engine{}
 	fast := NewClock("fast")
 	slow := NewClock("slow")
 	var order []string
@@ -51,7 +45,7 @@ func TestTwoClocksInterleaveByTime(t *testing.T) {
 	}
 	mk("a", 10, fast)
 	mk("b", 25, slow)
-	if err := c.Run(math.MaxUint64); err != nil {
+	if err := e.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
 	// Both coros fit inside one grid slice, so each runs its slice to
@@ -71,7 +65,7 @@ func TestTwoClocksInterleaveByTime(t *testing.T) {
 }
 
 func TestParkUnpark(t *testing.T) {
-	c, e := newSerial()
+	e := &Engine{}
 	c0 := NewClock("cpu0")
 	c1 := NewClock("cpu1")
 	var got uint64
@@ -86,7 +80,7 @@ func TestParkUnpark(t *testing.T) {
 	})
 	e.UnparkOn(sleeper, c1)
 	e.UnparkOn(waker, c0)
-	if err := c.Run(math.MaxUint64); err != nil {
+	if err := e.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
 	if got < 100 {
@@ -95,13 +89,13 @@ func TestParkUnpark(t *testing.T) {
 }
 
 func TestEventsFireInOrder(t *testing.T) {
-	c, e := newSerial()
+	e := &Engine{}
 	var fired []uint64
 	e.ScheduleAt(30, func() { fired = append(fired, 30) })
 	e.ScheduleAt(10, func() { fired = append(fired, 10) })
 	e.ScheduleAt(20, func() { fired = append(fired, 20) })
 	e.ScheduleAt(10, func() { fired = append(fired, 11) }) // same time, later seq
-	if err := c.Run(math.MaxUint64); err != nil {
+	if err := e.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
 	want := []uint64{10, 11, 20, 30}
@@ -113,7 +107,7 @@ func TestEventsFireInOrder(t *testing.T) {
 }
 
 func TestEventInterleavesWithCoro(t *testing.T) {
-	c, e := newSerial()
+	e := &Engine{}
 	clk := NewClock("cpu0")
 	var at uint64
 	e.ScheduleAt(15, func() { at = e.Now() })
@@ -123,7 +117,7 @@ func TestEventInterleavesWithCoro(t *testing.T) {
 		atDuringSlice = at
 	})
 	e.UnparkOn(co, clk)
-	if err := c.Run(math.MaxUint64); err != nil {
+	if err := e.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
 	// A pending event does not split a running slice: the coroutine was
@@ -144,7 +138,7 @@ func TestEventInterleavesWithCoro(t *testing.T) {
 // depend on its neighbours — and the event fires before the coroutine
 // passes it.
 func TestEventSplitsOwnSchedulersSlice(t *testing.T) {
-	c, e := newSerial()
+	e := &Engine{}
 	clk := NewClock("cpu0")
 	var at uint64
 	var sawEventBefore bool
@@ -155,7 +149,7 @@ func TestEventSplitsOwnSchedulersSlice(t *testing.T) {
 		sawEventBefore = at == 15
 	})
 	e.UnparkOn(co, clk)
-	if err := c.Run(math.MaxUint64); err != nil {
+	if err := e.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
 	if !sawEventBefore {
@@ -164,7 +158,7 @@ func TestEventSplitsOwnSchedulersSlice(t *testing.T) {
 }
 
 func TestRunUntilBound(t *testing.T) {
-	c, e := newSerial()
+	e := &Engine{}
 	clk := NewClock("cpu0")
 	n := 0
 	co := e.NewCoro("w", func(ctx *Ctx) {
@@ -174,7 +168,7 @@ func TestRunUntilBound(t *testing.T) {
 		}
 	})
 	e.UnparkOn(co, clk)
-	if err := c.Run(100); err != nil {
+	if err := e.Run(100); err != nil {
 		t.Fatal(err)
 	}
 	// The bound gates slice starts, not slice contents: the coroutine
@@ -189,8 +183,8 @@ func TestRunUntilBound(t *testing.T) {
 }
 
 func TestMaxStepsGuard(t *testing.T) {
-	c, e := newSerial()
-	c.MaxSteps = 50
+	e := &Engine{}
+	e.MaxSteps = 50
 	clk := NewClock("cpu0")
 	co := e.NewCoro("spin", func(ctx *Ctx) {
 		for {
@@ -199,13 +193,13 @@ func TestMaxStepsGuard(t *testing.T) {
 		}
 	})
 	e.UnparkOn(co, clk)
-	if err := c.Run(math.MaxUint64); err != ErrMaxSteps {
+	if err := e.Run(math.MaxUint64); err != ErrMaxSteps {
 		t.Fatalf("err = %v, want ErrMaxSteps", err)
 	}
 }
 
 func TestUnparkRunnablePanics(t *testing.T) {
-	_, e := newSerial()
+	e := &Engine{}
 	clk := NewClock("cpu0")
 	co := e.NewCoro("w", func(ctx *Ctx) {})
 	e.UnparkOn(co, clk)
@@ -219,7 +213,7 @@ func TestUnparkRunnablePanics(t *testing.T) {
 
 func TestDeterministicInterleaving(t *testing.T) {
 	run := func() []int {
-		c, e := newSerial()
+		e := &Engine{}
 		var trace []int
 		for i := 0; i < 8; i++ {
 			i := i
@@ -232,7 +226,7 @@ func TestDeterministicInterleaving(t *testing.T) {
 			})
 			e.UnparkOn(co, clk)
 		}
-		if err := c.Run(math.MaxUint64); err != nil {
+		if err := e.Run(math.MaxUint64); err != nil {
 			t.Fatal(err)
 		}
 		return trace
@@ -305,23 +299,79 @@ func TestRandPermIsPermutation(t *testing.T) {
 	}
 }
 
+// TestEventHeapProperty pushes a random mix of coroutine and event
+// entries and requires the queue to pop every one of them in (at, key)
+// order: time first, then at equal times every event before every
+// coroutine, events by seq and coroutines by id.
 func TestEventHeapProperty(t *testing.T) {
-	f := func(times []uint16) bool {
-		var h eventHeap
+	f := func(times []uint16, coros []bool) bool {
+		var q queue
+		co := &Coro{}
 		for i, tm := range times {
-			h.push(&event{at: uint64(tm), seq: uint64(i)})
+			ent := entry{at: uint64(tm), key: uint64(i + 1)}
+			if i < len(coros) && coros[i] {
+				ent.key |= coroBit
+				ent.co = co
+			}
+			q.push(ent)
 		}
-		prev := uint64(0)
-		for len(h) > 0 {
-			ev := h.pop()
-			if ev.at < prev {
+		var prev entry
+		for n := 0; n < len(times); n++ {
+			if len(q) == 0 {
 				return false
 			}
-			prev = ev.at
+			ent := q[0]
+			q.pop()
+			if n > 0 && ent.at == prev.at {
+				if prev.co != nil && ent.co == nil {
+					return false // an event after a coroutine
+				}
+				if (prev.co != nil) == (ent.co != nil) && ent.key <= prev.key {
+					return false
+				}
+			}
+			if ent.at < prev.at {
+				return false
+			}
+			prev = ent
 		}
-		return true
+		return len(q) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQueueOrder pins the queue's order rule on one mixed schedule.
+// Three coroutines are unparked at time 0 before two events are
+// registered at 0 and one at 20. a and c share a clock, and a advances
+// it to 50 while c is queued, so c's entry is stale when it reaches the
+// top. Events run before coroutines at equal times, events in
+// registration order and coroutines in creation order, and c runs at
+// its live clock: after the event at 20.
+func TestQueueOrder(t *testing.T) {
+	e := &Engine{}
+	shared, own := NewClock("shared"), NewClock("own")
+	var order []string
+	coro := func(name string, clk *Clock, work uint64) {
+		e.UnparkOn(e.NewCoro(name, func(ctx *Ctx) {
+			order = append(order, name)
+			ctx.Advance(work)
+		}), clk)
+	}
+	coro("a", shared, 50)
+	coro("b", own, 0)
+	coro("c", shared, 0)
+	for _, ev := range []struct {
+		name string
+		at   uint64
+	}{{"ev0a", 0}, {"ev0b", 0}, {"ev20", 20}} {
+		e.ScheduleAt(ev.at, func() { order = append(order, ev.name) })
+	}
+	if err := e.Run(math.MaxUint64); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(order, " "), "ev0a ev0b a b ev20 c"; got != want {
+		t.Fatalf("order = %q, want %q", got, want)
 	}
 }

@@ -27,12 +27,12 @@ type releaseProbe struct {
 // boundary, before the second.
 const releaseBound = gridQuantum + gridQuantum/2
 
-// buildRelease gives c one coroutine in each state Close has to handle
+// buildRelease gives e one coroutine in each state Close has to handle
 // once Run(releaseBound) returns: parked, runnable beyond the bound,
 // parked inside a deferred charge, unparked but never dispatched, never
 // unparked, and finished.
-func buildRelease(c *Cluster) *releaseProbe {
-	e, p := c.Engine(), &releaseProbe{}
+func buildRelease(e *Engine) *releaseProbe {
+	p := &releaseProbe{}
 	e.UnparkOn(e.NewCoro("parked", func(ctx *Ctx) {
 		ctx.Advance(10)
 		ctx.Park()
@@ -75,32 +75,32 @@ func startedLive(e *Engine) int {
 }
 
 // TestCloseReleasesCoroutines runs the release scenario, closes the
-// cluster, and requires every goroutine it started to exit without
+// engine, and requires every goroutine it started to exit without
 // running any more simulated code.
 func TestCloseReleasesCoroutines(t *testing.T) {
-	// The one subtest is named for the cluster's one engine, as it was
-	// when a cluster could split its machines over several.
+	// The one subtest is named for the machine's one engine, as it was
+	// when a machine could be split over several.
 	t.Run("shards_1", func(t *testing.T) {
 		base := runtime.NumGoroutine()
-		c := NewCluster()
-		p := buildRelease(c)
-		if err := c.Run(releaseBound); err != nil {
+		e := &Engine{}
+		p := buildRelease(e)
+		if err := e.Run(releaseBound); err != nil {
 			t.Fatal(err)
 		}
 		// The parked, bounded and deferred coroutines are suspended in yield.
-		if n := startedLive(c.Engine()); n != 3 {
+		if n := startedLive(e); n != 3 {
 			t.Fatalf("%d started live coroutines before Close, want 3", n)
 		}
 		if p.finished != 1 || p.boundedIters == 0 || p.afterPark || p.afterDeferred || p.unstartedRan {
 			t.Fatalf("the scenario did not reach its release states: %+v", *p)
 		}
 		before := *p
-		c.Close()
+		e.Close()
 		leakcheck.Wait(t, base)
 		if *p != before {
 			t.Fatalf("released coroutines ran simulated code: %+v, was %+v", *p, before)
 		}
-		if n := startedLive(c.Engine()); n != 0 {
+		if n := startedLive(e); n != 0 {
 			t.Fatalf("%d started coroutines still live after Close", n)
 		}
 	})
@@ -110,32 +110,32 @@ func TestCloseReleasesCoroutines(t *testing.T) {
 // no-op and Run after Close panics.
 func TestCloseTwiceThenRun(t *testing.T) {
 	base := runtime.NumGoroutine()
-	c := NewCluster()
-	buildRelease(c)
-	if err := c.Run(releaseBound); err != nil {
+	e := &Engine{}
+	buildRelease(e)
+	if err := e.Run(releaseBound); err != nil {
 		t.Fatal(err)
 	}
-	c.Close()
-	c.Close()
+	e.Close()
+	e.Close()
 	leakcheck.Wait(t, base)
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Run after Close") {
 			t.Fatalf("Run after Close: recovered %v, want a Run after Close panic", r)
 		}
 	}()
-	c.Run(math.MaxUint64)
+	e.Run(math.MaxUint64)
 }
 
-// TestCloseWithoutRun closes a cluster that never ran: no coroutine has
+// TestCloseWithoutRun closes an engine that never ran: no coroutine has
 // started, so there is nothing to release.
 func TestCloseWithoutRun(t *testing.T) {
 	base := runtime.NumGoroutine()
-	c := NewCluster()
-	p := buildRelease(c)
-	c.Close()
+	e := &Engine{}
+	p := buildRelease(e)
+	e.Close()
 	leakcheck.Wait(t, base)
 	if *p != (releaseProbe{}) {
-		t.Fatalf("Close ran coroutines of a cluster that never ran: %+v", *p)
+		t.Fatalf("Close ran coroutines of an engine that never ran: %+v", *p)
 	}
 }
 
@@ -157,14 +157,13 @@ func TestRunPanicReachesCaller(t *testing.T) {
 	// Named for the one engine, like TestCloseReleasesCoroutines.
 	t.Run("shards_1", func(t *testing.T) {
 		base := runtime.NumGoroutine()
-		c := NewCluster()
-		buildRelease(c)
-		e := c.Engine()
+		e := &Engine{}
+		buildRelease(e)
 		e.UnparkOn(e.NewCoro("boom", func(ctx *Ctx) {
 			ctx.Advance(explodeAt)
 			explode()
 		}), NewClock("boom"))
-		p := runPanic(c)
+		p := runPanic(e)
 		if p == nil {
 			t.Fatal("Run returned without the coroutine's panic")
 		}
@@ -179,7 +178,7 @@ func TestRunPanicReachesCaller(t *testing.T) {
 				t.Fatal("the engine still holds the panicked coroutine")
 			}
 		}
-		c.Close()
+		e.Close()
 		leakcheck.Wait(t, base)
 		if n := startedLive(e); n != 0 {
 			t.Fatalf("%d started coroutines still live after Close", n)
@@ -187,11 +186,11 @@ func TestRunPanicReachesCaller(t *testing.T) {
 	})
 }
 
-// runPanic runs c to releaseBound and returns the *Panic Run raised, or
+// runPanic runs e to releaseBound and returns the *Panic Run raised, or
 // nil if it returned.
-func runPanic(c *Cluster) (p *Panic) {
+func runPanic(e *Engine) (p *Panic) {
 	defer func() { p, _ = recover().(*Panic) }()
-	c.Run(releaseBound)
+	e.Run(releaseBound)
 	return nil
 }
 
@@ -203,7 +202,7 @@ func runPanic(c *Cluster) (p *Panic) {
 // add a [recovered] line of its own.
 func TestRunPanicKeepsStack(t *testing.T) {
 	if os.Getenv("SIM_RELEASE_PANIC_CHILD") == "1" {
-		c, e := newSerial()
+		e := &Engine{}
 		e.UnparkOn(e.NewCoro("parked", func(ctx *Ctx) {
 			ctx.Advance(1)
 			ctx.Park()
@@ -214,8 +213,8 @@ func TestRunPanicKeepsStack(t *testing.T) {
 		}), NewClock("cpu0"))
 		returned := make(chan struct{})
 		go func() {
-			defer c.Close()
-			c.Run(math.MaxUint64)
+			defer e.Close()
+			e.Run(math.MaxUint64)
 			close(returned)
 		}()
 		<-returned

@@ -7,54 +7,54 @@ import (
 	"testing"
 )
 
-// clusterScenario builds one simulation and renders a fingerprint of
+// scenario builds one simulation and renders a fingerprint of
 // everything observable: the dispatch trace, every event firing and
 // the final clock and step count. Each test asserts the fingerprint is
 // byte-identical whether the run is driven by one Run call or cut into
 // several (checkCutInvariant).
-type clusterScenario struct {
-	c     *Cluster
+type scenario struct {
+	e     *Engine
 	trace []string
 	recs  []string // "label@time", in firing order
 }
 
-func newClusterScenario() *clusterScenario {
-	s := &clusterScenario{c: NewCluster()}
-	s.c.SetTrace(func(name string, at uint64) {
+func newScenario() *scenario {
+	s := &scenario{e: &Engine{}}
+	s.e.SetTrace(func(name string, at uint64) {
 		s.trace = append(s.trace, fmt.Sprintf("%s@%d", name, at))
 	})
 	return s
 }
 
-func (s *clusterScenario) rec(label string, at uint64) {
+func (s *scenario) rec(label string, at uint64) {
 	s.recs = append(s.recs, fmt.Sprintf("%s@%d", label, at))
 }
 
 // fingerprint runs the scenario to the end, stopping first at each cut
 // (a Run call per cut, then one to math.MaxUint64), and renders it.
-func (s *clusterScenario) fingerprint(t *testing.T, cuts ...uint64) string {
+func (s *scenario) fingerprint(t *testing.T, cuts ...uint64) string {
 	t.Helper()
 	for _, cut := range cuts {
-		if err := s.c.Run(cut); err != nil {
+		if err := s.e.Run(cut); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.c.Run(math.MaxUint64); err != nil {
+	if err := s.e.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
 	}
 	return fmt.Sprintf("trace:%s\nrecs:%s\nnow:%d steps:%d",
-		strings.Join(s.trace, " "), strings.Join(s.recs, " "), s.c.Now(), s.c.Steps())
+		strings.Join(s.trace, " "), strings.Join(s.recs, " "), s.e.SchedTime(), s.e.Steps())
 }
 
 // checkCutInvariant renders the scenario from one straight run, then
 // from a run cut into three Run calls (at a third and two thirds of the
 // straight run's final time). Both must match; it returns the
 // fingerprint. Stopping and resuming a run changes nothing it does.
-func checkCutInvariant(t *testing.T, build func() *clusterScenario) string {
+func checkCutInvariant(t *testing.T, build func() *scenario) string {
 	t.Helper()
 	s := build()
 	want := s.fingerprint(t)
-	cuts := []uint64{s.c.Now() / 3, 2 * s.c.Now() / 3}
+	cuts := []uint64{s.e.SchedTime() / 3, 2 * s.e.SchedTime() / 3}
 	if got := build().fingerprint(t, cuts...); got != want {
 		t.Fatalf("run cut at %v diverges from a straight run:\nwant: %s\ngot:  %s", cuts, want, got)
 	}
@@ -63,8 +63,8 @@ func checkCutInvariant(t *testing.T, build func() *clusterScenario) string {
 
 // tickChain schedules a self-rescheduling event chain: n firings spaced
 // step cycles apart, starting at t0.
-func (s *clusterScenario) tickChain(label string, t0, step uint64, n int) {
-	e := s.c.Engine()
+func (s *scenario) tickChain(label string, t0, step uint64, n int) {
+	e := s.e
 	var tick func()
 	left := n
 	at := t0
@@ -83,9 +83,9 @@ func (s *clusterScenario) tickChain(label string, t0, step uint64, n int) {
 // own current instant (zero delay) must see it fire at exactly that
 // virtual time.
 func TestClusterZeroDelayDelivery(t *testing.T) {
-	build := func() *clusterScenario {
-		s := newClusterScenario()
-		e := s.c.Engine()
+	build := func() *scenario {
+		s := newScenario()
+		e := s.e
 		clk := NewClock("zero")
 		co := e.NewCoro("zero", func(ctx *Ctx) {
 			ctx.Advance(300)
@@ -116,9 +116,9 @@ func TestClusterPingPong(t *testing.T) {
 		rounds  = 20
 		late    = 25_000
 	)
-	build := func() *clusterScenario {
-		s := newClusterScenario()
-		e := s.c.Engine()
+	build := func() *scenario {
+		s := newScenario()
+		e := s.e
 		var (
 			coros [2]*Coro
 			clks  [2]*Clock
@@ -163,7 +163,7 @@ func TestDeliverAtKeepsSendersSlice(t *testing.T) {
 		deliver   bool
 		wantSplit bool
 	}{{"DeliverAt", true, false}, {"ScheduleAt", false, true}} {
-		c, e := newSerial()
+		e := &Engine{}
 		clk := NewClock("cpu0")
 		var at uint64
 		var split bool
@@ -179,7 +179,7 @@ func TestDeliverAtKeepsSendersSlice(t *testing.T) {
 			split = at == 15
 		})
 		e.UnparkOn(co, clk)
-		if err := c.Run(math.MaxUint64); err != nil {
+		if err := e.Run(math.MaxUint64); err != nil {
 			t.Fatal(err)
 		}
 		if split != tc.wantSplit || at != 15 {
