@@ -51,11 +51,10 @@ func run(mpms, pods, upgradeUS int, jsonOut bool) error {
 	mcfg.PhysMemBytes = 256 << 20
 	m := hw.NewMachine(mcfg)
 
-	cfg := ckctl.DefaultConfig()
-	cfg.Horizon = hw.CyclesFromMicros(float64(upgradeUS + pods*15_000 + 2_000*pods*pods/mpms + 400_000))
-	cfg.LaunchTimeout = hw.CyclesFromMicros(float64(5_000 + 500*pods))
-	cfg.MigrateTimeout = hw.CyclesFromMicros(float64(100_000 + 2_000*pods))
-	cfg.CK = ck.Config{KernelSlots: pods + 8, SpaceSlots: pods + 16}
+	cfg := ckctl.Config{
+		Horizon: hw.CyclesFromMicros(float64(upgradeUS + pods*15_000 + 2_000*pods*pods/mpms + 400_000)),
+		CK:      ck.Config{KernelSlots: pods + 8, SpaceSlots: pods + 16},
+	}
 
 	batch := pods / 5
 	spec := ckctl.Spec{Kernels: []ckctl.KernelSpec{

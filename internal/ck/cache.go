@@ -24,7 +24,7 @@ type objCache[T any] struct {
 	// "identifier failure" event; a reload is an allocation into a slot
 	// that has held an object before (the reload half of the
 	// writeback/reload protocol, at slot granularity).
-	hits, misses, reloads uint64
+	Hits, Misses, Reloads uint64
 }
 
 type cacheSlot[T any] struct {
@@ -60,7 +60,7 @@ func (c *objCache[T]) alloc() (idx int32, gen uint32, ok bool) {
 	s := &c.slots[idx]
 	s.gen++
 	if s.gen > 1 {
-		c.reloads++
+		c.Reloads++
 	}
 	s.inUse = true
 	s.locked = false
@@ -74,15 +74,15 @@ func (c *objCache[T]) alloc() (idx int32, gen uint32, ok bool) {
 func (c *objCache[T]) get(idx int32, gen uint32) (T, bool) {
 	var zero T
 	if idx < 0 || int(idx) >= len(c.slots) {
-		c.misses++
+		c.Misses++
 		return zero, false
 	}
 	s := &c.slots[idx]
 	if !s.inUse || s.gen != gen {
-		c.misses++
+		c.Misses++
 		return zero, false
 	}
-	c.hits++
+	c.Hits++
 	return s.obj, true
 }
 
@@ -218,9 +218,9 @@ func (c *objCache[T]) shape() CacheShape {
 		Gens:    make([]uint32, len(c.slots)),
 		Locked:  make([]bool, len(c.slots)),
 		Free:    append([]int32(nil), c.free...),
-		Hits:    c.hits,
-		Misses:  c.misses,
-		Reloads: c.reloads,
+		Hits:    c.Hits,
+		Misses:  c.Misses,
+		Reloads: c.Reloads,
 	}
 	for i := range c.slots {
 		sh.Gens[i] = c.slots[i].gen
@@ -267,9 +267,9 @@ func (c *objCache[T]) restoreShape(sh CacheShape, obj func(slot int32) (T, error
 		c.lruAppend(idx)
 		c.loaded++
 	}
-	c.hits = sh.Hits
-	c.misses = sh.Misses
-	c.reloads = sh.Reloads
+	c.Hits = sh.Hits
+	c.Misses = sh.Misses
+	c.Reloads = sh.Reloads
 	return nil
 }
 

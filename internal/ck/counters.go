@@ -1,83 +1,61 @@
 package ck
 
-import "fmt"
+// Counters is the one counter view of a Cache Kernel instance and its
+// MPM: the kernel's Stats, each descriptor cache's occupancy and
+// protocol events, and the MPM's TLB and L2 totals. Every field is a
+// uint64 copied from the structure where its event is counted, so two
+// views compare with == and a phase's counts are the difference of the
+// views taken before and after it; nothing resets a counter.
+//
+// Per descriptor cache, Loaded and Capacity are its occupancy; Hits are
+// generation-valid identifier lookups and Misses identifier failures,
+// the caching model's miss event; Reloads are allocations into a slot
+// that has held an object before, descriptor state regenerated after an
+// eviction or crash. The mapping cache has no lookups of its own: by
+// the paper's design the loaded mappings back the translation hardware,
+// so its hits are TLBHits and its misses are Stats.Faults.
+type Counters struct {
+	Stats
 
-// CacheStat is one descriptor cache's observability counters: occupancy
-// plus the caching model's four protocol events. Hits and misses count
-// generation-validated identifier lookups (a miss is the model's
-// "identifier failure"); loads/unloads/writebacks come from the kernel
-// call accounting; reloads count allocations into previously-used slots
-// — descriptor state regenerated into the cache after an earlier
-// eviction or crash. All values derive only from simulation events, so
-// they are byte-reproducible for a given seed.
-type CacheStat struct {
-	Name     string
-	Capacity int
-	Loaded   int
-	Hits     uint64
-	Misses   uint64
-	Loads    uint64
-	Unloads  uint64
-	Wbacks   uint64
-	Reloads  uint64
+	KernelLoaded, KernelCapacity, KernelHits, KernelMisses, KernelReloads uint64
+	SpaceLoaded, SpaceCapacity, SpaceHits, SpaceMisses, SpaceReloads      uint64
+	ThreadLoaded, ThreadCapacity, ThreadHits, ThreadMisses, ThreadReloads uint64
+	MappingLoaded, MappingCapacity, MappingReloads                        uint64
+
+	// TLBHits and TLBMisses are summed over the MPM's processors.
+	TLBHits, TLBMisses uint64
+	L2Hits, L2Misses   uint64
 }
 
-// Occupancy is Loaded/Capacity in [0,1].
-func (s CacheStat) Occupancy() float64 {
-	if s.Capacity == 0 {
-		return 0
+// Counters returns the instance's counter view. It only copies: it
+// charges no virtual time, moves no counter and allocates nothing.
+func (k *Kernel) Counters() Counters {
+	c := Counters{
+		Stats:           k.Stats,
+		KernelLoaded:    uint64(k.kernels.Loaded()),
+		KernelCapacity:  uint64(k.kernels.Capacity()),
+		KernelHits:      k.kernels.Hits,
+		KernelMisses:    k.kernels.Misses,
+		KernelReloads:   k.kernels.Reloads,
+		SpaceLoaded:     uint64(k.spaces.Loaded()),
+		SpaceCapacity:   uint64(k.spaces.Capacity()),
+		SpaceHits:       k.spaces.Hits,
+		SpaceMisses:     k.spaces.Misses,
+		SpaceReloads:    k.spaces.Reloads,
+		ThreadLoaded:    uint64(k.threads.Loaded()),
+		ThreadCapacity:  uint64(k.threads.Capacity()),
+		ThreadHits:      k.threads.Hits,
+		ThreadMisses:    k.threads.Misses,
+		ThreadReloads:   k.threads.Reloads,
+		MappingLoaded:   uint64(k.pm.Live()),
+		MappingCapacity: uint64(k.pm.Capacity()),
+		MappingReloads:  k.pm.Reloads,
+		L2Hits:          k.MPM.L2.Hits,
+		L2Misses:        k.MPM.L2.Misses,
 	}
-	return float64(s.Loaded) / float64(s.Capacity)
-}
-
-// String renders one cache's counters on a single line.
-func (s CacheStat) String() string {
-	return fmt.Sprintf("%s %d/%d loaded, %d hits / %d misses, %d loads / %d unloads / %d wb / %d reloads",
-		s.Name, s.Loaded, s.Capacity, s.Hits, s.Misses, s.Loads, s.Unloads, s.Wbacks, s.Reloads)
-}
-
-// CacheCounters is the per-descriptor-cache view of one Cache Kernel
-// instance — the first slice of the cache-observability roadmap item.
-// The orchestration plane's placement score reads it, and `ckbench -exp
-// t2` prints it alongside the paper table.
-type CacheCounters struct {
-	Kernels  CacheStat
-	Spaces   CacheStat
-	Threads  CacheStat
-	Mappings CacheStat
-}
-
-// CacheCounters snapshots the per-cache counters. Mapping-cache hits
-// are hardware translations (TLB hits summed over the MPM's
-// processors): by the paper's design the loaded mapping cache *is* the
-// translation hardware's backing store, so a TLB hit is the mapping
-// cache's fast path and a page fault is its miss.
-func (k *Kernel) CacheCounters() CacheCounters {
-	var c CacheCounters
-	c.Kernels = CacheStat{
-		Name: "kernels", Capacity: k.kernels.Capacity(), Loaded: k.kernels.Loaded(),
-		Hits: k.kernels.hits, Misses: k.kernels.misses, Reloads: k.kernels.reloads,
-		Loads: k.Stats.KernelLoads, Unloads: k.Stats.KernelUnloads, Wbacks: k.Stats.KernelWritebacks,
-	}
-	c.Spaces = CacheStat{
-		Name: "spaces", Capacity: k.spaces.Capacity(), Loaded: k.spaces.Loaded(),
-		Hits: k.spaces.hits, Misses: k.spaces.misses, Reloads: k.spaces.reloads,
-		Loads: k.Stats.SpaceLoads, Unloads: k.Stats.SpaceUnloads, Wbacks: k.Stats.SpaceWritebacks,
-	}
-	c.Threads = CacheStat{
-		Name: "threads", Capacity: k.threads.Capacity(), Loaded: k.threads.Loaded(),
-		Hits: k.threads.hits, Misses: k.threads.misses, Reloads: k.threads.reloads,
-		Loads: k.Stats.ThreadLoads, Unloads: k.Stats.ThreadUnloads, Wbacks: k.Stats.ThreadWritebacks,
-	}
-	var tlbHits uint64
 	for _, cpu := range k.MPM.CPUs {
-		h, _ := cpu.TLB.Stats()
-		tlbHits += h
-	}
-	c.Mappings = CacheStat{
-		Name: "mappings", Capacity: k.pm.Capacity(), Loaded: k.pm.Live(),
-		Hits: tlbHits, Misses: k.Stats.Faults, Reloads: k.pm.reloads,
-		Loads: k.Stats.MappingLoads, Unloads: k.Stats.MappingUnloads, Wbacks: k.Stats.MappingWritebacks,
+		c.TLBHits += cpu.TLB.Hits
+		c.TLBMisses += cpu.TLB.Misses
 	}
 	return c
 }
@@ -86,15 +64,16 @@ func (k *Kernel) CacheCounters() CacheCounters {
 // Cache Kernel: descriptor-cache pressure expressed as scaled occupancy
 // plus accumulated miss traffic. Lower means a better placement target.
 // Integer arithmetic only, so scores compare identically on every host.
-func (c CacheCounters) LoadScore() uint64 {
-	occ := func(s CacheStat) uint64 {
-		if s.Capacity == 0 {
+func (c Counters) LoadScore() uint64 {
+	occ := func(loaded, capacity uint64) uint64 {
+		if capacity == 0 {
 			return 0
 		}
-		return uint64(s.Loaded) * 1000 / uint64(s.Capacity)
+		return loaded * 1000 / capacity
 	}
 	// Occupancy dominates (a full thread cache means eviction churn for
 	// every newcomer); misses break ties between similarly-full MPMs.
-	return 4*(occ(c.Kernels)+occ(c.Spaces)+occ(c.Threads)+occ(c.Mappings)) +
-		(c.Kernels.Misses + c.Spaces.Misses + c.Threads.Misses + c.Mappings.Misses)
+	return 4*(occ(c.KernelLoaded, c.KernelCapacity)+occ(c.SpaceLoaded, c.SpaceCapacity)+
+		occ(c.ThreadLoaded, c.ThreadCapacity)+occ(c.MappingLoaded, c.MappingCapacity)) +
+		(c.KernelMisses + c.SpaceMisses + c.ThreadMisses + c.Faults)
 }

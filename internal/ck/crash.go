@@ -17,7 +17,6 @@ import "vpp/internal/hw"
 // reverse-TLB entry handed out before the crash can ever validate
 // against an object loaded after it.
 func (k *Kernel) Crash() {
-	k.Stats.Crashes++
 	k.Epoch++
 	k.emit(nil, Event{Kind: EvCrash, A: k.Epoch})
 	// The reset kills whatever is executing on the MPM's CPUs: the
@@ -71,7 +70,6 @@ func (k *Kernel) corruptWriteback(e *hw.Exec, kind string, id ObjID) bool {
 	if k.WritebackFault == nil || !k.WritebackFault(kind, id) {
 		return false
 	}
-	k.Stats.WritebacksCorrupted++
 	k.emit(e, Event{Kind: EvChaosCorruptWriteback, Obj: id, Name: kind})
 	return true
 }

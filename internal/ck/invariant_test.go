@@ -236,17 +236,17 @@ func readyThreads(k *Kernel) []*ThreadObj {
 
 // TestCheckInvariantsLeavesCacheCounters: the invariant walk validates
 // identifiers of loaded threads, spaces, kernels and queued threads,
-// but it is no kernel operation, so the cache counters read the same
-// before and after it.
+// but it is no kernel operation, so the counter view, caches, TLB and
+// L2 included, reads the same before and after it.
 func TestCheckInvariantsLeavesCacheCounters(t *testing.T) {
 	env := newBusyEnv(t)
 	if len(readyThreads(env.k)) == 0 {
 		t.Fatal("no thread queued; the walk checks no ready queue")
 	}
-	before := env.k.CacheCounters()
+	before := env.k.Counters()
 	checkInvariants(t, env.k)
-	if after := env.k.CacheCounters(); after != before {
-		t.Errorf("CheckInvariants moved the cache counters:\nbefore %+v\n after %+v", before, after)
+	if after := env.k.Counters(); after != before {
+		t.Errorf("CheckInvariants moved the counters:\nbefore %+v\n after %+v", before, after)
 	}
 }
 

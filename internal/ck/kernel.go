@@ -6,7 +6,10 @@ import (
 	"vpp/internal/hw"
 )
 
-// Stats counts Cache Kernel events for the evaluation harness.
+// Stats holds the Cache Kernel's own event counts, incremented where
+// each event happens; Counters reads them with the cache and hardware
+// counts. A crash is counted by Kernel.Epoch, and injected faults by the
+// injector that decides them (internal/chaos).
 type Stats struct {
 	KernelLoads, KernelUnloads, KernelWritebacks uint64
 	SpaceLoads, SpaceUnloads, SpaceWritebacks    uint64
@@ -16,7 +19,6 @@ type Stats struct {
 
 	Faults         uint64
 	TrapsForwarded uint64
-	CKCalls        uint64
 
 	SignalsGenerated uint64
 	SignalsFast      uint64 // delivered via reverse-TLB hit
@@ -27,12 +29,6 @@ type Stats struct {
 	ContextSwitches uint64
 	Preemptions     uint64
 	QuotaDemotions  uint64
-
-	// Fault-injection counters (internal/chaos).
-	Crashes              uint64
-	SignalsInjDropped    uint64
-	SignalsInjDuplicated uint64
-	WritebacksCorrupted  uint64
 }
 
 // SignalVerdict is a fault injector's decision about one signal
@@ -286,7 +282,6 @@ func (k *Kernel) Syscall(e *hw.Exec, no uint32, args []uint32) (uint32, uint32) 
 	if k.kernelBySpace[so] != nil {
 		// Executing inside an application kernel's own address space:
 		// the trap is a Cache Kernel call.
-		k.Stats.CKCalls++
 		if fn := k.syscalls[no]; fn != nil {
 			return fn(e, args)
 		}

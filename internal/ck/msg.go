@@ -81,12 +81,10 @@ func (k *Kernel) deliverSignal(to *ThreadObj, value uint32, nowHint uint64, e *h
 	if f := k.SignalFault; f != nil {
 		v := f(to.id, value)
 		if v.Drop {
-			k.Stats.SignalsInjDropped++
 			k.emit(e, Event{Kind: EvChaosDropSignal, Obj: to.id, A: uint64(value)})
 			return
 		}
 		if v.Dup {
-			k.Stats.SignalsInjDuplicated++
 			k.emit(e, Event{Kind: EvChaosDupSignal, Obj: to.id, A: uint64(value)})
 			k.deliverSignalOnce(to, value, nowHint, e)
 		}

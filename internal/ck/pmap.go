@@ -83,11 +83,11 @@ type pmap struct {
 	tail    []*freeBlock
 	tailLen int
 
-	// reloads counts insertions into slots that have held a record
+	// Reloads counts insertions into slots that have held a record
 	// before — the mapping cache's analog of the objCache reload counter
 	// (observability only, not accounted RAM). The record is the mark:
 	// removal leaves next == -1, and a never-used slot is all zero.
-	reloads uint64
+	Reloads uint64
 }
 
 // A record chunk is one 4 KB page of records.
@@ -176,7 +176,7 @@ func (p *pmap) releaseSlot(idx int32) {
 func (p *pmap) insertAt(idx int32, kind depKind, key, dep uint32, owner int32) {
 	r := p.rec(idx)
 	if r.next == -1 {
-		p.reloads++
+		p.Reloads++
 	}
 	b := p.bucket(key)
 	*r = depRecord{key: key, dep: dep, ctx: makeCtx(kind, owner), next: p.buckets[b]}
@@ -321,7 +321,7 @@ func (p *pmap) state() PMapState {
 		FreeCanon: p.n - p.fresh,
 		Live:      p.live,
 		Hand:      p.hand,
-		Reloads:   p.reloads,
+		Reloads:   p.Reloads,
 	}
 	for c, ch := range p.chunks {
 		if ch == nil {
@@ -408,6 +408,6 @@ func (p *pmap) restore(st *PMapState) error {
 	}
 	p.live = st.Live
 	p.hand = st.Hand
-	p.reloads = st.Reloads
+	p.Reloads = st.Reloads
 	return nil
 }

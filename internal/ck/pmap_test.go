@@ -281,9 +281,9 @@ func TestPMapMatchesDense(t *testing.T) {
 						t.Fatalf("n=%d seed=%d op %d: findEach(%d, %d) = %v in %d probes, dense %v in %d", n, seed, op, kind, key, pFound, pp, dFound, dp)
 					}
 				}
-				if p.Live() != d.live || p.Free() != len(d.free) || p.reloads != d.reloads || p.hand != d.hand {
+				if p.Live() != d.live || p.Free() != len(d.free) || p.Reloads != d.reloads || p.hand != d.hand {
 					t.Fatalf("n=%d seed=%d op %d: live %d free %d reloads %d hand %d, dense %d %d %d %d",
-						n, seed, op, p.Live(), p.Free(), p.reloads, p.hand, d.live, len(d.free), d.reloads, d.hand)
+						n, seed, op, p.Live(), p.Free(), p.Reloads, p.hand, d.live, len(d.free), d.reloads, d.hand)
 				}
 				// A capture is taken between calls, with no slot reserved.
 				if len(reserved) == 0 && (op%97 == 0 || op == ops-1) {

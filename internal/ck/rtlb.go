@@ -9,8 +9,6 @@ package ck
 type rtlb struct {
 	entries []rtlbEntry
 	next    int
-	hits    uint64
-	misses  uint64
 }
 
 type rtlbEntry struct {
@@ -40,13 +38,11 @@ func (r *rtlb) lookup(pfn uint32, version uint64) ([]rtlbReceiver, bool) {
 		e := &r.entries[i]
 		if e.valid && e.pfn == pfn {
 			if e.version == version {
-				r.hits++
 				return e.receivers, true
 			}
 			e.valid = false
 		}
 	}
-	r.misses++
 	return nil, false
 }
 

@@ -240,8 +240,6 @@ type RTLBEntryState struct {
 type RTLBState struct {
 	Entries []RTLBEntryState
 	Next    int
-	Hits    uint64
-	Misses  uint64
 }
 
 // State is the complete structural state of one Cache Kernel instance
@@ -327,7 +325,7 @@ func (k *Kernel) CaptureState() (*State, error) {
 	})
 	st.PMap = k.pm.state()
 	for _, r := range k.rtlbs {
-		rs := RTLBState{Entries: make([]RTLBEntryState, len(r.entries)), Next: r.next, Hits: r.hits, Misses: r.misses}
+		rs := RTLBState{Entries: make([]RTLBEntryState, len(r.entries)), Next: r.next}
 		for i, e := range r.entries {
 			es := RTLBEntryState{Valid: e.valid, PFN: e.pfn, Version: e.version}
 			for _, rcv := range e.receivers {
@@ -475,8 +473,6 @@ func (k *Kernel) RestoreState(st *State, bind func(name string) KernelAttrs) err
 			r.entries[j] = e
 		}
 		r.next = rs.Next
-		r.hits = rs.Hits
-		r.misses = rs.Misses
 	}
 	if st.FirstSlot >= 0 {
 		first, ok := k.kernels.peek(st.FirstSlot)

@@ -37,18 +37,13 @@ type Table2 struct {
 	FaultTransfer  float64 // 32
 
 	// Host-observability counters for the run that produced the table:
-	// engine scheduling steps and the MPM's TLB and L2 hit/miss totals.
-	// They are not part of the paper's table (String leaves them out; see
-	// Counters) but make cost-model regressions visible in the same run
-	// that measures operation times — any host-side data-structure change
-	// that perturbs the simulation shows up here first.
-	SchedSteps         uint64
-	TLBHits, TLBMisses uint64
-	L2Hits, L2Misses   uint64
-
-	// Per-descriptor-cache counters for the same run (Counters stanza,
-	// not part of the paper table).
-	Caches CacheCounters
+	// engine scheduling steps and the kernel's counter view. They are
+	// not part of the paper's table (String leaves them out; see
+	// CounterStanza) but make cost-model regressions visible in the same
+	// run that measures operation times — any host-side data-structure
+	// change that perturbs the simulation shows up here first.
+	SchedSteps uint64
+	Counters   Counters
 }
 
 // PaperTable2 is the published Table 2 / Section 5.3 data for
@@ -121,13 +116,7 @@ func MeasureTable2(cfg Config) (Table2, error) {
 		return out, err
 	}
 	out.SchedSteps = m.Steps()
-	for _, c := range m.MPMs[0].CPUs {
-		h, mi := c.TLB.Stats()
-		out.TLBHits += h
-		out.TLBMisses += mi
-	}
-	out.L2Hits, out.L2Misses = m.MPMs[0].L2.Stats()
-	out.Caches = k.CacheCounters()
+	out.Counters = k.Counters()
 	return out, measureErr
 }
 
@@ -385,15 +374,25 @@ func (t Table2) String() string {
 	return s
 }
 
-// Counters renders the run's scheduling and memory-system counters as a
-// stanza separate from the paper table, so the table itself stays
-// comparable across revisions byte for byte.
-func (t Table2) Counters() string {
+// CounterStanza renders the run's scheduling, memory-system and
+// descriptor-cache counters as a stanza separate from the paper table,
+// so the table itself stays comparable across revisions byte for byte.
+func (t Table2) CounterStanza() string {
+	c := t.Counters
 	s := fmt.Sprintf(
 		"simulation counters: sched steps %d, TLB %d hits / %d misses, L2 %d hits / %d misses",
-		t.SchedSteps, t.TLBHits, t.TLBMisses, t.L2Hits, t.L2Misses)
-	for _, c := range []CacheStat{t.Caches.Kernels, t.Caches.Spaces, t.Caches.Threads, t.Caches.Mappings} {
-		s += "\ncache " + c.String()
+		t.SchedSteps, c.TLBHits, c.TLBMisses, c.L2Hits, c.L2Misses)
+	cache := func(name string, loaded, capacity, hits, misses, loads, unloads, wbs, reloads uint64) {
+		s += fmt.Sprintf("\ncache %s %d/%d loaded, %d hits / %d misses, %d loads / %d unloads / %d wb / %d reloads",
+			name, loaded, capacity, hits, misses, loads, unloads, wbs, reloads)
 	}
+	cache("kernels", c.KernelLoaded, c.KernelCapacity, c.KernelHits, c.KernelMisses,
+		c.KernelLoads, c.KernelUnloads, c.KernelWritebacks, c.KernelReloads)
+	cache("spaces", c.SpaceLoaded, c.SpaceCapacity, c.SpaceHits, c.SpaceMisses,
+		c.SpaceLoads, c.SpaceUnloads, c.SpaceWritebacks, c.SpaceReloads)
+	cache("threads", c.ThreadLoaded, c.ThreadCapacity, c.ThreadHits, c.ThreadMisses,
+		c.ThreadLoads, c.ThreadUnloads, c.ThreadWritebacks, c.ThreadReloads)
+	cache("mappings", c.MappingLoaded, c.MappingCapacity, c.TLBHits, c.Faults,
+		c.MappingLoads, c.MappingUnloads, c.MappingWritebacks, c.MappingReloads)
 	return s
 }

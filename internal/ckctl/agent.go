@@ -107,7 +107,7 @@ type kernelReport struct {
 type nodeReport struct {
 	Node       int
 	At         uint64
-	Load       uint64 // ck.CacheCounters().LoadScore()
+	Load       uint64 // ck.Counters.LoadScore
 	FreeGroups int
 	Recoveries int
 	Kernels    []kernelReport
@@ -139,7 +139,7 @@ type event struct {
 // sendCmd delivers a command to a node's agent after the control
 // latency.
 func (c *Cluster) sendCmd(now uint64, n *Node, cmd command) {
-	n.MPM.Engine.DeliverAt(now+c.Cfg.CtlLatency, func() {
+	n.MPM.Engine.DeliverAt(now+ctlLatency, func() {
 		n.inbox = append(n.inbox, cmd)
 	})
 }
@@ -148,7 +148,7 @@ func (c *Cluster) sendCmd(now uint64, n *Node, cmd command) {
 // latency.
 func (c *Cluster) sendEvent(now uint64, ev event) {
 	ctl := c.ctl
-	c.Nodes[0].MPM.Engine.DeliverAt(now+c.Cfg.CtlLatency, func() {
+	c.Nodes[0].MPM.Engine.DeliverAt(now+ctlLatency, func() {
 		ctl.inbox = append(ctl.inbox, ev)
 	})
 }
@@ -161,7 +161,7 @@ func (n *Node) agentBody(se *hw.Exec) {
 	n.retired["agent"] = false
 	for se.Now() < n.cl.Cfg.Horizon {
 		tid := n.CK.CurrentThread(se)
-		if err := n.CK.SetAlarm(se, tid, se.Now()+n.cl.Cfg.AgentTick, sigTick); err != nil {
+		if err := n.CK.SetAlarm(se, tid, se.Now()+agentTick, sigTick); err != nil {
 			break
 		}
 		if _, err := n.CK.WaitSignal(se); err != nil {
@@ -185,7 +185,7 @@ func (n *Node) medicBody(se *hw.Exec) {
 	n.retired["medic"] = false
 	for se.Now() < n.cl.Cfg.Horizon {
 		tid := n.CK.CurrentThread(se)
-		if err := n.CK.SetAlarm(se, tid, se.Now()+n.cl.Cfg.AgentTick, sigTick); err != nil {
+		if err := n.CK.SetAlarm(se, tid, se.Now()+agentTick, sigTick); err != nil {
 			break
 		}
 		if _, err := n.CK.WaitSignal(se); err != nil {
@@ -398,7 +398,7 @@ func (n *Node) report(se *hw.Exec) {
 	*rep = nodeReport{
 		Node:       n.Idx,
 		At:         se.Now(),
-		Load:       n.CK.CacheCounters().LoadScore(),
+		Load:       n.CK.Counters().LoadScore(),
 		FreeGroups: n.SRM.FreeGroups(),
 		Recoveries: n.recoveries,
 		Kernels:    kernels,

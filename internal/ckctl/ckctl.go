@@ -42,41 +42,28 @@ const sigTick uint32 = 0x7D1
 // recovery.
 const servicePrio = 44
 
-// Config tunes the plane. All times are cycles of virtual time.
+// The plane's timings, in cycles of virtual time. The controller's two
+// timeouts scale with the fleet instead (Controller.launchTimeout).
+const (
+	// agentTick is the agents', medics' and controller's polling period.
+	agentTick = 100 * hw.CyclesPerMicrosecond
+	// ctlLatency is the modeled control-message latency between modules.
+	ctlLatency = 25 * hw.CyclesPerMicrosecond
+	// backoffBase and backoffCap bound the doubling restart backoff.
+	backoffBase = 500 * hw.CyclesPerMicrosecond
+	backoffCap  = 8_000 * hw.CyclesPerMicrosecond
+	// guardInterval is the per-MPM crash guardian's probe period.
+	guardInterval = 400 * hw.CyclesPerMicrosecond
+)
+
+// Config configures the plane.
 type Config struct {
-	// Horizon stops the controller, agents and guardians; it must be
-	// set, or the plane would keep the engine alive forever.
+	// Horizon, in cycles of virtual time, stops the controller, agents
+	// and guardians; it must be set, or the plane would keep the engine
+	// alive forever.
 	Horizon uint64
-	// AgentTick is the agents' and controller's polling period.
-	AgentTick uint64
-	// CtlLatency is the modeled control-message latency between modules.
-	CtlLatency uint64
-	// LaunchTimeout bounds how long the controller waits for a launch or
-	// restart to be reported running before reissuing it.
-	LaunchTimeout uint64
-	// MigrateTimeout bounds a migration before the controller falls back
-	// to relaunching the pod on the target (convergence under chaos).
-	MigrateTimeout uint64
-	// BackoffBase/BackoffCap bound the doubling restart backoff.
-	BackoffBase uint64
-	BackoffCap  uint64
-	// GuardInterval is the per-MPM crash guardian's probe period.
-	GuardInterval uint64
 	// CK configures each MPM's Cache Kernel instance.
 	CK ck.Config
-}
-
-// DefaultConfig returns the standard timings (horizon still required).
-func DefaultConfig() Config {
-	return Config{
-		AgentTick:      hw.CyclesFromMicros(100),
-		CtlLatency:     hw.CyclesFromMicros(25),
-		LaunchTimeout:  hw.CyclesFromMicros(5_000),
-		MigrateTimeout: hw.CyclesFromMicros(30_000),
-		BackoffBase:    hw.CyclesFromMicros(500),
-		BackoffCap:     hw.CyclesFromMicros(8_000),
-		GuardInterval:  hw.CyclesFromMicros(400),
-	}
 }
 
 // Node is the plane's per-MPM half: the module's Cache Kernel and SRM
@@ -143,28 +130,6 @@ func New(m *hw.Machine, cfg Config, spec Spec) (*Cluster, error) {
 	if cfg.Horizon == 0 {
 		return nil, fmt.Errorf("ckctl: Config.Horizon must be set")
 	}
-	d := DefaultConfig()
-	if cfg.AgentTick == 0 {
-		cfg.AgentTick = d.AgentTick
-	}
-	if cfg.CtlLatency == 0 {
-		cfg.CtlLatency = d.CtlLatency
-	}
-	if cfg.LaunchTimeout == 0 {
-		cfg.LaunchTimeout = d.LaunchTimeout
-	}
-	if cfg.MigrateTimeout == 0 {
-		cfg.MigrateTimeout = d.MigrateTimeout
-	}
-	if cfg.BackoffBase == 0 {
-		cfg.BackoffBase = d.BackoffBase
-	}
-	if cfg.BackoffCap == 0 {
-		cfg.BackoffCap = d.BackoffCap
-	}
-	if cfg.GuardInterval == 0 {
-		cfg.GuardInterval = d.GuardInterval
-	}
 	// Normalize a copy: the defaults must not be written into the
 	// caller's KernelSpecs.
 	spec.Kernels = slices.Clone(spec.Kernels)
@@ -205,7 +170,7 @@ func New(m *hw.Machine, cfg Config, spec Spec) (*Cluster, error) {
 				panic(fmt.Sprintf("ckctl: install medic on mpm %d: %v", n.Idx, err))
 			}
 			n.guardian = s.Guard(srm.GuardConfig{
-				Interval:    c.Cfg.GuardInterval,
+				Interval:    guardInterval,
 				Until:       c.Cfg.Horizon,
 				OnRecovered: func(*srm.RecoveryReport) { n.recoveries++ },
 			})

@@ -19,9 +19,7 @@ func buildCluster(t *testing.T, mpms int, spec Spec, horizonUS float64) *Cluster
 	mcfg.CPUsPerMPM = 2
 	mcfg.PhysMemBytes = 256 << 20
 	m := hw.NewMachine(mcfg)
-	cfg := DefaultConfig()
-	cfg.Horizon = hw.CyclesFromMicros(horizonUS)
-	c, err := New(m, cfg, spec)
+	c, err := New(m, Config{Horizon: hw.CyclesFromMicros(horizonUS)}, spec)
 	if err != nil {
 		t.Fatalf("ckctl.New: %v", err)
 	}
@@ -228,8 +226,7 @@ func TestDeterminism(t *testing.T) {
 func TestNewRejectsDuplicateInstances(t *testing.T) {
 	m := hw.NewMachine(hw.DefaultConfig())
 	defer m.Close()
-	cfg := DefaultConfig()
-	cfg.Horizon = hw.CyclesFromMicros(1_000)
+	cfg := Config{Horizon: hw.CyclesFromMicros(1_000)}
 	spec := Spec{Kernels: []KernelSpec{
 		{Name: "a", Count: 2, MPM: -1},
 		{Name: "b", Count: 1, MPM: -1},

@@ -138,6 +138,15 @@ type Controller struct {
 	// here so a placement does not allocate.
 	assigned []int
 
+	// launchTimeout bounds how long the controller waits for a launch
+	// or restart to be reported running before reissuing it;
+	// migrateTimeout bounds a migration before the controller falls
+	// back to relaunching the pod on the target. Both grow with the
+	// fleet: the launch wave is fleet-sized, and a migrated pod's first
+	// target dispatch waits out a run queue the fleet saturates, so the
+	// convergence fallbacks stay for faults, not ordinary queueing.
+	launchTimeout, migrateTimeout uint64
+
 	migrations []*MigrationRecord
 	upgrade    *upgradeState
 	done       bool
@@ -162,6 +171,9 @@ func newController(cl *Cluster, spec Spec) *Controller {
 			})
 		}
 	}
+	pods := uint64(len(ctl.insts))
+	ctl.launchTimeout = (5_000 + 500*pods) * hw.CyclesPerMicrosecond
+	ctl.migrateTimeout = (100_000 + 2_000*pods) * hw.CyclesPerMicrosecond
 	return ctl
 }
 
@@ -174,7 +186,7 @@ func (ctl *Controller) body(ce *hw.Exec) {
 	node0.retired["ctl"] = false
 	for ce.Now() < cl.Cfg.Horizon {
 		tid := k.CurrentThread(ce)
-		if err := k.SetAlarm(ce, tid, ce.Now()+cl.Cfg.AgentTick, sigTick); err != nil {
+		if err := k.SetAlarm(ce, tid, ce.Now()+agentTick, sigTick); err != nil {
 			break
 		}
 		if _, err := k.WaitSignal(ce); err != nil {
@@ -282,14 +294,10 @@ func (ctl *Controller) handleReport(ce *hw.Exec, rep *nodeReport) {
 
 // bumpBackoff doubles (bounded) and returns the instance's backoff.
 func (ctl *Controller) bumpBackoff(in *instance) uint64 {
-	cfg := ctl.cl.Cfg
 	if in.backoff == 0 {
-		in.backoff = cfg.BackoffBase
+		in.backoff = backoffBase
 	} else {
-		in.backoff *= 2
-		if in.backoff > cfg.BackoffCap {
-			in.backoff = cfg.BackoffCap
-		}
+		in.backoff = min(2*in.backoff, backoffCap)
 	}
 	return in.backoff
 }
@@ -368,7 +376,6 @@ func (ctl *Controller) handleOpFail(ce *hw.Exec, of *opFail) {
 // drives the rolling upgrade.
 func (ctl *Controller) reconcile(ce *hw.Exec) {
 	now := ce.Now()
-	cfg := ctl.cl.Cfg
 	for _, in := range ctl.insts {
 		switch in.phase {
 		case phasePending:
@@ -377,14 +384,14 @@ func (ctl *Controller) reconcile(ce *hw.Exec) {
 			}
 			in.node = ctl.place(in, -1)
 			in.phase = phaseLaunching
-			in.deadline = now + cfg.LaunchTimeout
+			in.deadline = now + ctl.launchTimeout
 			ctl.ensure(ce, in)
 		case phaseRestarting:
 			if now < in.retryAt {
 				break
 			}
 			in.phase = phaseLaunching
-			in.deadline = now + cfg.LaunchTimeout
+			in.deadline = now + ctl.launchTimeout
 			ctl.ensure(ce, in)
 		case phaseLaunching:
 			if now >= in.deadline {
@@ -503,7 +510,7 @@ func (ctl *Controller) driveUpgrade(ce *hw.Exec, now uint64) {
 			// but bound the wait so a pod stuck relaunching under chaos
 			// cannot stall the whole upgrade.
 			if up.waitUntil == 0 {
-				up.waitUntil = now + ctl.cl.Cfg.LaunchTimeout
+				up.waitUntil = now + ctl.launchTimeout
 			}
 			if now < up.waitUntil {
 				return
@@ -521,7 +528,7 @@ func (ctl *Controller) driveUpgrade(ce *hw.Exec, now uint64) {
 			continue
 		}
 		in.phase = phaseMigrating
-		in.deadline = now + ctl.cl.Cfg.MigrateTimeout
+		in.deadline = now + ctl.migrateTimeout
 		in.mig = &MigrationRecord{Name: in.name, From: in.node, To: dst, StartAt: now}
 		ctl.send(ce, in.node, command{kind: cmdMigrateOut, inst: in.id, name: in.name, dst: dst})
 		up.current = in

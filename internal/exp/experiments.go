@@ -88,7 +88,7 @@ func result[R fmt.Stringer](r R, err error) (fmt.Stringer, error) {
 // measured it.
 type table2Report struct{ ck.Table2 }
 
-func (r table2Report) String() string { return r.Table2.String() + "\n" + r.Counters() }
+func (r table2Report) String() string { return r.Table2.String() + "\n" + r.CounterStanza() }
 
 // IDs lists the experiment ids in table order.
 func IDs() []string {

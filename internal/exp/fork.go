@@ -214,7 +214,7 @@ func MeasureFork() (ForkReport, error) {
 		}
 	}
 	r.CowPages = uint64(len(frames))
-	r.CowSharedBefore = last.Phys.CowStats().SharedPages
+	r.CowSharedBefore = last.Phys.SharedPages
 	t0 = time.Now() //ckvet:allow detmap host-side wall-clock measurement is this experiment's purpose
 	for _, pfn := range frames {
 		last.Phys.Write32(pfn*hw.PageSize, 0xD1D1_D1D1)
@@ -223,6 +223,6 @@ func MeasureFork() (ForkReport, error) {
 	if len(frames) > 0 {
 		r.CowFaultNsPerPg = float64(d.Nanoseconds()) / float64(len(frames))
 	}
-	r.CowCopiedByDirty = last.Phys.CowStats().CopiedPages
+	r.CowCopiedByDirty = last.Phys.CopiedPages
 	return r, nil
 }

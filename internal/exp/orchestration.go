@@ -83,14 +83,10 @@ func RunOrchestrationWorkload(trace func(name string, at uint64)) (Orchestration
 	defer m.Close()
 	m.SetTraceDispatch(trace)
 
-	ccfg := ckctl.DefaultConfig()
-	// The same scaling the simulation harness uses: the launch wave is
-	// fleet-sized and a migrated pod queues behind time-sliced peers on
-	// the saturated target, so the stock timeouts would misfire.
-	ccfg.Horizon = hw.CyclesFromMicros(upgradeUS + pods*15_000 + 2_000*pods*pods/mpms + 400_000)
-	ccfg.LaunchTimeout = hw.CyclesFromMicros(5_000 + 500*pods)
-	ccfg.MigrateTimeout = hw.CyclesFromMicros(100_000 + 2_000*pods)
-	ccfg.CK = ck.Config{KernelSlots: pods + 8, SpaceSlots: pods + 16}
+	ccfg := ckctl.Config{
+		Horizon: hw.CyclesFromMicros(upgradeUS + pods*15_000 + 2_000*pods*pods/mpms + 400_000),
+		CK:      ck.Config{KernelSlots: pods + 8, SpaceSlots: pods + 16},
+	}
 
 	spec := ckctl.Spec{Kernels: []ckctl.KernelSpec{
 		{Name: "fleet", Count: pods - batch, MPM: -1,

@@ -21,8 +21,10 @@ type L2Cache struct {
 	lines  uint32
 	last   uint32     // line+1 of the most recent access, 0 = none
 	chunks []*l2Chunk // tag+1 per line, 0 = invalid; nil = all invalid
-	hits   uint64
-	misses uint64
+
+	// Hits and Misses count accesses since the cache was built (or
+	// restored from a snapshot); nothing resets them.
+	Hits, Misses uint64
 }
 
 // L2LineSize is the cache line size in bytes (the paper's hardware).
@@ -55,7 +57,7 @@ func NewL2Cache(size uint32) *L2Cache {
 func (c *L2Cache) Access(pa uint32) uint64 {
 	line := pa >> l2LineShift
 	if line+1 == c.last {
-		c.hits++
+		c.Hits++
 		return CostMemHit
 	}
 	c.last = line + 1
@@ -67,11 +69,11 @@ func (c *L2Cache) Access(pa uint32) uint64 {
 	}
 	t := &ch[idx%l2ChunkLines]
 	if *t == tag {
-		c.hits++
+		c.Hits++
 		return CostMemHit
 	}
 	*t = tag
-	c.misses++
+	c.Misses++
 	return CostMemMiss
 }
 
@@ -109,19 +111,4 @@ func (c *L2Cache) FlushPage(pa uint32) {
 			ch[idx%l2ChunkLines] = 0
 		}
 	}
-}
-
-// Stats reports accumulated hits and misses.
-func (c *L2Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
-
-// ResetStats zeroes the counters.
-func (c *L2Cache) ResetStats() { c.hits, c.misses = 0, 0 }
-
-// HitRate reports the fraction of accesses that hit, or 0 with no accesses.
-func (c *L2Cache) HitRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
 }

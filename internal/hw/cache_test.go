@@ -109,8 +109,8 @@ func TestL2ChunkedMatchesDense(t *testing.T) {
 			saved := spec.state()
 			check := func(op int) {
 				t.Helper()
-				if h, m := c.Stats(); h != spec.hits || m != spec.misses {
-					t.Fatalf("op %d: stats (%d,%d), spec (%d,%d)", op, h, m, spec.hits, spec.misses)
+				if c.Hits != spec.hits || c.Misses != spec.misses {
+					t.Fatalf("op %d: stats (%d,%d), spec (%d,%d)", op, c.Hits, c.Misses, spec.hits, spec.misses)
 				}
 				if st, want := c.State(), spec.state(); !reflect.DeepEqual(st, want) {
 					t.Fatalf("op %d: State differs from spec:\n got %+v\nwant %+v", op, st, want)

@@ -34,7 +34,7 @@ func TestCowForkStress(t *testing.T) {
 	parent := NewPhysMem(1 << 21) // 512 frames
 	cowFill(parent, imgFrames)
 	im := parent.Freeze()
-	if got := parent.CowStats().SharedPages; got != imgFrames {
+	if got := parent.SharedPages; got != imgFrames {
 		t.Fatalf("freeze shared %d frames, want %d", got, imgFrames)
 	}
 	parentBefore := make([]uint64, imgFrames)
@@ -65,12 +65,11 @@ func TestCowForkStress(t *testing.T) {
 					m.Write32(pfn*PageSize, 0xBEEF_0000|uint32(i)<<8|uint32(p))
 					dirty[pfn] = true
 				}
-				st := m.CowStats()
-				if want := uint64(len(dirty)); st.CopiedPages != want || st.Faults != want {
-					return fmt.Errorf("fork %d: copied %d faults %d, want %d", i, st.CopiedPages, st.Faults, want)
+				if want := uint64(len(dirty)); m.CopiedPages != want {
+					return fmt.Errorf("fork %d: copied %d, want %d", i, m.CopiedPages, want)
 				}
-				if want := uint64(imgFrames - len(dirty)); st.SharedPages != want {
-					return fmt.Errorf("fork %d: %d frames still shared, want %d", i, st.SharedPages, want)
+				if want := uint64(imgFrames - len(dirty)); m.SharedPages != want {
+					return fmt.Errorf("fork %d: %d frames still shared, want %d", i, m.SharedPages, want)
 				}
 				// Own writes visible, everything else still the image's.
 				for p := uint32(0); p < hotPages; p++ {
@@ -113,8 +112,9 @@ func TestCowForkStress(t *testing.T) {
 		}
 	}
 	// The parent is still fully shared: its own frames were never written.
-	if got := parent.CowStats(); got.SharedPages != imgFrames || got.CopiedPages != 0 {
-		t.Fatalf("parent stats %+v, want %d shared and 0 copied", got, imgFrames)
+	if parent.SharedPages != imgFrames || parent.CopiedPages != 0 {
+		t.Fatalf("parent has %d shared and %d copied, want %d shared and 0 copied",
+			parent.SharedPages, parent.CopiedPages, imgFrames)
 	}
 	// Writing the parent now privatizes its frame without touching the image.
 	parent.Write32(untouched*PageSize, 0xDEAD_0001)

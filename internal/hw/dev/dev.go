@@ -67,9 +67,6 @@ type NIC struct {
 	TxFrames, RxFrames uint64
 	TxBytes, RxBytes   uint64
 	Dropped            uint64
-	// WireDropped/WireDuped count injected wire faults on transmits
-	// from this NIC.
-	WireDropped, WireDuped uint64
 
 	// RxQueueLimit bounds the pending queue (overflow drops, like a
 	// real ring).
@@ -111,7 +108,6 @@ func (n *NIC) Transmit(e *hw.Exec, frame []byte) error {
 		ff = n.TxFault(dup)
 	}
 	if ff.Drop {
-		n.WireDropped++
 		return nil
 	}
 	// One delivery event per transmit: it delivers to the NICs on the
@@ -131,7 +127,6 @@ func (n *NIC) Transmit(e *hw.Exec, frame []byte) error {
 	at := eng.Now() + delay + ff.Delay
 	eng.DeliverAt(at, deliver)
 	if ff.Dup {
-		n.WireDuped++
 		eng.DeliverAt(at+EtherLatency, deliver)
 	}
 	return nil
@@ -189,9 +184,6 @@ type FiberPort struct {
 
 	TxMsgs, RxMsgs uint64
 	TxBytes        uint64
-	// WireDropped/WireDuped count injected faults on sends from this
-	// port.
-	WireDropped, WireDuped uint64
 
 	// TxFault, when non-nil, may drop, duplicate or delay each sent
 	// message (internal/chaos). Nil costs nothing.
@@ -223,7 +215,6 @@ func (p *FiberPort) Send(e *hw.Exec, msg []byte) error {
 		ff = p.TxFault(dup)
 	}
 	if ff.Drop {
-		p.WireDropped++
 		return nil
 	}
 	deliver := func() {
@@ -237,7 +228,6 @@ func (p *FiberPort) Send(e *hw.Exec, msg []byte) error {
 	at := eng.Now() + cycles + FiberLatency + ff.Delay
 	eng.DeliverAt(at, deliver)
 	if ff.Dup {
-		p.WireDuped++
 		eng.DeliverAt(at+FiberLatency, deliver)
 	}
 	return nil

@@ -89,9 +89,8 @@ func TestL2CacheHitMiss(t *testing.T) {
 	if got := c.Access(0); got != CostMemMiss {
 		t.Fatalf("evicted line access cost = %d", got)
 	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 3 {
-		t.Fatalf("hits=%d misses=%d", hits, misses)
+	if c.Hits != 1 || c.Misses != 3 {
+		t.Fatalf("hits=%d misses=%d", c.Hits, c.Misses)
 	}
 }
 

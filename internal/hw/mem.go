@@ -36,33 +36,12 @@ type PhysMem struct {
 	// until the memory first participates in a snapshot.
 	shared []bool
 	size   uint32
-	// COW counters; they never feed back into simulated behavior.
-	sharedPages uint64
-	copiedPages uint64
-	faults      uint64
-}
 
-// CowStats counts copy-on-write activity on a physical memory.
-type CowStats struct {
-	// SharedPages is the number of frames currently in shared
-	// (copy-before-write) state.
-	SharedPages uint64
-	// CopiedPages is the cumulative number of frames privatized by
-	// copying (the frame had contents that a write had to preserve).
-	CopiedPages uint64
-	// Faults is the cumulative number of copy-on-write write faults
-	// taken (every de-share event, including ones that only needed a
-	// fresh zero frame).
-	Faults uint64
-}
-
-// CowStats reports the memory's copy-on-write counters.
-func (m *PhysMem) CowStats() CowStats {
-	return CowStats{
-		SharedPages: m.sharedPages,
-		CopiedPages: m.copiedPages,
-		Faults:      m.faults,
-	}
+	// SharedPages is the number of frames now in shared
+	// (copy-before-write) state; CopiedPages counts the frames a write
+	// privatized by copying. They never feed back into simulated
+	// behavior.
+	SharedPages, CopiedPages uint64
 }
 
 // FrameImage is an immutable snapshot of a physical memory's frames.
@@ -88,7 +67,7 @@ func (m *PhysMem) Freeze() *FrameImage {
 	for i, f := range m.frames {
 		if f != nil && !m.shared[i] {
 			m.shared[i] = true
-			m.sharedPages++
+			m.SharedPages++
 		}
 	}
 	return im
@@ -120,7 +99,7 @@ func (im *FrameImage) NewPhysMem() *PhysMem {
 	for i, f := range m.frames {
 		if f != nil {
 			m.shared[i] = true
-			m.sharedPages++
+			m.SharedPages++
 		}
 	}
 	return m
@@ -160,9 +139,8 @@ func (m *PhysMem) Page(pfn uint32) *[PageSize]byte {
 		*c = *f
 		m.frames[pfn] = c
 		m.shared[pfn] = false
-		m.sharedPages--
-		m.copiedPages++
-		m.faults++
+		m.SharedPages--
+		m.CopiedPages++
 		return c
 	}
 	return f

@@ -37,8 +37,8 @@ func (t *TLB) State() TLBState {
 		Entries: make([]TLBEntryState, len(t.entries)),
 		Next:    t.next,
 		Gen:     t.gen,
-		Hits:    t.hits,
-		Misses:  t.misses,
+		Hits:    t.Hits,
+		Misses:  t.Misses,
 	}
 	for i, e := range t.entries {
 		st.Entries[i] = TLBEntryState{ASID: e.asid, Valid: e.valid, VPN: e.vpn, PTE: e.pte}
@@ -74,8 +74,8 @@ func (t *TLB) Restore(st TLBState) error {
 	}
 	t.next = st.Next
 	t.gen = st.Gen
-	t.hits = st.Hits
-	t.misses = st.Misses
+	t.Hits = st.Hits
+	t.Misses = st.Misses
 	return nil
 }
 
@@ -97,7 +97,7 @@ type L2State struct {
 
 // State captures the cache.
 func (c *L2Cache) State() L2State {
-	st := L2State{NTags: int32(c.lines), Hits: c.hits, Misses: c.misses}
+	st := L2State{NTags: int32(c.lines), Hits: c.Hits, Misses: c.Misses}
 	for i, ch := range c.chunks {
 		if ch == nil {
 			continue
@@ -131,8 +131,8 @@ func (c *L2Cache) Restore(st L2State) error {
 		}
 		ch[t.Line%l2ChunkLines] = t.Tag
 	}
-	c.hits = st.Hits
-	c.misses = st.Misses
+	c.Hits = st.Hits
+	c.Misses = st.Misses
 	return nil
 }
 

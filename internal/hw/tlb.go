@@ -24,8 +24,10 @@ type TLB struct {
 	shift   uint    // 64 - log2(len(index)): the hash keeps the top bits
 	next    int
 	gen     uint64
-	hits    uint64
-	misses  uint64
+
+	// Hits and Misses count lookups since the TLB was built (or
+	// restored from a snapshot); nothing resets them.
+	Hits, Misses uint64
 }
 
 type tlbEntry struct {
@@ -98,16 +100,16 @@ func (t *TLB) Gen() uint64 { return t.gen }
 // Lookup searches for (asid, vpn); ok reports a hit.
 func (t *TLB) Lookup(asid uint16, vpn uint32) (pagetable.PTE, bool) {
 	if s, ok := t.find(asid, vpn); ok {
-		t.hits++
+		t.Hits++
 		return t.entries[t.index[s]-1].pte, true
 	}
-	t.misses++
+	t.Misses++
 	return 0, false
 }
 
 // recordHit accounts a model-level TLB hit that was answered by a
 // translation micro-cache without consulting the entry array.
-func (t *TLB) recordHit() { t.hits++ }
+func (t *TLB) recordHit() { t.Hits++ }
 
 // Insert fills an entry for (asid, vpn), evicting round-robin.
 func (t *TLB) Insert(asid uint16, vpn uint32, pte pagetable.PTE) {
@@ -162,9 +164,3 @@ func (t *TLB) InvalidateAll() {
 	clear(t.index)
 	t.gen++
 }
-
-// Stats reports accumulated hits and misses.
-func (t *TLB) Stats() (hits, misses uint64) { return t.hits, t.misses }
-
-// ResetStats zeroes the counters.
-func (t *TLB) ResetStats() { t.hits, t.misses = 0, 0 }

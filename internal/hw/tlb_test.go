@@ -113,12 +113,8 @@ func TestTLBCounterExactness(t *testing.T) {
 	tlb.Lookup(2, 0) // miss: other asid
 	tlb.InvalidatePage(1, 0)
 	tlb.Lookup(1, 0) // miss
-	if h, m := tlb.Stats(); h != 2 || m != 3 {
-		t.Fatalf("hits=%d misses=%d, want 2/3", h, m)
-	}
-	tlb.ResetStats()
-	if h, m := tlb.Stats(); h != 0 || m != 0 {
-		t.Fatalf("ResetStats left hits=%d misses=%d", h, m)
+	if tlb.Hits != 2 || tlb.Misses != 3 {
+		t.Fatalf("hits=%d misses=%d, want 2/3", tlb.Hits, tlb.Misses)
 	}
 }
 
@@ -269,8 +265,8 @@ func TestTLBMatchesLinearReference(t *testing.T) {
 							ref.InvalidatePage(asid, vpn)
 						}
 					}
-					if h, m := tlb.Stats(); h != ref.hits || m != ref.misses {
-						t.Fatalf("op %d: stats (%d,%d), reference (%d,%d)", op, h, m, ref.hits, ref.misses)
+					if tlb.Hits != ref.hits || tlb.Misses != ref.misses {
+						t.Fatalf("op %d: stats (%d,%d), reference (%d,%d)", op, tlb.Hits, tlb.Misses, ref.hits, ref.misses)
 					}
 					if tlb.next != ref.next {
 						t.Fatalf("op %d: replacement cursor %d, reference %d", op, tlb.next, ref.next)
@@ -309,13 +305,13 @@ func TestTranslateMicroCacheCoherence(t *testing.T) {
 		// Fill, then hit twice: the second and third translations are
 		// answered by the micro-cache but still count as TLB hits.
 		e.Translate(0x100_0000, false)
-		h0, _ := e.CPU.TLB.Stats()
+		h0 := e.CPU.TLB.Hits
 		pa, _ := e.Translate(0x100_0000, false)
 		if pa != 512<<PageShift {
 			t.Errorf("hit pa = %#x", pa)
 		}
 		e.Translate(0x100_0000, false)
-		if h1, _ := e.CPU.TLB.Stats(); h1 != h0+2 {
+		if h1 := e.CPU.TLB.Hits; h1 != h0+2 {
 			t.Errorf("micro-cache hits not counted: %d -> %d", h0, h1)
 		}
 

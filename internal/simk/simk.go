@@ -363,11 +363,7 @@ func (m *MP3D) Run(e *hw.Exec) (MP3DResult, error) {
 		bar.Workers = append(bar.Workers, workers[w].TID)
 	}
 
-	mpm := m.AK.MPM
-	mpm.L2.ResetStats()
-	for _, cpu := range mpm.CPUs {
-		cpu.TLB.ResetStats()
-	}
+	c0 := k.Counters()
 	t0 := e.Now()
 	for s := 0; s < cfg.Steps; s++ {
 		if err := bar.Gather(e); err != nil {
@@ -386,14 +382,11 @@ func (m *MP3D) Run(e *hw.Exec) (MP3DResult, error) {
 	m.result.CyclesPerStep = float64(elapsed) / float64(cfg.Steps)
 	m.result.MicrosPerStep = hw.MicrosFromCycles(elapsed) / float64(cfg.Steps)
 	m.result.MoveMicrosPerStep = hw.MicrosFromCycles(m.result.moveCycles) / float64(cfg.Steps)
-	m.result.L2HitRate = mpm.L2.HitRate()
-	var hits, misses uint64
-	for _, cpu := range mpm.CPUs {
-		h, ms := cpu.TLB.Stats()
-		hits += h
-		misses += ms
+	c1 := k.Counters()
+	if hits, misses := c1.L2Hits-c0.L2Hits, c1.L2Misses-c0.L2Misses; hits+misses > 0 {
+		m.result.L2HitRate = float64(hits) / float64(hits+misses)
 	}
-	if hits+misses > 0 {
+	if hits, misses := c1.TLBHits-c0.TLBHits, c1.TLBMisses-c0.TLBMisses; hits+misses > 0 {
 		m.result.TLBMissRate = float64(misses) / float64(hits+misses)
 	}
 	return m.result, nil

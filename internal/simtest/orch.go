@@ -39,26 +39,17 @@ func runOrch(sc Scenario, trace func(name string, at uint64), probe bool) *Resul
 		{Name: "batch", Count: batch, MPM: -1,
 			Restart: ckctl.RestartNever, Beats: 200, BeatUS: float64(o.BeatUS)},
 	}}
-	cfg := ckctl.DefaultConfig()
-	cfg.Horizon = h.horizon
-	// The default control timeouts assume an unloaded cluster; here the
-	// launch wave is fleet-sized and a migration's first target dispatch
-	// waits out a saturated run queue, so both are scaled up to keep the
-	// convergence fallbacks (reissue, relaunch-at-sighting) for actual
-	// faults rather than ordinary queueing.
-	cfg.LaunchTimeout = hw.CyclesFromMicros(float64(5_000 + 500*o.Pods))
-	cfg.MigrateTimeout = hw.CyclesFromMicros(float64(100_000 + 2_000*o.Pods))
 	// Provision each module's descriptor caches for the whole fleet: the
 	// paper's default 16 kernel slots would swap-thrash dozens of pod
 	// kernels into a restart storm (descriptor-cache pressure at kernel
 	// granularity — interesting, but a different scenario than an
 	// upgrade that must converge).
-	cfg.CK = ck.Config{
+	cfg := ckctl.Config{Horizon: h.horizon, CK: ck.Config{
 		KernelSlots:  o.Pods + 8,
 		SpaceSlots:   o.Pods + 16,
 		ThreadSlots:  sc.ThreadSlots,
 		MappingSlots: sc.MappingSlots,
-	}
+	}}
 	c, err := ckctl.New(h.m, cfg, spec)
 	if err != nil {
 		h.failf("op", "ckctl.New: %v", err)
