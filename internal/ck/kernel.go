@@ -77,6 +77,11 @@ type Kernel struct {
 	// observers receive the typed event stream (Observe, event.go).
 	observers []func(Event)
 
+	// alarms holds the free alarm records (SetAlarm). A crash leaves
+	// it alone: a record in flight still fires and finds its thread's
+	// generation gone.
+	alarms []*alarm
+
 	// Epoch counts crash-reboots of this Cache Kernel instance. It is
 	// never reset: together with the preserved slot generations it keeps
 	// every pre-crash identifier invalid after recovery.

@@ -115,7 +115,6 @@ func (k *Kernel) deliverSignalOnce(to *ThreadObj, value uint32, nowHint uint64, 
 		}
 		return
 	}
-	to.sigDropped++
 	k.Stats.SignalsDropped++
 }
 

@@ -246,7 +246,6 @@ type ThreadObj struct {
 	sigPending    bool
 	sigValue      uint32
 	sigQueue      []uint32
-	sigDropped    uint64
 
 	// sigRecords are dependency-record handles of signal registrations
 	// naming this thread, unloaded with it (Figure 6).

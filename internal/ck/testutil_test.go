@@ -40,7 +40,7 @@ func (w *wbRecorder) KernelWriteback(id ObjID) {
 
 // testEnv bundles a machine with a booted Cache Kernel.
 type testEnv struct {
-	t    *testing.T
+	t    testing.TB
 	m    *hw.Machine
 	k    *Kernel
 	wb   *wbRecorder
@@ -65,7 +65,7 @@ func (env *testEnv) identityFault(k *Kernel) FaultHandler {
 
 // newEnvOpts builds a machine/kernel and boots an SRM-like first kernel
 // whose body is fn. Extra kernel attrs can be adjusted via mutate.
-func newEnvOpts(t *testing.T, hwCfg hw.Config, cfg Config, mutate func(*KernelAttrs), fn func(env *testEnv, e *hw.Exec)) *testEnv {
+func newEnvOpts(t testing.TB, hwCfg hw.Config, cfg Config, mutate func(*KernelAttrs), fn func(env *testEnv, e *hw.Exec)) *testEnv {
 	t.Helper()
 	env := &testEnv{t: t, wb: &wbRecorder{}, nextFrame: 256}
 	env.m = hw.NewMachine(hwCfg)

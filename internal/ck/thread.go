@@ -358,12 +358,47 @@ func (k *Kernel) SetAlarm(e *hw.Exec, id ObjID, at uint64, value uint32) error {
 	}
 	slot, gen := to.slot, to.id.gen()
 	e.ChargeNoIntr(costDescInit)
-	k.MPM.Engine.ScheduleAt(at, func() {
-		if to2, ok := k.threads.get(slot, gen); ok {
-			k.deliverSignal(to2, value, at, nil)
-		}
-	})
+	a := k.takeAlarm()
+	a.slot, a.gen, a.value, a.at = slot, gen, value, at
+	k.MPM.Engine.ScheduleAt(at, a.fire)
 	return nil
+}
+
+// alarm is one pending SetAlarm delivery: the thread's slot and
+// generation, the signal value and the firing time. Records are
+// recycled through the kernel's free list, and each builds its engine
+// callback once, so setting an alarm allocates nothing once the list
+// holds as many records as alarms are ever in flight.
+type alarm struct {
+	k     *Kernel
+	slot  int32
+	gen   uint32
+	value uint32
+	at    uint64
+	// fire is a.deliver, built with the record.
+	fire func()
+}
+
+// takeAlarm returns a free alarm record, making one if none is free.
+func (k *Kernel) takeAlarm() *alarm {
+	if n := len(k.alarms); n > 0 {
+		a := k.alarms[n-1]
+		k.alarms = k.alarms[:n-1]
+		return a
+	}
+	a := &alarm{k: k}
+	a.fire = a.deliver
+	return a
+}
+
+// deliver fires the alarm: the signal reaches the thread if it is
+// still loaded, and the record goes back on the free list.
+func (a *alarm) deliver() {
+	k := a.k
+	if to, ok := k.threads.get(a.slot, a.gen); ok {
+		k.deliverSignal(to, a.value, a.at, nil)
+	}
+	k.alarms = append(k.alarms, a)
 }
 
 // PostSignal delivers an address-valued signal directly to a thread —

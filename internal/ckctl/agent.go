@@ -139,18 +139,56 @@ type event struct {
 // sendCmd delivers a command to a node's agent after the control
 // latency.
 func (c *Cluster) sendCmd(now uint64, n *Node, cmd command) {
-	n.MPM.Engine.DeliverAt(now+ctlLatency, func() {
-		n.inbox = append(n.inbox, cmd)
-	})
+	d := c.takeDelivery()
+	d.node, d.cmd = n, cmd
+	n.MPM.Engine.DeliverAt(now+ctlLatency, d.fire)
 }
 
 // sendEvent delivers an event to the controller after the control
 // latency.
 func (c *Cluster) sendEvent(now uint64, ev event) {
-	ctl := c.ctl
-	c.Nodes[0].MPM.Engine.DeliverAt(now+ctlLatency, func() {
-		ctl.inbox = append(ctl.inbox, ev)
-	})
+	d := c.takeDelivery()
+	d.ev = ev
+	c.Nodes[0].MPM.Engine.DeliverAt(now+ctlLatency, d.fire)
+}
+
+// delivery is one control message in flight: a command for a node's
+// agent (node set) or an event for the controller. Records are recycled
+// through the cluster's free list, and each builds its engine callback
+// once, so a message allocates nothing once the list holds as many
+// records as messages are ever in flight.
+type delivery struct {
+	cl   *Cluster
+	node *Node
+	cmd  command
+	ev   event
+	// fire is d.deliver, built with the record.
+	fire func()
+}
+
+// takeDelivery returns a free delivery record, making one if none is
+// free.
+func (c *Cluster) takeDelivery() *delivery {
+	if n := len(c.deliveries); n > 0 {
+		d := c.deliveries[n-1]
+		c.deliveries = c.deliveries[:n-1]
+		return d
+	}
+	d := &delivery{cl: c}
+	d.fire = d.deliver
+	return d
+}
+
+// deliver appends the message to its inbox and puts the record back on
+// the free list, cleared so it holds nothing alive.
+func (d *delivery) deliver() {
+	if n := d.node; n != nil {
+		n.inbox = append(n.inbox, d.cmd)
+	} else {
+		d.cl.ctl.inbox = append(d.cl.ctl.inbox, d.ev)
+	}
+	d.node, d.cmd, d.ev = nil, command{}, event{}
+	d.cl.deliveries = append(d.cl.deliveries, d)
 }
 
 // agentBody is the agent service loop (restarted from the top by the

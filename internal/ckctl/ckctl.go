@@ -82,8 +82,8 @@ type Node struct {
 	// reports holds report messages the controller has finished with,
 	// for the agent to fill again.
 	reports []*nodeReport
-	// inbox receives controller commands (appended by message-delivery
-	// closures).
+	// inbox receives controller commands (appended by delivery
+	// records).
 	inbox []command
 	// lastDispatch tracks each execution context's most recent dispatch
 	// (for the migration blackout's source timestamp); awaitFirst holds
@@ -120,6 +120,9 @@ type Cluster struct {
 	Nodes []*Node
 
 	ctl *Controller
+	// deliveries holds the free control-message records (sendCmd,
+	// sendEvent).
+	deliveries []*delivery
 }
 
 // New boots the orchestration plane over every MPM of the machine: a

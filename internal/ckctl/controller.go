@@ -125,9 +125,8 @@ type Controller struct {
 	// instance number.
 	insts []*instance
 
-	// inbox receives agent events (appended by message-delivery
-	// closures); drain swaps it with spare, so the two buffers take
-	// turns.
+	// inbox receives agent events (appended by delivery records);
+	// drain swaps it with spare, so the two buffers take turns.
 	inbox, spare []event
 
 	nodeLoad       []uint64

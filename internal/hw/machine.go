@@ -75,11 +75,11 @@ func NewMachine(cfg Config) *Machine {
 				Clock: sim.NewClock(fmt.Sprintf("cpu%d.%d", i, j)),
 				TLB:   NewTLB(cfg.TLBEntries),
 			}
-			cpu.tick = func() {
+			cpu.timer = m.Engine.NewStream(func() {
 				if mpm.Sup != nil {
 					mpm.Sup.TimerTick(cpu)
 				}
-			}
+			})
 			mpm.CPUs = append(mpm.CPUs, cpu)
 			cpuID++
 		}
@@ -176,17 +176,20 @@ type CPU struct {
 	// critical sections.
 	IntrOff bool
 
-	// tick is the slice-timer callback, built once with the CPU so
-	// arming the timer allocates nothing.
-	tick func()
+	// timer is the slice timer, one engine stream per CPU: however
+	// many armings are pending, one queue entry stands for them.
+	timer *sim.Stream
 }
 
 // Post sets pending-interrupt bits on the CPU. Safe from engine context.
 func (c *CPU) Post(bits uint32) { c.Pending |= bits }
 
 // ArmTimerAt schedules a supervisor TimerTick for this CPU at virtual
-// time t.
-func (c *CPU) ArmTimerAt(t uint64) { c.MPM.Engine.ScheduleAt(t, c.tick) }
+// time t, as one ScheduleAt would. t must not precede the time the
+// timer was last armed for (sim.Stream.At panics if it does): a
+// supervisor that arms at the CPU's clock plus a fixed slice never
+// does, because the clock only moves forward.
+func (c *CPU) ArmTimerAt(t uint64) { c.timer.At(t) }
 
 // Dispatch places e on the CPU and makes it runnable. The CPU must be
 // free (supervisor scheduling invariant).

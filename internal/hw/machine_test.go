@@ -47,8 +47,9 @@ func (s *sliceSup) Interrupt(e *Exec, pending uint32) {
 }
 
 // TestSliceTimerZeroAlloc: once warm, arming and firing a CPU's slice
-// timer allocates nothing. Each CPU's timer callback is built with the
-// CPU, and the engine recycles the event records.
+// timer allocates nothing. Each CPU's timer is an engine stream built
+// with the CPU, and the stream's ring and the engine's queue stop
+// growing once warm.
 func TestSliceTimerZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race instrumentation")

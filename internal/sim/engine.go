@@ -18,11 +18,12 @@
 //
 // Host-side scheduling is O(log n) in the number of pending entities:
 // runnable coroutines and pending events share one min-heap of value
-// entries keyed by (time, key), and finished coroutines are dropped
-// from the engine entirely. Each coroutine is a Go runtime coroutine
-// (iter.Pull): the engine resumes it with a direct stack switch, and it
-// switches straight back when it yields, with no trip through the Go
-// scheduler. A yielding coroutine whose next scheduling decision is
+// entries keyed by (time, key), a monotone event stream (Stream) keeps
+// only its earliest pending occurrence there, and finished coroutines
+// are dropped from the engine entirely. Each coroutine is a Go runtime
+// coroutine (iter.Pull): the engine resumes it with a direct stack
+// switch, and it switches straight back when it yields, with no trip
+// through the Go scheduler. A yielding coroutine whose next scheduling decision is
 // itself keeps running without switching at all. All of this changes
 // only host data structures; the scheduling decisions themselves —
 // which coroutine runs at which virtual time — are bit-identical to the
@@ -112,8 +113,8 @@ type Ctx struct {
 // value is an empty engine, ready to use.
 type Engine struct {
 	coros []*Coro // live (not finished) coroutines, creation order
-	// queue holds the runnable coroutines and the pending events,
-	// ordered by (at, key).
+	// queue holds the runnable coroutines, the pending events and each
+	// stream's earliest pending occurrence, ordered by (at, key).
 	queue queue
 	// seq numbers coroutines and events in creation order, whether the
 	// host creates them between Run calls or simulated code does while

@@ -19,9 +19,10 @@ func (e *Engine) Quiescent() error {
 	if n := len(e.coros); n != 0 {
 		return fmt.Errorf("sim: engine not quiescent: %d live coroutine(s), first %q", n, e.coros[0].name)
 	}
-	// With no live coroutine, every queued entry is an event.
+	// With no live coroutine, every queued entry is an event or a
+	// stream's next occurrence, behind which the stream's others wait.
 	if n := len(e.queue); n != 0 {
-		return fmt.Errorf("sim: engine not quiescent: %d pending event(s), next at %d", n, e.queue[0].at)
+		return fmt.Errorf("sim: engine not quiescent: %d queued event(s), next at %d", n, e.queue[0].at)
 	}
 	return nil
 }
