@@ -49,16 +49,16 @@ func TestCheckInvariantsCatchesPMapDisagreement(t *testing.T) {
 		}},
 		{"unlinked_record", func(p *pmap, pv []int32) {
 			b := p.bucket(p.rec(pv[0]).key)
-			p.buckets[b] = p.rec(p.buckets[b]).next
+			p.setHead(b, p.rec(p.head(b)).next)
 		}},
 		{"cyclic_chain", func(p *pmap, pv []int32) {
 			r := p.rec(pv[0])
-			r.next = p.buckets[p.bucket(r.key)]
+			r.next = p.head(p.bucket(r.key))
 		}},
 		{"record_on_wrong_chain", func(p *pmap, pv []int32) {
 			r := *p.rec(pv[0])
 			p.removeKeep(pv[0])
-			head := p.rec(p.buckets[p.bucket(p.rec(pv[1]).key)])
+			head := p.rec(p.head(p.bucket(p.rec(pv[1]).key)))
 			r.next, head.next = head.next, pv[0]
 			*p.rec(pv[0]) = r
 			p.live++

@@ -179,7 +179,7 @@ func (k *Kernel) CheckInvariants() error {
 					return fmt.Errorf("invariant: cow record %d references non-pv record", i)
 				}
 			}
-			if k.pm.buckets[k.pm.bucket(r.key)] == int32(i) {
+			if k.pm.head(k.pm.bucket(r.key)) == int32(i) {
 				n, err := k.pm.checkChain(int32(i))
 				if err != nil {
 					return err

@@ -63,17 +63,20 @@ func (r *depRecord) setLocked(v bool) {
 	}
 }
 
-// pmap is the hash table of dependency records. Its capacity is the
-// paper's fixed pool (Table 1), accounted against local RAM in full at
-// boot, but the host stores only what a run has used: records live in
-// chunks allocated the first time a slot in them is handed out, and the
-// part of the free stack no run has touched is one number.
+// pmap is the hash table of dependency records. Its capacity and its
+// bucket array are the paper's fixed pool (Table 1), accounted against
+// local RAM in full at boot, but the host stores only what a run has
+// used: records live in chunks allocated the first time a slot in them
+// is handed out, bucket heads in chunks allocated the first time a
+// chain in them gains a record, and the part of the free stack no run
+// has touched is one number.
 type pmap struct {
-	n       int32       // capacity in records
-	chunks  []*recChunk // nil: no slot in the chunk handed out yet, all free
-	buckets []int32
-	live    int
-	hand    int32 // clock hand for replacement scans
+	n        int32       // capacity in records
+	chunks   []*recChunk // nil: no slot in the chunk handed out yet, all free
+	nbuckets int32
+	heads    []*headChunk // nil: every chain in the chunk empty
+	live     int
+	hand     int32 // clock hand for replacement scans
 
 	// The free stack is the canonical prefix [n-1, n-2, ..., fresh] — a
 	// new pool's order, so slot 0 goes first — held as the one number
@@ -98,25 +101,50 @@ const (
 
 type recChunk [recChunkLen]depRecord
 
+// A bucket-head chunk is 1 KB of chain heads. Each is stored plus one,
+// so that a new chunk's zeros are empty chains.
+const (
+	headChunkShift = 8
+	headChunkLen   = 1 << headChunkShift
+)
+
+type headChunk [headChunkLen]int32
+
 // A free-stack tail block is one 4 KB page of slot numbers.
 const freeBlockLen = 1024
 
 type freeBlock [freeBlockLen]int32
 
 func newPMap(capacity, buckets int) *pmap {
-	p := &pmap{
-		n:       int32(capacity),
-		chunks:  make([]*recChunk, (capacity+recChunkLen-1)/recChunkLen),
-		buckets: make([]int32, buckets),
+	return &pmap{
+		n:        int32(capacity),
+		chunks:   make([]*recChunk, (capacity+recChunkLen-1)/recChunkLen),
+		nbuckets: int32(buckets),
+		heads:    make([]*headChunk, (buckets+headChunkLen-1)/headChunkLen),
 	}
-	for i := range p.buckets {
-		p.buckets[i] = -1
-	}
-	return p
 }
 
 func (p *pmap) bucket(key uint32) int32 {
-	return int32(key * 2654435761 % uint32(len(p.buckets)))
+	return int32(key * 2654435761 % uint32(p.nbuckets))
+}
+
+// head returns the first record on bucket b's chain, or -1.
+func (p *pmap) head(b int32) int32 {
+	if ch := p.heads[b>>headChunkShift]; ch != nil {
+		return ch[b&(headChunkLen-1)] - 1
+	}
+	return -1
+}
+
+// setHead makes idx the first record on bucket b's chain (-1 empties
+// it), allocating the bucket's chunk on its first use.
+func (p *pmap) setHead(b, idx int32) {
+	ch := p.heads[b>>headChunkShift]
+	if ch == nil {
+		ch = new(headChunk)
+		p.heads[b>>headChunkShift] = ch
+	}
+	ch[b&(headChunkLen-1)] = idx + 1
 }
 
 // insert allocates a record; full=false means the pool is exhausted and
@@ -179,8 +207,8 @@ func (p *pmap) insertAt(idx int32, kind depKind, key, dep uint32, owner int32) {
 		p.Reloads++
 	}
 	b := p.bucket(key)
-	*r = depRecord{key: key, dep: dep, ctx: makeCtx(kind, owner), next: p.buckets[b]}
-	p.buckets[b] = idx
+	*r = depRecord{key: key, dep: dep, ctx: makeCtx(kind, owner), next: p.head(b)}
+	p.setHead(b, idx)
 	p.live++
 }
 
@@ -200,9 +228,9 @@ func (p *pmap) removeKeep(idx int32) (probes int) {
 		panic("ck: pmap remove of free record")
 	}
 	b := p.bucket(r.key)
-	cur := p.buckets[b]
+	cur := p.head(b)
 	if cur == idx {
-		p.buckets[b] = r.next
+		p.setHead(b, r.next)
 		probes = 1
 	} else {
 		probes = 1
@@ -228,7 +256,7 @@ func (p *pmap) removeKeep(idx int32) (probes int) {
 // reverse insertion order (chain order). fn may remove the current
 // record. It returns the number of chain probes for cycle charging.
 func (p *pmap) findEach(kind depKind, key uint32, fn func(idx int32, r *depRecord) bool) (probes int) {
-	cur := p.buckets[p.bucket(key)]
+	cur := p.head(p.bucket(key))
 	for cur != -1 {
 		probes++
 		r := p.rec(cur)
@@ -317,7 +345,7 @@ func (p *pmap) Capacity() int { return int(p.n) }
 func (p *pmap) state() PMapState {
 	st := PMapState{
 		NRecs:     p.n,
-		NBuckets:  int32(len(p.buckets)),
+		NBuckets:  p.nbuckets,
 		FreeCanon: p.n - p.fresh,
 		Live:      p.live,
 		Hand:      p.hand,
@@ -336,9 +364,14 @@ func (p *pmap) state() PMapState {
 	for i := 0; i < p.tailLen; i++ {
 		st.FreeTail = append(st.FreeTail, p.tail[i/freeBlockLen][i%freeBlockLen])
 	}
-	for b, head := range p.buckets {
-		if head >= 0 {
-			st.Heads = append(st.Heads, BucketHead{Bucket: int32(b), Head: head})
+	for c, ch := range p.heads {
+		if ch == nil {
+			continue
+		}
+		for j, h := range ch {
+			if h > 0 {
+				st.Heads = append(st.Heads, BucketHead{Bucket: int32(c<<headChunkShift + j), Head: h - 1})
+			}
 		}
 	}
 	return st
@@ -350,9 +383,9 @@ func (p *pmap) state() PMapState {
 // and the free stack may hold only free slots, so that no hand-out
 // overwrites a live record.
 func (p *pmap) restore(st *PMapState) error {
-	if st.NRecs != p.n || int(st.NBuckets) != len(p.buckets) {
+	if st.NRecs != p.n || st.NBuckets != p.nbuckets {
 		return fmt.Errorf("ck: restore: pmap geometry mismatch (%d/%d recs, %d/%d buckets)",
-			st.NRecs, p.n, st.NBuckets, len(p.buckets))
+			st.NRecs, p.n, st.NBuckets, p.nbuckets)
 	}
 	if st.FreeCanon < 0 || st.FreeCanon > p.n {
 		return fmt.Errorf("ck: restore: pmap free-stack prefix %d out of range [0, %d]", st.FreeCanon, p.n)
@@ -392,7 +425,7 @@ func (p *pmap) restore(st *PMapState) error {
 		p.releaseSlot(idx)
 	}
 	for _, h := range st.Heads {
-		if h.Bucket < 0 || int(h.Bucket) >= len(p.buckets) {
+		if h.Bucket < 0 || h.Bucket >= p.nbuckets {
 			return fmt.Errorf("ck: restore: pmap bucket %d out of range", h.Bucket)
 		}
 		if h.Head < 0 || h.Head >= p.n {
@@ -401,7 +434,7 @@ func (p *pmap) restore(st *PMapState) error {
 		if head := p.peek(h.Head); head.kind() == depFree {
 			return fmt.Errorf("ck: restore: pmap bucket %d heads free slot %d", h.Bucket, h.Head)
 		}
-		p.buckets[h.Bucket] = h.Head
+		p.setHead(h.Bucket, h.Head)
 	}
 	if st.Hand < 0 || st.Hand >= p.n {
 		return fmt.Errorf("ck: restore: pmap clock hand %d out of range", st.Hand)

@@ -178,14 +178,16 @@ func checkRoundTrip(t *testing.T, st PMapState) {
 // TestPMapMatchesDense drives random takeFree, insertAt, remove,
 // removeKeep, releaseSlot, victim and findEach sequences on the chunked
 // map and on the dense reference, at capacities on and off the chunk
-// size. Every result, the clock hand, the reload, live and free counts
-// and, at intervals, the whole captured state must agree; each capture
-// must also survive a restore into a new map.
+// size, with a bucket array inside one head chunk on odd seeds and
+// over several, the last one partial, on even ones. Every result, the
+// clock hand, the reload, live and free counts and, at intervals, the
+// whole captured state must agree; each capture must also survive a
+// restore into a new map.
 func TestPMapMatchesDense(t *testing.T) {
 	for _, n := range []int{1, 7, recChunkLen, recChunkLen + 44, 3*recChunkLen - 1, 2*freeBlockLen + 300} {
 		evicted := 0
 		for seed := uint64(1); seed <= 4; seed++ {
-			const buckets = 16
+			buckets := []int{2*headChunkLen + 44, 16}[seed%2]
 			p, d := newPMap(n, buckets), newDensePMap(n, buckets)
 			r := sim.NewRand(seed*1000 + uint64(n))
 			var live, reserved []int32
@@ -359,10 +361,10 @@ func TestPMapStateAbsorbsReleasedPrefixSlot(t *testing.T) {
 
 // TestNewKernelAllocation bounds what building a Cache Kernel with the
 // paper's configuration allocates. With its dependency-record pool
-// built up front it was about 1.4 MiB; now the largest piece is the
-// pmap's hash-bucket array.
+// built up front it was about 1.4 MiB, and with its hash-bucket array
+// built up front 85,072 bytes; now the bucket heads are chunked too.
 func TestNewKernelAllocation(t *testing.T) {
-	const bound = 128 << 10
+	const bound = 32 << 10
 	const n = 8
 	mpms := make([]*hw.MPM, n)
 	for i := range mpms {

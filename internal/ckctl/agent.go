@@ -275,14 +275,18 @@ func (n *Node) trackDispatch(ev ck.Event) {
 	n.cl.sendEvent(n.MPM.Engine.Now(), event{migDone: m})
 }
 
-// drain executes queued controller commands.
+// drain executes queued controller commands in arrival order. As in
+// Controller.drain, the inbox and spare take turns, and spare is
+// cleared while a batch is out.
 func (n *Node) drain(se *hw.Exec) {
 	for len(n.inbox) > 0 {
 		cmds := n.inbox
-		n.inbox = nil
+		n.inbox, n.spare = n.spare[:0], nil
 		for i := range cmds {
 			n.exec1(se, &cmds[i])
 		}
+		clear(cmds)
+		n.spare = cmds[:0]
 	}
 }
 

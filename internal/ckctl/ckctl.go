@@ -83,8 +83,9 @@ type Node struct {
 	// for the agent to fill again.
 	reports []*nodeReport
 	// inbox receives controller commands (appended by delivery
-	// records).
-	inbox []command
+	// records); drain swaps it with spare, so the two buffers take
+	// turns.
+	inbox, spare []command
 	// lastDispatch tracks each execution context's most recent dispatch
 	// (for the migration blackout's source timestamp); awaitFirst holds
 	// in-progress adoptions keyed by the main exec's name.

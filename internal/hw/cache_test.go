@@ -159,19 +159,25 @@ func TestL2ChunkedMatchesDense(t *testing.T) {
 }
 
 // TestNewMachineAllocation bounds what building the paper's machine
-// allocates. With the dense tag array it was over 1 MiB, the 8 MB
-// cache's tags alone; now the largest piece is physical memory's frame
-// table.
+// allocates, at its 64 MB of physical memory and at the 256 MB the
+// orchestration machines use. With a dense L2 tag array it was over
+// 1 MiB; with a flat frame table it was 158,488 and 551,889 bytes.
+// Now memory size costs one page-group pointer per 512 KB, and the
+// largest piece is the L2's chunk table.
 func TestNewMachineAllocation(t *testing.T) {
-	const bound = 256 << 10
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const n = 8
-	for i := 0; i < n; i++ {
-		NewMachine(DefaultConfig())
-	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > bound {
-		t.Fatalf("NewMachine(DefaultConfig()) allocates %d bytes, bound %d", per, bound)
+	const bound = 48 << 10
+	for _, size := range []uint32{64 << 20, 256 << 20} {
+		cfg := DefaultConfig()
+		cfg.PhysMemBytes = size
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const n = 8
+		for i := 0; i < n; i++ {
+			NewMachine(cfg)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / n; per > bound {
+			t.Fatalf("NewMachine with %d MB of memory allocates %d bytes, bound %d", size>>20, per, bound)
+		}
 	}
 }

@@ -17,24 +17,22 @@ const (
 	PageGroupSize  = PageGroupPages * PageSize
 )
 
-// PhysMem is the machine's physical memory: an array of lazily allocated
-// 4 KB frames addressed by a 32-bit physical address. It is shared by all
+// PhysMem is the machine's physical memory: lazily allocated 4 KB
+// frames addressed by a 32-bit physical address. It is shared by all
 // MPMs over the simulated VMEbus.
+//
+// The frame table is kept in page groups of PageGroupPages frames, each
+// allocated on the first write to one of its frames; a nil group reads
+// as all zeros. A machine pays for the groups it touches, not for its
+// memory size, as the Cache Kernel's dependency records and the L2 tags
+// are.
 //
 // Frames can be copy-on-write shared with a snapshot (FrameImage) and
 // with any machines forked from it: Freeze marks every allocated frame
 // shared, and the first write to a shared frame privatizes a copy, so
 // a fork's writes never reach the parent, its siblings, or the image.
-//
-// The frame table is one flat array, allocated whole. Only one engine
-// ever writes it, so it could be chunked on first touch, as the Cache
-// Kernel's dependency records and the L2 tags are.
 type PhysMem struct {
-	frames []*[PageSize]byte
-	// shared[i] means frames[i] is referenced by a FrameImage (and
-	// possibly other machines) and must be copied before mutation. Nil
-	// until the memory first participates in a snapshot.
-	shared []bool
+	groups []*frameGroup // nil: no frame of the group written yet
 	size   uint32
 
 	// SharedPages is the number of frames now in shared
@@ -44,30 +42,46 @@ type PhysMem struct {
 	SharedPages, CopiedPages uint64
 }
 
+// groupFrames is one page group's frames; a nil frame has never been
+// written and reads as zeros.
+type groupFrames [PageGroupPages]*[PageSize]byte
+
+// frameGroup is one page group of a memory's frame table.
+type frameGroup struct {
+	frames groupFrames
+	// shared[i] means frames[i] is referenced by a FrameImage (and
+	// possibly other machines) and must be copied before mutation.
+	shared [PageGroupPages]bool
+}
+
 // FrameImage is an immutable snapshot of a physical memory's frames.
 // It shares frame storage copy-on-write with the memory it was frozen
 // from and with every memory created via NewPhysMem: all of them mark
 // the common frames shared and copy before writing, so the image's
 // bytes never change after Freeze returns.
 type FrameImage struct {
-	frames []*[PageSize]byte
+	groups []*groupFrames // nil: the memory had no frame of the group
 	size   uint32
 }
 
 // Freeze snapshots the memory's current contents as an immutable
 // FrameImage and marks every allocated frame copy-on-write shared —
 // including in the parent, whose next write to a captured frame will
-// privatize a copy rather than mutate the image.
+// privatize a copy rather than mutate the image. Only the memory's
+// allocated page groups are copied.
 func (m *PhysMem) Freeze() *FrameImage {
-	if m.shared == nil {
-		m.shared = make([]bool, len(m.frames))
-	}
-	im := &FrameImage{frames: make([]*[PageSize]byte, len(m.frames)), size: m.size}
-	copy(im.frames, m.frames)
-	for i, f := range m.frames {
-		if f != nil && !m.shared[i] {
-			m.shared[i] = true
-			m.SharedPages++
+	im := &FrameImage{groups: make([]*groupFrames, len(m.groups)), size: m.size}
+	for gi, g := range m.groups {
+		if g == nil {
+			continue
+		}
+		frames := g.frames
+		im.groups[gi] = &frames
+		for i, f := range g.frames {
+			if f != nil && !g.shared[i] {
+				g.shared[i] = true
+				m.SharedPages++
+			}
 		}
 	}
 	return im
@@ -82,25 +96,34 @@ func (im *FrameImage) Frames() uint32 { return im.size / PageSize }
 // PageBytes returns the image's frame for pfn, or nil for a
 // never-touched (all-zero) frame. Callers must not mutate it.
 func (im *FrameImage) PageBytes(pfn uint32) *[PageSize]byte {
-	return im.frames[pfn]
+	if pfn >= im.Frames() {
+		panic(frameOutOfRange(pfn))
+	}
+	if frames := im.groups[pfn/PageGroupPages]; frames != nil {
+		return frames[pfn%PageGroupPages]
+	}
+	return nil
 }
 
 // NewPhysMem creates a fresh physical memory whose initial contents are
 // the image, sharing every allocated frame copy-on-write. This is the
 // mutable restore path: a forked machine starts from the image and
-// lazily copies a frame only on its first write.
+// lazily copies a frame only on its first write. Only the image's
+// allocated page groups are copied.
 func (im *FrameImage) NewPhysMem() *PhysMem {
-	m := &PhysMem{
-		frames: make([]*[PageSize]byte, len(im.frames)),
-		shared: make([]bool, len(im.frames)),
-		size:   im.size,
-	}
-	copy(m.frames, im.frames)
-	for i, f := range m.frames {
-		if f != nil {
-			m.shared[i] = true
-			m.SharedPages++
+	m := &PhysMem{groups: make([]*frameGroup, len(im.groups)), size: im.size}
+	for gi, frames := range im.groups {
+		if frames == nil {
+			continue
 		}
+		g := &frameGroup{frames: *frames}
+		for i, f := range frames {
+			if f != nil {
+				g.shared[i] = true
+				m.SharedPages++
+			}
+		}
+		m.groups[gi] = g
 	}
 	return m
 }
@@ -111,7 +134,8 @@ func NewPhysMem(size uint32) *PhysMem {
 	if size == 0 || size%PageSize != 0 {
 		panic(fmt.Sprintf("hw: bad physical memory size %#x", size))
 	}
-	return &PhysMem{frames: make([]*[PageSize]byte, size/PageSize), size: size}
+	frames := size / PageSize
+	return &PhysMem{groups: make([]*frameGroup, (frames+PageGroupPages-1)/PageGroupPages), size: size}
 }
 
 // Size reports the physical memory size in bytes.
@@ -120,25 +144,29 @@ func (m *PhysMem) Size() uint32 { return m.size }
 // Frames reports the number of page frames.
 func (m *PhysMem) Frames() uint32 { return m.size / PageSize }
 
-// Page returns the frame for pfn for mutation, allocating it zeroed on
-// first touch and privatizing a copy if the frame is snapshot-shared.
-// Read-only internal paths use peek instead, which never allocates or
-// de-shares.
+// Page returns the frame for pfn for mutation, allocating it (and its
+// page group) zeroed on first touch and privatizing a copy if the frame
+// is snapshot-shared. Read-only internal paths use peek instead, which
+// never allocates or de-shares.
 func (m *PhysMem) Page(pfn uint32) *[PageSize]byte {
-	if pfn >= uint32(len(m.frames)) {
-		panic(fmt.Sprintf("hw: physical frame %#x out of range", pfn))
+	m.checkFrame(pfn)
+	g := m.groups[pfn/PageGroupPages]
+	if g == nil {
+		g = new(frameGroup)
+		m.groups[pfn/PageGroupPages] = g
 	}
-	f := m.frames[pfn]
+	i := pfn % PageGroupPages
+	f := g.frames[i]
 	if f == nil {
 		f = new([PageSize]byte)
-		m.frames[pfn] = f
+		g.frames[i] = f
 		return f
 	}
-	if m.shared != nil && m.shared[pfn] {
+	if g.shared[i] {
 		c := new([PageSize]byte)
 		*c = *f
-		m.frames[pfn] = c
-		m.shared[pfn] = false
+		g.frames[i] = c
+		g.shared[i] = false
 		m.SharedPages--
 		m.CopiedPages++
 		return c
@@ -149,10 +177,28 @@ func (m *PhysMem) Page(pfn uint32) *[PageSize]byte {
 // peek returns the frame for pfn without allocating or privatizing it;
 // nil means the frame has never been touched and reads as zeros.
 func (m *PhysMem) peek(pfn uint32) *[PageSize]byte {
-	if pfn >= uint32(len(m.frames)) {
-		panic(fmt.Sprintf("hw: physical frame %#x out of range", pfn))
+	m.checkFrame(pfn)
+	if g := m.groups[pfn/PageGroupPages]; g != nil {
+		return g.frames[pfn%PageGroupPages]
 	}
-	return m.frames[pfn]
+	return nil
+}
+
+// checkFrame panics unless pfn names one of the memory's frames; the
+// last page group may extend past the memory's end.
+func (m *PhysMem) checkFrame(pfn uint32) {
+	if pfn >= m.Frames() {
+		panic(frameOutOfRange(pfn))
+	}
+}
+
+// frameOutOfRange is the panic value of an access past the memory's
+// last frame. It formats its message only when printed, which keeps
+// the range check inside peek cheap enough to inline.
+type frameOutOfRange uint32
+
+func (pfn frameOutOfRange) Error() string {
+	return fmt.Sprintf("hw: physical frame %#x out of range", uint32(pfn))
 }
 
 // Read32 reads the 32-bit little-endian word at physical address pa,

@@ -239,7 +239,7 @@ func (m *PhysMem) FrameDigest(pfn uint32) uint64 {
 // FrameDigest hashes one captured frame's contents; see
 // PhysMem.FrameDigest.
 func (im *FrameImage) FrameDigest(pfn uint32) uint64 {
-	f := im.frames[pfn]
+	f := im.PageBytes(pfn)
 	if f == nil {
 		return 0
 	}

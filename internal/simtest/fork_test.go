@@ -2,6 +2,7 @@ package simtest
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -57,5 +58,59 @@ func TestForkFamily(t *testing.T) {
 					first.Fingerprint(), again.Fingerprint())
 			}
 		})
+	}
+}
+
+// TestCowOracleCatchesMutatedImage corrupts one frame of a cached class
+// image and requires the next scenario of that class to report the
+// cow oracle's image mutation: the oracle compares the image with the
+// digest taken when it was built, so a mutation made before the
+// scenario started fails it as well as one made by its forks. The
+// frame is restored before the test ends, and the class runs clean
+// again.
+func TestCowOracleCatchesMutatedImage(t *testing.T) {
+	sc := GenerateFork(1)
+	ci, err := classSnapshot(sc.Class())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := ci.im.Frames.PageBytes(forkPFN(0, 0))
+	if f == nil {
+		t.Fatal("class image holds no boot frame for page 0")
+	}
+	saved := *f
+	t.Cleanup(func() { *f = saved })
+	f[8] ^= 0xff
+	res := RunForkScenario(sc, 1)
+	found := false
+	for _, fl := range res.Failures {
+		if fl.Oracle == "cow" && strings.Contains(fl.Detail, "parent image mutated by forks") {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("corrupted class image not reported by the cow oracle:\n%s", res.Fingerprint())
+	}
+	*f = saved
+	if res := RunForkScenario(sc, 1); res.Failed() {
+		t.Fatalf("restored class image still fails:\n%s", res.Fingerprint())
+	}
+}
+
+// BenchmarkForkSeed runs fork seed 2 per op: its continuations, each
+// on a fork of the class image and on a freshly booted machine, under
+// every oracle. The class image is built before the timer starts, as a
+// sweep's first scenario of the class builds it once.
+func BenchmarkForkSeed(b *testing.B) {
+	sc := GenerateFork(2)
+	if _, err := classSnapshot(sc.Class()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := RunForkScenario(sc, 1); r.Failed() {
+			b.Fatalf("fork seed %d failed:\n%s", sc.Seed, r.Fingerprint())
+		}
 	}
 }
