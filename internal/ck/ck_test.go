@@ -471,6 +471,33 @@ func TestAccessArrayEnforcement(t *testing.T) {
 	env.run()
 }
 
+// TestBootGrantsFullAccess requires Boot to give the first kernel read
+// and write rights on every one of the pageGroups page groups, and a
+// following SetKernelMemoryAccess on an unaligned range, groups 5-10,
+// to change exactly those groups.
+func TestBootGrantsFullAccess(t *testing.T) {
+	env := newEnv(t, Config{}, func(env *testEnv, e *hw.Exec) {
+		ko := env.k.first
+		check := func(when string, first, last uint32, in groupRights) {
+			for g := uint32(0); g < pageGroups; g++ {
+				want := rightRead | rightWrite
+				if g >= first && g <= last {
+					want = in
+				}
+				if r := ko.groupAccess(g); r != want {
+					t.Fatalf("%s: group %d has rights %d, want %d", when, g, r, want)
+				}
+			}
+		}
+		check("after Boot", 1, 0, 0)
+		if err := env.k.SetKernelMemoryAccess(e, env.boot.Kernel, 5, 6, true, false); err != nil {
+			t.Fatalf("SetKernelMemoryAccess: %v", err)
+		}
+		check("after a read-only grant on groups 5-10", 5, 10, rightRead)
+	})
+	env.run()
+}
+
 func TestTimeSliceRoundRobin(t *testing.T) {
 	hwCfg := hw.DefaultConfig()
 	hwCfg.CPUsPerMPM = 1

@@ -45,9 +45,10 @@ func (k *Kernel) Boot(attrs KernelAttrs, prio int, body func(*hw.Exec)) (BootInf
 	ko.owner = ko
 	k.first = ko
 	k.kernels.setLocked(ko.slot, true)
-	// Full rights on all physical memory.
-	for g := uint32(0); g < pageGroups; g++ {
-		ko.setGroupAccess(g, rightRead|rightWrite)
+	// Full rights on all physical memory: 0x55 repeats a two-bit
+	// field across the four page groups of each byte.
+	for i := range ko.access {
+		ko.access[i] = byte(rightRead|rightWrite) * 0x55
 	}
 
 	so, err := k.newSpaceObj(nil, ko)

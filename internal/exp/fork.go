@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 	"math"
-	"runtime"
+	"slices"
 	"time"
 
 	"vpp/internal/ck"
@@ -16,12 +16,10 @@ import (
 // 16-MPM fork-benchmark topology takes to boot from scratch, how long
 // one snapshot and one fork cost, the encoded snapshot size, and the
 // copy-on-write page-fault cost a fork pays on first write. cmd/ckbench
-// -exp fork emits it as BENCH_fork.json (see EXPERIMENTS.md).
+// -exp fork emits it as BENCH_fork.json (see EXPERIMENTS.md), which
+// holds only the exact fields: the host timings are samples, one per
+// round, and are printed as medians with their quartiles.
 type ForkReport struct {
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-
 	// The benchmark topology: MPMs Cache Kernels, each mapping and
 	// dirtying PagesPerMPM pages and retiring WorkersPerMPM short-lived
 	// threads before reaching the quiescent snapshot point.
@@ -30,41 +28,78 @@ type ForkReport struct {
 	PagesPerMPM   int `json:"pages_per_mpm"`
 	WorkersPerMPM int `json:"workers_per_mpm"`
 
-	// Boot-from-scratch cost (the thing a fork avoids).
-	BootHostMs    float64 `json:"boot_host_ms"`
-	BootSimCycles uint64  `json:"boot_sim_cycles"`
+	// BootSimCycles is the virtual time of the boot a fork avoids.
+	BootSimCycles uint64 `json:"boot_sim_cycles"`
+	// SnapshotBytes is the length of the image's deterministic encoding.
+	SnapshotBytes int `json:"snapshot_bytes"`
+	// Forks is how many rebuilds from the image each round times.
+	Forks int `json:"forks"`
 
-	// Snapshot: one structural capture plus its deterministic encoding.
-	SnapshotHostMs float64 `json:"snapshot_host_ms"`
-	SnapshotBytes  int     `json:"snapshot_bytes"`
+	// Copy-on-write: dirtying every image frame of one fork privatizes
+	// each shared frame once.
+	CowPages         uint64 `json:"cow_pages"`
+	CowSharedBefore  uint64 `json:"cow_shared_before"`
+	CowCopiedByDirty uint64 `json:"cow_copied_by_dirty"`
 
-	// Fork: mean over Forks rebuilds from the image. ForkToBootRatio is
-	// the headline number — a fork must be a small fraction of a boot
-	// for boot-once/fork-many exploration to pay off.
-	Forks           int     `json:"forks"`
-	ForkHostMs      float64 `json:"fork_host_ms"`
-	ForkToBootRatio float64 `json:"fork_to_boot_ratio"`
+	// Host wall-clock samples, one per round, in milliseconds (CowNs in
+	// nanoseconds per privatized page). A fork sample is the mean of
+	// the round's Forks rebuilds.
+	BootMs     []float64 `json:"-"`
+	SnapshotMs []float64 `json:"-"`
+	ForkMs     []float64 `json:"-"`
+	CowNs      []float64 `json:"-"`
+}
 
-	// Copy-on-write: the cost of privatizing a shared frame on first
-	// write, measured by dirtying every image frame of one fork.
-	CowPages         uint64  `json:"cow_pages"`
-	CowFaultNsPerPg  float64 `json:"cow_fault_ns_per_page"`
-	CowSharedBefore  uint64  `json:"cow_shared_before"`
-	CowCopiedByDirty uint64  `json:"cow_copied_by_dirty"`
+// ForkToBootRatio is the headline number: the median fork's share of
+// the median boot. A fork must be a small fraction of a boot for
+// boot-once/fork-many exploration to pay off.
+func (r ForkReport) ForkToBootRatio() float64 {
+	_, boot, _ := quartiles(r.BootMs)
+	_, fork, _ := quartiles(r.ForkMs)
+	if boot == 0 {
+		return 0
+	}
+	return fork / boot
 }
 
 func (r ForkReport) String() string {
+	spread := func(xs []float64, prec int) string {
+		q1, med, q3 := quartiles(xs)
+		return fmt.Sprintf("%.*f [%.*f, %.*f]", prec, med, prec, q1, prec, q3)
+	}
 	return fmt.Sprintf(
 		"topology: %d MPMs x %d CPUs, %d pages + %d workers per MPM\n"+
-			"boot from scratch:  %8.2f ms host (%d sim-cycles)\n"+
-			"snapshot + encode:  %8.2f ms host, %d bytes\n"+
-			"fork from image:    %8.3f ms host (mean of %d) = %.1f%% of boot\n"+
-			"cow first-write:    %8.1f ns/page (%d of %d shared frames dirtied)\n",
+			"host times: median [quartiles] over %d rounds\n"+
+			"boot from scratch:  %s ms host (%d sim-cycles)\n"+
+			"snapshot + encode:  %s ms host, %d bytes\n"+
+			"fork from image:    %s ms host (mean of %d per round) = %.1f%% of boot\n"+
+			"cow first-write:    %s ns/page (%d of %d shared frames dirtied)\n",
 		r.MPMs, r.CPUsPerMPM, r.PagesPerMPM, r.WorkersPerMPM,
-		r.BootHostMs, r.BootSimCycles,
-		r.SnapshotHostMs, r.SnapshotBytes,
-		r.ForkHostMs, r.Forks, 100*r.ForkToBootRatio,
-		r.CowFaultNsPerPg, r.CowCopiedByDirty, r.CowSharedBefore)
+		len(r.BootMs),
+		spread(r.BootMs, 2), r.BootSimCycles,
+		spread(r.SnapshotMs, 2), r.SnapshotBytes,
+		spread(r.ForkMs, 3), r.Forks, 100*r.ForkToBootRatio(),
+		spread(r.CowNs, 1), r.CowCopiedByDirty, r.CowSharedBefore)
+}
+
+// quartiles returns the first quartile, median and third quartile of
+// xs by linear interpolation between closest ranks; all three are zero
+// for no samples. xs is not modified.
+func quartiles(xs []float64) (q1, med, q3 float64) {
+	if len(xs) == 0 {
+		return 0, 0, 0
+	}
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	at := func(q float64) float64 {
+		pos := q * float64(len(s)-1)
+		lo := int(pos)
+		if lo+1 >= len(s) {
+			return s[len(s)-1]
+		}
+		return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
+	}
+	return at(0.25), at(0.5), at(0.75)
 }
 
 // Fork-benchmark page-frame layout: a per-MPM window of writable pages
@@ -156,73 +191,81 @@ func forkBenchBoot(k *ck.Kernel, e *hw.Exec, idx, pages, workers int, sid ck.Obj
 	return nil
 }
 
-// MeasureFork runs the snapshot/fork cost benchmark: boot the 16-MPM
-// topology from scratch, snapshot it, fork it repeatedly, and dirty one
-// fork end to end to price the copy-on-write faults.
-func MeasureFork() (ForkReport, error) {
+// forkRounds is how many boot, snapshot and fork rounds ckbench -exp
+// fork times; its fork-to-boot gate reads their medians.
+const forkRounds = 9
+
+// MeasureFork runs the snapshot/fork cost benchmark rounds times in
+// this process: each round boots the 16-MPM topology from scratch,
+// snapshots it, forks it repeatedly and dirties one fork end to end
+// to price the copy-on-write faults. Every round adds one sample to
+// each host timing and writes the same exact fields.
+func MeasureFork(rounds int) (ForkReport, error) {
 	r := ForkReport{
-		GoVersion:     runtime.Version(),
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
 		MPMs:          16,
 		CPUsPerMPM:    2,
 		PagesPerMPM:   32,
 		WorkersPerMPM: 32,
 		Forks:         16,
 	}
+	for i := 0; i < rounds; i++ {
+		if err := r.round(); err != nil {
+			return r, err
+		}
+	}
+	return r, nil
+}
 
+// round runs one boot, snapshot, fork and dirtying round and closes
+// every machine it built.
+func (r *ForkReport) round() error {
+	ms := func(t0 time.Time) float64 {
+		return float64(time.Since(t0).Nanoseconds()) / 1e6 //ckvet:allow detmap host-side wall-clock measurement is this experiment's purpose
+	}
 	t0 := time.Now() //ckvet:allow detmap host-side wall-clock measurement is this experiment's purpose
 	m, ks, err := bootForkBench(r.MPMs, r.CPUsPerMPM, r.PagesPerMPM, r.WorkersPerMPM)
 	if err != nil {
-		return r, err
+		return err
 	}
 	defer m.Close()
-	r.BootHostMs = float64(time.Since(t0).Nanoseconds()) / 1e6 //ckvet:allow detmap host-side wall-clock measurement is this experiment's purpose
+	r.BootMs = append(r.BootMs, ms(t0))
 	r.BootSimCycles = m.Now()
 
 	t0 = time.Now() //ckvet:allow detmap host-side wall-clock measurement is this experiment's purpose
 	im, err := snap.Take(m, ks)
 	if err != nil {
-		return r, err
+		return err
 	}
 	enc, err := im.Encode()
 	if err != nil {
-		return r, err
+		return err
 	}
-	r.SnapshotHostMs = float64(time.Since(t0).Nanoseconds()) / 1e6 //ckvet:allow detmap host-side wall-clock measurement is this experiment's purpose
+	r.SnapshotMs = append(r.SnapshotMs, ms(t0))
 	r.SnapshotBytes = len(enc)
 
 	var last *hw.Machine
 	t0 = time.Now() //ckvet:allow detmap host-side wall-clock measurement is this experiment's purpose
 	for i := 0; i < r.Forks; i++ {
 		if last, _, err = im.Fork(nil); err != nil {
-			return r, err
+			return err
 		}
 		defer last.Close()
 	}
-	r.ForkHostMs = float64(time.Since(t0).Nanoseconds()) / 1e6 / float64(r.Forks) //ckvet:allow detmap host-side wall-clock measurement is this experiment's purpose
-	if r.BootHostMs > 0 {
-		r.ForkToBootRatio = r.ForkHostMs / r.BootHostMs
-	}
+	r.ForkMs = append(r.ForkMs, ms(t0)/float64(r.Forks))
 
 	// Dirty every frame the image carries on the last fork: each first
 	// write privatizes one shared frame — the whole COW bill at once.
 	var frames []uint32
-	for pfn := uint32(0); pfn < im.Frames.Frames(); pfn++ {
-		if im.Frames.PageBytes(pfn) != nil {
-			frames = append(frames, pfn)
-		}
-	}
+	im.Frames.Walk(func(pfn uint32, _ *[hw.PageSize]byte) { frames = append(frames, pfn) })
 	r.CowPages = uint64(len(frames))
 	r.CowSharedBefore = last.Phys.SharedPages
 	t0 = time.Now() //ckvet:allow detmap host-side wall-clock measurement is this experiment's purpose
 	for _, pfn := range frames {
 		last.Phys.Write32(pfn*hw.PageSize, 0xD1D1_D1D1)
 	}
-	d := time.Since(t0) //ckvet:allow detmap host-side wall-clock measurement is this experiment's purpose
 	if len(frames) > 0 {
-		r.CowFaultNsPerPg = float64(d.Nanoseconds()) / float64(len(frames))
+		r.CowNs = append(r.CowNs, 1e6*ms(t0)/float64(len(frames)))
 	}
 	r.CowCopiedByDirty = last.Phys.CopiedPages
-	return r, nil
+	return nil
 }

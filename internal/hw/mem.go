@@ -58,7 +58,9 @@ type frameGroup struct {
 // It shares frame storage copy-on-write with the memory it was frozen
 // from and with every memory created via NewPhysMem: all of them mark
 // the common frames shared and copy before writing, so the image's
-// bytes never change after Freeze returns.
+// bytes never change after Freeze returns. Like the memory, it holds
+// only the page groups that had a frame; Walk visits their frames
+// without looking at the rest of the address range.
 type FrameImage struct {
 	groups []*groupFrames // nil: the memory had no frame of the group
 	size   uint32
@@ -103,6 +105,23 @@ func (im *FrameImage) PageBytes(pfn uint32) *[PageSize]byte {
 		return frames[pfn%PageGroupPages]
 	}
 	return nil
+}
+
+// Walk calls fn for every allocated frame of the image in pfn order,
+// visiting only the allocated page groups; the frames it skips are
+// exactly those PageBytes reports as nil. An allocated frame is
+// visited even when all its bytes are zero. fn must not mutate f.
+func (im *FrameImage) Walk(fn func(pfn uint32, f *[PageSize]byte)) {
+	for gi, frames := range im.groups {
+		if frames == nil {
+			continue
+		}
+		for i, f := range frames {
+			if f != nil {
+				fn(uint32(gi*PageGroupPages+i), f)
+			}
+		}
+	}
 }
 
 // NewPhysMem creates a fresh physical memory whose initial contents are

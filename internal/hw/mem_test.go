@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -107,8 +108,9 @@ func panics(fn func()) (did bool) {
 // on a family of memories and images forked from one another, each
 // paired with the flat spec, at sizes of one frame, one page group and
 // several groups, the last one partial. Every read, every frame's
-// presence and contents, and each memory's SharedPages and CopiedPages
-// must match the spec, and an access past the last frame must panic.
+// presence and contents, the frames FrameImage.Walk visits and their
+// order, and each memory's SharedPages and CopiedPages must match the
+// spec, and an access past the last frame must panic.
 func TestPhysMemChunkedMatchesFlat(t *testing.T) {
 	for _, frames := range []uint32{1, PageGroupPages, 3*PageGroupPages + 5} {
 		t.Run(fmt.Sprint(frames), func(t *testing.T) {
@@ -150,10 +152,23 @@ func TestPhysMemChunkedMatchesFlat(t *testing.T) {
 					}
 				}
 				for j, im := range ims {
+					var want, walked []uint32
 					for p := uint32(0); p < frames; p++ {
 						if !same(im.PageBytes(p), flatIms[j].frames[p]) {
 							t.Fatalf("op %d, image %d: frame %d differs from spec", op, j, p)
 						}
+						if flatIms[j].frames[p] != nil {
+							want = append(want, p)
+						}
+					}
+					im.Walk(func(p uint32, f *[PageSize]byte) {
+						walked = append(walked, p)
+						if !same(f, flatIms[j].frames[p]) {
+							t.Fatalf("op %d, image %d: Walk's frame %d differs from spec", op, j, p)
+						}
+					})
+					if !slices.Equal(walked, want) {
+						t.Fatalf("op %d, image %d: Walk visited frames %v, spec allocates %v", op, j, walked, want)
 					}
 				}
 			}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"vpp/internal/snap"
 )
 
 // forkPin is one fork seed's pinned outcome: the continuation schedule
@@ -61,12 +63,14 @@ func TestForkFamily(t *testing.T) {
 	}
 }
 
-// TestCowOracleCatchesMutatedImage corrupts one frame of a cached class
-// image and requires the next scenario of that class to report the
-// cow oracle's image mutation: the oracle compares the image with the
-// digest taken when it was built, so a mutation made before the
-// scenario started fails it as well as one made by its forks. The
-// frame is restored before the test ends, and the class runs clean
+// TestCowOracleCatchesMutatedImage changes one field of a cached class
+// image at a time, a frame and two gob-encoded structures (the first
+// kernel record's access array and a captured TLB entry), and requires
+// the next scenario of that class to report the cow oracle's image
+// mutation: the oracle compares the image's encoding with the one
+// kept since the image was built, so a mutation made before the
+// scenario started fails it as well as one made by its forks. Each
+// field is restored before the next case, and the class runs clean
 // again.
 func TestCowOracleCatchesMutatedImage(t *testing.T) {
 	sc := GenerateFork(1)
@@ -74,26 +78,52 @@ func TestCowOracleCatchesMutatedImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := ci.im.Frames.PageBytes(forkPFN(0, 0))
-	if f == nil {
-		t.Fatal("class image holds no boot frame for page 0")
-	}
-	saved := *f
-	t.Cleanup(func() { *f = saved })
-	f[8] ^= 0xff
-	res := RunForkScenario(sc, 1)
-	found := false
-	for _, fl := range res.Failures {
-		if fl.Oracle == "cow" && strings.Contains(fl.Detail, "parent image mutated by forks") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("corrupted class image not reported by the cow oracle:\n%s", res.Fingerprint())
-	}
-	*f = saved
-	if res := RunForkScenario(sc, 1); res.Failed() {
-		t.Fatalf("restored class image still fails:\n%s", res.Fingerprint())
+	for _, tc := range []struct {
+		name string
+		// mutate changes the image and returns what undoes the
+		// change; the undo may run twice.
+		mutate func(t *testing.T, im *snap.Image) (restore func())
+	}{
+		{"frame", func(t *testing.T, im *snap.Image) func() {
+			f := im.Frames.PageBytes(forkPFN(0, 0))
+			if f == nil {
+				t.Fatal("class image holds no boot frame for page 0")
+			}
+			saved := *f
+			f[8] ^= 0xff
+			return func() { *f = saved }
+		}},
+		{"kernel_access", func(t *testing.T, im *snap.Image) func() {
+			a := &im.CKs[0].KernelRecs[0].Access
+			saved := a[0]
+			a[0] ^= 0xff
+			return func() { a[0] = saved }
+		}},
+		{"tlb_entry", func(t *testing.T, im *snap.Image) func() {
+			e := &im.TLBs[0][0].Entries[0]
+			saved := *e
+			e.ASID ^= 0x8000
+			return func() { *e = saved }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			restore := tc.mutate(t, ci.im)
+			t.Cleanup(restore)
+			res := RunForkScenario(sc, 1)
+			found := false
+			for _, fl := range res.Failures {
+				if fl.Oracle == "cow" && strings.Contains(fl.Detail, "parent image mutated by forks") {
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("mutated class image not reported by the cow oracle:\n%s", res.Fingerprint())
+			}
+			restore()
+			if res := RunForkScenario(sc, 1); res.Failed() {
+				t.Fatalf("restored class image still fails:\n%s", res.Fingerprint())
+			}
+		})
 	}
 }
 

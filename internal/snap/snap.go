@@ -21,7 +21,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"hash/fnv"
 
 	"vpp/internal/ck"
 	"vpp/internal/hw"
@@ -139,8 +138,13 @@ type encImage struct {
 
 // Encode serializes the image to deterministic bytes: identical
 // machine state yields identical bytes regardless of run or process.
-// The snapshot-determinism oracle compares these directly;
-// len(Encode()) is the snapshot-size metric.
+// The bytes are the gob encoding of everything but the frames,
+// followed by each frame with non-zero contents as its 4-byte
+// little-endian pfn and its page, in pfn order. Only the image's
+// allocated frames are read (FrameImage.Walk), so the cost follows
+// the frames a machine touched, not its memory size. The
+// snapshot-determinism and copy-on-write oracles compare these bytes
+// directly; len(Encode()) is the snapshot-size metric.
 func (im *Image) Encode() ([]byte, error) {
 	e := encImage{
 		Cfg:    im.Cfg,
@@ -157,41 +161,22 @@ func (im *Image) Encode() ([]byte, error) {
 	if err := gob.NewEncoder(&buf).Encode(&e); err != nil {
 		return nil, err
 	}
-	// Frame payloads: every frame with non-zero contents, in frame
-	// order. Allocated-but-zero frames are indistinguishable from
+	n := 0
+	im.Frames.Walk(func(uint32, *[hw.PageSize]byte) { n++ })
+	buf.Grow(n * (4 + hw.PageSize))
+	// Allocated-but-zero frames are indistinguishable from
 	// never-touched ones to every reader and are skipped, so lazy
 	// allocation order cannot perturb the bytes.
 	var hdr [4]byte
-	for pfn := uint32(0); pfn < im.Frames.Frames(); pfn++ {
-		f := im.Frames.PageBytes(pfn)
-		if f == nil {
-			continue
-		}
-		zero := true
+	im.Frames.Walk(func(pfn uint32, f *[hw.PageSize]byte) {
 		for _, b := range f {
 			if b != 0 {
-				zero = false
-				break
+				hdr[0], hdr[1], hdr[2], hdr[3] = byte(pfn), byte(pfn>>8), byte(pfn>>16), byte(pfn>>24)
+				buf.Write(hdr[:4])
+				buf.Write(f[:])
+				return
 			}
 		}
-		if zero {
-			continue
-		}
-		hdr[0], hdr[1], hdr[2], hdr[3] = byte(pfn), byte(pfn>>8), byte(pfn>>16), byte(pfn>>24)
-		buf.Write(hdr[:4])
-		buf.Write(f[:])
-	}
+	})
 	return buf.Bytes(), nil
-}
-
-// Digest hashes Encode's bytes; two images with equal digests carry
-// identical machine state.
-func (im *Image) Digest() (uint64, error) {
-	b, err := im.Encode()
-	if err != nil {
-		return 0, err
-	}
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64(), nil
 }

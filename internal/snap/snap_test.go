@@ -1,6 +1,7 @@
 package snap
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -128,5 +129,77 @@ func TestForkReportsParentCounters(t *testing.T) {
 		if got := k.Counters(); got != parent[i] {
 			t.Errorf("mpm %d: fork reports\n%+v\nparent reported\n%+v", i, got, parent[i])
 		}
+	}
+}
+
+// encodeEveryFrame is Encode as it was before it walked only the
+// allocated frames: the gob half, then every frame of the memory in
+// pfn order through PageBytes, skipping the absent and all-zero ones.
+// It is the executable spec of Encode's frame walk.
+func encodeEveryFrame(t *testing.T, im *Image) []byte {
+	t.Helper()
+	noFrames := *im
+	noFrames.Frames = hw.NewPhysMem(im.Frames.Size()).Freeze()
+	b, err := noFrames.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pfn := uint32(0); pfn < im.Frames.Frames(); pfn++ {
+		f := im.Frames.PageBytes(pfn)
+		if f == nil || *f == [hw.PageSize]byte{} {
+			continue
+		}
+		b = append(b, byte(pfn), byte(pfn>>8), byte(pfn>>16), byte(pfn>>24))
+		b = append(b, f[:]...)
+	}
+	return b
+}
+
+// TestEncodeWalksAllocatedFrames requires Encode, which reads only
+// the allocated frames, to write the bytes of the walk over every
+// frame: on a 389-frame memory whose last page group is partial and
+// holds a frame, with a frame allocated but all zero, with written
+// frames in page groups that are not adjacent, and on a booted
+// machine's snapshot.
+func TestEncodeWalksAllocatedFrames(t *testing.T) {
+	memImage := func(frames uint32, fill func(*hw.PhysMem)) *Image {
+		m := hw.NewPhysMem(frames * hw.PageSize)
+		fill(m)
+		return &Image{Frames: m.Freeze()}
+	}
+	bm, ks := bootBusy(t, 2)
+	booted, err := Take(bm, ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		im   *Image
+	}{
+		{"partial_last_group", memImage(389, func(m *hw.PhysMem) {
+			m.Write32(388*hw.PageSize+12, 0xA5A5_0001)
+		})},
+		{"allocated_zero_frame", memImage(389, func(m *hw.PhysMem) {
+			m.Page(7)
+			m.Write32(8*hw.PageSize, 0xA5A5_0002)
+			m.Write32(9*hw.PageSize+4, 1)
+			m.Write32(9*hw.PageSize+4, 0)
+		})},
+		{"non_adjacent_groups", memImage(16384, func(m *hw.PhysMem) {
+			for _, pfn := range []uint32{3, 2*hw.PageGroupPages + 1, 16383} {
+				m.Write32(pfn*hw.PageSize+hw.PageSize-4, 0xA5A5_0000^pfn)
+			}
+		})},
+		{"booted", booted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := tc.im.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := encodeEveryFrame(t, tc.im); !bytes.Equal(got, want) {
+				t.Fatalf("Encode wrote %d bytes, the every-frame walk %d; contents differ", len(got), len(want))
+			}
+		})
 	}
 }
