@@ -1,23 +1,34 @@
-// Command perfpair compares two sets of perfbench runs by the rule a
-// performance claim in this repository must meet. It reads the saved
+// Command perfpair compares two sets of perfbench runs by the rules a
+// performance change in this repository must meet. It reads the saved
 // standard output of alternating parent and change runs, pairs them in
 // file-name order, and prints for each metric both sides' median and
-// quartiles, the change's median over the parent's, and how many pairs
-// the change won. A claim holds when there are at least ten pairs, the
-// change wins at least nine tenths of them, ties counting for neither,
-// its median beats the parent's by more than the parent's interquartile
-// range, and no larger share of its scenario runs failed. It also
-// reports whether every run printed the same virtual_digest, and how
-// many scenario runs failed on each side.
+// quartiles, the change's median over the parent's, the no-regression
+// verdict, and how many pairs the change won. It also reports whether
+// every run printed the same virtual_digest, and how many scenario runs
+// failed on each side.
+//
+// The bound column applies the no-regression rule to each end-to-end
+// metric, with the bound BENCHMARK.json fixes for it as a fraction of
+// the parent's median: "worse" when the change's median is worse than
+// the parent's by more than the bound; otherwise "unresolved" when the
+// parent's interquartile range is wider than the bound, unless every
+// change run beats every parent run; "ok" in every other case. A
+// per-layer metric has no bound and reads "-".
+//
+// The claim column applies the rule a gain must meet: at least ten
+// pairs, the change winning at least nine tenths of them, ties counting
+// for neither, its median beating the parent's by more than the
+// parent's interquartile range, and no larger share of its scenario
+// runs failed.
 //
 // Usage, from the repository root:
 //
 //	perfpair -parent 'runs/parent-*.txt' -change 'runs/change-*.txt'
 //
-// Which way is better for each metric comes from BENCHMARK.json
-// (-bench). The exit status is 1 when the runs' virtual digests differ,
-// since their host times then measure different simulations, and 2 for
-// bad arguments or unreadable runs.
+// Which way is better for each metric, and each end-to-end metric's
+// bound, come from BENCHMARK.json (-bench). The exit status is 1 when
+// the runs' virtual digests differ, since their host times then measure
+// different simulations, and 2 for bad arguments or unreadable runs.
 package main
 
 import (
@@ -29,6 +40,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -41,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	parentGlob := fs.String("parent", "", "glob of the parent's saved perfbench outputs")
 	changeGlob := fs.String("change", "", "glob of the change's saved perfbench outputs, in the same order")
-	benchPath := fs.String("bench", "BENCHMARK.json", "benchmark declaration naming which way each metric is better")
+	benchPath := fs.String("bench", "BENCHMARK.json", "benchmark declaration naming which way each metric is better and its bound")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -53,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "perfpair: %v\n", err)
 		return 2
 	}
-	better, err := readBetter(*benchPath)
+	decls, err := readDecls(*benchPath)
 	if err != nil {
 		return fail(err)
 	}
@@ -65,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	rows, err := compare(parent, change, better)
+	rows, err := compare(parent, change, decls)
 	if err != nil {
 		return fail(err)
 	}
@@ -150,16 +162,21 @@ func parseRun(out string) (benchRun, error) {
 	return r, nil
 }
 
-// readBetter maps each metric BENCHMARK.json declares to "lower" or
-// "higher".
-func readBetter(path string) (map[string]string, error) {
+// decl is one metric BENCHMARK.json declares: which way is better,
+// "lower" or "higher", and for an end-to-end metric the fraction of the
+// parent's median by which it may worsen (0 for a per-layer metric).
+type decl struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
+}
+
+// readDecls maps each metric BENCHMARK.json declares to its
+// declaration.
+func readDecls(path string) (map[string]decl, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
-	}
-	type decl struct {
-		Name   string `json:"name"`
-		Better string `json:"better"`
 	}
 	var bench struct {
 		EndToEnd []decl `json:"end_to_end"`
@@ -168,14 +185,17 @@ func readBetter(path string) (map[string]string, error) {
 	if err := json.Unmarshal(b, &bench); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	better := map[string]string{}
-	for _, d := range append(bench.EndToEnd, bench.PerLayer...) {
+	decls := map[string]decl{}
+	for i, d := range append(bench.EndToEnd, bench.PerLayer...) {
 		if d.Better != "lower" && d.Better != "higher" {
 			return nil, fmt.Errorf("%s: metric %s is better %q, want lower or higher", path, d.Name, d.Better)
 		}
-		better[d.Name] = d.Better
+		if i < len(bench.EndToEnd) && d.Bound <= 0 {
+			return nil, fmt.Errorf("%s: end-to-end metric %s has bound %v, want a positive fraction", path, d.Name, d.Bound)
+		}
+		decls[d.Name] = d
 	}
-	return better, nil
+	return decls, nil
 }
 
 // spread is one side's median and quartiles of a metric.
@@ -201,9 +221,11 @@ func quantile(xs []float64, q float64) float64 {
 // row is one metric's comparison.
 type row struct {
 	name, unit, better string
+	bound              float64 // the end-to-end bound, 0 for a per-layer metric
 	parent, change     spread
 	wins, pairs        int
 	beyondIQR          bool // the medians differ by more than the parent's IQR, the change's way
+	sweep              bool // every change run beats every parent run
 	moreFailures       bool // a larger share of the change's scenario runs failed
 }
 
@@ -213,6 +235,28 @@ const minPairs = 10
 // holds reports whether the row meets the claim rule.
 func (r row) holds() bool {
 	return r.pairs >= minPairs && r.wins*10 >= r.pairs*9 && r.beyondIQR && !r.moreFailures
+}
+
+// verdict applies the no-regression rule: "worse" when the change's
+// median is worse than the parent's by more than the bound, otherwise
+// "unresolved" when the parent's IQR is wider than the bound unless the
+// change swept every pair of runs, and "ok"; "-" without a bound.
+func (r row) verdict() string {
+	if r.bound == 0 {
+		return "-"
+	}
+	worse := r.parent.med - r.change.med
+	if r.better == "lower" {
+		worse = -worse
+	}
+	limit := r.bound * r.parent.med
+	switch {
+	case worse > limit:
+		return "worse"
+	case r.parent.q3-r.parent.q1 > limit && !r.sweep:
+		return "unresolved"
+	}
+	return "ok"
 }
 
 // failures totals the scenario runs attempted and failed over runs.
@@ -226,7 +270,7 @@ func failures(runs []benchRun) (attempted, failed int) {
 
 // compare pairs run i of parent with run i of change and compares every
 // metric the runs report.
-func compare(parent, change []benchRun, better map[string]string) ([]row, error) {
+func compare(parent, change []benchRun, decls map[string]decl) ([]row, error) {
 	if len(parent) != len(change) {
 		return nil, fmt.Errorf("%d parent runs but %d change runs; runs are compared in pairs", len(parent), len(change))
 	}
@@ -240,10 +284,11 @@ func compare(parent, change []benchRun, better map[string]string) ([]row, error)
 	moreFailures := cf*pa > pf*ca // cf/ca > pf/pa, without dividing by zero
 	var rows []row
 	for _, name := range names {
-		dir, ok := better[name]
+		d, ok := decls[name]
 		if !ok {
 			return nil, fmt.Errorf("metric %s is not declared in the benchmark", name)
 		}
+		dir := d.Better
 		var ps, cs []float64
 		wins := 0
 		for i := range parent {
@@ -257,11 +302,14 @@ func compare(parent, change []benchRun, better map[string]string) ([]row, error)
 				wins++
 			}
 		}
-		r := row{name: name, unit: parent[0].Metrics[name].Unit, better: dir,
+		r := row{name: name, unit: parent[0].Metrics[name].Unit, better: dir, bound: d.Bound,
 			parent: spreadOf(ps), change: spreadOf(cs), wins: wins, pairs: len(parent), moreFailures: moreFailures}
 		gap := r.change.med - r.parent.med
+		pmin, pmax, cmin, cmax := slices.Min(ps), slices.Max(ps), slices.Min(cs), slices.Max(cs)
+		r.sweep = cmin > pmax
 		if dir == "lower" {
 			gap = -gap
+			r.sweep = cmax < pmin
 		}
 		r.beyondIQR = gap > r.parent.q3-r.parent.q1
 		rows = append(rows, r)
@@ -295,10 +343,11 @@ func report(out io.Writer, parent, change []benchRun, rows []row) int {
 		att, failed := failures(side.runs)
 		fmt.Fprintf(out, "failed: %s %d of %d scenario runs\n", side.name, failed, att)
 	}
-	fmt.Fprintf(out, "pairs: %d; a claim holds with at least %d pairs, %d wins, a median gap beyond the parent's IQR and no larger share of failed runs\n\n",
+	fmt.Fprintf(out, "pairs: %d; a claim holds with at least %d pairs, %d wins, a median gap beyond the parent's IQR and no larger share of failed runs\n",
 		len(parent), minPairs, (len(parent)*9+9)/10)
+	fmt.Fprint(out, "bound: worse when the change's median is worse by more than the bound, unresolved when the parent's IQR is wider than the bound and the change did not beat every parent run\n\n")
 	tw := tabwriter.NewWriter(out, 0, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "metric\tunit\tbetter\tparent median [q1, q3]\tchange median [q1, q3]\tchange/parent\twins\tgap > IQR\tclaim")
+	fmt.Fprintln(tw, "metric\tunit\tbetter\tparent median [q1, q3]\tchange median [q1, q3]\tchange/parent\tbound\twins\tgap > IQR\tclaim")
 	for _, r := range rows {
 		ratio := "-"
 		if r.parent.med != 0 {
@@ -308,8 +357,8 @@ func report(out io.Writer, parent, change []benchRun, rows []row) int {
 		if r.holds() {
 			claim = "holds"
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%d/%d\t%t\t%s\n", r.name, r.unit, r.better,
-			fmtSpread(r.parent), fmtSpread(r.change), ratio, r.wins, r.pairs, r.beyondIQR, claim)
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\t%d/%d\t%t\t%s\n", r.name, r.unit, r.better,
+			fmtSpread(r.parent), fmtSpread(r.change), ratio, r.verdict(), r.wins, r.pairs, r.beyondIQR, claim)
 	}
 	tw.Flush()
 	return status

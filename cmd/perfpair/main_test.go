@@ -10,9 +10,10 @@ import (
 )
 
 // writeRuns writes one perfbench-shaped output per value, named
-// <side>-NN.txt, each reporting the metrics
-// scenarios_per_s = values[i] and setup_s = 1/values[i], and failed of
-// its 20 scenario runs failed.
+// <side>-NN.txt, each reporting the end-to-end metrics
+// scenarios_per_s = values[i] and setup_s = 1/values[i], the per-layer
+// metric exp.table2_ms = 1/values[i], and failed of its 20 scenario
+// runs failed.
 func writeRuns(t *testing.T, dir, side, digest string, failed int, values []float64) {
 	t.Helper()
 	for i, v := range values {
@@ -21,6 +22,7 @@ func writeRuns(t *testing.T, dir, side, digest string, failed int, values []floa
 			"metrics": map[string]any{
 				"scenarios_per_s": map[string]any{"value": v, "unit": "1/s"},
 				"setup_s":         map[string]any{"value": 1 / v, "unit": "s"},
+				"exp.table2_ms":   map[string]any{"value": 1 / v, "unit": "ms"},
 			},
 		}
 		line, err := json.Marshal(res)
@@ -120,6 +122,73 @@ func TestClaimRule(t *testing.T) {
 				t.Errorf("digest agreement not reported:\n%s", out)
 			}
 		})
+	}
+}
+
+// TestBoundRule pins the no-regression rule of the bound column, for
+// the end-to-end metrics scenarios_per_s (higher is better) and setup_s
+// (lower is better), both with BENCHMARK.json's bound of 0.25: worse
+// when the change's median is worse than the parent's by more than a
+// quarter of it; otherwise unresolved when the parent's IQR is wider
+// than that quarter, unless every change run beats every parent run;
+// otherwise ok. The per-layer exp.table2_ms has no bound and reads "-".
+func TestBoundRule(t *testing.T) {
+	tight := []float64{80, 82, 78, 85, 81, 79, 83, 84, 80, 82}   // IQR 2.75 around 81.5
+	wide := []float64{40, 120, 60, 100, 80, 45, 115, 70, 90, 85} // IQR 35 around 82.5
+	scale := func(xs []float64, f float64) []float64 {
+		out := make([]float64, len(xs))
+		for i, x := range xs {
+			out[i] = x * f
+		}
+		return out
+	}
+	cases := []struct {
+		name           string
+		parent, change []float64
+		want           string
+	}{
+		{"ok_within_bound", tight, scale(tight, 0.9), "ok"},
+		{"worse_beyond_bound", tight, scale(tight, 0.7), "worse"},
+		{"unresolved_wide_parent", wide, wide, "unresolved"},
+		{"better_inside_wide_parent", wide, scale(wide, 1.1), "unresolved"},
+		{"sweep_resolves_wide_parent", wide, []float64{130, 131, 132, 133, 134, 135, 136, 137, 138, 139}, "ok"},
+		{"worse_despite_wide_parent", wide, scale(wide, 0.6), "worse"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeRuns(t, dir, "parent", "12cc8dfc01bfc44e", 0, tc.parent)
+			writeRuns(t, dir, "change", "12cc8dfc01bfc44e", 0, tc.change)
+			out, code := perfpair(t, dir)
+			if code != 0 {
+				t.Fatalf("exit %d:\n%s", code, out)
+			}
+			for m, want := range map[string]string{"scenarios_per_s": tc.want, "setup_s": tc.want, "exp.table2_ms": "-"} {
+				f := strings.Fields(metricLine(t, out, m))
+				if got := f[len(f)-4]; got != want {
+					t.Errorf("%s bound = %s, want %s:\n%s", m, got, want, out)
+				}
+			}
+		})
+	}
+}
+
+// TestEndToEndMetricNeedsBound checks that a benchmark declaring an
+// end-to-end metric without a positive bound is refused, since its
+// no-regression verdict could not be given.
+func TestEndToEndMetricNeedsBound(t *testing.T) {
+	dir := t.TempDir()
+	writeRuns(t, dir, "parent", "12cc8dfc01bfc44e", 0, []float64{80})
+	writeRuns(t, dir, "change", "12cc8dfc01bfc44e", 0, []float64{81})
+	bench := filepath.Join(dir, "bench.json")
+	decl := `{"end_to_end": [{"name": "scenarios_per_s", "better": "higher"}], "per_layer": []}`
+	if err := os.WriteFile(bench, []byte(decl), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errs strings.Builder
+	code := run([]string{"-parent", filepath.Join(dir, "parent-*.txt"), "-change", filepath.Join(dir, "change-*.txt"), "-bench", bench}, &out, &errs)
+	if code != 2 || !strings.Contains(errs.String(), "scenarios_per_s has bound 0") {
+		t.Fatalf("exit %d:\n%s%s", code, out.String(), errs.String())
 	}
 }
 

@@ -177,13 +177,6 @@ func (c *Channel) Recv(e *hw.Exec, k *ck.Kernel) ([]byte, error) {
 	}
 }
 
-// TryRecvQueued drains one already-queued message without blocking
-// semantics beyond WaitSignal's (used by servers multiplexing work).
-// It is identical to Recv today but exists so callers express intent.
-func (c *Channel) TryRecvQueued(e *hw.Exec, k *ck.Kernel) ([]byte, error) {
-	return c.Recv(e, k)
-}
-
 // storeBytes writes b at va word-at-a-time (tail bytes singly), charging
 // through the memory system like any other data transfer.
 func storeBytes(e *hw.Exec, va uint32, b []byte) {

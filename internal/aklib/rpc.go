@@ -98,15 +98,3 @@ func (c *RPCConn) Call(e *hw.Exec, op uint32, payload []byte) ([]byte, error) {
 	}
 	return reply[4:], nil
 }
-
-// PutU32 appends a 32-bit value to a marshaling buffer.
-func PutU32(b []byte, v uint32) []byte {
-	var w [4]byte
-	binary.LittleEndian.PutUint32(w[:], v)
-	return append(b, w[:]...)
-}
-
-// U32 reads the 32-bit value at offset off.
-func U32(b []byte, off int) uint32 {
-	return binary.LittleEndian.Uint32(b[off : off+4])
-}

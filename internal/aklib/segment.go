@@ -91,8 +91,7 @@ type SegmentManager struct {
 	// Hooks run before segment lookup on every fault.
 	Hooks []FaultHook
 
-	segs     []*Segment
-	unloaded bool
+	segs []*Segment
 
 	// Faults counts demand-paging faults resolved by this manager.
 	Faults uint64
@@ -158,28 +157,6 @@ func (sm *SegmentManager) MapShared(e *hw.Exec, name string, va uint32, frames [
 		}
 	}
 	return seg, nil
-}
-
-// Unmap destroys a segment, unloading its mappings and freeing owned
-// frames (shared segments keep theirs).
-func (sm *SegmentManager) Unmap(e *hw.Exec, seg *Segment, freeFrames bool) error {
-	for i, s := range sm.segs {
-		if s == seg {
-			sm.segs = append(sm.segs[:i:i], sm.segs[i+1:]...)
-			if _, err := sm.AK.CK.UnloadMappingRange(e, sm.SID, seg.VA, seg.Pages*hw.PageSize); err != nil && err != ck.ErrInvalidID {
-				return err
-			}
-			if freeFrames {
-				for j := range seg.state {
-					if seg.state[j].resident {
-						sm.AK.Frames.Free(seg.state[j].pfn)
-					}
-				}
-			}
-			return nil
-		}
-	}
-	return fmt.Errorf("aklib: segment %q not mapped", seg.Name)
 }
 
 // find locates the segment containing va.
@@ -358,17 +335,12 @@ func (sm *SegmentManager) noteWriteback(st ck.MappingState) {
 
 // markUnloaded records that the whole space was written back.
 func (sm *SegmentManager) markUnloaded() {
-	sm.unloaded = true
 	for _, seg := range sm.segs {
 		for i := range seg.state {
 			seg.state[i].mapped = false
 		}
 	}
 }
-
-// Unloaded reports whether the space was written back by the Cache
-// Kernel (the kernel must reload it before running its threads).
-func (sm *SegmentManager) Unloaded() bool { return sm.unloaded }
 
 // Segments exposes the segment list (read-only use).
 func (sm *SegmentManager) Segments() []*Segment { return sm.segs }

@@ -42,9 +42,10 @@ func newObjCache[T any](name string, capacity int) *objCache[T] {
 		lruHead: -1,
 		lruTail: -1,
 	}
-	// Push free slots so that slot 0 is allocated first.
-	for i := capacity - 1; i >= 0; i-- {
-		c.free = append(c.free, int32(i))
+	// Stack the free slots so that slot 0 is allocated first.
+	c.free = make([]int32, capacity)
+	for i := range c.free {
+		c.free[i] = int32(capacity - 1 - i)
 	}
 	return c
 }

@@ -37,6 +37,23 @@ func TestObjCacheLRUOrder(t *testing.T) {
 	}
 }
 
+// TestNewObjCacheAllocatesOnce checks that building a descriptor cache
+// allocates the cache, its slot array and its free stack once each,
+// and that the free stack hands out slot 0 first, then each slot in
+// order.
+func TestNewObjCacheAllocatesOnce(t *testing.T) {
+	const capacity = 256
+	var c *objCache[int]
+	if n := testing.AllocsPerRun(16, func() { c = newObjCache[int]("t", capacity) }); n > 3 {
+		t.Fatalf("newObjCache makes %v allocations, want 3", n)
+	}
+	for want := int32(0); want < capacity; want++ {
+		if idx, _, ok := c.alloc(); !ok || idx != want {
+			t.Fatalf("allocation %d took slot %d (ok %v)", want, idx, ok)
+		}
+	}
+}
+
 func TestObjCacheGenerationInvalidation(t *testing.T) {
 	c := newObjCache[string]("t", 2)
 	idx, gen, _ := c.alloc()

@@ -1,7 +1,5 @@
 package ck
 
-import "vpp/internal/hw"
-
 // Cache Kernel operation cost constants, in cycles (25 cycles = 1 µs).
 //
 // Each constant covers the fixed-path work of an operation (argument
@@ -53,6 +51,3 @@ const (
 	costAccessCheck = 30 // memory access array check per mapping load
 	costScanStep    = 2  // replacement clock-hand step
 )
-
-// µs helper for tests and reports.
-func cyclesToMicros(c uint64) float64 { return hw.MicrosFromCycles(c) }

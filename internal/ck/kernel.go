@@ -70,10 +70,6 @@ type Kernel struct {
 	// counter to refuse to judge intermediate states.
 	inCalls int
 
-	// syscalls maps user-visible Cache Kernel call numbers (used by
-	// code that is not linked against the Go API) to handlers.
-	syscalls map[uint32]func(e *hw.Exec, args []uint32) (uint32, uint32)
-
 	// observers receive the typed event stream (Observe, event.go).
 	observers []func(Event)
 
@@ -125,7 +121,6 @@ func New(mpm *hw.MPM, cfg Config) (*Kernel, error) {
 		pm:            newPMap(cfg.MappingSlots, cfg.PMapBuckets),
 		spaceByHW:     make(map[*hw.Space]*SpaceObj),
 		kernelBySpace: make(map[*SpaceObj]*KernelObj),
-		syscalls:      make(map[uint32]func(*hw.Exec, []uint32) (uint32, uint32)),
 	}
 	k.sched = newScheduler(k)
 	for range mpm.CPUs {
@@ -265,12 +260,6 @@ func (k *Kernel) FirstKernel() ObjID {
 // reverse-TLB entries that cached derived state.
 func (k *Kernel) bumpVersion() { k.pmVersion++ }
 
-// RegisterSyscall installs a handler for a numbered Cache Kernel call
-// reachable from raw trap instructions.
-func (k *Kernel) RegisterSyscall(no uint32, fn func(e *hw.Exec, args []uint32) (uint32, uint32)) {
-	k.syscalls[no] = fn
-}
-
 // --- hw.Supervisor implementation ---
 
 // Syscall implements trap dispatch: a trap from a thread executing inside
@@ -286,10 +275,8 @@ func (k *Kernel) Syscall(e *hw.Exec, no uint32, args []uint32) (uint32, uint32) 
 	th := k.threadOf(e)
 	if k.kernelBySpace[so] != nil {
 		// Executing inside an application kernel's own address space:
-		// the trap is a Cache Kernel call.
-		if fn := k.syscalls[no]; fn != nil {
-			return fn(e, args)
-		}
+		// the trap is a Cache Kernel call. Kernels make their calls
+		// through the Go API, so no call has a trap number.
 		return ^uint32(0), 0
 	}
 	// Forward to the owning application kernel.

@@ -321,7 +321,7 @@ func (k *Kernel) SetKernelMaxPriority(e *hw.Exec, kid ObjID, maxPrio int) error 
 	if !ok {
 		return ErrInvalidID
 	}
-	if maxPrio < 0 || maxPrio >= k.Cfg.NumPriorities {
+	if maxPrio < 0 || maxPrio >= NumPriorities {
 		return ErrBadArgument
 	}
 	e.ChargeNoIntr(costDescInit)

@@ -19,6 +19,10 @@ const (
 	DefaultMappingSlots = 65536
 )
 
+// NumPriorities is the fixed-priority range [0, NumPriorities); larger
+// is more urgent.
+const NumPriorities = 64
+
 // Config tunes one Cache Kernel instance. The zero value is completed to
 // the paper's prototype configuration by DefaultConfig.
 type Config struct {
@@ -27,10 +31,6 @@ type Config struct {
 	ThreadSlots  int
 	MappingSlots int
 	PMapBuckets  int
-
-	// NumPriorities is the fixed-priority range [0, NumPriorities);
-	// larger is more urgent.
-	NumPriorities int
 
 	// TimeSlice is the per-priority round-robin quantum in cycles.
 	TimeSlice uint64
@@ -56,7 +56,6 @@ func DefaultConfig() Config {
 		ThreadSlots:      DefaultThreadSlots,
 		MappingSlots:     DefaultMappingSlots,
 		PMapBuckets:      16384,
-		NumPriorities:    64,
 		TimeSlice:        10 * 1000 * hw.CyclesPerMicrosecond, // 10 ms
 		AccountingWindow: 100 * 1000 * hw.CyclesPerMicrosecond,
 		RTLBEntries:      16,
@@ -80,9 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PMapBuckets == 0 {
 		c.PMapBuckets = d.PMapBuckets
-	}
-	if c.NumPriorities == 0 {
-		c.NumPriorities = d.NumPriorities
 	}
 	if c.TimeSlice == 0 {
 		c.TimeSlice = d.TimeSlice
@@ -202,9 +198,6 @@ type SpaceObj struct {
 
 // ID reports the space object's current identifier.
 func (so *SpaceObj) ID() ObjID { return so.id }
-
-// HW exposes the hardware translation context for dispatching threads.
-func (so *SpaceObj) HW() *hw.Space { return so.hw }
 
 // threadState enumerates a loaded thread's scheduling state.
 type threadState uint8

@@ -271,19 +271,6 @@ func (p *pmap) findEach(kind depKind, key uint32, fn func(idx int32, r *depRecor
 	return probes
 }
 
-// findOne returns the first live record matching (kind, key, dep), or -1.
-func (p *pmap) findOne(kind depKind, key, dep uint32) (idx int32, probes int) {
-	idx = -1
-	probes = p.findEach(kind, key, func(i int32, r *depRecord) bool {
-		if r.dep == dep {
-			idx = i
-			return false
-		}
-		return true
-	})
-	return idx, probes
-}
-
 // rec returns the record at idx, a slot that has been handed out.
 func (p *pmap) rec(idx int32) *depRecord {
 	return &p.chunks[idx>>recChunkShift][idx&(recChunkLen-1)]

@@ -13,7 +13,7 @@ import "vpp/internal/hw"
 // chargeRate returns the rate numerator for a priority (denominator 16):
 // 16 at the midpoint, up to 24 at the top, down to 12 at priority 0.
 func (k *Kernel) chargeRate(prio int) uint64 {
-	mid := k.Cfg.NumPriorities / 2
+	mid := NumPriorities / 2
 	if prio >= mid {
 		return uint64(16 + 8*(prio-mid)/mid)
 	}

@@ -19,7 +19,7 @@ type scheduler struct {
 }
 
 func newScheduler(k *Kernel) *scheduler {
-	return &scheduler{k: k, ready: make([][]*ThreadObj, k.Cfg.NumPriorities)}
+	return &scheduler{k: k, ready: make([][]*ThreadObj, NumPriorities)}
 }
 
 // effPrio computes a thread's effective priority: its loaded priority,

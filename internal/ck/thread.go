@@ -57,7 +57,7 @@ func (k *Kernel) LoadThread(e *hw.Exec, sid ObjID, st ThreadState, locked bool) 
 	if so.owner != caller && so != caller.space {
 		return 0, ErrNotOwner
 	}
-	if st.Priority < 0 || st.Priority >= k.Cfg.NumPriorities {
+	if st.Priority < 0 || st.Priority >= NumPriorities {
 		return 0, ErrBadPriority
 	}
 	if caller.attrs.MaxPrio > 0 && st.Priority > caller.attrs.MaxPrio {
@@ -230,7 +230,7 @@ func (k *Kernel) SetThreadPriority(e *hw.Exec, id ObjID, prio int) error {
 	if to.owner != caller && caller != k.first {
 		return ErrNotOwner
 	}
-	if prio < 0 || prio >= k.Cfg.NumPriorities {
+	if prio < 0 || prio >= NumPriorities {
 		return ErrBadPriority
 	}
 	if caller.attrs.MaxPrio > 0 && prio > caller.attrs.MaxPrio {

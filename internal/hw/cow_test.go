@@ -37,9 +37,9 @@ func TestCowForkStress(t *testing.T) {
 	if got := parent.SharedPages; got != imgFrames {
 		t.Fatalf("freeze shared %d frames, want %d", got, imgFrames)
 	}
-	parentBefore := make([]uint64, imgFrames)
+	parentBefore := make([][PageSize]byte, imgFrames)
 	for pfn := uint32(0); pfn < imgFrames; pfn++ {
-		parentBefore[pfn] = parent.FrameDigest(pfn)
+		parentBefore[pfn] = *parent.peek(pfn)
 	}
 
 	mems := make([]*PhysMem, forks)
@@ -104,10 +104,10 @@ func TestCowForkStress(t *testing.T) {
 
 	// The parent and the image never saw any fork's writes.
 	for pfn := uint32(0); pfn < imgFrames; pfn++ {
-		if got := parent.FrameDigest(pfn); got != parentBefore[pfn] {
+		if *parent.peek(pfn) != parentBefore[pfn] {
 			t.Fatalf("parent frame %d changed across forks", pfn)
 		}
-		if got := im.FrameDigest(pfn); got != parentBefore[pfn] {
+		if *im.PageBytes(pfn) != parentBefore[pfn] {
 			t.Fatalf("image frame %d changed across forks", pfn)
 		}
 	}
@@ -118,7 +118,7 @@ func TestCowForkStress(t *testing.T) {
 	}
 	// Writing the parent now privatizes its frame without touching the image.
 	parent.Write32(untouched*PageSize, 0xDEAD_0001)
-	if got := im.FrameDigest(untouched); got != parentBefore[untouched] {
+	if *im.PageBytes(untouched) != parentBefore[untouched] {
 		t.Fatal("parent write leaked into frozen image")
 	}
 }

@@ -54,21 +54,6 @@ type Exec struct {
 	devClock *sim.Clock // non-nil for device executions
 	finished bool
 	killed   bool
-
-	// mc is a one-entry translation micro-cache: the last (asid, vpn)
-	// pair this context translated through a TLB hit, valid only while
-	// the owning TLB's generation is unchanged. It short-circuits the
-	// host-side TLB lookup on the (dominant) repeated-page case while
-	// charging the identical cycles and recording the identical hit —
-	// a host data structure, not a change to the machine model.
-	mc struct {
-		tlb  *TLB
-		gen  uint64
-		asid uint16
-		ok   bool
-		vpn  uint32
-		pte  pagetable.PTE
-	}
 }
 
 type execExit struct{ e *Exec }
@@ -150,9 +135,6 @@ func (e *Exec) Exit() { panic(execExit{e}) }
 //
 //ckvet:allow chargepath a reset line is asynchronous hardware, not an instruction; the victim is charged nothing
 func (e *Exec) Kill() { e.killed = true }
-
-// Killed reports whether the context is marked for destruction.
-func (e *Exec) Killed() bool { return e.killed }
 
 // Charge advances virtual time by cycles and then delivers any pending
 // interrupts latched on the current CPU. The test is inline because
@@ -286,17 +268,14 @@ func (e *Exec) Translate(va uint32, write bool) (uint32, pagetable.PTE) {
 		e.Charge(CostInstr)
 		sp := e.Space
 		vpn := va >> PageShift
-		// Micro-cache fast path: same page, same TLB, no TLB mutation
-		// since the entry was cached. Only the pure-hit case is taken;
-		// anything needing TLB or table work (modified-bit upgrade,
-		// permission mismatch) falls through to the full path so the
-		// charge and statistics sequences stay identical.
-		if mc := &e.mc; mc.ok && mc.vpn == vpn && mc.asid == sp.ASID &&
-			mc.tlb == cpu.TLB && mc.gen == cpu.TLB.gen {
-			pte := mc.pte
-			if pte.Valid() && (!write || pte.Writable()) &&
-				!(write && pte&pagetable.PTEModified == 0) {
-				cpu.TLB.recordHit()
+		// The TLB's latest hit answers a repeat of its page without the
+		// index probe (see TLB.last). Only the pure hit is taken: a
+		// first write through a clean entry, or a permission mismatch,
+		// takes the full path, so the charges and counts stay those of
+		// a Lookup.
+		if l := cpu.TLB.last; l.valid && l.vpn == vpn && l.asid == sp.ASID {
+			if pte := l.pte; pte.Valid() && (!write || pte.Writable() && pte&pagetable.PTEModified != 0) {
+				cpu.TLB.Hits++
 				return pte.PFN()<<PageShift | va&(PageSize-1), pte
 			}
 		}
@@ -310,12 +289,6 @@ func (e *Exec) Translate(va uint32, write bool) (uint32, pagetable.PTE) {
 				e.Charge(CostMemHit + CostTLBFillPerLevel)
 				pte |= pagetable.PTEModified
 			}
-			e.mc.tlb = cpu.TLB
-			e.mc.gen = cpu.TLB.gen
-			e.mc.asid = sp.ASID
-			e.mc.vpn = vpn
-			e.mc.pte = pte
-			e.mc.ok = true
 			return pte.PFN()<<PageShift | va&(PageSize-1), pte
 		}
 		if hit {
@@ -352,23 +325,10 @@ func (e *Exec) Translate(va uint32, write bool) (uint32, pagetable.PTE) {
 	}
 }
 
-// Probe reports whether va currently translates (with write permission if
-// write is set) without faulting or charging time.
-func (e *Exec) Probe(va uint32, write bool) bool {
-	if e.Space == nil {
-		return false
-	}
-	pte, ok := e.Space.Table.Lookup(va)
-	return ok && (!write || pte.Writable())
-}
-
 // SetSpace switches the context's translation root, charging the
-// hardware's root-pointer reload cost. The translation micro-cache is
-// dropped: address-space identifiers may be reused by a later space, so
-// the cached tag cannot be trusted across a root switch.
+// hardware's root-pointer reload cost.
 func (e *Exec) SetSpace(s *Space) {
 	e.Space = s
-	e.mc.ok = false
 	e.Charge(CostSpaceSwitch)
 }
 

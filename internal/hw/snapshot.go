@@ -2,7 +2,6 @@ package hw
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"vpp/internal/pagetable"
 )
@@ -21,12 +20,11 @@ type TLBEntryState struct {
 }
 
 // TLBState is the complete state of one CPU's TLB: the entry array in
-// slot order, the round-robin replacement cursor, the mutation
-// generation and the accumulated statistics.
+// slot order, the round-robin replacement cursor and the accumulated
+// statistics.
 type TLBState struct {
 	Entries []TLBEntryState
 	Next    int
-	Gen     uint64
 	Hits    uint64
 	Misses  uint64
 }
@@ -36,7 +34,6 @@ func (t *TLB) State() TLBState {
 	st := TLBState{
 		Entries: make([]TLBEntryState, len(t.entries)),
 		Next:    t.next,
-		Gen:     t.gen,
 		Hits:    t.Hits,
 		Misses:  t.Misses,
 	}
@@ -73,7 +70,6 @@ func (t *TLB) Restore(st TLBState) error {
 		t.index[s] = int32(i) + 1
 	}
 	t.next = st.Next
-	t.gen = st.Gen
 	t.Hits = st.Hits
 	t.Misses = st.Misses
 	return nil
@@ -111,13 +107,15 @@ func (c *L2Cache) State() L2State {
 	return st
 }
 
-// Restore overwrites the cache with a captured state. Only the chunks
-// holding a captured tag are allocated.
+// Restore overwrites the cache with a captured state. The old chunks
+// are dropped, and only the chunks holding a captured tag are
+// allocated.
 func (c *L2Cache) Restore(st L2State) error {
 	if st.NTags < 0 || uint32(st.NTags) != c.lines {
 		return fmt.Errorf("hw: L2 restore size mismatch: %d tags into %d", st.NTags, c.lines)
 	}
-	c.FlushAll()
+	clear(c.chunks)
+	c.last = 0
 	for _, t := range st.Tags {
 		if t.Line < 0 || uint32(t.Line) >= c.lines {
 			return fmt.Errorf("hw: L2 restore line %d out of range", t.Line)
@@ -221,29 +219,4 @@ func (m *Machine) WarpClocks(cs ClockState) error {
 		}
 	}
 	return nil
-}
-
-// FrameDigest hashes one physical frame's contents (zero for a
-// never-touched frame). Fork-isolation oracles use it to assert a
-// parent's pages are untouched by its forks' writes.
-func (m *PhysMem) FrameDigest(pfn uint32) uint64 {
-	f := m.peek(pfn)
-	if f == nil {
-		return 0
-	}
-	h := fnv.New64a()
-	h.Write(f[:])
-	return h.Sum64()
-}
-
-// FrameDigest hashes one captured frame's contents; see
-// PhysMem.FrameDigest.
-func (im *FrameImage) FrameDigest(pfn uint32) uint64 {
-	f := im.PageBytes(pfn)
-	if f == nil {
-		return 0
-	}
-	h := fnv.New64a()
-	h.Write(f[:])
-	return h.Sum64()
 }

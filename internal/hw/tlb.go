@@ -14,16 +14,20 @@ import "vpp/internal/pagetable"
 // entry's position+1 (0 is empty), with backward-shift deletion so a
 // probe run never holds a hole. Replacement order, eviction victims and
 // hit/miss statistics are exactly those of the original linear scan;
-// only the host cost of finding an entry changes. The generation
-// counter lets per-Exec translation micro-caches (see Exec.Translate)
-// validate themselves cheaply: any mutation that could change the
-// outcome of a lookup bumps it.
+// only the host cost of finding an entry changes.
+//
+// last is the entry of the most recent Lookup hit, which Exec.Translate
+// checks before probing the index: a repeat of the page is the common
+// case. No two valid entries share an (asid, vpn) pair (Insert
+// overwrites in place and Restore refuses duplicates), so a valid entry
+// with the wanted tag is exactly what Lookup would return, and no
+// mutation has to reset last.
 type TLB struct {
 	entries []tlbEntry
 	index   []int32 // open-addressed: valid entry position+1, 0 = empty
 	shift   uint    // 64 - log2(len(index)): the hash keeps the top bits
 	next    int
-	gen     uint64
+	last    *tlbEntry // never nil: it points into entries
 
 	// Hits and Misses count lookups since the TLB was built (or
 	// restored from a snapshot); nothing resets them.
@@ -49,11 +53,13 @@ func NewTLB(n int) *TLB {
 	for 1<<bits < 4*n {
 		bits++
 	}
-	return &TLB{
+	t := &TLB{
 		entries: make([]tlbEntry, n),
 		index:   make([]int32, 1<<bits),
 		shift:   64 - bits,
 	}
+	t.last = &t.entries[0]
+	return t
 }
 
 // home is (asid, vpn)'s first index slot: a Fibonacci hash of the
@@ -93,23 +99,16 @@ func (t *TLB) unindex(s int) {
 	t.index[s] = 0
 }
 
-// Gen reports the TLB's mutation generation. A cached lookup result is
-// only valid while the generation is unchanged.
-func (t *TLB) Gen() uint64 { return t.gen }
-
 // Lookup searches for (asid, vpn); ok reports a hit.
 func (t *TLB) Lookup(asid uint16, vpn uint32) (pagetable.PTE, bool) {
 	if s, ok := t.find(asid, vpn); ok {
 		t.Hits++
-		return t.entries[t.index[s]-1].pte, true
+		t.last = &t.entries[t.index[s]-1]
+		return t.last.pte, true
 	}
 	t.Misses++
 	return 0, false
 }
-
-// recordHit accounts a model-level TLB hit that was answered by a
-// translation micro-cache without consulting the entry array.
-func (t *TLB) recordHit() { t.Hits++ }
 
 // Insert fills an entry for (asid, vpn), evicting round-robin.
 func (t *TLB) Insert(asid uint16, vpn uint32, pte pagetable.PTE) {
@@ -118,14 +117,12 @@ func (t *TLB) Insert(asid uint16, vpn uint32, pte pagetable.PTE) {
 	// permission upgrade takes effect immediately.
 	if ok {
 		t.entries[t.index[s]-1].pte = pte
-		t.gen++
 		return
 	}
 	victim := &t.entries[t.next]
 	if victim.valid {
 		vs, _ := t.find(victim.asid, victim.vpn)
 		t.unindex(vs)
-		t.gen++
 		// The shift may have opened a slot earlier on the new key's
 		// probe run than s.
 		s, _ = t.find(asid, vpn)
@@ -140,7 +137,6 @@ func (t *TLB) InvalidatePage(asid uint16, vpn uint32) {
 	if s, ok := t.find(asid, vpn); ok {
 		t.entries[t.index[s]-1].valid = false
 		t.unindex(s)
-		t.gen++
 	}
 }
 
@@ -153,7 +149,6 @@ func (t *TLB) InvalidateSpace(asid uint16) {
 			e.valid = false
 		}
 	}
-	t.gen++
 }
 
 // InvalidateAll flushes the TLB.
@@ -162,5 +157,4 @@ func (t *TLB) InvalidateAll() {
 		t.entries[i].valid = false
 	}
 	clear(t.index)
-	t.gen++
 }

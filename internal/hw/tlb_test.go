@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -287,9 +288,10 @@ func TestTLBMatchesLinearReference(t *testing.T) {
 	}
 }
 
-// TestTranslateMicroCacheCoherence checks that the per-Exec translation
-// micro-cache never serves a stale translation: a TLB shootdown or a
-// space switch must force the next access back through the full path.
+// TestTranslateMicroCacheCoherence checks that Translate's check of the
+// TLB's latest hit never serves a stale translation: after a TLB
+// shootdown or a space switch the next access must find the new
+// mapping.
 func TestTranslateMicroCacheCoherence(t *testing.T) {
 	m := NewMachine(DefaultConfig())
 	mpm := m.MPMs[0]
@@ -303,7 +305,7 @@ func TestTranslateMicroCacheCoherence(t *testing.T) {
 	e := mpm.NewExec("mc", func(e *Exec) {
 		e.Space = spA
 		// Fill, then hit twice: the second and third translations are
-		// answered by the micro-cache but still count as TLB hits.
+		// answered by the latest-hit check but still count as TLB hits.
 		e.Translate(0x100_0000, false)
 		h0 := e.CPU.TLB.Hits
 		pa, _ := e.Translate(0x100_0000, false)
@@ -312,7 +314,7 @@ func TestTranslateMicroCacheCoherence(t *testing.T) {
 		}
 		e.Translate(0x100_0000, false)
 		if h1 := e.CPU.TLB.Hits; h1 != h0+2 {
-			t.Errorf("micro-cache hits not counted: %d -> %d", h0, h1)
+			t.Errorf("latest-hit check's hits not counted: %d -> %d", h0, h1)
 		}
 
 		// Remap the page and shoot down the TLB entry: the next access
@@ -324,8 +326,8 @@ func TestTranslateMicroCacheCoherence(t *testing.T) {
 			t.Errorf("stale translation after shootdown: pa = %#x", pa)
 		}
 
-		// A space switch drops the micro-cache even though the virtual
-		// address is identical.
+		// A space switch changes the tag the latest hit must match even
+		// though the virtual address is identical.
 		e.SetSpace(spB)
 		if pa, _ := e.Translate(0x100_0000, false); pa != 700<<PageShift {
 			t.Errorf("stale translation after space switch: pa = %#x", pa)
@@ -336,7 +338,8 @@ func TestTranslateMicroCacheCoherence(t *testing.T) {
 		}
 
 		// First write through a clean entry takes the modified-bit
-		// upgrade path, not the micro-cache, and marks the page dirty.
+		// upgrade path, not the latest-hit check, and marks the page
+		// dirty.
 		if pa, wpte := e.Translate(0x100_0000, true); pa != 640<<PageShift || wpte&pagetable.PTEModified == 0 {
 			t.Errorf("write upgrade: pa=%#x pte=%#x", pa, wpte)
 		}
@@ -344,5 +347,193 @@ func TestTranslateMicroCacheCoherence(t *testing.T) {
 	mpm.CPUs[0].Dispatch(e)
 	if err := m.Run(math.MaxUint64); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTranslateMatchesLookup drives Translate on a two-CPU MPM through
+// a seeded stream of repeated pages, new pages that evict, writes
+// through clean entries, page and space shootdowns, whole-TLB flushes,
+// restores of earlier TLB states, switches between two spaces that map
+// the same addresses, and moves of the context between the CPUs. In
+// lockstep, a reference translate runs the same steps on a clone of
+// each TLB and of each page table. After every step the translation,
+// its PTE and each TLB's counts and state must match the clone's: the
+// latest-hit check answers exactly what Lookup answers.
+func TestTranslateMatchesLookup(t *testing.T) {
+	const (
+		pages = 24 // per space, three times the TLB
+		base  = 0x100_0000
+	)
+	cfg := DefaultConfig()
+	cfg.CPUsPerMPM = 2
+	cfg.TLBEntries = 8
+	m := NewMachine(cfg)
+	mpm := m.MPMs[0]
+	// pteFor maps page i of space s clean; one page in three is
+	// read-only.
+	pteFor := func(s, i uint32) pagetable.PTE {
+		flags := pagetable.PTEValid | pagetable.PTEWrite
+		if i%3 == 0 {
+			flags = pagetable.PTEValid
+		}
+		return pte(1000*(s+1)+i, flags)
+	}
+	spaces := func() []*Space {
+		sps := make([]*Space, 2)
+		for s := range sps {
+			tbl, _ := pagetable.New(nil)
+			for i := uint32(0); i < pages; i++ {
+				tbl.Insert(base+i<<PageShift, pteFor(uint32(s), i))
+			}
+			sps[s] = &Space{Table: tbl, ASID: uint16(s + 1)}
+		}
+		return sps
+	}
+	sps, refSps := spaces(), spaces()
+	// refTranslate is Translate without the latest-hit check and
+	// without charges: only Lookup, Insert and the page table. Every
+	// access the stream makes translates.
+	upgrades := 0
+	refTranslate := func(tlb *TLB, sp *Space, va uint32, write bool) (uint32, pagetable.PTE, error) {
+		vpn := va >> PageShift
+		for {
+			pte, hit := tlb.Lookup(sp.ASID, vpn)
+			if hit {
+				if !pte.Valid() || write && !pte.Writable() {
+					return 0, 0, fmt.Errorf("reference: TLB entry %#x for va %#x refuses the access", pte, va)
+				}
+				if write && pte&pagetable.PTEModified == 0 {
+					upgrades++
+					sp.Table.SetRM(va, true)
+					pte |= pagetable.PTEModified
+					tlb.Insert(sp.ASID, vpn, pte)
+				}
+				return pte.PFN()<<PageShift | va&(PageSize-1), pte, nil
+			}
+			wpte, ok := sp.Table.Lookup(va)
+			if !ok || write && !wpte.Writable() {
+				return 0, 0, fmt.Errorf("reference: va %#x does not translate", va)
+			}
+			sp.Table.SetRM(va, write)
+			if write {
+				wpte |= pagetable.PTEModified
+			}
+			tlb.Insert(sp.ASID, vpn, wpte|pagetable.PTEReferenced)
+		}
+	}
+	refs := make([]*TLB, len(mpm.CPUs))
+	for i, c := range mpm.CPUs {
+		refs[i] = NewTLB(cfg.TLBEntries)
+		if err := refs[i].Restore(c.TLB.State()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(31))
+	steps := map[string]int{}
+	// The body runs on the engine's coroutine, so it records the first
+	// mismatch and returns; the test fails after Run.
+	var failure error
+	e := mpm.NewExec("lockstep", func(e *Exec) {
+		cur := 0 // index of e.Space in sps and refSps
+		e.SetSpace(sps[cur])
+		va := uint32(base)
+		var saved []TLBState
+		for op := 0; op < 6000; op++ {
+			var step string
+			switch r := rng.Intn(100); {
+			case r < 40:
+				step = "repeat"
+			case r < 70:
+				step = "new page"
+				va = base + uint32(rng.Intn(pages))<<PageShift + uint32(rng.Intn(PageSize/4))*4
+			case r < 78:
+				step = "clean page"
+				i := uint32(rng.Intn(pages))
+				sps[cur].Table.Insert(base+i<<PageShift, pteFor(uint32(cur), i))
+				refSps[cur].Table.Insert(base+i<<PageShift, pteFor(uint32(cur), i))
+				mpm.FlushTLBPage(sps[cur].ASID, base>>PageShift+i)
+				for _, ref := range refs {
+					ref.InvalidatePage(sps[cur].ASID, base>>PageShift+i)
+				}
+			case r < 81:
+				step = "flush space"
+				asid := uint16(rng.Intn(2) + 1)
+				mpm.FlushTLBSpace(asid)
+				for _, ref := range refs {
+					ref.InvalidateSpace(asid)
+				}
+			case r < 83:
+				step = "flush all"
+				e.CPU.TLB.InvalidateAll()
+				refs[e.CPU.Index].InvalidateAll()
+			case r < 88:
+				if len(saved) == 0 || rng.Intn(2) == 0 {
+					step = "save"
+					saved = append(saved, e.CPU.TLB.State())
+					break
+				}
+				step = "restore"
+				st := saved[rng.Intn(len(saved))]
+				if err := e.CPU.TLB.Restore(st); err != nil {
+					failure = fmt.Errorf("op %d: restore: %v", op, err)
+					return
+				}
+				if err := refs[e.CPU.Index].Restore(st); err != nil {
+					failure = fmt.Errorf("op %d: reference restore: %v", op, err)
+					return
+				}
+			case r < 94:
+				step = "switch space"
+				cur = 1 - cur
+				e.SetSpace(sps[cur])
+			default:
+				step = "move"
+				from, to := e.CPU, mpm.CPUs[1-e.CPU.Index]
+				m.Engine.ScheduleAt(e.Now(), func() {
+					to.Clock.AdvanceTo(from.Clock.Now())
+					to.Dispatch(e)
+				})
+				e.Park()
+			}
+			steps[step]++
+			write := (va>>PageShift-base>>PageShift)%3 != 0 && rng.Intn(3) == 0
+			pa, got := e.Translate(va, write)
+			wantPA, want, err := refTranslate(refs[e.CPU.Index], refSps[cur], va, write)
+			if err != nil {
+				failure = fmt.Errorf("op %d (%s): %v", op, step, err)
+				return
+			}
+			if pa != wantPA || got != want {
+				failure = fmt.Errorf("op %d (%s): Translate(%#x, %v) = (%#x, %#x), reference (%#x, %#x)",
+					op, step, va, write, pa, got, wantPA, want)
+				return
+			}
+			for i, c := range mpm.CPUs {
+				if c.TLB.Hits != refs[i].Hits || c.TLB.Misses != refs[i].Misses {
+					failure = fmt.Errorf("op %d (%s): cpu %d counts %d hits %d misses, reference %d %d",
+						op, step, i, c.TLB.Hits, c.TLB.Misses, refs[i].Hits, refs[i].Misses)
+					return
+				}
+				if got, want := c.TLB.State(), refs[i].State(); !reflect.DeepEqual(got, want) {
+					failure = fmt.Errorf("op %d (%s): cpu %d TLB state\n%+v\nreference\n%+v", op, step, i, got, want)
+					return
+				}
+			}
+		}
+	})
+	mpm.CPUs[0].Dispatch(e)
+	if err := m.Run(math.MaxUint64); err != nil {
+		t.Fatal(err)
+	}
+	if failure != nil {
+		t.Fatal(failure)
+	}
+	for _, step := range []string{"repeat", "new page", "clean page", "flush space", "flush all", "restore", "switch space", "move"} {
+		if steps[step] < 20 {
+			t.Errorf("stream took step %q %d times", step, steps[step])
+		}
+	}
+	if upgrades < 20 {
+		t.Errorf("stream wrote through a clean entry %d times", upgrades)
 	}
 }

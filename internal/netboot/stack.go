@@ -40,7 +40,6 @@ type UDPConn struct {
 	stack *Stack
 	Port  uint16
 	queue []Datagram
-	onRx  func() // arrival callback, engine/coroutine context
 }
 
 // Datagram is a received UDP payload with its source.
@@ -171,9 +170,6 @@ func (s *Stack) handleIP(e *hw.Exec, f Frame) {
 		Src: h.Src, SrcPort: u.SrcPort,
 		Payload: append([]byte(nil), u.Payload...),
 	})
-	if conn.onRx != nil {
-		conn.onRx()
-	}
 }
 
 func (s *Stack) sendFrame(e *hw.Exec, dst dev.MAC, etype uint16, payload []byte) {
@@ -238,6 +234,3 @@ func (c *UDPConn) Recv(e *hw.Exec, timeout uint64) (Datagram, bool) {
 	c.queue = c.queue[:len(c.queue)-1]
 	return d, true
 }
-
-// SetOnRx installs an arrival callback for event-driven receivers.
-func (c *UDPConn) SetOnRx(fn func()) { c.onRx = fn }

@@ -235,12 +235,6 @@ func (e *Engine) DeliverAt(t uint64, fn func()) {
 	e.queue.push(entry{at: t, key: e.seq, fn: fn})
 }
 
-// ScheduleAfter registers fn to run d cycles after the engine's current
-// global time.
-func (e *Engine) ScheduleAfter(d uint64, fn func()) {
-	e.ScheduleAt(e.now+d, fn)
-}
-
 // ErrMaxSteps reports that Run stopped because the step guard tripped.
 var ErrMaxSteps = errors.New("sim: exceeded MaxSteps scheduling decisions")
 

@@ -311,9 +311,6 @@ func (s *SRM) AddService(e *hw.Exec, name string, prio int, body func(e *hw.Exec
 	return t, nil
 }
 
-// Service reports an installed service thread by name.
-func (s *SRM) Service(name string) *aklib.Thread { return s.services[name] }
-
 // ServiceDead reports whether a service's execution context died
 // without being restarted — a kill fault landed on it while it ran. A
 // whole-kernel crash is the guardian's business (Recover replays every

@@ -43,9 +43,6 @@ func (env *ProcEnv) Sleep(ms uint32) {
 	env.e.Trap(SysSleep, ms)
 }
 
-// Yield charges a scheduling hint trap.
-func (env *ProcEnv) Yield() { env.e.Trap(SysYield) }
-
 // Open opens (creat=false) or creates a file by path; the path string
 // is written into process memory first, as a real libc would.
 func (env *ProcEnv) Open(path string, creat bool) (int, uint32) {
@@ -135,9 +132,6 @@ func (env *ProcEnv) Touch(va uint32, w bool) { env.e.Touch(va, w) }
 
 // HeapBase reports the bottom of the heap segment.
 func (env *ProcEnv) HeapBase() uint32 { return DataBase }
-
-// StackTop reports the top of the stack segment.
-func (env *ProcEnv) StackTop() uint32 { return StackBase + StackPages*hw.PageSize }
 
 // pushString stores s (NUL-terminated) at a scratch position near the
 // bottom of the stack segment and returns its address.
