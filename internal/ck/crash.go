@@ -32,19 +32,18 @@ func (k *Kernel) Crash() {
 		cpu.Pending = 0
 	}
 	// Release every loaded space's translation tree back to local RAM
-	// and flush its TLB footprint; the descriptor caches themselves are
-	// reused in place.
+	// and flush its TLB footprint, and drop its designation link; the
+	// descriptor caches themselves are reused in place.
 	k.spaces.forEach(func(_ int32, so *SpaceObj) bool {
 		so.hw.Table.Release()
 		k.MPM.FlushTLBSpace(so.hw.ASID)
+		so.kernel = nil
 		return true
 	})
 	k.kernels.wipe()
 	k.spaces.wipe()
 	k.threads.wipe()
 	k.pm = newPMap(k.Cfg.MappingSlots, k.Cfg.PMapBuckets)
-	k.spaceByHW = make(map[*hw.Space]*SpaceObj)
-	k.kernelBySpace = make(map[*SpaceObj]*KernelObj)
 	k.first = nil
 	// The ready queues go with the old scheduler; their threads are
 	// stale objects now, and their queued flags must say so.

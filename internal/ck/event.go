@@ -14,7 +14,7 @@ type EventKind uint8
 // injected fault (internal/chaos), and the SRM's crash recovery and
 // migration (§3), which the SRM emits on its kernel's stream.
 const (
-	EvDispatch              EventKind = iota // Obj thread, A CPU index, Name execution
+	EvDispatch              EventKind = iota // Obj thread, A CPU index, Name execution, NameID its index
 	EvFault                                  // Obj space, A va, B hw.Fault, Name execution
 	EvForward                                // Name handler kernel
 	EvHandled                                // A 1 if the handler resumes the thread
@@ -67,14 +67,19 @@ func (k EventKind) String() string {
 
 // Event is one typed record of the Cache Kernel's event stream. At is
 // the virtual time in cycles of the context that raised it; the meaning
-// of Obj, A, B and Name depends on Kind (see the kind constants).
-// Emitting an event formats nothing: only printers call Detail.
+// of Obj, A, B, Name and NameID depends on Kind (see the kind
+// constants). NameID is the index of an execution's name in its
+// engine's name table (sim.Coro.NameID), so an observer can keep
+// per-execution state in a slice; a plain int, two runs' event logs
+// compare equal. Emitting an event formats nothing: only printers call
+// Detail.
 type Event struct {
-	At   uint64
-	Kind EventKind
-	Obj  ObjID
-	A, B uint64
-	Name string
+	At     uint64
+	Kind   EventKind
+	Obj    ObjID
+	A, B   uint64
+	Name   string
+	NameID int
 }
 
 // Detail renders the event's narration text, as cktrace and ckos -v

@@ -18,7 +18,7 @@ import (
 // context; when it returns, the hardware retries the access.
 func (k *Kernel) AccessError(e *hw.Exec, va uint32, write bool, f hw.Fault) {
 	k.Stats.Faults++
-	so := k.spaceByHW[e.Space]
+	so := k.spaceOf(e.Space)
 	if so == nil {
 		panic(fmt.Sprintf("ck: fault in unknown space (exec %q, va %#x)", e.Name, va))
 	}

@@ -77,17 +77,22 @@ func (k *Kernel) CheckInvariants() error {
 		return err
 	}
 
-	// Spaces: containment and page counts. The pmap records are checked
-	// against the page tables below.
-	liveSpaces, mappedPages := 0, 0
+	// Spaces: containment, page counts and the links that give code
+	// running in a space its authority. The pmap records are checked
+	// against the page tables below. A stale link would let a
+	// reclaimed descriptor act with a dead kernel's authority
+	// (callerKernel resolves through spaceOf and the designation link).
+	mappedPages := 0
 	k.spaces.forEach(func(idx int32, so *SpaceObj) bool {
-		liveSpaces++
 		mappedPages += so.mappings
 		if !k.kernels.valid(so.owner.slot, so.owner.id.gen()) {
 			fail("space %v owned by unloaded kernel", so.id)
 		}
-		if k.spaceByHW[so.hw] != so {
-			fail("space %v missing from the hardware-space index", so.id)
+		if k.spaceOf(so.hw) != so {
+			fail("space %v is not found by its ASID %d", so.id, so.hw.ASID)
+		}
+		if ko := so.kernel; ko != nil && (!k.kernels.valid(ko.slot, ko.id.gen()) || k.kernels.at(ko.slot) != ko || ko.space != so) {
+			fail("space %v designated by kernel %q, which is unloaded or designates another space", so.id, ko.attrs.Name)
 		}
 		n := 0
 		so.hw.Table.Walk(func(uint32, pagetable.PTE) bool {
@@ -102,13 +107,6 @@ func (k *Kernel) CheckInvariants() error {
 	if err != nil {
 		return err
 	}
-	// The derived indexes hold exactly the live objects: a stale entry
-	// would let a reclaimed descriptor act with a dead kernel's
-	// authority (callerKernel resolves through these maps).
-	if len(k.spaceByHW) != liveSpaces {
-		return fmt.Errorf("invariant: spaceByHW has %d entries for %d loaded spaces", len(k.spaceByHW), liveSpaces)
-	}
-	designated := 0
 	k.kernels.forEach(func(_ int32, ko *KernelObj) bool {
 		if ko.space == nil {
 			return true
@@ -117,18 +115,14 @@ func (k *Kernel) CheckInvariants() error {
 			fail("kernel %q designates unloaded space %v", ko.attrs.Name, ko.space.id)
 			return false
 		}
-		if k.kernelBySpace[ko.space] != ko {
-			fail("kernel %q missing from the designated-space index", ko.attrs.Name)
+		if ko.space.kernel != ko {
+			fail("kernel %q designates space %v, whose designation link is not the kernel", ko.attrs.Name, ko.space.id)
 			return false
 		}
-		designated++
 		return true
 	})
 	if err != nil {
 		return err
-	}
-	if len(k.kernelBySpace) != designated {
-		return fmt.Errorf("invariant: kernelBySpace has %d entries for %d designated spaces", len(k.kernelBySpace), designated)
 	}
 
 	// Every live pmap record is consistent; totals match. Only allocated

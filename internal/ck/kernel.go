@@ -53,14 +53,9 @@ type Kernel struct {
 	// checks the reverse-TLB relies on (paper §4.1-4.2).
 	pmVersion uint64
 
-	spaceByHW map[*hw.Space]*SpaceObj
-	// kernelBySpace maps a kernel's designated address space back to the
-	// kernel, so code executing in that space acts with that kernel's
-	// authority (trap handlers, fault handlers).
-	kernelBySpace map[*SpaceObj]*KernelObj
-	first         *KernelObj
-	sched         *scheduler
-	rtlbs         []*rtlb
+	first *KernelObj
+	sched *scheduler
+	rtlbs []*rtlb
 
 	// inCalls counts Cache Kernel operations currently in flight on any
 	// processor. Kernel calls yield at every cycle charge, so another
@@ -113,14 +108,12 @@ func New(mpm *hw.MPM, cfg Config) (*Kernel, error) {
 		return nil, fmt.Errorf("ck: descriptor caches (%d bytes) exceed local RAM", descriptorBytes(cfg))
 	}
 	k := &Kernel{
-		MPM:           mpm,
-		Cfg:           cfg,
-		kernels:       newObjCache[*KernelObj]("kernels", cfg.KernelSlots),
-		spaces:        newObjCache[*SpaceObj]("spaces", cfg.SpaceSlots),
-		threads:       newObjCache[*ThreadObj]("threads", cfg.ThreadSlots),
-		pm:            newPMap(cfg.MappingSlots, cfg.PMapBuckets),
-		spaceByHW:     make(map[*hw.Space]*SpaceObj),
-		kernelBySpace: make(map[*SpaceObj]*KernelObj),
+		MPM:     mpm,
+		Cfg:     cfg,
+		kernels: newObjCache[*KernelObj]("kernels", cfg.KernelSlots),
+		spaces:  newObjCache[*SpaceObj]("spaces", cfg.SpaceSlots),
+		threads: newObjCache[*ThreadObj]("threads", cfg.ThreadSlots),
+		pm:      newPMap(cfg.MappingSlots, cfg.PMapBuckets),
 	}
 	k.sched = newScheduler(k)
 	for range mpm.CPUs {
@@ -159,14 +152,29 @@ func (k *Kernel) exit(e *hw.Exec, prev hw.Mode) {
 	e.Charge(hw.CostTrapExit)
 }
 
+// spaceOf returns the loaded space whose hardware view is sp, or nil.
+// A space's ASID is its slot plus one (newSpaceObj), so the slot names
+// the only candidate; the pointer comparison rejects an hw.Space that
+// slot no longer holds — a stale view of an unloaded space, or another
+// Cache Kernel's — so it never acts with the authority of the space
+// loaded there now. The lookup counts no cache hit: it resolves an
+// execution's context, not an identifier.
+func (k *Kernel) spaceOf(sp *hw.Space) *SpaceObj {
+	if sp == nil {
+		return nil
+	}
+	if so, ok := k.spaces.peek(int32(sp.ASID) - 1); ok && so != nil && so.hw == sp {
+		return so
+	}
+	return nil
+}
+
 // callerKernel resolves the application kernel on whose behalf e runs:
 // code executing in a kernel's designated address space acts as that
 // kernel (the forwarded-handler case); otherwise the thread's owner.
 func (k *Kernel) callerKernel(e *hw.Exec) (*KernelObj, error) {
-	if so := k.spaceByHW[e.Space]; so != nil {
-		if ko := k.kernelBySpace[so]; ko != nil {
-			return ko, nil
-		}
+	if so := k.spaceOf(e.Space); so != nil && so.kernel != nil {
+		return so.kernel, nil
 	}
 	th, _ := e.User.(*ThreadObj)
 	if th == nil || th.owner == nil {
@@ -267,13 +275,13 @@ func (k *Kernel) bumpVersion() { k.pmVersion++ }
 // any other trap is forwarded to the kernel owning the current space
 // (paper §2.3).
 func (k *Kernel) Syscall(e *hw.Exec, no uint32, args []uint32) (uint32, uint32) {
-	so := k.spaceByHW[e.Space]
+	so := k.spaceOf(e.Space)
 	if so == nil {
 		panic(fmt.Sprintf("ck: trap from %q in unknown space", e.Name))
 	}
 	owner := so.owner
 	th := k.threadOf(e)
-	if k.kernelBySpace[so] != nil {
+	if so.kernel != nil {
 		// Executing inside an application kernel's own address space:
 		// the trap is a Cache Kernel call. Kernels make their calls
 		// through the Go API, so no call has a trap number.

@@ -56,7 +56,7 @@ func (k *Kernel) Boot(attrs KernelAttrs, prio int, body func(*hw.Exec)) (BootInf
 		return BootInfo{}, err
 	}
 	ko.space = so
-	k.kernelBySpace[so] = ko
+	so.kernel = ko
 	k.spaces.setLocked(so.slot, true)
 
 	exec := k.MPM.NewExec(attrs.Name+"/boot", body)
@@ -203,7 +203,7 @@ func (k *Kernel) reclaimKernel(e *hw.Exec, ko *KernelObj, wbDeps, wbSelf bool) {
 		k.releaseLock(ko.owner, lockQuotaKernel)
 	}
 	if ko.space != nil {
-		delete(k.kernelBySpace, ko.space)
+		ko.space.kernel = nil
 	}
 	id := ko.id
 	k.kernels.release(ko.slot)
@@ -242,10 +242,10 @@ func (k *Kernel) SetKernelSpace(e *hw.Exec, kid, sid ObjID) error {
 	}
 	e.ChargeNoIntr(costDescInit)
 	if ko.space != nil {
-		delete(k.kernelBySpace, ko.space)
+		ko.space.kernel = nil
 	}
 	ko.space = so
-	k.kernelBySpace[so] = ko
+	so.kernel = ko
 	return nil
 }
 

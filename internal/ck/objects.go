@@ -191,6 +191,10 @@ type SpaceObj struct {
 	slot  int32
 	owner *KernelObj
 	hw    *hw.Space
+	// kernel is the kernel that designates this space as its own
+	// (SetKernelSpace), nil if none: code executing in the space acts
+	// with that kernel's authority (trap handlers, fault handlers).
+	kernel *KernelObj
 
 	mappings int // loaded physical-to-virtual records
 	threads  map[int32]*ThreadObj

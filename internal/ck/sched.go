@@ -183,7 +183,8 @@ func (s *scheduler) dispatch(cpu *hw.CPU, t *ThreadObj) {
 	// same-priority contention.
 	cpu.ArmTimerAt(cpu.Clock.Now() + s.k.Cfg.TimeSlice)
 	if len(s.k.observers) != 0 {
-		s.k.Emit(Event{At: cpu.Clock.Now(), Kind: EvDispatch, Obj: t.id, A: uint64(cpu.Index), Name: t.exec.Name})
+		s.k.Emit(Event{At: cpu.Clock.Now(), Kind: EvDispatch, Obj: t.id, A: uint64(cpu.Index),
+			Name: t.exec.Name, NameID: t.exec.Coro().NameID()})
 	}
 }
 

@@ -418,7 +418,6 @@ func (k *Kernel) RestoreState(st *State, bind func(name string) KernelAttrs) err
 			mappings: rec.Mappings,
 			threads:  make(map[int32]*ThreadObj),
 		}
-		k.spaceByHW[so.hw] = so
 		owner.spaces[slot] = so
 		return so, nil
 	})
@@ -443,7 +442,7 @@ func (k *Kernel) RestoreState(st *State, bind func(name string) KernelAttrs) err
 				return fmt.Errorf("ck: restore: kernel slot %d names unloaded space slot %d", rec.Slot, rec.SpaceSlot)
 			}
 			ko.space = so
-			k.kernelBySpace[so] = ko
+			so.kernel = ko
 		}
 	}
 	// Threads: shape only — the capture precondition guarantees no

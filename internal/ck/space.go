@@ -33,7 +33,6 @@ func (k *Kernel) newSpaceObj(e *hw.Exec, owner *KernelObj) (*SpaceObj, error) {
 		threads: make(map[int32]*ThreadObj),
 	}
 	k.spaces.set(slot, so)
-	k.spaceByHW[so.hw] = so
 	owner.spaces[slot] = so
 	k.Stats.SpaceLoads++
 	return so, nil
@@ -99,7 +98,7 @@ func (k *Kernel) UnloadSpace(e *hw.Exec, id ObjID) error {
 func (k *Kernel) evictSpace(e *hw.Exec) error {
 	var exclude [2]*SpaceObj
 	if e != nil {
-		exclude[0] = k.spaceByHW[e.Space]
+		exclude[0] = k.spaceOf(e.Space)
 		if th := k.threadOf(e); th != nil {
 			exclude[1] = th.space
 		}
@@ -150,8 +149,7 @@ func (k *Kernel) reclaimSpace(e *hw.Exec, so *SpaceObj, wbDeps, wbSelf bool) {
 	if k.spaces.lockedSlot(so.slot) && so != k.first.space {
 		k.releaseLock(so.owner, lockQuotaSpace)
 	}
-	delete(k.spaceByHW, so.hw)
-	delete(k.kernelBySpace, so)
+	so.kernel = nil
 	delete(so.owner.spaces, so.slot)
 	so.hw.Table.Release()
 	id := so.id

@@ -55,9 +55,10 @@ type migMsg struct {
 	rec      *srm.Launched
 	pr       *podRec
 	from, to int
-	// execName is the main thread's execution-context name, the key the
-	// destination's dispatch hook watches for first resume.
-	execName string
+	// exec is the index of the main thread's execution-context name
+	// (sim.Engine.NameID), the slot the destination's dispatch hook
+	// watches for first resume.
+	exec int
 	// srcLast is the last source-side dispatch of the pod's main;
 	// expelAt/adoptAt/firstAt complete the protocol timeline.
 	srcLast uint64
@@ -260,15 +261,16 @@ func (n *Node) trackDispatch(ev ck.Event) {
 	if ev.Kind != ck.EvDispatch {
 		return
 	}
-	n.lastDispatch[ev.Name] = ev.At
-	if len(n.awaitFirst) == 0 {
+	id := ev.NameID
+	for id >= len(n.lastDispatch) {
+		n.lastDispatch = append(n.lastDispatch, 0)
+	}
+	n.lastDispatch[id] = ev.At
+	if id >= len(n.awaitFirst) || n.awaitFirst[id] == nil {
 		return
 	}
-	m, ok := n.awaitFirst[ev.Name]
-	if !ok {
-		return
-	}
-	delete(n.awaitFirst, ev.Name)
+	m := n.awaitFirst[id]
+	n.awaitFirst[id] = nil
 	m.firstAt = ev.At
 	// Engine context: the migrated main just resumed on a CPU of this
 	// module. Close the measurement and tell the controller.
@@ -318,13 +320,14 @@ func (n *Node) ensure(se *hw.Exec, c *command) error {
 		if c.fresh {
 			pr.pod.Beats, pr.pod.Done, pr.pod.AtHorizon = 0, false, false
 		}
-		_, err := n.SRM.Launch(se, c.name, srm.LaunchOpts{
+		l, err := n.SRM.Launch(se, c.name, srm.LaunchOpts{
 			Groups: pr.spec.Groups, MainPrio: pr.spec.MainPrio,
 		}, n.beatBody(pr))
 		if err != nil {
 			return err
 		}
 		pr.gen++
+		pr.rec = l
 		n.hosted[c.inst] = pr
 		return nil
 	}
@@ -334,6 +337,7 @@ func (n *Node) ensure(se *hw.Exec, c *command) error {
 		pr = &podRec{spec: c.spec, pod: &Pod{Name: c.name}}
 		n.hosted[c.inst] = pr
 	}
+	pr.rec = l
 	if c.fresh {
 		pr.pod.Beats, pr.pod.Done, pr.pod.AtHorizon = 0, false, false
 	}
@@ -378,17 +382,21 @@ func (n *Node) migrateOut(se *hw.Exec, c *command) {
 		fail(fmt.Errorf("%w: %q", srm.ErrUnknownKernel, c.name))
 		return
 	}
-	execName := l.AK.Name + "/main"
-	srcLast := n.lastDispatch[execName]
+	exec := n.MPM.Engine.NameID(l.AK.Name + "/main")
+	var srcLast uint64
+	if exec < len(n.lastDispatch) {
+		srcLast = n.lastDispatch[exec]
+	}
 	rec, err := n.SRM.Expel(se, c.name)
 	if err != nil {
 		fail(err)
 		return
 	}
 	n.hosted[c.inst] = nil
+	pr.rec = nil
 	m := &migMsg{
 		inst: c.inst, rec: rec, pr: pr,
-		from: n.Idx, to: c.dst, execName: execName,
+		from: n.Idx, to: c.dst, exec: exec,
 		srcLast: srcLast, expelAt: se.Now(),
 	}
 	dst := n.cl.Nodes[c.dst]
@@ -400,12 +408,18 @@ func (n *Node) migrateOut(se *hw.Exec, c *command) {
 func (n *Node) adopt(se *hw.Exec, m *migMsg) {
 	// Host-side state first: if a crash lands mid-Adopt, the replayed
 	// agent still knows about the pod it was taking in (Adopt itself
-	// registers the records before reloading, for the same reason).
+	// registers the records before reloading, for the same reason, so
+	// the pod's stored record is already the SRM's).
 	n.hosted[m.inst] = m.pr
-	n.awaitFirst[m.execName] = m
+	m.pr.rec = m.rec
+	for m.exec >= len(n.awaitFirst) {
+		n.awaitFirst = append(n.awaitFirst, nil)
+	}
+	n.awaitFirst[m.exec] = m
 	if err := n.SRM.Adopt(se, m.rec); err != nil {
 		n.hosted[m.inst] = nil
-		delete(n.awaitFirst, m.execName)
+		m.pr.rec = nil
+		n.awaitFirst[m.exec] = nil
 		n.cl.sendEvent(se.Now(), event{migFail: &migFail{
 			inst: m.inst, from: m.from, to: m.to, stage: "adopt", err: err.Error(),
 		}})
@@ -448,10 +462,10 @@ func (n *Node) report(se *hw.Exec) {
 	n.cl.sendEvent(se.Now(), event{report: rep})
 }
 
-// podState classifies one hosted instance from the SRM's records and
-// the pod's own flags.
+// podState classifies one hosted instance from the SRM's record of it
+// and the pod's own flags.
 func (n *Node) podState(pr *podRec) podState {
-	l := n.SRM.Kernel(pr.pod.Name)
+	l := pr.rec
 	switch {
 	case l == nil:
 		return psGone
@@ -465,6 +479,18 @@ func (n *Node) podState(pr *podRec) podState {
 	default:
 		return psRunning
 	}
+}
+
+// staleRecord returns the name of a hosted pod whose stored record is
+// not what the module's SRM holds for it (SRM.Kernel), or "" if every
+// stored record is current.
+func (n *Node) staleRecord() string {
+	for _, pr := range n.hosted {
+		if pr != nil && pr.rec != n.SRM.Kernel(pr.pod.Name) {
+			return pr.pod.Name
+		}
+	}
+	return ""
 }
 
 // beatBody builds the "beat" kind's workload: a deterministic compute

@@ -86,12 +86,14 @@ type Node struct {
 	// records); drain swaps it with spare, so the two buffers take
 	// turns.
 	inbox, spare []command
-	// lastDispatch tracks each execution context's most recent dispatch
-	// (for the migration blackout's source timestamp); awaitFirst holds
-	// in-progress adoptions keyed by the main exec's name.
-	lastDispatch map[string]uint64
+	// lastDispatch holds each execution context's most recent dispatch
+	// (for the migration blackout's source timestamp) and awaitFirst
+	// the in-progress adoptions (nil where none waits), both indexed by
+	// the context's name index (sim.Coro.NameID): contexts that share a
+	// name, such as a revived main and its predecessor, share a slot.
+	lastDispatch []uint64
 	agentUp      bool
-	awaitFirst   map[string]*migMsg
+	awaitFirst   []*migMsg
 
 	// retired marks plane services whose bodies returned deliberately
 	// (horizon reached), so the watchdogs don't "revive" a service that
@@ -111,6 +113,11 @@ type podRec struct {
 	spec KernelSpec // per-instance (Count folded out)
 	pod  *Pod
 	gen  int
+	// rec is the module SRM's record of the pod's kernel, what
+	// SRM.Kernel(pod.Name) returns, or nil where the SRM has none. The
+	// agent sets it where it changes the SRM's record: ensure, adopt
+	// and migrateOut.
+	rec *srm.Launched
 }
 
 // Cluster is one orchestrated machine: a controller on node 0 plus an
@@ -149,10 +156,8 @@ func New(m *hw.Machine, cfg Config, spec Spec) (*Cluster, error) {
 		}
 		n := &Node{
 			Idx: i, MPM: mpm, CK: k, cl: c,
-			hosted:       make([]*podRec, instances),
-			lastDispatch: make(map[string]uint64),
-			awaitFirst:   make(map[string]*migMsg),
-			retired:      make(map[string]bool),
+			hosted:  make([]*podRec, instances),
+			retired: make(map[string]bool),
 		}
 		k.Observe(n.trackDispatch)
 		c.Nodes = append(c.Nodes, n)

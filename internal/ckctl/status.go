@@ -190,6 +190,9 @@ func (c *Cluster) Verify() []string {
 		}
 	}
 	for _, n := range c.Nodes {
+		if name := n.staleRecord(); name != "" {
+			bad = append(bad, fmt.Sprintf("coherence: module %d's agent holds a record of %q that is not its SRM's", n.Idx, name))
+		}
 		if err := n.CK.CheckInvariants(); err != nil {
 			bad = append(bad, fmt.Sprintf("invariants: module %d: %v", n.Idx, err))
 		}

@@ -16,7 +16,7 @@ import (
 // run is fully deterministic — the determinism regression test hashes
 // its schedule trace against a golden generated before the engine
 // optimization.
-func RunDeterminismWorkload(trace func(name string, at uint64)) (finalClock, steps uint64, err error) {
+func RunDeterminismWorkload(trace func(name string, id int, at uint64)) (finalClock, steps uint64, err error) {
 	cfg := hw.DefaultConfig()
 	cfg.MPMs = 2
 	m := hw.NewMachine(cfg)

@@ -17,7 +17,7 @@ import (
 // observes every coroutine dispatch. Together with the mixed workload
 // in RunDeterminismWorkload it pins the boot path and the
 // signal-delivery fast path under the determinism goldens.
-func RunBootEchoWorkload(trace func(name string, at uint64)) (finalClock, steps uint64, err error) {
+func RunBootEchoWorkload(trace func(name string, id int, at uint64)) (finalClock, steps uint64, err error) {
 	cfg := hw.DefaultConfig()
 	m := hw.NewMachine(cfg)
 	defer m.Close()

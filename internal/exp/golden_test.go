@@ -36,11 +36,11 @@ var goldens = []struct {
 }{
 	{"schedule", RunDeterminismWorkload},
 	{"boot_echo", RunBootEchoWorkload},
-	{"recovery", func(trace func(string, uint64)) (uint64, uint64, error) {
+	{"recovery", func(trace func(string, int, uint64)) (uint64, uint64, error) {
 		r, err := RunRecoveryWorkload(trace)
 		return r.FinalClock, r.Steps, err
 	}},
-	{"orchestration", func(trace func(string, uint64)) (uint64, uint64, error) {
+	{"orchestration", func(trace func(string, int, uint64)) (uint64, uint64, error) {
 		r, err := RunOrchestrationWorkload(trace)
 		return r.FinalClock, r.Steps, err
 	}},
@@ -50,7 +50,7 @@ var goldens = []struct {
 // workload is a golden workload: it runs to completion, reporting every
 // coroutine dispatch to trace, and returns the final virtual clock and
 // schedule step count.
-type workload func(trace func(name string, at uint64)) (finalClock, steps uint64, err error)
+type workload func(trace func(name string, id int, at uint64)) (finalClock, steps uint64, err error)
 
 // TestTraceGoldens runs each golden workload twice, asserts both runs
 // are byte-identical, and compares their fingerprint against the golden

@@ -63,7 +63,7 @@ func (r OrchestrationResult) String() string {
 // No chaos: every migration must complete and every oracle-style check
 // here is fatal. Fully deterministic; the orchestration golden hashes
 // its dispatch schedule.
-func RunOrchestrationWorkload(trace func(name string, at uint64)) (OrchestrationResult, error) {
+func RunOrchestrationWorkload(trace func(name string, id int, at uint64)) (OrchestrationResult, error) {
 	const (
 		mpms      = 3
 		pods      = 24

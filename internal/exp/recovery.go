@@ -71,7 +71,7 @@ func (r RecoveryResult) String() string {
 // process is rerun from its program start) and returns the recovery
 // latency breakdown. Fully deterministic; the recovery golden hashes
 // its dispatch schedule.
-func RunRecoveryWorkload(trace func(name string, at uint64)) (RecoveryResult, error) {
+func RunRecoveryWorkload(trace func(name string, id int, at uint64)) (RecoveryResult, error) {
 	var res RecoveryResult
 	res.CrashAt = hw.CyclesFromMicros(18_000)
 	horizon := hw.CyclesFromMicros(120_000)

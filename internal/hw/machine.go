@@ -105,7 +105,7 @@ func (m *Machine) Close() { m.Engine.Close() }
 
 // SetTraceDispatch installs the dispatch-trace hook; it sees every
 // activation in schedule order (sim.Engine.SetTrace).
-func (m *Machine) SetTraceDispatch(fn func(name string, at uint64)) { m.Engine.SetTrace(fn) }
+func (m *Machine) SetTraceDispatch(fn func(name string, id int, at uint64)) { m.Engine.SetTrace(fn) }
 
 // SetMaxSteps arms the machine-wide scheduling-decision guard.
 func (m *Machine) SetMaxSteps(n uint64) { m.Engine.MaxSteps = n }

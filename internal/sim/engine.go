@@ -67,6 +67,7 @@ func (c *Clock) Name() string { return c.name }
 // layer unparks a coro on a CPU clock to "dispatch" it.
 type Coro struct {
 	name     string
+	nameID   int
 	id       uint64
 	eng      *Engine
 	fn       func(*Ctx)
@@ -91,6 +92,11 @@ type Coro struct {
 
 // Name reports the coro's name.
 func (co *Coro) Name() string { return co.name }
+
+// NameID reports the index of the coro's name in its engine's name
+// table (Engine.NameID): every coroutine of the engine with this name
+// has this index.
+func (co *Coro) NameID() int { return co.nameID }
 
 // Done reports whether the coro's body has returned.
 func (co *Coro) Done() bool { return co.done }
@@ -132,7 +138,10 @@ type Engine struct {
 	// started coroutine has been released.
 	closed bool
 	// trace, when non-nil, receives every activation in schedule order.
-	trace func(name string, at uint64)
+	trace func(name string, id int, at uint64)
+	// names interns coroutine names: a name's index is its position in
+	// order of first use (NameID).
+	names map[string]int
 
 	// MaxSteps bounds total scheduling decisions, a runaway guard.
 	// Zero means no limit.
@@ -166,18 +175,35 @@ func (e *Engine) SchedTime() uint64 { return e.schedAt }
 func (e *Engine) Steps() uint64 { return e.sched }
 
 // SetTrace installs the dispatch-trace hook: fn is called with the
-// coroutine name and virtual dispatch time on every activation — a
-// dispatch of a coroutine that was unparked since it last ran — in
-// schedule order. Preemption re-slices are not traced: activations are
-// a property of the simulated schedule itself, not of how the host
-// sliced it. TraceHash fingerprints the resulting trace.
-func (e *Engine) SetTrace(fn func(name string, at uint64)) { e.trace = fn }
+// coroutine's name, the name's index (Coro.NameID) and the virtual
+// dispatch time on every activation — a dispatch of a coroutine that
+// was unparked since it last ran — in schedule order. Preemption
+// re-slices are not traced: activations are a property of the
+// simulated schedule itself, not of how the host sliced it. TraceHash
+// fingerprints the resulting trace.
+func (e *Engine) SetTrace(fn func(name string, id int, at uint64)) { e.trace = fn }
+
+// NameID returns the index of a coroutine name, interning a name the
+// engine has not seen. Indices are dense, numbered from 0 in order of
+// first use, so an observer that keeps per-name state can hold it in
+// a slice indexed by the name's index instead of a map keyed by it.
+func (e *Engine) NameID(name string) int {
+	if id, ok := e.names[name]; ok {
+		return id
+	}
+	if e.names == nil {
+		e.names = make(map[string]int)
+	}
+	id := len(e.names)
+	e.names[name] = id
+	return id
+}
 
 // NewCoro creates a parked coroutine that will execute fn when first
 // dispatched. The body must only interact with the engine through ctx.
 func (e *Engine) NewCoro(name string, fn func(*Ctx)) *Coro {
 	e.seq++
-	co := &Coro{name: name, id: e.seq, eng: e, fn: fn}
+	co := &Coro{name: name, nameID: e.NameID(name), id: e.seq, eng: e, fn: fn}
 	co.ctx = &Ctx{co: co}
 	e.coros = append(e.coros, co)
 	return co
@@ -373,7 +399,7 @@ func (e *Engine) logDispatch(co *Coro, coTime uint64) {
 		e.schedAt = coTime
 	}
 	if tr := e.trace; tr != nil {
-		tr(co.name, coTime)
+		tr(co.name, co.nameID, coTime)
 	}
 }
 

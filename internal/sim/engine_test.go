@@ -375,3 +375,48 @@ func TestQueueOrder(t *testing.T) {
 		t.Fatalf("order = %q, want %q", got, want)
 	}
 }
+
+// TestNameIDInterning pins the engine's name table: coroutines with one
+// name share one index, indices are dense in order of first creation,
+// Engine.NameID of a name no coroutine has interns it, and the trace
+// hook reports each activation's index with its name.
+func TestNameIDInterning(t *testing.T) {
+	e := &Engine{}
+	a1 := e.NewCoro("a", func(*Ctx) {})
+	b := e.NewCoro("b", func(*Ctx) {})
+	a2 := e.NewCoro("a", func(*Ctx) {})
+	if a1.NameID() != 0 || b.NameID() != 1 || a2.NameID() != 0 {
+		t.Fatalf("NameID a=%d b=%d a=%d, want 0 1 0", a1.NameID(), b.NameID(), a2.NameID())
+	}
+	if got := e.NameID("b"); got != 1 {
+		t.Fatalf(`NameID("b") = %d, want 1`, got)
+	}
+	if got := e.NameID("c"); got != 2 {
+		t.Fatalf(`NameID("c") of an unseen name = %d, want 2`, got)
+	}
+	if got := e.NameID("c"); got != 2 {
+		t.Fatalf(`second NameID("c") = %d, want 2`, got)
+	}
+	if c := e.NewCoro("c", func(*Ctx) {}); c.NameID() != 2 {
+		t.Fatalf("coroutine named after an interned name has index %d, want 2", c.NameID())
+	}
+	if d := e.NewCoro("d", func(*Ctx) {}); d.NameID() != 3 {
+		t.Fatalf("next new name has index %d, want 3", d.NameID())
+	}
+
+	var got []string
+	e.SetTrace(func(name string, id int, at uint64) {
+		got = append(got, name+"#"+string(rune('0'+id)))
+	})
+	clk := NewClock("cpu0")
+	for _, co := range []*Coro{a1, b, a2} {
+		e.UnparkOn(co, clk)
+	}
+	if err := e.Run(math.MaxUint64); err != nil {
+		t.Fatal(err)
+	}
+	if want := "a#0 b#1 a#0"; strings.Join(got, " ") != want {
+		t.Fatalf("trace %q, want %q", strings.Join(got, " "), want)
+	}
+	e.Close()
+}

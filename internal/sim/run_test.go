@@ -20,7 +20,7 @@ type scenario struct {
 
 func newScenario() *scenario {
 	s := &scenario{e: &Engine{}}
-	s.e.SetTrace(func(name string, at uint64) {
+	s.e.SetTrace(func(name string, _ int, at uint64) {
 		s.trace = append(s.trace, fmt.Sprintf("%s@%d", name, at))
 	})
 	return s

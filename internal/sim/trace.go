@@ -8,7 +8,9 @@ const (
 
 // TraceHash fingerprints a dispatch schedule: FNV-1a over each
 // activation's coroutine name and little-endian virtual time, plus a
-// count of activations. Its Add method is a SetTrace hook. The zero
+// count of activations. Its Add method is a SetTrace hook; it hashes
+// the name's bytes, not its index, so a sum does not depend on the
+// order in which an engine interned its names. The zero
 // value is an empty schedule. The determinism goldens, the simulation
 // harness's schedule hash and the fork family's continuation hashes
 // are all TraceHash sums, so equal schedules print equal hashes
@@ -18,7 +20,7 @@ type TraceHash struct {
 }
 
 // Add folds one activation into the hash.
-func (h *TraceHash) Add(name string, at uint64) {
+func (h *TraceHash) Add(name string, _ int, at uint64) {
 	s := h.Sum64()
 	for i := 0; i < len(name); i++ {
 		s ^= uint64(name[i])

@@ -335,7 +335,7 @@ func RunForkScenario(sc ForkScenario, shards int) *ForkResult {
 	res.SnapshotBytes = len(ci.enc)
 	for c := 0; c < sc.Conts; c++ {
 		if sched, ok := exploreContinuation(ci, sc, c, res, fail); ok {
-			conts.Add("cont", sched)
+			conts.Add("cont", 0, sched)
 		}
 	}
 	res.Hash = conts.Sum64()

@@ -16,7 +16,7 @@ import (
 // conservation/coherence/liveness/invariants sweep and the orchestration
 // properties below. Byte-identical run to run, like everything else
 // under the virtual clock.
-func runOrch(sc Scenario, trace func(name string, at uint64), probe bool) *Result {
+func runOrch(sc Scenario, trace func(name string, id int, at uint64), probe bool) *Result {
 	res := &Result{Scenario: sc}
 	o := sc.Orch
 	h := &harness{sc: sc, horizon: hw.CyclesFromMicros(float64(sc.HorizonUS))}

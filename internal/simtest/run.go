@@ -64,11 +64,13 @@ type harness struct {
 	// midway, so the end-of-run oracles have nothing sound to judge.
 	panicked bool
 
-	// lastByName tracks each coroutine's previous dispatch time for the
-	// monotonicity oracle. Clocks are per-coroutine (a fresh coroutine
+	// lastByName holds the previous dispatch time of each coroutine
+	// name for the monotonicity oracle, indexed by the name's index
+	// (sim.Coro.NameID); a name not dispatched yet reads 0, which no
+	// dispatch precedes. Clocks are per-coroutine (a fresh coroutine
 	// starts at cycle 0, behind everyone), so virtual time is monotone
 	// per execution context, not across the global dispatch interleaving.
-	lastByName map[string]uint64
+	lastByName []uint64
 	monoBad    bool
 	sched      sim.TraceHash
 
@@ -178,7 +180,7 @@ func (n *node) hasMixActors() bool { return n.hasUnix() || n.hasRTK() || n.hasDS
 // Run executes one scenario and evaluates every oracle. The optional
 // trace callback observes the full dispatch schedule (for the
 // determinism golden).
-func Run(sc Scenario, trace func(name string, at uint64)) *Result {
+func Run(sc Scenario, trace func(name string, id int, at uint64)) *Result {
 	return runWith(sc, trace, false)
 }
 
@@ -186,7 +188,7 @@ func Run(sc Scenario, trace func(name string, at uint64)) *Result {
 //
 // Deprecated: kept only for the benchmark module, which calls it; use
 // Run. It goes with the next benchmark change (ROADMAP item 7).
-func RunSharded(sc Scenario, trace func(name string, at uint64), shards int) *Result {
+func RunSharded(sc Scenario, trace func(name string, id int, at uint64), shards int) *Result {
 	return Run(sc, trace)
 }
 
@@ -230,7 +232,7 @@ func (h *harness) runMachine(probe bool) error {
 
 // runWith builds and runs one scenario; probe selects the shrink
 // prober's chunked run with its early stop.
-func runWith(sc Scenario, trace func(name string, at uint64), probe bool) *Result {
+func runWith(sc Scenario, trace func(name string, id int, at uint64), probe bool) *Result {
 	if sc.Orch != nil {
 		return runOrch(sc, trace, probe)
 	}
@@ -312,17 +314,19 @@ func (h *harness) result(res *Result) *Result {
 // installTrace wires the dispatch-schedule observer: the monotonicity
 // oracle, the schedule hash, and the caller's trace callback. Shared by
 // the op-stream and orchestration families.
-func (h *harness) installTrace(trace func(name string, at uint64)) {
-	h.lastByName = make(map[string]uint64)
-	h.m.SetTraceDispatch(func(name string, at uint64) {
-		if last, ok := h.lastByName[name]; ok && at < last && !h.monoBad {
+func (h *harness) installTrace(trace func(name string, id int, at uint64)) {
+	h.m.SetTraceDispatch(func(name string, id int, at uint64) {
+		for id >= len(h.lastByName) {
+			h.lastByName = append(h.lastByName, 0)
+		}
+		if last := h.lastByName[id]; at < last && !h.monoBad {
 			h.monoBad = true
 			h.failf("monotonicity", "dispatch %q at %d after %d: its virtual clock ran backwards", name, at, last)
 		}
-		h.lastByName[name] = at
-		h.sched.Add(name, at)
+		h.lastByName[id] = at
+		h.sched.Add(name, id, at)
 		if trace != nil {
-			trace(name, at)
+			trace(name, id, at)
 		}
 	})
 }
@@ -333,8 +337,8 @@ func RunSeed(seed uint64) *Result { return Run(Generate(seed), nil) }
 // SeedWorkload adapts one seed to the exp determinism goldens: it runs
 // the seed's scenario and returns the final clock and step count, and
 // an error carrying the fingerprint if any oracle fired.
-func SeedWorkload(seed uint64) func(trace func(name string, at uint64)) (uint64, uint64, error) {
-	return func(trace func(name string, at uint64)) (uint64, uint64, error) {
+func SeedWorkload(seed uint64) func(trace func(name string, id int, at uint64)) (uint64, uint64, error) {
+	return func(trace func(name string, id int, at uint64)) (uint64, uint64, error) {
 		r := Run(Generate(seed), trace)
 		if r.Failed() {
 			return r.FinalClock, r.Steps, fmt.Errorf("cksim seed %d failed:\n%s", seed, r.Fingerprint())
