@@ -261,11 +261,14 @@ func (e *Exec) Translate(va uint32, write bool) (uint32, pagetable.PTE) {
 		if tries > 1<<20 {
 			panic(fmt.Sprintf("hw: %s: unresolvable fault at %#x", e.Name, va))
 		}
-		cpu := e.CPU
-		if cpu == nil {
+		if e.CPU == nil {
 			panic(fmt.Sprintf("hw: %s: virtual access %#x while not on a CPU", e.Name, va))
 		}
 		e.Charge(CostInstr)
+		// The charge's interrupt poll may have moved the context to
+		// another CPU: every TLB operation uses the CPU read after the
+		// last charge before it.
+		cpu := e.CPU
 		sp := e.Space
 		vpn := va >> PageShift
 		// The TLB's latest hit answers a repeat of its page without the
@@ -311,7 +314,7 @@ func (e *Exec) Translate(va uint32, write bool) (uint32, pagetable.PTE) {
 			if write {
 				wpte |= pagetable.PTEModified
 			}
-			cpu.TLB.Insert(sp.ASID, vpn, wpte|pagetable.PTEReferenced)
+			e.CPU.TLB.Insert(sp.ASID, vpn, wpte|pagetable.PTEReferenced)
 			continue
 		}
 		kind := FaultMapping

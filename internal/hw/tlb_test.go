@@ -537,3 +537,113 @@ func TestTranslateMatchesLookup(t *testing.T) {
 		t.Errorf("stream wrote through a clean entry %d times", upgrades)
 	}
 }
+
+// moveSup is a supervisor whose interrupts move the running context to
+// the MPM's other CPU. Each interrupt takes the next action: "move"
+// parks the context and dispatches it on the other CPU, "repost"
+// latches the interrupt again so the next charge delivers it.
+type moveSup struct {
+	fakeSup
+	actions []string
+}
+
+func (s *moveSup) Interrupt(e *Exec, pending uint32) {
+	if len(s.actions) == 0 {
+		return
+	}
+	act := s.actions[0]
+	s.actions = s.actions[1:]
+	from := e.CPU
+	if act == "repost" {
+		from.Post(pending)
+		return
+	}
+	to := e.MPM.CPUs[1-from.Index]
+	to.Clock.AdvanceTo(e.Now())
+	e.MPM.Engine.ScheduleAt(e.Now(), func() { to.Dispatch(e) })
+	e.Park()
+}
+
+// TestTranslateFollowsCPUMove: a translation whose charge lets an
+// interrupt move the context to another CPU looks up, fills and counts
+// on the TLB of the CPU it runs on after the move, whether the move
+// comes at the translation's first charge or during its table walk.
+func TestTranslateFollowsCPUMove(t *testing.T) {
+	const (
+		vaHit  = 0x100_0000 // cached on the destination CPU only
+		vaFill = 0x100_1000 // cached nowhere
+		vaWalk = 0x100_2000 // cached nowhere; the move comes mid-walk
+	)
+	cfg := DefaultConfig()
+	cfg.CPUsPerMPM = 2
+	m := NewMachine(cfg)
+	mpm := m.MPMs[0]
+	tbl, _ := pagetable.New(nil)
+	for i, va := range []uint32{vaHit, vaFill, vaWalk} {
+		tbl.Insert(va, pte(uint32(600+i), pagetable.PTEValid|pagetable.PTEWrite))
+	}
+	sp := &Space{Table: tbl, ASID: 1}
+	sup := &moveSup{}
+	mpm.Sup = sup
+	cpu0, cpu1 := mpm.CPUs[0], mpm.CPUs[1]
+	cpu1.TLB.Insert(sp.ASID, vaHit>>PageShift, pte(600, pagetable.PTEValid|pagetable.PTEWrite|pagetable.PTEReferenced))
+	cached := func(c *CPU, va uint32) bool {
+		_, ok := c.TLB.find(sp.ASID, va>>PageShift)
+		return ok
+	}
+	type counts struct{ hits0, misses0, hits1, misses1 uint64 }
+	now := func() counts {
+		return counts{cpu0.TLB.Hits, cpu0.TLB.Misses, cpu1.TLB.Hits, cpu1.TLB.Misses}
+	}
+	e := mpm.NewExec("mover", func(e *Exec) {
+		e.Space = sp
+		check := func(step string, va uint32, on *CPU, before, want counts) {
+			t.Helper()
+			pa, _ := e.Translate(va, false)
+			if wpte, _ := tbl.Lookup(va); pa != wpte.PFN()<<PageShift {
+				t.Errorf("%s: pa %#x, want %#x", step, pa, wpte.PFN()<<PageShift)
+			}
+			if e.CPU != on {
+				t.Errorf("%s: context on cpu %d, want cpu %d", step, e.CPU.Index, on.Index)
+				return
+			}
+			got := now()
+			got = counts{got.hits0 - before.hits0, got.misses0 - before.misses0, got.hits1 - before.hits1, got.misses1 - before.misses1}
+			if got != want {
+				t.Errorf("%s: TLB counts (hits, misses) cpu0 %d,%d cpu1 %d,%d; want cpu0 %d,%d cpu1 %d,%d",
+					step, got.hits0, got.misses0, got.hits1, got.misses1, want.hits0, want.misses0, want.hits1, want.misses1)
+			}
+			if off := mpm.CPUs[1-on.Index]; va != vaHit && cached(off, va) {
+				t.Errorf("%s: va %#x filled into cpu %d, which the context left", step, va, off.Index)
+			}
+			if !cached(on, va) {
+				t.Errorf("%s: va %#x not cached on cpu %d", step, va, on.Index)
+			}
+		}
+		// Moved at the first charge from cpu0 to cpu1, which has the
+		// page: one hit there, nothing on cpu0.
+		sup.actions = []string{"move"}
+		cpu0.Post(1)
+		check("lookup", vaHit, cpu1, now(), counts{hits1: 1})
+		if cached(cpu0, vaHit) {
+			t.Errorf("lookup: va %#x filled into cpu 0", uint32(vaHit))
+		}
+		// Moved at the first charge from cpu1 to cpu0: the miss, the
+		// fill and the hit that follows it are all cpu0's.
+		sup.actions = []string{"move"}
+		cpu1.Post(1)
+		check("fill", vaFill, cpu0, now(), counts{hits0: 1, misses0: 1})
+		// Moved from cpu0 to cpu1 at the walk's first charge: the miss
+		// was cpu0's, the fill and the hit are cpu1's.
+		sup.actions = []string{"repost", "move"}
+		cpu0.Post(1)
+		check("walk", vaWalk, cpu1, now(), counts{misses0: 1, hits1: 1})
+	})
+	cpu0.Dispatch(e)
+	if err := m.Run(math.MaxUint64); err != nil {
+		t.Fatal(err)
+	}
+	if len(sup.actions) != 0 {
+		t.Fatalf("interrupt actions left undelivered: %v", sup.actions)
+	}
+}
