@@ -163,7 +163,7 @@ func (k *Kernel) spaceOf(sp *hw.Space) *SpaceObj {
 	if sp == nil {
 		return nil
 	}
-	if so, ok := k.spaces.peek(int32(sp.ASID) - 1); ok && so != nil && so.hw == sp {
+	if so, ok := k.spaces.peek(int32(sp.ASID) - 1); ok && so.hw == sp {
 		return so
 	}
 	return nil
