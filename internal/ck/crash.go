@@ -29,7 +29,7 @@ func (k *Kernel) Crash() {
 		if cpu.Cur != nil {
 			cpu.Cur.Kill()
 		}
-		cpu.Pending = 0
+		cpu.ClearPending()
 	}
 	// Release every loaded space's translation tree back to local RAM
 	// and flush its TLB footprint, and drop its designation link; the

@@ -134,27 +134,64 @@ func (e *Exec) Exit() { panic(execExit{e}) }
 // whatever was executing on the MPM's CPUs.
 //
 //ckvet:allow chargepath a reset line is asynchronous hardware, not an instruction; the victim is charged nothing
-func (e *Exec) Kill() { e.killed = true }
+func (e *Exec) Kill() {
+	e.killed = true
+	e.MPM.Engine.Look()
+}
 
-// Charge advances virtual time by cycles and then delivers any pending
-// interrupts latched on the current CPU. The test is inline because
-// almost every charge finds none.
+// Charge advances virtual time by cycles. Almost every charge does
+// nothing else: it is one add and one compare against the context's
+// attention limit (sim.Ctx.Add), inlined at the call site. The limit
+// is 0 whenever a charge has more to do, so the rare charge that
+// yields, unwinds a killed context or delivers an interrupt takes the
+// out-of-line slow path.
 func (e *Exec) Charge(cycles uint64) {
-	e.ctx.Advance(cycles)
-	if e.killed {
-		e.Exit()
-	}
-	if c := e.CPU; c != nil && c.Pending != 0 && !c.IntrOff {
-		e.pollInterrupts(c)
+	if e.ctx.Add(cycles) {
+		e.charged()
 	}
 }
 
 // ChargeNoIntr advances virtual time without an interrupt window (used
 // inside the supervisor's critical sections).
 func (e *Exec) ChargeNoIntr(cycles uint64) {
-	e.ctx.Advance(cycles)
+	if e.ctx.Add(cycles) {
+		e.chargedNoIntr()
+	}
+}
+
+// charged is Charge's slow path. In order, it yields if the clock
+// passed the horizon, unwinds a killed context, delivers the causes
+// pending on the context's CPU and rearms the attention limit if
+// nothing is left for a charge to do but add. It takes no arguments,
+// which keeps Charge inside the inlining budget.
+func (e *Exec) charged() {
+	e.ctx.Advance(0)
 	if e.killed {
 		e.Exit()
+	}
+	if c := e.CPU; c != nil && c.pending != 0 && !c.IntrOff {
+		e.pollInterrupts(c)
+	}
+	e.rearm()
+}
+
+// chargedNoIntr is ChargeNoIntr's slow path: charged without the
+// interrupt delivery.
+func (e *Exec) chargedNoIntr() {
+	e.ctx.Advance(0)
+	if e.killed {
+		e.Exit()
+	}
+	e.rearm()
+}
+
+// rearm raises the context's attention limit unless a charge still has
+// work: the context is killed (by an interrupt handler, say) or a
+// cause is pending on its CPU. Every later change of either drops the
+// limit again (Kill, CPU.Post), and so does every resume.
+func (e *Exec) rearm() {
+	if c := e.CPU; !e.killed && (c == nil || c.pending == 0) {
+		e.ctx.Rearm()
 	}
 }
 
@@ -163,11 +200,11 @@ func (e *Exec) ChargeNoIntr(cycles uint64) {
 func (e *Exec) pollInterrupts(c *CPU) {
 	sup := e.MPM.Sup
 	if sup == nil {
-		c.Pending = 0
+		c.pending = 0
 		return
 	}
-	p := c.Pending
-	c.Pending = 0
+	p := c.pending
+	c.pending = 0
 	sup.Interrupt(e, p)
 }
 

@@ -248,19 +248,19 @@ func TestChargeInterruptWindow(t *testing.T) {
 	e := mpm.NewExec("user", func(e *Exec) {
 		c := e.CPU
 		e.Charge(1)
-		c.Pending = 4
+		c.Post(4)
 		c.IntrOff = true
 		e.Charge(1)
 		c.IntrOff = false
 		e.ChargeNoIntr(1)
-		if len(sup.interrupts) != 0 || c.Pending != 4 {
-			t.Errorf("delivered %v with interrupts masked or no window, pending %#x", sup.interrupts, c.Pending)
+		if len(sup.interrupts) != 0 || c.Pending() != 4 {
+			t.Errorf("delivered %v with interrupts masked or no window, pending %#x", sup.interrupts, c.Pending())
 		}
-		c.Pending |= 1
+		c.Post(1)
 		e.Charge(1)
 		e.Charge(1)
-		if !slices.Equal(sup.interrupts, []uint32{5}) || c.Pending != 0 {
-			t.Errorf("delivered %v, pending %#x; want [5] once, none left", sup.interrupts, c.Pending)
+		if !slices.Equal(sup.interrupts, []uint32{5}) || c.Pending() != 0 {
+			t.Errorf("delivered %v, pending %#x; want [5] once, none left", sup.interrupts, c.Pending())
 		}
 	})
 	mpm.CPUs[0].Dispatch(e)

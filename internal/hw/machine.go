@@ -167,10 +167,10 @@ type CPU struct {
 	// nil when idle. Maintained by the supervisor's scheduler.
 	Cur *Exec
 
-	// Pending is a bitmask of pending interrupt causes, delivered to the
+	// pending is a bitmask of pending interrupt causes, delivered to the
 	// supervisor at the running context's next charge point. The
-	// supervisor defines the bit meanings.
-	Pending uint32
+	// supervisor defines the bit meanings. Only Post sets bits.
+	pending uint32
 
 	// IntrOff suppresses interrupt delivery while the supervisor runs
 	// critical sections.
@@ -181,8 +181,21 @@ type CPU struct {
 	timer *sim.Stream
 }
 
-// Post sets pending-interrupt bits on the CPU. Safe from engine context.
-func (c *CPU) Post(bits uint32) { c.Pending |= bits }
+// Post sets pending-interrupt bits on the CPU. Safe from engine
+// context. It drops the running context's attention limit
+// (sim.Engine.Look): a context that posts to its own CPU takes the
+// cause at its next charge, and any other context takes it when it
+// resumes.
+func (c *CPU) Post(bits uint32) {
+	c.pending |= bits
+	c.MPM.Engine.Look()
+}
+
+// Pending reports the CPU's pending interrupt causes.
+func (c *CPU) Pending() uint32 { return c.pending }
+
+// ClearPending drops every pending cause undelivered, as a reset does.
+func (c *CPU) ClearPending() { c.pending = 0 }
 
 // ArmTimerAt schedules a supervisor TimerTick for this CPU at virtual
 // time t, as one ScheduleAt would. t must not precede the time the

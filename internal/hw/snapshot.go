@@ -146,11 +146,11 @@ type CPUState struct {
 }
 
 // State captures the CPU's interrupt state.
-func (c *CPU) State() CPUState { return CPUState{Pending: c.Pending, IntrOff: c.IntrOff} }
+func (c *CPU) State() CPUState { return CPUState{Pending: c.pending, IntrOff: c.IntrOff} }
 
 // RestoreIntr overwrites the CPU's interrupt state with a captured one.
 func (c *CPU) RestoreIntr(st CPUState) {
-	c.Pending = st.Pending
+	c.pending = st.Pending
 	c.IntrOff = st.IntrOff
 }
 

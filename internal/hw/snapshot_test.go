@@ -145,12 +145,12 @@ func TestL2StateRoundTrip(t *testing.T) {
 // cause bit left by an idle-time timer must ride the snapshot.
 func TestCPUStateRoundTrip(t *testing.T) {
 	c := NewMachine(DefaultConfig()).MPMs[0].CPUs[0]
-	c.Pending = 1
+	c.Post(1)
 	c.IntrOff = true
 	st := c.State()
 	c2 := NewMachine(DefaultConfig()).MPMs[0].CPUs[0]
 	c2.RestoreIntr(st)
-	if c2.Pending != 1 || !c2.IntrOff {
+	if c2.Pending() != 1 || !c2.IntrOff {
 		t.Fatalf("restored interrupt state %+v", c2.State())
 	}
 }

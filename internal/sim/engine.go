@@ -66,13 +66,14 @@ func (c *Clock) Name() string { return c.name }
 // whichever Clock it is dispatched to. Coros are created parked; the kernel
 // layer unparks a coro on a CPU clock to "dispatch" it.
 type Coro struct {
+	// ctx is the coroutine's handle, kept inside it: the clock the
+	// coroutine runs on lives there, one hop from both.
+	ctx      Ctx
 	name     string
 	nameID   int
 	id       uint64
 	eng      *Engine
 	fn       func(*Ctx)
-	ctx      *Ctx
-	clock    *Clock
 	runnable bool
 	done     bool
 	// fresh marks an activation: the coroutine was unparked and has not
@@ -105,13 +106,25 @@ func (co *Coro) Done() bool { return co.done }
 func (co *Coro) Runnable() bool { return co.runnable && !co.done }
 
 // Clock returns the clock the coro is (or was last) dispatched on.
-func (co *Coro) Clock() *Clock { return co.clock }
+func (co *Coro) Clock() *Clock { return co.ctx.clock }
 
 // Ctx is the handle a running coroutine uses to interact with the engine.
 // A Ctx is only valid inside its own coroutine.
+//
+// Beside the horizon, where the coroutine yields, a Ctx keeps an
+// attention limit: the clock value from which Add reports true, so
+// that the layer above can do a charge's bookkeeping in one compare
+// and look at its own state only when Add says so. The limit is at
+// most horizon+1, so Add reports true whenever Advance would yield. It
+// moves in four ways: resuming the coroutine (Run's dispatch, or a
+// yield that keeps running) drops it to 0; every horizon shrink lowers
+// it with the horizon; Engine.Look drops the running coroutine's to 0;
+// Rearm raises it to horizon+1.
 type Ctx struct {
-	co      *Coro
+	clock   *Clock
+	limit   uint64
 	horizon uint64
+	co      *Coro
 }
 
 // Engine owns the coroutines, clocks and pending events of a machine,
@@ -157,7 +170,7 @@ type Engine struct {
 // entity, a global lower bound: no future activity occurs before it.
 func (e *Engine) Now() uint64 {
 	if cur := e.current; cur != nil {
-		return cur.clock.now
+		return cur.ctx.clock.now
 	}
 	return e.now
 }
@@ -204,7 +217,7 @@ func (e *Engine) NameID(name string) int {
 func (e *Engine) NewCoro(name string, fn func(*Ctx)) *Coro {
 	e.seq++
 	co := &Coro{name: name, nameID: e.NameID(name), id: e.seq, eng: e, fn: fn}
-	co.ctx = &Ctx{co: co}
+	co.ctx.co = co
 	e.coros = append(e.coros, co)
 	return co
 }
@@ -226,15 +239,15 @@ func (e *Engine) UnparkOn(co *Coro, clock *Clock) {
 	if clock == nil {
 		panic("sim: unpark with nil clock")
 	}
-	co.clock = clock
+	co.ctx.clock = clock
 	co.runnable = true
 	co.fresh = true
 	e.queue.push(co.entry())
 	// A newly runnable coroutine may be more urgent than the currently
 	// executing one: shrink the current horizon so it yields at its next
 	// charge point.
-	if cur := e.current; cur != nil && cur != co && clock.now < cur.ctx.horizon {
-		cur.ctx.horizon = clock.now
+	if cur := e.current; cur != nil && cur != co {
+		cur.ctx.shrink(clock.now)
 	}
 }
 
@@ -244,8 +257,8 @@ func (e *Engine) UnparkOn(co *Coro, clock *Clock) {
 func (e *Engine) ScheduleAt(t uint64, fn func()) {
 	e.DeliverAt(t, fn)
 	// The new event may precede the running coroutine's current horizon.
-	if cur := e.current; cur != nil && t < cur.ctx.horizon {
-		cur.ctx.horizon = t
+	if cur := e.current; cur != nil {
+		cur.ctx.shrink(t)
 	}
 }
 
@@ -336,7 +349,7 @@ func (e *Engine) peek() (entry, bool) {
 			e.queue.pop()
 			continue
 		}
-		if now := co.clock.now; now != ent.at {
+		if now := co.ctx.clock.now; now != ent.at {
 			ent.at = now
 			e.queue.sink(ent)
 			continue
@@ -408,7 +421,7 @@ func (e *Engine) logDispatch(co *Coro, coTime uint64) {
 // engine state needs no locking.
 func (e *Engine) resumeCoro(co *Coro, horizon uint64) {
 	e.current = co
-	co.ctx.horizon = horizon
+	co.ctx.resume(horizon)
 	if co.next == nil {
 		co.next, co.stop = iter.Pull(func(suspend func(struct{}) bool) {
 			co.suspend = suspend
@@ -433,10 +446,10 @@ func (co *Coro) body() {
 		co.runnable = false
 		co.eng.removeCoro(co)
 		if r := recover(); r != nil && r != any(releaseSignal{}) {
-			panic(&Panic{Value: r, Coro: co.name, At: co.clock.now, Stack: string(debug.Stack())})
+			panic(&Panic{Value: r, Coro: co.name, At: co.ctx.clock.now, Stack: string(debug.Stack())})
 		}
 	}()
-	co.fn(co.ctx)
+	co.fn(&co.ctx)
 }
 
 // Panic is a coroutine's panic on its way to the caller of Engine.Run
@@ -518,7 +531,7 @@ func (ctx *Ctx) yield() {
 	}
 	if co.runnable {
 		if horizon, ok := e.pickSelf(co); ok {
-			ctx.horizon = horizon
+			ctx.resume(horizon)
 			return
 		}
 		e.queue.push(co.entry())
@@ -529,19 +542,64 @@ func (ctx *Ctx) yield() {
 	}
 }
 
+// resume starts a slice that runs to horizon. Whatever happened while
+// the coroutine was suspended, its next Add reports true.
+func (ctx *Ctx) resume(horizon uint64) {
+	ctx.horizon = horizon
+	ctx.limit = 0
+}
+
+// shrink lowers the horizon to t if t comes first, and the attention
+// limit with it.
+func (ctx *Ctx) shrink(t uint64) {
+	if t < ctx.horizon {
+		ctx.horizon = t
+		ctx.limit = min(ctx.limit, t+1)
+	}
+}
+
 // Advance charges cycles cycles to the coroutine's current clock, yielding
-// to the engine if another entity is now more urgent. This is the
-// fundamental cost-charging primitive: every simulated action calls it.
+// to the engine if the clock passed the horizon: another entity may now be
+// more urgent. Advance(0) yields exactly when an earlier Add left the
+// clock past the horizon.
 func (ctx *Ctx) Advance(cycles uint64) {
-	c := ctx.co.clock
+	c := ctx.clock
 	c.now += cycles
 	if c.now > ctx.horizon {
 		ctx.yield()
 	}
 }
 
+// Add charges cycles cycles to the coroutine's current clock and reports
+// whether the clock reached the attention limit. It never yields: when
+// it reports true, the caller does its own bookkeeping and calls
+// Advance(0), then Rearm once nothing is left for a charge to do but
+// add. A caller that charges through Add does every charge's work in
+// one add and one compare until then.
+func (ctx *Ctx) Add(cycles uint64) bool {
+	c := ctx.clock
+	c.now += cycles
+	return c.now >= ctx.limit
+}
+
+// Rearm raises the attention limit to the clock value just past the
+// horizon: from now on Add reports true only when Advance would yield,
+// or after the limit is dropped again.
+func (ctx *Ctx) Rearm() { ctx.limit = ctx.horizon + 1 }
+
+// Look drops the running coroutine's attention limit to 0, so its next
+// Add reports true, whatever its clock. A layer that keeps state a
+// charge must look at calls it when it changes that state: the running
+// coroutine sees the change at its next charge, and any other
+// coroutine sees it when it resumes, which drops its limit anyway.
+func (e *Engine) Look() {
+	if cur := e.current; cur != nil {
+		cur.ctx.limit = 0
+	}
+}
+
 // Now reports the coroutine's current clock time.
-func (ctx *Ctx) Now() uint64 { return ctx.co.clock.now }
+func (ctx *Ctx) Now() uint64 { return ctx.clock.now }
 
 // Coro returns the coroutine the context belongs to.
 func (ctx *Ctx) Coro() *Coro { return ctx.co }
@@ -562,7 +620,7 @@ func (ctx *Ctx) Park() {
 	co := ctx.co
 	co.runnable = false
 	ctx.yield()
-	co.clock.AdvanceTo(co.eng.now)
+	ctx.clock.AdvanceTo(co.eng.now)
 }
 
 // Reschedule forces a yield without charging time, letting equally urgent
@@ -587,7 +645,7 @@ const coroBit = 1 << 63
 
 // entry returns the coroutine's queue entry at its live clock value.
 func (co *Coro) entry() entry {
-	return entry{at: co.clock.now, key: coroBit | co.id, co: co}
+	return entry{at: co.ctx.clock.now, key: coroBit | co.id, co: co}
 }
 
 func (a entry) less(b entry) bool {

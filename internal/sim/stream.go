@@ -60,8 +60,8 @@ func (s *Stream) At(t uint64) {
 	} else {
 		s.wait(occurrence{at: t, seq: e.seq})
 	}
-	if cur := e.current; cur != nil && t < cur.ctx.horizon {
-		cur.ctx.horizon = t
+	if cur := e.current; cur != nil {
+		cur.ctx.shrink(t)
 	}
 }
 
