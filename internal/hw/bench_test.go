@@ -62,22 +62,50 @@ func BenchmarkTranslateHit(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatedMemoryAccess measures the full simulated load path
-// (translate, cache model, physical read) per host second.
+// BenchmarkSimulatedMemoryAccess measures the full simulated reference
+// (translate, cache model, physical memory) per host second on two
+// streams: walk loads one word from each of 256 pages in turn, four
+// times the TLB, so every load misses it and walks the table; hit
+// alternates loads and stores over the words of one resident page, so
+// every reference hits the TLB's latest entry and, seven in eight, the
+// L2's latest line.
 func BenchmarkSimulatedMemoryAccess(b *testing.B) {
+	b.Run("walk", func(b *testing.B) {
+		runAccessBench(b, 256, func(e *Exec, n int) {
+			for i := 0; i < n; i++ {
+				e.Load32(0x100_0000 + uint32(i%256)<<PageShift)
+			}
+		})
+	})
+	b.Run("hit", func(b *testing.B) {
+		runAccessBench(b, 1, func(e *Exec, n int) {
+			for i := 0; i < n; i++ {
+				va := 0x100_0000 + uint32(i%(PageSize/4))*4
+				if i&1 == 0 {
+					e.Load32(va)
+				} else {
+					e.Store32(va, uint32(i))
+				}
+			}
+		})
+	})
+}
+
+// runAccessBench times body(e, b.N) in a context whose space maps pages
+// writable pages from 0x100_0000.
+func runAccessBench(b *testing.B, pages uint32, body func(e *Exec, n int)) {
 	m := NewMachine(DefaultConfig())
+	defer m.Close()
 	mpm := m.MPMs[0]
 	tbl, _ := pagetable.New(nil)
-	for i := uint32(0); i < 256; i++ {
+	for i := uint32(0); i < pages; i++ {
 		tbl.Insert(0x100_0000+i<<PageShift, pagetable.MakePTE(512+i, pagetable.PTEValid|pagetable.PTEWrite))
 	}
 	sp := &Space{Table: tbl, ASID: 1}
 	n := b.N
 	e := mpm.NewExec("bench", func(e *Exec) {
 		e.Space = sp
-		for i := 0; i < n; i++ {
-			e.Load32(0x100_0000 + uint32(i%256)<<PageShift)
-		}
+		body(e, n)
 	})
 	mpm.CPUs[0].Dispatch(e)
 	b.ResetTimer()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -419,4 +420,60 @@ func TestNameIDInterning(t *testing.T) {
 		t.Fatalf("trace %q, want %q", strings.Join(got, " "), want)
 	}
 	e.Close()
+}
+
+// TestAttentionLimit pins the four ways a context's attention limit
+// moves: resuming drops it to 0, Rearm raises it to just past the
+// horizon, every horizon shrink (ScheduleAt, Stream.At, UnparkOn)
+// lowers it with the horizon and never raises it, and Look drops the
+// running coroutine's to 0. Add reports true whenever Advance would
+// yield, and after Rearm only then.
+func TestAttentionLimit(t *testing.T) {
+	e := &Engine{}
+	s := e.NewStream(func() {})
+	var fails []string
+	check := func(what string, ok bool) {
+		if !ok {
+			fails = append(fails, what)
+		}
+	}
+	co := e.NewCoro("worker", func(ctx *Ctx) {
+		check("the first resume drops the limit", ctx.limit == 0 && ctx.Add(0))
+		ctx.Rearm()
+		check("Rearm raises the limit past the horizon", ctx.limit == ctx.horizon+1)
+		check("Add up to the horizon", !ctx.Add(ctx.horizon-ctx.Now()))
+		check("Add past the horizon", ctx.Add(1))
+		ctx.Advance(0)
+		check("a resume after a yield drops the limit", ctx.limit == 0 && ctx.horizon > ctx.Now())
+		ctx.Rearm()
+		e.Look()
+		check("Look drops the limit", ctx.limit == 0)
+		e.ScheduleAt(ctx.Now()+1, func() {})
+		check("a shrink keeps a dropped limit", ctx.limit == 0)
+		ctx.Advance(2)
+		for i, shrink := range []func(at uint64){
+			func(at uint64) { e.ScheduleAt(at, func() {}) },
+			func(at uint64) { s.At(at) },
+			func(at uint64) {
+				clk := NewClock("other")
+				clk.AdvanceTo(at)
+				e.UnparkOn(e.NewCoro("other", func(*Ctx) {}), clk)
+			},
+		} {
+			ctx.Rearm()
+			at := ctx.Now() + 10
+			shrink(at)
+			check(fmt.Sprintf("shrink %d lowers the horizon and the limit", i), ctx.horizon == at && ctx.limit == at+1)
+			check(fmt.Sprintf("shrink %d: Add up to the new horizon", i), !ctx.Add(10))
+			check(fmt.Sprintf("shrink %d: Add past the new horizon", i), ctx.Add(1))
+			ctx.Advance(0)
+		}
+	})
+	e.UnparkOn(co, NewClock("cpu0"))
+	if err := e.Run(math.MaxUint64); err != nil {
+		t.Fatal(err)
+	}
+	if !co.Done() || len(fails) != 0 {
+		t.Fatalf("done %v, failed checks %q", co.Done(), fails)
+	}
 }
