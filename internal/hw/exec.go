@@ -285,8 +285,8 @@ func (e *Exec) access(va uint32, write bool, data refData, v uint32) uint32 {
 	var pa uint32
 	var pte pagetable.PTE
 	if e.Space == nil || e.CPU == nil {
-		// Translate panics.
-		pa, pte = e.Translate(va, write)
+		// translate panics.
+		pa, pte = e.translate(va, write, 0)
 	} else {
 		e.Charge(CostInstr)
 		// After the charge: its interrupt poll may have moved the
@@ -337,17 +337,18 @@ func (e *Exec) access(va uint32, write bool, data refData, v uint32) uint32 {
 // error path — which, as in the paper, forwards to the owning application
 // kernel and retries when it returns.
 func (e *Exec) Translate(va uint32, write bool) (uint32, pagetable.PTE) {
-	if e.Space == nil {
-		panic(fmt.Sprintf("hw: %s: virtual access %#x with no address space", e.Name, va))
-	}
 	return e.translate(va, write, 0)
 }
 
 // translate runs a translation's tries from the given one on. Each
 // charges an instruction and checks the TLB's latest hit, then, if
-// that misses, goes on to fill.
+// that misses, goes on to fill. Nothing clears an execution's space,
+// so its check at every try only ever fails at the first.
 func (e *Exec) translate(va uint32, write bool, tries int) (uint32, pagetable.PTE) {
 	for ; ; tries++ {
+		if e.Space == nil {
+			panic(fmt.Sprintf("hw: %s: virtual access %#x with no address space", e.Name, va))
+		}
 		if tries > 1<<20 {
 			panic(fmt.Sprintf("hw: %s: unresolvable fault at %#x", e.Name, va))
 		}
