@@ -197,7 +197,7 @@ func (d *delivery) deliver() {
 // re-established here).
 func (n *Node) agentBody(se *hw.Exec) {
 	n.agentUp = true
-	n.retired["agent"] = false
+	n.agent.retired = false
 	for se.Now() < n.cl.Cfg.Horizon {
 		tid := n.CK.CurrentThread(se)
 		if err := n.CK.SetAlarm(se, tid, se.Now()+agentTick, sigTick); err != nil {
@@ -209,9 +209,9 @@ func (n *Node) agentBody(se *hw.Exec) {
 		n.CK.SignalReturn(se)
 		n.drain(se)
 		n.report(se)
-		n.reviveDead(se, "medic")
+		n.reviveDead(se, &n.medic)
 	}
-	n.retired["agent"] = true
+	n.agent.retired = true
 }
 
 // medicBody is the plane's service watchdog. A kill fault can land on
@@ -221,7 +221,7 @@ func (n *Node) agentBody(se *hw.Exec) {
 // services from their bodies each tick; the agent reciprocally watches
 // the medic, so no single kill decapitates the plane.
 func (n *Node) medicBody(se *hw.Exec) {
-	n.retired["medic"] = false
+	n.medic.retired = false
 	for se.Now() < n.cl.Cfg.Horizon {
 		tid := n.CK.CurrentThread(se)
 		if err := n.CK.SetAlarm(se, tid, se.Now()+agentTick, sigTick); err != nil {
@@ -231,25 +231,36 @@ func (n *Node) medicBody(se *hw.Exec) {
 			break
 		}
 		n.CK.SignalReturn(se)
-		n.reviveDead(se, "agent")
+		n.reviveDead(se, &n.agent)
 		if n.Idx == 0 {
-			n.reviveDead(se, "ctl")
+			n.reviveDead(se, &n.ctl)
 		}
 	}
-	n.retired["medic"] = true
+	n.medic.retired = true
 }
 
-// reviveDead regenerates a named sibling service if its execution
-// context died (the body reruns from the top — services are written
-// for that, like crash replay). A retired service — one whose body
-// returned on its own, at the horizon or on a call error — is finished
-// too, but deliberately so; only a kill fault leaves the context dead
-// without the retired mark.
-func (n *Node) reviveDead(se *hw.Exec, name string) {
-	if n.retired[name] || !n.SRM.ServiceDead(name) {
+// planeService is one of a node's plane services: its name, the thread
+// AddService returned (which Recover's service replay reruns, so the
+// handle stays the service's) and whether its body returned
+// deliberately (horizon reached), so the watchdogs don't "revive" a
+// service that finished on purpose.
+type planeService struct {
+	name    string
+	t       *aklib.Thread
+	retired bool
+}
+
+// reviveDead regenerates a sibling service if its execution context
+// died (the body reruns from the top — services are written for that,
+// like crash replay). A retired service — one whose body returned on
+// its own, at the horizon or on a call error — is finished too, but
+// deliberately so; only a kill fault leaves the context dead without
+// the retired mark.
+func (n *Node) reviveDead(se *hw.Exec, s *planeService) {
+	if s.retired || !srm.ServiceDead(s.t) {
 		return
 	}
-	if err := n.SRM.ReviveService(se, name); err == nil {
+	if err := n.SRM.ReviveService(se, s.name); err == nil {
 		n.revived++
 	}
 }

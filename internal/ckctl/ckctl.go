@@ -95,10 +95,9 @@ type Node struct {
 	agentUp      bool
 	awaitFirst   []*migMsg
 
-	// retired marks plane services whose bodies returned deliberately
-	// (horizon reached), so the watchdogs don't "revive" a service that
-	// finished on purpose.
-	retired map[string]bool
+	// agent, medic and ctl are the node's plane services (ctl only on
+	// node 0; its thread is nil elsewhere).
+	agent, medic, ctl planeService
 
 	// recoveries counts guardian recoveries on this module; revived
 	// counts service threads the medic/agent watchdogs regenerated after
@@ -156,8 +155,10 @@ func New(m *hw.Machine, cfg Config, spec Spec) (*Cluster, error) {
 		}
 		n := &Node{
 			Idx: i, MPM: mpm, CK: k, cl: c,
-			hosted:  make([]*podRec, instances),
-			retired: make(map[string]bool),
+			hosted: make([]*podRec, instances),
+			agent:  planeService{name: "agent"},
+			medic:  planeService{name: "medic"},
+			ctl:    planeService{name: "ctl"},
 		}
 		k.Observe(n.trackDispatch)
 		c.Nodes = append(c.Nodes, n)
@@ -167,15 +168,16 @@ func New(m *hw.Machine, cfg Config, spec Spec) (*Cluster, error) {
 		n := n
 		_, err := srm.Start(n.CK, n.MPM, func(s *srm.SRM, e *hw.Exec) {
 			n.SRM = s
-			if _, err := s.AddService(e, "agent", servicePrio, n.agentBody); err != nil {
+			var err error
+			if n.agent.t, err = s.AddService(e, n.agent.name, servicePrio, n.agentBody); err != nil {
 				panic(fmt.Sprintf("ckctl: install agent on mpm %d: %v", n.Idx, err))
 			}
 			if n.Idx == 0 {
-				if _, err := s.AddService(e, "ctl", servicePrio, c.ctl.body); err != nil {
+				if n.ctl.t, err = s.AddService(e, n.ctl.name, servicePrio, c.ctl.body); err != nil {
 					panic(fmt.Sprintf("ckctl: install controller: %v", err))
 				}
 			}
-			if _, err := s.AddService(e, "medic", servicePrio, n.medicBody); err != nil {
+			if n.medic.t, err = s.AddService(e, n.medic.name, servicePrio, n.medicBody); err != nil {
 				panic(fmt.Sprintf("ckctl: install medic on mpm %d: %v", n.Idx, err))
 			}
 			n.guardian = s.Guard(srm.GuardConfig{

@@ -182,7 +182,7 @@ func (ctl *Controller) body(ce *hw.Exec) {
 	cl := ctl.cl
 	node0 := cl.Nodes[0]
 	k := node0.CK
-	node0.retired["ctl"] = false
+	node0.ctl.retired = false
 	for ce.Now() < cl.Cfg.Horizon {
 		tid := k.CurrentThread(ce)
 		if err := k.SetAlarm(ce, tid, ce.Now()+agentTick, sigTick); err != nil {
@@ -195,7 +195,7 @@ func (ctl *Controller) body(ce *hw.Exec) {
 		ctl.drain(ce)
 		ctl.reconcile(ce)
 	}
-	node0.retired["ctl"] = true
+	node0.ctl.retired = true
 	ctl.done = true
 }
 

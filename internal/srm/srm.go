@@ -315,9 +315,11 @@ func (s *SRM) AddService(e *hw.Exec, name string, prio int, body func(e *hw.Exec
 // without being restarted — a kill fault landed on it while it ran. A
 // whole-kernel crash is the guardian's business (Recover replays every
 // service); this predicate is for the narrower case where only the
-// service thread was lost and the rest of the module kept going.
-func (s *SRM) ServiceDead(name string) bool {
-	t := s.services[name]
+// service thread was lost and the rest of the module kept going. t is
+// the thread AddService returned (nil reports false): Recover and
+// ReviveService rerun that same thread from its body, so it stays the
+// service's handle.
+func ServiceDead(t *aklib.Thread) bool {
 	return t != nil && t.Exec != nil && t.Exec.Finished()
 }
 
