@@ -25,7 +25,7 @@ func refCharge(e *Exec, cycles uint64) {
 	if e.killed {
 		e.Exit()
 	}
-	if c := e.CPU; c != nil && c.pending != 0 && !c.IntrOff {
+	if c := e.CPU; c != nil && c.pending != 0 {
 		e.pollInterrupts(c)
 	}
 }

@@ -170,7 +170,7 @@ func (e *Exec) charged() {
 	if e.killed {
 		e.Exit()
 	}
-	if c := e.CPU; c != nil && c.pending != 0 && !c.IntrOff {
+	if c := e.CPU; c != nil && c.pending != 0 {
 		e.pollInterrupts(c)
 	}
 	e.rearm()
@@ -196,8 +196,8 @@ func (e *Exec) rearm() {
 	}
 }
 
-// pollInterrupts delivers the causes pending on c, the unmasked CPU
-// the context runs on.
+// pollInterrupts delivers the causes pending on c, the CPU the context
+// runs on.
 func (e *Exec) pollInterrupts(c *CPU) {
 	sup := e.MPM.Sup
 	if sup == nil {

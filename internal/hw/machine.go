@@ -172,10 +172,6 @@ type CPU struct {
 	// supervisor defines the bit meanings. Only Post sets bits.
 	pending uint32
 
-	// IntrOff suppresses interrupt delivery while the supervisor runs
-	// critical sections.
-	IntrOff bool
-
 	// timer is the slice timer, one engine stream per CPU: however
 	// many armings are pending, one queue entry stands for them.
 	timer *sim.Stream

@@ -135,23 +135,21 @@ func (c *L2Cache) Restore(st L2State) error {
 }
 
 // CPUState is one CPU's captured interrupt state: the pending-cause
-// bitmask and the interrupt-suppression flag. A slice timer that fires
+// bitmask. A slice timer that fires
 // while the CPU is idle leaves a pending bit behind; the next thread
 // dispatched takes that interrupt at its first charge point and
 // re-arms its slice, so a fork that dropped the bit would drift in
 // virtual time from its parent.
 type CPUState struct {
 	Pending uint32
-	IntrOff bool
 }
 
 // State captures the CPU's interrupt state.
-func (c *CPU) State() CPUState { return CPUState{Pending: c.pending, IntrOff: c.IntrOff} }
+func (c *CPU) State() CPUState { return CPUState{Pending: c.pending} }
 
 // RestoreIntr overwrites the CPU's interrupt state with a captured one.
 func (c *CPU) RestoreIntr(st CPUState) {
 	c.pending = st.Pending
-	c.IntrOff = st.IntrOff
 }
 
 // RAMState is a local-RAM allocator's captured accounting.

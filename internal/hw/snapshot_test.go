@@ -146,11 +146,10 @@ func TestL2StateRoundTrip(t *testing.T) {
 func TestCPUStateRoundTrip(t *testing.T) {
 	c := NewMachine(DefaultConfig()).MPMs[0].CPUs[0]
 	c.Post(1)
-	c.IntrOff = true
 	st := c.State()
 	c2 := NewMachine(DefaultConfig()).MPMs[0].CPUs[0]
 	c2.RestoreIntr(st)
-	if c2.Pending() != 1 || !c2.IntrOff {
+	if c2.Pending() != 1 {
 		t.Fatalf("restored interrupt state %+v", c2.State())
 	}
 }
