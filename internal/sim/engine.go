@@ -14,7 +14,10 @@
 //
 // Time is measured in processor cycles. Clocks belong to simulated CPUs;
 // a coroutine advances whichever clock it is currently dispatched on, so a
-// thread migrating between CPUs naturally accumulates time on each.
+// thread migrating between CPUs naturally accumulates time on each. It
+// charges with Ctx.Add, one add and one compare against its attention
+// limit, which is 0 whenever the layer above has more to do than add;
+// Ctx.Advance adds and yields once the clock passes the slice horizon.
 //
 // Host-side scheduling is O(log n) in the number of pending entities:
 // runnable coroutines and pending events share one min-heap of value
