@@ -135,11 +135,10 @@ func (c *L2Cache) Restore(st L2State) error {
 }
 
 // CPUState is one CPU's captured interrupt state: the pending-cause
-// bitmask. A slice timer that fires
-// while the CPU is idle leaves a pending bit behind; the next thread
-// dispatched takes that interrupt at its first charge point and
-// re-arms its slice, so a fork that dropped the bit would drift in
-// virtual time from its parent.
+// bitmask. A slice timer that fires while the CPU is idle leaves a
+// pending bit behind; the next thread dispatched takes that interrupt
+// at its first charge point and re-arms its slice, so a fork that
+// dropped the bit would drift in virtual time from its parent.
 type CPUState struct {
 	Pending uint32
 }
