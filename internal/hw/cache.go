@@ -55,28 +55,11 @@ func NewL2Cache(size uint32) *L2Cache {
 // Access simulates a reference to physical address pa and returns the
 // cycle charge (hit or miss).
 func (c *L2Cache) Access(pa uint32) uint64 {
-	if c.repeat(pa) {
+	line := pa >> l2LineShift
+	if line+1 == c.last {
+		c.Hits++
 		return CostMemHit
 	}
-	return c.lookup(pa)
-}
-
-// repeat answers a reference to the line of the most recent access: it
-// counts the hit and reports true, with no tag lookup. It is every
-// access's first check, small enough to inline into the simulated
-// memory reference.
-func (c *L2Cache) repeat(pa uint32) bool {
-	if pa>>l2LineShift+1 != c.last {
-		return false
-	}
-	c.Hits++
-	return true
-}
-
-// lookup is the tag check of an access to a line other than the last
-// one's; it moves the memo to the line and returns the charge.
-func (c *L2Cache) lookup(pa uint32) uint64 {
-	line := pa >> l2LineShift
 	c.last = line + 1
 	idx := line % c.lines
 	tag := line/c.lines + 1

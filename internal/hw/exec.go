@@ -1,7 +1,6 @@
 package hw
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"vpp/internal/pagetable"
@@ -241,95 +240,50 @@ func (e *Exec) PhysWrite32(pa, v uint32) {
 
 // Load32 reads the word at virtual address va through the MMU; it may
 // fault into the supervisor and retry.
-func (e *Exec) Load32(va uint32) uint32 { return e.access(va, false, refLoad32, 0) }
+func (e *Exec) Load32(va uint32) uint32 {
+	pa, _ := e.Translate(va, false)
+	e.Charge(e.MPM.L2.Access(pa))
+	return e.MPM.Machine.Phys.Read32(pa)
+}
 
 // Store32 writes the word at virtual address va through the MMU. Writes
 // to message-mode pages invoke the supervisor's signal-on-write hook
 // after the data is globally visible, as the ParaDiGM cache controller
 // did.
-func (e *Exec) Store32(va, v uint32) { e.access(va, true, refStore32, v) }
+func (e *Exec) Store32(va, v uint32) {
+	pa, pte := e.Translate(va, true)
+	e.Charge(e.MPM.L2.Access(pa))
+	e.MPM.Machine.Phys.Write32(pa, v)
+	if pte.Message() && e.MPM.Sup != nil {
+		e.MPM.Sup.MessageWrite(e, va, pa)
+	}
+}
 
 // Load8 reads one byte at va.
-func (e *Exec) Load8(va uint32) byte { return byte(e.access(va, false, refLoad8, 0)) }
+func (e *Exec) Load8(va uint32) byte {
+	pa, _ := e.Translate(va, false)
+	e.Charge(e.MPM.L2.Access(pa))
+	return e.MPM.Machine.Phys.Read8(pa)
+}
 
 // Store8 writes one byte at va.
-func (e *Exec) Store8(va uint32, v byte) { e.access(va, true, refStore8, uint32(v)) }
+func (e *Exec) Store8(va uint32, v byte) {
+	pa, pte := e.Translate(va, true)
+	e.Charge(e.MPM.L2.Access(pa))
+	e.MPM.Machine.Phys.Write8(pa, v)
+	if pte.Message() && e.MPM.Sup != nil {
+		e.MPM.Sup.MessageWrite(e, va, pa)
+	}
+}
 
 // Touch performs a read access for its translation and cache effects
 // only, as workload generators do when simulating data references.
-func (e *Exec) Touch(va uint32, write bool) { e.access(va, write, refTouch, 0) }
-
-// refData is what a simulated memory reference does with the data at
-// its physical address.
-type refData uint8
-
-const (
-	refTouch refData = iota // nothing: translation and cache effects only
-	refLoad32
-	refStore32
-	refLoad8
-	refStore8
-)
-
-// access is the simulated memory reference that Load32, Store32, Load8,
-// Store8 and Touch share, each inlined at its call site as one call of
-// it. In order: the translation's instruction charge and the TLB's
-// latest-hit check (TLB.latest), the L2's last-line check
-// (L2Cache.repeat) and the charge of the reference, then the data in
-// its allocated frame (PhysMem.word, PhysMem.frame). When all of them
-// hit and neither charge needs attention it makes no call. Everything
-// else takes the code Translate, L2Cache.Access and PhysMem use: a TLB
-// miss, a walk, a fault, an L2 tag lookup, a frame never written, a
-// shared frame to store to, and the range and alignment panics.
-func (e *Exec) access(va uint32, write bool, data refData, v uint32) uint32 {
-	var pa uint32
-	var pte pagetable.PTE
-	if e.Space == nil || e.CPU == nil {
-		// translate panics.
-		pa, pte = e.translate(va, write, 0)
-	} else {
-		e.Charge(CostInstr)
-		// After the charge: its interrupt poll may have moved the
-		// context to another CPU.
-		hit := false
-		if pte, hit = e.CPU.TLB.latest(e.Space.ASID, va>>PageShift, write); hit {
-			pa = pte.PFN()<<PageShift | va&(PageSize-1)
-		} else if pa, pte, hit = e.fill(va, write); !hit {
-			pa, pte = e.translate(va, write, 1)
-		}
-	}
-	l2 := e.MPM.L2
-	cost := uint64(CostMemHit)
-	if !l2.repeat(pa) {
-		cost = l2.lookup(pa)
-	}
-	e.Charge(cost)
-	phys := e.MPM.Machine.Phys
-	switch data {
-	case refLoad32:
-		if w := phys.word(pa, false); w != nil {
-			return binary.LittleEndian.Uint32(w[:])
-		}
-		return phys.Read32(pa)
-	case refStore32:
-		if w := phys.word(pa, true); w != nil {
-			binary.LittleEndian.PutUint32(w[:], v)
-		} else {
-			phys.Write32(pa, v)
-		}
-	case refLoad8:
-		return uint32(phys.Read8(pa))
-	case refStore8:
-		if f := phys.frame(pa>>PageShift, true); f != nil {
-			f[pa&(PageSize-1)] = byte(v)
-		} else {
-			phys.Write8(pa, byte(v))
-		}
-	}
+func (e *Exec) Touch(va uint32, write bool) {
+	pa, pte := e.Translate(va, write)
+	e.Charge(e.MPM.L2.Access(pa))
 	if write && pte.Message() && e.MPM.Sup != nil {
 		e.MPM.Sup.MessageWrite(e, va, pa)
 	}
-	return 0
 }
 
 // Translate resolves va to a physical address, consulting the TLB, then
@@ -337,18 +291,10 @@ func (e *Exec) access(va uint32, write bool, data refData, v uint32) uint32 {
 // error path — which, as in the paper, forwards to the owning application
 // kernel and retries when it returns.
 func (e *Exec) Translate(va uint32, write bool) (uint32, pagetable.PTE) {
-	return e.translate(va, write, 0)
-}
-
-// translate runs a translation's tries from the given one on. Each
-// charges an instruction and checks the TLB's latest hit, then, if
-// that misses, goes on to fill. Nothing clears an execution's space,
-// so its check at every try only ever fails at the first.
-func (e *Exec) translate(va uint32, write bool, tries int) (uint32, pagetable.PTE) {
-	for ; ; tries++ {
-		if e.Space == nil {
-			panic(fmt.Sprintf("hw: %s: virtual access %#x with no address space", e.Name, va))
-		}
+	if e.Space == nil {
+		panic(fmt.Sprintf("hw: %s: virtual access %#x with no address space", e.Name, va))
+	}
+	for tries := 0; ; tries++ {
 		if tries > 1<<20 {
 			panic(fmt.Sprintf("hw: %s: unresolvable fault at %#x", e.Name, va))
 		}
@@ -359,69 +305,64 @@ func (e *Exec) translate(va uint32, write bool, tries int) (uint32, pagetable.PT
 		// The charge's interrupt poll may have moved the context to
 		// another CPU: every TLB operation uses the CPU read after the
 		// last charge before it.
-		if pte, ok := e.CPU.TLB.latest(e.Space.ASID, va>>PageShift, write); ok {
+		cpu := e.CPU
+		sp := e.Space
+		vpn := va >> PageShift
+		// The TLB's latest hit answers a repeat of its page without the
+		// index probe (see TLB.last). Only the pure hit is taken: a
+		// first write through a clean entry, or a permission mismatch,
+		// takes the full path, so the charges and counts stay those of
+		// a Lookup.
+		if l := cpu.TLB.last; l.valid && l.vpn == vpn && l.asid == sp.ASID {
+			if pte := l.pte; pte.Valid() && (!write || pte.Writable() && pte&pagetable.PTEModified != 0) {
+				cpu.TLB.Hits++
+				return pte.PFN()<<PageShift | va&(PageSize-1), pte
+			}
+		}
+		pte, hit := cpu.TLB.Lookup(sp.ASID, vpn)
+		if hit && pte.Valid() && (!write || pte.Writable()) {
+			if write && pte&pagetable.PTEModified == 0 {
+				// First write through a clean entry: the 68040
+				// re-walks to set the modified bit.
+				sp.Table.SetRM(va, true)
+				cpu.TLB.Insert(sp.ASID, vpn, pte|pagetable.PTEModified)
+				e.Charge(CostMemHit + CostTLBFillPerLevel)
+				pte |= pagetable.PTEModified
+			}
 			return pte.PFN()<<PageShift | va&(PageSize-1), pte
 		}
-		if pa, pte, ok := e.fill(va, write); ok {
-			return pa, pte
+		if hit {
+			// Permission mismatch: drop the stale entry and re-walk.
+			cpu.TLB.InvalidatePage(sp.ASID, vpn)
 		}
-	}
-}
-
-// fill is the rest of a translation try whose latest-hit check missed:
-// the TLB index, the re-walk of a first write through a clean entry,
-// the hardware table walk and the supervisor's fault path. It reports
-// false when the try must be retried: the walk filled the TLB, failed
-// transiently, or found no translation and the supervisor handled the
-// fault.
-func (e *Exec) fill(va uint32, write bool) (uint32, pagetable.PTE, bool) {
-	cpu := e.CPU
-	sp := e.Space
-	vpn := va >> PageShift
-	pte, hit := cpu.TLB.Lookup(sp.ASID, vpn)
-	if hit && pte.Valid() && (!write || pte.Writable()) {
-		if write && pte&pagetable.PTEModified == 0 {
-			// First write through a clean entry: the 68040
-			// re-walks to set the modified bit.
-			sp.Table.SetRM(va, true)
-			cpu.TLB.Insert(sp.ASID, vpn, pte|pagetable.PTEModified)
+		// Hardware table walk.
+		depth := sp.Table.WalkDepth(va)
+		for i := 0; i < depth; i++ {
 			e.Charge(CostMemHit + CostTLBFillPerLevel)
-			pte |= pagetable.PTEModified
 		}
-		return pte.PFN()<<PageShift | va&(PageSize-1), pte, true
-	}
-	if hit {
-		// Permission mismatch: drop the stale entry and re-walk.
-		cpu.TLB.InvalidatePage(sp.ASID, vpn)
-	}
-	// Hardware table walk.
-	depth := sp.Table.WalkDepth(va)
-	for i := 0; i < depth; i++ {
-		e.Charge(CostMemHit + CostTLBFillPerLevel)
-	}
-	if f := e.MPM.WalkFault; f != nil && f(e, va) {
-		// Transient walk error (a parity hit during the table
-		// walk): the hardware retries the walk from the root.
-		return 0, 0, false
-	}
-	wpte, ok := sp.Table.Lookup(va)
-	if ok && (!write || wpte.Writable()) {
-		sp.Table.SetRM(va, write)
-		if write {
-			wpte |= pagetable.PTEModified
+		if f := e.MPM.WalkFault; f != nil && f(e, va) {
+			// Transient walk error (a parity hit during the table
+			// walk): the hardware retries the walk from the root.
+			continue
 		}
-		e.CPU.TLB.Insert(sp.ASID, vpn, wpte|pagetable.PTEReferenced)
-		return 0, 0, false
+		wpte, ok := sp.Table.Lookup(va)
+		if ok && (!write || wpte.Writable()) {
+			sp.Table.SetRM(va, write)
+			if write {
+				wpte |= pagetable.PTEModified
+			}
+			e.CPU.TLB.Insert(sp.ASID, vpn, wpte|pagetable.PTEReferenced)
+			continue
+		}
+		kind := FaultMapping
+		if ok {
+			kind = FaultProtection
+		}
+		if e.MPM.Sup == nil {
+			panic(fmt.Sprintf("hw: %s: %v fault at %#x with no supervisor", e.Name, kind, va))
+		}
+		e.MPM.Sup.AccessError(e, va, write, kind)
 	}
-	kind := FaultMapping
-	if ok {
-		kind = FaultProtection
-	}
-	if e.MPM.Sup == nil {
-		panic(fmt.Sprintf("hw: %s: %v fault at %#x with no supervisor", e.Name, kind, va))
-	}
-	e.MPM.Sup.AccessError(e, va, write, kind)
-	return 0, 0, false
 }
 
 // SetSpace switches the context's translation root, charging the

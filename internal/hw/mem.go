@@ -168,36 +168,6 @@ func (m *PhysMem) Frames() uint32 { return m.size / PageSize }
 // is snapshot-shared. Read-only internal paths use peek instead, which
 // never allocates or de-shares.
 func (m *PhysMem) Page(pfn uint32) *[PageSize]byte {
-	if f := m.frame(pfn, true); f != nil {
-		return f
-	}
-	return m.writable(pfn)
-}
-
-// frame returns pfn's allocated frame (an unshared one, for a write),
-// or nil when the access has more to do: pfn is out of range, its
-// frame has never been written, or a write must privatize it first. It
-// is the common case of every access, small enough to inline into the
-// simulated memory reference.
-func (m *PhysMem) frame(pfn uint32, write bool) *[PageSize]byte {
-	if pfn >= m.Frames() {
-		return nil
-	}
-	g := m.groups[pfn/PageGroupPages]
-	if g == nil {
-		return nil
-	}
-	i := pfn % PageGroupPages
-	if write && g.shared[i] {
-		return nil
-	}
-	return g.frames[i]
-}
-
-// writable is Page's slow path, for a frame that frame(pfn, true) did
-// not return: it panics if pfn is out of range, allocates a frame
-// never written and privatizes a copy of a shared one.
-func (m *PhysMem) writable(pfn uint32) *[PageSize]byte {
 	m.checkFrame(pfn)
 	g := m.groups[pfn/PageGroupPages]
 	if g == nil {
@@ -211,25 +181,16 @@ func (m *PhysMem) writable(pfn uint32) *[PageSize]byte {
 		g.frames[i] = f
 		return f
 	}
-	c := new([PageSize]byte)
-	*c = *f
-	g.frames[i] = c
-	g.shared[i] = false
-	m.SharedPages--
-	m.CopiedPages++
-	return c
-}
-
-// word returns the aligned 32-bit word at pa in its allocated frame (an
-// unshared one, for a write), or nil when pa is not 4-byte aligned or
-// frame returns nil. Like frame, it inlines into the simulated memory
-// reference.
-func (m *PhysMem) word(pa uint32, write bool) *[4]byte {
-	f := m.frame(pa>>PageShift, write)
-	if f == nil || pa%4 != 0 {
-		return nil
+	if g.shared[i] {
+		c := new([PageSize]byte)
+		*c = *f
+		g.frames[i] = c
+		g.shared[i] = false
+		m.SharedPages--
+		m.CopiedPages++
+		return c
 	}
-	return (*[4]byte)(f[pa&(PageSize-1):])
+	return f
 }
 
 // peek returns the frame for pfn without allocating or privatizing it;
@@ -262,23 +223,21 @@ func (pfn frameOutOfRange) Error() string {
 // Read32 reads the 32-bit little-endian word at physical address pa,
 // which must be 4-byte aligned.
 func (m *PhysMem) Read32(pa uint32) uint32 {
-	if w := m.word(pa, false); w != nil {
-		return binary.LittleEndian.Uint32(w[:])
-	}
-	// Unaligned or out of range, which panic, or never written.
 	checkAlign(pa, 4)
-	m.checkFrame(pa >> PageShift)
-	return 0
+	f := m.peek(pa >> PageShift)
+	if f == nil {
+		return 0
+	}
+	off := pa & (PageSize - 1)
+	return binary.LittleEndian.Uint32(f[off : off+4])
 }
 
 // Write32 writes the 32-bit little-endian word at physical address pa.
 func (m *PhysMem) Write32(pa, v uint32) {
-	w := m.word(pa, true)
-	if w == nil {
-		checkAlign(pa, 4)
-		w = (*[4]byte)(m.writable(pa >> PageShift)[pa&(PageSize-1):])
-	}
-	binary.LittleEndian.PutUint32(w[:], v)
+	checkAlign(pa, 4)
+	f := m.Page(pa >> PageShift)
+	off := pa & (PageSize - 1)
+	binary.LittleEndian.PutUint32(f[off:off+4], v)
 }
 
 // Read8 reads the byte at pa.

@@ -16,9 +16,9 @@ import "vpp/internal/pagetable"
 // hit/miss statistics are exactly those of the original linear scan;
 // only the host cost of finding an entry changes.
 //
-// last is the entry of the most recent Lookup hit, which latest checks
-// before a translation probes the index: a repeat of the page is the
-// common case. No two valid entries share an (asid, vpn) pair (Insert
+// last is the entry of the most recent Lookup hit, which Exec.Translate
+// checks before probing the index: a repeat of the page is the common
+// case. No two valid entries share an (asid, vpn) pair (Insert
 // overwrites in place and Restore refuses duplicates), so a valid entry
 // with the wanted tag is exactly what Lookup would return, and no
 // mutation has to reset last.
@@ -107,25 +107,6 @@ func (t *TLB) Lookup(asid uint16, vpn uint32) (pagetable.PTE, bool) {
 		return t.last.pte, true
 	}
 	t.Misses++
-	return 0, false
-}
-
-// latest answers a translation of the page of the most recent Lookup
-// hit from that entry, without the index probe, and counts the hit.
-// Only the pure hit is taken: a first write through a clean entry, or
-// a permission mismatch, reports false and takes the full path, so the
-// charges and counts stay those of a Lookup. It is every translation's
-// first check, small enough to inline into the simulated memory
-// reference.
-func (t *TLB) latest(asid uint16, vpn uint32, write bool) (pagetable.PTE, bool) {
-	l := t.last
-	if !l.valid || l.vpn != vpn || l.asid != asid {
-		return 0, false
-	}
-	if pte := l.pte; pte.Valid() && (!write || pte.Writable() && pte&pagetable.PTEModified != 0) {
-		t.Hits++
-		return pte, true
-	}
 	return 0, false
 }
 
