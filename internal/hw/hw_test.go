@@ -241,8 +241,8 @@ func TestExecVirtualAccessWithDemandFault(t *testing.T) {
 }
 
 // TestChargeInterruptWindow pins when a charge delivers the causes
-// latched on its CPU: only Charge, only with a cause pending, and all
-// pending causes at once.
+// latched on its CPU: only Charge, only with a cause pending (posted or
+// restored), and all pending causes at once.
 func TestChargeInterruptWindow(t *testing.T) {
 	m, mpm, sup := newTestMachine(t)
 	e := mpm.NewExec("user", func(e *Exec) {
@@ -258,6 +258,11 @@ func TestChargeInterruptWindow(t *testing.T) {
 		e.Charge(1)
 		if !slices.Equal(sup.interrupts, []uint32{5}) || c.Pending() != 0 {
 			t.Errorf("delivered %v, pending %#x; want [5] once, none left", sup.interrupts, c.Pending())
+		}
+		c.RestoreIntr(CPUState{Pending: 2})
+		e.Charge(1)
+		if !slices.Equal(sup.interrupts, []uint32{5, 2}) {
+			t.Errorf("delivered %v after a restored cause; want [5 2]", sup.interrupts)
 		}
 	})
 	mpm.CPUs[0].Dispatch(e)

@@ -169,7 +169,8 @@ type CPU struct {
 
 	// pending is a bitmask of pending interrupt causes, delivered to the
 	// supervisor at the running context's next charge point. The
-	// supervisor defines the bit meanings. Only Post sets bits.
+	// supervisor defines the bit meanings. Only Post and RestoreIntr
+	// set bits, and both drop the running context's attention limit.
 	pending uint32
 
 	// timer is the slice timer, one engine stream per CPU: however

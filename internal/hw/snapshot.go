@@ -147,8 +147,11 @@ type CPUState struct {
 func (c *CPU) State() CPUState { return CPUState{Pending: c.pending} }
 
 // RestoreIntr overwrites the CPU's interrupt state with a captured one.
+// Like Post, it drops the running context's attention limit, so a
+// restore during a run is seen at the next charge.
 func (c *CPU) RestoreIntr(st CPUState) {
 	c.pending = st.Pending
+	c.MPM.Engine.Look()
 }
 
 // RAMState is a local-RAM allocator's captured accounting.
