@@ -1,15 +1,19 @@
 package hw
 
+import "math"
+
 // L2Cache models the MPM's software-controlled second-level cache as a
 // direct-mapped tag array over 32-byte lines. It exists for two purposes:
 // charging realistic hit/miss cycle costs on every memory reference, and
 // reporting hit/miss statistics for the locality experiments (Section
 // 5.2). Data always lives in PhysMem; the cache carries no contents.
 //
-// The tag array is kept in fixed-size chunks allocated on first touch:
-// a nil chunk reads as all-invalid. The paper's 8 MB cache has a 1 MB
-// tag array and a short simulation touches a small fraction of it, so
-// a machine pays only for the chunks it touches.
+// The tag array is kept in fixed-size chunks allocated on first touch.
+// The paper's 8 MB cache has a 1 MB tag array and a short simulation
+// touches a small fraction of it, so a machine pays only for the chunks
+// it touches and a directory of 2-byte chunk numbers, 4 KB with no
+// pointer for the collector to scan: a chunk's directory entry is 0
+// until it is touched, and reads as all-invalid.
 //
 // last memoizes the line of the most recent access: that access left
 // the line's tag in place, and only a later access (which moves the
@@ -20,7 +24,8 @@ package hw
 type L2Cache struct {
 	lines  uint32
 	last   uint32     // line+1 of the most recent access, 0 = none
-	chunks []*l2Chunk // tag+1 per line, 0 = invalid; nil = all invalid
+	dir    []uint16   // per chunk: 1 + its index in chunks, 0 = untouched
+	chunks []*l2Chunk // tag+1 per line, 0 = invalid; in first-touch order
 
 	// Hits and Misses count accesses since the cache was built (or
 	// restored from a snapshot); nothing resets them.
@@ -46,10 +51,11 @@ func NewL2Cache(size uint32) *L2Cache {
 		panic("hw: bad L2 cache size")
 	}
 	lines := size / L2LineSize
-	return &L2Cache{
-		lines:  lines,
-		chunks: make([]*l2Chunk, (lines+l2ChunkLines-1)/l2ChunkLines),
+	n := (lines + l2ChunkLines - 1) / l2ChunkLines
+	if n > math.MaxUint16 {
+		panic("hw: L2 cache too large for its chunk directory")
 	}
+	return &L2Cache{lines: lines, dir: make([]uint16, n)}
 }
 
 // Access simulates a reference to physical address pa and returns the
@@ -63,11 +69,11 @@ func (c *L2Cache) Access(pa uint32) uint64 {
 	c.last = line + 1
 	idx := line % c.lines
 	tag := line/c.lines + 1
-	ch := c.chunks[idx/l2ChunkLines]
-	if ch == nil {
-		ch = c.chunk(idx)
+	n := c.dir[idx/l2ChunkLines]
+	if n == 0 {
+		n = c.chunk(idx)
 	}
-	t := &ch[idx%l2ChunkLines]
+	t := &c.chunks[n-1][idx%l2ChunkLines]
 	if *t == tag {
 		c.Hits++
 		return CostMemHit
@@ -77,15 +83,16 @@ func (c *L2Cache) Access(pa uint32) uint64 {
 	return CostMemMiss
 }
 
-// chunk allocates the all-invalid chunk holding line idx. It stays out
-// of line so that Access, which calls it on a chunk's first touch
-// only, keeps a small hit path.
+// chunk allocates the all-invalid chunk holding line idx and returns
+// its directory entry. It stays out of line so that Access, which
+// calls it on a chunk's first touch only, keeps a small hit path.
 //
 //go:noinline
-func (c *L2Cache) chunk(idx uint32) *l2Chunk {
-	ch := new(l2Chunk)
-	c.chunks[idx/l2ChunkLines] = ch
-	return ch
+func (c *L2Cache) chunk(idx uint32) uint16 {
+	c.chunks = append(c.chunks, new(l2Chunk))
+	n := uint16(len(c.chunks))
+	c.dir[idx/l2ChunkLines] = n
+	return n
 }
 
 // FlushAll invalidates every line (used by the second-level cache manager
@@ -93,9 +100,7 @@ func (c *L2Cache) chunk(idx uint32) *l2Chunk {
 func (c *L2Cache) FlushAll() {
 	c.last = 0
 	for _, ch := range c.chunks {
-		if ch != nil {
-			clear(ch[:])
-		}
+		clear(ch[:])
 	}
 }
 
@@ -107,8 +112,8 @@ func (c *L2Cache) FlushPage(pa uint32) {
 		line := (base + off) >> l2LineShift
 		idx := line % c.lines
 		tag := line/c.lines + 1
-		if ch := c.chunks[idx/l2ChunkLines]; ch != nil && ch[idx%l2ChunkLines] == tag {
-			ch[idx%l2ChunkLines] = 0
+		if n := c.dir[idx/l2ChunkLines]; n != 0 && c.chunks[n-1][idx%l2ChunkLines] == tag {
+			c.chunks[n-1][idx%l2ChunkLines] = 0
 		}
 	}
 }

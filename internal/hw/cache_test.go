@@ -68,8 +68,8 @@ func (c *denseL2) restore(st L2State) {
 
 // tagAt reports line idx's stored tag, 0 for an invalid line.
 func (c *L2Cache) tagAt(idx uint32) uint32 {
-	if ch := c.chunks[idx/l2ChunkLines]; ch != nil {
-		return ch[idx%l2ChunkLines]
+	if n := c.dir[idx/l2ChunkLines]; n != 0 {
+		return c.chunks[n-1][idx%l2ChunkLines]
 	}
 	return 0
 }
@@ -120,6 +120,22 @@ func TestL2ChunkedMatchesDense(t *testing.T) {
 						t.Fatalf("op %d: line %d tag %d, spec %d", op, i, got, spec.tags[i])
 					}
 				}
+				// The directory names each allocated chunk once.
+				named := make([]bool, len(c.chunks))
+				for i, n := range c.dir {
+					if n == 0 {
+						continue
+					}
+					if int(n) > len(c.chunks) || named[n-1] {
+						t.Fatalf("op %d: directory entry %d names chunk %d of %d twice or past the end", op, i, n, len(c.chunks))
+					}
+					named[n-1] = true
+				}
+				for i, ok := range named {
+					if !ok {
+						t.Fatalf("op %d: chunk %d of %d has no directory entry", op, i+1, len(c.chunks))
+					}
+				}
 			}
 			for op := 0; op < 4000; op++ {
 				pa := addr()
@@ -161,11 +177,12 @@ func TestL2ChunkedMatchesDense(t *testing.T) {
 // TestNewMachineAllocation bounds what building the paper's machine
 // allocates, at its 64 MB of physical memory and at the 256 MB the
 // orchestration machines use. With a dense L2 tag array it was over
-// 1 MiB; with a flat frame table it was 158,488 and 551,889 bytes.
-// Now memory size costs one page-group pointer per 512 KB, and the
-// largest piece is the L2's chunk table.
+// 1 MiB; with a flat frame table it was 158,488 and 551,889 bytes;
+// with a pointer per L2 chunk it was 28,552 and 32,264. Now memory
+// size costs one page-group pointer per 512 KB, and the L2 a 4 KB
+// directory of chunk numbers.
 func TestNewMachineAllocation(t *testing.T) {
-	const bound = 48 << 10
+	const bound = 22 << 10
 	for _, size := range []uint32{64 << 20, 256 << 20} {
 		cfg := DefaultConfig()
 		cfg.PhysMemBytes = size
@@ -176,8 +193,10 @@ func TestNewMachineAllocation(t *testing.T) {
 			NewMachine(cfg)
 		}
 		runtime.ReadMemStats(&after)
-		if per := (after.TotalAlloc - before.TotalAlloc) / n; per > bound {
+		per := (after.TotalAlloc - before.TotalAlloc) / n
+		if per > bound {
 			t.Fatalf("NewMachine with %d MB of memory allocates %d bytes, bound %d", size>>20, per, bound)
 		}
+		t.Logf("NewMachine with %d MB of memory allocates %d bytes", size>>20, per)
 	}
 }

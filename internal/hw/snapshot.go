@@ -94,11 +94,11 @@ type L2State struct {
 // State captures the cache.
 func (c *L2Cache) State() L2State {
 	st := L2State{NTags: int32(c.lines), Hits: c.Hits, Misses: c.Misses}
-	for i, ch := range c.chunks {
-		if ch == nil {
+	for i, n := range c.dir {
+		if n == 0 {
 			continue
 		}
-		for j, t := range ch {
+		for j, t := range c.chunks[n-1] {
 			if t != 0 {
 				st.Tags = append(st.Tags, L2Tag{Line: int32(i*l2ChunkLines + j), Tag: t})
 			}
@@ -109,12 +109,14 @@ func (c *L2Cache) State() L2State {
 
 // Restore overwrites the cache with a captured state. The old chunks
 // are dropped, and only the chunks holding a captured tag are
-// allocated.
+// allocated, in the capture's line order.
 func (c *L2Cache) Restore(st L2State) error {
 	if st.NTags < 0 || uint32(st.NTags) != c.lines {
 		return fmt.Errorf("hw: L2 restore size mismatch: %d tags into %d", st.NTags, c.lines)
 	}
+	clear(c.dir)
 	clear(c.chunks)
+	c.chunks = c.chunks[:0]
 	c.last = 0
 	for _, t := range st.Tags {
 		if t.Line < 0 || uint32(t.Line) >= c.lines {
@@ -123,11 +125,11 @@ func (c *L2Cache) Restore(st L2State) error {
 		if t.Tag == 0 {
 			continue
 		}
-		ch := c.chunks[t.Line/l2ChunkLines]
-		if ch == nil {
-			ch = c.chunk(uint32(t.Line))
+		n := c.dir[t.Line/l2ChunkLines]
+		if n == 0 {
+			n = c.chunk(uint32(t.Line))
 		}
-		ch[t.Line%l2ChunkLines] = t.Tag
+		c.chunks[n-1][t.Line%l2ChunkLines] = t.Tag
 	}
 	c.Hits = st.Hits
 	c.Misses = st.Misses
