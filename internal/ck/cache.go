@@ -1,18 +1,34 @@
 package ck
 
+import (
+	"fmt"
+	"slices"
+)
+
 // objCache is the fixed-capacity descriptor cache underlying each object
 // type. Slots are recycled in least-recently-loaded order when the cache
 // is full; locked slots are skipped by reclamation (but see the
 // dependency rules in unload: a locked object with an unlocked
 // dependency is still reclaimable through that dependency).
 //
-// The descriptor array is allocated once at boot and accounted against
-// the MPM's local RAM with the paper's descriptor byte sizes, so the
-// Section 5.2 memory arithmetic reproduces.
+// The capacity is accounted against the MPM's local RAM in full at
+// boot, with the paper's descriptor byte sizes, so the Section 5.2
+// memory arithmetic reproduces. The host stores only the slots a run
+// has used, as the pmap does: slots holds every slot handed out so far
+// (a slot past its end has never been used: free, unlocked, generation
+// 0), and the part of the free stack no run has touched is one number.
 type objCache[T any] struct {
 	name  string
+	n     int32 // capacity in slots
 	slots []cacheSlot[T]
-	free  []int32
+
+	// The free stack is the canonical prefix [n-1, n-2, ..., fresh] — a
+	// new cache's order, so slot 0 goes first — held as the one number
+	// fresh, with tail, the slots freed since, on top of it in push
+	// order. Every slot from len(slots) on is in the prefix.
+	fresh int32
+	tail  []int32
+
 	// Intrusive LRU of loaded slots: head is least recently used.
 	lruHead, lruTail int32
 	loaded           int
@@ -36,28 +52,25 @@ type cacheSlot[T any] struct {
 }
 
 func newObjCache[T any](name string, capacity int) *objCache[T] {
-	c := &objCache[T]{
-		name:    name,
-		slots:   make([]cacheSlot[T], capacity),
-		lruHead: -1,
-		lruTail: -1,
-	}
-	// Stack the free slots so that slot 0 is allocated first.
-	c.free = make([]int32, capacity)
-	for i := range c.free {
-		c.free[i] = int32(capacity - 1 - i)
-	}
-	return c
+	return &objCache[T]{name: name, n: int32(capacity), lruHead: -1, lruTail: -1}
 }
 
 // alloc takes a free slot, returning its index and new generation, or
 // ok=false if the cache is full (caller must evict first).
 func (c *objCache[T]) alloc() (idx int32, gen uint32, ok bool) {
-	if len(c.free) == 0 {
+	switch {
+	case len(c.tail) > 0:
+		idx = c.tail[len(c.tail)-1]
+		c.tail = c.tail[:len(c.tail)-1]
+	case c.fresh < c.n:
+		idx = c.fresh
+		c.fresh++
+		if int(idx) == len(c.slots) {
+			c.slots = append(c.slots, cacheSlot[T]{})
+		}
+	default:
 		return 0, 0, false
 	}
-	idx = c.free[len(c.free)-1]
-	c.free = c.free[:len(c.free)-1]
 	s := &c.slots[idx]
 	s.gen++
 	if s.gen > 1 {
@@ -130,7 +143,11 @@ func (c *objCache[T]) release(idx int32) {
 	s.inUse = false
 	s.locked = false
 	s.obj = zero
-	c.free = append(c.free, idx)
+	if len(c.tail) == 0 && idx == c.fresh-1 {
+		c.fresh-- // the slot extends the canonical prefix
+	} else {
+		c.tail = append(c.tail, idx)
+	}
 	c.loaded--
 }
 
@@ -138,21 +155,15 @@ func (c *objCache[T]) release(idx int32) {
 // writeback protocol — the crash path. Per-slot generation counters
 // are preserved (alloc bumps them), so no identifier handed out before
 // the wipe can ever validate against an object loaded after it. The
-// free list is rebuilt in boot order so a post-crash reboot allocates
-// slots in exactly the sequence a fresh cache would.
+// free stack is reset to the canonical prefix, boot order, so a
+// post-crash reboot allocates slots in exactly the sequence a fresh
+// cache would.
 func (c *objCache[T]) wipe() {
-	var zero T
 	for i := range c.slots {
-		s := &c.slots[i]
-		s.inUse = false
-		s.locked = false
-		s.obj = zero
-		s.prev, s.next = -1, -1
+		c.slots[i] = cacheSlot[T]{gen: c.slots[i].gen, prev: -1, next: -1}
 	}
-	c.free = c.free[:0]
-	for i := len(c.slots) - 1; i >= 0; i-- {
-		c.free = append(c.free, int32(i))
-	}
+	c.fresh = 0
+	c.tail = c.tail[:0]
 	c.lruHead, c.lruTail = -1, -1
 	c.loaded = 0
 }
@@ -197,7 +208,7 @@ func (c *objCache[T]) forEach(fn func(idx int32, obj T) bool) {
 func (c *objCache[T]) Loaded() int { return c.loaded }
 
 // Capacity reports the total slot count.
-func (c *objCache[T]) Capacity() int { return len(c.slots) }
+func (c *objCache[T]) Capacity() int { return int(c.n) }
 
 // CacheShape is the structural skeleton of a descriptor cache: every
 // slot's generation and lock bit, the loaded set in exact LRU order,
@@ -213,12 +224,13 @@ type CacheShape struct {
 	Hits, Misses, Reloads uint64
 }
 
-// shape captures the cache's structural skeleton.
+// shape captures the cache's structural skeleton. Slots never used
+// read as generation 0, unlocked and free, in the canonical prefix.
 func (c *objCache[T]) shape() CacheShape {
 	sh := CacheShape{
-		Gens:    make([]uint32, len(c.slots)),
-		Locked:  make([]bool, len(c.slots)),
-		Free:    append([]int32(nil), c.free...),
+		Gens:    make([]uint32, c.n),
+		Locked:  make([]bool, c.n),
+		Free:    slices.Grow([]int32(nil), int(c.n-c.fresh)+len(c.tail)),
 		Hits:    c.Hits,
 		Misses:  c.Misses,
 		Reloads: c.Reloads,
@@ -227,6 +239,10 @@ func (c *objCache[T]) shape() CacheShape {
 		sh.Gens[i] = c.slots[i].gen
 		sh.Locked[i] = c.slots[i].locked
 	}
+	for i := c.n - 1; i >= c.fresh; i-- {
+		sh.Free = append(sh.Free, i)
+	}
+	sh.Free = append(sh.Free, c.tail...)
 	for idx := c.lruHead; idx != -1; idx = c.slots[idx].next {
 		sh.LRU = append(sh.LRU, idx)
 	}
@@ -236,34 +252,73 @@ func (c *objCache[T]) shape() CacheShape {
 // restoreShape overwrites the cache's skeleton with a captured shape;
 // obj supplies the object for each loaded slot (called in LRU order).
 // The cache must have the captured capacity and be freshly built or
-// wiped (no loaded slots).
+// wiped (no loaded slots). Every slot index is checked before it is
+// used: the loaded and the free slots must be distinct, in range, and
+// together every slot, so that no hand-out reaches past the cache or
+// takes a loaded slot. Only the slots the capture used are built:
+// those below the canonical prefix, each loaded or freed since, and
+// up to the last one in the prefix that has held an object.
 func (c *objCache[T]) restoreShape(sh CacheShape, obj func(slot int32) (T, error)) error {
-	if len(sh.Gens) != len(c.slots) {
-		return errShape(c.name, "capacity", len(sh.Gens), len(c.slots))
+	n := int(c.n)
+	if len(sh.Gens) != n || len(sh.Locked) != n {
+		return errShape(c.name, "capacity", len(sh.Gens), n)
 	}
 	if c.loaded != 0 {
 		return errShape(c.name, "loaded slots at restore", c.loaded, 0)
 	}
-	if len(sh.Free)+len(sh.LRU) != len(c.slots) {
-		return errShape(c.name, "free+loaded", len(sh.Free)+len(sh.LRU), len(c.slots))
+	if len(sh.Free)+len(sh.LRU) != n {
+		return errShape(c.name, "free+loaded", len(sh.Free)+len(sh.LRU), n)
 	}
+	// The free stack's canonical prefix, then its tail.
+	canon := 0
+	for canon < len(sh.Free) && sh.Free[canon] == c.n-1-int32(canon) {
+		canon++
+	}
+	fresh := c.n - int32(canon)
+	used := fresh
+	for i := c.n - 1; i >= fresh; i-- {
+		if sh.Gens[i] != 0 {
+			used = i + 1
+			break
+		}
+	}
+	c.slots = make([]cacheSlot[T], used)
 	for i := range c.slots {
 		c.slots[i] = cacheSlot[T]{gen: sh.Gens[i], prev: -1, next: -1}
 	}
-	c.free = append(c.free[:0], sh.Free...)
+	c.fresh = fresh
+	c.tail = make([]int32, 0, len(sh.Free)-canon)
 	c.lruHead, c.lruTail = -1, -1
 	c.loaded = 0
+	// Every loaded and every tail slot lies below the canonical prefix
+	// and is named once: inUse marks each slot seen, and the tail's
+	// marks are cleared before the loaded slots are built.
 	for _, idx := range sh.LRU {
-		if idx < 0 || int(idx) >= len(c.slots) || c.slots[idx].inUse {
-			return errShape(c.name, "LRU slot", int(idx), len(c.slots))
+		if idx < 0 || idx >= fresh || c.slots[idx].inUse {
+			return errShape(c.name, "LRU slot", int(idx), int(fresh))
 		}
+		c.slots[idx].inUse = true
+	}
+	for _, idx := range sh.Free[canon:] {
+		if idx < 0 || idx >= fresh {
+			return fmt.Errorf("ck: %s cache restore: free slot %d out of range (canonical prefix starts at %d)", c.name, idx, fresh)
+		}
+		if c.slots[idx].inUse {
+			return fmt.Errorf("ck: %s cache restore: free slot %d is loaded or listed twice", c.name, idx)
+		}
+		c.slots[idx].inUse = true
+		c.tail = append(c.tail, idx)
+	}
+	for _, idx := range c.tail {
+		c.slots[idx].inUse = false
+	}
+	for _, idx := range sh.LRU {
 		o, err := obj(idx)
 		if err != nil {
 			return err
 		}
 		s := &c.slots[idx]
 		s.obj = o
-		s.inUse = true
 		s.locked = sh.Locked[idx]
 		c.lruAppend(idx)
 		c.loaded++

@@ -1,6 +1,7 @@
 package ck
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -37,19 +38,280 @@ func TestObjCacheLRUOrder(t *testing.T) {
 	}
 }
 
-// TestNewObjCacheAllocatesOnce checks that building a descriptor cache
-// allocates the cache, its slot array and its free stack once each,
-// and that the free stack hands out slot 0 first, then each slot in
-// order.
-func TestNewObjCacheAllocatesOnce(t *testing.T) {
+// TestNewObjCacheBuildsNoSlots checks that building a descriptor cache
+// allocates the cache alone, no slot and no free stack, and that it
+// still hands out slot 0 first, then each slot in order, up to its
+// capacity.
+func TestNewObjCacheBuildsNoSlots(t *testing.T) {
 	const capacity = 256
 	var c *objCache[int]
-	if n := testing.AllocsPerRun(16, func() { c = newObjCache[int]("t", capacity) }); n > 3 {
-		t.Fatalf("newObjCache makes %v allocations, want 3", n)
+	if n := testing.AllocsPerRun(16, func() { c = newObjCache[int]("t", capacity) }); n > 1 {
+		t.Fatalf("newObjCache makes %v allocations, want 1", n)
 	}
 	for want := int32(0); want < capacity; want++ {
 		if idx, _, ok := c.alloc(); !ok || idx != want {
 			t.Fatalf("allocation %d took slot %d (ok %v)", want, idx, ok)
+		}
+	}
+	if _, _, ok := c.alloc(); ok {
+		t.Fatal("alloc past the capacity succeeded")
+	}
+}
+
+// denseObjCache is the descriptor cache as it was before it grew with
+// use: every slot and the whole free stack built up front. It stays
+// here as the executable spec objCache must match slot for slot.
+type denseObjCache[T any] struct {
+	slots                 []cacheSlot[T]
+	free                  []int32
+	lruHead, lruTail      int32
+	loaded                int
+	hits, misses, reloads uint64
+}
+
+func newDenseObjCache[T any](capacity int) *denseObjCache[T] {
+	c := &denseObjCache[T]{slots: make([]cacheSlot[T], capacity), lruHead: -1, lruTail: -1}
+	for i := capacity - 1; i >= 0; i-- {
+		c.free = append(c.free, int32(i))
+	}
+	return c
+}
+
+func (c *denseObjCache[T]) alloc() (int32, uint32, bool) {
+	if len(c.free) == 0 {
+		return 0, 0, false
+	}
+	idx := c.free[len(c.free)-1]
+	c.free = c.free[:len(c.free)-1]
+	s := &c.slots[idx]
+	s.gen++
+	if s.gen > 1 {
+		c.reloads++
+	}
+	s.inUse, s.locked = true, false
+	c.lruAppend(idx)
+	c.loaded++
+	return idx, s.gen, true
+}
+
+func (c *denseObjCache[T]) get(idx int32, gen uint32) (T, bool) {
+	var zero T
+	if idx < 0 || int(idx) >= len(c.slots) || !c.slots[idx].inUse || c.slots[idx].gen != gen {
+		c.misses++
+		return zero, false
+	}
+	c.hits++
+	return c.slots[idx].obj, true
+}
+
+func (c *denseObjCache[T]) release(idx int32) {
+	var zero T
+	c.lruRemove(idx)
+	s := &c.slots[idx]
+	s.inUse, s.locked, s.obj = false, false, zero
+	c.free = append(c.free, idx)
+	c.loaded--
+}
+
+func (c *denseObjCache[T]) wipe() {
+	for i := range c.slots {
+		c.slots[i] = cacheSlot[T]{gen: c.slots[i].gen, prev: -1, next: -1}
+	}
+	c.free = c.free[:0]
+	for i := len(c.slots) - 1; i >= 0; i-- {
+		c.free = append(c.free, int32(i))
+	}
+	c.lruHead, c.lruTail = -1, -1
+	c.loaded = 0
+}
+
+func (c *denseObjCache[T]) touch(idx int32) {
+	c.lruRemove(idx)
+	c.lruAppend(idx)
+}
+
+func (c *denseObjCache[T]) victim(reclaimable func(idx int32) bool) (int32, bool) {
+	for idx := c.lruHead; idx != -1; idx = c.slots[idx].next {
+		if reclaimable(idx) {
+			return idx, true
+		}
+	}
+	return -1, false
+}
+
+func (c *denseObjCache[T]) shape() CacheShape {
+	sh := CacheShape{
+		Gens:    make([]uint32, len(c.slots)),
+		Locked:  make([]bool, len(c.slots)),
+		Free:    append([]int32(nil), c.free...),
+		Hits:    c.hits,
+		Misses:  c.misses,
+		Reloads: c.reloads,
+	}
+	for i := range c.slots {
+		sh.Gens[i] = c.slots[i].gen
+		sh.Locked[i] = c.slots[i].locked
+	}
+	for idx := c.lruHead; idx != -1; idx = c.slots[idx].next {
+		sh.LRU = append(sh.LRU, idx)
+	}
+	return sh
+}
+
+// restoreShape restores a valid shape; the spec checks nothing.
+func (c *denseObjCache[T]) restoreShape(sh CacheShape, obj func(slot int32) T) {
+	for i := range c.slots {
+		c.slots[i] = cacheSlot[T]{gen: sh.Gens[i], prev: -1, next: -1}
+	}
+	c.free = append(c.free[:0], sh.Free...)
+	c.lruHead, c.lruTail = -1, -1
+	c.loaded = 0
+	for _, idx := range sh.LRU {
+		s := &c.slots[idx]
+		s.obj, s.inUse, s.locked = obj(idx), true, sh.Locked[idx]
+		c.lruAppend(idx)
+		c.loaded++
+	}
+	c.hits, c.misses, c.reloads = sh.Hits, sh.Misses, sh.Reloads
+}
+
+func (c *denseObjCache[T]) lruAppend(idx int32) {
+	s := &c.slots[idx]
+	s.prev, s.next = c.lruTail, -1
+	if c.lruTail != -1 {
+		c.slots[c.lruTail].next = idx
+	} else {
+		c.lruHead = idx
+	}
+	c.lruTail = idx
+}
+
+func (c *denseObjCache[T]) lruRemove(idx int32) {
+	s := &c.slots[idx]
+	if s.prev != -1 {
+		c.slots[s.prev].next = s.next
+	} else {
+		c.lruHead = s.next
+	}
+	if s.next != -1 {
+		c.slots[s.next].prev = s.prev
+	} else {
+		c.lruTail = s.prev
+	}
+	s.prev, s.next = -1, -1
+}
+
+// TestObjCacheMatchesDense runs seeded scripts of alloc, release,
+// touch, setLocked, victim, identifier lookups, wipe, shape and
+// restoreShape on objCache and on the dense spec, at capacities from 1
+// to past the thread cache's. Every slot and generation handed out,
+// every victim and lookup, the LRU order, the loaded count, the
+// capacity and the counters must agree after each step, and every
+// captured shape must be the spec's. A restore goes into a new cache
+// or into the wiped one, alternately, and the script goes on with the
+// restored pair.
+func TestObjCacheMatchesDense(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 64, 300} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			c, d := newObjCache[int]("t", n), newDenseObjCache[int](n)
+			r := sim.NewRand(seed*1000 + uint64(n))
+			// ids remembers identifiers handed out, some since released
+			// or wiped, for lookups that must miss.
+			var ids [][2]uint32
+			var live []int32
+			check := func(op int, what string) {
+				t.Helper()
+				if c.Loaded() != d.loaded || c.Capacity() != n || c.Hits != d.hits || c.Misses != d.misses || c.Reloads != d.reloads {
+					t.Fatalf("n=%d seed=%d op %d (%s): loaded %d cap %d counters %d/%d/%d; spec loaded %d cap %d counters %d/%d/%d",
+						n, seed, op, what, c.Loaded(), c.Capacity(), c.Hits, c.Misses, c.Reloads,
+						d.loaded, n, d.hits, d.misses, d.reloads)
+				}
+				if got, want := c.shape(), d.shape(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("n=%d seed=%d op %d (%s): shape\n %+v\nspec\n %+v", n, seed, op, what, got, want)
+				}
+			}
+			// Phases that fill, drain and churn, so the cache runs full,
+			// frees slots out of order and reuses them.
+			for op := 0; op < 1500; op++ {
+				fill := (op/100)%3 != 1
+				var what string
+				switch x := r.Intn(100); {
+				case x < 40 && (fill || len(live) == 0):
+					what = "alloc"
+					idx, gen, ok := c.alloc()
+					didx, dgen, dok := d.alloc()
+					if idx != didx || gen != dgen || ok != dok {
+						t.Fatalf("n=%d seed=%d op %d: alloc (%d,%d,%v), spec (%d,%d,%v)", n, seed, op, idx, gen, ok, didx, dgen, dok)
+					}
+					if ok {
+						c.set(idx, op)
+						d.slots[idx].obj = op
+						live = append(live, idx)
+						ids = append(ids, [2]uint32{uint32(idx), gen})
+					}
+				case x < 60 && len(live) > 0:
+					what = "release"
+					j := r.Intn(len(live))
+					c.release(live[j])
+					d.release(live[j])
+					live = append(live[:j], live[j+1:]...)
+				case x < 70 && len(live) > 0:
+					what = "touch"
+					idx := live[r.Intn(len(live))]
+					c.touch(idx)
+					d.touch(idx)
+				case x < 78 && len(live) > 0:
+					what = "setLocked"
+					idx, v := live[r.Intn(len(live))], r.Intn(2) == 0
+					c.setLocked(idx, v)
+					d.slots[idx].locked = v
+				case x < 84:
+					what = "victim"
+					got, ok := c.victim(func(idx int32) bool { return !c.lockedSlot(idx) })
+					want, wok := d.victim(func(idx int32) bool { return !d.slots[idx].locked })
+					if got != want || ok != wok {
+						t.Fatalf("n=%d seed=%d op %d: victim (%d,%v), spec (%d,%v)", n, seed, op, got, ok, want, wok)
+					}
+				case x < 94 && len(ids) > 0:
+					what = "get"
+					id := ids[r.Intn(len(ids))]
+					idx, gen := int32(id[0]), id[1]
+					if r.Intn(8) == 0 {
+						idx = int32(r.Intn(n+2)) - 1 // out of range or never used
+					}
+					got, ok := c.get(idx, gen)
+					want, wok := d.get(idx, gen)
+					if got != want || ok != wok {
+						t.Fatalf("n=%d seed=%d op %d: get(%d,%d) (%d,%v), spec (%d,%v)", n, seed, op, idx, gen, got, ok, want, wok)
+					}
+				case x < 96:
+					what = "wipe"
+					c.wipe()
+					d.wipe()
+					live = live[:0]
+				default:
+					what = "restoreShape"
+					sh := c.shape()
+					obj := func(slot int32) int { return d.slots[slot].obj }
+					next := newObjCache[int]("t", n)
+					if op%2 == 0 {
+						c.wipe()
+						next = c
+					}
+					if err := next.restoreShape(sh, func(slot int32) (int, error) { return obj(slot), nil }); err != nil {
+						t.Fatalf("n=%d seed=%d op %d: restoreShape of a captured shape: %v", n, seed, op, err)
+					}
+					nd := newDenseObjCache[int](n)
+					nd.restoreShape(d.shape(), obj)
+					c, d = next, nd
+					for _, idx := range live {
+						if got, want := c.at(idx), d.slots[idx].obj; got != want {
+							t.Fatalf("n=%d seed=%d op %d: restored slot %d holds %d, spec %d", n, seed, op, idx, got, want)
+						}
+					}
+				}
+				check(op, what)
+			}
 		}
 	}
 }

@@ -361,10 +361,13 @@ func TestPMapStateAbsorbsReleasedPrefixSlot(t *testing.T) {
 
 // TestNewKernelAllocation bounds what building a Cache Kernel with the
 // paper's configuration allocates. With its dependency-record pool
-// built up front it was about 1.4 MiB, and with its hash-bucket array
-// built up front 85,072 bytes; now the bucket heads are chunked too.
+// built up front it was about 1.4 MiB, with its hash-bucket array
+// built up front 85,072 bytes, and with its descriptor caches' slots
+// and free stacks built up front 18,568; now the bucket heads are
+// chunked too and a descriptor cache builds a slot when it is first
+// handed out.
 func TestNewKernelAllocation(t *testing.T) {
-	const bound = 32 << 10
+	const bound = 14 << 10
 	const n = 8
 	mpms := make([]*hw.MPM, n)
 	for i := range mpms {
@@ -380,7 +383,9 @@ func TestNewKernelAllocation(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > bound {
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	if per > bound {
 		t.Fatalf("New(DefaultConfig()) allocates %d bytes, bound %d", per, bound)
 	}
+	t.Logf("New(DefaultConfig()) allocates %d bytes", per)
 }

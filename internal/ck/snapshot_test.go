@@ -204,6 +204,71 @@ func TestRestoreStateRejectsBadPMapIndex(t *testing.T) {
 	}
 }
 
+// TestRestoreStateRejectsBadFreeSlot restores captures with one entry
+// of a descriptor cache's free stack corrupted: a free slot must lie
+// below the stack's canonical prefix, be named once and not be loaded,
+// or a later hand-out reaches past the cache or loads a slot twice.
+// Each must be refused with an error.
+func TestRestoreStateRejectsBadFreeSlot(t *testing.T) {
+	env := newEnv(t, Config{}, func(env *testEnv, e *hw.Exec) {
+		var sids []ObjID
+		for i := 0; i < 4; i++ {
+			sids = append(sids, env.mustLoadSpace(e, false))
+		}
+		// Unloading from the middle leaves a free-stack tail of two.
+		for _, sid := range sids[1:3] {
+			if err := env.k.UnloadSpace(e, sid); err != nil {
+				env.t.Fatalf("UnloadSpace: %v", err)
+			}
+		}
+	})
+	base := captureQuiescent(t, env)
+	sh := base.Spaces
+	n := int32(len(sh.Gens))
+	canon := 0
+	for canon < len(sh.Free) && sh.Free[canon] == n-1-int32(canon) {
+		canon++
+	}
+	fresh, top := n-int32(canon), len(sh.Free)-1
+	if top-canon != 1 || len(sh.LRU) == 0 {
+		t.Fatalf("capture lacks a free-stack tail of two and a loaded slot: %+v", sh)
+	}
+	cases := []struct {
+		name    string
+		corrupt func(sh *CacheShape)
+	}{
+		{"unchanged", func(sh *CacheShape) {}},
+		{"past_cache", func(sh *CacheShape) { sh.Free[top] = n + 35 }},
+		{"negative", func(sh *CacheShape) { sh.Free[top] = -1 }},
+		{"in_prefix", func(sh *CacheShape) { sh.Free[top] = fresh }},
+		{"listed_twice", func(sh *CacheShape) { sh.Free[top] = sh.Free[top-1] }},
+		{"loaded", func(sh *CacheShape) { sh.Free[top] = sh.LRU[0] }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := *base
+			st.Spaces.Free = append([]int32(nil), sh.Free...)
+			tc.corrupt(&st.Spaces)
+			m := hw.NewMachine(hw.DefaultConfig())
+			t.Cleanup(m.Close)
+			k, err := New(m.MPMs[0], st.Cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = k.RestoreState(&st, nil)
+			if tc.name == "unchanged" {
+				if err != nil {
+					t.Fatalf("RestoreState of the valid capture: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "spaces cache restore: free slot") {
+				t.Fatalf("RestoreState returned %v, want a spaces free-slot error", err)
+			}
+		})
+	}
+}
+
 // TestCaptureStateBusy pins the ErrSnapshotBusy refusals: a structural
 // capture must be impossible while any call is parked mid-mutation or
 // any thread descriptor (i.e. live coroutine) is loaded.
