@@ -2,6 +2,7 @@ package simtest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -178,6 +179,41 @@ type classImage struct {
 	enc []byte
 }
 
+// encodingMatch is a writer that compares what is written to it with a
+// recorded encoding, so an oracle can check an image's encoding
+// without building a copy of it. A write that differs from the next
+// bytes of the recording, or runs past its end, fails with
+// errEncodingDiffers; off counts the bytes that matched.
+type encodingMatch struct {
+	want []byte
+	off  int
+}
+
+var errEncodingDiffers = errors.New("encoding differs from the recorded one")
+
+func (m *encodingMatch) Write(p []byte) (int, error) {
+	if len(p) > len(m.want)-m.off || !bytes.Equal(p, m.want[m.off:m.off+len(p)]) {
+		return 0, errEncodingDiffers
+	}
+	m.off += len(p)
+	return len(p), nil
+}
+
+// encodingDiff encodes im into a comparison with want and says how the
+// two differ: "" when the encoding is want byte for byte.
+func encodingDiff(im *snap.Image, want []byte) (string, error) {
+	m := &encodingMatch{want: want}
+	switch err := im.EncodeTo(m); {
+	case errors.Is(err, errEncodingDiffers):
+		return fmt.Sprintf("encoding differs from the recorded %d bytes after byte %d", len(want), m.off), nil
+	case err != nil:
+		return "", err
+	case m.off < len(want):
+		return fmt.Sprintf("encoding ends at byte %d of the recorded %d", m.off, len(want)), nil
+	}
+	return "", nil
+}
+
 var forkImages struct {
 	mu sync.Mutex
 	m  map[ForkClass]*classImage
@@ -192,33 +228,34 @@ func classSnapshot(cl ForkClass) (*classImage, error) {
 	if ci, ok := forkImages.m[cl]; ok {
 		return ci, nil
 	}
-	take := func() (*snap.Image, []byte, error) {
+	take := func() (*snap.Image, error) {
 		m, ks, err := bootForkClass(cl)
 		if err != nil {
-			return nil, nil, fmt.Errorf("boot: %w", err)
+			return nil, fmt.Errorf("boot: %w", err)
 		}
 		defer m.Close()
 		im, err := snap.Take(m, ks)
 		if err != nil {
-			return nil, nil, fmt.Errorf("take: %w", err)
+			return nil, fmt.Errorf("take: %w", err)
 		}
-		enc, err := im.Encode()
-		if err != nil {
-			return nil, nil, fmt.Errorf("encode: %w", err)
-		}
-		return im, enc, nil
+		return im, nil
 	}
-	im, enc, err := take()
+	im, err := take()
 	if err != nil {
 		return nil, err
 	}
-	_, enc2, err := take()
+	enc, err := im.Encode()
+	if err != nil {
+		return nil, fmt.Errorf("encode: %w", err)
+	}
+	im2, err := take()
 	if err != nil {
 		return nil, err
 	}
-	if !bytes.Equal(enc, enc2) {
-		return nil, fmt.Errorf("snapshot of class %+v not deterministic: re-boot encoded %d bytes vs %d, contents differ",
-			cl, len(enc2), len(enc))
+	if diff, err := encodingDiff(im2, enc); err != nil {
+		return nil, fmt.Errorf("re-boot encode: %w", err)
+	} else if diff != "" {
+		return nil, fmt.Errorf("snapshot of class %+v not deterministic: re-boot %s", cl, diff)
 	}
 	if forkImages.m == nil {
 		forkImages.m = make(map[ForkClass]*classImage)
@@ -341,10 +378,10 @@ func RunForkScenario(sc ForkScenario, shards int) *ForkResult {
 	res.Hash = conts.Sum64()
 	// The image as built is the reference, so a mutation left by an
 	// earlier scenario fails this one too.
-	if enc, err := ci.im.Encode(); err != nil {
+	if diff, err := encodingDiff(ci.im, ci.enc); err != nil {
 		fail("cow", "post-fork encode: %v", err)
-	} else if !bytes.Equal(enc, ci.enc) {
-		fail("cow", "parent image mutated by forks: encodes to %d bytes, was %d, contents differ", len(enc), len(ci.enc))
+	} else if diff != "" {
+		fail("cow", "parent image mutated by forks: %s", diff)
 	}
 	return res
 }

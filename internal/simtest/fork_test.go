@@ -1,7 +1,9 @@
 package simtest
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -122,6 +124,101 @@ func TestCowOracleCatchesMutatedImage(t *testing.T) {
 			restore()
 			if res := RunForkScenario(sc, 1); res.Failed() {
 				t.Fatalf("restored class image still fails:\n%s", res.Fingerprint())
+			}
+		})
+	}
+}
+
+// TestEncodeToMatchesEncode requires EncodeTo to write Encode's bytes,
+// into a buffer that it grows for the frames and into a writer that
+// cannot grow, for the class image of every fork class GenerateFork
+// draws.
+func TestEncodeToMatchesEncode(t *testing.T) {
+	for mpms := 1; mpms <= 3; mpms++ {
+		for _, pages := range []int{4, 8, 12} {
+			cl := ForkClass{MPMs: mpms, CPUsPerMPM: 2, Pages: pages}
+			ci, err := classSnapshot(cl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc, err := ci.im.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc, ci.enc) {
+				t.Fatalf("class %+v: Encode wrote %d bytes, the recorded encoding is %d", cl, len(enc), len(ci.enc))
+			}
+			var buf, plain bytes.Buffer
+			for _, w := range []struct {
+				name string
+				w    io.Writer
+				b    *bytes.Buffer
+			}{{"buffer", &buf, &buf}, {"writer", struct{ io.Writer }{&plain}, &plain}} {
+				if err := ci.im.EncodeTo(w.w); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(w.b.Bytes(), enc) {
+					t.Fatalf("class %+v: EncodeTo into a %s wrote %d bytes, Encode %d; contents differ", cl, w.name, w.b.Len(), len(enc))
+				}
+			}
+		}
+	}
+}
+
+// TestEncodingDiffReports requires the comparison the cow and
+// snapshot-determinism oracles encode into to report a flipped frame
+// byte, a flipped captured field, and a recorded encoding one byte
+// shorter or one byte longer than the image's, and nothing for the
+// image's own encoding.
+func TestEncodingDiffReports(t *testing.T) {
+	m, ks, err := bootForkClass(ForkClass{MPMs: 2, CPUsPerMPM: 2, Pages: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := snap.Take(m, ks)
+	m.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := im.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		// change mutates the image or the recording and returns the
+		// recording and what undoes the change.
+		change func(t *testing.T) (want []byte, undo func())
+		diff   string // in the report; "" for none
+	}{
+		{"same", func(t *testing.T) ([]byte, func()) { return enc, func() {} }, ""},
+		{"frame_byte", func(t *testing.T) ([]byte, func()) {
+			f := im.Frames.PageBytes(forkPFN(1, 3))
+			if f == nil {
+				t.Fatal("image holds no boot frame for mpm 1 page 3")
+			}
+			f[8] ^= 0xff
+			return enc, func() { f[8] ^= 0xff }
+		}, "differs from the recorded"},
+		{"state_field", func(t *testing.T) ([]byte, func()) {
+			e := &im.TLBs[0][0].Entries[0]
+			e.ASID ^= 0x8000
+			return enc, func() { e.ASID ^= 0x8000 }
+		}, "differs from the recorded"},
+		{"recording_shorter", func(t *testing.T) ([]byte, func()) { return enc[:len(enc)-1], func() {} }, "differs from the recorded"},
+		{"recording_longer", func(t *testing.T) ([]byte, func()) {
+			return append(enc[:len(enc):len(enc)], 0), func() {}
+		}, fmt.Sprintf("ends at byte %d of the recorded %d", len(enc), len(enc)+1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, undo := tc.change(t)
+			diff, err := encodingDiff(im, want)
+			undo()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.diff == "" && diff != "" || !strings.Contains(diff, tc.diff) {
+				t.Fatalf("encodingDiff reported %q, want %q", diff, tc.diff)
 			}
 		})
 	}

@@ -21,6 +21,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
 
 	"vpp/internal/ck"
 	"vpp/internal/hw"
@@ -136,16 +137,21 @@ type encImage struct {
 	CKs    []*ck.State
 }
 
-// Encode serializes the image to deterministic bytes: identical
-// machine state yields identical bytes regardless of run or process.
+// zeroFrame is the contents of a frame the encoding skips.
+var zeroFrame [hw.PageSize]byte
+
+// EncodeTo writes the image's encoding to w: deterministic bytes,
+// identical for identical machine state regardless of run or process.
 // The bytes are the gob encoding of everything but the frames,
 // followed by each frame with non-zero contents as its 4-byte
 // little-endian pfn and its page, in pfn order. Only the image's
 // allocated frames are read (FrameImage.Walk), so the cost follows
-// the frames a machine touched, not its memory size. The
-// snapshot-determinism and copy-on-write oracles compare these bytes
-// directly; len(Encode()) is the snapshot-size metric.
-func (im *Image) Encode() ([]byte, error) {
+// the frames a machine touched, not its memory size. A w that can
+// Grow (Encode's buffer) grows once for all the frames. The
+// snapshot-determinism and copy-on-write oracles write the encoding
+// into a comparison with the one recorded, so they build no copy of
+// it; the length of the encoding is the snapshot-size metric.
+func (im *Image) EncodeTo(w io.Writer) error {
 	e := encImage{
 		Cfg:    im.Cfg,
 		Clocks: im.Clocks,
@@ -157,26 +163,36 @@ func (im *Image) Encode() ([]byte, error) {
 	}
 	// Shards is ignored by the machine, so it is not machine state.
 	e.Cfg.Shards = 0
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&e); err != nil {
-		return nil, err
+	if err := gob.NewEncoder(w).Encode(&e); err != nil {
+		return err
 	}
-	n := 0
-	im.Frames.Walk(func(uint32, *[hw.PageSize]byte) { n++ })
-	buf.Grow(n * (4 + hw.PageSize))
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		n := 0
+		im.Frames.Walk(func(uint32, *[hw.PageSize]byte) { n++ })
+		g.Grow(n * (4 + hw.PageSize))
+	}
 	// Allocated-but-zero frames are indistinguishable from
 	// never-touched ones to every reader and are skipped, so lazy
 	// allocation order cannot perturb the bytes.
 	var hdr [4]byte
+	var err error
 	im.Frames.Walk(func(pfn uint32, f *[hw.PageSize]byte) {
-		for _, b := range f {
-			if b != 0 {
-				hdr[0], hdr[1], hdr[2], hdr[3] = byte(pfn), byte(pfn>>8), byte(pfn>>16), byte(pfn>>24)
-				buf.Write(hdr[:4])
-				buf.Write(f[:])
-				return
-			}
+		if err != nil || *f == zeroFrame {
+			return
+		}
+		hdr[0], hdr[1], hdr[2], hdr[3] = byte(pfn), byte(pfn>>8), byte(pfn>>16), byte(pfn>>24)
+		if _, err = w.Write(hdr[:]); err == nil {
+			_, err = w.Write(f[:])
 		}
 	})
+	return err
+}
+
+// Encode returns the image's encoding (EncodeTo) as one byte slice.
+func (im *Image) Encode() ([]byte, error) {
+	var buf bytes.Buffer
+	if err := im.EncodeTo(&buf); err != nil {
+		return nil, err
+	}
 	return buf.Bytes(), nil
 }
