@@ -49,7 +49,7 @@ func main() {
 		// --- UNIX emulator: timesharing three processes ---
 		_, err := s.Launch(e, "unix", srm.LaunchOpts{Groups: 16, MainPrio: 31, MaxPrio: 34, CPUShare: []int{60, 60, 60, 60}},
 			func(ak *aklib.AppKernel, me *hw.Exec) {
-				u := unixemu.New(ak, unixemu.DefaultConfig())
+				u := unixemu.New(ak)
 				console = &u.Console
 				if err := u.StartScheduler(me); err != nil {
 					fmt.Fprintln(os.Stderr, "unix scheduler:", err)

@@ -31,9 +31,7 @@ func main() {
 	_, err = srm.Start(k, m.MPMs[0], func(s *srm.SRM, e *hw.Exec) {
 		_, err := s.Launch(e, "unix", srm.LaunchOpts{Groups: 16, MainPrio: 31, MaxPrio: 34},
 			func(ak *aklib.AppKernel, me *hw.Exec) {
-				cfg := unixemu.DefaultConfig()
-				cfg.SwapAfter = 2
-				u = unixemu.New(ak, cfg)
+				u = unixemu.New(ak)
 				if err := u.StartScheduler(me); err != nil {
 					log.Fatal(err)
 				}

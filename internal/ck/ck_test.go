@@ -498,15 +498,17 @@ func TestBootGrantsFullAccess(t *testing.T) {
 	env.run()
 }
 
+// TestTimeSliceRoundRobin runs two equal-priority threads of eight
+// slices each on one CPU: only the slice timer can switch between them.
 func TestTimeSliceRoundRobin(t *testing.T) {
 	hwCfg := hw.DefaultConfig()
 	hwCfg.CPUsPerMPM = 1
 	var aRuns, bRuns int
-	env := newEnvOpts(t, hwCfg, Config{TimeSlice: 5000}, nil, func(env *testEnv, e *hw.Exec) {
+	env := newEnvOpts(t, hwCfg, Config{}, nil, func(env *testEnv, e *hw.Exec) {
 		mk := func(name string, counter *int) func(*hw.Exec) {
 			return func(we *hw.Exec) {
 				for i := 0; i < 40; i++ {
-					we.Charge(1000)
+					we.Charge(timeSlice / 5)
 					*counter++
 				}
 			}
@@ -559,11 +561,12 @@ func TestPriorityPreemption(t *testing.T) {
 	}
 }
 
+// TestQuotaDemotionUnderLoad runs a kernel with a 10% share of its
+// CPU over 30 accounting windows of compute: it must be demoted.
 func TestQuotaDemotionUnderLoad(t *testing.T) {
 	hwCfg := hw.DefaultConfig()
 	hwCfg.CPUsPerMPM = 1
-	cfg := Config{AccountingWindow: 100_000}
-	env := newEnvOpts(t, hwCfg, cfg, nil, func(env *testEnv, e *hw.Exec) {
+	env := newEnvOpts(t, hwCfg, Config{}, nil, func(env *testEnv, e *hw.Exec) {
 		k := env.k
 		kid, err := k.LoadKernel(e, KernelAttrs{Name: "greedy", Wb: env.wb})
 		if err != nil {
@@ -581,7 +584,7 @@ func TestQuotaDemotionUnderLoad(t *testing.T) {
 		ko, _ := k.lookupKernel(kid)
 		exec := env.m.MPMs[0].NewExec("burner", func(we *hw.Exec) {
 			for i := 0; i < 3000; i++ {
-				we.Charge(1000)
+				we.Charge(accountingWindow / 100)
 			}
 		})
 		to, err := k.newThreadObj(e, ko, k.spaces.at(int32(gSpace.slot())), ThreadState{Priority: 30, Exec: exec})
@@ -592,7 +595,7 @@ func TestQuotaDemotionUnderLoad(t *testing.T) {
 		// Boot thread periodically wakes so the burner cannot monopolize
 		// without accounting.
 		for i := 0; i < 40; i++ {
-			e.Charge(50_000)
+			e.Charge(accountingWindow / 2)
 		}
 	})
 	env.run()
@@ -825,22 +828,23 @@ func TestMaxPriorityCeilingEnforced(t *testing.T) {
 	env.run()
 }
 
+// TestSignalQueueOverflowDrops posts twice the queue limit to a thread
+// that never waits: the first half is queued, the rest dropped.
 func TestSignalQueueOverflowDrops(t *testing.T) {
-	cfg := Config{SignalQueueLimit: 3}
-	env := newEnv(t, cfg, func(env *testEnv, e *hw.Exec) {
+	env := newEnv(t, Config{}, func(env *testEnv, e *hw.Exec) {
 		k := env.k
 		tid := env.spawnThread(e, env.boot.Space, "busy", 20, func(we *hw.Exec) {
 			we.Charge(hw.CyclesFromMicros(50_000)) // never waiting
 		})
 		e.Charge(hw.CyclesFromMicros(200))
-		for i := 0; i < 6; i++ {
+		for i := 0; i < 2*signalQueueLimit; i++ {
 			_ = k.PostSignal(e, tid, uint32(i))
 		}
-		if k.Stats.SignalsQueued != 3 {
-			t.Errorf("queued = %d, want 3", k.Stats.SignalsQueued)
+		if k.Stats.SignalsQueued != signalQueueLimit {
+			t.Errorf("queued = %d, want %d", k.Stats.SignalsQueued, signalQueueLimit)
 		}
-		if k.Stats.SignalsDropped != 3 {
-			t.Errorf("dropped = %d, want 3", k.Stats.SignalsDropped)
+		if k.Stats.SignalsDropped != signalQueueLimit {
+			t.Errorf("dropped = %d, want %d", k.Stats.SignalsDropped, signalQueueLimit)
 		}
 	})
 	env.run()

@@ -107,7 +107,7 @@ func (k *Kernel) deliverSignalOnce(to *ThreadObj, value uint32, nowHint uint64, 
 		k.sched.makeReady(to, nowHint)
 		return
 	}
-	if len(to.sigQueue) < k.Cfg.SignalQueueLimit {
+	if len(to.sigQueue) < signalQueueLimit {
 		to.sigQueue = append(to.sigQueue, value)
 		k.Stats.SignalsQueued++
 		if e != nil {

@@ -23,6 +23,19 @@ const (
 // is more urgent.
 const NumPriorities = 64
 
+// The scheduler's and the resource manager's policy constants.
+const (
+	// timeSlice is the per-priority round-robin quantum in cycles.
+	timeSlice uint64 = 10 * 1000 * hw.CyclesPerMicrosecond // 10 ms
+
+	// accountingWindow is the processor-quota evaluation period in
+	// cycles (the paper allocates percentages over extended periods).
+	accountingWindow uint64 = 100 * 1000 * hw.CyclesPerMicrosecond
+
+	// signalQueueLimit bounds per-thread queued address-valued signals.
+	signalQueueLimit = 16
+)
+
 // Config tunes one Cache Kernel instance. The zero value is completed to
 // the paper's prototype configuration by DefaultConfig.
 type Config struct {
@@ -32,34 +45,21 @@ type Config struct {
 	MappingSlots int
 	PMapBuckets  int
 
-	// TimeSlice is the per-priority round-robin quantum in cycles.
-	TimeSlice uint64
-
-	// AccountingWindow is the processor-quota evaluation period in
-	// cycles (the paper allocates percentages over extended periods).
-	AccountingWindow uint64
-
 	// RTLBEntries sizes the per-processor reverse TLB; 0 selects the
 	// default and a negative value disables it, forcing the two-stage
 	// pmap lookup on every signal (ablation A1).
 	RTLBEntries int
-
-	// SignalQueueLimit bounds per-thread queued address-valued signals.
-	SignalQueueLimit int
 }
 
 // DefaultConfig returns the paper's prototype configuration.
 func DefaultConfig() Config {
 	return Config{
-		KernelSlots:      DefaultKernelSlots,
-		SpaceSlots:       DefaultSpaceSlots,
-		ThreadSlots:      DefaultThreadSlots,
-		MappingSlots:     DefaultMappingSlots,
-		PMapBuckets:      16384,
-		TimeSlice:        10 * 1000 * hw.CyclesPerMicrosecond, // 10 ms
-		AccountingWindow: 100 * 1000 * hw.CyclesPerMicrosecond,
-		RTLBEntries:      16,
-		SignalQueueLimit: 16,
+		KernelSlots:  DefaultKernelSlots,
+		SpaceSlots:   DefaultSpaceSlots,
+		ThreadSlots:  DefaultThreadSlots,
+		MappingSlots: DefaultMappingSlots,
+		PMapBuckets:  16384,
+		RTLBEntries:  16,
 	}
 }
 
@@ -80,17 +80,8 @@ func (c Config) withDefaults() Config {
 	if c.PMapBuckets == 0 {
 		c.PMapBuckets = d.PMapBuckets
 	}
-	if c.TimeSlice == 0 {
-		c.TimeSlice = d.TimeSlice
-	}
-	if c.AccountingWindow == 0 {
-		c.AccountingWindow = d.AccountingWindow
-	}
 	if c.RTLBEntries == 0 {
 		c.RTLBEntries = d.RTLBEntries
-	}
-	if c.SignalQueueLimit == 0 {
-		c.SignalQueueLimit = d.SignalQueueLimit
 	}
 	return c
 }

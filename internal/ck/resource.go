@@ -35,7 +35,7 @@ func (k *Kernel) accountUsage(t *ThreadObj, delta uint64) {
 	// A dispatch interval can span window boundaries (accounting is
 	// lazy); cap the contribution so a single interval cannot inflate
 	// one window beyond full utilization at its charge rate.
-	if maxAdd := k.Cfg.AccountingWindow * k.chargeRate(t.prio) / 16; add > maxAdd {
+	if maxAdd := accountingWindow * k.chargeRate(t.prio) / 16; add > maxAdd {
 		add = maxAdd
 	}
 	ko.usage[cpu] += add
@@ -45,7 +45,7 @@ func (k *Kernel) accountUsage(t *ThreadObj, delta uint64) {
 // per-CPU consumption percentages against the kernel's allocation.
 func (k *Kernel) rollWindow(ko *KernelObj) {
 	now := k.MPM.Engine.Now()
-	w := k.Cfg.AccountingWindow
+	w := accountingWindow
 	if now-ko.windowStart < w {
 		return
 	}

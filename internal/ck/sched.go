@@ -181,7 +181,7 @@ func (s *scheduler) dispatch(cpu *hw.CPU, t *ThreadObj) {
 	// The slice timer fires unconditionally so long-running threads are
 	// periodically accounted against their kernel's quota even without
 	// same-priority contention.
-	cpu.ArmTimerAt(cpu.Clock.Now() + s.k.Cfg.TimeSlice)
+	cpu.ArmTimerAt(cpu.Clock.Now() + timeSlice)
 	if len(s.k.observers) != 0 {
 		s.k.Emit(Event{At: cpu.Clock.Now(), Kind: EvDispatch, Obj: t.id, A: uint64(cpu.Index),
 			Name: t.exec.Name, NameID: t.exec.Coro().NameID()})
@@ -226,7 +226,7 @@ func (s *scheduler) onResched(e *hw.Exec) {
 	keep := !cur.forceOff && (best < 0 || best < s.effPrio(cur))
 	if keep {
 		if cpu != nil {
-			cpu.ArmTimerAt(cpu.Clock.Now() + s.k.Cfg.TimeSlice)
+			cpu.ArmTimerAt(cpu.Clock.Now() + timeSlice)
 		}
 		return
 	}
@@ -251,7 +251,7 @@ func (s *scheduler) onResched(e *hw.Exec) {
 		cur.state = threadRunning
 		cur.cpu = cpu
 		cur.dispatchedAt = cpu.Clock.Now()
-		cpu.ArmTimerAt(cpu.Clock.Now() + s.k.Cfg.TimeSlice)
+		cpu.ArmTimerAt(cpu.Clock.Now() + timeSlice)
 		return
 	}
 	if cpu.Cur == e {

@@ -72,7 +72,6 @@ type MemBudget struct {
 // MeasureMemBudget computes the arithmetic.
 func MeasureMemBudget() MemBudget {
 	cfg := ck.DefaultConfig()
-	hwCfg := hw.DefaultConfig()
 	threadBytes := cfg.ThreadSlots * ck.ThreadObjBytes
 	mappingBytes := cfg.MappingSlots * ck.MappingObjBytes
 	total := threadBytes + mappingBytes +
@@ -81,11 +80,11 @@ func MeasureMemBudget() MemBudget {
 		cfg.KernelSlots*ck.KernelObjBytes + cfg.SpaceSlots*ck.SpaceObjBytes
 	return MemBudget{
 		ThreadBytes:    threadBytes,
-		ObjectPct:      100 * float64(objectBytes) / float64(hwCfg.LocalRAMBytes),
+		ObjectPct:      100 * float64(objectBytes) / hw.LocalRAMBytes,
 		MappingBytes:   mappingBytes,
-		MappingPct:     100 * float64(mappingBytes) / float64(hwCfg.LocalRAMBytes),
+		MappingPct:     100 * float64(mappingBytes) / hw.LocalRAMBytes,
 		TotalDescBytes: total,
-		LocalRAMBytes:  hwCfg.LocalRAMBytes,
+		LocalRAMBytes:  hw.LocalRAMBytes,
 		// 16 bytes per 4096-byte page.
 		MapOverheadPct: 100 * 16.0 / 4096.0,
 		// Root (512) + two second-level tables (512 each) + fourteen

@@ -105,7 +105,7 @@ func RunRecoveryWorkload(trace func(name string, id int, at uint64)) (RecoveryRe
 				// revived context reruns the closure, so setup happens
 				// only on the first pass.
 				if u == nil {
-					u = unixemu.New(ak, unixemu.DefaultConfig())
+					u = unixemu.New(ak)
 					if err := u.StartScheduler(me); err != nil {
 						bodyErr = err
 						return

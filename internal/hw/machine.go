@@ -6,14 +6,18 @@ import (
 	"vpp/internal/sim"
 )
 
+// LocalRAMBytes and L2Bytes size each MPM's local RAM and second-level
+// cache: the paper's ParaDiGM MPM has 2 MB and 8 MB.
+const (
+	LocalRAMBytes = 2 << 20
+	L2Bytes       = 8 << 20
+)
+
 // Config describes a simulated ParaDiGM machine.
 type Config struct {
-	MPMs          int
-	CPUsPerMPM    int
-	PhysMemBytes  uint32
-	LocalRAMBytes int
-	L2Bytes       uint32
-	TLBEntries    int
+	MPMs         int
+	CPUsPerMPM   int
+	PhysMemBytes uint32
 
 	// Shards is ignored: every MPM runs on the machine's one engine.
 	//
@@ -23,17 +27,13 @@ type Config struct {
 	Shards int
 }
 
-// DefaultConfig matches the paper's prototype: MPMs of four 25 MHz CPUs,
-// 2 MB of local RAM and an 8 MB second-level cache, over 64 MB of shared
-// third-level memory.
+// DefaultConfig matches the paper's prototype: an MPM of four 25 MHz
+// CPUs over 64 MB of shared third-level memory.
 func DefaultConfig() Config {
 	return Config{
-		MPMs:          1,
-		CPUsPerMPM:    4,
-		PhysMemBytes:  64 << 20,
-		LocalRAMBytes: 2 << 20,
-		L2Bytes:       8 << 20,
-		TLBEntries:    DefaultTLBEntries,
+		MPMs:         1,
+		CPUsPerMPM:   4,
+		PhysMemBytes: 64 << 20,
 	}
 }
 
@@ -64,8 +64,8 @@ func NewMachine(cfg Config) *Machine {
 			ID:       i,
 			Machine:  m,
 			Engine:   m.Engine,
-			LocalRAM: NewRAMAllocator(fmt.Sprintf("mpm%d-lram", i), cfg.LocalRAMBytes),
-			L2:       NewL2Cache(cfg.L2Bytes),
+			LocalRAM: NewRAMAllocator(fmt.Sprintf("mpm%d-lram", i), LocalRAMBytes),
+			L2:       NewL2Cache(L2Bytes),
 		}
 		for j := 0; j < cfg.CPUsPerMPM; j++ {
 			cpu := &CPU{
@@ -73,7 +73,7 @@ func NewMachine(cfg Config) *Machine {
 				Index: j,
 				MPM:   mpm,
 				Clock: sim.NewClock(fmt.Sprintf("cpu%d.%d", i, j)),
-				TLB:   NewTLB(cfg.TLBEntries),
+				TLB:   NewTLB(DefaultTLBEntries),
 			}
 			cpu.timer = m.Engine.NewStream(func() {
 				if mpm.Sup != nil {

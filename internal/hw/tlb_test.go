@@ -288,11 +288,11 @@ func TestTLBMatchesLinearReference(t *testing.T) {
 	}
 }
 
-// TestTranslateMicroCacheCoherence checks that Translate's check of the
+// TestTranslateLatestHitCoherence checks that Translate's check of the
 // TLB's latest hit never serves a stale translation: after a TLB
 // shootdown or a space switch the next access must find the new
 // mapping.
-func TestTranslateMicroCacheCoherence(t *testing.T) {
+func TestTranslateLatestHitCoherence(t *testing.T) {
 	m := NewMachine(DefaultConfig())
 	mpm := m.MPMs[0]
 	tblA, _ := pagetable.New(nil)
@@ -361,14 +361,17 @@ func TestTranslateMicroCacheCoherence(t *testing.T) {
 // latest-hit check answers exactly what Lookup answers.
 func TestTranslateMatchesLookup(t *testing.T) {
 	const (
-		pages = 24 // per space, three times the TLB
-		base  = 0x100_0000
+		entries = 8
+		pages   = 24 // per space, three times the TLB
+		base    = 0x100_0000
 	)
 	cfg := DefaultConfig()
 	cfg.CPUsPerMPM = 2
-	cfg.TLBEntries = 8
 	m := NewMachine(cfg)
 	mpm := m.MPMs[0]
+	for _, c := range mpm.CPUs {
+		c.TLB = NewTLB(entries)
+	}
 	// pteFor maps page i of space s clean; one page in three is
 	// read-only.
 	pteFor := func(s, i uint32) pagetable.PTE {
@@ -423,7 +426,7 @@ func TestTranslateMatchesLookup(t *testing.T) {
 	}
 	refs := make([]*TLB, len(mpm.CPUs))
 	for i, c := range mpm.CPUs {
-		refs[i] = NewTLB(cfg.TLBEntries)
+		refs[i] = NewTLB(entries)
 		if err := refs[i].Restore(c.TLB.State()); err != nil {
 			t.Fatal(err)
 		}

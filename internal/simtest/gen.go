@@ -79,7 +79,7 @@ func GenerateOrch(seed uint64) Scenario {
 	o.BeatUS = 100 + r.Intn(150)
 	o.UpgradeAtUS = 8_000 + r.Intn(12_000)
 	// Per-migration cost is dominated by run-queue delay on the saturated
-	// target (the moved pod waits ~runqueue x TimeSlice for its first
+	// target (the moved pod waits ~runqueue x time slice for its first
 	// dispatch), so the serial upgrade's makespan scales with
 	// Pods^2/MPMs; the horizon budgets that with a wide margin.
 	sc.HorizonUS = o.UpgradeAtUS + o.Pods*15_000 + 2_000*o.Pods*o.Pods/sc.MPMs + 400_000

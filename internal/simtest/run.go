@@ -1083,7 +1083,7 @@ func (n *node) launchUnix(e *hw.Exec) {
 		func(ak *aklib.AppKernel, me *hw.Exec) {
 			// Crash-revival reruns this closure; set up only once.
 			if n.u == nil {
-				n.u = unixemu.New(ak, unixemu.DefaultConfig())
+				n.u = unixemu.New(ak)
 				if err := n.u.StartScheduler(me); err != nil {
 					n.bodyErr = err
 					return

@@ -70,7 +70,7 @@ func TestRamFSProperty(t *testing.T) {
 }
 
 func TestSyscallErrnoPaths(t *testing.T) {
-	startUnix(t, Config{}, func(u *Unix, e *hw.Exec) {
+	startUnix(t, func(u *Unix, e *hw.Exec) {
 		u.RegisterProgram("errs", func(env *ProcEnv) {
 			// Bad descriptor.
 			if n, errn := env.Write(17, env.HeapBase(), 4); n != -1 || errn != EBADF {
@@ -113,7 +113,7 @@ func TestSyscallErrnoPaths(t *testing.T) {
 }
 
 func TestSbrkBounds(t *testing.T) {
-	startUnix(t, Config{}, func(u *Unix, e *hw.Exec) {
+	startUnix(t, func(u *Unix, e *hw.Exec) {
 		u.RegisterProgram("brk", func(env *ProcEnv) {
 			// Growing past the heap ceiling fails.
 			r0, r1 := env.Exec().Trap(SysSbrk, uint32(HeapMaxPages+1)*hw.PageSize)
@@ -133,7 +133,7 @@ func TestSbrkBounds(t *testing.T) {
 }
 
 func TestFDTableGrowsPastThree(t *testing.T) {
-	startUnix(t, Config{}, func(u *Unix, e *hw.Exec) {
+	startUnix(t, func(u *Unix, e *hw.Exec) {
 		u.RegisterProgram("fds", func(env *ProcEnv) {
 			var fds []int
 			for i := 0; i < 6; i++ {
@@ -166,26 +166,25 @@ func TestFDTableGrowsPastThree(t *testing.T) {
 
 func TestProcessTableLimitIsSoft(t *testing.T) {
 	// Contrast with the monolithic baseline's hard error: the emulator's
-	// own MaxProcs is policy, but the Cache Kernel itself keeps loading
-	// thread descriptors by writing others back.
-	cfg := DefaultConfig()
-	cfg.MaxProcs = 4
-	startUnix(t, cfg, func(u *Unix, e *hw.Exec) {
+	// own process-table limit is policy, but the Cache Kernel itself
+	// keeps loading descriptors by writing others back.
+	startUnix(t, func(u *Unix, e *hw.Exec) {
 		u.RegisterProgram("sleeper", func(env *ProcEnv) { env.Sleep(30) })
-		for i := 0; i < 3; i++ {
+		for i := 0; i < maxProcs-1; i++ {
 			if _, err := u.Spawn(e, "sleeper", nil); err != nil {
 				t.Fatalf("spawn %d: %v", i, err)
 			}
 		}
-		if u.NumProcs() != 3 {
-			t.Fatalf("procs = %d", u.NumProcs())
+		if u.NumProcs() != maxProcs-1 {
+			t.Fatalf("procs = %d, want %d", u.NumProcs(), maxProcs-1)
 		}
-		// The 5th spawn exceeds emulator policy.
+		// The table's last entry is handed out; the next spawn exceeds
+		// emulator policy.
 		if _, err := u.Spawn(e, "sleeper", nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := u.Spawn(e, "sleeper", nil); err == nil {
-			t.Fatal("spawn beyond MaxProcs succeeded")
+			t.Fatal("spawn beyond the process table succeeded")
 		}
 		for u.NumProcs() > 0 {
 			alive := false

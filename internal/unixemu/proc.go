@@ -93,7 +93,7 @@ func (u *Unix) Spawn(e *hw.Exec, name string, parent *Proc) (*Proc, error) {
 	if prog == nil {
 		return nil, fmt.Errorf("unixemu: no program %q", name)
 	}
-	if len(u.procs) >= u.Cfg.MaxProcs {
+	if len(u.procs) >= maxProcs {
 		return nil, fmt.Errorf("unixemu: process table full")
 	}
 	sid, err := u.K.LoadSpace(e, false)
@@ -105,7 +105,7 @@ func (u *Unix) Spawn(e *hw.Exec, name string, parent *Proc) (*Proc, error) {
 		parent:  parent,
 		u:       u,
 		sid:     sid,
-		dynPrio: u.Cfg.UserPrio,
+		dynPrio: userPrio,
 	}
 	u.nextPID++
 	p.sm = aklib.NewSegmentManager(u.AK, sid)

@@ -59,36 +59,25 @@ const (
 // system is the ProcEnv, whose methods issue real trap instructions.
 type Program func(env *ProcEnv)
 
-// Config tunes the emulator.
-type Config struct {
-	MaxProcs int
-	// SchedInterval is the scheduler thread's rescheduling interval in
-	// cycles.
-	SchedInterval uint64
-	// SwapAfter is the number of scheduler intervals a process must
+// The emulator's scheduling policy.
+const (
+	// maxProcs bounds the process table.
+	maxProcs = 64
+	// schedInterval is the scheduler thread's rescheduling interval in
+	// cycles: 20 ms.
+	schedInterval = 20_000 * hw.CyclesPerMicrosecond
+	// swapAfter is the number of scheduler intervals a process must
 	// stay asleep before the swapper unloads its address space.
-	SwapAfter int
-	// UserPrio / MaxUserPrio bound user process priorities.
-	UserPrio    int
-	MaxUserPrio int
-}
-
-// DefaultConfig returns the standard emulator tuning.
-func DefaultConfig() Config {
-	return Config{
-		MaxProcs:      64,
-		SchedInterval: hw.CyclesFromMicros(20_000), // 20 ms
-		SwapAfter:     4,
-		UserPrio:      16,
-		MaxUserPrio:   30,
-	}
-}
+	swapAfter = 4
+	// userPrio and maxUserPrio bound user process priorities.
+	userPrio    = 16
+	maxUserPrio = 30
+)
 
 // Unix is one UNIX emulator instance running as an application kernel.
 type Unix struct {
-	AK  *aklib.AppKernel
-	K   *ck.Kernel
-	Cfg Config
+	AK *aklib.AppKernel
+	K  *ck.Kernel
 
 	FS *RamFS
 
@@ -125,14 +114,10 @@ type sleeper struct {
 
 // New creates an emulator bound to a launched application kernel. Call
 // it inside the kernel's main thread, then Run.
-func New(ak *aklib.AppKernel, cfg Config) *Unix {
-	if cfg.MaxProcs == 0 {
-		cfg = DefaultConfig()
-	}
+func New(ak *aklib.AppKernel) *Unix {
 	u := &Unix{
 		AK:       ak,
 		K:        ak.CK,
-		Cfg:      cfg,
 		FS:       NewRamFS(),
 		procs:    make(map[int]*Proc),
 		nextPID:  1,
@@ -203,7 +188,7 @@ func (u *Unix) RegisterProgram(name string, p Program) { u.programs[name] = p }
 // reloads due sleepers and swaps out long-idle processes (paper §2.3,
 // §4.3). It must run from the emulator's main thread.
 func (u *Unix) StartScheduler(e *hw.Exec) error {
-	u.schedThread = u.AK.NewThread("sched", u.AK.SpaceID, u.Cfg.MaxUserPrio+4, u.schedulerLoop)
+	u.schedThread = u.AK.NewThread("sched", u.AK.SpaceID, maxUserPrio+4, u.schedulerLoop)
 	return u.schedThread.Load(e, false)
 }
 
@@ -215,7 +200,7 @@ func (u *Unix) schedulerLoop(e *hw.Exec) {
 	k := u.K
 	for !u.stopSched {
 		me := u.schedThread.TID
-		if err := k.SetAlarm(e, me, e.Now()+u.Cfg.SchedInterval, 0); err != nil {
+		if err := k.SetAlarm(e, me, e.Now()+schedInterval, 0); err != nil {
 			return
 		}
 		if _, err := k.WaitSignal(e); err != nil {
@@ -284,13 +269,13 @@ func (u *Unix) adjustPriorities(e *hw.Exec) {
 			continue
 		}
 		if p.sleptRecently {
-			p.dynPrio = u.Cfg.UserPrio + 4
+			p.dynPrio = userPrio + 4
 			p.sleptRecently = false
 		} else if p.dynPrio > 2 {
 			p.dynPrio--
 		}
-		if p.dynPrio > u.Cfg.MaxUserPrio {
-			p.dynPrio = u.Cfg.MaxUserPrio
+		if p.dynPrio > maxUserPrio {
+			p.dynPrio = maxUserPrio
 		}
 		_ = p.thread.SetPriority(e, p.dynPrio)
 	}
@@ -304,7 +289,7 @@ func (u *Unix) swapIdle(e *hw.Exec) {
 			continue
 		}
 		p.idleIntervals++
-		if p.idleIntervals >= u.Cfg.SwapAfter {
+		if p.idleIntervals >= swapAfter {
 			u.swapOut(e, p)
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // startUnix boots a machine, an SRM, and a UNIX emulator kernel, runs
 // body in the emulator's main thread (scheduler already started), stops
 // the scheduler afterwards, and drives the machine to quiescence.
-func startUnix(t *testing.T, cfg Config, body func(u *Unix, e *hw.Exec)) *Unix {
+func startUnix(t *testing.T, body func(u *Unix, e *hw.Exec)) *Unix {
 	t.Helper()
 	m := hw.NewMachine(hw.DefaultConfig())
 	k, err := ck.New(m.MPMs[0], ck.Config{})
@@ -25,7 +25,7 @@ func startUnix(t *testing.T, cfg Config, body func(u *Unix, e *hw.Exec)) *Unix {
 	_, err = srm.Start(k, m.MPMs[0], func(s *srm.SRM, e *hw.Exec) {
 		_, err := s.Launch(e, "unix", srm.LaunchOpts{Groups: 16, MainPrio: 31, MaxPrio: 40},
 			func(ak *aklib.AppKernel, me *hw.Exec) {
-				u = New(ak, cfg)
+				u = New(ak)
 				if err := u.StartScheduler(me); err != nil {
 					t.Errorf("scheduler: %v", err)
 					return
@@ -62,7 +62,7 @@ func waitProcDone(u *Unix, e *hw.Exec, pid int) {
 }
 
 func TestSpawnGetpidConsoleExit(t *testing.T) {
-	u := startUnix(t, Config{}, func(u *Unix, e *hw.Exec) {
+	u := startUnix(t, func(u *Unix, e *hw.Exec) {
 		u.RegisterProgram("hello", func(env *ProcEnv) {
 			pid := env.Getpid()
 			if pid <= 0 {
@@ -88,7 +88,7 @@ func TestSpawnGetpidConsoleExit(t *testing.T) {
 func TestInitSpawnsChildAndWaits(t *testing.T) {
 	var waitedPid int
 	var waitedCode uint32
-	startUnix(t, Config{}, func(u *Unix, e *hw.Exec) {
+	startUnix(t, func(u *Unix, e *hw.Exec) {
 		u.RegisterProgram("child", func(env *ProcEnv) {
 			env.Exit(7)
 		})
@@ -117,7 +117,7 @@ func TestInitSpawnsChildAndWaits(t *testing.T) {
 }
 
 func TestHeapSbrkAndMemory(t *testing.T) {
-	startUnix(t, Config{}, func(u *Unix, e *hw.Exec) {
+	startUnix(t, func(u *Unix, e *hw.Exec) {
 		u.RegisterProgram("heap", func(env *ProcEnv) {
 			brk := env.Sbrk(3 * hw.PageSize)
 			if brk != DataBase {
@@ -138,7 +138,7 @@ func TestHeapSbrkAndMemory(t *testing.T) {
 }
 
 func TestFileWriteReadBack(t *testing.T) {
-	u := startUnix(t, Config{}, func(u *Unix, e *hw.Exec) {
+	u := startUnix(t, func(u *Unix, e *hw.Exec) {
 		u.RegisterProgram("files", func(env *ProcEnv) {
 			fd, errn := env.Open("/tmp/data", true)
 			if fd < 0 {
@@ -179,7 +179,7 @@ func TestFileWriteReadBack(t *testing.T) {
 
 func TestSleepWakeupReloadsThread(t *testing.T) {
 	resumed := false
-	u := startUnix(t, Config{}, func(u *Unix, e *hw.Exec) {
+	u := startUnix(t, func(u *Unix, e *hw.Exec) {
 		u.RegisterProgram("sleeper", func(env *ProcEnv) {
 			env.Sleep(50)
 			resumed = true
@@ -200,13 +200,14 @@ func TestSleepWakeupReloadsThread(t *testing.T) {
 	}
 }
 
+// TestLongSleepSwapsProcessOut sleeps a process for 2.5 times the
+// swapper's wait: its space is swapped out and back in.
 func TestLongSleepSwapsProcessOut(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SwapAfter = 2
-	u := startUnix(t, cfg, func(u *Unix, e *hw.Exec) {
+	const sleepMS = 5 * swapAfter * schedInterval / (2 * 1000 * hw.CyclesPerMicrosecond)
+	u := startUnix(t, func(u *Unix, e *hw.Exec) {
 		u.RegisterProgram("idler", func(env *ProcEnv) {
 			env.Store32(DataBase, 1234) // sbrk-less heap touch (page 0 is mapped lazily)
-			env.Sleep(200)
+			env.Sleep(sleepMS)
 			if env.Load32(DataBase) != 1234 {
 				t.Error("heap lost across swap")
 			}
@@ -223,7 +224,7 @@ func TestLongSleepSwapsProcessOut(t *testing.T) {
 }
 
 func TestSegvKillsProcess(t *testing.T) {
-	u := startUnix(t, Config{}, func(u *Unix, e *hw.Exec) {
+	u := startUnix(t, func(u *Unix, e *hw.Exec) {
 		u.RegisterProgram("bad", func(env *ProcEnv) {
 			env.Load32(0x0050_0000) // no segment there
 			t.Error("survived wild access")
@@ -241,7 +242,7 @@ func TestSegvKillsProcess(t *testing.T) {
 
 func TestSegvHandlerRuns(t *testing.T) {
 	var faultVA uint32
-	startUnix(t, Config{}, func(u *Unix, e *hw.Exec) {
+	startUnix(t, func(u *Unix, e *hw.Exec) {
 		u.RegisterProgram("catcher", func(env *ProcEnv) {
 			env.OnSegv(func(env *ProcEnv, va uint32) {
 				faultVA = va
@@ -263,7 +264,7 @@ func TestSegvHandlerRuns(t *testing.T) {
 func TestManyProcessesTimeshare(t *testing.T) {
 	const n = 12
 	counts := make([]int, n)
-	startUnix(t, Config{}, func(u *Unix, e *hw.Exec) {
+	startUnix(t, func(u *Unix, e *hw.Exec) {
 		u.RegisterProgram("worker", func(env *ProcEnv) {
 			me := env.Getpid()
 			for i := 0; i < 40; i++ {
@@ -292,7 +293,7 @@ func TestManyProcessesTimeshare(t *testing.T) {
 
 func TestComputeBoundPriorityDegrades(t *testing.T) {
 	var sawPrio int
-	startUnix(t, Config{}, func(u *Unix, e *hw.Exec) {
+	startUnix(t, func(u *Unix, e *hw.Exec) {
 		u.RegisterProgram("burner", func(env *ProcEnv) {
 			for i := 0; i < 200; i++ {
 				env.Exec().Charge(50_000)
@@ -309,7 +310,7 @@ func TestComputeBoundPriorityDegrades(t *testing.T) {
 }
 
 func TestKillOtherProcess(t *testing.T) {
-	startUnix(t, Config{}, func(u *Unix, e *hw.Exec) {
+	startUnix(t, func(u *Unix, e *hw.Exec) {
 		u.RegisterProgram("victim", func(env *ProcEnv) {
 			for {
 				env.Exec().Charge(10_000)
