@@ -26,13 +26,11 @@
 // are dropped from the engine entirely. Each coroutine is a Go runtime
 // coroutine (iter.Pull): the engine resumes it with a direct stack
 // switch, and it switches straight back when it yields, with no trip
-// through the Go scheduler. A yielding coroutine whose next scheduling decision is
-// itself keeps running without switching at all. All of this changes
-// only host data structures; the scheduling decisions themselves —
-// which coroutine runs at which virtual time — are bit-identical to the
-// original linear-scan engine (the determinism golden in internal/exp
-// pins this). iter.Pull needs Go 1.23, hence this file's build
-// constraint.
+// through the Go scheduler. All of this changes only host data
+// structures; the scheduling decisions themselves — which coroutine
+// runs at which virtual time — are bit-identical to the original
+// linear-scan engine (the determinism golden in internal/exp pins
+// this). iter.Pull needs Go 1.23, hence this file's build constraint.
 package sim
 
 import (
@@ -119,10 +117,9 @@ func (co *Coro) Clock() *Clock { return co.ctx.clock }
 // that the layer above can do a charge's bookkeeping in one compare
 // and look at its own state only when Add says so. The limit is at
 // most horizon+1, so Add reports true whenever Advance would yield. It
-// moves in four ways: resuming the coroutine (Run's dispatch, or a
-// yield that keeps running) drops it to 0; every horizon shrink lowers
-// it with the horizon; Engine.Look drops the running coroutine's to 0;
-// Rearm raises it to horizon+1.
+// moves in four ways: resuming the coroutine (Run's dispatch) drops it
+// to 0; every horizon shrink lowers it with the horizon; Engine.Look
+// drops the running coroutine's to 0; Rearm raises it to horizon+1.
 type Ctx struct {
 	clock   *Clock
 	limit   uint64
@@ -145,7 +142,6 @@ type Engine struct {
 	seq     uint64
 	current *Coro
 	now     uint64 // time of the most recently scheduled entity
-	until   uint64 // bound of the Run call in progress
 	steps   uint64 // raw scheduling decisions (MaxSteps guard)
 	sched   uint64 // schedule points: event executions + activations
 	schedAt uint64 // latest schedule-point time seen so far (monotone)
@@ -305,7 +301,6 @@ func (e *Engine) Run(until uint64) error {
 	if ent, ok := e.peek(); !ok || ent.at > until {
 		return nil
 	}
-	e.until = until
 	for {
 		if e.MaxSteps != 0 && e.steps >= e.MaxSteps {
 			return ErrMaxSteps
@@ -373,32 +368,6 @@ func (e *Engine) peek() (entry, bool) {
 // horizon at the interaction point, which is intrinsic to its code.
 func (e *Engine) horizonFor(coTime uint64) uint64 {
 	return coTime - coTime%gridQuantum + gridQuantum
-}
-
-// pickSelf evaluates the next scheduling decision from inside the
-// runnable, yielding coroutine co, before co is queued. If that
-// decision resumes co itself — co's entry would be the queue's top — it
-// performs the dispatch bookkeeping (step count, virtual time, trace)
-// and returns co's new horizon, so co keeps running without a switch
-// and without a trip through the queue. For any other decision —
-// another coroutine, a due event, the run bound, the step guard — it
-// mutates nothing but peek's re-keying and reports !ok; co is then
-// queued and switches back to Run, which re-evaluates identically.
-func (e *Engine) pickSelf(co *Coro) (horizon uint64, ok bool) {
-	if e.MaxSteps != 0 && e.steps >= e.MaxSteps {
-		return 0, false
-	}
-	ent := co.entry()
-	if ent.at > e.until {
-		return 0, false
-	}
-	if top, ok := e.peek(); ok && top.less(ent) {
-		return 0, false
-	}
-	e.steps++
-	e.now = ent.at
-	e.logDispatch(co, ent.at)
-	return e.horizonFor(ent.at), true
 }
 
 // logDispatch accounts one dispatch decision. An activation (first
@@ -517,11 +486,10 @@ func (e *Engine) removeCoro(co *Coro) {
 	}
 }
 
-// yield suspends the calling coroutine and returns control to the
-// scheduler; the coroutine resumes (with a fresh horizon) when next
-// scheduled. If the next scheduling decision resumes the yielder itself
-// it simply keeps running; every other decision is Run's, so the
-// yielder switches back to it.
+// yield suspends the calling coroutine and switches back to Run; the
+// coroutine resumes (with a fresh horizon) when next scheduled. A
+// runnable yielder is queued first, so Run's next decision may be to
+// resume it at once.
 //
 // On a closed engine yield panics with the release signal before it
 // touches the queue: a released coroutine whose deferred code
@@ -533,10 +501,6 @@ func (ctx *Ctx) yield() {
 		panic(releaseSignal{})
 	}
 	if co.runnable {
-		if horizon, ok := e.pickSelf(co); ok {
-			ctx.resume(horizon)
-			return
-		}
 		e.queue.push(co.entry())
 	}
 	co.suspend(struct{}{})
