@@ -367,8 +367,9 @@ func (p *pmap) state() PMapState {
 // restore overwrites a new map with a captured state. Every index the
 // state holds is checked before it is used, a chain may link only
 // captured live records, so that no walk reaches an unallocated chunk,
-// and the free stack may hold only free slots, so that no hand-out
-// overwrites a live record.
+// the free stack may hold only free slots, each once, so that no
+// hand-out overwrites a live record, and the live count must be the
+// captured records'.
 func (p *pmap) restore(st *PMapState) error {
 	if st.NRecs != p.n || st.NBuckets != p.nbuckets {
 		return fmt.Errorf("ck: restore: pmap geometry mismatch (%d/%d recs, %d/%d buckets)",
@@ -380,18 +381,23 @@ func (p *pmap) restore(st *PMapState) error {
 	fresh := p.n - st.FreeCanon
 	// The map is new: every chunk unallocated, every bucket empty, the
 	// free stack all canonical. Only the capture's deviations apply.
+	live, last := 0, int32(-1)
 	for _, r := range st.Recs {
-		if r.Slot < 0 || r.Slot >= p.n {
-			return fmt.Errorf("ck: restore: pmap record slot %d out of range", r.Slot)
+		if r.Slot <= last || r.Slot >= p.n {
+			return fmt.Errorf("ck: restore: pmap record slot %d out of range or order (after %d)", r.Slot, last)
 		}
+		last = r.Slot
 		if r.Next < -1 || r.Next >= p.n {
 			return fmt.Errorf("ck: restore: pmap record %d chains to slot %d, out of range", r.Slot, r.Next)
 		}
 		// A removed record can sit in the canonical prefix (a released
 		// fresh-1 slot rejoins it), a live one cannot.
 		rec := depRecord{key: r.Key, dep: r.Dep, ctx: r.Ctx, next: r.Next}
-		if r.Slot >= fresh && rec.kind() != depFree {
-			return fmt.Errorf("ck: restore: pmap record %d is live but in the free-stack prefix (from %d)", r.Slot, fresh)
+		if rec.kind() != depFree {
+			if r.Slot >= fresh {
+				return fmt.Errorf("ck: restore: pmap record %d is live but in the free-stack prefix (from %d)", r.Slot, fresh)
+			}
+			live++
 		}
 		p.allocChunk(r.Slot)
 		*p.rec(r.Slot) = rec
@@ -401,7 +407,12 @@ func (p *pmap) restore(st *PMapState) error {
 			return fmt.Errorf("ck: restore: pmap record %d chains to free slot %d", r.Slot, r.Next)
 		}
 	}
+	if st.Live != live {
+		return fmt.Errorf("ck: restore: pmap live count %d, but %d live records", st.Live, live)
+	}
 	p.fresh = fresh
+	// listed marks each tail slot pushed so far.
+	listed := make([]uint64, (fresh+63)/64)
 	for _, idx := range st.FreeTail {
 		if idx < 0 || idx >= fresh {
 			return fmt.Errorf("ck: restore: pmap free-stack slot %d out of range (canonical prefix starts at %d)", idx, fresh)
@@ -409,6 +420,10 @@ func (p *pmap) restore(st *PMapState) error {
 		if r := p.peek(idx); r.kind() != depFree {
 			return fmt.Errorf("ck: restore: pmap free-stack slot %d holds a live record", idx)
 		}
+		if listed[idx/64]&(1<<(idx%64)) != 0 {
+			return fmt.Errorf("ck: restore: pmap free-stack slot %d listed twice", idx)
+		}
+		listed[idx/64] |= 1 << (idx % 64)
 		p.releaseSlot(idx)
 	}
 	for _, h := range st.Heads {

@@ -121,9 +121,11 @@ func TestRestoreStateRejectsNonFresh(t *testing.T) {
 // index moved out of its valid range, one field at a time: every index
 // the state holds must be refused with an error, not popped or walked
 // later in the run. A valid capture has every Recs[].Slot, head and
-// clock hand in [0, n), every Recs[].Next in [-1, n), every free-stack
-// tail entry below n-FreeCanon and naming a free slot, no live record
-// in the canonical prefix, and chains that link live records only.
+// clock hand in [0, n), records in increasing slot order, every
+// Recs[].Next in [-1, n), every free-stack tail entry below
+// n-FreeCanon, naming a free slot and listed once, no live record in
+// the canonical prefix, chains that link live records only, and a live
+// count equal to the number of live records.
 func TestRestoreStateRejectsBadPMapIndex(t *testing.T) {
 	env := newEnv(t, Config{}, func(env *testEnv, e *hw.Exec) {
 		sid := env.mustLoadSpace(e, false)
@@ -159,6 +161,12 @@ func TestRestoreStateRejectsBadPMapIndex(t *testing.T) {
 		{"free_tail_at_prefix", func(pm *PMapState) { pm.FreeTail[0] = fresh }},
 		{"free_tail_negative", func(pm *PMapState) { pm.FreeTail[0] = -1 }},
 		{"free_tail_names_live_record", func(pm *PMapState) { pm.FreeTail[0] = pm.Recs[live].Slot }},
+		{"free_tail_twice", func(pm *PMapState) { pm.FreeTail = append(pm.FreeTail, pm.FreeTail[0]) }},
+		{"live_count_off", func(pm *PMapState) { pm.Live += 7 }},
+		{"slot_listed_twice", func(pm *PMapState) {
+			pm.Recs = append(pm.Recs, pm.Recs[len(pm.Recs)-1])
+			pm.Live++
+		}},
 		{"live_record_in_prefix", func(pm *PMapState) {
 			r := pm.Recs[live]
 			r.Slot, r.Next = fresh, -1
