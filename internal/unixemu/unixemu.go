@@ -59,7 +59,7 @@ const (
 // system is the ProcEnv, whose methods issue real trap instructions.
 type Program func(env *ProcEnv)
 
-// The emulator's scheduling policy.
+// The emulator's process-table and scheduling policy.
 const (
 	// maxProcs bounds the process table.
 	maxProcs = 64
