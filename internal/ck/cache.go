@@ -16,18 +16,11 @@ import (
 // memory arithmetic reproduces. The host stores only the slots a run
 // has used, as the pmap does: slots holds every slot handed out so far
 // (a slot past its end has never been used: free, unlocked, generation
-// 0), and the part of the free stack no run has touched is one number.
+// 0, and in the free stack's canonical prefix).
 type objCache[T any] struct {
 	name  string
-	n     int32 // capacity in slots
 	slots []cacheSlot[T]
-
-	// The free stack is the canonical prefix [n-1, n-2, ..., fresh] — a
-	// new cache's order, so slot 0 goes first — held as the one number
-	// fresh, with tail, the slots freed since, on top of it in push
-	// order. Every slot from len(slots) on is in the prefix.
-	fresh int32
-	tail  []int32
+	free  freeStack
 
 	// Intrusive LRU of loaded slots: head is least recently used.
 	lruHead, lruTail int32
@@ -51,25 +44,62 @@ type cacheSlot[T any] struct {
 	prev, next int32
 }
 
+// freeStack is the free-slot stack of a fixed pool of n slots, shared
+// by the pmap and the descriptor caches. It is the canonical prefix
+// [n-1, n-2, ..., fresh] — a new pool's order, so slot 0 goes first —
+// held as the one number fresh, with tail, the slots freed since, on
+// top of it in push order.
+type freeStack struct {
+	n, fresh int32
+	tail     []int32
+}
+
+// take pops a free slot, or reports ok=false if the pool is exhausted.
+func (s *freeStack) take() (idx int32, ok bool) {
+	if k := len(s.tail); k > 0 {
+		idx = s.tail[k-1]
+		s.tail = s.tail[:k-1]
+		return idx, true
+	}
+	if s.fresh < s.n {
+		s.fresh++
+		return s.fresh - 1, true
+	}
+	return -1, false
+}
+
+// release pushes slot idx. A slot that continues the untouched prefix
+// onto an empty tail rejoins the prefix.
+func (s *freeStack) release(idx int32) {
+	if len(s.tail) == 0 && idx == s.fresh-1 {
+		s.fresh--
+		return
+	}
+	s.tail = append(s.tail, idx)
+}
+
+// len reports the number of free slots.
+func (s *freeStack) len() int { return int(s.n-s.fresh) + len(s.tail) }
+
+// reset frees every slot, in a new pool's order.
+func (s *freeStack) reset() {
+	s.fresh = 0
+	s.tail = s.tail[:0]
+}
+
 func newObjCache[T any](name string, capacity int) *objCache[T] {
-	return &objCache[T]{name: name, n: int32(capacity), lruHead: -1, lruTail: -1}
+	return &objCache[T]{name: name, free: freeStack{n: int32(capacity)}, lruHead: -1, lruTail: -1}
 }
 
 // alloc takes a free slot, returning its index and new generation, or
 // ok=false if the cache is full (caller must evict first).
 func (c *objCache[T]) alloc() (idx int32, gen uint32, ok bool) {
-	switch {
-	case len(c.tail) > 0:
-		idx = c.tail[len(c.tail)-1]
-		c.tail = c.tail[:len(c.tail)-1]
-	case c.fresh < c.n:
-		idx = c.fresh
-		c.fresh++
-		if int(idx) == len(c.slots) {
-			c.slots = append(c.slots, cacheSlot[T]{})
-		}
-	default:
+	idx, ok = c.free.take()
+	if !ok {
 		return 0, 0, false
+	}
+	if int(idx) == len(c.slots) { // the first hand-out of the slot
+		c.slots = append(c.slots, cacheSlot[T]{})
 	}
 	s := &c.slots[idx]
 	s.gen++
@@ -143,11 +173,7 @@ func (c *objCache[T]) release(idx int32) {
 	s.inUse = false
 	s.locked = false
 	s.obj = zero
-	if len(c.tail) == 0 && idx == c.fresh-1 {
-		c.fresh-- // the slot extends the canonical prefix
-	} else {
-		c.tail = append(c.tail, idx)
-	}
+	c.free.release(idx)
 	c.loaded--
 }
 
@@ -162,8 +188,7 @@ func (c *objCache[T]) wipe() {
 	for i := range c.slots {
 		c.slots[i] = cacheSlot[T]{gen: c.slots[i].gen, prev: -1, next: -1}
 	}
-	c.fresh = 0
-	c.tail = c.tail[:0]
+	c.free.reset()
 	c.lruHead, c.lruTail = -1, -1
 	c.loaded = 0
 }
@@ -208,7 +233,7 @@ func (c *objCache[T]) forEach(fn func(idx int32, obj T) bool) {
 func (c *objCache[T]) Loaded() int { return c.loaded }
 
 // Capacity reports the total slot count.
-func (c *objCache[T]) Capacity() int { return int(c.n) }
+func (c *objCache[T]) Capacity() int { return int(c.free.n) }
 
 // CacheShape is the structural skeleton of a descriptor cache: every
 // slot's generation and lock bit, the loaded set in exact LRU order,
@@ -228,9 +253,9 @@ type CacheShape struct {
 // read as generation 0, unlocked and free, in the canonical prefix.
 func (c *objCache[T]) shape() CacheShape {
 	sh := CacheShape{
-		Gens:    make([]uint32, c.n),
-		Locked:  make([]bool, c.n),
-		Free:    slices.Grow([]int32(nil), int(c.n-c.fresh)+len(c.tail)),
+		Gens:    make([]uint32, c.free.n),
+		Locked:  make([]bool, c.free.n),
+		Free:    slices.Grow([]int32(nil), c.free.len()),
 		Hits:    c.Hits,
 		Misses:  c.Misses,
 		Reloads: c.Reloads,
@@ -239,10 +264,10 @@ func (c *objCache[T]) shape() CacheShape {
 		sh.Gens[i] = c.slots[i].gen
 		sh.Locked[i] = c.slots[i].locked
 	}
-	for i := c.n - 1; i >= c.fresh; i-- {
+	for i := c.free.n - 1; i >= c.free.fresh; i-- {
 		sh.Free = append(sh.Free, i)
 	}
-	sh.Free = append(sh.Free, c.tail...)
+	sh.Free = append(sh.Free, c.free.tail...)
 	for idx := c.lruHead; idx != -1; idx = c.slots[idx].next {
 		sh.LRU = append(sh.LRU, idx)
 	}
@@ -259,7 +284,7 @@ func (c *objCache[T]) shape() CacheShape {
 // those below the canonical prefix, each loaded or freed since, and
 // up to the last one in the prefix that has held an object.
 func (c *objCache[T]) restoreShape(sh CacheShape, obj func(slot int32) (T, error)) error {
-	n := int(c.n)
+	n := int(c.free.n)
 	if len(sh.Gens) != n || len(sh.Locked) != n {
 		return errShape(c.name, "capacity", len(sh.Gens), n)
 	}
@@ -271,12 +296,12 @@ func (c *objCache[T]) restoreShape(sh CacheShape, obj func(slot int32) (T, error
 	}
 	// The free stack's canonical prefix, then its tail.
 	canon := 0
-	for canon < len(sh.Free) && sh.Free[canon] == c.n-1-int32(canon) {
+	for canon < len(sh.Free) && sh.Free[canon] == c.free.n-1-int32(canon) {
 		canon++
 	}
-	fresh := c.n - int32(canon)
+	fresh := c.free.n - int32(canon)
 	used := fresh
-	for i := c.n - 1; i >= fresh; i-- {
+	for i := c.free.n - 1; i >= fresh; i-- {
 		if sh.Gens[i] != 0 {
 			used = i + 1
 			break
@@ -286,8 +311,8 @@ func (c *objCache[T]) restoreShape(sh CacheShape, obj func(slot int32) (T, error
 	for i := range c.slots {
 		c.slots[i] = cacheSlot[T]{gen: sh.Gens[i], prev: -1, next: -1}
 	}
-	c.fresh = fresh
-	c.tail = make([]int32, 0, len(sh.Free)-canon)
+	c.free.fresh = fresh
+	c.free.tail = make([]int32, 0, len(sh.Free)-canon)
 	c.lruHead, c.lruTail = -1, -1
 	c.loaded = 0
 	// Every loaded and every tail slot lies below the canonical prefix
@@ -307,9 +332,9 @@ func (c *objCache[T]) restoreShape(sh CacheShape, obj func(slot int32) (T, error
 			return fmt.Errorf("ck: %s cache restore: free slot %d is loaded or listed twice", c.name, idx)
 		}
 		c.slots[idx].inUse = true
-		c.tail = append(c.tail, idx)
+		c.free.tail = append(c.free.tail, idx)
 	}
-	for _, idx := range c.tail {
+	for _, idx := range c.free.tail {
 		c.slots[idx].inUse = false
 	}
 	for _, idx := range sh.LRU {

@@ -442,15 +442,15 @@ func TestPMapReservationHandoff(t *testing.T) {
 	if p.Live() != 4 {
 		t.Fatalf("live = %d", p.Live())
 	}
-	// releaseSlot returns an unused reservation.
+	// Releasing an unused reservation returns it.
 	p.remove(idxs[1])
 	idx, ok := p.takeFree()
 	if !ok {
 		t.Fatal("takeFree after remove failed")
 	}
-	p.releaseSlot(idx)
+	p.free.release(idx)
 	if idx2, ok := p.takeFree(); !ok || idx2 != idx {
-		t.Fatal("releaseSlot round trip failed")
+		t.Fatal("release round trip failed")
 	}
 }
 

@@ -77,7 +77,7 @@ func (k *Kernel) loadMapping(e *hw.Exec, sid ObjID, spec MappingSpec) error {
 	reserved := reservedBuf[:0]
 	releaseReserved := func(reserved []int32) {
 		for _, idx := range reserved {
-			k.pm.releaseSlot(idx)
+			k.pm.free.release(idx)
 		}
 		if spec.Locked {
 			k.releaseLock(caller, lockQuotaMapping)

@@ -77,14 +77,7 @@ type pmap struct {
 	heads    []*headChunk // nil: every chain in the chunk empty
 	live     int
 	hand     int32 // clock hand for replacement scans
-
-	// The free stack is the canonical prefix [n-1, n-2, ..., fresh] — a
-	// new pool's order, so slot 0 goes first — held as the one number
-	// fresh, with tail, the slots freed since, on top of it in push
-	// order. Tail blocks stay allocated when the stack shrinks.
-	fresh   int32
-	tail    []*freeBlock
-	tailLen int
+	free     freeStack
 
 	// Reloads counts insertions into slots that have held a record
 	// before — the mapping cache's analog of the objCache reload counter
@@ -110,17 +103,13 @@ const (
 
 type headChunk [headChunkLen]int32
 
-// A free-stack tail block is one 4 KB page of slot numbers.
-const freeBlockLen = 1024
-
-type freeBlock [freeBlockLen]int32
-
 func newPMap(capacity, buckets int) *pmap {
 	return &pmap{
 		n:        int32(capacity),
 		chunks:   make([]*recChunk, (capacity+recChunkLen-1)/recChunkLen),
 		nbuckets: int32(buckets),
 		heads:    make([]*headChunk, (buckets+headChunkLen-1)/headChunkLen),
+		free:     freeStack{n: int32(capacity)},
 	}
 }
 
@@ -164,19 +153,11 @@ func (p *pmap) insert(kind depKind, key, dep uint32, owner int32) (idx int32, ok
 // point, or another processor's load can steal the slot (the
 // non-blocking-synchronization discipline of paper §4.2).
 func (p *pmap) takeFree() (int32, bool) {
-	var idx int32
-	switch {
-	case p.tailLen > 0:
-		p.tailLen--
-		idx = p.tail[p.tailLen/freeBlockLen][p.tailLen%freeBlockLen]
-	case p.fresh < p.n:
-		idx = p.fresh
-		p.fresh++
-	default:
-		return -1, false
+	idx, ok := p.free.take()
+	if ok {
+		p.allocChunk(idx)
 	}
-	p.allocChunk(idx)
-	return idx, true
+	return idx, ok
 }
 
 // allocChunk allocates the all-free chunk holding slot idx if it has
@@ -185,19 +166,6 @@ func (p *pmap) allocChunk(idx int32) {
 	if p.chunks[idx>>recChunkShift] == nil {
 		p.chunks[idx>>recChunkShift] = new(recChunk)
 	}
-}
-
-// releaseSlot returns a reserved (unused) slot to the free pool.
-func (p *pmap) releaseSlot(idx int32) {
-	if p.tailLen == 0 && idx == p.fresh-1 {
-		p.fresh-- // the slot extends the canonical prefix
-		return
-	}
-	if p.tailLen == len(p.tail)*freeBlockLen {
-		p.tail = append(p.tail, new(freeBlock))
-	}
-	p.tail[p.tailLen/freeBlockLen][p.tailLen%freeBlockLen] = idx
-	p.tailLen++
 }
 
 // insertAt fills a reserved slot with a live record.
@@ -216,7 +184,7 @@ func (p *pmap) insertAt(idx int32, kind depKind, key, dep uint32, owner int32) {
 // chain positions walked (for cycle charging).
 func (p *pmap) remove(idx int32) (probes int) {
 	probes = p.removeKeep(idx)
-	p.releaseSlot(idx)
+	p.free.release(idx)
 	return probes
 }
 
@@ -321,7 +289,7 @@ func (p *pmap) victim(reclaimable func(idx int32, r *depRecord) bool) (idx int32
 func (p *pmap) Live() int { return p.live }
 
 // Free reports the number of free record slots.
-func (p *pmap) Free() int { return int(p.n-p.fresh) + p.tailLen }
+func (p *pmap) Free() int { return p.free.len() }
 
 // Capacity reports the record pool size.
 func (p *pmap) Capacity() int { return int(p.n) }
@@ -333,7 +301,7 @@ func (p *pmap) state() PMapState {
 	st := PMapState{
 		NRecs:     p.n,
 		NBuckets:  p.nbuckets,
-		FreeCanon: p.n - p.fresh,
+		FreeCanon: p.n - p.free.fresh,
 		Live:      p.live,
 		Hand:      p.hand,
 		Reloads:   p.Reloads,
@@ -348,9 +316,7 @@ func (p *pmap) state() PMapState {
 			}
 		}
 	}
-	for i := 0; i < p.tailLen; i++ {
-		st.FreeTail = append(st.FreeTail, p.tail[i/freeBlockLen][i%freeBlockLen])
-	}
+	st.FreeTail = append(st.FreeTail, p.free.tail...)
 	for c, ch := range p.heads {
 		if ch == nil {
 			continue
@@ -410,7 +376,7 @@ func (p *pmap) restore(st *PMapState) error {
 	if st.Live != live {
 		return fmt.Errorf("ck: restore: pmap live count %d, but %d live records", st.Live, live)
 	}
-	p.fresh = fresh
+	p.free.fresh = fresh
 	// listed marks each tail slot pushed so far.
 	listed := make([]uint64, (fresh+63)/64)
 	for _, idx := range st.FreeTail {
@@ -424,7 +390,7 @@ func (p *pmap) restore(st *PMapState) error {
 			return fmt.Errorf("ck: restore: pmap free-stack slot %d listed twice", idx)
 		}
 		listed[idx/64] |= 1 << (idx % 64)
-		p.releaseSlot(idx)
+		p.free.release(idx)
 	}
 	for _, h := range st.Heads {
 		if h.Bucket < 0 || h.Bucket >= p.nbuckets {

@@ -176,7 +176,7 @@ func checkRoundTrip(t *testing.T, st PMapState) {
 }
 
 // TestPMapMatchesDense drives random takeFree, insertAt, remove,
-// removeKeep, releaseSlot, victim and findEach sequences on the chunked
+// removeKeep, release, victim and findEach sequences on the chunked
 // map and on the dense reference, at capacities on and off the chunk
 // size, with a bucket array inside one head chunk on odd seeds and
 // over several, the last one partial, on even ones. Every result, the
@@ -184,7 +184,7 @@ func checkRoundTrip(t *testing.T, st PMapState) {
 // whole captured state must agree; each capture must also survive a
 // restore into a new map.
 func TestPMapMatchesDense(t *testing.T) {
-	for _, n := range []int{1, 7, recChunkLen, recChunkLen + 44, 3*recChunkLen - 1, 2*freeBlockLen + 300} {
+	for _, n := range []int{1, 7, recChunkLen, recChunkLen + 44, 3*recChunkLen - 1, 9*recChunkLen + 44} {
 		evicted := 0
 		for seed := uint64(1); seed <= 4; seed++ {
 			buckets := []int{2*headChunkLen + 44, 16}[seed%2]
@@ -231,7 +231,7 @@ func TestPMapMatchesDense(t *testing.T) {
 						j = r.Intn(len(reserved))
 					}
 					idx := take(&reserved, j)
-					p.releaseSlot(idx)
+					p.free.release(idx)
 					d.releaseSlot(idx)
 				case c < mix[3] && len(live) > 0:
 					idx := take(&live, r.Intn(len(live)))
@@ -321,7 +321,7 @@ func TestPMapStateAbsorbsReleasedPrefixSlot(t *testing.T) {
 	}
 	p.insertAt(0, depPhysVirt, 5, 6, 1)
 	d.insertAt(0, depPhysVirt, 5, 6, 1)
-	p.releaseSlot(2) // fresh-1: absorbed
+	p.free.release(2) // fresh-1: absorbed
 	d.releaseSlot(2)
 	st := p.state()
 	if st.FreeCanon != n-2 || st.FreeTail != nil {
