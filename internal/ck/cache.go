@@ -1,9 +1,6 @@
 package ck
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // objCache is the fixed-capacity descriptor cache underlying each object
 // type. Slots are recycled in least-recently-loaded order when the cache
@@ -85,6 +82,44 @@ func (s *freeStack) len() int { return int(s.n-s.fresh) + len(s.tail) }
 func (s *freeStack) reset() {
 	s.fresh = 0
 	s.tail = s.tail[:0]
+}
+
+// FreeStack is a captured free stack: the length of its canonical
+// prefix [n-1, n-2, ..., n-Canon] and the slots on top of it in push
+// order. Its exact order decides every future hand-out.
+type FreeStack struct {
+	Canon int32
+	Tail  []int32
+}
+
+func (s *freeStack) state() FreeStack {
+	return FreeStack{Canon: s.n - s.fresh, Tail: append([]int32(nil), s.tail...)}
+}
+
+// restore overwrites the stack with a captured one. It refuses a
+// prefix length outside [0, n], and a tail slot outside the pool or in
+// the prefix, listed twice, or one that free says is in use, so that no
+// hand-out reaches past the pool or takes a slot twice.
+func (s *freeStack) restore(st FreeStack, free func(idx int32) bool) error {
+	if st.Canon < 0 || st.Canon > s.n {
+		return fmt.Errorf("free-stack prefix %d out of range [0, %d]", st.Canon, s.n)
+	}
+	fresh := s.n - st.Canon
+	listed := make([]uint64, (fresh+63)/64) // each tail slot seen so far
+	for _, idx := range st.Tail {
+		switch {
+		case idx < 0 || idx >= fresh:
+			return fmt.Errorf("free slot %d out of range (canonical prefix starts at %d)", idx, fresh)
+		case listed[idx/64]&(1<<(idx%64)) != 0:
+			return fmt.Errorf("free slot %d listed twice", idx)
+		case !free(idx):
+			return fmt.Errorf("free slot %d is in use", idx)
+		}
+		listed[idx/64] |= 1 << (idx % 64)
+	}
+	s.fresh = fresh
+	s.tail = append(s.tail[:0], st.Tail...)
+	return nil
 }
 
 func newObjCache[T any](name string, capacity int) *objCache[T] {
@@ -237,25 +272,25 @@ func (c *objCache[T]) Capacity() int { return int(c.free.n) }
 
 // CacheShape is the structural skeleton of a descriptor cache: every
 // slot's generation and lock bit, the loaded set in exact LRU order,
-// the free list in exact stack order, and the observability counters.
-// Together with the per-slot objects it is a complete capture — a cache
-// restored from a shape allocates future slots in the identical order
-// and mints identical (generation-bearing) identifiers.
+// the free stack, and the observability counters. Together with the
+// per-slot objects it is a complete capture — a cache restored from a
+// shape allocates future slots in the identical order and mints
+// identical (generation-bearing) identifiers.
 type CacheShape struct {
 	Gens                  []uint32
 	Locked                []bool
 	LRU                   []int32 // loaded slots, least recently used first
-	Free                  []int32
+	Free                  FreeStack
 	Hits, Misses, Reloads uint64
 }
 
 // shape captures the cache's structural skeleton. Slots never used
-// read as generation 0, unlocked and free, in the canonical prefix.
+// read as generation 0 and unlocked.
 func (c *objCache[T]) shape() CacheShape {
 	sh := CacheShape{
 		Gens:    make([]uint32, c.free.n),
 		Locked:  make([]bool, c.free.n),
-		Free:    slices.Grow([]int32(nil), c.free.len()),
+		Free:    c.free.state(),
 		Hits:    c.Hits,
 		Misses:  c.Misses,
 		Reloads: c.Reloads,
@@ -264,10 +299,6 @@ func (c *objCache[T]) shape() CacheShape {
 		sh.Gens[i] = c.slots[i].gen
 		sh.Locked[i] = c.slots[i].locked
 	}
-	for i := c.free.n - 1; i >= c.free.fresh; i-- {
-		sh.Free = append(sh.Free, i)
-	}
-	sh.Free = append(sh.Free, c.free.tail...)
 	for idx := c.lruHead; idx != -1; idx = c.slots[idx].next {
 		sh.LRU = append(sh.LRU, idx)
 	}
@@ -291,15 +322,11 @@ func (c *objCache[T]) restoreShape(sh CacheShape, obj func(slot int32) (T, error
 	if c.loaded != 0 {
 		return errShape(c.name, "loaded slots at restore", c.loaded, 0)
 	}
-	if len(sh.Free)+len(sh.LRU) != n {
-		return errShape(c.name, "free+loaded", len(sh.Free)+len(sh.LRU), n)
+	if fs := sh.Free; fs.Canon < 0 || int(fs.Canon)+len(fs.Tail)+len(sh.LRU) != n {
+		return fmt.Errorf("ck: %s cache restore: free-stack prefix %d + tail %d + loaded %d != capacity %d",
+			c.name, fs.Canon, len(fs.Tail), len(sh.LRU), n)
 	}
-	// The free stack's canonical prefix, then its tail.
-	canon := 0
-	for canon < len(sh.Free) && sh.Free[canon] == c.free.n-1-int32(canon) {
-		canon++
-	}
-	fresh := c.free.n - int32(canon)
+	fresh := c.free.n - sh.Free.Canon
 	used := fresh
 	for i := c.free.n - 1; i >= fresh; i-- {
 		if sh.Gens[i] != 0 {
@@ -311,31 +338,18 @@ func (c *objCache[T]) restoreShape(sh CacheShape, obj func(slot int32) (T, error
 	for i := range c.slots {
 		c.slots[i] = cacheSlot[T]{gen: sh.Gens[i], prev: -1, next: -1}
 	}
-	c.free.fresh = fresh
-	c.free.tail = make([]int32, 0, len(sh.Free)-canon)
 	c.lruHead, c.lruTail = -1, -1
 	c.loaded = 0
-	// Every loaded and every tail slot lies below the canonical prefix
-	// and is named once: inUse marks each slot seen, and the tail's
-	// marks are cleared before the loaded slots are built.
+	// Every loaded slot lies below the canonical prefix and is named
+	// once; inUse marks each, so that the free stack refuses it.
 	for _, idx := range sh.LRU {
 		if idx < 0 || idx >= fresh || c.slots[idx].inUse {
 			return errShape(c.name, "LRU slot", int(idx), int(fresh))
 		}
 		c.slots[idx].inUse = true
 	}
-	for _, idx := range sh.Free[canon:] {
-		if idx < 0 || idx >= fresh {
-			return fmt.Errorf("ck: %s cache restore: free slot %d out of range (canonical prefix starts at %d)", c.name, idx, fresh)
-		}
-		if c.slots[idx].inUse {
-			return fmt.Errorf("ck: %s cache restore: free slot %d is loaded or listed twice", c.name, idx)
-		}
-		c.slots[idx].inUse = true
-		c.free.tail = append(c.free.tail, idx)
-	}
-	for _, idx := range c.free.tail {
-		c.slots[idx].inUse = false
+	if err := c.free.restore(sh.Free, func(idx int32) bool { return !c.slots[idx].inUse }); err != nil {
+		return fmt.Errorf("ck: %s cache restore: %w", c.name, err)
 	}
 	for _, idx := range sh.LRU {
 		o, err := obj(idx)

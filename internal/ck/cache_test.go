@@ -143,7 +143,7 @@ func (c *denseObjCache[T]) shape() CacheShape {
 	sh := CacheShape{
 		Gens:    make([]uint32, len(c.slots)),
 		Locked:  make([]bool, len(c.slots)),
-		Free:    append([]int32(nil), c.free...),
+		Free:    freeStackOf(c.free, len(c.slots)),
 		Hits:    c.hits,
 		Misses:  c.misses,
 		Reloads: c.reloads,
@@ -163,7 +163,7 @@ func (c *denseObjCache[T]) restoreShape(sh CacheShape, obj func(slot int32) T) {
 	for i := range c.slots {
 		c.slots[i] = cacheSlot[T]{gen: sh.Gens[i], prev: -1, next: -1}
 	}
-	c.free = append(c.free[:0], sh.Free...)
+	c.free = freeListOf(sh.Free, len(c.slots))
 	c.lruHead, c.lruTail = -1, -1
 	c.loaded = 0
 	for _, idx := range sh.LRU {
@@ -173,6 +173,25 @@ func (c *denseObjCache[T]) restoreShape(sh CacheShape, obj func(slot int32) T) {
 		c.loaded++
 	}
 	c.hits, c.misses, c.reloads = sh.Hits, sh.Misses, sh.Reloads
+}
+
+// freeStackOf captures the whole free list of a pool of n slots as its
+// longest canonical prefix [n-1, n-2, ...] and the rest.
+func freeStackOf(free []int32, n int) FreeStack {
+	canon := 0
+	for canon < len(free) && free[canon] == int32(n-1-canon) {
+		canon++
+	}
+	return FreeStack{Canon: int32(canon), Tail: append([]int32(nil), free[canon:]...)}
+}
+
+// freeListOf is the whole free list of a captured stack.
+func freeListOf(fs FreeStack, n int) []int32 {
+	var free []int32
+	for i := 0; i < int(fs.Canon); i++ {
+		free = append(free, int32(n-1-i))
+	}
+	return append(free, fs.Tail...)
 }
 
 func (c *denseObjCache[T]) lruAppend(idx int32) {

@@ -295,16 +295,16 @@ func (p *pmap) Free() int { return p.free.len() }
 func (p *pmap) Capacity() int { return int(p.n) }
 
 // state captures the map: the used records in slot order, the free
-// stack as its canonical-prefix length and tail, and the non-empty
-// chains. A used record is one that is not all zero.
+// stack and the non-empty chains. A used record is one that is not all
+// zero.
 func (p *pmap) state() PMapState {
 	st := PMapState{
-		NRecs:     p.n,
-		NBuckets:  p.nbuckets,
-		FreeCanon: p.n - p.free.fresh,
-		Live:      p.live,
-		Hand:      p.hand,
-		Reloads:   p.Reloads,
+		NRecs:    p.n,
+		NBuckets: p.nbuckets,
+		Free:     p.free.state(),
+		Live:     p.live,
+		Hand:     p.hand,
+		Reloads:  p.Reloads,
 	}
 	for c, ch := range p.chunks {
 		if ch == nil {
@@ -316,7 +316,6 @@ func (p *pmap) state() PMapState {
 			}
 		}
 	}
-	st.FreeTail = append(st.FreeTail, p.free.tail...)
 	for c, ch := range p.heads {
 		if ch == nil {
 			continue
@@ -333,18 +332,14 @@ func (p *pmap) state() PMapState {
 // restore overwrites a new map with a captured state. Every index the
 // state holds is checked before it is used, a chain may link only
 // captured live records, so that no walk reaches an unallocated chunk,
-// the free stack may hold only free slots, each once, so that no
-// hand-out overwrites a live record, and the live count must be the
-// captured records'.
+// the free stack may hold only free slots, so that no hand-out
+// overwrites a live record, and the live count must be the captured
+// records'.
 func (p *pmap) restore(st *PMapState) error {
 	if st.NRecs != p.n || st.NBuckets != p.nbuckets {
 		return fmt.Errorf("ck: restore: pmap geometry mismatch (%d/%d recs, %d/%d buckets)",
 			st.NRecs, p.n, st.NBuckets, p.nbuckets)
 	}
-	if st.FreeCanon < 0 || st.FreeCanon > p.n {
-		return fmt.Errorf("ck: restore: pmap free-stack prefix %d out of range [0, %d]", st.FreeCanon, p.n)
-	}
-	fresh := p.n - st.FreeCanon
 	// The map is new: every chunk unallocated, every bucket empty, the
 	// free stack all canonical. Only the capture's deviations apply.
 	live, last := 0, int32(-1)
@@ -356,41 +351,29 @@ func (p *pmap) restore(st *PMapState) error {
 		if r.Next < -1 || r.Next >= p.n {
 			return fmt.Errorf("ck: restore: pmap record %d chains to slot %d, out of range", r.Slot, r.Next)
 		}
-		// A removed record can sit in the canonical prefix (a released
-		// fresh-1 slot rejoins it), a live one cannot.
 		rec := depRecord{key: r.Key, dep: r.Dep, ctx: r.Ctx, next: r.Next}
 		if rec.kind() != depFree {
-			if r.Slot >= fresh {
-				return fmt.Errorf("ck: restore: pmap record %d is live but in the free-stack prefix (from %d)", r.Slot, fresh)
-			}
 			live++
 		}
 		p.allocChunk(r.Slot)
 		*p.rec(r.Slot) = rec
 	}
+	free := func(idx int32) bool { r := p.peek(idx); return r.kind() == depFree }
+	if err := p.free.restore(st.Free, free); err != nil {
+		return fmt.Errorf("ck: restore: pmap %w", err)
+	}
 	for _, r := range st.Recs {
-		if next := p.peek(r.Next); r.Next >= 0 && next.kind() == depFree {
+		// A removed record can sit in the canonical prefix (a released
+		// fresh-1 slot rejoins it), a live one cannot.
+		if !free(r.Slot) && r.Slot >= p.free.fresh {
+			return fmt.Errorf("ck: restore: pmap record %d is live but in the free-stack prefix (from %d)", r.Slot, p.free.fresh)
+		}
+		if r.Next >= 0 && free(r.Next) {
 			return fmt.Errorf("ck: restore: pmap record %d chains to free slot %d", r.Slot, r.Next)
 		}
 	}
 	if st.Live != live {
 		return fmt.Errorf("ck: restore: pmap live count %d, but %d live records", st.Live, live)
-	}
-	p.free.fresh = fresh
-	// listed marks each tail slot pushed so far.
-	listed := make([]uint64, (fresh+63)/64)
-	for _, idx := range st.FreeTail {
-		if idx < 0 || idx >= fresh {
-			return fmt.Errorf("ck: restore: pmap free-stack slot %d out of range (canonical prefix starts at %d)", idx, fresh)
-		}
-		if r := p.peek(idx); r.kind() != depFree {
-			return fmt.Errorf("ck: restore: pmap free-stack slot %d holds a live record", idx)
-		}
-		if listed[idx/64]&(1<<(idx%64)) != 0 {
-			return fmt.Errorf("ck: restore: pmap free-stack slot %d listed twice", idx)
-		}
-		listed[idx/64] |= 1 << (idx % 64)
-		p.free.release(idx)
 	}
 	for _, h := range st.Heads {
 		if h.Bucket < 0 || h.Bucket >= p.nbuckets {

@@ -147,13 +147,7 @@ func (p *densePMap) state() PMapState {
 			st.Recs = append(st.Recs, DepRec{Slot: int32(i), Key: r.key, Dep: r.dep, Ctx: r.ctx, Next: r.next})
 		}
 	}
-	n := len(p.recs)
-	canon := 0
-	for canon < len(p.free) && p.free[canon] == int32(n-1-canon) {
-		canon++
-	}
-	st.FreeCanon = int32(canon)
-	st.FreeTail = append([]int32(nil), p.free[canon:]...)
+	st.Free = freeStackOf(p.free, len(p.recs))
 	for b, head := range p.buckets {
 		if head >= 0 {
 			st.Heads = append(st.Heads, BucketHead{Bucket: int32(b), Head: head})
@@ -324,8 +318,8 @@ func TestPMapStateAbsorbsReleasedPrefixSlot(t *testing.T) {
 	p.free.release(2) // fresh-1: absorbed
 	d.releaseSlot(2)
 	st := p.state()
-	if st.FreeCanon != n-2 || st.FreeTail != nil {
-		t.Fatalf("after releasing slot 2: prefix %d tail %v, want %d and none", st.FreeCanon, st.FreeTail, n-2)
+	if st.Free.Canon != n-2 || st.Free.Tail != nil {
+		t.Fatalf("after releasing slot 2: prefix %d tail %v, want %d and none", st.Free.Canon, st.Free.Tail, n-2)
 	}
 	if want := d.state(); !reflect.DeepEqual(st, want) {
 		t.Fatalf("captured state\n %+v\ndense\n %+v", st, want)
@@ -340,8 +334,8 @@ func TestPMapStateAbsorbsReleasedPrefixSlot(t *testing.T) {
 	p.remove(2)
 	d.remove(2)
 	st = p.state()
-	if st.FreeCanon != n-2 || st.FreeTail != nil || len(st.Recs) != 2 || st.Recs[1] != (DepRec{Slot: 2, Next: -1}) {
-		t.Fatalf("after removing slot 2: prefix %d tail %v records %v, want %d, none and slot 2 removed", st.FreeCanon, st.FreeTail, st.Recs, n-2)
+	if st.Free.Canon != n-2 || st.Free.Tail != nil || len(st.Recs) != 2 || st.Recs[1] != (DepRec{Slot: 2, Next: -1}) {
+		t.Fatalf("after removing slot 2: prefix %d tail %v records %v, want %d, none and slot 2 removed", st.Free.Canon, st.Free.Tail, st.Recs, n-2)
 	}
 	if want := d.state(); !reflect.DeepEqual(st, want) {
 		t.Fatalf("captured state\n %+v\ndense\n %+v", st, want)
@@ -350,8 +344,8 @@ func TestPMapStateAbsorbsReleasedPrefixSlot(t *testing.T) {
 	p.remove(0) // not adjacent to the prefix: goes on the tail
 	d.remove(0)
 	st = p.state()
-	if st.FreeCanon != n-2 || !reflect.DeepEqual(st.FreeTail, []int32{0}) {
-		t.Fatalf("after removing slot 0: prefix %d tail %v, want %d and [0]", st.FreeCanon, st.FreeTail, n-2)
+	if st.Free.Canon != n-2 || !reflect.DeepEqual(st.Free.Tail, []int32{0}) {
+		t.Fatalf("after removing slot 0: prefix %d tail %v, want %d and [0]", st.Free.Canon, st.Free.Tail, n-2)
 	}
 	if want := d.state(); !reflect.DeepEqual(st, want) {
 		t.Fatalf("captured state\n %+v\ndense\n %+v", st, want)

@@ -205,20 +205,17 @@ type BucketHead struct {
 
 // PMapState is the captured physical memory map. The pool is sparse at
 // any quiescent point, so only used records and non-empty hash chains
-// are stored; the free stack — whose exact order decides every future
-// allocation — is canonical-prefix compressed: a fresh pool's stack is
-// [n-1, n-2, ..., 0], and a run leaves that sequence truncated to
-// FreeCanon entries plus an explicitly recorded reclaimed tail.
+// are stored, and the free stack as its canonical-prefix length and
+// tail, as every descriptor cache's is.
 type PMapState struct {
-	NRecs     int32 // record-pool capacity (geometry check)
-	NBuckets  int32 // hash-bucket count (geometry check)
-	Recs      []DepRec
-	FreeCanon int32
-	FreeTail  []int32
-	Heads     []BucketHead
-	Live      int
-	Hand      int32
-	Reloads   uint64
+	NRecs    int32 // record-pool capacity (geometry check)
+	NBuckets int32 // hash-bucket count (geometry check)
+	Recs     []DepRec
+	Free     FreeStack
+	Heads    []BucketHead
+	Live     int
+	Hand     int32
+	Reloads  uint64
 }
 
 // RTLBReceiverState is one cached signal-delivery target.

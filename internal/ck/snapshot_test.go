@@ -42,7 +42,7 @@ func TestStateRoundTrip(t *testing.T) {
 				})
 			}
 			// Unload from the middle so the pmap free stack leaves its
-			// canonical order — the FreeTail path of the capture.
+			// canonical order — the tail path of the capture.
 			if _, err := env.k.UnloadMapping(e, sid, 0x4000_0000+2*hw.PageSize); err != nil {
 				env.t.Fatalf("UnloadMapping: %v", err)
 			}
@@ -122,10 +122,10 @@ func TestRestoreStateRejectsNonFresh(t *testing.T) {
 // the state holds must be refused with an error, not popped or walked
 // later in the run. A valid capture has every Recs[].Slot, head and
 // clock hand in [0, n), records in increasing slot order, every
-// Recs[].Next in [-1, n), every free-stack tail entry below
-// n-FreeCanon, naming a free slot and listed once, no live record in
-// the canonical prefix, chains that link live records only, and a live
-// count equal to the number of live records.
+// Recs[].Next in [-1, n), a free-stack prefix length in [0, n], every
+// tail entry below n-Free.Canon, naming a free slot and listed once, no
+// live record in the canonical prefix, chains that link live records
+// only, and a live count equal to the number of live records.
 func TestRestoreStateRejectsBadPMapIndex(t *testing.T) {
 	env := newEnv(t, Config{}, func(env *testEnv, e *hw.Exec) {
 		sid := env.mustLoadSpace(e, false)
@@ -139,10 +139,10 @@ func TestRestoreStateRejectsBadPMapIndex(t *testing.T) {
 	})
 	base := captureQuiescent(t, env)
 	pm := base.PMap
-	if len(pm.FreeTail) == 0 || len(pm.Heads) == 0 || len(pm.Recs) == 0 {
+	if len(pm.Free.Tail) == 0 || len(pm.Heads) == 0 || len(pm.Recs) == 0 {
 		t.Fatalf("capture lacks a field to corrupt: %+v", pm)
 	}
-	n, fresh := pm.NRecs, pm.NRecs-pm.FreeCanon
+	n, fresh := pm.NRecs, pm.NRecs-pm.Free.Canon
 	live := -1
 	for i, r := range pm.Recs {
 		if (&depRecord{ctx: r.Ctx}).kind() != depFree {
@@ -158,10 +158,10 @@ func TestRestoreStateRejectsBadPMapIndex(t *testing.T) {
 		corrupt func(pm *PMapState)
 	}{
 		{"unchanged", func(pm *PMapState) {}},
-		{"free_tail_at_prefix", func(pm *PMapState) { pm.FreeTail[0] = fresh }},
-		{"free_tail_negative", func(pm *PMapState) { pm.FreeTail[0] = -1 }},
-		{"free_tail_names_live_record", func(pm *PMapState) { pm.FreeTail[0] = pm.Recs[live].Slot }},
-		{"free_tail_twice", func(pm *PMapState) { pm.FreeTail = append(pm.FreeTail, pm.FreeTail[0]) }},
+		{"free_tail_at_prefix", func(pm *PMapState) { pm.Free.Tail[0] = fresh }},
+		{"free_tail_negative", func(pm *PMapState) { pm.Free.Tail[0] = -1 }},
+		{"free_tail_names_live_record", func(pm *PMapState) { pm.Free.Tail[0] = pm.Recs[live].Slot }},
+		{"free_tail_twice", func(pm *PMapState) { pm.Free.Tail = append(pm.Free.Tail, pm.Free.Tail[0]) }},
 		{"live_count_off", func(pm *PMapState) { pm.Live += 7 }},
 		{"slot_listed_twice", func(pm *PMapState) {
 			pm.Recs = append(pm.Recs, pm.Recs[len(pm.Recs)-1])
@@ -180,8 +180,8 @@ func TestRestoreStateRejectsBadPMapIndex(t *testing.T) {
 		{"next_to_free_slot", func(pm *PMapState) { pm.Recs[0].Next = n - 1 }},
 		{"slot_past_pool", func(pm *PMapState) { pm.Recs[0].Slot = n }},
 		{"bucket_past_table", func(pm *PMapState) { pm.Heads[0].Bucket = pm.NBuckets }},
-		{"prefix_past_pool", func(pm *PMapState) { pm.FreeCanon = n + 1 }},
-		{"prefix_negative", func(pm *PMapState) { pm.FreeCanon = -1 }},
+		{"prefix_past_pool", func(pm *PMapState) { pm.Free.Canon = n + 1 }},
+		{"prefix_negative", func(pm *PMapState) { pm.Free.Canon = -1 }},
 		{"hand_past_pool", func(pm *PMapState) { pm.Hand = n }},
 	}
 	for _, tc := range cases {
@@ -189,7 +189,7 @@ func TestRestoreStateRejectsBadPMapIndex(t *testing.T) {
 			st := *base
 			st.PMap = pm
 			st.PMap.Recs = append([]DepRec(nil), pm.Recs...)
-			st.PMap.FreeTail = append([]int32(nil), pm.FreeTail...)
+			st.PMap.Free.Tail = append([]int32(nil), pm.Free.Tail...)
 			st.PMap.Heads = append([]BucketHead(nil), pm.Heads...)
 			tc.corrupt(&st.PMap)
 			m := hw.NewMachine(hw.DefaultConfig())
@@ -212,51 +212,35 @@ func TestRestoreStateRejectsBadPMapIndex(t *testing.T) {
 	}
 }
 
-// TestRestoreStateRejectsBadFreeSlot restores captures with one entry
-// of a descriptor cache's free stack corrupted: a free slot must lie
-// below the stack's canonical prefix, be named once and not be loaded,
-// or a later hand-out reaches past the cache or loads a slot twice.
-// Each must be refused with an error.
+// TestRestoreStateRejectsBadFreeSlot restores captures with one field
+// of a descriptor cache's free stack corrupted: the prefix length must
+// make the free and the loaded slots every slot, and a tail slot must
+// lie below the prefix, be named once and not be loaded, or a later
+// hand-out reaches past the cache or loads a slot twice. Each must be
+// refused with an error.
 func TestRestoreStateRejectsBadFreeSlot(t *testing.T) {
-	env := newEnv(t, Config{}, func(env *testEnv, e *hw.Exec) {
-		var sids []ObjID
-		for i := 0; i < 4; i++ {
-			sids = append(sids, env.mustLoadSpace(e, false))
-		}
-		// Unloading from the middle leaves a free-stack tail of two.
-		for _, sid := range sids[1:3] {
-			if err := env.k.UnloadSpace(e, sid); err != nil {
-				env.t.Fatalf("UnloadSpace: %v", err)
-			}
-		}
-	})
-	base := captureQuiescent(t, env)
+	base := captureSpacesTail(t)
 	sh := base.Spaces
 	n := int32(len(sh.Gens))
-	canon := 0
-	for canon < len(sh.Free) && sh.Free[canon] == n-1-int32(canon) {
-		canon++
-	}
-	fresh, top := n-int32(canon), len(sh.Free)-1
-	if top-canon != 1 || len(sh.LRU) == 0 {
-		t.Fatalf("capture lacks a free-stack tail of two and a loaded slot: %+v", sh)
-	}
+	fresh, top := n-sh.Free.Canon, len(sh.Free.Tail)-1
 	cases := []struct {
-		name    string
-		corrupt func(sh *CacheShape)
+		name, want string
+		corrupt    func(fs *FreeStack)
 	}{
-		{"unchanged", func(sh *CacheShape) {}},
-		{"past_cache", func(sh *CacheShape) { sh.Free[top] = n + 35 }},
-		{"negative", func(sh *CacheShape) { sh.Free[top] = -1 }},
-		{"in_prefix", func(sh *CacheShape) { sh.Free[top] = fresh }},
-		{"listed_twice", func(sh *CacheShape) { sh.Free[top] = sh.Free[top-1] }},
-		{"loaded", func(sh *CacheShape) { sh.Free[top] = sh.LRU[0] }},
+		{"unchanged", "", func(fs *FreeStack) {}},
+		{"past_cache", "free slot", func(fs *FreeStack) { fs.Tail[top] = n + 35 }},
+		{"negative", "free slot", func(fs *FreeStack) { fs.Tail[top] = -1 }},
+		{"in_prefix", "free slot", func(fs *FreeStack) { fs.Tail[top] = fresh }},
+		{"listed_twice", "free slot", func(fs *FreeStack) { fs.Tail[top] = fs.Tail[top-1] }},
+		{"loaded", "free slot", func(fs *FreeStack) { fs.Tail[top] = sh.LRU[0] }},
+		{"prefix_past_cache", "free-stack prefix", func(fs *FreeStack) { fs.Canon = n + 1 }},
+		{"prefix_negative", "free-stack prefix", func(fs *FreeStack) { fs.Canon = -1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			st := *base
-			st.Spaces.Free = append([]int32(nil), sh.Free...)
-			tc.corrupt(&st.Spaces)
+			st.Spaces.Free.Tail = append([]int32(nil), sh.Free.Tail...)
+			tc.corrupt(&st.Spaces.Free)
 			m := hw.NewMachine(hw.DefaultConfig())
 			t.Cleanup(m.Close)
 			k, err := New(m.MPMs[0], st.Cfg)
@@ -270,11 +254,34 @@ func TestRestoreStateRejectsBadFreeSlot(t *testing.T) {
 				}
 				return
 			}
-			if err == nil || !strings.Contains(err.Error(), "spaces cache restore: free slot") {
-				t.Fatalf("RestoreState returned %v, want a spaces free-slot error", err)
+			if want := "spaces cache restore: " + tc.want; err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("RestoreState returned %v, want an error containing %q", err, want)
 			}
 		})
 	}
+}
+
+// captureSpacesTail captures a kernel whose spaces cache has a
+// free-stack tail of two and a loaded slot.
+func captureSpacesTail(t *testing.T) *State {
+	t.Helper()
+	env := newEnv(t, Config{}, func(env *testEnv, e *hw.Exec) {
+		var sids []ObjID
+		for i := 0; i < 4; i++ {
+			sids = append(sids, env.mustLoadSpace(e, false))
+		}
+		// Unloading from the middle leaves a free-stack tail of two.
+		for _, sid := range sids[1:3] {
+			if err := env.k.UnloadSpace(e, sid); err != nil {
+				env.t.Fatalf("UnloadSpace: %v", err)
+			}
+		}
+	})
+	st := captureQuiescent(t, env)
+	if sh := st.Spaces; len(sh.Free.Tail) != 2 || len(sh.LRU) == 0 {
+		t.Fatalf("capture lacks a free-stack tail of two and a loaded slot: %+v", sh)
+	}
+	return st
 }
 
 // TestCaptureStateBusy pins the ErrSnapshotBusy refusals: a structural
