@@ -206,7 +206,6 @@ const (
 
 // ThreadState is the loadable/written-back state of a thread.
 type ThreadState struct {
-	Regs     hw.Regs
 	Priority int
 	// Exec is the machine execution context (register file plus kernel
 	// stack in the paper; here the persistent coroutine). It survives

@@ -29,7 +29,6 @@ func (k *Kernel) newThreadObj(e *hw.Exec, owner *KernelObj, so *SpaceObj, st Thr
 		state:      threadSuspended,
 		sigRecords: make(map[int32]struct{}),
 	}
-	to.exec.Regs = st.Regs
 	to.exec.User = to
 	k.threads.set(slot, to)
 	so.threads[slot] = to
@@ -102,7 +101,7 @@ func (k *Kernel) UnloadThread(e *hw.Exec, id ObjID) (ThreadState, error) {
 		return ThreadState{}, ErrNotOwner
 	}
 	e.ChargeNoIntr(costThreadUnload)
-	st := ThreadState{Regs: to.exec.Regs, Priority: to.prio, Exec: to.exec}
+	st := ThreadState{Priority: to.prio, Exec: to.exec}
 	self := to.exec == e
 	if !k.reclaimThread(e, to, false, false) {
 		// The thread exited while being forced off its processor; its
@@ -198,7 +197,7 @@ func (k *Kernel) reclaimThread(e *hw.Exec, to *ThreadObj, writeback, dying bool)
 	delete(to.owner.threads, to.slot)
 	id := to.id
 	owner := to.owner
-	st := ThreadState{Regs: to.exec.Regs, Priority: to.prio, Exec: to.exec}
+	st := ThreadState{Priority: to.prio, Exec: to.exec}
 	k.threads.release(to.slot)
 	k.Stats.ThreadUnloads++
 	if writeback {

@@ -18,7 +18,6 @@ import (
 type SignalAblation struct {
 	RTLBMicros     float64
 	TwoStageMicros float64
-	FastDeliveries uint64
 }
 
 func (a SignalAblation) String() string {

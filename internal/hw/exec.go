@@ -14,16 +14,6 @@ type Space struct {
 	ASID  uint16
 }
 
-// Regs is the architectural register state the Cache Kernel saves into a
-// thread descriptor. The simulation only needs a few registers: the
-// remaining machine state of a thread is its (parked) coroutine.
-type Regs struct {
-	PC uint32
-	SP uint32
-	A0 uint32 // argument / result register
-	A1 uint32
-}
-
 // Exec is a simulated execution context: the "real" thread of control
 // behind a Cache Kernel thread object, or a device engine. It persists
 // across Cache Kernel load/unload of its thread descriptor (the parked
@@ -38,9 +28,6 @@ type Exec struct {
 
 	// Mode is the current protection level.
 	Mode Mode
-
-	// Regs is the live register file.
-	Regs Regs
 
 	// User carries the supervisor layer's thread object.
 	User any

@@ -35,13 +35,6 @@ const (
 	dsmRounds      = 12
 )
 
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // harness owns one scenario run: the machine, the per-node state and
 // the oracle ledger. Everything below runs under the virtual-time
 // engine, one coroutine or event at a time.
@@ -509,7 +502,7 @@ func (n *node) signalUntil(e *hw.Exec, tid func() ck.ObjID, value uint32, cond f
 				n.pingsPosted++
 			}
 		}
-		n.tickWait(e, minU64(e.Now()+hw.CyclesFromMicros(400), n.h.horizon), cond)
+		n.tickWait(e, min(e.Now()+hw.CyclesFromMicros(400), n.h.horizon), cond)
 	}
 }
 
@@ -980,7 +973,7 @@ func (n *node) shutdownServices(me *hw.Exec) {
 		if n.lastAlarmAt > 0 {
 			// Let outstanding alarms land (bounded; under DropSignal some
 			// never will, which the conservation accounting allows).
-			n.tickWait(me, minU64(n.lastAlarmAt+hw.CyclesFromMicros(3000), n.h.horizon),
+			n.tickWait(me, min(n.lastAlarmAt+hw.CyclesFromMicros(3000), n.h.horizon),
 				func() bool { return n.alarmsFired >= n.alarmsSet })
 		}
 		n.listenerStop = true

@@ -59,10 +59,6 @@ type LaunchOpts struct {
 	MaxPrio int
 	// MainPrio is the main thread's priority.
 	MainPrio int
-	// NetShare is the granted network transmit rate in packets per
-	// simulated second (0 = unlimited); enforced by the SRM's channel
-	// manager.
-	NetShare int
 	// Locked pins the kernel object and its own address space in the
 	// Cache Kernel, making the kernel's mapping and thread locks
 	// effective (real-time configurations; paper §4.2's dependency
