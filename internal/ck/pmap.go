@@ -333,8 +333,8 @@ func (p *pmap) state() PMapState {
 // state holds is checked before it is used, a chain may link only
 // captured live records, so that no walk reaches an unallocated chunk,
 // the free stack may hold only free slots, so that no hand-out
-// overwrites a live record, and the live count must be the captured
-// records'.
+// overwrites a live record, the live count must be the captured
+// records', and the free and the live slots must be every slot.
 func (p *pmap) restore(st *PMapState) error {
 	if st.NRecs != p.n || st.NBuckets != p.nbuckets {
 		return fmt.Errorf("ck: restore: pmap geometry mismatch (%d/%d recs, %d/%d buckets)",
@@ -374,6 +374,9 @@ func (p *pmap) restore(st *PMapState) error {
 	}
 	if st.Live != live {
 		return fmt.Errorf("ck: restore: pmap live count %d, but %d live records", st.Live, live)
+	}
+	if free := p.free.len(); free+live != int(p.n) {
+		return fmt.Errorf("ck: restore: pmap free %d + live %d != capacity %d", free, live, p.n)
 	}
 	for _, h := range st.Heads {
 		if h.Bucket < 0 || h.Bucket >= p.nbuckets {

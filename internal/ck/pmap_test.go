@@ -305,7 +305,8 @@ func TestPMapMatchesDense(t *testing.T) {
 // fresh] joins the prefix, as the dense capture's longest-prefix scan
 // counts it, while any other release is recorded in the tail. A slot
 // absorbed after its record was removed keeps that record, which
-// restore must accept inside the prefix.
+// restore must accept inside the prefix. Each capture holds no
+// reserved slot, as a quiescent kernel's does.
 func TestPMapStateAbsorbsReleasedPrefixSlot(t *testing.T) {
 	const n = recChunkLen + 3
 	p, d := newPMap(n, 4), newDensePMap(n, 4)
@@ -315,6 +316,8 @@ func TestPMapStateAbsorbsReleasedPrefixSlot(t *testing.T) {
 	}
 	p.insertAt(0, depPhysVirt, 5, 6, 1)
 	d.insertAt(0, depPhysVirt, 5, 6, 1)
+	p.insertAt(1, depPhysVirt, 9, 10, 1)
+	d.insertAt(1, depPhysVirt, 9, 10, 1)
 	p.free.release(2) // fresh-1: absorbed
 	d.releaseSlot(2)
 	st := p.state()
@@ -334,7 +337,7 @@ func TestPMapStateAbsorbsReleasedPrefixSlot(t *testing.T) {
 	p.remove(2)
 	d.remove(2)
 	st = p.state()
-	if st.Free.Canon != n-2 || st.Free.Tail != nil || len(st.Recs) != 2 || st.Recs[1] != (DepRec{Slot: 2, Next: -1}) {
+	if st.Free.Canon != n-2 || st.Free.Tail != nil || len(st.Recs) != 3 || st.Recs[2] != (DepRec{Slot: 2, Next: -1}) {
 		t.Fatalf("after removing slot 2: prefix %d tail %v records %v, want %d, none and slot 2 removed", st.Free.Canon, st.Free.Tail, st.Recs, n-2)
 	}
 	if want := d.state(); !reflect.DeepEqual(st, want) {

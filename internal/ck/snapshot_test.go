@@ -3,6 +3,7 @@ package ck
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 // captureQuiescent runs the env's machine to quiescence and captures the
 // kernel's structural state.
-func captureQuiescent(t *testing.T, env *testEnv) *State {
+func captureQuiescent(t testing.TB, env *testEnv) *State {
 	t.Helper()
 	env.run()
 	st, err := env.k.CaptureState()
@@ -117,160 +118,23 @@ func TestRestoreStateRejectsNonFresh(t *testing.T) {
 	}
 }
 
-// TestRestoreStateRejectsBadPMapIndex restores captures with one pmap
-// index moved out of its valid range, one field at a time: every index
-// the state holds must be refused with an error, not popped or walked
-// later in the run. A valid capture has every Recs[].Slot, head and
-// clock hand in [0, n), records in increasing slot order, every
-// Recs[].Next in [-1, n), a free-stack prefix length in [0, n], every
-// tail entry below n-Free.Canon, naming a free slot and listed once, no
-// live record in the canonical prefix, chains that link live records
-// only, and a live count equal to the number of live records.
-func TestRestoreStateRejectsBadPMapIndex(t *testing.T) {
-	env := newEnv(t, Config{}, func(env *testEnv, e *hw.Exec) {
-		sid := env.mustLoadSpace(e, false)
-		for i := 0; i < 4; i++ {
-			env.mustMap(e, sid, MappingSpec{VA: 0x4000_0000 + uint32(i)*hw.PageSize, PFN: env.frame(), Writable: true, Cachable: true})
-		}
-		// Unloading from the middle leaves a free-stack tail.
-		if _, err := env.k.UnloadMapping(e, sid, 0x4000_0000+hw.PageSize); err != nil {
-			env.t.Fatalf("UnloadMapping: %v", err)
-		}
-	})
-	base := captureQuiescent(t, env)
-	pm := base.PMap
-	if len(pm.Free.Tail) == 0 || len(pm.Heads) == 0 || len(pm.Recs) == 0 {
-		t.Fatalf("capture lacks a field to corrupt: %+v", pm)
-	}
-	n, fresh := pm.NRecs, pm.NRecs-pm.Free.Canon
-	live := -1
-	for i, r := range pm.Recs {
-		if (&depRecord{ctx: r.Ctx}).kind() != depFree {
-			live = i
-			break
-		}
-	}
-	if live < 0 {
-		t.Fatalf("capture has no live record: %+v", pm)
-	}
-	cases := []struct {
-		name    string
-		corrupt func(pm *PMapState)
-	}{
-		{"unchanged", func(pm *PMapState) {}},
-		{"free_tail_at_prefix", func(pm *PMapState) { pm.Free.Tail[0] = fresh }},
-		{"free_tail_negative", func(pm *PMapState) { pm.Free.Tail[0] = -1 }},
-		{"free_tail_names_live_record", func(pm *PMapState) { pm.Free.Tail[0] = pm.Recs[live].Slot }},
-		{"free_tail_twice", func(pm *PMapState) { pm.Free.Tail = append(pm.Free.Tail, pm.Free.Tail[0]) }},
-		{"live_count_off", func(pm *PMapState) { pm.Live += 7 }},
-		{"slot_listed_twice", func(pm *PMapState) {
-			pm.Recs = append(pm.Recs, pm.Recs[len(pm.Recs)-1])
-			pm.Live++
-		}},
-		{"live_record_in_prefix", func(pm *PMapState) {
-			r := pm.Recs[live]
-			r.Slot, r.Next = fresh, -1
-			pm.Recs = append(pm.Recs, r)
-		}},
-		{"head_past_pool", func(pm *PMapState) { pm.Heads[0].Head = n }},
-		{"head_negative", func(pm *PMapState) { pm.Heads[0].Head = -1 }},
-		{"head_to_free_slot", func(pm *PMapState) { pm.Heads[0].Head = n - 1 }},
-		{"next_past_pool", func(pm *PMapState) { pm.Recs[0].Next = n }},
-		{"next_below_end", func(pm *PMapState) { pm.Recs[0].Next = -2 }},
-		{"next_to_free_slot", func(pm *PMapState) { pm.Recs[0].Next = n - 1 }},
-		{"slot_past_pool", func(pm *PMapState) { pm.Recs[0].Slot = n }},
-		{"bucket_past_table", func(pm *PMapState) { pm.Heads[0].Bucket = pm.NBuckets }},
-		{"prefix_past_pool", func(pm *PMapState) { pm.Free.Canon = n + 1 }},
-		{"prefix_negative", func(pm *PMapState) { pm.Free.Canon = -1 }},
-		{"hand_past_pool", func(pm *PMapState) { pm.Hand = n }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			st := *base
-			st.PMap = pm
-			st.PMap.Recs = append([]DepRec(nil), pm.Recs...)
-			st.PMap.Free.Tail = append([]int32(nil), pm.Free.Tail...)
-			st.PMap.Heads = append([]BucketHead(nil), pm.Heads...)
-			tc.corrupt(&st.PMap)
-			m := hw.NewMachine(hw.DefaultConfig())
-			t.Cleanup(m.Close)
-			k, err := New(m.MPMs[0], st.Cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = k.RestoreState(&st, nil)
-			if tc.name == "unchanged" {
-				if err != nil {
-					t.Fatalf("RestoreState of the valid capture: %v", err)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), "pmap") {
-				t.Fatalf("RestoreState returned %v, want a pmap range error", err)
-			}
-		})
-	}
-}
-
-// TestRestoreStateRejectsBadFreeSlot restores captures with one field
-// of a descriptor cache's free stack corrupted: the prefix length must
-// make the free and the loaded slots every slot, and a tail slot must
-// lie below the prefix, be named once and not be loaded, or a later
-// hand-out reaches past the cache or loads a slot twice. Each must be
-// refused with an error.
-func TestRestoreStateRejectsBadFreeSlot(t *testing.T) {
-	base := captureSpacesTail(t)
-	sh := base.Spaces
-	n := int32(len(sh.Gens))
-	fresh, top := n-sh.Free.Canon, len(sh.Free.Tail)-1
-	cases := []struct {
-		name, want string
-		corrupt    func(fs *FreeStack)
-	}{
-		{"unchanged", "", func(fs *FreeStack) {}},
-		{"past_cache", "free slot", func(fs *FreeStack) { fs.Tail[top] = n + 35 }},
-		{"negative", "free slot", func(fs *FreeStack) { fs.Tail[top] = -1 }},
-		{"in_prefix", "free slot", func(fs *FreeStack) { fs.Tail[top] = fresh }},
-		{"listed_twice", "free slot", func(fs *FreeStack) { fs.Tail[top] = fs.Tail[top-1] }},
-		{"loaded", "free slot", func(fs *FreeStack) { fs.Tail[top] = sh.LRU[0] }},
-		{"prefix_past_cache", "free-stack prefix", func(fs *FreeStack) { fs.Canon = n + 1 }},
-		{"prefix_negative", "free-stack prefix", func(fs *FreeStack) { fs.Canon = -1 }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			st := *base
-			st.Spaces.Free.Tail = append([]int32(nil), sh.Free.Tail...)
-			tc.corrupt(&st.Spaces.Free)
-			m := hw.NewMachine(hw.DefaultConfig())
-			t.Cleanup(m.Close)
-			k, err := New(m.MPMs[0], st.Cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = k.RestoreState(&st, nil)
-			if tc.name == "unchanged" {
-				if err != nil {
-					t.Fatalf("RestoreState of the valid capture: %v", err)
-				}
-				return
-			}
-			if want := "spaces cache restore: " + tc.want; err == nil || !strings.Contains(err.Error(), want) {
-				t.Fatalf("RestoreState returned %v, want an error containing %q", err, want)
-			}
-		})
-	}
-}
-
-// captureSpacesTail captures a kernel whose spaces cache has a
-// free-stack tail of two and a loaded slot.
-func captureSpacesTail(t *testing.T) *State {
+// captureWithTails captures a kernel whose pmap free stack has a tail
+// and whose spaces cache has a free-stack tail of two and a loaded
+// slot.
+func captureWithTails(t testing.TB) *State {
 	t.Helper()
-	env := newEnv(t, Config{}, func(env *testEnv, e *hw.Exec) {
+	env := newEnvOpts(t, hw.DefaultConfig(), Config{}, nil, func(env *testEnv, e *hw.Exec) {
 		var sids []ObjID
 		for i := 0; i < 4; i++ {
 			sids = append(sids, env.mustLoadSpace(e, false))
 		}
-		// Unloading from the middle leaves a free-stack tail of two.
+		for i := 0; i < 4; i++ {
+			env.mustMap(e, sids[0], MappingSpec{VA: 0x4000_0000 + uint32(i)*hw.PageSize, PFN: env.frame(), Writable: true, Cachable: true})
+		}
+		// Unloading from the middle leaves the tails.
+		if _, err := env.k.UnloadMapping(e, sids[0], 0x4000_0000+hw.PageSize); err != nil {
+			env.t.Fatalf("UnloadMapping: %v", err)
+		}
 		for _, sid := range sids[1:3] {
 			if err := env.k.UnloadSpace(e, sid); err != nil {
 				env.t.Fatalf("UnloadSpace: %v", err)
@@ -278,10 +142,225 @@ func captureSpacesTail(t *testing.T) *State {
 		}
 	})
 	st := captureQuiescent(t, env)
-	if sh := st.Spaces; len(sh.Free.Tail) != 2 || len(sh.LRU) == 0 {
-		t.Fatalf("capture lacks a free-stack tail of two and a loaded slot: %+v", sh)
+	if pm, sh := st.PMap, st.Spaces; len(pm.Free.Tail) == 0 || len(pm.Heads) == 0 || len(pm.Recs) == 0 ||
+		len(sh.Free.Tail) != 2 || len(sh.LRU) == 0 {
+		t.Fatalf("capture lacks a field to corrupt: %+v", st)
 	}
 	return st
+}
+
+// The fields of a capture that a stateEdit sets: the pmap's free
+// stack, record slots and chain links, bucket heads, live count and
+// clock hand, and each descriptor cache's free stack and LRU list.
+const (
+	editPMapCanon = iota
+	editPMapTail
+	editPMapRecSlot
+	editPMapRecNext
+	editPMapHead
+	editPMapBucket
+	editPMapLive
+	editPMapHand
+	editKernelsCanon // then the kernels' tail and LRU, and the same for spaces and threads
+	numEdits         = editKernelsCanon + 3*3
+)
+
+// A stateEdit sets one field of a capture to value. For a list field,
+// index picks the element; an index past the end appends a copy of
+// element index-len (or a zero element) and sets that.
+type stateEdit struct {
+	field, index uint8
+	value        int32
+}
+
+// apply returns a copy of st with the edit made, leaving st as it was.
+func (ed stateEdit) apply(st *State) *State {
+	c := *st
+	c.PMap.Free.Tail = slices.Clone(st.PMap.Free.Tail)
+	c.PMap.Recs = slices.Clone(st.PMap.Recs)
+	c.PMap.Heads = slices.Clone(st.PMap.Heads)
+	shapes := [...]*CacheShape{&c.Kernels, &c.Spaces, &c.Threads}
+	for _, sh := range shapes {
+		sh.Free.Tail = slices.Clone(sh.Free.Tail)
+		sh.LRU = slices.Clone(sh.LRU)
+	}
+	i, v := int(ed.index), ed.value
+	setInt := func(x *int32) { *x = v }
+	switch f := ed.field % numEdits; f {
+	case editPMapCanon:
+		c.PMap.Free.Canon = v
+	case editPMapTail:
+		editAt(&c.PMap.Free.Tail, i, setInt)
+	case editPMapRecSlot:
+		editAt(&c.PMap.Recs, i, func(r *DepRec) { r.Slot = v })
+	case editPMapRecNext:
+		editAt(&c.PMap.Recs, i, func(r *DepRec) { r.Next = v })
+	case editPMapHead:
+		editAt(&c.PMap.Heads, i, func(h *BucketHead) { h.Head = v })
+	case editPMapBucket:
+		editAt(&c.PMap.Heads, i, func(h *BucketHead) { h.Bucket = v })
+	case editPMapLive:
+		c.PMap.Live = int(v)
+	case editPMapHand:
+		c.PMap.Hand = v
+	default:
+		sh := shapes[(f-editKernelsCanon)/3]
+		switch (f - editKernelsCanon) % 3 {
+		case 0:
+			sh.Free.Canon = v
+		case 1:
+			editAt(&sh.Free.Tail, i, setInt)
+		case 2:
+			editAt(&sh.LRU, i, setInt)
+		}
+	}
+	return &c
+}
+
+func editAt[E any](list *[]E, i int, set func(*E)) {
+	if n := len(*list); i >= n {
+		var e E
+		if i-n < n {
+			e = (*list)[i-n]
+		}
+		*list, i = append(*list, e), n
+	}
+	set(&(*list)[i])
+}
+
+// An editCase is a capture edit and the text its refusal must hold;
+// want is empty for the edit that leaves the capture valid.
+type editCase struct {
+	name string
+	edit stateEdit
+	want string
+}
+
+// pmapIndexCases move one pmap index of st out of its valid range. A
+// valid capture has every Recs[].Slot, head and clock hand in [0, n),
+// records in increasing slot order, every Recs[].Next in [-1, n), a
+// free-stack prefix length in [0, n], every tail entry below
+// n-Free.Canon, naming a free slot and listed once, no live record in
+// the canonical prefix, chains that link live records only, a live
+// count equal to the number of live records, and as many free slots as
+// the live records leave.
+func pmapIndexCases(st *State) []editCase {
+	pm := st.PMap
+	n, fresh := pm.NRecs, pm.NRecs-pm.Free.Canon
+	recs, last, live := uint8(len(pm.Recs)), uint8(len(pm.Recs)-1), uint8(0)
+	for pm.Recs[live].Ctx&ctxKindMask == uint32(depFree) {
+		live++
+	}
+	return []editCase{
+		{"unchanged", stateEdit{editPMapHand, 0, pm.Hand}, ""},
+		{"free_tail_at_prefix", stateEdit{editPMapTail, 0, fresh}, "pmap"},
+		{"free_tail_negative", stateEdit{editPMapTail, 0, -1}, "pmap"},
+		{"free_tail_names_live_record", stateEdit{editPMapTail, 0, pm.Recs[live].Slot}, "pmap"},
+		{"free_tail_twice", stateEdit{editPMapTail, uint8(len(pm.Free.Tail)), pm.Free.Tail[0]}, "pmap"},
+		{"live_count_off", stateEdit{editPMapLive, 0, int32(pm.Live) + 7}, "pmap"},
+		{"slot_listed_twice", stateEdit{editPMapRecSlot, recs + last, pm.Recs[last].Slot}, "pmap"},
+		{"live_record_in_prefix", stateEdit{editPMapRecSlot, recs + live, fresh}, "pmap"},
+		{"head_past_pool", stateEdit{editPMapHead, 0, n}, "pmap"},
+		{"head_negative", stateEdit{editPMapHead, 0, -1}, "pmap"},
+		{"head_to_free_slot", stateEdit{editPMapHead, 0, n - 1}, "pmap"},
+		{"next_past_pool", stateEdit{editPMapRecNext, 0, n}, "pmap"},
+		{"next_below_end", stateEdit{editPMapRecNext, 0, -2}, "pmap"},
+		{"next_to_free_slot", stateEdit{editPMapRecNext, 0, n - 1}, "pmap"},
+		{"slot_past_pool", stateEdit{editPMapRecSlot, 0, n}, "pmap"},
+		{"bucket_past_table", stateEdit{editPMapBucket, 0, pm.NBuckets}, "pmap"},
+		{"prefix_past_pool", stateEdit{editPMapCanon, 0, n + 1}, "pmap"},
+		{"prefix_negative", stateEdit{editPMapCanon, 0, -1}, "pmap"},
+		{"prefix_short", stateEdit{editPMapCanon, 0, pm.Free.Canon - 1}, "pmap"},
+		{"hand_past_pool", stateEdit{editPMapHand, 0, n}, "pmap"},
+	}
+}
+
+// freeSlotCases corrupt one field of st's spaces-cache free stack: the
+// prefix length must make the free and the loaded slots every slot,
+// and a tail slot must lie below the prefix, be named once and not be
+// loaded, or a later hand-out reaches past the cache or loads a slot
+// twice.
+func freeSlotCases(st *State) []editCase {
+	sh := st.Spaces
+	n := int32(len(sh.Gens))
+	fresh, top := n-sh.Free.Canon, uint8(len(sh.Free.Tail)-1)
+	const spacesCanon, spacesTail = editKernelsCanon + 3, editKernelsCanon + 4
+	return []editCase{
+		{"unchanged", stateEdit{spacesCanon, 0, sh.Free.Canon}, ""},
+		{"past_cache", stateEdit{spacesTail, top, n + 35}, "spaces cache restore: free slot"},
+		{"negative", stateEdit{spacesTail, top, -1}, "spaces cache restore: free slot"},
+		{"in_prefix", stateEdit{spacesTail, top, fresh}, "spaces cache restore: free slot"},
+		{"listed_twice", stateEdit{spacesTail, top, sh.Free.Tail[top-1]}, "spaces cache restore: free slot"},
+		{"loaded", stateEdit{spacesTail, top, sh.LRU[0]}, "spaces cache restore: free slot"},
+		{"prefix_past_cache", stateEdit{spacesCanon, 0, n + 1}, "spaces cache restore: free-stack prefix"},
+		{"prefix_negative", stateEdit{spacesCanon, 0, -1}, "spaces cache restore: free-stack prefix"},
+	}
+}
+
+// restoreNew restores st into a new kernel on a new machine.
+func restoreNew(t *testing.T, st *State) (*Kernel, error) {
+	m := hw.NewMachine(hw.DefaultConfig())
+	t.Cleanup(m.Close)
+	k, err := New(m.MPMs[0], st.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k, k.RestoreState(st, nil)
+}
+
+// checkRefusals restores each case's edit of base: the valid capture
+// must restore, and every other must be refused with an error, not
+// popped or walked later in the run.
+func checkRefusals(t *testing.T, base *State, cases []editCase) {
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := restoreNew(t, tc.edit.apply(base))
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("RestoreState of the valid capture: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RestoreState returned %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestRestoreStateRejectsBadPMapIndex restores captures with one pmap
+// index moved out of its valid range (pmapIndexCases).
+func TestRestoreStateRejectsBadPMapIndex(t *testing.T) {
+	base := captureWithTails(t)
+	checkRefusals(t, base, pmapIndexCases(base))
+}
+
+// TestRestoreStateRejectsBadFreeSlot restores captures with one field
+// of a descriptor cache's free stack corrupted (freeSlotCases).
+func TestRestoreStateRejectsBadFreeSlot(t *testing.T) {
+	base := captureWithTails(t)
+	checkRefusals(t, base, freeSlotCases(base))
+}
+
+// FuzzRestoreState restores captures with one field set to any value
+// (stateEdit) and requires RestoreState never to panic: it refuses the
+// capture, or the restored kernel passes CheckInvariants. The seed
+// corpus is every case of the two refusal tests.
+func FuzzRestoreState(f *testing.F) {
+	base := captureWithTails(f)
+	for _, tc := range append(pmapIndexCases(base), freeSlotCases(base)...) {
+		f.Add(tc.edit.field, tc.edit.index, tc.edit.value)
+	}
+	f.Fuzz(func(t *testing.T, field, index uint8, value int32) {
+		ed := stateEdit{field, index, value}
+		k, err := restoreNew(t, ed.apply(base))
+		if err != nil {
+			return
+		}
+		if err := k.CheckInvariants(); err != nil {
+			t.Fatalf("RestoreState accepted %+v, and the restored kernel fails: %v", ed, err)
+		}
+	})
 }
 
 // TestCaptureStateBusy pins the ErrSnapshotBusy refusals: a structural
