@@ -52,7 +52,7 @@ func (p *densePMap) takeFree() (int32, bool) {
 	return idx, true
 }
 
-func (p *densePMap) releaseSlot(idx int32) { p.free = append(p.free, idx) }
+func (p *densePMap) release(idx int32) { p.free = append(p.free, idx) }
 
 func (p *densePMap) insertAt(idx int32, kind depKind, key, dep uint32, owner int32) {
 	if p.used[idx] {
@@ -226,7 +226,7 @@ func TestPMapMatchesDense(t *testing.T) {
 					}
 					idx := take(&reserved, j)
 					p.free.release(idx)
-					d.releaseSlot(idx)
+					d.release(idx)
 				case c < mix[3] && len(live) > 0:
 					idx := take(&live, r.Intn(len(live)))
 					keep := r.Intn(2) == 0
@@ -319,7 +319,7 @@ func TestPMapStateAbsorbsReleasedPrefixSlot(t *testing.T) {
 	p.insertAt(1, depPhysVirt, 9, 10, 1)
 	d.insertAt(1, depPhysVirt, 9, 10, 1)
 	p.free.release(2) // fresh-1: absorbed
-	d.releaseSlot(2)
+	d.release(2)
 	st := p.state()
 	if st.Free.Canon != n-2 || st.Free.Tail != nil {
 		t.Fatalf("after releasing slot 2: prefix %d tail %v, want %d and none", st.Free.Canon, st.Free.Tail, n-2)
