@@ -1,6 +1,9 @@
 package ck
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // objCache is the fixed-capacity descriptor cache underlying each object
 // type. Slots are recycled in least-recently-loaded order when the cache
@@ -66,11 +69,15 @@ func (s *freeStack) take() (idx int32, ok bool) {
 }
 
 // release pushes slot idx. A slot that continues the untouched prefix
-// onto an empty tail rejoins the prefix.
+// onto an empty tail rejoins the prefix. The tail holds distinct slots
+// below fresh, so when it is full it grows once, to that bound.
 func (s *freeStack) release(idx int32) {
 	if len(s.tail) == 0 && idx == s.fresh-1 {
 		s.fresh--
 		return
+	}
+	if len(s.tail) == cap(s.tail) {
+		s.tail = slices.Grow(s.tail, int(s.fresh)-len(s.tail))
 	}
 	s.tail = append(s.tail, idx)
 }
