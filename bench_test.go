@@ -24,7 +24,7 @@ func benchTable2(b *testing.B, pick func(ck.Table2) float64, paper float64) {
 	var t2 ck.Table2
 	var err error
 	for i := 0; i < b.N; i++ {
-		t2, err = ck.MeasureTable2(ck.Config{})
+		t2, err = ck.MeasureTable2()
 		if err != nil {
 			b.Fatal(err)
 		}

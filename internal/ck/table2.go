@@ -70,18 +70,18 @@ func (w *table2Writeback) ThreadWriteback(_ ObjID, st ThreadState) {
 func (w *table2Writeback) SpaceWriteback(ObjID)  {}
 func (w *table2Writeback) KernelWriteback(ObjID) {}
 
-// MeasureTable2 boots a dedicated machine with the given cache geometry
-// (zero-value cfg for the paper's) and measures every basic operation.
-// The hw configuration uses a single MPM; the signal-delivery experiment
-// uses two processors.
-func MeasureTable2(cfg Config) (Table2, error) {
+// MeasureTable2 boots a dedicated machine with the paper's cache
+// geometry and measures every basic operation. The hw configuration
+// uses a single MPM; the signal-delivery experiment uses two
+// processors.
+func MeasureTable2() (Table2, error) {
 	var out Table2
 	var measureErr error
 
 	hwCfg := hw.DefaultConfig()
 	m := hw.NewMachine(hwCfg)
 	defer m.Close()
-	k, err := New(m.MPMs[0], cfg)
+	k, err := New(m.MPMs[0], Config{})
 	if err != nil {
 		return out, err
 	}

@@ -8,7 +8,7 @@ import "testing"
 // are the cheapest, kernel loads the most expensive, writeback adds
 // substantial cost, the optimized fault path beats transfer+load+resume).
 func TestTable2MatchesPaperShape(t *testing.T) {
-	got, err := MeasureTable2(Config{})
+	got, err := MeasureTable2()
 	if err != nil {
 		t.Fatalf("measure: %v\n%s", err, got)
 	}

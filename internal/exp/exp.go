@@ -51,7 +51,7 @@ func (t Table1) String() string {
 }
 
 // MeasureTable2 re-exports the Cache Kernel's calibrated measurement.
-func MeasureTable2() (ck.Table2, error) { return ck.MeasureTable2(ck.Config{}) }
+func MeasureTable2() (ck.Table2, error) { return ck.MeasureTable2() }
 
 // MemBudget reproduces the Section 5.2 space arithmetic from the live
 // configuration: descriptor memory against the 2 MB local RAM, and the
