@@ -277,26 +277,26 @@ func (c *objCache[T]) Loaded() int { return c.loaded }
 // Capacity reports the total slot count.
 func (c *objCache[T]) Capacity() int { return int(c.free.n) }
 
-// CacheShape is the structural skeleton of a descriptor cache: every
-// slot's generation and lock bit, the loaded set in exact LRU order,
-// the free stack, and the observability counters. Together with the
-// per-slot objects it is a complete capture — a cache restored from a
-// shape allocates future slots in the identical order and mints
-// identical (generation-bearing) identifiers.
+// CacheShape is the structural skeleton of a descriptor cache: the
+// generation of every slot handed out so far (every later slot is at
+// generation 0), the loaded set in exact LRU order with each loaded
+// slot's lock bit (a free slot's is always clear), the free stack, and
+// the observability counters. Together with the per-slot objects it is
+// a complete capture — a cache restored from a shape allocates future
+// slots in the identical order and mints identical
+// (generation-bearing) identifiers.
 type CacheShape struct {
 	Gens                  []uint32
-	Locked                []bool
+	Locked                []bool  // per LRU entry
 	LRU                   []int32 // loaded slots, least recently used first
 	Free                  FreeStack
 	Hits, Misses, Reloads uint64
 }
 
-// shape captures the cache's structural skeleton. Slots never used
-// read as generation 0 and unlocked.
+// shape captures the cache's structural skeleton.
 func (c *objCache[T]) shape() CacheShape {
 	sh := CacheShape{
-		Gens:    make([]uint32, c.free.n),
-		Locked:  make([]bool, c.free.n),
+		Gens:    make([]uint32, len(c.slots)),
 		Free:    c.free.state(),
 		Hits:    c.Hits,
 		Misses:  c.Misses,
@@ -304,28 +304,24 @@ func (c *objCache[T]) shape() CacheShape {
 	}
 	for i := range c.slots {
 		sh.Gens[i] = c.slots[i].gen
-		sh.Locked[i] = c.slots[i].locked
 	}
 	for idx := c.lruHead; idx != -1; idx = c.slots[idx].next {
 		sh.LRU = append(sh.LRU, idx)
+		sh.Locked = append(sh.Locked, c.slots[idx].locked)
 	}
 	return sh
 }
 
 // restoreShape overwrites the cache's skeleton with a captured shape;
-// obj supplies the object for each loaded slot (called in LRU order).
-// The cache must have the captured capacity and be freshly built or
+// obj supplies the object for each loaded slot, called in LRU order
+// with the slot's LRU position. The cache must be freshly built or
 // wiped (no loaded slots). Every slot index is checked before it is
 // used: the loaded and the free slots must be distinct, in range, and
 // together every slot, so that no hand-out reaches past the cache or
-// takes a loaded slot. Only the slots the capture used are built:
-// those below the canonical prefix, each loaded or freed since, and
-// up to the last one in the prefix that has held an object.
-func (c *objCache[T]) restoreShape(sh CacheShape, obj func(slot int32) (T, error)) error {
+// takes a loaded slot. The captured generations must cover every slot
+// below the canonical prefix, and only those slots are built.
+func (c *objCache[T]) restoreShape(sh CacheShape, obj func(i int, slot int32) (T, error)) error {
 	n := int(c.free.n)
-	if len(sh.Gens) != n || len(sh.Locked) != n {
-		return errShape(c.name, "capacity", len(sh.Gens), n)
-	}
 	if c.loaded != 0 {
 		return errShape(c.name, "loaded slots at restore", c.loaded, 0)
 	}
@@ -334,16 +330,15 @@ func (c *objCache[T]) restoreShape(sh CacheShape, obj func(slot int32) (T, error
 			c.name, fs.Canon, len(fs.Tail), len(sh.LRU), n)
 	}
 	fresh := c.free.n - sh.Free.Canon
-	used := fresh
-	for i := c.free.n - 1; i >= fresh; i-- {
-		if sh.Gens[i] != 0 {
-			used = i + 1
-			break
-		}
+	if len(sh.Gens) < int(fresh) || len(sh.Gens) > n {
+		return fmt.Errorf("ck: %s cache restore: %d generations, want %d to %d", c.name, len(sh.Gens), fresh, n)
 	}
-	c.slots = make([]cacheSlot[T], used)
-	for i := range c.slots {
-		c.slots[i] = cacheSlot[T]{gen: sh.Gens[i], prev: -1, next: -1}
+	if len(sh.Locked) != len(sh.LRU) {
+		return errShape(c.name, "lock bits per loaded slot", len(sh.Locked), len(sh.LRU))
+	}
+	c.slots = make([]cacheSlot[T], len(sh.Gens))
+	for i, gen := range sh.Gens {
+		c.slots[i] = cacheSlot[T]{gen: gen, prev: -1, next: -1}
 	}
 	c.lruHead, c.lruTail = -1, -1
 	c.loaded = 0
@@ -358,14 +353,14 @@ func (c *objCache[T]) restoreShape(sh CacheShape, obj func(slot int32) (T, error
 	if err := c.free.restore(sh.Free, func(idx int32) bool { return !c.slots[idx].inUse }); err != nil {
 		return fmt.Errorf("ck: %s cache restore: %w", c.name, err)
 	}
-	for _, idx := range sh.LRU {
-		o, err := obj(idx)
+	for i, idx := range sh.LRU {
+		o, err := obj(i, idx)
 		if err != nil {
 			return err
 		}
 		s := &c.slots[idx]
 		s.obj = o
-		s.locked = sh.Locked[idx]
+		s.locked = sh.Locked[i]
 		c.lruAppend(idx)
 		c.loaded++
 	}

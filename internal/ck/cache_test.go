@@ -139,21 +139,26 @@ func (c *denseObjCache[T]) victim(reclaimable func(idx int32) bool) (int32, bool
 	return -1, false
 }
 
+// shape captures the generations up to the last slot that has one,
+// every slot handed out so far, since alloc gives each a generation.
 func (c *denseObjCache[T]) shape() CacheShape {
+	used := len(c.slots)
+	for used > 0 && c.slots[used-1].gen == 0 {
+		used--
+	}
 	sh := CacheShape{
-		Gens:    make([]uint32, len(c.slots)),
-		Locked:  make([]bool, len(c.slots)),
+		Gens:    make([]uint32, used),
 		Free:    freeStackOf(c.free, len(c.slots)),
 		Hits:    c.hits,
 		Misses:  c.misses,
 		Reloads: c.reloads,
 	}
-	for i := range c.slots {
+	for i := range sh.Gens {
 		sh.Gens[i] = c.slots[i].gen
-		sh.Locked[i] = c.slots[i].locked
 	}
 	for idx := c.lruHead; idx != -1; idx = c.slots[idx].next {
 		sh.LRU = append(sh.LRU, idx)
+		sh.Locked = append(sh.Locked, c.slots[idx].locked)
 	}
 	return sh
 }
@@ -161,14 +166,17 @@ func (c *denseObjCache[T]) shape() CacheShape {
 // restoreShape restores a valid shape; the spec checks nothing.
 func (c *denseObjCache[T]) restoreShape(sh CacheShape, obj func(slot int32) T) {
 	for i := range c.slots {
-		c.slots[i] = cacheSlot[T]{gen: sh.Gens[i], prev: -1, next: -1}
+		c.slots[i] = cacheSlot[T]{prev: -1, next: -1}
+	}
+	for i, gen := range sh.Gens {
+		c.slots[i].gen = gen
 	}
 	c.free = freeListOf(sh.Free, len(c.slots))
 	c.lruHead, c.lruTail = -1, -1
 	c.loaded = 0
-	for _, idx := range sh.LRU {
+	for i, idx := range sh.LRU {
 		s := &c.slots[idx]
-		s.obj, s.inUse, s.locked = obj(idx), true, sh.Locked[idx]
+		s.obj, s.inUse, s.locked = obj(idx), true, sh.Locked[i]
 		c.lruAppend(idx)
 		c.loaded++
 	}
@@ -317,7 +325,7 @@ func TestObjCacheMatchesDense(t *testing.T) {
 						c.wipe()
 						next = c
 					}
-					if err := next.restoreShape(sh, func(slot int32) (int, error) { return obj(slot), nil }); err != nil {
+					if err := next.restoreShape(sh, func(_ int, slot int32) (int, error) { return obj(slot), nil }); err != nil {
 						t.Fatalf("n=%d seed=%d op %d: restoreShape of a captured shape: %v", n, seed, op, err)
 					}
 					nd := newDenseObjCache[int](n)

@@ -1,6 +1,9 @@
 package ck
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // The physical memory map stores 16-byte dependency records, one per
 // loaded page mapping plus one per signal or copy-on-write specification
@@ -294,106 +297,92 @@ func (p *pmap) Free() int { return p.free.len() }
 // Capacity reports the record pool size.
 func (p *pmap) Capacity() int { return int(p.n) }
 
-// state captures the map: the used records in slot order, the free
-// stack and the non-empty chains. A used record is one that is not all
-// zero.
+// state captures the map: its live records chain by chain, in bucket
+// order, each chain from its last record to its head, the slots of the
+// removed records, each its slot's reload mark, in slot order, the free
+// stack and the clock hand.
 func (p *pmap) state() PMapState {
-	st := PMapState{
-		NRecs:    p.n,
-		NBuckets: p.nbuckets,
-		Free:     p.free.state(),
-		Live:     p.live,
-		Hand:     p.hand,
-		Reloads:  p.Reloads,
+	st := PMapState{Free: p.free.state(), Hand: p.hand, Reloads: p.Reloads}
+	for _, ch := range p.heads {
+		if ch == nil {
+			continue
+		}
+		for _, h := range ch {
+			from := len(st.Recs)
+			for cur := h - 1; cur != -1; {
+				r := p.rec(cur)
+				st.Recs = append(st.Recs, DepRec{Slot: cur, Key: r.key, Dep: r.dep, Ctx: r.ctx})
+				cur = r.next
+			}
+			slices.Reverse(st.Recs[from:])
+		}
 	}
 	for c, ch := range p.chunks {
 		if ch == nil {
 			continue
 		}
 		for j, r := range ch {
-			if r != (depRecord{}) {
-				st.Recs = append(st.Recs, DepRec{Slot: int32(c<<recChunkShift + j), Key: r.key, Dep: r.dep, Ctx: r.ctx, Next: r.next})
-			}
-		}
-	}
-	for c, ch := range p.heads {
-		if ch == nil {
-			continue
-		}
-		for j, h := range ch {
-			if h > 0 {
-				st.Heads = append(st.Heads, BucketHead{Bucket: int32(c<<headChunkShift + j), Head: h - 1})
+			if r == (depRecord{next: -1}) {
+				st.Removed = append(st.Removed, int32(c<<recChunkShift+j))
 			}
 		}
 	}
 	return st
 }
 
-// restore overwrites a new map with a captured state. Every index the
-// state holds is checked before it is used, a chain may link only
-// captured live records, so that no walk reaches an unallocated chunk,
-// the free stack may hold only free slots, so that no hand-out
-// overwrites a live record, the live count must be the captured
-// records', and the free and the live slots must be every slot.
+// restore overwrites a new map with a captured state. Each live record
+// is linked at the head of the chain its key hashes to, which rebuilds
+// every chain in its captured order. Every slot the state names is
+// checked before it is used: in range and named once, so that no chain
+// reaches another or itself (a live record must have a kind, so that
+// it fills its slot); the free stack may hold only free slots and no
+// live record may sit in its prefix, so that no hand-out overwrites a
+// live record; and the free and the live slots must be every slot.
 func (p *pmap) restore(st *PMapState) error {
-	if st.NRecs != p.n || st.NBuckets != p.nbuckets {
-		return fmt.Errorf("ck: restore: pmap geometry mismatch (%d/%d recs, %d/%d buckets)",
-			st.NRecs, p.n, st.NBuckets, p.nbuckets)
-	}
-	// The map is new: every chunk unallocated, every bucket empty, the
+	// The map is new: every chunk unallocated, every chain empty, the
 	// free stack all canonical. Only the capture's deviations apply.
-	live, last := 0, int32(-1)
+	set := func(slot int32, r depRecord) error {
+		if slot < 0 || slot >= p.n || p.peek(slot) != (depRecord{}) {
+			return fmt.Errorf("ck: restore: pmap slot %d out of range or named twice", slot)
+		}
+		p.allocChunk(slot)
+		*p.rec(slot) = r
+		return nil
+	}
 	for _, r := range st.Recs {
-		if r.Slot <= last || r.Slot >= p.n {
-			return fmt.Errorf("ck: restore: pmap record slot %d out of range or order (after %d)", r.Slot, last)
+		if depKind(r.Ctx&ctxKindMask) == depFree {
+			return fmt.Errorf("ck: restore: pmap record %d has no kind", r.Slot)
 		}
-		last = r.Slot
-		if r.Next < -1 || r.Next >= p.n {
-			return fmt.Errorf("ck: restore: pmap record %d chains to slot %d, out of range", r.Slot, r.Next)
+		b := p.bucket(r.Key)
+		if err := set(r.Slot, depRecord{key: r.Key, dep: r.Dep, ctx: r.Ctx, next: p.head(b)}); err != nil {
+			return err
 		}
-		rec := depRecord{key: r.Key, dep: r.Dep, ctx: r.Ctx, next: r.Next}
-		if rec.kind() != depFree {
-			live++
+		p.setHead(b, r.Slot)
+	}
+	for _, slot := range st.Removed {
+		if err := set(slot, depRecord{next: -1}); err != nil {
+			return err
 		}
-		p.allocChunk(r.Slot)
-		*p.rec(r.Slot) = rec
 	}
 	free := func(idx int32) bool { r := p.peek(idx); return r.kind() == depFree }
 	if err := p.free.restore(st.Free, free); err != nil {
 		return fmt.Errorf("ck: restore: pmap %w", err)
 	}
+	// A removed record can sit in the canonical prefix (a released
+	// fresh-1 slot rejoins it), a live one cannot.
 	for _, r := range st.Recs {
-		// A removed record can sit in the canonical prefix (a released
-		// fresh-1 slot rejoins it), a live one cannot.
-		if !free(r.Slot) && r.Slot >= p.free.fresh {
+		if r.Slot >= p.free.fresh {
 			return fmt.Errorf("ck: restore: pmap record %d is live but in the free-stack prefix (from %d)", r.Slot, p.free.fresh)
 		}
-		if r.Next >= 0 && free(r.Next) {
-			return fmt.Errorf("ck: restore: pmap record %d chains to free slot %d", r.Slot, r.Next)
-		}
 	}
-	if st.Live != live {
-		return fmt.Errorf("ck: restore: pmap live count %d, but %d live records", st.Live, live)
-	}
+	live := len(st.Recs)
 	if free := p.free.len(); free+live != int(p.n) {
 		return fmt.Errorf("ck: restore: pmap free %d + live %d != capacity %d", free, live, p.n)
-	}
-	for _, h := range st.Heads {
-		if h.Bucket < 0 || h.Bucket >= p.nbuckets {
-			return fmt.Errorf("ck: restore: pmap bucket %d out of range", h.Bucket)
-		}
-		if h.Head < 0 || h.Head >= p.n {
-			return fmt.Errorf("ck: restore: pmap bucket %d head %d out of range", h.Bucket, h.Head)
-		}
-		if head := p.peek(h.Head); head.kind() == depFree {
-			return fmt.Errorf("ck: restore: pmap bucket %d heads free slot %d", h.Bucket, h.Head)
-		}
-		p.setHead(h.Bucket, h.Head)
 	}
 	if st.Hand < 0 || st.Hand >= p.n {
 		return fmt.Errorf("ck: restore: pmap clock hand %d out of range", st.Hand)
 	}
-	p.live = st.Live
+	p.live = live
 	p.hand = st.Hand
 	p.Reloads = st.Reloads
 	return nil

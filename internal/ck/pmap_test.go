@@ -3,6 +3,8 @@ package ck
 import (
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"vpp/internal/hw"
@@ -130,37 +132,33 @@ func (p *densePMap) victim(reclaimable func(idx int32, r *depRecord) bool) (idx 
 	return -1, scanned
 }
 
-// state is the capture the dense map's CaptureState made: used records,
-// the free stack's longest canonical prefix and the rest, and the
-// non-empty chains.
+// state is the capture of the dense map: the live records chain by
+// chain in bucket order, each chain from its last record to its head,
+// the used slots whose record is removed, and the free stack's longest
+// canonical prefix and the rest.
 func (p *densePMap) state() PMapState {
-	st := PMapState{
-		NRecs:    int32(len(p.recs)),
-		NBuckets: int32(len(p.buckets)),
-		Live:     p.live,
-		Hand:     p.hand,
-		Reloads:  p.reloads,
+	st := PMapState{Hand: p.hand, Reloads: p.reloads, Free: freeStackOf(p.free, len(p.recs))}
+	for _, head := range p.buckets {
+		from := len(st.Recs)
+		for cur := head; cur != -1; cur = p.recs[cur].next {
+			r := p.recs[cur]
+			st.Recs = append(st.Recs, DepRec{Slot: cur, Key: r.key, Dep: r.dep, Ctx: r.ctx})
+		}
+		slices.Reverse(st.Recs[from:])
 	}
 	for i, used := range p.used {
-		if used {
-			r := p.recs[i]
-			st.Recs = append(st.Recs, DepRec{Slot: int32(i), Key: r.key, Dep: r.dep, Ctx: r.ctx, Next: r.next})
-		}
-	}
-	st.Free = freeStackOf(p.free, len(p.recs))
-	for b, head := range p.buckets {
-		if head >= 0 {
-			st.Heads = append(st.Heads, BucketHead{Bucket: int32(b), Head: head})
+		if used && p.recs[i].kind() == depFree {
+			st.Removed = append(st.Removed, int32(i))
 		}
 	}
 	return st
 }
 
-// checkRoundTrip restores st into a new map of the same geometry and
-// requires the restored map to capture st again.
-func checkRoundTrip(t *testing.T, st PMapState) {
+// checkRoundTrip restores st into a new map of n records and the given
+// buckets and requires the restored map to capture st again.
+func checkRoundTrip(t *testing.T, n, buckets int, st PMapState) {
 	t.Helper()
-	q := newPMap(int(st.NRecs), int(st.NBuckets))
+	q := newPMap(n, buckets)
 	if err := q.restore(&st); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -287,7 +285,7 @@ func TestPMapMatchesDense(t *testing.T) {
 					if want := d.state(); !reflect.DeepEqual(st, want) {
 						t.Fatalf("n=%d seed=%d op %d: captured state\n %+v\ndense\n %+v", n, seed, op, st, want)
 					}
-					checkRoundTrip(t, st)
+					checkRoundTrip(t, n, buckets, st)
 				}
 			}
 			if d.reloads == 0 {
@@ -327,7 +325,7 @@ func TestPMapStateAbsorbsReleasedPrefixSlot(t *testing.T) {
 	if want := d.state(); !reflect.DeepEqual(st, want) {
 		t.Fatalf("captured state\n %+v\ndense\n %+v", st, want)
 	}
-	checkRoundTrip(t, st)
+	checkRoundTrip(t, n, 4, st)
 	// A removed record released at fresh-1 rejoins the prefix too, and
 	// the capture keeps the record, its slot's reload mark, inside it.
 	p.takeFree()
@@ -337,13 +335,13 @@ func TestPMapStateAbsorbsReleasedPrefixSlot(t *testing.T) {
 	p.remove(2)
 	d.remove(2)
 	st = p.state()
-	if st.Free.Canon != n-2 || st.Free.Tail != nil || len(st.Recs) != 3 || st.Recs[2] != (DepRec{Slot: 2, Next: -1}) {
-		t.Fatalf("after removing slot 2: prefix %d tail %v records %v, want %d, none and slot 2 removed", st.Free.Canon, st.Free.Tail, st.Recs, n-2)
+	if st.Free.Canon != n-2 || st.Free.Tail != nil || len(st.Recs) != 2 || !reflect.DeepEqual(st.Removed, []int32{2}) {
+		t.Fatalf("after removing slot 2: prefix %d tail %v records %v removed %v, want %d, none, two live and slot 2", st.Free.Canon, st.Free.Tail, st.Recs, st.Removed, n-2)
 	}
 	if want := d.state(); !reflect.DeepEqual(st, want) {
 		t.Fatalf("captured state\n %+v\ndense\n %+v", st, want)
 	}
-	checkRoundTrip(t, st)
+	checkRoundTrip(t, n, 4, st)
 	p.remove(0) // not adjacent to the prefix: goes on the tail
 	d.remove(0)
 	st = p.state()
@@ -353,7 +351,19 @@ func TestPMapStateAbsorbsReleasedPrefixSlot(t *testing.T) {
 	if want := d.state(); !reflect.DeepEqual(st, want) {
 		t.Fatalf("captured state\n %+v\ndense\n %+v", st, want)
 	}
-	checkRoundTrip(t, st)
+	checkRoundTrip(t, n, 4, st)
+}
+
+// TestPMapRestoreRejectsRecordWithoutKind restores live records with no
+// kind. Linked with key 0 ahead of slot 0, such a record is all zero,
+// as a slot nothing named is, so naming its slot again would link it
+// to itself.
+func TestPMapRestoreRejectsRecordWithoutKind(t *testing.T) {
+	const n = 8
+	st := PMapState{Recs: []DepRec{{Slot: 0}, {Slot: 1}, {Slot: 1}}, Free: FreeStack{Canon: n - 3}}
+	if err := newPMap(n, 4).restore(&st); err == nil || !strings.Contains(err.Error(), "no kind") {
+		t.Fatalf("restore returned %v, want a refusal of a record with no kind", err)
+	}
 }
 
 // TestNewKernelAllocation bounds what building a Cache Kernel with the

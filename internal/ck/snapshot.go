@@ -151,11 +151,11 @@ func errShape(cache, what string, got, want int) error {
 	return fmt.Errorf("ck: %s cache restore: %s mismatch (%d vs %d)", cache, what, got, want)
 }
 
-// KernelRec is one loaded kernel descriptor's captured state. Handler
+// KernelRec is one loaded kernel descriptor's captured state; its
+// slot is the kernel cache's LRU entry at the same position. Handler
 // closures (Trap/Fault/Wb) are code bound to the capturing process and
 // are re-supplied at restore time via the bind callback.
 type KernelRec struct {
-	Slot        int32
 	Name        string
 	MaxPrio     int
 	CPUShare    []int
@@ -178,44 +178,35 @@ type PTERec struct {
 }
 
 // SpaceRec is one loaded space descriptor's captured state, including
-// its full translation tree.
+// its full translation tree, one entry per mapped page; its slot is the
+// space cache's LRU entry at the same position.
 type SpaceRec struct {
-	Slot      int32
 	OwnerSlot int32
-	Mappings  int
 	PTEs      []PTERec
 }
 
-// DepRec mirrors one used dependency record of the physical memory
+// DepRec mirrors one live dependency record of the physical memory
 // map, tagged with its pool slot.
 type DepRec struct {
 	Slot int32
 	Key  uint32
 	Dep  uint32
 	Ctx  uint32
-	Next int32
 }
 
-// BucketHead is one non-empty hash chain: bucket index and the slot of
-// its first record.
-type BucketHead struct {
-	Bucket int32
-	Head   int32
-}
-
-// PMapState is the captured physical memory map. The pool is sparse at
-// any quiescent point, so only used records and non-empty hash chains
-// are stored, and the free stack as its canonical-prefix length and
+// PMapState is the captured physical memory map: the records, not
+// their hash chains, which restore rebuilds. The pool is sparse at any
+// quiescent point, so only the live records are stored, grouped chain
+// by chain in bucket order, each chain from its last record to its
+// head; the slots of removed records, each its slot's reload mark, in
+// slot order; and the free stack as its canonical-prefix length and
 // tail, as every descriptor cache's is.
 type PMapState struct {
-	NRecs    int32 // record-pool capacity (geometry check)
-	NBuckets int32 // hash-bucket count (geometry check)
-	Recs     []DepRec
-	Free     FreeStack
-	Heads    []BucketHead
-	Live     int
-	Hand     int32
-	Reloads  uint64
+	Recs    []DepRec
+	Removed []int32
+	Free    FreeStack
+	Hand    int32
+	Reloads uint64
 }
 
 // RTLBReceiverState is one cached signal-delivery target.
@@ -289,9 +280,8 @@ func (k *Kernel) CaptureState() (*State, error) {
 	if k.first != nil {
 		st.FirstSlot = k.first.slot
 	}
-	k.kernels.forEach(func(idx int32, ko *KernelObj) bool {
+	k.kernels.forEach(func(_ int32, ko *KernelObj) bool {
 		rec := KernelRec{
-			Slot:        idx,
 			Name:        ko.attrs.Name,
 			MaxPrio:     ko.attrs.MaxPrio,
 			CPUShare:    append([]int(nil), ko.attrs.CPUShare...),
@@ -311,8 +301,8 @@ func (k *Kernel) CaptureState() (*State, error) {
 		st.KernelRecs = append(st.KernelRecs, rec)
 		return true
 	})
-	k.spaces.forEach(func(idx int32, so *SpaceObj) bool {
-		rec := SpaceRec{Slot: idx, OwnerSlot: so.owner.slot, Mappings: so.mappings}
+	k.spaces.forEach(func(_ int32, so *SpaceObj) bool {
+		rec := SpaceRec{OwnerSlot: so.owner.slot}
 		so.hw.Table.Walk(func(va uint32, pte pagetable.PTE) bool {
 			rec.PTEs = append(rec.PTEs, PTERec{VA: va, PTE: pte})
 			return true
@@ -336,30 +326,27 @@ func (k *Kernel) CaptureState() (*State, error) {
 }
 
 // RestoreState overwrites a freshly created (never-booted) instance
-// with a captured state. bind re-supplies each kernel's handler
-// closures by name — handlers are code referencing the restoring
-// process's own objects and cannot ride in the State; the structural
-// attrs fields (MaxPrio, CPUShare, LockQuota, Locked) are taken from
-// the capture regardless of what bind returns.
+// with a captured state. The instance must have the captured
+// configuration. bind re-supplies each kernel's handler closures by
+// name — handlers are code referencing the restoring process's own
+// objects and cannot ride in the State; the structural attrs fields
+// (MaxPrio, CPUShare, LockQuota, Locked) are taken from the capture
+// regardless of what bind returns.
 func (k *Kernel) RestoreState(st *State, bind func(name string) KernelAttrs) error {
 	if k.first != nil || k.kernels.Loaded() != 0 || k.spaces.Loaded() != 0 || k.threads.Loaded() != 0 {
 		return fmt.Errorf("ck: RestoreState on a non-fresh instance")
 	}
-	kernelBySlot := make(map[int32]*KernelRec, len(st.KernelRecs))
-	for i := range st.KernelRecs {
-		kernelBySlot[st.KernelRecs[i].Slot] = &st.KernelRecs[i]
+	if st.Cfg != k.Cfg {
+		return fmt.Errorf("ck: restore: configuration %+v into an instance of %+v", st.Cfg, k.Cfg)
 	}
-	spaceBySlot := make(map[int32]*SpaceRec, len(st.SpaceRecs))
-	for i := range st.SpaceRecs {
-		spaceBySlot[st.SpaceRecs[i].Slot] = &st.SpaceRecs[i]
+	if len(st.KernelRecs) != len(st.Kernels.LRU) || len(st.SpaceRecs) != len(st.Spaces.LRU) {
+		return fmt.Errorf("ck: restore: %d kernel and %d space records for %d and %d loaded slots",
+			len(st.KernelRecs), len(st.SpaceRecs), len(st.Kernels.LRU), len(st.Spaces.LRU))
 	}
 	// Pass 1: rebuild the kernel cache; owner/space links need every
 	// object to exist first and are wired in pass 3.
-	err := k.kernels.restoreShape(st.Kernels, func(slot int32) (*KernelObj, error) {
-		rec := kernelBySlot[slot]
-		if rec == nil {
-			return nil, fmt.Errorf("ck: restore: loaded kernel slot %d has no record", slot)
-		}
+	err := k.kernels.restoreShape(st.Kernels, func(i int, slot int32) (*KernelObj, error) {
+		rec := &st.KernelRecs[i]
 		attrs := KernelAttrs{}
 		if bind != nil {
 			attrs = bind(rec.Name)
@@ -389,11 +376,8 @@ func (k *Kernel) RestoreState(st *State, bind func(name string) KernelAttrs) err
 	// Pass 2: rebuild the space cache, including each space's
 	// translation tree (page tables re-allocate from local RAM; the
 	// machine-level restore pins the allocator's accounting afterward).
-	err = k.spaces.restoreShape(st.Spaces, func(slot int32) (*SpaceObj, error) {
-		rec := spaceBySlot[slot]
-		if rec == nil {
-			return nil, fmt.Errorf("ck: restore: loaded space slot %d has no record", slot)
-		}
+	err = k.spaces.restoreShape(st.Spaces, func(i int, slot int32) (*SpaceObj, error) {
+		rec := &st.SpaceRecs[i]
 		owner, ok := k.kernels.peek(rec.OwnerSlot)
 		if !ok {
 			return nil, fmt.Errorf("ck: restore: space slot %d names unloaded owner slot %d", slot, rec.OwnerSlot)
@@ -412,7 +396,7 @@ func (k *Kernel) RestoreState(st *State, bind func(name string) KernelAttrs) err
 			slot:     slot,
 			owner:    owner,
 			hw:       &hw.Space{Table: tbl, ASID: uint16(slot) + 1},
-			mappings: rec.Mappings,
+			mappings: len(rec.PTEs),
 			threads:  make(map[int32]*ThreadObj),
 		}
 		owner.spaces[slot] = so
@@ -422,21 +406,18 @@ func (k *Kernel) RestoreState(st *State, bind func(name string) KernelAttrs) err
 		return err
 	}
 	// Pass 3: kernel owner and designated-space links.
-	for i := range st.KernelRecs {
+	for i, slot := range st.Kernels.LRU {
 		rec := &st.KernelRecs[i]
-		ko, ok := k.kernels.peek(rec.Slot)
-		if !ok {
-			return fmt.Errorf("ck: restore: kernel record for free slot %d", rec.Slot)
-		}
+		ko := k.kernels.at(slot)
 		owner, ok := k.kernels.peek(rec.OwnerSlot)
 		if !ok {
-			return fmt.Errorf("ck: restore: kernel slot %d names unloaded owner slot %d", rec.Slot, rec.OwnerSlot)
+			return fmt.Errorf("ck: restore: kernel slot %d names unloaded owner slot %d", slot, rec.OwnerSlot)
 		}
 		ko.owner = owner
 		if rec.SpaceSlot >= 0 {
 			so, ok := k.spaces.peek(rec.SpaceSlot)
 			if !ok {
-				return fmt.Errorf("ck: restore: kernel slot %d names unloaded space slot %d", rec.Slot, rec.SpaceSlot)
+				return fmt.Errorf("ck: restore: kernel slot %d names unloaded space slot %d", slot, rec.SpaceSlot)
 			}
 			ko.space = so
 			so.kernel = ko
@@ -444,7 +425,7 @@ func (k *Kernel) RestoreState(st *State, bind func(name string) KernelAttrs) err
 	}
 	// Threads: shape only — the capture precondition guarantees no
 	// loaded slots, but the generations decide future identifiers.
-	err = k.threads.restoreShape(st.Threads, func(slot int32) (*ThreadObj, error) {
+	err = k.threads.restoreShape(st.Threads, func(_ int, slot int32) (*ThreadObj, error) {
 		return nil, fmt.Errorf("ck: restore: captured state has a loaded thread slot %d", slot)
 	})
 	if err != nil {

@@ -31,10 +31,11 @@ func captureQuiescent(t testing.TB, env *testEnv) *State {
 func TestStateRoundTrip(t *testing.T) {
 	cases := []struct {
 		name string
+		cfg  Config
 		body func(env *testEnv, e *hw.Exec)
 	}{
-		{"boot_only", func(env *testEnv, e *hw.Exec) {}},
-		{"spaces_and_mappings", func(env *testEnv, e *hw.Exec) {
+		{"boot_only", Config{}, func(env *testEnv, e *hw.Exec) {}},
+		{"spaces_and_mappings", Config{}, func(env *testEnv, e *hw.Exec) {
 			sid := env.mustLoadSpace(e, false)
 			for i := 0; i < 6; i++ {
 				env.mustMap(e, sid, MappingSpec{
@@ -48,7 +49,7 @@ func TestStateRoundTrip(t *testing.T) {
 				env.t.Fatalf("UnloadMapping: %v", err)
 			}
 		}},
-		{"locked_descriptors", func(env *testEnv, e *hw.Exec) {
+		{"locked_descriptors", Config{}, func(env *testEnv, e *hw.Exec) {
 			locked := env.mustLoadSpace(e, true)
 			env.mustMap(e, locked, MappingSpec{
 				VA: 0x5000_0000, PFN: env.frame(),
@@ -56,7 +57,7 @@ func TestStateRoundTrip(t *testing.T) {
 			})
 			env.mustLoadSpace(e, false)
 		}},
-		{"retired_threads", func(env *testEnv, e *hw.Exec) {
+		{"retired_threads", Config{}, func(env *testEnv, e *hw.Exec) {
 			sid := env.mustLoadSpace(e, false)
 			env.mustMap(e, sid, MappingSpec{VA: 0x6000_0000, PFN: env.frame(), Writable: true, Cachable: true})
 			// Threads that run and exit: gone from the caches by
@@ -70,11 +71,23 @@ func TestStateRoundTrip(t *testing.T) {
 			}
 			e.Charge(2_000)
 		}},
+		{"shared_chains", Config{PMapBuckets: 4}, func(env *testEnv, e *hw.Exec) {
+			// Twelve mappings on four chains: restore relinks chains of
+			// several records, one of them with a record removed from
+			// its middle.
+			sid := env.mustLoadSpace(e, false)
+			for i := 0; i < 12; i++ {
+				env.mustMap(e, sid, MappingSpec{VA: 0x7000_0000 + uint32(i)*hw.PageSize, PFN: env.frame(), Writable: true, Cachable: true})
+			}
+			if _, err := env.k.UnloadMapping(e, sid, 0x7000_0000+5*hw.PageSize); err != nil {
+				env.t.Fatalf("UnloadMapping: %v", err)
+			}
+		}},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			env := newEnv(t, Config{}, tc.body)
+			env := newEnv(t, tc.cfg, tc.body)
 			st := captureQuiescent(t, env)
 
 			m2 := hw.NewMachine(hw.DefaultConfig())
@@ -142,7 +155,7 @@ func captureWithTails(t testing.TB) *State {
 		}
 	})
 	st := captureQuiescent(t, env)
-	if pm, sh := st.PMap, st.Spaces; len(pm.Free.Tail) == 0 || len(pm.Heads) == 0 || len(pm.Recs) == 0 ||
+	if pm, sh := st.PMap, st.Spaces; len(pm.Free.Tail) == 0 || len(pm.Removed) == 0 || len(pm.Recs) == 0 ||
 		len(sh.Free.Tail) != 2 || len(sh.LRU) == 0 {
 		t.Fatalf("capture lacks a field to corrupt: %+v", st)
 	}
@@ -150,24 +163,28 @@ func captureWithTails(t testing.TB) *State {
 }
 
 // The fields of a capture that a stateEdit sets: the pmap's free
-// stack, record slots and chain links, bucket heads, live count and
-// clock hand, and each descriptor cache's free stack and LRU list.
+// stack, live record slots, removed slots and clock hand, the number
+// of kernel records, one configuration field, and each descriptor
+// cache's free stack, LRU list and numbers of generations and lock
+// bits.
 const (
 	editPMapCanon = iota
 	editPMapTail
 	editPMapRecSlot
-	editPMapRecNext
-	editPMapHead
-	editPMapBucket
-	editPMapLive
+	editPMapRemoved
 	editPMapHand
-	editKernelsCanon // then the kernels' tail and LRU, and the same for spaces and threads
-	numEdits         = editKernelsCanon + 3*3
+	editKernelRecs
+	editConfig
+	editKernelsCanon // then the kernels' tail, LRU, generations and lock bits, and the same for spaces and threads
+	cacheEdits       = 5
+	numEdits         = editKernelsCanon + 3*cacheEdits
 )
 
 // A stateEdit sets one field of a capture to value. For a list field,
 // index picks the element; an index past the end appends a copy of
-// element index-len (or a zero element) and sets that.
+// element index-len (or a zero element) and sets that. For a count,
+// index is the new length: the list is cut to it or grown with zero
+// elements. For the configuration, index picks the field.
 type stateEdit struct {
 	field, index uint8
 	value        int32
@@ -178,9 +195,12 @@ func (ed stateEdit) apply(st *State) *State {
 	c := *st
 	c.PMap.Free.Tail = slices.Clone(st.PMap.Free.Tail)
 	c.PMap.Recs = slices.Clone(st.PMap.Recs)
-	c.PMap.Heads = slices.Clone(st.PMap.Heads)
+	c.PMap.Removed = slices.Clone(st.PMap.Removed)
+	c.KernelRecs = slices.Clone(st.KernelRecs)
 	shapes := [...]*CacheShape{&c.Kernels, &c.Spaces, &c.Threads}
 	for _, sh := range shapes {
+		sh.Gens = slices.Clone(sh.Gens)
+		sh.Locked = slices.Clone(sh.Locked)
 		sh.Free.Tail = slices.Clone(sh.Free.Tail)
 		sh.LRU = slices.Clone(sh.LRU)
 	}
@@ -193,28 +213,40 @@ func (ed stateEdit) apply(st *State) *State {
 		editAt(&c.PMap.Free.Tail, i, setInt)
 	case editPMapRecSlot:
 		editAt(&c.PMap.Recs, i, func(r *DepRec) { r.Slot = v })
-	case editPMapRecNext:
-		editAt(&c.PMap.Recs, i, func(r *DepRec) { r.Next = v })
-	case editPMapHead:
-		editAt(&c.PMap.Heads, i, func(h *BucketHead) { h.Head = v })
-	case editPMapBucket:
-		editAt(&c.PMap.Heads, i, func(h *BucketHead) { h.Bucket = v })
-	case editPMapLive:
-		c.PMap.Live = int(v)
+	case editPMapRemoved:
+		editAt(&c.PMap.Removed, i, setInt)
 	case editPMapHand:
 		c.PMap.Hand = v
+	case editKernelRecs:
+		resize(&c.KernelRecs, i)
+	case editConfig:
+		cfg := [...]*int{&c.Cfg.KernelSlots, &c.Cfg.SpaceSlots, &c.Cfg.ThreadSlots, &c.Cfg.MappingSlots, &c.Cfg.PMapBuckets, &c.Cfg.RTLBEntries}
+		*cfg[i%len(cfg)] = int(v)
 	default:
-		sh := shapes[(f-editKernelsCanon)/3]
-		switch (f - editKernelsCanon) % 3 {
+		sh := shapes[(f-editKernelsCanon)/cacheEdits]
+		switch (f - editKernelsCanon) % cacheEdits {
 		case 0:
 			sh.Free.Canon = v
 		case 1:
 			editAt(&sh.Free.Tail, i, setInt)
 		case 2:
 			editAt(&sh.LRU, i, setInt)
+		case 3:
+			resize(&sh.Gens, i)
+		case 4:
+			resize(&sh.Locked, i)
 		}
 	}
 	return &c
+}
+
+// resize cuts list to n elements or grows it with zero elements.
+func resize[E any](list *[]E, n int) {
+	if n <= len(*list) {
+		*list = (*list)[:n]
+		return
+	}
+	*list = append(*list, make([]E, n-len(*list))...)
 }
 
 func editAt[E any](list *[]E, i int, set func(*E)) {
@@ -237,37 +269,26 @@ type editCase struct {
 }
 
 // pmapIndexCases move one pmap index of st out of its valid range. A
-// valid capture has every Recs[].Slot, head and clock hand in [0, n),
-// records in increasing slot order, every Recs[].Next in [-1, n), a
-// free-stack prefix length in [0, n], every tail entry below
-// n-Free.Canon, naming a free slot and listed once, no live record in
-// the canonical prefix, chains that link live records only, a live
-// count equal to the number of live records, and as many free slots as
-// the live records leave.
+// valid capture has every live and every removed slot in [0, n) and
+// named once, a clock hand in [0, n), a free-stack prefix length in
+// [0, n], every tail entry below n-Free.Canon, naming a free slot and
+// listed once, no live record in the canonical prefix, and as many
+// free slots as the live records leave.
 func pmapIndexCases(st *State) []editCase {
 	pm := st.PMap
-	n, fresh := pm.NRecs, pm.NRecs-pm.Free.Canon
-	recs, last, live := uint8(len(pm.Recs)), uint8(len(pm.Recs)-1), uint8(0)
-	for pm.Recs[live].Ctx&ctxKindMask == uint32(depFree) {
-		live++
-	}
+	n := int32(st.Cfg.MappingSlots)
+	fresh := n - pm.Free.Canon
 	return []editCase{
 		{"unchanged", stateEdit{editPMapHand, 0, pm.Hand}, ""},
 		{"free_tail_at_prefix", stateEdit{editPMapTail, 0, fresh}, "pmap"},
 		{"free_tail_negative", stateEdit{editPMapTail, 0, -1}, "pmap"},
-		{"free_tail_names_live_record", stateEdit{editPMapTail, 0, pm.Recs[live].Slot}, "pmap"},
+		{"free_tail_names_live_record", stateEdit{editPMapTail, 0, pm.Recs[0].Slot}, "pmap"},
 		{"free_tail_twice", stateEdit{editPMapTail, uint8(len(pm.Free.Tail)), pm.Free.Tail[0]}, "pmap"},
-		{"live_count_off", stateEdit{editPMapLive, 0, int32(pm.Live) + 7}, "pmap"},
-		{"slot_listed_twice", stateEdit{editPMapRecSlot, recs + last, pm.Recs[last].Slot}, "pmap"},
-		{"live_record_in_prefix", stateEdit{editPMapRecSlot, recs + live, fresh}, "pmap"},
-		{"head_past_pool", stateEdit{editPMapHead, 0, n}, "pmap"},
-		{"head_negative", stateEdit{editPMapHead, 0, -1}, "pmap"},
-		{"head_to_free_slot", stateEdit{editPMapHead, 0, n - 1}, "pmap"},
-		{"next_past_pool", stateEdit{editPMapRecNext, 0, n}, "pmap"},
-		{"next_below_end", stateEdit{editPMapRecNext, 0, -2}, "pmap"},
-		{"next_to_free_slot", stateEdit{editPMapRecNext, 0, n - 1}, "pmap"},
+		{"slot_listed_twice", stateEdit{editPMapRecSlot, 0, pm.Recs[1].Slot}, "pmap"},
+		{"live_record_in_prefix", stateEdit{editPMapRecSlot, 0, fresh}, "pmap"},
+		{"removed_slot_live", stateEdit{editPMapRemoved, uint8(len(pm.Removed)), pm.Recs[0].Slot}, "pmap"},
+		{"removed_past_pool", stateEdit{editPMapRemoved, 0, n}, "pmap"},
 		{"slot_past_pool", stateEdit{editPMapRecSlot, 0, n}, "pmap"},
-		{"bucket_past_table", stateEdit{editPMapBucket, 0, pm.NBuckets}, "pmap"},
 		{"prefix_past_pool", stateEdit{editPMapCanon, 0, n + 1}, "pmap"},
 		{"prefix_negative", stateEdit{editPMapCanon, 0, -1}, "pmap"},
 		{"prefix_short", stateEdit{editPMapCanon, 0, pm.Free.Canon - 1}, "pmap"},
@@ -282,9 +303,9 @@ func pmapIndexCases(st *State) []editCase {
 // twice.
 func freeSlotCases(st *State) []editCase {
 	sh := st.Spaces
-	n := int32(len(sh.Gens))
+	n := int32(st.Cfg.SpaceSlots)
 	fresh, top := n-sh.Free.Canon, uint8(len(sh.Free.Tail)-1)
-	const spacesCanon, spacesTail = editKernelsCanon + 3, editKernelsCanon + 4
+	const spacesCanon, spacesTail = editKernelsCanon + cacheEdits, editKernelsCanon + cacheEdits + 1
 	return []editCase{
 		{"unchanged", stateEdit{spacesCanon, 0, sh.Free.Canon}, ""},
 		{"past_cache", stateEdit{spacesTail, top, n + 35}, "spaces cache restore: free slot"},
@@ -297,11 +318,32 @@ func freeSlotCases(st *State) []editCase {
 	}
 }
 
-// restoreNew restores st into a new kernel on a new machine.
-func restoreNew(t *testing.T, st *State) (*Kernel, error) {
+// shapeCases corrupt one count that restore checks against another or
+// against the instance: the spaces cache's generations must cover every
+// slot below its free stack's prefix and no more than the cache, its
+// lock bits must be one per loaded slot, every loaded kernel needs its
+// record, and the capture's configuration must be the instance's.
+func shapeCases(st *State) []editCase {
+	sh := st.Spaces
+	n := int32(st.Cfg.SpaceSlots)
+	fresh := n - sh.Free.Canon
+	const spacesGens, spacesLocked = editKernelsCanon + cacheEdits + 3, editKernelsCanon + cacheEdits + 4
+	return []editCase{
+		{"unchanged", stateEdit{spacesGens, uint8(len(sh.Gens)), 0}, ""},
+		{"gens_short", stateEdit{spacesGens, uint8(fresh - 1), 0}, " generations, want "},
+		{"gens_past_cache", stateEdit{spacesGens, uint8(n + 1), 0}, " generations, want "},
+		{"locked_short", stateEdit{spacesLocked, uint8(len(sh.Locked) - 1), 0}, "spaces cache restore: lock bits"},
+		{"records_short", stateEdit{editKernelRecs, uint8(len(st.KernelRecs) - 1), 0}, "kernel and"},
+		{"config_mismatch", stateEdit{editConfig, 0, int32(st.Cfg.KernelSlots) + 1}, "configuration"},
+	}
+}
+
+// restoreNew restores st into a new kernel, built with cfg, on a new
+// machine.
+func restoreNew(t *testing.T, cfg Config, st *State) (*Kernel, error) {
 	m := hw.NewMachine(hw.DefaultConfig())
 	t.Cleanup(m.Close)
-	k, err := New(m.MPMs[0], st.Cfg)
+	k, err := New(m.MPMs[0], cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +356,7 @@ func restoreNew(t *testing.T, st *State) (*Kernel, error) {
 func checkRefusals(t *testing.T, base *State, cases []editCase) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := restoreNew(t, tc.edit.apply(base))
+			_, err := restoreNew(t, base.Cfg, tc.edit.apply(base))
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("RestoreState of the valid capture: %v", err)
@@ -342,18 +384,26 @@ func TestRestoreStateRejectsBadFreeSlot(t *testing.T) {
 	checkRefusals(t, base, freeSlotCases(base))
 }
 
+// TestRestoreStateRejectsBadShape restores captures with one count
+// corrupted (shapeCases).
+func TestRestoreStateRejectsBadShape(t *testing.T) {
+	base := captureWithTails(t)
+	checkRefusals(t, base, shapeCases(base))
+}
+
 // FuzzRestoreState restores captures with one field set to any value
-// (stateEdit) and requires RestoreState never to panic: it refuses the
-// capture, or the restored kernel passes CheckInvariants. The seed
-// corpus is every case of the two refusal tests.
+// (stateEdit) into a kernel built with the unedited capture's
+// configuration, and requires RestoreState never to panic: it refuses
+// the capture, or the restored kernel passes CheckInvariants. The seed
+// corpus is every case of the three refusal tests.
 func FuzzRestoreState(f *testing.F) {
 	base := captureWithTails(f)
-	for _, tc := range append(pmapIndexCases(base), freeSlotCases(base)...) {
+	for _, tc := range slices.Concat(pmapIndexCases(base), freeSlotCases(base), shapeCases(base)) {
 		f.Add(tc.edit.field, tc.edit.index, tc.edit.value)
 	}
 	f.Fuzz(func(t *testing.T, field, index uint8, value int32) {
 		ed := stateEdit{field, index, value}
-		k, err := restoreNew(t, ed.apply(base))
+		k, err := restoreNew(t, base.Cfg, ed.apply(base))
 		if err != nil {
 			return
 		}
