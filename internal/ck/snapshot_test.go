@@ -164,9 +164,9 @@ func captureWithTails(t testing.TB) *State {
 
 // The fields of a capture that a stateEdit sets: the pmap's free
 // stack, live record slots, removed slots and clock hand, the number
-// of kernel records, one configuration field, and each descriptor
-// cache's free stack, LRU list and numbers of generations and lock
-// bits.
+// of kernel records, the configuration's kernel slots, and each
+// descriptor cache's free stack, LRU list and numbers of generations
+// and lock bits.
 const (
 	editPMapCanon = iota
 	editPMapTail
@@ -184,7 +184,7 @@ const (
 // index picks the element; an index past the end appends a copy of
 // element index-len (or a zero element) and sets that. For a count,
 // index is the new length: the list is cut to it or grown with zero
-// elements. For the configuration, index picks the field.
+// elements.
 type stateEdit struct {
 	field, index uint8
 	value        int32
@@ -220,8 +220,7 @@ func (ed stateEdit) apply(st *State) *State {
 	case editKernelRecs:
 		resize(&c.KernelRecs, i)
 	case editConfig:
-		cfg := [...]*int{&c.Cfg.KernelSlots, &c.Cfg.SpaceSlots, &c.Cfg.ThreadSlots, &c.Cfg.MappingSlots, &c.Cfg.PMapBuckets, &c.Cfg.RTLBEntries}
-		*cfg[i%len(cfg)] = int(v)
+		c.Cfg.KernelSlots = int(v)
 	default:
 		sh := shapes[(f-editKernelsCanon)/cacheEdits]
 		switch (f - editKernelsCanon) % cacheEdits {
